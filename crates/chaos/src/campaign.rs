@@ -8,6 +8,7 @@
 //! the bit-identical-replay guarantee the whole tool rests on.
 
 use pmnet_core::system::DesignPoint;
+use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
 use pmnet_sim::{Dur, SimRng};
 
 use crate::artifact::Artifact;
@@ -85,18 +86,6 @@ impl CampaignOutcome {
     pub fn failure_count(&self) -> usize {
         self.failures.len()
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
-    let mut d = digest;
-    for &b in bytes {
-        d ^= u64::from(b);
-        d = d.wrapping_mul(FNV_PRIME);
-    }
-    d
 }
 
 /// One fully-generated run awaiting execution. Plans are generated

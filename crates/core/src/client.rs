@@ -21,7 +21,6 @@ use std::fmt;
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, Proto, Timer};
-use pmnet_sim::stats::LatencyHistogram;
 use pmnet_sim::{Dur, SimRng, Time};
 
 use pmnet_telemetry::span::{AckKind, Evidence, OpCompletion, OpEvent, OpKind};
@@ -35,7 +34,7 @@ use crate::protocol::{PacketType, PmnetHeader, HEADER_LEN};
 
 /// Sentinel ingress port marking a packet that has finished traversing the
 /// receive stack.
-pub(crate) const POST_STACK: PortNo = PortNo(200);
+const POST_STACK: PortNo = PortNo(200);
 
 const TIMER_TIMEOUT: u32 = 10;
 const TIMER_NEXT: u32 = 11;
@@ -44,6 +43,137 @@ const TIMER_LOCAL_LOG: u32 = 12;
 /// Device ids at or above this value are client-side peer loggers, not
 /// in-network PMNet devices.
 pub(crate) const PEER_LOGGER_ID_BASE: u8 = 200;
+
+/// The host a client node runs on: its address, the flow its requests
+/// travel on, and the network-stack cost model between the application
+/// and the wire. [`ClientLib`] and `pmnet-traffic`'s open-loop engine both
+/// hold one, so the two client state machines cross the same stack.
+#[derive(Debug, Clone)]
+pub struct ClientHost {
+    /// This client's address.
+    pub addr: Addr,
+    /// The server requests are addressed to.
+    pub server: Addr,
+    /// The stack's per-layer cost distributions.
+    pub profile: HostProfile,
+    /// TCP framing/costs instead of UDP.
+    use_tcp: bool,
+    src_port: u16,
+    server_port: u16,
+}
+
+impl ClientHost {
+    /// A UDP host; `index` picks the source port.
+    pub fn new(addr: Addr, server: Addr, index: u16, profile: HostProfile) -> ClientHost {
+        ClientHost {
+            addr,
+            server,
+            profile,
+            use_tcp: false,
+            src_port: 51001 + index % 999,
+            server_port: 51000,
+        }
+    }
+
+    /// Samples the user + kernel transmit stack for one packet.
+    pub fn tx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
+        let mut d = self.profile.user_tx.sample(ctx.rng(), payload_len)
+            + self.profile.kernel_tx.sample(ctx.rng(), payload_len);
+        if self.use_tcp {
+            d += HostProfile::tcp_extra();
+        }
+        d
+    }
+
+    fn rx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
+        let mut d = self.profile.kernel_rx.sample(ctx.rng(), payload_len)
+            + self.profile.user_rx.sample(ctx.rng(), payload_len);
+        if self.use_tcp {
+            d += HostProfile::tcp_extra();
+        }
+        d
+    }
+
+    /// Frames `header` + `payload` as a packet on this host's flow.
+    pub fn make_packet(&self, header: &PmnetHeader, payload: &[u8]) -> Packet {
+        let body = header.encode(payload);
+        let mut p = Packet::udp(
+            self.addr,
+            self.server,
+            self.src_port,
+            self.server_port,
+            body,
+        );
+        if self.use_tcp {
+            p.proto = Proto::Tcp;
+        }
+        p
+    }
+
+    /// The receive stack. A packet raw off the wire is stamped for span
+    /// attribution, charged the kernel + user receive cost and re-posted
+    /// to this node on the post-stack port (`None`); one arriving on that
+    /// port has finished the climb and is handed back.
+    pub fn receive(
+        &self,
+        ctx: &mut Ctx<'_>,
+        telemetry: &Telemetry,
+        port: PortNo,
+        packet: Packet,
+    ) -> Option<Packet> {
+        if port == POST_STACK {
+            return Some(packet);
+        }
+        if telemetry.is_enabled() {
+            // A coalesced batch carries several acks behind one wire
+            // arrival: every inner frame gets its own recv stamp so
+            // per-op spans stay attributable.
+            let mut headers: Vec<PmnetHeader> = Vec::new();
+            if crate::batch::is_batch(&packet.payload) {
+                if let Some(frames) = BatchFrames::decode(&packet.payload) {
+                    headers.extend(frames.map(|(h, _)| h));
+                }
+            } else if let Some(h) = PmnetHeader::peek(&packet.payload) {
+                headers.push(h);
+            }
+            for h in headers {
+                let kind = match h.ptype {
+                    PacketType::PmnetAck => Some(if h.device_id >= PEER_LOGGER_ID_BASE {
+                        AckKind::Peer(h.device_id)
+                    } else {
+                        AckKind::Device(h.device_id)
+                    }),
+                    PacketType::ServerAck => Some(AckKind::Server),
+                    PacketType::AppReply => Some(AckKind::Reply),
+                    PacketType::CacheResp => Some(AckKind::Cache),
+                    _ => None,
+                };
+                if let Some(kind) = kind {
+                    telemetry.op_event(
+                        self.addr,
+                        ctx.now(),
+                        (self.addr, h.session, h.seq),
+                        OpEvent::ClientRecv {
+                            kind,
+                            at: ctx.now(),
+                        },
+                    );
+                }
+            }
+        }
+        let delay = self.rx_delay(ctx, packet.payload.len() as u32);
+        let self_id = ctx.self_id();
+        ctx.message_in(
+            delay,
+            self_id,
+            Msg::Packet {
+                port: POST_STACK,
+                packet,
+            },
+        );
+        None
+    }
+}
 
 /// What kind of request the application issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,13 +371,8 @@ struct Outstanding {
 /// session functions driven as a closed loop.
 #[derive(Debug)]
 pub struct ClientLib {
-    addr: Addr,
-    server: Addr,
-    server_port: u16,
-    src_port: u16,
+    host: ClientHost,
     mode: ClientMode,
-    profile: HostProfile,
-    use_tcp: bool,
     timeout: Dur,
     retry: RetryConfig,
     rto: RtoEstimator,
@@ -292,13 +417,8 @@ impl ClientLib {
         source: Box<dyn RequestSource>,
     ) -> ClientLib {
         ClientLib {
-            addr,
-            server,
-            server_port: 51000,
-            src_port: 51001 + session % 999,
+            host: ClientHost::new(addr, server, session, profile),
             mode,
-            profile,
-            use_tcp: false,
             timeout,
             retry,
             rto: RtoEstimator::new(timeout, retry),
@@ -347,15 +467,10 @@ impl ClientLib {
         self.retry_counters
     }
 
-    /// The current effective retransmission timeout.
-    pub fn current_rto(&self) -> Dur {
-        self.rto.current()
-    }
-
     /// Uses TCP framing/costs for this client's traffic (baseline Redis /
     /// Twitter / TPCC keep their native TCP, Section VI-A3).
     pub fn with_tcp(mut self) -> ClientLib {
-        self.use_tcp = true;
+        self.host.use_tcp = true;
         self
     }
 
@@ -389,7 +504,7 @@ impl ClientLib {
 
     /// This client's address.
     pub fn client_addr(&self) -> Addr {
-        self.addr
+        self.host.addr
     }
 
     /// `(session, seq)` of every acknowledged update packet (audit input;
@@ -399,52 +514,8 @@ impl ClientLib {
         &self.acked_updates
     }
 
-    /// A histogram of post-warm-up latencies, optionally filtered by kind.
-    pub fn latency_histogram(&self, kind: Option<RequestKind>) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for r in self.records() {
-            if kind.is_none_or(|k| k == r.kind) {
-                h.record(r.latency);
-            }
-        }
-        h
-    }
-
     fn max_fragment_payload(&self) -> usize {
         MTU_BYTES - 42 - HEADER_LEN
-    }
-
-    fn tx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
-        let mut d = self.profile.user_tx.sample(ctx.rng(), payload_len)
-            + self.profile.kernel_tx.sample(ctx.rng(), payload_len);
-        if self.use_tcp {
-            d += HostProfile::tcp_extra();
-        }
-        d
-    }
-
-    fn rx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
-        let mut d = self.profile.kernel_rx.sample(ctx.rng(), payload_len)
-            + self.profile.user_rx.sample(ctx.rng(), payload_len);
-        if self.use_tcp {
-            d += HostProfile::tcp_extra();
-        }
-        d
-    }
-
-    fn make_packet(&self, header: &PmnetHeader, payload: &[u8]) -> Packet {
-        let body = header.encode(payload);
-        let mut p = Packet::udp(
-            self.addr,
-            self.server,
-            self.src_port,
-            self.server_port,
-            body,
-        );
-        if self.use_tcp {
-            p.proto = Proto::Tcp;
-        }
-        p
     }
 
     fn send_fragments(&mut self, ctx: &mut Ctx<'_>, only_incomplete: bool) {
@@ -468,15 +539,15 @@ impl ClientLib {
             if only_incomplete && done {
                 continue;
             }
-            cumulative += self.tx_delay(ctx, payload.len() as u32);
-            let pkt = self.make_packet(&header, &payload);
+            cumulative += self.host.tx_delay(ctx, payload.len() as u32);
+            let pkt = self.host.make_packet(&header, &payload);
             ctx.send_after(cumulative, PortNo(0), pkt);
             // The wire-entry stamp reuses the already-computed cumulative
             // delay: recording draws nothing from the RNG.
             self.telemetry.op_event(
-                self.addr,
+                self.host.addr,
                 ctx.now(),
-                (self.addr, header.session, header.seq),
+                (self.host.addr, header.session, header.seq),
                 OpEvent::ClientSend {
                     attempt,
                     tx_start: ctx.now(),
@@ -491,8 +562,8 @@ impl ClientLib {
                 if only_incomplete && peer_acks.contains(&peer_id) {
                     continue;
                 }
-                let copy_delay = self.tx_delay(ctx, payload.len() as u32);
-                let mut copy = self.make_packet(&header, &payload);
+                let copy_delay = self.host.tx_delay(ctx, payload.len() as u32);
+                let mut copy = self.host.make_packet(&header, &payload);
                 copy.dst = *peer;
                 ctx.send_after(copy_delay, PortNo(0), copy);
             }
@@ -547,7 +618,7 @@ impl ClientLib {
             let last = out.frags.last().expect("at least one fragment");
             self.recorder.record(Event {
                 at: ctx.now(),
-                client: self.addr,
+                client: self.host.addr,
                 session: last.header.session,
                 seq: last.header.seq,
                 kind: EventKind::Complete {
@@ -573,7 +644,7 @@ impl ClientLib {
         if out.attempt == 0 {
             self.rto.sample(ctx.now() - out.issued_at);
         }
-        let latency = ctx.now() - out.issued_at + self.profile.app_overhead;
+        let latency = ctx.now() - out.issued_at + self.host.profile.app_overhead;
         if self.telemetry.is_enabled() {
             // Fragment seqs are assigned contiguously at issue, so the
             // first/last headers bound them all.
@@ -598,10 +669,10 @@ impl ClientLib {
                 _ => (Evidence::LocalLog, frag_range.1),
             };
             self.telemetry.op_complete(
-                self.addr,
+                self.host.addr,
                 ctx.now(),
                 OpCompletion {
-                    client: self.addr,
+                    client: self.host.addr,
                     session,
                     completing_seq,
                     frag_range,
@@ -626,7 +697,7 @@ impl ClientLib {
         });
         self.source.on_complete(&out.req, out.reply.as_ref());
         self.source.on_outcome(&out.req, UpdateOutcome::Completed);
-        ctx.timer_in(self.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
+        ctx.timer_in(self.host.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
     }
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_>) {
@@ -654,8 +725,8 @@ impl ClientLib {
                         PacketType::UpdateReq,
                         self.session,
                         seq,
-                        self.addr,
-                        self.server,
+                        self.host.addr,
+                        self.host.server,
                         i as u16,
                         cnt,
                     )
@@ -680,8 +751,8 @@ impl ClientLib {
                     PacketType::BypassReq,
                     self.session,
                     seq,
-                    self.addr,
-                    self.server,
+                    self.host.addr,
+                    self.host.server,
                     0,
                     1,
                 )
@@ -698,7 +769,7 @@ impl ClientLib {
         #[cfg(feature = "recorder")]
         self.recorder.record(Event {
             at: ctx.now(),
-            client: self.addr,
+            client: self.host.addr,
             session: self.session,
             seq: frags.last().expect("at least one fragment").header.seq,
             kind: EventKind::Invoke {
@@ -708,9 +779,9 @@ impl ClientLib {
         });
         if let Some(last) = frags.last() {
             self.telemetry.op_issue(
-                self.addr,
+                self.host.addr,
                 ctx.now(),
-                (self.addr, last.header.session, last.header.seq),
+                (self.host.addr, last.header.session, last.header.seq),
                 match req.kind {
                     RequestKind::Update => OpKind::Update,
                     RequestKind::Bypass => OpKind::Read,
@@ -765,11 +836,11 @@ impl ClientLib {
                 .iter()
                 .map(|f| (f.header.session, f.header.seq))
                 .collect();
-            self.telemetry.op_abandon(self.addr, &frags);
+            self.telemetry.op_abandon(self.host.addr, &frags);
         }
         self.retry_counters.failed += 1;
         self.source.on_outcome(&out.req, UpdateOutcome::Failed);
-        ctx.timer_in(self.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
+        ctx.timer_in(self.host.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
     }
 
     fn on_post_stack_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
@@ -891,13 +962,13 @@ impl ClientLib {
                     .map(|f| (f.header, f.payload.clone()));
                 let attempt = out.attempt;
                 if let Some((h, p)) = frag {
-                    let delay = self.tx_delay(ctx, p.len() as u32);
-                    let pkt = self.make_packet(&h, &p);
+                    let delay = self.host.tx_delay(ctx, p.len() as u32);
+                    let pkt = self.host.make_packet(&h, &p);
                     ctx.send_after(delay, PortNo(0), pkt);
                     self.telemetry.op_event(
-                        self.addr,
+                        self.host.addr,
                         ctx.now(),
-                        (self.addr, h.session, h.seq),
+                        (self.host.addr, h.session, h.seq),
                         OpEvent::ClientSend {
                             attempt,
                             tx_start: ctx.now(),
@@ -935,7 +1006,7 @@ impl Node for ClientLib {
                             .iter()
                             .map(|f| (f.header.session, f.header.seq))
                             .collect();
-                        self.telemetry.op_abandon(self.addr, &frags);
+                        self.telemetry.op_abandon(self.host.addr, &frags);
                     }
                 }
                 return;
@@ -963,59 +1034,10 @@ impl Node for ClientLib {
         }
         match msg {
             Msg::Start => self.issue_next(ctx),
-            Msg::Packet { port, packet } if port == POST_STACK => {
-                self.on_post_stack_packet(ctx, packet);
-            }
-            Msg::Packet { packet, .. } => {
-                // Raw off the wire: stamp the wire arrival for span
-                // attribution, then traverse the receive stack.
-                if self.telemetry.is_enabled() {
-                    // A coalesced batch carries several acks behind one wire
-                    // arrival: every inner frame gets its own recv stamp so
-                    // per-op spans stay attributable.
-                    let mut headers: Vec<PmnetHeader> = Vec::new();
-                    if crate::batch::is_batch(&packet.payload) {
-                        if let Some(frames) = BatchFrames::decode(&packet.payload) {
-                            headers.extend(frames.map(|(h, _)| h));
-                        }
-                    } else if let Some(h) = PmnetHeader::peek(&packet.payload) {
-                        headers.push(h);
-                    }
-                    for h in headers {
-                        let kind = match h.ptype {
-                            PacketType::PmnetAck => Some(if h.device_id >= PEER_LOGGER_ID_BASE {
-                                AckKind::Peer(h.device_id)
-                            } else {
-                                AckKind::Device(h.device_id)
-                            }),
-                            PacketType::ServerAck => Some(AckKind::Server),
-                            PacketType::AppReply => Some(AckKind::Reply),
-                            PacketType::CacheResp => Some(AckKind::Cache),
-                            _ => None,
-                        };
-                        if let Some(kind) = kind {
-                            self.telemetry.op_event(
-                                self.addr,
-                                ctx.now(),
-                                (self.addr, h.session, h.seq),
-                                OpEvent::ClientRecv {
-                                    kind,
-                                    at: ctx.now(),
-                                },
-                            );
-                        }
-                    }
+            Msg::Packet { port, packet } => {
+                if let Some(packet) = self.host.receive(ctx, &self.telemetry, port, packet) {
+                    self.on_post_stack_packet(ctx, packet);
                 }
-                let delay = self.rx_delay(ctx, packet.payload.len() as u32);
-                let self_id = ctx.self_id();
-                ctx.message_in(
-                    delay,
-                    self_id,
-                    Msg::Packet {
-                        port: POST_STACK,
-                        packet,
-                    },
-                );
             }
             Msg::Timer(Timer { kind, a, .. }) => match kind {
                 // Guarded so a timer from before a crash can't double-issue
@@ -1060,7 +1082,7 @@ impl Node for ClientLib {
     }
 
     fn addr(&self) -> Option<Addr> {
-        Some(self.addr)
+        Some(self.host.addr)
     }
 }
 

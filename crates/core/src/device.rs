@@ -369,11 +369,6 @@ impl PmnetDevice {
         self.fabric_epoch
     }
 
-    /// Client ACKs still withheld awaiting the backup's `ChainAck`.
-    pub fn chain_pending(&self) -> usize {
-        self.chain_state.len()
-    }
-
     /// Degrades (or restores, with `1`) the log PM's speed by `factor` —
     /// a chaos-injection hook modeling a misbehaving module.
     pub fn set_pm_slowdown(&mut self, factor: u32) {
@@ -407,10 +402,7 @@ impl PmnetDevice {
                 let d = self.pipeline_for(packet.payload.len());
                 ctx.send_after(d, port, packet);
             }
-            None => {
-                self.counters.unroutable += 1;
-                ctx.trace(|| format!("no route for {packet}"));
-            }
+            None => self.counters.unroutable += 1,
         }
     }
 
@@ -514,27 +506,10 @@ impl PmnetDevice {
         self.forward(ctx, packet);
         match outcome {
             LogOutcome::Logged { ack_at } => {
-                if self.role() == DeviceRole::Primary {
-                    // Withhold the client ACK until the backup's ChainAck
-                    // proves the update is durable on both chain members.
-                    self.chain_state
-                        .insert(header.hash, ChainPending::default());
-                }
                 ctx.timer_in(
                     ack_at.saturating_since(ctx.now()),
                     Timer {
                         kind: TIMER_PERSIST_DONE,
-                        a: u64::from(header.hash),
-                        b: self.epoch,
-                    },
-                );
-                // If the server never acknowledges (the forward may have
-                // been lost with no follow-up traffic to trip the gap
-                // detector), redo the entry from the log.
-                ctx.timer_in(
-                    self.config.log_retry_timeout,
-                    Timer {
-                        kind: TIMER_ENTRY_RETRY,
                         a: u64::from(header.hash),
                         b: self.epoch,
                     },
@@ -547,22 +522,11 @@ impl PmnetDevice {
                     seq: header.seq,
                     kind: EventKind::DeviceLogged { device: self.addr },
                 });
-                if !self.stale_read_bug {
-                    if let Some(cache) = &mut self.cache {
-                        if let Some(KvFrame::Set { key, value }) = KvFrame::decode(&payload) {
-                            cache.on_update(&key, &value);
-                        }
-                    }
-                }
+                self.entry_admitted(ctx, &header, &payload);
             }
             LogOutcome::Staged => {
-                // Admitted behind the doorbell. Everything the Logged arm
-                // sets up except the persist timer — the window's single
-                // flush owns that.
-                if self.role() == DeviceRole::Primary {
-                    self.chain_state
-                        .insert(header.hash, ChainPending::default());
-                }
+                // Admitted behind the doorbell: no persist timer — the
+                // window's single flush owns that.
                 self.telemetry.op_event(
                     self.addr,
                     ctx.now(),
@@ -572,21 +536,7 @@ impl PmnetDevice {
                         at: ctx.now(),
                     },
                 );
-                ctx.timer_in(
-                    self.config.log_retry_timeout,
-                    Timer {
-                        kind: TIMER_ENTRY_RETRY,
-                        a: u64::from(header.hash),
-                        b: self.epoch,
-                    },
-                );
-                if !self.stale_read_bug {
-                    if let Some(cache) = &mut self.cache {
-                        if let Some(KvFrame::Set { key, value }) = KvFrame::decode(&payload) {
-                            cache.on_update(&key, &value);
-                        }
-                    }
-                }
+                self.entry_admitted(ctx, &header, &payload);
                 if self.log.staged_len() >= self.batch.window as usize {
                     // Window full: ring the doorbell now.
                     self.flush_batch(ctx);
@@ -636,6 +586,35 @@ impl PmnetDevice {
         }
     }
 
+    /// The log took this update (written or staged): what every admitted
+    /// entry needs whichever way its PM write is scheduled.
+    fn entry_admitted(&mut self, ctx: &mut Ctx<'_>, header: &PmnetHeader, payload: &Bytes) {
+        if self.role() == DeviceRole::Primary {
+            // Withhold the client ACK until the backup's ChainAck
+            // proves the update is durable on both chain members.
+            self.chain_state
+                .insert(header.hash, ChainPending::default());
+        }
+        // If the server never acknowledges (the forward may have been
+        // lost with no follow-up traffic to trip the gap detector), redo
+        // the entry from the log.
+        ctx.timer_in(
+            self.config.log_retry_timeout,
+            Timer {
+                kind: TIMER_ENTRY_RETRY,
+                a: u64::from(header.hash),
+                b: self.epoch,
+            },
+        );
+        if !self.stale_read_bug {
+            if let Some(cache) = &mut self.cache {
+                if let Some(KvFrame::Set { key, value }) = KvFrame::decode(payload) {
+                    cache.on_update(&key, &value);
+                }
+            }
+        }
+    }
+
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
         let Some(entry) = self.log.peek(hash) else {
             return; // invalidated before the persist completed
@@ -664,26 +643,37 @@ impl PmnetDevice {
         }
     }
 
-    /// The PM write for `hash` completed: what gets acknowledged, and to
-    /// whom, depends on the chain role.
-    fn on_persist_done(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
+    /// The PM write covering `hash` completed: what gets acknowledged,
+    /// and to whom, depends on the chain role. Returns whether the
+    /// client's PMNet-ACK is releasable now.
+    fn entry_persisted(&mut self, ctx: &mut Ctx<'_>, hash: u32) -> bool {
         match self.role() {
-            DeviceRole::Solo => self.send_ack(ctx, hash),
+            DeviceRole::Solo => true,
             DeviceRole::Primary => {
                 let Some(pending) = self.chain_state.get_mut(&hash) else {
                     // Server-acked (or chain-completed) before the persist
                     // timer fired; the solo path's send_ack no-op on an
                     // invalidated entry has the same effect.
-                    return;
+                    return false;
                 };
                 pending.persisted = true;
-                if pending.chain_acked {
-                    self.chain_state.remove(&hash);
-                    self.counters.chain_releases += 1;
-                    self.send_ack(ctx, hash);
+                if !pending.chain_acked {
+                    return false;
                 }
+                self.chain_state.remove(&hash);
+                self.counters.chain_releases += 1;
+                true
             }
-            DeviceRole::Backup => self.send_chain_ack(ctx, hash),
+            DeviceRole::Backup => {
+                self.send_chain_ack(ctx, hash);
+                false
+            }
+        }
+    }
+
+    fn on_persist_done(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
+        if self.entry_persisted(ctx, hash) {
+            self.send_ack(ctx, hash);
         }
     }
 
@@ -742,28 +732,11 @@ impl PmnetDevice {
     /// logic, then coalesce the releasable client ACKs into batch packets
     /// (chain ACKs stay per-packet — the peer link is device-to-device).
     fn on_batch_persist_done(&mut self, ctx: &mut Ctx<'_>, batch_id: u64) {
-        let Some(hashes) = self.inflight_batches.remove(&batch_id) else {
+        let Some(mut hashes) = self.inflight_batches.remove(&batch_id) else {
             return;
         };
-        let mut ready: Vec<u32> = Vec::with_capacity(hashes.len());
-        for hash in hashes {
-            match self.role() {
-                DeviceRole::Solo => ready.push(hash),
-                DeviceRole::Primary => {
-                    let Some(pending) = self.chain_state.get_mut(&hash) else {
-                        continue; // server-acked or chain-completed already
-                    };
-                    pending.persisted = true;
-                    if pending.chain_acked {
-                        self.chain_state.remove(&hash);
-                        self.counters.chain_releases += 1;
-                        ready.push(hash);
-                    }
-                }
-                DeviceRole::Backup => self.send_chain_ack(ctx, hash),
-            }
-        }
-        self.send_coalesced_acks(ctx, &ready);
+        hashes.retain(|&hash| self.entry_persisted(ctx, hash));
+        self.send_coalesced_acks(ctx, &hashes);
     }
 
     /// Sends the window's client ACKs, coalescing same-flow ACKs into one
@@ -885,7 +858,6 @@ impl PmnetDevice {
         self.chain_state.clear();
         self.chain_acked_hashes.clear();
         self.inflight_batches.clear();
-        ctx.trace(|| format!("fenced at epoch {}", self.fabric_epoch));
     }
 
     /// Coordinator order: the chain peer is gone — collapse to solo
@@ -942,7 +914,6 @@ impl PmnetDevice {
             f.role = DeviceRole::Solo;
             f.chain_peer = None;
         }
-        ctx.trace(|| format!("promoted to solo at epoch {epoch}"));
     }
 
     /// Arms (or re-arms, after a power cycle) the heartbeat timer.
@@ -977,15 +948,8 @@ impl PmnetDevice {
         // The epoch rides in `seq`; `client` carries the device's own
         // address so the coordinator knows who is alive regardless of the
         // packet's rewritten src along the path.
-        let h = PmnetHeader::request(
-            PacketType::Heartbeat,
-            0,
-            self.fabric_epoch as u32,
-            self.addr,
-            fabric.server,
-            0,
-            1,
-        );
+        let epoch = self.fabric_epoch as u32;
+        let h = PmnetHeader::control(PacketType::Heartbeat, epoch, self.addr, fabric.server);
         let pkt = Packet::udp(self.addr, fabric.server, 51000, 51000, h.encode(&[]));
         self.counters.heartbeats_sent += 1;
         ctx.send_after(self.config.pipeline_delay, tor_port, pkt);
@@ -1036,7 +1000,7 @@ impl PmnetDevice {
         if self.staged_resends.values().any(|s| s.server == server) {
             return;
         }
-        let h = PmnetHeader::request(PacketType::RecoveryDone, 0, 0, self.addr, server, 0, 1);
+        let h = PmnetHeader::control(PacketType::RecoveryDone, 0, self.addr, server);
         let pkt = Packet::udp(self.addr, server, 51002, 51000, h.encode(&[]));
         self.counters.recovery_done_sent += 1;
         self.emit(ctx, server, pkt);
@@ -1390,7 +1354,7 @@ impl Node for PmnetDevice {
                 self.epoch += 1;
                 // Volatile state is lost; PM keeps entries whose write
                 // completed (Section IV-E).
-                let lost = self.log.crash(ctx.now());
+                self.log.crash(ctx.now());
                 self.staged_resends.clear();
                 // Flushed-but-unpersisted windows die with their timers
                 // (the epoch bump); staged-but-unflushed entries were
@@ -1413,7 +1377,6 @@ impl Node for PmnetDevice {
                 // resend them (and the resends re-park if their session's
                 // surviving entries are still un-acked).
                 self.parked_reads.clear();
-                ctx.trace(|| format!("device crash: {lost} unpersisted entries lost"));
             }
             Msg::Restore => {
                 self.alive = true;

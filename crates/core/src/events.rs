@@ -13,9 +13,11 @@
 //! are bit-identical with recording on or off). With the feature disabled
 //! the hooks do not exist at all, so the fast path pays nothing.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use pmnet_net::Addr;
-use pmnet_sim::trace::Tap;
 use pmnet_sim::Time;
 
 use crate::client::RequestKind;
@@ -88,19 +90,20 @@ pub struct Event {
 /// A cloneable recording handle.
 ///
 /// `Recorder::default()` is detached and records nothing; an armed handle
-/// (from [`Recorder::new`]) shares one [`Tap`] across every clone. Nodes
-/// hold a `Recorder` field unconditionally-cheaply: the detached state is
-/// a `None` and each hook is one branch.
+/// (from [`Recorder::new`]) shares one history across every clone (one
+/// `Rc` per simulated world; single-threaded by design). Nodes hold a
+/// `Recorder` field unconditionally-cheaply: the detached state is a
+/// `None` and each hook is one branch.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    tap: Option<Tap<Event>>,
+    tap: Option<Rc<RefCell<Vec<Event>>>>,
 }
 
 impl Recorder {
     /// An armed recorder; clones share the same history.
     pub fn new() -> Recorder {
         Recorder {
-            tap: Some(Tap::new()),
+            tap: Some(Rc::default()),
         }
     }
 
@@ -112,18 +115,20 @@ impl Recorder {
     /// Appends an event (no-op when detached).
     pub fn record(&self, event: Event) {
         if let Some(tap) = &self.tap {
-            tap.push(event);
+            tap.borrow_mut().push(event);
         }
     }
 
     /// A copy of the recorded history, oldest first (empty if detached).
     pub fn history(&self) -> Vec<Event> {
-        self.tap.as_ref().map(Tap::snapshot).unwrap_or_default()
+        self.tap
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.borrow().clone())
     }
 
     /// Events recorded so far.
     pub fn len(&self) -> usize {
-        self.tap.as_ref().map_or(0, Tap::len)
+        self.tap.as_ref().map_or(0, |t| t.borrow().len())
     }
 
     /// True if nothing was recorded (or the handle is detached).

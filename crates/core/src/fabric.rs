@@ -18,6 +18,7 @@
 use std::collections::HashSet;
 
 use pmnet_net::{Addr, Packet, Steering};
+use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
 
 use crate::protocol::{PacketType, PmnetHeader};
 
@@ -25,15 +26,6 @@ use crate::protocol::{PacketType, PmnetHeader};
 /// the per-shard load within a few percent of uniform for small N while
 /// keeping lookups cheap.
 const VIRTUAL_POINTS: u32 = 16;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Consistent-hash assignment of `(client, session)` keys to shards.
 ///
@@ -58,7 +50,7 @@ impl ShardMap {
                 let mut key = [0u8; 6];
                 key[..2].copy_from_slice(&shard.to_le_bytes());
                 key[2..].copy_from_slice(&replica.to_le_bytes());
-                ring.push((fnv1a(&key), shard));
+                ring.push((fnv1a(FNV_OFFSET, &key), shard));
             }
         }
         ring.sort_unstable();
@@ -75,7 +67,7 @@ impl ShardMap {
         let mut key = [0u8; 6];
         key[..4].copy_from_slice(&client.0.to_le_bytes());
         key[4..].copy_from_slice(&session.to_le_bytes());
-        let h = fnv1a(&key);
+        let h = fnv1a(FNV_OFFSET, &key);
         let idx = match self.ring.binary_search(&(h, 0)) {
             Ok(i) => i,
             Err(i) if i == self.ring.len() => 0, // wrap around
@@ -133,7 +125,6 @@ pub enum ReconfigAction {
 /// reconfiguration — the epoch only moves on live-member failures.
 #[derive(Debug, Clone)]
 pub struct FabricMap {
-    map: ShardMap,
     chains: Vec<ShardChain>,
     retired: HashSet<Addr>,
     epoch: u64,
@@ -142,18 +133,11 @@ pub struct FabricMap {
 impl FabricMap {
     /// Builds the fabric view from per-shard chains.
     pub fn new(chains: Vec<ShardChain>) -> FabricMap {
-        let shards = chains.len() as u16;
         FabricMap {
-            map: ShardMap::new(shards),
             chains,
             retired: HashSet::new(),
             epoch: 0,
         }
-    }
-
-    /// The shared shard map (same ring as the fabric switches).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
     }
 
     /// The current fabric epoch (bumped once per reconfiguration).

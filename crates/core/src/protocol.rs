@@ -171,6 +171,12 @@ impl PmnetHeader {
         h
     }
 
+    /// A control-plane header: no session, one fragment, and `seq` free to
+    /// carry the message's one word (e.g. a fabric epoch).
+    pub fn control(ptype: PacketType, seq: u32, client: Addr, server: Addr) -> PmnetHeader {
+        PmnetHeader::request(ptype, 0, seq, client, server, 0, 1)
+    }
+
     /// Stamps the payload checksum onto a request header (builder style).
     /// Call after the fragment fields are final: the checksum covers them.
     #[must_use]

@@ -1,0 +1,601 @@
+//! Applying updates and completing them. A **scheduling policy** decides
+//! when an in-order [`Update`] reaches the handler and how long a worker
+//! is occupied — the k-worker delay queue (a job per update), the doorbell
+//! window (`batch.window > 1`: a job per window) or the session-pinned
+//! pool (`apply.threads > 1`: a run per worker). [`ServerLib::apply_one`]
+//! is the only place the handler and every observer see it; its
+//! [`AckTicket`] is then parked until the occupancy elapses
+//! ([`TIMER_DONE`]) and redeemed by [`ServerLib::finish_update_job`].
+
+use std::collections::{HashMap, HashSet, VecDeque};
+
+use bytes::Bytes;
+use pmnet_net::{Addr, Ctx, Packet, Proto};
+use pmnet_pmem::CostModel;
+use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
+use pmnet_sim::{Dur, SimRng, Time};
+use pmnet_telemetry::span::OpEvent;
+
+use super::stream::{AckTicket, PendingPkt, Update};
+use super::{ServerLib, TIMER_DONE, TIMER_WINDOW_FLUSH};
+use crate::audit::AuditEntry;
+use crate::config::ApplyConfig;
+#[cfg(feature = "recorder")]
+use crate::events::{Event, EventKind};
+use crate::kvproto::KvFrame;
+use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
+
+/// Work whose worker occupancy is still elapsing, keyed by the
+/// [`TIMER_DONE`] token in [`ServerLib::parked`].
+#[derive(Debug)]
+pub(super) enum Parked {
+    /// One applied update; the ticket rides inline, so the per-update
+    /// policy pays no allocation for its completion.
+    Update(AckTicket),
+    /// A doorbell window or a pool run, each ticket redeemed exactly as a
+    /// solo one. `worker` is the pool worker occupied (`None`: delay queue).
+    Run {
+        tickets: Vec<AckTicket>,
+        worker: Option<usize>,
+    },
+    /// A served bypass request; `payload` now holds the reply body.
+    Bypass(PendingPkt),
+}
+
+/// One in-order update staged on a concurrent-apply worker queue: the
+/// handler has **not** seen it yet.
+#[derive(Debug)]
+struct ApplyOp {
+    /// Delivery order id (global across queues); doubles as the
+    /// same-key fence token.
+    id: u64,
+    /// Id of the latest earlier staged write to the same KV key, if any:
+    /// this op may not reach the handler before its fence does.
+    dep: Option<u64>,
+    /// Decoded `Set`/`Del` key (None for opaque payloads, which carry no
+    /// cross-session ordering obligations).
+    key: Option<Bytes>,
+    update: Update,
+}
+
+/// The sharded concurrent-apply worker pool (`ApplyConfig { threads > 1 }`).
+///
+/// Dispatch is stealing-free: an update is pinned to worker
+/// `fnv(client, session) % threads`, so per-session apply order is each
+/// queue's FIFO order and the handler's durable applied-seq table (the
+/// redo-log dedup source) only ever advances in sequence order per
+/// session. Cross-session writes to the same KV key are fenced in
+/// delivery order (`ApplyOp::dep`), and bypass reads addressing a key
+/// with a staged — delivered but not yet applied — write park until that
+/// write reaches the handler.
+#[derive(Debug)]
+pub(super) struct ApplyPool {
+    /// Per-worker FIFO queues of staged updates.
+    queues: Vec<VecDeque<ApplyOp>>,
+    /// Whether each pool worker is inside a dispatched run.
+    busy: Vec<bool>,
+    /// Simulated instant each worker's current/last run completes —
+    /// the pool's contribution to [`ServerLib::apply_busy_until`].
+    busy_until: Vec<Time>,
+    /// Monotone delivery counter feeding [`ApplyOp::id`].
+    next_id: u64,
+    /// Ids staged but not yet dispatched to a worker.
+    pending: HashSet<u64>,
+    /// Latest staged writer id per KV key: the write-write fence source
+    /// and the read-parking predicate.
+    key_writer: HashMap<Bytes, u64>,
+    /// `(client, session, seq)` of every staged fragment. A duplicate or
+    /// redo resend matching one is dropped *without* a make-up ack: the
+    /// update has not reached the handler, so acking it would let the
+    /// device invalidate its log entry while the only copy of the update
+    /// sits in this volatile queue.
+    pub(super) in_flight: HashSet<(Addr, u16, u32)>,
+    /// Bypass reads parked behind a staged same-key write.
+    parked_reads: Vec<PendingPkt>,
+    /// The seeded logical scheduler: jitters run occupancy so different
+    /// `PMNET_APPLY_SCHED_SEED`s explore different interleavings. Never
+    /// touches `ctx.rng()` — the world's schedule stays comparable
+    /// across scheduler seeds.
+    rng: SimRng,
+}
+
+impl ApplyPool {
+    pub(super) fn new(cfg: &ApplyConfig) -> ApplyPool {
+        let n = cfg.threads as usize;
+        ApplyPool {
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            busy: vec![false; n],
+            busy_until: vec![Time::ZERO; n],
+            next_id: 0,
+            pending: HashSet::new(),
+            key_writer: HashMap::new(),
+            in_flight: HashSet::new(),
+            parked_reads: Vec::new(),
+            rng: SimRng::seed(cfg.sched_seed ^ 0x9e37_79b9_7f4a_7c15),
+        }
+    }
+
+    /// Drops everything volatile at a power cut. Counters stay monotone
+    /// and the scheduler stream keeps its position (both deterministic).
+    pub(super) fn clear(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.busy.fill(false);
+        self.busy_until.fill(Time::ZERO);
+        self.pending.clear();
+        self.key_writer.clear();
+        self.in_flight.clear();
+        self.parked_reads.clear();
+    }
+
+    /// The instant the pool's last dispatched run completes.
+    pub(super) fn busy_until(&self) -> Time {
+        self.busy_until.iter().copied().max().unwrap_or(Time::ZERO)
+    }
+
+    pub(super) fn debug(&self) -> String {
+        format!(
+            "queues={:?} busy={:?} pending={} in_flight={} heads={:?}",
+            self.queues.iter().map(|q| q.len()).collect::<Vec<_>>(),
+            self.busy,
+            self.pending.len(),
+            self.in_flight.len(),
+            self.queues
+                .iter()
+                .map(|q| q.front().map(|o| (o.id, o.dep)))
+                .collect::<Vec<_>>(),
+        )
+    }
+}
+
+/// The handler times of a combined job each include one `sfence` drain; the
+/// job needs only the last, so the other `n - 1` are given back at the
+/// calibrated per-fence cost.
+fn fence_refund(n: u64) -> Dur {
+    CostModel::optane_server().per_fence * (n - 1)
+}
+
+impl ServerLib {
+    /// The one apply routine: hands `update` to the handler and tells
+    /// every observer. What the returned service time does to worker
+    /// occupancy is the calling policy's business.
+    fn apply_one(&mut self, ctx: &mut Ctx<'_>, update: &Update) -> Dur {
+        let (client, session) = (update.ticket.client, update.ticket.session);
+        for h in &update.ticket.frag_headers {
+            self.stamp(ctx, h, OpEvent::ServerApply { at: ctx.now() });
+        }
+        let service = self.handler.handle_update(
+            client,
+            session,
+            update.last_seq,
+            &update.payload,
+            ctx.rng(),
+        );
+        self.counters.updates_applied += 1;
+        self.audit.record(AuditEntry {
+            client,
+            session,
+            seq: update.last_seq,
+            redo: update.redo,
+            epoch: self.epoch,
+        });
+        #[cfg(feature = "recorder")]
+        self.recorder.record(Event {
+            at: ctx.now(),
+            client,
+            session,
+            seq: update.last_seq,
+            kind: EventKind::Apply {
+                redo: update.redo,
+                epoch: self.epoch,
+                payload: update.payload.clone(),
+            },
+        });
+        if update.redo {
+            self.counters.redo_applied += 1;
+            if let Some(r) = &mut self.recovery {
+                r.redo_applied += 1;
+                r.last_redo_at = ctx.now();
+            }
+        }
+        service
+    }
+
+    /// Routes one in-order update through the configured policy.
+    pub(super) fn deliver(&mut self, ctx: &mut Ctx<'_>, update: Update) {
+        if self.apply.is_concurrent() {
+            self.stage_concurrent(ctx, update);
+            return;
+        }
+        let service = self.apply_one(ctx, &update);
+        if !self.batch.is_batched() {
+            self.park(ctx, service, Parked::Update(update.ticket));
+            return;
+        }
+        self.counters.batched_applies += 1;
+        self.window.push(update.ticket);
+        self.window_service += service;
+        if self.window.len() >= self.batch.window as usize {
+            self.flush_window(ctx);
+        } else if self.window.len() == 1 {
+            // First entry of a new window: arm the doorbell deadline.
+            let deadline = self.batch.max_wait;
+            self.arm(ctx, deadline, TIMER_WINDOW_FLUSH, self.window_seq);
+        }
+    }
+
+    /// Submits the staged doorbell window as one combined worker job.
+    pub(super) fn flush_window(&mut self, ctx: &mut Ctx<'_>) {
+        let tickets = std::mem::take(&mut self.window);
+        let service = std::mem::take(&mut self.window_service);
+        self.window_seq += 1;
+        if tickets.is_empty() {
+            return;
+        }
+        let n = tickets.len() as u64;
+        self.counters.apply_batches += 1;
+        self.counters.apply_fences_elided += n - 1;
+        let service = service.saturating_sub(fence_refund(n));
+        let worker = None; // the delay queue, not a pool worker
+        self.park(ctx, service, Parked::Run { tickets, worker });
+    }
+
+    /// The k-worker delay queue: occupies the earliest-free worker for
+    /// `service` and parks `work` until then.
+    fn park(&mut self, ctx: &mut Ctx<'_>, service: Dur, work: Parked) {
+        let now = ctx.now();
+        let idx = (0..self.workers.len())
+            .min_by_key(|&i| self.workers[i])
+            .expect("worker pool non-empty");
+        let done = now.max(self.workers[idx]) + service;
+        self.workers[idx] = done;
+        self.park_until(ctx, done.saturating_since(now), work);
+    }
+
+    fn park_until(&mut self, ctx: &mut Ctx<'_>, after: Dur, work: Parked) {
+        let id = self.next_parked;
+        self.next_parked += 1;
+        self.parked.insert(id, work);
+        self.arm(ctx, after, TIMER_DONE, id);
+    }
+
+    /// [`TIMER_DONE`]: a parked occupancy elapsed.
+    pub(super) fn on_done(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        match self.parked.remove(&id) {
+            Some(Parked::Update(ticket)) => self.finish_update_job(ctx, ticket),
+            Some(Parked::Run { tickets, worker }) => {
+                if let Some(w) = worker {
+                    self.pool.busy[w] = false;
+                }
+                for ticket in tickets {
+                    self.finish_update_job(ctx, ticket);
+                }
+                if worker.is_some() {
+                    self.pump_pool(ctx);
+                }
+            }
+            Some(Parked::Bypass(reply)) if !self.silent_commit => {
+                let mut h = reply.header;
+                h.ptype = PacketType::AppReply;
+                let pkt = self.reply_packet(h, &reply.payload, reply.src_port, reply.proto);
+                let at = ctx.now() + self.send_via_stack(ctx, pkt);
+                self.stamp(ctx, &h, OpEvent::ServerSend { at });
+            }
+            Some(Parked::Bypass(_)) | None => {}
+        }
+    }
+
+    /// The pool worker an update is pinned to: FNV-1a over the session
+    /// identity, so a session's updates always share one FIFO queue.
+    fn apply_worker(&self, client: Addr, session: u16) -> usize {
+        let mut h = fnv1a(FNV_OFFSET, &client.0.to_le_bytes());
+        h = fnv1a(h, &session.to_le_bytes());
+        // FNV's low bits mix poorly for short inputs, and `% threads` with
+        // a small power of two reads only those bits — small client ids
+        // pile whole fleets onto the even workers. Finish with a 64-bit
+        // avalanche so every input bit reaches the modulus.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        (h % u64::from(self.apply.threads)) as usize
+    }
+
+    /// Stages one in-order update onto its session's pool queue,
+    /// recording the same-key fence if an earlier staged write addresses
+    /// the same KV key, then pumps the dispatcher.
+    fn stage_concurrent(&mut self, ctx: &mut Ctx<'_>, update: Update) {
+        let key = match KvFrame::decode(&update.payload) {
+            Some(KvFrame::Set { key, .. }) | Some(KvFrame::Del { key }) => Some(key),
+            _ => None,
+        };
+        let id = self.pool.next_id;
+        self.pool.next_id += 1;
+        // Taking over as the key's latest staged writer yields the fence.
+        let dep = key
+            .as_ref()
+            .and_then(|k| self.pool.key_writer.insert(k.clone(), id));
+        if dep.is_some() {
+            self.counters.apply_key_fences += 1;
+        }
+        self.pool.pending.insert(id);
+        let (client, session) = (update.ticket.client, update.ticket.session);
+        for h in &update.ticket.frag_headers {
+            self.pool.in_flight.insert((client, session, h.seq));
+        }
+        let w = self.apply_worker(client, session);
+        self.pool.queues[w].push_back(ApplyOp {
+            id,
+            dep,
+            key,
+            update,
+        });
+        self.pump_pool(ctx);
+    }
+
+    /// Hands every idle worker the longest ready prefix of its queue,
+    /// iterating to a fixpoint: dispatching a fence op on one worker can
+    /// unblock the head of another worker's queue within the same pump.
+    fn pump_pool(&mut self, ctx: &mut Ctx<'_>) {
+        loop {
+            let mut progressed = false;
+            for w in 0..self.pool.queues.len() {
+                if !self.pool.busy[w] && self.dispatch_run(ctx, w) {
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        self.retry_parked_reads(ctx);
+    }
+
+    /// Dispatches one run on idle worker `w`: peels ready ops off the
+    /// queue head, applies each, and occupies the worker for the combined
+    /// service time with the run's redundant fence drains refunded, like
+    /// the doorbell window. Returns false if the queue head is empty or
+    /// fenced.
+    fn dispatch_run(&mut self, ctx: &mut Ctx<'_>, w: usize) -> bool {
+        let mut service = Dur::ZERO;
+        let mut tickets = Vec::new();
+        while let Some(front) = self.pool.queues[w].front() {
+            // Ready once its same-key fence has reached a worker. A fence
+            // queued ahead on this same worker was peeled just above, so
+            // intra-queue fences never stall a run.
+            if front.dep.is_some_and(|d| self.pool.pending.contains(&d)) {
+                break;
+            }
+            let op = self.pool.queues[w].pop_front().expect("front just seen");
+            self.pool.pending.remove(&op.id);
+            if let Some(k) = &op.key {
+                if self.pool.key_writer.get(k) == Some(&op.id) {
+                    self.pool.key_writer.remove(k);
+                }
+            }
+            let (client, session) = (op.update.ticket.client, op.update.ticket.session);
+            for h in &op.update.ticket.frag_headers {
+                self.pool.in_flight.remove(&(client, session, h.seq));
+            }
+            service += self.apply_one(ctx, &op.update);
+            self.counters.concurrent_applies += 1;
+            tickets.push(op.update.ticket);
+        }
+        if tickets.is_empty() {
+            return false;
+        }
+        let n = tickets.len() as u64;
+        self.counters.apply_fences_elided += n - 1;
+        self.counters.apply_runs += 1;
+        let jitter = Dur::nanos(self.pool.rng.uniform_u64(0..256));
+        let service = service.saturating_sub(fence_refund(n)) + jitter;
+        self.pool.busy[w] = true;
+        self.pool.busy_until[w] = ctx.now() + service;
+        let worker = Some(w);
+        self.park_until(ctx, service, Parked::Run { tickets, worker });
+        true
+    }
+
+    /// Whether a bypass request addresses a KV key with a staged — not
+    /// yet applied — write on a pool queue. Serving it now would read
+    /// around an update the device already durably acked.
+    fn read_blocked_by_pool(&self, pending: &PendingPkt) -> bool {
+        if !self.apply.is_concurrent() || self.pool.key_writer.is_empty() {
+            return false;
+        }
+        match KvFrame::decode(&pending.payload) {
+            Some(KvFrame::Get { key }) => self.pool.key_writer.contains_key(&key),
+            _ => false,
+        }
+    }
+
+    /// Re-offers reads parked behind staged writes; still-blocked ones
+    /// re-park without recounting.
+    fn retry_parked_reads(&mut self, ctx: &mut Ctx<'_>) {
+        if self.pool.parked_reads.is_empty() {
+            return;
+        }
+        let parked = std::mem::take(&mut self.pool.parked_reads);
+        for pending in parked {
+            if self.read_blocked_by_pool(&pending) {
+                self.pool.parked_reads.push(pending);
+            } else {
+                self.on_bypass_post_stack(ctx, pending);
+            }
+        }
+    }
+
+    pub(super) fn on_bypass_post_stack(&mut self, ctx: &mut Ctx<'_>, mut pending: PendingPkt) {
+        // Durable linearizability: an update the device acked before this
+        // read was issued may still be in flight as redo. Reading handler
+        // state now would serve the pre-crash snapshot, so park the read
+        // until every device reports its per-server log drained.
+        if !self.recovery_pending.is_empty() {
+            self.counters.bypasses_parked += 1;
+            self.parked_bypass.push(pending);
+            return;
+        }
+        // Same reasoning one layer down: a device-acked write may still be
+        // sitting on a concurrent-apply queue, so a read of its key waits
+        // until the write reaches the handler.
+        if self.read_blocked_by_pool(&pending) {
+            self.counters.apply_reads_parked += 1;
+            self.pool.parked_reads.push(pending);
+            return;
+        }
+        self.stamp(ctx, &pending.header, OpEvent::ServerApply { at: ctx.now() });
+        let (service, reply) = self.handler.handle_bypass(&pending.payload, ctx.rng());
+        self.counters.bypasses_served += 1;
+        pending.payload = reply.unwrap_or_default();
+        self.park(ctx, service, Parked::Bypass(pending));
+    }
+
+    /// The one place a `ServerAck` leaves the server. Every caller holds
+    /// the same justification: the handler has durably recorded a sequence
+    /// number at or above `header.seq` for this session, so the device may
+    /// invalidate its log entry — the update was just applied (a redeemed
+    /// [`AckTicket`]), or this is a duplicate below the stream's
+    /// expectation that is not still staged on a pool queue (a make-up ack).
+    pub(super) fn send_server_ack(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        header: &PmnetHeader,
+        src_port: u16,
+        proto: Proto,
+    ) {
+        let pkt = self.reply_packet(header.server_ack(), &[], src_port, proto);
+        let at = ctx.now() + self.send_via_stack(ctx, pkt);
+        self.stamp(ctx, header, OpEvent::ServerSend { at });
+    }
+
+    fn redeem(&mut self, ctx: &mut Ctx<'_>, ticket: &AckTicket) {
+        for h in &ticket.frag_headers {
+            self.send_server_ack(ctx, h, ticket.src_port, ticket.proto);
+        }
+    }
+
+    /// The one completion path: the update behind `ticket` has been
+    /// applied and its worker occupancy has elapsed.
+    fn finish_update_job(&mut self, ctx: &mut Ctx<'_>, ticket: AckTicket) {
+        if !self.replicate_to.is_empty() {
+            // Baseline replication: forward a copy to every replica and
+            // defer the client ACK until they all confirm (Figure 21).
+            for i in 0..self.replicate_to.len() {
+                let replica = self.replicate_to[i];
+                for h in &ticket.frag_headers {
+                    // Address the copy's ACK back to this primary by
+                    // rewriting the header's client field.
+                    let mut copy = *h;
+                    copy.client = self.addr;
+                    copy.flags |= FLAG_REDO; // never logged in-network
+                    let mut pkt =
+                        Packet::udp(self.addr, replica, self.port, 51000, copy.encode(&[]));
+                    pkt.proto = ticket.proto;
+                    self.send_via_stack(ctx, pkt);
+                }
+            }
+            self.awaiting_replicas
+                .push((self.replicate_to.len(), ticket));
+        } else if self.silent_commit {
+            // A replica: confirm to the primary (the header's client field
+            // was rewritten to the primary's address).
+            let h = ticket.frag_headers[0];
+            self.send_server_ack(ctx, &h, ticket.src_port, ticket.proto);
+        } else {
+            self.redeem(ctx, &ticket);
+        }
+    }
+
+    /// A `ServerAck` arriving *at a server* is a replica confirmation.
+    pub(super) fn on_replica_ack(&mut self, ctx: &mut Ctx<'_>, header: PmnetHeader) {
+        let Some(i) = self.awaiting_replicas.iter().position(|(_, t)| {
+            t.session == header.session && t.frag_headers.iter().any(|h| h.seq == header.seq)
+        }) else {
+            return;
+        };
+        self.awaiting_replicas[i].0 -= 1;
+        if self.awaiting_replicas[i].0 == 0 {
+            let (_, ticket) = self.awaiting_replicas.swap_remove(i);
+            self.redeem(ctx, &ticket);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::mk;
+    use super::super::IdealHandler;
+    use super::*;
+
+    #[test]
+    fn apply_worker_pins_sessions_and_spreads_them() {
+        let s = mk(Box::new(IdealHandler::new())).with_apply(ApplyConfig::threaded(4));
+        let w = s.apply_worker(Addr(1), 7);
+        assert!(w < 4);
+        for _ in 0..3 {
+            assert_eq!(s.apply_worker(Addr(1), 7), w, "pinning must be stable");
+        }
+        let spread: HashSet<usize> = (0..32u16)
+            .map(|sess| s.apply_worker(Addr(1), sess))
+            .collect();
+        assert_eq!(spread.len(), 4, "32 sessions must reach all 4 workers");
+        // Sessions from distinct small client ids must spread too — this
+        // is the shape real fleets have, and the raw FNV residue used to
+        // park them all on the even workers.
+        let clients: HashSet<usize> = (1..25u32).map(|c| s.apply_worker(Addr(c), 0)).collect();
+        assert_eq!(clients.len(), 4, "24 clients must reach all 4 workers");
+    }
+
+    #[test]
+    fn with_apply_sizes_the_pool() {
+        let s = mk(Box::new(IdealHandler::new())).with_apply(ApplyConfig::threaded(3));
+        assert_eq!(s.pool.queues.len(), 3);
+        assert_eq!(s.pool.busy, vec![false; 3]);
+        assert!(s.apply.is_concurrent());
+        let s1 = mk(Box::new(IdealHandler::new()));
+        assert!(!s1.apply.is_concurrent());
+    }
+
+    #[test]
+    fn reads_block_only_on_staged_same_key_writes() {
+        let mut s = mk(Box::new(IdealHandler::new())).with_apply(ApplyConfig::threaded(2));
+        let bypass = |payload: Bytes| PendingPkt {
+            header: PmnetHeader::request(PacketType::BypassReq, 1, 0, Addr(1), Addr(9), 0, 1),
+            payload,
+            src_port: 51001,
+            proto: Proto::Udp,
+        };
+        let get = |key: &[u8]| {
+            let key = Bytes::copy_from_slice(key);
+            bypass(KvFrame::Get { key }.encode())
+        };
+        assert!(
+            !s.read_blocked_by_pool(&get(b"k1")),
+            "empty pool blocks nothing"
+        );
+        s.pool.key_writer.insert(Bytes::from_static(b"k1"), 0);
+        assert!(s.read_blocked_by_pool(&get(b"k1")));
+        assert!(!s.read_blocked_by_pool(&get(b"k2")), "other keys pass");
+        // Opaque (non-Get) bypass payloads never park.
+        assert!(!s.read_blocked_by_pool(&bypass(Bytes::from_static(b"Onot-kv"))));
+    }
+
+    #[test]
+    fn pool_clear_drops_volatile_state_but_keeps_counters_monotone() {
+        let mut s = mk(Box::new(IdealHandler::new())).with_apply(ApplyConfig::threaded(2));
+        s.pool.next_id = 7;
+        s.next_parked = 3;
+        s.pool.pending.insert(6);
+        s.pool.key_writer.insert(Bytes::from_static(b"k"), 6);
+        s.pool.in_flight.insert((Addr(1), 1, 4));
+        s.pool.busy[1] = true;
+        s.wipe_volatile(Time::ZERO);
+        assert!(s.pool.pending.is_empty());
+        assert!(s.pool.key_writer.is_empty());
+        assert!(s.pool.in_flight.is_empty());
+        assert_eq!(s.pool.busy, vec![false; 2]);
+        assert_eq!(
+            s.pool.next_id, 7,
+            "delivery ids stay monotone across crashes"
+        );
+        assert_eq!(s.next_parked, 3, "so do completion tokens");
+    }
+}

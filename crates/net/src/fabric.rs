@@ -129,7 +129,6 @@ impl Node for FabricSwitch {
                     self.control_handled += 1;
                 } else {
                     self.unroutable += 1;
-                    ctx.trace(|| format!("unhandled control {packet}"));
                 }
                 return;
             }
@@ -146,10 +145,7 @@ impl Node for FabricSwitch {
                     }
                     ctx.send_after(self.pipeline_delay, out, packet);
                 }
-                None => {
-                    self.unroutable += 1;
-                    ctx.trace(|| format!("no route for {packet} (via {lookup})"));
-                }
+                None => self.unroutable += 1,
             }
         }
     }

@@ -6,7 +6,6 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use pmnet_sim::trace::Trace;
 use pmnet_sim::{Dur, Engine, NodeId, SimRng, Time};
 
 use bytes::Bytes;
@@ -16,14 +15,7 @@ use crate::{Addr, LinkSpec, Packet, PortNo, PortTable};
 
 /// Turns a [`TxOutcome`] into scheduled deliveries, applying corruption and
 /// duplication fault effects chosen by the link model.
-fn schedule_delivery(
-    engine: &mut Engine<Msg>,
-    trace: &mut Trace,
-    from: NodeId,
-    now: Time,
-    outcome: TxOutcome,
-    packet: Packet,
-) {
+fn schedule_delivery(engine: &mut Engine<Msg>, outcome: TxOutcome, packet: Packet) {
     match outcome {
         TxOutcome::Deliver {
             at,
@@ -34,7 +26,6 @@ fn schedule_delivery(
         } => {
             let delivered = match corrupt {
                 Some((offset, mask)) => {
-                    trace.record(now, from, || format!("corrupt@{offset} {packet}"));
                     let mut bytes = packet.payload.to_vec();
                     bytes[offset] ^= mask;
                     let mut corrupted = packet;
@@ -44,7 +35,6 @@ fn schedule_delivery(
                 None => packet,
             };
             if let Some(dup_at) = duplicate_at {
-                trace.record(now, from, || format!("dup {delivered}"));
                 engine.schedule(
                     dup_at,
                     node,
@@ -63,9 +53,7 @@ fn schedule_delivery(
                 },
             );
         }
-        TxOutcome::Dropped => {
-            trace.record(now, from, || format!("drop {packet}"));
-        }
+        TxOutcome::Dropped => {}
     }
 }
 
@@ -163,14 +151,13 @@ impl<T: Node + 'static> AnyNode for T {
 }
 
 /// The side-effect interface handed to a node while it handles a message:
-/// clock, randomness, tracing, timers, and packet transmission.
+/// clock, randomness, timers, and packet transmission.
 pub struct Ctx<'a> {
     now: Time,
     self_id: NodeId,
     engine: &'a mut Engine<Msg>,
     ports: &'a mut PortTable,
     rng: &'a mut SimRng,
-    trace: &'a mut Trace,
 }
 
 impl fmt::Debug for Ctx<'_> {
@@ -216,14 +203,7 @@ impl Ctx<'_> {
         let outcome = self
             .ports
             .transmit(self.now, self.rng, self.self_id, port, &packet);
-        schedule_delivery(
-            self.engine,
-            self.trace,
-            self.self_id,
-            self.now,
-            outcome,
-            packet,
-        );
+        schedule_delivery(self.engine, outcome, packet);
     }
 
     /// Transmits `packet` out of `port` after an internal processing delay
@@ -250,14 +230,9 @@ impl Ctx<'_> {
     pub fn message_in(&mut self, delay: Dur, dest: NodeId, msg: Msg) {
         self.engine.schedule_in(delay, dest, msg);
     }
-
-    /// Records a trace entry (no-op unless the world enabled tracing).
-    pub fn trace(&mut self, label: impl FnOnce() -> String) {
-        self.trace.record(self.now, self.self_id, label);
-    }
 }
 
-/// The simulated world: nodes, links, clock, randomness and trace.
+/// The simulated world: nodes, links, clock and randomness.
 ///
 /// See the [crate-level documentation](crate) for a usage example.
 pub struct World {
@@ -265,7 +240,6 @@ pub struct World {
     engine: Engine<Msg>,
     ports: PortTable,
     rng: SimRng,
-    trace: Trace,
 }
 
 impl fmt::Debug for World {
@@ -285,24 +259,7 @@ impl World {
             engine: Engine::new(),
             ports: PortTable::new(),
             rng: SimRng::seed(seed),
-            trace: Trace::disabled(),
         }
-    }
-
-    /// Enables event tracing (for debugging and tests).
-    pub fn enable_trace(&mut self) {
-        self.trace = Trace::enabled();
-    }
-
-    /// Enables event tracing bounded to the `capacity` most recent events
-    /// (a ring buffer), so long runs keep memory flat.
-    pub fn enable_trace_bounded(&mut self, capacity: usize) {
-        self.trace = Trace::bounded(capacity);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Adds a node, returning its id.
@@ -372,9 +329,6 @@ impl World {
     /// Panics if no link connects `a` and `b`.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
         self.ports.set_link_up(a, b, up);
-        self.trace.record(self.engine.now(), a, || {
-            format!("link {a}<->{b} {}", if up { "up" } else { "down" })
-        });
     }
 
     /// Rewrites the `a <-> b` link's spec (both directions), effective
@@ -393,7 +347,7 @@ impl World {
         // PortTx is a runtime-internal deferred transmission.
         if let Msg::PortTx { port, packet } = msg {
             let outcome = self.ports.transmit(at, &mut self.rng, dest, port, &packet);
-            schedule_delivery(&mut self.engine, &mut self.trace, dest, at, outcome, packet);
+            schedule_delivery(&mut self.engine, outcome, packet);
             return;
         }
         let node = &mut self.nodes[dest.index()];
@@ -403,7 +357,6 @@ impl World {
             engine: &mut self.engine,
             ports: &mut self.ports,
             rng: &mut self.rng,
-            trace: &mut self.trace,
         };
         node.on_msg(msg, &mut ctx);
     }

@@ -75,10 +75,7 @@ impl Node for Switch {
                     self.forwarded += 1;
                     ctx.send_after(self.pipeline_delay, out, packet);
                 }
-                None => {
-                    self.unroutable += 1;
-                    ctx.trace(|| format!("no route for {packet}"));
-                }
+                None => self.unroutable += 1,
             }
         }
     }

@@ -28,20 +28,13 @@
 //! One structure owns the heap's root pointer; `len` is volatile and
 //! recomputed by a chain walk on open.
 
+use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
+
 use crate::arena::PmPtr;
 use crate::ploc::{Checkpoint, Crashed, DetectableCas, PlocHeap};
 
 const INITIAL_BUCKETS: u64 = 16;
 const NODE_HDR: usize = 16;
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A chained hash map whose mutations replay exactly-once after a crash.
 #[derive(Debug)]
@@ -143,7 +136,7 @@ impl DetectableHashMap {
     /// Finds `key`'s chain position: the pointer slot whose target is the
     /// matching node (`Some(node)`), or the bucket head slot when absent.
     fn search(&self, heap: &mut PlocHeap, key: &[u8]) -> (PmPtr, Option<PmPtr>) {
-        let mut slot = self.bucket_slot(fnv1a(key) % self.nbuckets);
+        let mut slot = self.bucket_slot(fnv1a(FNV_OFFSET, key) % self.nbuckets);
         let mut cur = heap.arena().read_u64(slot);
         while cur != 0 {
             let node = PmPtr(cur);
@@ -153,7 +146,10 @@ impl DetectableHashMap {
             slot = node; // the node's `next` field is its first word
             cur = heap.arena().read_u64(slot);
         }
-        (self.bucket_slot(fnv1a(key) % self.nbuckets), None)
+        (
+            self.bucket_slot(fnv1a(FNV_OFFSET, key) % self.nbuckets),
+            None,
+        )
     }
 
     fn write_node(heap: &mut PlocHeap, next: u64, key: &[u8], value: &[u8]) -> PmPtr {
@@ -291,7 +287,7 @@ impl DetectableHashMap {
                 old_nodes.push(node);
                 let key = Self::node_key(heap, node);
                 let value = Self::node_value(heap, node);
-                let head_slot = PmPtr(new_arr.0 + (fnv1a(&key) % new_n) * 8);
+                let head_slot = PmPtr(new_arr.0 + (fnv1a(FNV_OFFSET, &key) % new_n) * 8);
                 let head = heap.arena().read_u64(head_slot);
                 let copy = Self::write_node(heap, head, &key, &value);
                 let copy_bytes = NODE_HDR + key.len() + value.len();
@@ -340,27 +336,21 @@ impl DetectableHashMap {
     /// and chain order, folded with the length. Two maps with identical
     /// durable content (and bucket width) digest identically.
     pub fn digest(&self, heap: &mut PlocHeap) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fold = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = FNV_OFFSET;
         for b in 0..self.nbuckets {
             let mut cur = heap.arena().read_u64(self.bucket_slot(b));
             while cur != 0 {
                 let node = PmPtr(cur);
                 let key = Self::node_key(heap, node);
                 let value = Self::node_value(heap, node);
-                fold(&mut h, &(key.len() as u32).to_le_bytes());
-                fold(&mut h, &key);
-                fold(&mut h, &(value.len() as u32).to_le_bytes());
-                fold(&mut h, &value);
+                h = fnv1a(h, &(key.len() as u32).to_le_bytes());
+                h = fnv1a(h, &key);
+                h = fnv1a(h, &(value.len() as u32).to_le_bytes());
+                h = fnv1a(h, &value);
                 cur = heap.arena().read_u64(node);
             }
         }
-        fold(&mut h, &(self.len as u64).to_le_bytes());
+        h = fnv1a(h, &(self.len as u64).to_le_bytes());
         h
     }
 }

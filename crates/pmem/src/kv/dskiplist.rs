@@ -16,6 +16,8 @@
 //! - root block: `[head0][checkpoint][cas]` (24, padded to 32)
 //! - node: `[next0][height][klen: u32][vlen: u32][key][value]` (24 + k + v)
 
+use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
+
 use crate::arena::PmPtr;
 use crate::ploc::{Checkpoint, Crashed, DetectableCas, PlocHeap};
 
@@ -382,25 +384,19 @@ impl DetectableSkipList {
     /// the durable level-0 chain, folded with the length — tower shapes
     /// never participate.
     pub fn digest(&self, heap: &mut PlocHeap) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fold = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = FNV_OFFSET;
         let mut cur = heap.arena().read_u64(self.block);
         while cur != 0 {
             let node = PmPtr(cur);
             let key = Self::node_key(heap, node);
             let value = Self::node_value(heap, node);
-            fold(&mut h, &(key.len() as u32).to_le_bytes());
-            fold(&mut h, &key);
-            fold(&mut h, &(value.len() as u32).to_le_bytes());
-            fold(&mut h, &value);
+            h = fnv1a(h, &(key.len() as u32).to_le_bytes());
+            h = fnv1a(h, &key);
+            h = fnv1a(h, &(value.len() as u32).to_le_bytes());
+            h = fnv1a(h, &value);
             cur = heap.arena().read_u64(node);
         }
-        fold(&mut h, &(self.len as u64).to_le_bytes());
+        h = fnv1a(h, &(self.len as u64).to_le_bytes());
         h
     }
 

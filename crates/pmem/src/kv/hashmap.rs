@@ -1,19 +1,12 @@
 //! A separate-chaining hash table (the PMDK `hashmap` workload).
 
+use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
+
 use super::{KvStore, OpStats};
 
 const INITIAL_BUCKETS: usize = 16;
 const MAX_LOAD_NUM: usize = 3; // resize when len > buckets * 3/4
 const MAX_LOAD_DEN: usize = 4;
-
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A chained hash map over byte-string keys.
 #[derive(Debug, Default)]
@@ -34,7 +27,7 @@ impl HashMapKv {
     }
 
     fn bucket_of(&self, key: &[u8]) -> usize {
-        (fnv1a(key) % self.buckets.len() as u64) as usize
+        (fnv1a(FNV_OFFSET, key) % self.buckets.len() as u64) as usize
     }
 
     fn maybe_grow(&mut self) {
@@ -45,7 +38,7 @@ impl HashMapKv {
         let mut next = vec![Vec::new(); new_n];
         for bucket in self.buckets.drain(..) {
             for (k, v) in bucket {
-                let idx = (fnv1a(&k) % new_n as u64) as usize;
+                let idx = (fnv1a(FNV_OFFSET, &k) % new_n as u64) as usize;
                 self.stats.bytes_moved += (k.len() + v.len()) as u64;
                 next[idx].push((k, v));
             }
@@ -158,7 +151,7 @@ mod tests {
 
     #[test]
     fn fnv_distinguishes_keys() {
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+        assert_ne!(fnv1a(FNV_OFFSET, b"a"), fnv1a(FNV_OFFSET, b"b"));
+        assert_ne!(fnv1a(FNV_OFFSET, b""), fnv1a(FNV_OFFSET, b"\0"));
     }
 }

@@ -11,7 +11,8 @@
 //!   regenerate the paper's figures,
 //! * [`meter`] — events/sec and allocations-per-event self-measurement for
 //!   the kernel's own performance contract (DESIGN.md §10),
-//! * [`trace`] — a lightweight, optional event trace for debugging.
+//! * [`hash`] — the one FNV-1a every digest, ring and pinning function in
+//!   the workspace folds through.
 //!
 //! Everything is single-threaded and deterministic: running the same
 //! simulation twice with the same seed produces bit-identical results. The
@@ -38,9 +39,9 @@ mod engine;
 mod rng;
 mod time;
 
+pub mod hash;
 pub mod meter;
 pub mod stats;
-pub mod trace;
 
 pub use engine::{Engine, NodeId};
 pub use rng::SimRng;

@@ -277,12 +277,6 @@ impl Telemetry {
         }
     }
 
-    /// Folds counters/histograms into the registry from outside (e.g.
-    /// a harness publishing component counter groups at end of run).
-    pub fn with_registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> Option<R> {
-        self.inner.as_ref().map(|i| f(&mut i.borrow_mut().registry))
-    }
-
     /// The merged flight-recorder timeline (empty dump when detached).
     pub fn flight_dump(&self) -> FlightDump {
         match &self.inner {

@@ -12,6 +12,7 @@ use pmnet::chaos::{
     run_lossy_recovery_campaign, CampaignConfig,
 };
 use pmnet::core::system::DesignPoint;
+use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
 use pmnet::sim::Dur;
 
 /// Seed-77 lossy-recovery campaign, 10 plans x 2 designs. Covers the
@@ -33,15 +34,6 @@ const FIG16_STRESS_DIGEST: u64 = 0x5f31_4538_d82b_5992;
 /// promotion, shard re-homing, staged-log replay through the recovery
 /// barrier, and client re-steering.
 const FAILOVER_CAMPAIGN_DIGEST: u64 = 0xf37a_2ad4_7e32_24c3;
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 #[test]
 fn lossy_recovery_campaign_digest_is_pinned() {
@@ -124,7 +116,7 @@ fn fig16_stress_digest_is_pinned() {
             ));
         }
     }
-    let digest = fnv1a(&rows);
+    let digest = fnv1a(FNV_OFFSET, rows.as_bytes());
     assert_eq!(
         digest, FIG16_STRESS_DIGEST,
         "fig16 stress digest moved: simulated behaviour changed \
