@@ -198,7 +198,8 @@ fn campaign_with_threads(cfg: &CampaignConfig, threads: usize) -> CampaignOutcom
 }
 
 /// Executes the campaign. Fully determined by `cfg`: plans run in
-/// parallel across worker threads (see [`campaign_threads`]), but each
+/// parallel across worker threads (`PMNET_CHAOS_THREADS`, else the
+/// machine's available parallelism), but each
 /// run is single-threaded and the outcome — including the digest — is
 /// bit-identical at any thread count.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {

@@ -2,7 +2,7 @@
 //! durability and liveness invariants.
 //!
 //! The runner is the bridge between the positional, value-typed
-//! [`FaultPlan`](crate::FaultPlan) world and the node-id world of a
+//! [`FaultPlan`] world and the node-id world of a
 //! [`BuiltSystem`]: it builds the system for a [`Scenario`], translates
 //! every fault event into concrete `World` operations (crash schedules,
 //! link flaps, spec rewrites, PM slowdowns), interleaves them with the
@@ -165,16 +165,16 @@ pub struct Verdict {
     /// Device log entries still staged after the drain window.
     pub stranded_log_entries: u64,
     /// Shard failovers the fabric coordinator drove (0 outside sharded
-    /// designs). Deliberately excluded from [`digest_line`]
-    /// (`Verdict::digest_line`) so frozen campaign digests over the
+    /// designs). Deliberately excluded from
+    /// [`digest_line`](Self::digest_line) so frozen campaign digests over the
     /// classic designs stay comparable across revisions.
     pub failovers: u64,
     /// Simulated end time of the run, in nanoseconds.
     pub end_ns: u64,
     /// Flight-recorder timeline, captured only when an invariant fired
     /// (`None` on passing runs). Deterministic like everything else in
-    /// the verdict, but deliberately excluded from [`digest_line`]
-    /// (`Verdict::digest_line`) so campaign digests are comparable
+    /// the verdict, but deliberately excluded from
+    /// [`digest_line`](Self::digest_line) so campaign digests are comparable
     /// across telemetry revisions.
     pub flight: Option<FlightDump>,
 }

@@ -728,8 +728,8 @@ impl BuiltSystem {
 
     /// Attaches a telemetry handle to every instrumented node (clients,
     /// PMNet devices, the primary server): span events flow into it as
-    /// operations cross the system. Attach before [`run_clients`]
-    /// (`BuiltSystem::run_clients`) so traces cover whole operations.
+    /// operations cross the system. Attach before
+    /// [`run_clients`](Self::run_clients) so traces cover whole operations.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         for &c in &self.clients.clone() {
             self.world

@@ -5,7 +5,7 @@
 //! a non-trivial question under packet loss, reordering, and crash
 //! schedules. This crate answers it mechanically for every simulated run:
 //!
-//! * [`reference`] — a sequential model of the server's durable KV
+//! * [`mod@reference`] — a sequential model of the server's durable KV
 //!   semantics ([`ReferenceKv`]): what the store must contain given an
 //!   apply stream.
 //! * [`checker`] — [`check`] validates a recorded event history (see

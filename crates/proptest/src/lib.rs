@@ -295,7 +295,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -424,8 +424,8 @@ impl SpanCollector {
         &self.traces
     }
 
-    /// Attributes every completion deferred by [`complete`]
-    /// (`SpanCollector::complete`), returning the newly attributed
+    /// Attributes every completion deferred by
+    /// [`complete`](Self::complete), returning the newly attributed
     /// traces. Deterministic: attribution is a pure function of the
     /// recorded events, so *when* it runs is unobservable.
     pub fn attribute_pending(&mut self) -> &[OpTrace] {

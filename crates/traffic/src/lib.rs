@@ -13,8 +13,6 @@
 //! * [`spec`] — a typed, validated description of a traffic campaign:
 //!   arrival law, node/session topology, key space, churn, queueing and
 //!   admission control.
-//! * [`arena`] — flat arena-backed MRU tables with an explicit eviction
-//!   policy, replacing `HashMap`s for per-session state on hot paths.
 //! * [`engine`] — the [`engine::OpenLoopClient`] node multiplexing
 //!   hundreds of wire sessions with lifecycle churn, an AIMD admission
 //!   gate driven by the server's congestion acks, and the
@@ -35,12 +33,10 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod arrivals;
 pub mod engine;
 pub mod spec;
 
-pub use arena::MruTable;
 pub use arrivals::{ArrivalProcess, MmppArrivals, PoissonArrivals};
 pub use engine::{OpenLoopClient, TrafficCounters, TrafficReport, TrafficSystem};
 pub use spec::{AdmissionSpec, ArrivalSpec, ChurnSpec, TrafficSpec};

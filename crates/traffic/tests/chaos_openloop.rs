@@ -99,3 +99,60 @@ fn chaotic_campaign_replays_bit_identically() {
     assert_eq!(l1, l2, "report digest must replay bit-identically");
     assert_eq!((s1, p1), (s2, p2));
 }
+
+#[test]
+fn a_restarted_engine_keeps_its_offered_rate_and_never_reuses_an_identity() {
+    // One engine at 20 k/s (mean gap 50 µs), power-cycled at half-time
+    // for 100 ns: far less than the gap its pending arrival timer is
+    // waiting out, so that timer is still queued when the node restores.
+    let mut spec = TrafficSpec::poisson(20_000.0);
+    spec.nodes = 1;
+    spec.sessions_per_node = 16;
+    spec.churn.disconnect_hazard_per_sec = 0.0;
+    spec.measure = Dur::millis(200);
+    spec.drain = Dur::millis(50);
+    let mut sys = TrafficSystem::build_with(&spec, SystemConfig::default(), 5);
+    let engine = sys.engines[0];
+    sys.world
+        .schedule_crash(engine, Time::ZERO + Dur::millis(100), Some(Dur::nanos(100)));
+    sys.run();
+
+    // A pre-crash arrival chain surviving beside the restarted one would
+    // double the rate from half-time on (1.5x the expected total).
+    let c = sys.counters();
+    let expected = 20_000.0 * 0.2;
+    let five_sigma = 5.0 * f64::sqrt(expected);
+    assert!(
+        (c.arrivals as f64 - expected).abs() < five_sigma,
+        "offered {} arrivals, spec says {expected} ± {five_sigma:.0}: {c:?}",
+        c.arrivals
+    );
+
+    let acked = sys.acked_updates();
+    let distinct: std::collections::BTreeSet<_> = acked.iter().collect();
+    assert_eq!(distinct.len(), acked.len(), "an identity was acked twice");
+    assert!(
+        acked.iter().any(|&(_, session, _)| session >= 16),
+        "the restart must open fresh wire sessions"
+    );
+    let server = sys.world.node::<ServerLib>(sys.server);
+    let report = audit::verify(server.audit_log(), &acked)
+        .unwrap_or_else(|v| panic!("audit violations after engine restart: {v:?}"));
+    assert_eq!(report.acked_checked, acked.len());
+
+    let (inflight, queued) = sys.backlog();
+    assert_eq!(
+        c.arrivals,
+        c.admitted + c.shed_admission + c.shed_disconnected + c.queue_drops,
+        "arrival accounting must be total: {c:?}"
+    );
+    assert_eq!(
+        c.admitted,
+        c.completed
+            + c.timed_out
+            + c.disconnect_aborts
+            + c.disconnect_queue_drops
+            + (inflight + queued) as u64,
+        "admission accounting must be total: {c:?} inflight={inflight} queued={queued}"
+    );
+}

@@ -12,8 +12,11 @@ use pmnet::chaos::{
     run_lossy_recovery_campaign, CampaignConfig,
 };
 use pmnet::core::system::DesignPoint;
+use pmnet::core::{DeviceConfig, SystemConfig};
 use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
-use pmnet::sim::Dur;
+use pmnet::sim::{Dur, Time};
+use pmnet::telemetry::Telemetry;
+use pmnet::traffic::{AdmissionSpec, TrafficSpec, TrafficSystem};
 
 /// Seed-77 lossy-recovery campaign, 10 plans x 2 designs. Covers the
 /// client retry path, device redo, the full recovery handshake, and the
@@ -122,5 +125,102 @@ fn fig16_stress_digest_is_pinned() {
         "fig16 stress digest moved: simulated behaviour changed \
          (got {digest:#018x} for rows:\n{rows}); if intentional, update \
          the golden constant"
+    );
+}
+
+/// FNV-1a of an open-loop campaign's report line plus every engine
+/// counter, written out field by field so the pin does not depend on
+/// `TrafficCounters`' `Debug` shape.
+fn open_loop_digest(sys: &mut TrafficSystem) -> u64 {
+    let c = sys.counters();
+    let line = sys.report(&Telemetry::disabled()).digest_line();
+    let text = format!(
+        "{line} arrivals={} admitted={} shed_admission={} shed_disconnected={} \
+         queue_drops={} completed={} timed_out={} disconnect_aborts={} \
+         disconnect_queue_drops={} retransmits={} congestion_signals={} \
+         disconnects={} reconnects={}",
+        c.arrivals,
+        c.admitted,
+        c.shed_admission,
+        c.shed_disconnected,
+        c.queue_drops,
+        c.completed,
+        c.timed_out,
+        c.disconnect_aborts,
+        c.disconnect_queue_drops,
+        c.retransmits,
+        c.congestion_signals,
+        c.disconnects,
+        c.reconnects,
+    );
+    fnv1a(FNV_OFFSET, text.as_bytes())
+}
+
+/// The seed-77 campaign of `crates/traffic/tests/chaos_openloop.rs` (same
+/// spec, same faults): 5 % loss on every hop, a device power cut and
+/// constant mid-flight disconnects under open-loop load. Covers the
+/// open-loop driver's timeout, retransmission and churn paths, which the
+/// closed-loop goldens above never reach. Captured at PR 12.
+const OPEN_LOOP_CHAOS_DIGEST: u64 = 0x9af3_e1d8_25ca_cfeb;
+
+/// A no-fault AIMD overload point: 400 k/s offered into a 256-entry log
+/// with the spill policy on, so `FLAG_CONGESTED` acks steer the gate and
+/// back off the slots they answer. Captured at PR 12.
+const OPEN_LOOP_AIMD_OVERLOAD_DIGEST: u64 = 0xa2c4_8721_3c17_cec9;
+
+#[test]
+fn open_loop_chaos_campaign_digest_is_pinned() {
+    let mut spec = TrafficSpec::poisson(60_000.0);
+    spec.nodes = 2;
+    spec.sessions_per_node = 16;
+    spec.measure = Dur::millis(30);
+    spec.drain = Dur::millis(250);
+    spec.churn.disconnect_hazard_per_sec = 300.0;
+    spec.churn.reconnect_delay = Dur::micros(500);
+    let mut sys = TrafficSystem::build_with(&spec, SystemConfig::default(), 77);
+    let (merge, device, server) = (sys.merge, sys.device, sys.server);
+    for &e in &sys.engines.clone() {
+        sys.world
+            .update_link_spec(e, merge, |s| s.with_drop_prob(0.05));
+    }
+    sys.world
+        .update_link_spec(merge, device, |s| s.with_drop_prob(0.05));
+    sys.world
+        .update_link_spec(device, server, |s| s.with_drop_prob(0.05));
+    sys.world
+        .schedule_crash(device, Time::ZERO + Dur::millis(12), Some(Dur::millis(2)));
+    sys.run();
+    let digest = open_loop_digest(&mut sys);
+    assert_eq!(
+        digest, OPEN_LOOP_CHAOS_DIGEST,
+        "seed-77 open-loop chaos digest moved: the open-loop client's \
+         behaviour changed (got {digest:#018x})"
+    );
+}
+
+#[test]
+fn open_loop_aimd_overload_digest_is_pinned() {
+    let mut spec = TrafficSpec::poisson(400_000.0);
+    spec.nodes = 2;
+    spec.sessions_per_node = 16;
+    spec.queue_cap = 8;
+    spec.measure = Dur::millis(10);
+    spec.drain = Dur::millis(20);
+    assert_eq!(spec.admission, AdmissionSpec::aimd());
+    let cfg = SystemConfig {
+        device: DeviceConfig::fpga()
+            .with_log_capacity(256, 1 << 20)
+            .with_spill_policy(4, 192),
+        ..SystemConfig::default()
+    };
+    let mut sys = TrafficSystem::build_with(&spec, cfg, 13);
+    sys.run();
+    let c = sys.counters();
+    assert!(c.congestion_signals > 0 && c.shed_admission > 0, "{c:?}");
+    let digest = open_loop_digest(&mut sys);
+    assert_eq!(
+        digest, OPEN_LOOP_AIMD_OVERLOAD_DIGEST,
+        "seed-13 open-loop AIMD overload digest moved: the open-loop \
+         client's behaviour changed (got {digest:#018x})"
     );
 }
