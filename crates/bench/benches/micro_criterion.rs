@@ -14,7 +14,7 @@ use pmnet_core::system::{DesignPoint, UpdateExperiment};
 use pmnet_core::{LogStore, PacketType, PmnetHeader, SystemConfig};
 use pmnet_net::Addr;
 use pmnet_pmem::kv::{all_stores, KvStore};
-use pmnet_pmem::{crc32, PmArena};
+use pmnet_pmem::{crc32, PmArena, Wal};
 use pmnet_sim::Time;
 
 fn bench_crc32(c: &mut Criterion) {
@@ -100,6 +100,26 @@ fn bench_arena_persist(c: &mut Criterion) {
                 for i in 0..100u64 {
                     arena.write_u64(ptr, i);
                     arena.persist(ptr, 8);
+                }
+                arena
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // One WAL append the way `PersistentKv::apply` issues it: header, key
+    // and a 2 KiB value as parts — 34 lines dirtied, flushed and fenced.
+    c.bench_function("arena/append_persist_2KiB", |b| {
+        let value = vec![0xA5u8; 2048];
+        b.iter_batched(
+            || {
+                let mut arena = PmArena::new(1 << 20);
+                let wal = Wal::create(&mut arena, 512 << 10).expect("fits");
+                (arena, wal)
+            },
+            |(mut arena, mut wal)| {
+                for i in 0..100u64 {
+                    let key = i.to_be_bytes();
+                    assert!(wal.append(&mut arena, &[&[1, 8, 0, 0, 0], &key, &value]));
                 }
                 arena
             },

@@ -13,8 +13,11 @@
 //! random subset of the remaining dirty lines and reverts the rest. Crash-
 //! consistency property tests in [`crate::PersistentKv`] drive recovery
 //! across many random subsets.
+//!
+//! The unfenced set is tracked densely (DESIGN.md §10.4): a dirty bit and
+//! a flushed bit per line plus one undo log of pre-images, so the store
+//! path neither hashes nor, once the log has grown, allocates.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use pmnet_sim::SimRng;
@@ -41,12 +44,9 @@ impl PmPtr {
     }
 }
 
-/// Dirty-line bookkeeping: the last durable contents of a line, plus
-/// whether a flush for it has been issued since the last fence.
-#[derive(Debug, Clone)]
-struct DirtyLine {
-    durable: Vec<u8>,
-    flushed: bool,
+/// Word index and bit mask of `line` in a one-bit-per-line map.
+fn bit(line: usize) -> (usize, u64) {
+    (line / 64, 1 << (line % 64))
 }
 
 /// Counters of persistence operations (inputs to [`crate::CostModel`]).
@@ -81,9 +81,16 @@ pub struct ArenaStats {
 /// ```
 pub struct PmArena {
     data: Vec<u8>,
-    dirty: HashMap<usize, DirtyLine>,
+    /// One bit per line: stored to since the line was last durable.
+    dirty: Vec<u64>,
+    /// One bit per line: dirty, and flushed since its last store.
+    flushed: Vec<u64>,
+    /// The dirty lines in first-touch order, each with its last durable
+    /// contents.
+    undo: Vec<(usize, [u8; LINE])>,
     next_free: usize,
-    free_lists: HashMap<usize, Vec<usize>>,
+    /// Freed blocks (LIFO), indexed by size-class exponent.
+    free_lists: [Vec<usize>; usize::BITS as usize],
     root: u64,
     stats: ArenaStats,
 }
@@ -93,7 +100,7 @@ impl fmt::Debug for PmArena {
         f.debug_struct("PmArena")
             .field("capacity", &self.data.len())
             .field("allocated", &self.next_free)
-            .field("dirty_lines", &self.dirty.len())
+            .field("dirty_lines", &self.undo.len())
             .finish()
     }
 }
@@ -109,10 +116,12 @@ impl PmArena {
         let capacity = capacity.div_ceil(LINE) * LINE;
         PmArena {
             data: vec![0; capacity],
-            dirty: HashMap::new(),
+            dirty: vec![0; (capacity / LINE).div_ceil(64)],
+            flushed: vec![0; (capacity / LINE).div_ceil(64)],
+            undo: Vec::new(),
             // Offset 0 is reserved so PmPtr::NULL is never a valid object.
             next_free: LINE,
-            free_lists: HashMap::new(),
+            free_lists: std::array::from_fn(|_| Vec::new()),
             root: 0,
             stats: ArenaStats::default(),
         }
@@ -140,8 +149,9 @@ impl PmArena {
         std::mem::take(&mut self.stats)
     }
 
+    /// Blocks are powers of two from 8 bytes up; a class is its exponent.
     fn size_class(len: usize) -> usize {
-        len.next_power_of_two().max(8)
+        len.next_power_of_two().max(8).trailing_zeros() as usize
     }
 
     /// Allocates `len` bytes, reusing freed blocks of the same size class.
@@ -149,14 +159,14 @@ impl PmArena {
     pub fn alloc(&mut self, len: usize) -> Option<PmPtr> {
         assert!(len > 0, "zero-length allocation");
         let class = Self::size_class(len);
-        if let Some(off) = self.free_lists.get_mut(&class).and_then(Vec::pop) {
+        if let Some(off) = self.free_lists[class].pop() {
             return Some(PmPtr(off as u64));
         }
-        if self.next_free + class > self.data.len() {
+        if self.next_free + (1 << class) > self.data.len() {
             return None;
         }
         let off = self.next_free;
-        self.next_free += class;
+        self.next_free += 1 << class;
         Some(PmPtr(off as u64))
     }
 
@@ -167,27 +177,11 @@ impl PmArena {
     /// Panics if `ptr` is null.
     pub fn free(&mut self, ptr: PmPtr, len: usize) {
         assert!(!ptr.is_null(), "freeing null pointer");
-        let class = Self::size_class(len);
-        self.free_lists.entry(class).or_default().push(ptr.offset());
+        self.free_lists[Self::size_class(len)].push(ptr.offset());
     }
 
-    fn mark_dirty(&mut self, start: usize, len: usize) {
-        let first = start / LINE;
-        let last = (start + len - 1) / LINE;
-        for line in first..=last {
-            self.dirty.entry(line).or_insert_with(|| DirtyLine {
-                durable: self.data[line * LINE..(line + 1) * LINE].to_vec(),
-                flushed: false,
-            });
-            // A new store to an already-flushed-but-unfenced line reopens
-            // it: the line's durability is again unordered.
-            if let Some(d) = self.dirty.get_mut(&line) {
-                d.flushed = false;
-            }
-        }
-    }
-
-    /// Stores `bytes` at `ptr` (volatile until flushed and fenced).
+    /// Stores `bytes` at `ptr` (volatile until flushed and fenced). An
+    /// empty store touches no line.
     ///
     /// # Panics
     ///
@@ -200,7 +194,20 @@ impl PmArena {
             bytes.len(),
             self.data.len()
         );
-        self.mark_dirty(start, bytes.len());
+        if bytes.is_empty() {
+            return;
+        }
+        for line in start / LINE..=(start + bytes.len() - 1) / LINE {
+            let (word, mask) = bit(line);
+            if self.dirty[word] & mask == 0 {
+                self.dirty[word] |= mask;
+                let durable = self.data[line * LINE..(line + 1) * LINE].try_into();
+                self.undo.push((line, durable.expect("one line")));
+            }
+            // A new store to an already-flushed-but-unfenced line reopens
+            // it: the line's durability is again unordered.
+            self.flushed[word] &= !mask;
+        }
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
         self.stats.bytes_written += bytes.len() as u64;
     }
@@ -237,14 +244,12 @@ impl PmArena {
     pub fn flush(&mut self, ptr: PmPtr, len: usize) {
         assert!(len > 0, "zero-length flush");
         let start = ptr.offset();
-        let first = start / LINE;
-        let last = (start + len - 1) / LINE;
-        for line in first..=last {
-            if let Some(d) = self.dirty.get_mut(&line) {
-                if !d.flushed {
-                    d.flushed = true;
-                    self.stats.flushes += 1;
-                }
+        assert!(start + len <= self.data.len(), "flush out of bounds");
+        for line in start / LINE..=(start + len - 1) / LINE {
+            let (word, mask) = bit(line);
+            if self.dirty[word] & !self.flushed[word] & mask != 0 {
+                self.flushed[word] |= mask;
+                self.stats.flushes += 1;
             }
         }
     }
@@ -252,7 +257,14 @@ impl PmArena {
     /// Orders all issued flushes (`sfence`): every flushed line becomes
     /// durable.
     pub fn fence(&mut self) {
-        self.dirty.retain(|_, d| !d.flushed);
+        let (dirty, flushed) = (&mut self.dirty, &mut self.flushed);
+        self.undo.retain(|&(line, _)| {
+            let (word, mask) = bit(line);
+            let durable = flushed[word] & mask;
+            dirty[word] &= !durable;
+            flushed[word] &= !durable;
+            durable == 0
+        });
         self.stats.fences += 1;
     }
 
@@ -282,38 +294,37 @@ impl PmArena {
     /// After `crash`, the arena contents are exactly what a recovery
     /// procedure would find on the media.
     pub fn crash(&mut self, rng: &mut SimRng) -> usize {
+        // 50/50 is the most adversarial-ish mix for testing; callers that
+        // need all-lost or all-kept can fence first.
+        self.crash_with(|| rng.chance(0.5))
+    }
+
+    /// Like [`crash`](PmArena::crash) but *all* unflushed data is lost —
+    /// the worst case.
+    pub fn crash_losing_all(&mut self) -> usize {
+        self.crash_with(|| true)
+    }
+
+    /// Visits the dirty lines in ascending order (determinism: one `lose`
+    /// draw per line, independent of store order), reverting those lost.
+    fn crash_with(&mut self, mut lose: impl FnMut() -> bool) -> usize {
+        self.undo.sort_unstable_by_key(|&(line, _)| line);
         let mut lost = 0;
-        let mut lines: Vec<usize> = self.dirty.keys().copied().collect();
-        lines.sort_unstable(); // determinism: HashMap order is arbitrary
-        for line in lines {
-            let d = self.dirty.remove(&line).expect("line vanished");
-            // 50/50 is the most adversarial-ish mix for testing; callers
-            // that need all-lost or all-kept can fence first.
-            if rng.chance(0.5) {
-                self.data[line * LINE..(line + 1) * LINE].copy_from_slice(&d.durable);
+        for (line, durable) in self.undo.drain(..) {
+            let (word, mask) = bit(line);
+            self.dirty[word] &= !mask;
+            self.flushed[word] &= !mask;
+            if lose() {
+                self.data[line * LINE..(line + 1) * LINE].copy_from_slice(&durable);
                 lost += 1;
             }
         }
         lost
     }
 
-    /// Like [`crash`](PmArena::crash) but *all* unflushed data is lost —
-    /// the worst case.
-    pub fn crash_losing_all(&mut self) -> usize {
-        let mut lost = 0;
-        let mut lines: Vec<usize> = self.dirty.keys().copied().collect();
-        lines.sort_unstable();
-        for line in lines {
-            let d = self.dirty.remove(&line).expect("line vanished");
-            self.data[line * LINE..(line + 1) * LINE].copy_from_slice(&d.durable);
-            lost += 1;
-        }
-        lost
-    }
-
     /// Number of currently dirty (not yet durable) lines.
     pub fn dirty_lines(&self) -> usize {
-        self.dirty.len()
+        self.undo.len()
     }
 }
 
@@ -401,6 +412,41 @@ mod tests {
         assert_eq!(pm.dirty_lines(), 1);
         pm.crash_losing_all();
         assert_eq!(pm.read_u64(p), 0, "neither store was durable");
+    }
+
+    #[test]
+    fn empty_store_touches_no_line() {
+        let mut pm = PmArena::new(1024);
+        // Mid-line: must not dirty the line under `ptr`.
+        pm.write(PmPtr(100), &[]);
+        // Offset 0: must not underflow.
+        pm.write(PmPtr(0), &[]);
+        // At the very end of the arena: in bounds, still nothing.
+        pm.write(PmPtr(1024), &[]);
+        assert_eq!(pm.dirty_lines(), 0);
+        pm.flush(PmPtr(64), 128);
+        assert_eq!(pm.stats().flushes, 0);
+        assert_eq!(pm.stats().bytes_written, 0);
+    }
+
+    #[test]
+    fn fence_keeps_unflushed_lines_and_their_pre_images() {
+        let mut pm = PmArena::new(1024);
+        for line in 1..6u64 {
+            pm.write_u64(PmPtr(line * 64), line);
+        }
+        pm.persist(PmPtr(64), 5 * 64);
+        // Dirty lines 5, 2, 4, 1, 3 in that order; flush 2 and 1 only.
+        for line in [5u64, 2, 4, 1, 3] {
+            pm.write_u64(PmPtr(line * 64), 100 + line);
+        }
+        pm.flush(PmPtr(64), 128);
+        pm.fence();
+        assert_eq!(pm.dirty_lines(), 3);
+        assert_eq!(pm.crash_losing_all(), 3);
+        for (line, want) in [(1u64, 101u64), (2, 102), (3, 3), (4, 4), (5, 5)] {
+            assert_eq!(pm.read_u64(PmPtr(line * 64)), want, "line {line}");
+        }
     }
 
     #[test]

@@ -16,49 +16,42 @@ use pmnet_sim::SimRng;
 use crate::kv::{KvStore, OpStats};
 use crate::{ArenaStats, PmArena, PmPtr, Wal};
 
-/// A mutating operation on a [`PersistentKv`] (also its WAL record).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvOp {
+/// A mutating operation on a [`PersistentKv`]: a view of key and value
+/// bytes wherever they already live (a wire buffer, a WAL record). Its WAL
+/// record is `[tag:u8][klen:u32][key][value]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvOp<'a> {
     /// Insert or replace a key.
     Put {
         /// Key bytes.
-        key: Vec<u8>,
+        key: &'a [u8],
         /// Value bytes.
-        value: Vec<u8>,
+        value: &'a [u8],
     },
     /// Delete a key.
     Del {
         /// Key bytes.
-        key: Vec<u8>,
+        key: &'a [u8],
     },
 }
 
-impl KvOp {
-    /// Serializes to a WAL record.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            KvOp::Put { key, value } => {
-                let mut v = Vec::with_capacity(1 + 4 + key.len() + value.len());
-                v.push(1);
-                v.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                v.extend_from_slice(key);
-                v.extend_from_slice(value);
-                v
-            }
-            KvOp::Del { key } => {
-                let mut v = Vec::with_capacity(1 + 4 + key.len());
-                v.push(2);
-                v.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                v.extend_from_slice(key);
-                v
-            }
-        }
+impl<'a> KvOp<'a> {
+    /// The WAL record as consecutive parts: header, key, value (empty for
+    /// a `Del`).
+    fn record(&self) -> ([u8; 5], &'a [u8], &'a [u8]) {
+        let (tag, key, value) = match *self {
+            KvOp::Put { key, value } => (1, key, value),
+            KvOp::Del { key } => (2, key, &[][..]),
+        };
+        let mut head = [tag; 5];
+        head[1..].copy_from_slice(&(key.len() as u32).to_le_bytes());
+        (head, key, value)
     }
 
     /// Parses a WAL record.
     ///
     /// Returns `None` for malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<KvOp> {
+    pub fn decode(bytes: &'a [u8]) -> Option<KvOp<'a>> {
         if bytes.len() < 5 {
             return None;
         }
@@ -67,13 +60,10 @@ impl KvOp {
         if bytes.len() < 5 + klen {
             return None;
         }
-        let key = bytes[5..5 + klen].to_vec();
+        let (key, value) = bytes[5..].split_at(klen);
         match tag {
-            1 => Some(KvOp::Put {
-                key,
-                value: bytes[5 + klen..].to_vec(),
-            }),
-            2 if bytes.len() == 5 + klen => Some(KvOp::Del { key }),
+            1 => Some(KvOp::Put { key, value }),
+            2 if value.is_empty() => Some(KvOp::Del { key }),
             _ => None,
         }
     }
@@ -182,8 +172,9 @@ impl PersistentKv {
     ///
     /// Panics if the WAL fills and an automatic checkpoint cannot free it
     /// (store misconfiguration).
-    pub fn apply(&mut self, op: &KvOp) -> Option<Vec<u8>> {
-        let record = op.encode();
+    pub fn apply(&mut self, op: &KvOp<'_>) -> Option<Vec<u8>> {
+        let (head, key, value) = op.record();
+        let record = [&head[..], key, value];
         if !self.wal.append(&mut self.arena, &record) {
             self.checkpoint();
             assert!(
@@ -193,7 +184,7 @@ impl PersistentKv {
         }
         self.ops_since_checkpoint += 1;
         self.applied += 1;
-        match op {
+        match *op {
             KvOp::Put { key, value } => self.index.insert(key, value),
             KvOp::Del { key } => self.index.remove(key),
         }
@@ -206,29 +197,37 @@ impl PersistentKv {
     ///
     /// Panics if the serialized index exceeds the checkpoint region.
     pub fn checkpoint(&mut self) {
-        let mut blob = Vec::new();
-        self.index.for_each(&mut |k, v| {
-            blob.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            blob.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            blob.extend_from_slice(k);
-            blob.extend_from_slice(v);
-        });
+        let mut len = 0;
+        self.index
+            .for_each(&mut |k, v| len += 8 + k.len() + v.len());
         assert!(
-            blob.len() + 8 <= self.checkpoint_cap,
+            len + 8 <= self.checkpoint_cap,
             "checkpoint region too small: need {}",
-            blob.len() + 8
+            len + 8
         );
         // Write payload first, then the length word, so a torn checkpoint
         // is never exposed (the old length keeps pointing at old data only
         // if lengths were equal — we accept the standard double-buffer
         // simplification of writing length last with a fence between).
         let data_ptr = PmPtr(self.checkpoint_ptr.0 + 8);
-        if !blob.is_empty() {
-            self.arena.write(data_ptr, &blob);
-            self.arena.persist(data_ptr, blob.len());
+        if len > 0 {
+            // Entries go from the index straight into the region, as
+            // `[klen:u32][vlen:u32][key][value]` back to back.
+            let arena = &mut self.arena;
+            let mut at = data_ptr;
+            self.index.for_each(&mut |k, v| {
+                let mut head = [0; 8];
+                head[..4].copy_from_slice(&(k.len() as u32).to_le_bytes());
+                head[4..].copy_from_slice(&(v.len() as u32).to_le_bytes());
+                for part in [&head[..], k, v] {
+                    arena.write(at, part);
+                    at.0 += part.len() as u64;
+                }
+            });
+            arena.persist(data_ptr, len);
         }
         self.arena
-            .write(self.checkpoint_ptr, &(blob.len() as u64).to_le_bytes());
+            .write(self.checkpoint_ptr, &(len as u64).to_le_bytes());
         self.arena.persist(self.checkpoint_ptr, 8);
         self.wal.reset(&mut self.arena);
         self.ops_since_checkpoint = 0;
@@ -285,10 +284,10 @@ impl PersistentKv {
             let op = KvOp::decode(r).expect("WAL record passed CRC but failed to parse");
             match op {
                 KvOp::Put { key, value } => {
-                    index.insert(&key, &value);
+                    index.insert(key, value);
                 }
                 KvOp::Del { key } => {
-                    index.remove(&key);
+                    index.remove(key);
                 }
             }
             applied += 1;
@@ -340,22 +339,29 @@ mod tests {
     fn op_encoding_round_trips() {
         let ops = [
             KvOp::Put {
-                key: b"k".to_vec(),
-                value: b"value".to_vec(),
+                key: b"k",
+                value: b"value",
             },
             KvOp::Put {
-                key: vec![],
-                value: vec![],
+                key: b"empty-value",
+                value: b"",
             },
-            KvOp::Del {
-                key: b"gone".to_vec(),
+            KvOp::Put {
+                key: b"",
+                value: b"",
             },
+            KvOp::Del { key: b"gone" },
         ];
-        for op in &ops {
-            assert_eq!(KvOp::decode(&op.encode()).as_ref(), Some(op));
+        for op in ops {
+            let (head, key, value) = op.record();
+            let record = [&head[..], key, value].concat();
+            assert_eq!(KvOp::decode(&record), Some(op));
         }
         assert_eq!(KvOp::decode(b""), None);
         assert_eq!(KvOp::decode(&[9, 0, 0, 0, 0]), None);
+        // A `Del` carries no value; a key length past the record is torn.
+        assert_eq!(KvOp::decode(&[2, 1, 0, 0, 0, b'k', b'v']), None);
+        assert_eq!(KvOp::decode(&[1, 9, 0, 0, 0, b'k']), None);
     }
 
     #[test]
@@ -367,13 +373,13 @@ mod tests {
             for i in 0..200u32 {
                 let key = (i % 50).to_be_bytes().to_vec();
                 if i % 7 == 3 {
-                    kv.apply(&KvOp::Del { key: key.clone() });
+                    kv.apply(&KvOp::Del { key: &key });
                     model.remove(&key);
                 } else {
                     let value = i.to_le_bytes().to_vec();
                     kv.apply(&KvOp::Put {
-                        key: key.clone(),
-                        value: value.clone(),
+                        key: &key,
+                        value: &value,
                     });
                     model.insert(key, value);
                 }
@@ -392,8 +398,8 @@ mod tests {
         let mut kv = PersistentKv::with_defaults(store_by_name("hashmap", 0));
         for i in 0..50u8 {
             kv.apply(&KvOp::Put {
-                key: vec![i],
-                value: vec![i, i],
+                key: &[i],
+                value: &[i, i],
             });
         }
         let arena = kv.crash(&mut SimRng::seed(5));
@@ -407,8 +413,8 @@ mod tests {
         let mut kv = PersistentKv::with_defaults(store_by_name("btree", 0));
         for i in 0..20u8 {
             kv.apply(&KvOp::Put {
-                key: vec![i],
-                value: vec![i],
+                key: &[i],
+                value: &[i],
             });
         }
         kv.checkpoint();
@@ -423,17 +429,32 @@ mod tests {
     #[test]
     fn wal_fills_trigger_automatic_checkpoint() {
         let mut kv = PersistentKv::create(store_by_name("hashmap", 0), 1 << 20, 4096, 256 << 10);
+        let mut model = BTreeMap::new();
         for i in 0..200u32 {
-            kv.apply(&KvOp::Put {
-                key: i.to_be_bytes().to_vec(),
-                value: vec![0; 64],
-            });
+            // Overwrites and deletes too, so the streamed checkpoint and
+            // the log replayed over it must both be right.
+            let key = (i % 150).to_be_bytes();
+            if i % 11 == 5 {
+                kv.apply(&KvOp::Del { key: &key });
+                model.remove(&key[..]);
+            } else {
+                let value = vec![i as u8; 64];
+                kv.apply(&KvOp::Put {
+                    key: &key,
+                    value: &value,
+                });
+                model.insert(key.to_vec(), value);
+            }
         }
-        assert_eq!(kv.len(), 200);
+        assert_eq!(kv.len(), model.len());
         assert!(
             kv.ops_since_checkpoint() < 200,
             "a checkpoint must have fired"
         );
+        let arena = kv.crash(&mut SimRng::seed(13));
+        let recovered = PersistentKv::recover(arena, store_by_name("hashmap", 0));
+        assert!(recovered.applied_ops() > 0, "the tail of the log replays");
+        assert_eq!(contents(&recovered), model);
     }
 
     proptest! {
@@ -457,11 +478,11 @@ mod tests {
                 }
                 match maybe_value {
                     Some(v) => {
-                        kv.apply(&KvOp::Put { key: key.clone(), value: v.clone() });
+                        kv.apply(&KvOp::Put { key, value: v });
                         model.insert(key.clone(), v.clone());
                     }
                     None => {
-                        kv.apply(&KvOp::Del { key: key.clone() });
+                        kv.apply(&KvOp::Del { key });
                         model.remove(key);
                     }
                 }
@@ -479,8 +500,8 @@ mod tests {
         for index in all_stores(3) {
             let mut kv = PersistentKv::with_defaults(index);
             kv.apply(&KvOp::Put {
-                key: b"a".to_vec(),
-                value: b"b".to_vec(),
+                key: b"a",
+                value: b"b",
             });
             let idx = kv.take_index_stats();
             let arena = kv.take_arena_stats();

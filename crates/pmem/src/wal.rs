@@ -7,7 +7,7 @@
 //! mid-append). This is the same redo discipline PMNet itself applies to
 //! in-flight requests — the logged packet *is* the redo record.
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_finish, crc32_init, crc32_update};
 use crate::{PmArena, PmPtr};
 
 const HEADER: usize = 8;
@@ -69,35 +69,38 @@ impl Wal {
         self.stats
     }
 
-    /// Appends one record durably. Returns `false` (without writing) if the
-    /// region cannot hold the record plus its terminator.
+    /// Appends one record durably; its payload is the concatenation of
+    /// `parts`, each stored from where it lives. Returns `false` (without
+    /// writing) if the region cannot hold the record plus its terminator.
     ///
     /// # Panics
     ///
-    /// Panics if `payload` is empty (a zero length is the log terminator).
-    pub fn append(&mut self, arena: &mut PmArena, payload: &[u8]) -> bool {
-        assert!(!payload.is_empty(), "empty WAL record");
-        let need = HEADER + payload.len() + 4; // +4 for the next terminator
+    /// Panics if the payload is empty (a zero length is the log terminator).
+    pub fn append(&mut self, arena: &mut PmArena, parts: &[&[u8]]) -> bool {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        assert!(len > 0, "empty WAL record");
+        let need = HEADER + len + 4; // +4 for the next terminator
         if self.tail + need > self.capacity {
             return false;
         }
         let base = PmPtr(self.region.0 + self.tail as u64);
-        let crc = crc32(payload);
+        let crc = crc32_finish(parts.iter().fold(crc32_init(), |s, p| crc32_update(s, p)));
         // Write payload and CRC first, then the length word: a record only
         // becomes visible to recovery once its length is durable, and the
         // CRC catches a torn length/payload pair.
         arena.write(PmPtr(base.0 + 4), &crc.to_le_bytes());
-        arena.write(PmPtr(base.0 + 8), payload);
+        let mut at = PmPtr(base.0 + HEADER as u64);
+        for part in parts {
+            arena.write(at, part);
+            at.0 += part.len() as u64;
+        }
         // Terminator for the *next* record before exposing this one.
-        arena.write(
-            PmPtr(base.0 + (HEADER + payload.len()) as u64),
-            &0u32.to_le_bytes(),
-        );
-        arena.write(base, &(payload.len() as u32).to_le_bytes());
-        arena.persist(base, HEADER + payload.len() + 4);
-        self.tail += HEADER + payload.len();
+        arena.write(at, &0u32.to_le_bytes());
+        arena.write(base, &(len as u32).to_le_bytes());
+        arena.persist(base, HEADER + len + 4);
+        self.tail += HEADER + len;
         self.stats.appends += 1;
-        self.stats.payload_bytes += payload.len() as u64;
+        self.stats.payload_bytes += len as u64;
         true
     }
 
@@ -164,7 +167,7 @@ mod tests {
     fn append_then_recover_round_trips() {
         let (mut arena, mut wal) = setup(4096);
         for i in 0..10u8 {
-            assert!(wal.append(&mut arena, &[i; 10]));
+            assert!(wal.append(&mut arena, &[&[i; 10]]));
         }
         let (recovered, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
         assert_eq!(records.len(), 10);
@@ -178,7 +181,7 @@ mod tests {
     fn recovery_after_worst_case_crash_sees_all_fenced_records() {
         let (mut arena, mut wal) = setup(4096);
         for i in 0..5u8 {
-            wal.append(&mut arena, &[i; 20]);
+            wal.append(&mut arena, &[&[i; 20]]);
         }
         arena.crash_losing_all(); // appends are fenced: nothing to lose
         let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
@@ -188,7 +191,7 @@ mod tests {
     #[test]
     fn torn_tail_record_is_discarded() {
         let (mut arena, mut wal) = setup(4096);
-        wal.append(&mut arena, b"intact-record");
+        wal.append(&mut arena, &[b"intact-record"]);
         // Simulate a torn append: write a plausible header+payload but
         // corrupt the payload relative to the CRC, unfenced.
         let base = PmPtr(wal.region().0 + wal.used() as u64);
@@ -207,7 +210,7 @@ mod tests {
             let (mut arena, mut wal) = setup(8192);
             let n = 3 + trial % 7;
             for i in 0..n {
-                wal.append(&mut arena, &[i as u8 + 1; 33]);
+                wal.append(&mut arena, &[&[i as u8 + 1; 33]]);
             }
             arena.crash(&mut rng);
             let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
@@ -223,8 +226,8 @@ mod tests {
     #[test]
     fn full_log_rejects_appends() {
         let (mut arena, mut wal) = setup(64);
-        assert!(wal.append(&mut arena, &[1; 16]));
-        assert!(!wal.append(&mut arena, &[2; 64]));
+        assert!(wal.append(&mut arena, &[&[1; 16]]));
+        assert!(!wal.append(&mut arena, &[&[2; 64]]));
         // The rejected append must not corrupt the log.
         let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
         assert_eq!(records.len(), 1);
@@ -233,7 +236,7 @@ mod tests {
     #[test]
     fn reset_truncates_durably() {
         let (mut arena, mut wal) = setup(4096);
-        wal.append(&mut arena, b"abc");
+        wal.append(&mut arena, &[b"abc"]);
         wal.reset(&mut arena);
         arena.crash_losing_all();
         let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
@@ -244,8 +247,8 @@ mod tests {
     #[test]
     fn stats_track_appends() {
         let (mut arena, mut wal) = setup(4096);
-        wal.append(&mut arena, &[0; 7]);
-        wal.append(&mut arena, &[0; 9]);
+        wal.append(&mut arena, &[&[0; 7]]);
+        wal.append(&mut arena, &[&[0; 9]]);
         assert_eq!(wal.stats().appends, 2);
         assert_eq!(wal.stats().payload_bytes, 16);
     }
@@ -254,6 +257,34 @@ mod tests {
     #[should_panic(expected = "empty WAL record")]
     fn empty_record_panics() {
         let (mut arena, mut wal) = setup(4096);
-        wal.append(&mut arena, b"");
+        wal.append(&mut arena, &[b"", b""]);
+    }
+
+    #[test]
+    fn parts_store_exactly_what_the_joined_record_would() {
+        let mut rng = SimRng::seed(23);
+        // Unaligned part boundaries, an empty part in the middle and at
+        // the end, and a record spanning many lines.
+        let records: [&[&[u8]]; 4] = [
+            &[&[1, 0, 0, 0, 3], b"key", &[7; 300]],
+            &[&[2, 0, 0, 0, 5], b"gone!", b""],
+            &[b"", &[9; 61], b"", &[8; 70]],
+            &[&[5; 2048]],
+        ];
+        let (mut by_parts, mut wal_parts) = setup(8192);
+        let (mut joined, mut wal_joined) = setup(8192);
+        for parts in records {
+            assert!(wal_parts.append(&mut by_parts, parts));
+            assert!(wal_joined.append(&mut joined, &[&parts.concat()]));
+            assert_eq!(by_parts.stats(), joined.stats());
+        }
+        assert_eq!(wal_parts.stats(), wal_joined.stats());
+        assert_eq!(wal_parts.used(), wal_joined.used());
+        let cap = by_parts.capacity();
+        assert_eq!(by_parts.read(PmPtr(0), cap), joined.read(PmPtr(0), cap));
+        by_parts.crash(&mut rng);
+        let (_, recovered) = Wal::recover(&mut by_parts, wal_parts.region(), wal_parts.capacity());
+        let want: Vec<Vec<u8>> = records.iter().map(|parts| parts.concat()).collect();
+        assert_eq!(recovered, want);
     }
 }

@@ -1,10 +1,108 @@
 //! Property tests for the PM arena's crash semantics: fenced data always
-//! survives, every line is atomic (pre- or post-state, never torn), and
-//! the WAL-over-arena discipline recovers a consistent prefix.
+//! survives, every line is atomic (pre- or post-state, never torn), the
+//! dense dirty-line tracker is indistinguishable from the map it replaced,
+//! and the WAL-over-arena discipline recovers a consistent prefix.
 
-use pmnet_pmem::{PmArena, PmPtr, Wal, LINE};
+use std::collections::HashMap;
+
+use pmnet_pmem::{ArenaStats, PmArena, PmPtr, Wal, LINE};
 use pmnet_sim::SimRng;
 use proptest::prelude::*;
+
+/// The reference crash model: the `HashMap`-of-owned-pre-images tracker
+/// `PmArena` used before its dense one, kept as the oracle the dense
+/// tracker is compared against.
+struct MapArena {
+    data: Vec<u8>,
+    /// line → (last durable contents, flushed since its last store).
+    dirty: HashMap<usize, (Vec<u8>, bool)>,
+    stats: ArenaStats,
+}
+
+impl MapArena {
+    fn new(capacity: usize) -> MapArena {
+        MapArena {
+            data: vec![0; capacity],
+            dirty: HashMap::new(),
+            stats: ArenaStats::default(),
+        }
+    }
+
+    fn write(&mut self, start: usize, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        for line in start / LINE..=(start + bytes.len() - 1) / LINE {
+            let durable = &self.data[line * LINE..(line + 1) * LINE];
+            let entry = self
+                .dirty
+                .entry(line)
+                .or_insert_with(|| (durable.to_vec(), false));
+            entry.1 = false;
+        }
+        self.data[start..start + bytes.len()].copy_from_slice(bytes);
+        self.stats.bytes_written += bytes.len() as u64;
+    }
+
+    fn flush(&mut self, start: usize, len: usize) {
+        for line in start / LINE..=(start + len - 1) / LINE {
+            if let Some(entry) = self.dirty.get_mut(&line) {
+                if !entry.1 {
+                    entry.1 = true;
+                    self.stats.flushes += 1;
+                }
+            }
+        }
+    }
+
+    fn fence(&mut self) {
+        self.dirty.retain(|_, entry| !entry.1);
+        self.stats.fences += 1;
+    }
+
+    /// `rng: None` is `crash_losing_all`.
+    fn crash(&mut self, mut rng: Option<&mut SimRng>) -> usize {
+        let mut lines: Vec<usize> = self.dirty.keys().copied().collect();
+        lines.sort_unstable();
+        let mut lost = 0;
+        for line in lines {
+            let (durable, _) = self.dirty.remove(&line).expect("line vanished");
+            if rng.as_mut().is_none_or(|rng| rng.chance(0.5)) {
+                self.data[line * LINE..(line + 1) * LINE].copy_from_slice(&durable);
+                lost += 1;
+            }
+        }
+        lost
+    }
+}
+
+/// Bytes of the arena both trackers model.
+const DIFF_CAPACITY: usize = 48 * LINE;
+
+#[derive(Debug, Clone)]
+enum TrackerOp {
+    /// Store `len` bytes of `fill` at `start` (possibly none, possibly
+    /// several lines, possibly over lines already dirty or flushed).
+    Write(usize, usize, u8),
+    /// Flush `[start, start + len)`.
+    Flush(usize, usize),
+    Fence,
+}
+
+fn tracker_op() -> impl Strategy<Value = TrackerOp> {
+    let write = || {
+        (0..DIFF_CAPACITY, 0usize..300, any::<u8>())
+            .prop_map(|(at, len, fill)| TrackerOp::Write(at, len.min(DIFF_CAPACITY - at), fill))
+    };
+    // The choice is uniform: two write arms make half the ops stores.
+    prop_oneof![
+        write(),
+        write(),
+        (0..DIFF_CAPACITY, 1usize..400)
+            .prop_map(|(at, len)| TrackerOp::Flush(at, len.min(DIFF_CAPACITY - at))),
+        Just(TrackerOp::Fence),
+    ]
+}
 
 #[derive(Debug, Clone)]
 enum ArenaOp {
@@ -26,6 +124,53 @@ fn arena_op() -> impl Strategy<Value = ArenaOp> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The dense tracker and the map oracle agree after every step — dirty
+    /// count and every counter — and after the final crash: the same lines
+    /// lost, the same bytes on the media, the RNG advanced by the same
+    /// draws (so lines were visited in the same, ascending, order).
+    #[test]
+    fn dense_tracker_matches_the_map_oracle(
+        ops in prop::collection::vec(tracker_op(), 0..80),
+        seed in any::<u64>(),
+        lose_all in any::<bool>(),
+    ) {
+        let mut arena = PmArena::new(DIFF_CAPACITY);
+        let mut oracle = MapArena::new(DIFF_CAPACITY);
+        for op in &ops {
+            match *op {
+                TrackerOp::Write(at, len, fill) => {
+                    // Distinct bytes, so a misplaced pre-image shows.
+                    let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    arena.write(PmPtr(at as u64), &bytes);
+                    oracle.write(at, &bytes);
+                }
+                TrackerOp::Flush(at, len) => {
+                    arena.flush(PmPtr(at as u64), len);
+                    oracle.flush(at, len);
+                }
+                TrackerOp::Fence => {
+                    arena.fence();
+                    oracle.fence();
+                }
+            }
+            prop_assert_eq!(arena.dirty_lines(), oracle.dirty.len());
+            prop_assert_eq!(arena.stats(), oracle.stats);
+        }
+        let (mut rng, mut oracle_rng) = (SimRng::seed(seed), SimRng::seed(seed));
+        let (lost, oracle_lost) = if lose_all {
+            (arena.crash_losing_all(), oracle.crash(None))
+        } else {
+            (arena.crash(&mut rng), oracle.crash(Some(&mut oracle_rng)))
+        };
+        prop_assert_eq!(lost, oracle_lost);
+        prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+        prop_assert_eq!(arena.dirty_lines(), 0);
+        prop_assert_eq!(arena.read(PmPtr(0), DIFF_CAPACITY), &oracle.data[..]);
+        // The tracker is clean again: fresh stores start a fresh set.
+        arena.write(PmPtr(0), &[1; 2 * LINE]);
+        prop_assert_eq!(arena.dirty_lines(), 2);
+    }
 
     /// After any op sequence and a random crash: every slot holds either
     /// its last durable (fenced) value or any later value written to it —
@@ -111,7 +256,8 @@ proptest! {
         let mut arena = PmArena::new(64 << 10);
         let mut wal = Wal::create(&mut arena, 32 << 10).expect("fits");
         for r in &records {
-            assert!(wal.append(&mut arena, r));
+            let (head, tail) = r.split_at(r.len() / 2);
+            assert!(wal.append(&mut arena, &[head, tail]));
         }
         let mut rng = SimRng::seed(seed);
         arena.crash(&mut rng);

@@ -23,11 +23,10 @@ use pmnet_sim::{Dur, SimRng};
 /// workload keys, which are printable).
 const SEQ_PREFIX: u8 = 0x00;
 
-fn seq_key(client: Addr, session: u16) -> Vec<u8> {
-    let mut k = Vec::with_capacity(7);
-    k.push(SEQ_PREFIX);
-    k.extend_from_slice(&client.0.to_le_bytes());
-    k.extend_from_slice(&session.to_le_bytes());
+fn seq_key(client: Addr, session: u16) -> [u8; 7] {
+    let mut k = [SEQ_PREFIX; 7];
+    k[1..5].copy_from_slice(&client.0.to_le_bytes());
+    k[5..].copy_from_slice(&session.to_le_bytes());
     k
 }
 
@@ -94,7 +93,7 @@ impl KvHandler {
     }
 
     /// Applies one durable op and returns its derived service time.
-    pub fn apply_costed(&mut self, op: &KvOp, rng: &mut SimRng) -> Dur {
+    pub fn apply_costed(&mut self, op: &KvOp<'_>, rng: &mut SimRng) -> Dur {
         let kv = self.kv.as_mut().expect("handler used while crashed");
         kv.apply(op);
         self.ops += 1;
@@ -141,24 +140,24 @@ impl RequestHandler for KvHandler {
     ) -> Dur {
         let mut t = self.extra;
         t += match KvFrame::decode(payload) {
-            // The durable store owns its data: copying out of the wire
-            // buffer here is the single boundary copy on the write path.
+            // The op views the wire buffer; the durable store takes its
+            // two copies from there (into the WAL, into the index).
             Some(KvFrame::Set { key, value }) => self.apply_costed(
                 &KvOp::Put {
-                    key: key.to_vec(),
-                    value: value.to_vec(),
+                    key: &key,
+                    value: &value,
                 },
                 rng,
             ),
-            Some(KvFrame::Del { key }) => self.apply_costed(&KvOp::Del { key: key.to_vec() }, rng),
+            Some(KvFrame::Del { key }) => self.apply_costed(&KvOp::Del { key: &key }, rng),
             // Malformed or opaque updates still cost a dispatch.
             _ => Dur::micros(1),
         };
         // The applied-sequence record rides the same durable path.
         t += self.apply_costed(
             &KvOp::Put {
-                key: seq_key(client, session),
-                value: seq.to_le_bytes().to_vec(),
+                key: &seq_key(client, session),
+                value: &seq.to_le_bytes(),
             },
             rng,
         );
@@ -311,6 +310,44 @@ mod tests {
         let a = plain.handle_update(Addr(1), 0, 0, &put_frame(b"k", b"v"), &mut rng);
         let b = redisish.handle_update(Addr(1), 0, 0, &put_frame(b"k", b"v"), &mut rng);
         assert!(b > a + Dur::micros(8));
+    }
+
+    /// Sums the derived service times of `n` updates of `vlen`-byte
+    /// values over 512 keys (fresh inserts, then replacements).
+    fn summed_service_time(h: &mut KvHandler, n: u32, vlen: usize) -> Dur {
+        let mut rng = SimRng::seed(7);
+        let value = vec![0xAB; vlen];
+        let mut total = Dur::ZERO;
+        for i in 0..n {
+            let key = format!("user{:08}", i % 512);
+            total += h.handle_update(Addr(1), 0, i, &put_frame(key.as_bytes(), &value), &mut rng);
+        }
+        total
+    }
+
+    /// Service times derive from the flushes, fences and bytes the arena
+    /// counts and the work the index counts. These sums were captured
+    /// before the arena's dirty-line map became a dense tracker and the
+    /// WAL record and checkpoint stopped being staged in a `Vec`: a
+    /// host-side change to the durable path must not move them.
+    #[test]
+    fn summed_service_times_are_pinned() {
+        // A 256 KiB WAL fills every ~120 updates: the sum includes
+        // automatic checkpoints of up to 512 x 2 KiB entries.
+        let mut small_wal = KvHandler {
+            kv: Some(PersistentKv::create(
+                store_by_name("btree", 5),
+                8 << 20,
+                256 << 10,
+                2 << 20,
+            )),
+            ..KvHandler::new("btree", 5)
+        };
+        let t = summed_service_time(&mut small_wal, 2_000, 2048);
+        assert!(small_wal.kv().unwrap().ops_since_checkpoint() < 4_000);
+        assert_eq!(t.as_nanos(), 143_512_321);
+        let t = summed_service_time(&mut KvHandler::new("hashmap", 5), 2_000, 512);
+        assert_eq!(t.as_nanos(), 35_288_018);
     }
 
     #[test]

@@ -293,16 +293,16 @@ impl RequestHandler for TpccHandler {
         {
             t += self.kv.apply_costed(
                 &KvOp::Put {
-                    key: format!("stock:{warehouse}:{item}").into_bytes(),
-                    value: quantity.to_le_bytes().to_vec(),
+                    key: format!("stock:{warehouse}:{item}").as_bytes(),
+                    value: &quantity.to_le_bytes(),
                 },
                 rng,
             );
             // Order-line insert alongside the stock write.
             t += self.kv.apply_costed(
                 &KvOp::Put {
-                    key: format!("orderline:{warehouse}:{item}:{seq}").into_bytes(),
-                    value: quantity.to_le_bytes().to_vec(),
+                    key: format!("orderline:{warehouse}:{item}:{seq}").as_bytes(),
+                    value: &quantity.to_le_bytes(),
                 },
                 rng,
             );

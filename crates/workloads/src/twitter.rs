@@ -195,22 +195,22 @@ impl RequestHandler for TwitterHandler {
                 self.next_tweet_id += 1;
                 t += self.kv.apply_costed(
                     &KvOp::Put {
-                        key: b"lastUID".to_vec(),
-                        value: id.to_le_bytes().to_vec(),
+                        key: b"lastUID",
+                        value: &id.to_le_bytes(),
                     },
                     rng,
                 );
                 t += self.kv.apply_costed(
                     &KvOp::Put {
-                        key: format!("tweet:{id}").into_bytes(),
-                        value: text,
+                        key: format!("tweet:{id}").as_bytes(),
+                        value: &text,
                     },
                     rng,
                 );
                 t += self.kv.apply_costed(
                     &KvOp::Put {
-                        key: format!("posts:{user}:{id}").into_bytes(),
-                        value: id.to_le_bytes().to_vec(),
+                        key: format!("posts:{user}:{id}").as_bytes(),
+                        value: &id.to_le_bytes(),
                     },
                     rng,
                 );
@@ -218,8 +218,8 @@ impl RequestHandler for TwitterHandler {
             Some(TwitterOp::Follow { follower, followee }) => {
                 t += self.kv.apply_costed(
                     &KvOp::Put {
-                        key: format!("followers:{followee}:{follower}").into_bytes(),
-                        value: vec![1],
+                        key: format!("followers:{followee}:{follower}").as_bytes(),
+                        value: &[1],
                     },
                     rng,
                 );
