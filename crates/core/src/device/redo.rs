@@ -1,0 +1,275 @@
+//! Re-sending logged updates from the log (Sections IV-B3, IV-E): the
+//! per-entry retry toward a silent server, `Retrans` service for a gap the
+//! server detected, and the recovery barrier — poll, paced resends,
+//! `RecoveryDone`. All three rebuild the packet through [`redo_packet`].
+
+use pmnet_net::{Addr, Ctx, Packet};
+
+use super::{PmnetDevice, TIMER_ENTRY_RETRY, TIMER_RECOVERY_RESEND};
+use crate::logstore::LogEntry;
+use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
+
+/// Book-keeping for one staged recovery resend.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct StagedResend {
+    /// The recovering server this entry is destined to.
+    server: Addr,
+    /// Transmissions fired so far (drives the backoff exponent).
+    attempts: u32,
+}
+
+/// Regenerates the logged update as the client sent it, flagged as a redo
+/// so no device on the path logs or acknowledges it again. Built from a
+/// borrow: the packet shares the log's refcounted payload buffer.
+fn redo_packet(entry: &LogEntry) -> Packet {
+    let mut h = entry.header;
+    h.flags |= FLAG_REDO;
+    Packet::udp(
+        entry.header.client,
+        entry.server,
+        entry.client_port,
+        entry.server_port,
+        h.encode(&entry.payload),
+    )
+}
+
+impl PmnetDevice {
+    /// Serves a server's retransmission request from the log and drops
+    /// the request; a miss passes it on toward the client.
+    pub(super) fn handle_retrans(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        header: PmnetHeader,
+        packet: Packet,
+    ) {
+        // A corrupted hash would address the wrong log entry; the server's
+        // gap timer re-arms and retransmits the request.
+        if !header.verify(packet.src, &[]) {
+            self.counters.corrupt_dropped += 1;
+            return;
+        }
+        match self.log.lookup_for_retrans(header.hash).map(redo_packet) {
+            Some(redo) => {
+                self.counters.retrans_served += 1;
+                self.emit(ctx, redo);
+            }
+            None => self.forward(ctx, packet),
+        }
+    }
+
+    /// Re-forwards a still-unacknowledged log entry to its server as a
+    /// redo, and re-arms the retry timer.
+    pub(super) fn retry_entry(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
+        let Some(redo) = self.log.peek(hash).map(redo_packet) else {
+            return; // acknowledged in the meantime
+        };
+        self.counters.entry_retries += 1;
+        self.emit(ctx, redo);
+        let retry = self.config.log_retry_timeout;
+        self.arm(ctx, retry, TIMER_ENTRY_RETRY, u64::from(hash));
+    }
+
+    /// A recovering `server` polled: stage every durable entry destined to
+    /// it, in (client, session, seq) order, paced by PM read completions
+    /// (Figure 3 recovery steps; Section VI-B6 measures this rate).
+    /// Entries stay staged until the server's redo ack confirms
+    /// application, so a repeated poll (the server re-polls with backoff
+    /// until it hears `RecoveryDone`) is idempotent: already staged
+    /// entries are owned by their backoff timers and are not staged twice.
+    pub(super) fn handle_recovery_poll(&mut self, ctx: &mut Ctx<'_>, server: Addr) {
+        // The manifest carries only (hash, wire bytes): staging needs the
+        // PM read size, not a clone of each logged entry.
+        for (hash, bytes) in self.log.recovery_manifest(server, ctx.now()) {
+            if self.staged_resends.contains_key(&hash) {
+                continue;
+            }
+            let ready = self.log.schedule_read(ctx.now(), bytes);
+            let staged = StagedResend {
+                server,
+                attempts: 0,
+            };
+            self.staged_resends.insert(hash, staged);
+            let wait = ready.saturating_since(ctx.now()) + self.config.pipeline_delay;
+            self.arm(ctx, wait, TIMER_RECOVERY_RESEND, u64::from(hash));
+        }
+        // Nothing (left) to resend for this server: report the drain
+        // immediately. This also repairs a lost `RecoveryDone` — the
+        // server's next poll regenerates it.
+        self.maybe_recovery_done(ctx, server);
+    }
+
+    pub(super) fn fire_recovery_resend(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
+        let Some(staged) = self.staged_resends.get_mut(&hash) else {
+            return; // confirmed by a redo ack since the timer was armed
+        };
+        let Some(redo) = self.log.peek(hash).map(redo_packet) else {
+            // Invalidated since the poll (e.g. the normal-path server ack
+            // raced the staging): nothing left to resend — clear the stage
+            // and maybe report the drain.
+            let server = staged.server;
+            self.staged_resends.remove(&hash);
+            return self.maybe_recovery_done(ctx, server);
+        };
+        staged.attempts += 1;
+        let attempts = staged.attempts;
+        self.counters.recovery_resends += 1;
+        if attempts > 1 {
+            self.counters.recovery_resend_retries += 1;
+        }
+        self.emit(ctx, redo);
+        // Keep the entry staged: if the redo (or its ack) is lost, re-fire
+        // after an exponentially backed-off wait. The redo ack
+        // ([`PmnetDevice::redo_confirmed`]) is what finally clears the
+        // stage.
+        let backoff = self.config.recovery_resend_timeout * (1u64 << (attempts - 1).min(4));
+        self.arm(ctx, backoff, TIMER_RECOVERY_RESEND, u64::from(hash));
+    }
+
+    /// The server acknowledged `hash`. If that was a staged resend's redo
+    /// ack — the server applied (or deduplicated) the entry — stop
+    /// re-firing it and, if it was the last one outstanding for that
+    /// server, report the log drained.
+    pub(super) fn redo_confirmed(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
+        if let Some(staged) = self.staged_resends.remove(&hash) {
+            self.maybe_recovery_done(ctx, staged.server);
+        }
+    }
+
+    /// Emits `RecoveryDone` to `server` once no staged resend for it
+    /// remains. Safe to call eagerly: it re-checks the staging table.
+    fn maybe_recovery_done(&mut self, ctx: &mut Ctx<'_>, server: Addr) {
+        if self.staged_resends.values().any(|s| s.server == server) {
+            return;
+        }
+        let h = PmnetHeader::control(PacketType::RecoveryDone, 0, self.addr, server);
+        let pkt = Packet::udp(self.addr, server, 51002, 51000, h.encode(&[]));
+        self.counters.recovery_done_sent += 1;
+        self.emit(ctx, pkt);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::rig::*;
+
+    #[test]
+    fn retrans_is_served_from_the_log_and_dropped() {
+        let (mut w, client, dev, server) = rig(SystemConfig::default().device);
+        let (h, pkt) = update_packet(1, b"payload");
+        w.inject(client, pkt);
+        w.run_for(Dur::millis(5));
+        assert_eq!(w.node::<EchoHost>(server).received(), 1);
+        // Server requests a retransmission of the (supposedly lost) packet.
+        let mut rh = h;
+        rh.ptype = PacketType::Retrans;
+        let retrans = Packet::udp(Addr(9), Addr(1), 51000, 51001, rh.encode(&[]));
+        w.inject(server, retrans);
+        w.run_for(Dur::millis(5));
+        // The device served it to the server; the client never saw the
+        // retrans request.
+        assert_eq!(w.node::<EchoHost>(server).received(), 2);
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().retrans_served, 1);
+        // Client got exactly the one ACK from the original update.
+        assert_eq!(w.node::<EchoHost>(client).received(), 1);
+    }
+
+    #[test]
+    fn recovery_poll_resends_logged_entries_in_order() {
+        let (mut w, client, dev, server) = rig(SystemConfig::default().device);
+        for seq in [2u32, 1, 3] {
+            let (_, pkt) = update_packet(seq, format!("p{seq}").as_bytes());
+            w.inject(client, pkt);
+        }
+        w.run_for(Dur::millis(5));
+        assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 3);
+        assert_eq!(w.node::<EchoHost>(server).received(), 3);
+        // Server polls the device.
+        w.inject(server, poll_packet());
+        w.run_for(Dur::millis(5));
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().recovery_resends, 3);
+        assert_eq!(w.node::<EchoHost>(server).received(), 6);
+    }
+
+    /// The plain rig with both device retry timeouts set by the caller.
+    fn retrying_rig(entry_retry: Dur, resend: Dur) -> (World, NodeId, NodeId, NodeId) {
+        let mut config = SystemConfig::default().device;
+        config.log_retry_timeout = entry_retry;
+        config.recovery_resend_timeout = resend;
+        rig_as_configured(config)
+    }
+
+    #[test]
+    fn unacknowledged_entries_are_retried_to_the_server() {
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(1), Dur::secs(3600));
+        let (_, pkt) = update_packet(1, b"payload");
+        w.inject(client, pkt);
+        // The sink server never ACKs: the device must re-forward the
+        // logged entry on each retry interval.
+        w.run_for(Dur::from_micros_f64(3500.0));
+        let d = w.node::<PmnetDevice>(dev);
+        assert!(d.counters().entry_retries >= 3, "{:?}", d.counters());
+        assert!(w.node::<EchoHost>(server).received() >= 4);
+        // Still exactly one log entry (retries are redo copies).
+        assert_eq!(d.log_len(), 1);
+    }
+
+    #[test]
+    fn staged_resends_refire_until_the_redo_ack_confirms() {
+        let (mut w, client, dev, server) = retrying_rig(Dur::secs(3600), Dur::micros(50));
+        let (h, pkt) = update_packet(1, b"hello");
+        w.inject(client, pkt);
+        w.run_for(Dur::millis(1));
+        // The server "crashes and recovers", then polls; its redo acks
+        // never come back (EchoHost sink), so the device must keep
+        // re-firing the staged resend with backoff.
+        w.inject(server, poll_packet());
+        w.run_for(Dur::millis(2));
+        let d = w.node::<PmnetDevice>(dev);
+        assert!(d.counters().recovery_resends >= 3, "{:?}", d.counters());
+        assert!(
+            d.counters().recovery_resend_retries >= 2,
+            "{:?}",
+            d.counters()
+        );
+        assert_eq!(d.counters().recovery_done_sent, 0);
+        // The redo ack finally lands: the stage clears, RecoveryDone goes
+        // out, and the re-fire loop stops.
+        w.inject(server, server_ack(&h));
+        w.run_for(Dur::millis(1));
+        let resends_at_ack = w.node::<PmnetDevice>(dev).counters().recovery_resends;
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().recovery_done_sent, 1);
+        assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 0);
+        w.run_for(Dur::millis(5));
+        assert_eq!(
+            w.node::<PmnetDevice>(dev).counters().recovery_resends,
+            resends_at_ack,
+            "re-fires must stop once the redo ack confirms"
+        );
+    }
+
+    #[test]
+    fn repeated_polls_are_idempotent_and_regenerate_recovery_done() {
+        let (mut w, client, dev, server) = rig(SystemConfig::default().device);
+        // Poll an empty log: the device reports the drain immediately.
+        w.inject(server, poll_packet());
+        w.run_for(Dur::millis(1));
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().recovery_done_sent, 1);
+        // A second poll (the first RecoveryDone may have been lost)
+        // regenerates the report.
+        w.inject(server, poll_packet());
+        w.run_for(Dur::millis(1));
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().recovery_done_sent, 2);
+        // With an entry staged, repeated polls do not stage (or resend) it
+        // twice: the backoff timer owns it.
+        let (_, pkt) = update_packet(1, b"hello");
+        w.inject(client, pkt);
+        w.run_for(Dur::millis(1));
+        w.inject(server, poll_packet());
+        w.inject(server, poll_packet());
+        w.run_for(Dur::millis(2));
+        let d = w.node::<PmnetDevice>(dev);
+        assert_eq!(d.counters().recovery_resends, 1, "{:?}", d.counters());
+        // And no premature drain report while the entry is outstanding.
+        assert_eq!(d.counters().recovery_done_sent, 2);
+    }
+}

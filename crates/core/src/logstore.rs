@@ -65,7 +65,8 @@ pub enum LogOutcome {
     /// Staged behind the doorbell: the entry is in the log table but its
     /// PM write (and therefore its ACK) waits for [`LogStore::flush_staged`].
     Staged,
-    /// Already logged (client retransmission); re-acknowledge immediately.
+    /// Already logged (a retransmission): nothing changed. Whether the
+    /// copy may be re-acknowledged is [`LogStore::durable`]'s call.
     Duplicate,
     /// Not logged; forward silently.
     Bypass(BypassReason),
@@ -256,8 +257,7 @@ impl LogStore {
         (crate::protocol::HEADER_LEN + payload.len() + 16) as u64
     }
 
-    /// Runs the admission checks shared by [`LogStore::try_log`] and
-    /// [`LogStore::try_stage`]; `Ok(bytes)` admits the entry.
+    /// Runs the admission checks; `Ok(bytes)` admits the entry.
     fn admit(
         &mut self,
         now: Time,
@@ -305,37 +305,57 @@ impl LogStore {
         Ok(bytes)
     }
 
+    /// Admits and inserts an entry. `stage` holds its PM write back for
+    /// the doorbell — `persisted_at` is then the end of time, so a crash
+    /// drops the entry and a recovery manifest excludes it — otherwise the
+    /// write is scheduled now.
     #[allow(clippy::too_many_arguments)]
-    fn insert_entry(
+    fn offer(
         &mut self,
+        now: Time,
         header: PmnetHeader,
         payload: Bytes,
         server: Addr,
         client_port: u16,
         server_port: u16,
-        persisted_at: Time,
-        bytes: u64,
-    ) {
-        self.entries.insert(
-            header.hash,
-            LogEntry {
-                header,
-                payload,
-                server,
-                client_port,
-                server_port,
-                persisted_at,
-            },
-        );
+        stage: bool,
+    ) -> LogOutcome {
+        let bytes = match self.admit(now, &header, &payload, server) {
+            Ok(bytes) => bytes,
+            Err(outcome) => return outcome,
+        };
+        let persisted_at = if stage {
+            self.staged.push(header.hash);
+            self.staged_bytes += bytes;
+            Time::MAX
+        } else {
+            self.pm.schedule_write(now, bytes as u32)
+        };
+        let entry = LogEntry {
+            header,
+            payload,
+            server,
+            client_port,
+            server_port,
+            persisted_at,
+        };
+        self.entries.insert(header.hash, entry);
         self.used_bytes += bytes;
         self.outstanding
             .increment((server, header.client, header.session));
         self.counters.logged += 1;
         self.counters.peak_entries = self.counters.peak_entries.max(self.entries.len() as u64);
         self.counters.peak_bytes = self.counters.peak_bytes.max(self.used_bytes);
+        if stage {
+            LogOutcome::Staged
+        } else {
+            LogOutcome::Logged {
+                ack_at: persisted_at,
+            }
+        }
     }
 
-    /// Offers an update packet to the log.
+    /// Offers an update packet to the log; its PM write starts now.
     pub fn try_log(
         &mut self,
         now: Time,
@@ -345,21 +365,15 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        let bytes = match self.admit(now, &header, &payload, server) {
-            Ok(bytes) => bytes,
-            Err(outcome) => return outcome,
-        };
-        let ack_at = self.pm.schedule_write(now, bytes as u32);
-        self.insert_entry(
+        self.offer(
+            now,
             header,
             payload,
             server,
             client_port,
             server_port,
-            ack_at,
-            bytes,
-        );
-        LogOutcome::Logged { ack_at }
+            false,
+        )
     }
 
     /// Offers an update packet to the log behind the doorbell: the entry
@@ -367,8 +381,7 @@ impl LogStore {
     /// with staged-but-unwritten bytes counted against the queue bound)
     /// but its PM write is deferred until [`LogStore::flush_staged`] rings
     /// the doorbell for the whole window. Until then the entry is not
-    /// durable: `persisted_at` is the end of time, so a crash drops it and
-    /// a recovery manifest excludes it.
+    /// durable.
     pub fn try_stage(
         &mut self,
         now: Time,
@@ -378,23 +391,7 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        let bytes = match self.admit(now, &header, &payload, server) {
-            Ok(bytes) => bytes,
-            Err(outcome) => return outcome,
-        };
-        let hash = header.hash;
-        self.insert_entry(
-            header,
-            payload,
-            server,
-            client_port,
-            server_port,
-            Time::MAX,
-            bytes,
-        );
-        self.staged.push(hash);
-        self.staged_bytes += bytes;
-        LogOutcome::Staged
+        self.offer(now, header, payload, server, client_port, server_port, true)
     }
 
     /// Rings the doorbell: one PM write (one persist fence) covers every
@@ -425,11 +422,15 @@ impl LogStore {
         self.staged.len()
     }
 
-    /// True while `hash` sits staged behind the doorbell (admitted, not
-    /// yet covered by a flush's PM write). The scan is bounded by the
-    /// batch window — a handful of entries.
-    pub fn is_staged(&self, hash: u32) -> bool {
-        self.staged.contains(&hash)
+    /// The one durability predicate: `hash` is live and its PM write has
+    /// completed by `now`. A staged entry's `persisted_at` is the end of
+    /// time until its flush, and an invalidated entry is not live, so
+    /// neither is ever durable. Every acknowledgement the device emits for
+    /// an entry rests on this being true at the instant it is sent.
+    pub fn durable(&self, hash: u32, now: Time) -> bool {
+        self.entries
+            .get(&hash)
+            .is_some_and(|e| e.persisted_at <= now)
     }
 
     /// Whether a live entry from `(client, session)` to `server` remains
