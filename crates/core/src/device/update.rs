@@ -115,14 +115,7 @@ impl PmnetDevice {
                 // acknowledgement it is owed — if it has earned one. While
                 // the original's write is staged or in flight, the copy is
                 // held and the pending completion acknowledges it.
-                // Inherited, fixed in the next commit: a solo device counts
-                // the entry durable once its write is *scheduled*.
-                let scheduled =
-                    |e: &crate::logstore::LogEntry| e.persisted_at != pmnet_sim::Time::MAX;
-                let durable = match self.role() {
-                    DeviceRole::Solo => self.log.peek(hash).is_some_and(scheduled),
-                    _ => self.log.durable(hash, at),
-                };
+                let durable = self.log.durable(hash, at);
                 let release = self.chain.duplicate(hash, durable);
                 if self.carry_out(ctx, hash, release) {
                     self.ack_clients(ctx, &[hash]);

@@ -1,7 +1,7 @@
 //! What the device puts on the wire, and when: each test taps an endpoint
 //! next to a lone device and reads the packets themselves, not counters.
 
-use pmnet_core::config::DeviceConfig;
+use pmnet_core::config::{BatchConfig, DeviceConfig};
 use pmnet_core::device::{DeviceFabric, DeviceRole, PmnetDevice};
 use pmnet_core::protocol::{PacketType, PmnetHeader, FLAG_REDO};
 use pmnet_net::{Addr, Ctx, EchoHost, LinkSpec, Msg, Node, Packet, PortNo, World};
@@ -144,4 +144,50 @@ fn promote_releases_withheld_acks_in_one_order() {
     assert_eq!(first.len(), 24);
     assert_eq!(first, acks_released_by_promote());
     assert!(first.windows(2).all(|w| w[0] < w[1]), "ascending by hash");
+}
+
+/// Injects `packets` back to back at a solo device and returns when each
+/// client ACK packet was delivered, and the device's ACK count.
+fn ack_deliveries(batch: BatchConfig, packets: &[Packet]) -> (Vec<Time>, u64) {
+    let mut config = DeviceConfig::fpga();
+    config.log_retry_timeout = Dur::secs(3600);
+    let (mut w, client, dev, _) = rig(device(config).with_batch(batch), CLIENT);
+    for pkt in packets {
+        w.inject(client, pkt.clone());
+    }
+    w.run_for(Dur::millis(1));
+    let seen = &w.node::<Tap>(client).seen;
+    let acks_sent = w.node::<PmnetDevice>(dev).counters().acks_sent;
+    (seen.iter().map(|(at, _)| *at).collect(), acks_sent)
+}
+
+#[test]
+fn duplicate_of_an_in_flight_write_is_not_acked_early() {
+    // A 1 000 B entry takes ≈ 8 µs to reach PM; the network's duplicate of
+    // the update arrives ≈ 1 µs behind the original. A crash in between
+    // loses the update, so the copy must not be acknowledged on arrival:
+    // it is held, and the one ACK leaves when the write completes —
+    // exactly when it would have without the duplicate.
+    let pkt = update(1, &[0xAB; 1000]).1;
+    let (alone, _) = ack_deliveries(BatchConfig::default(), std::slice::from_ref(&pkt));
+    assert_eq!(alone.len(), 1);
+    let (with_dup, acks_sent) = ack_deliveries(BatchConfig::default(), &[pkt.clone(), pkt]);
+    assert_eq!(with_dup, alone, "no earlier ack, no second ack");
+    assert_eq!(acks_sent, 1);
+}
+
+#[test]
+fn duplicate_of_a_flushed_unpersisted_window_is_not_acked_early() {
+    // Three updates fill a window of three (all the 4 KiB log queue admits
+    // at this size) and ring the doorbell; a duplicate of the first
+    // arrives while the window's single write is in flight.
+    let mut batch = BatchConfig::windowed(3);
+    batch.max_wait = Dur::micros(100);
+    let mut packets: Vec<Packet> = (1..=3).map(|seq| update(seq, &[0xAB; 1000]).1).collect();
+    let (alone, _) = ack_deliveries(batch, &packets);
+    assert_eq!(alone.len(), 1, "one coalesced packet");
+    packets.push(packets[0].clone());
+    let (with_dup, acks_sent) = ack_deliveries(batch, &packets);
+    assert_eq!(with_dup, alone, "no earlier ack, no second ack");
+    assert_eq!(acks_sent, 3);
 }
