@@ -310,7 +310,8 @@ impl PmnetDevice {
             self.counters.batch_ack_packets += 1;
         }
         let packet = Packet::udp(self.addr, client, src_port, dst_port, body);
-        if let Some(d) = self.emit(ctx, packet) {
+        let sent = self.emit(ctx, packet);
+        if let (Some(d), true) = (sent, self.telemetry.is_enabled()) {
             let at = ctx.now() + d;
             for entry in flow_hashes.iter().filter_map(|&hash| self.log.peek(hash)) {
                 self.span(ctx, &entry.header, OpEvent::DeviceAckSend { device, at });

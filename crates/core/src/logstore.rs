@@ -257,7 +257,8 @@ impl LogStore {
         (crate::protocol::HEADER_LEN + payload.len() + 16) as u64
     }
 
-    /// Runs the admission checks; `Ok(bytes)` admits the entry.
+    /// Runs the admission checks shared by [`LogStore::try_log`] and
+    /// [`LogStore::try_stage`]; `Ok(bytes)` admits the entry.
     fn admit(
         &mut self,
         now: Time,
@@ -305,57 +306,37 @@ impl LogStore {
         Ok(bytes)
     }
 
-    /// Admits and inserts an entry. `stage` holds its PM write back for
-    /// the doorbell — `persisted_at` is then the end of time, so a crash
-    /// drops the entry and a recovery manifest excludes it — otherwise the
-    /// write is scheduled now.
     #[allow(clippy::too_many_arguments)]
-    fn offer(
+    fn insert_entry(
         &mut self,
-        now: Time,
         header: PmnetHeader,
         payload: Bytes,
         server: Addr,
         client_port: u16,
         server_port: u16,
-        stage: bool,
-    ) -> LogOutcome {
-        let bytes = match self.admit(now, &header, &payload, server) {
-            Ok(bytes) => bytes,
-            Err(outcome) => return outcome,
-        };
-        let persisted_at = if stage {
-            self.staged.push(header.hash);
-            self.staged_bytes += bytes;
-            Time::MAX
-        } else {
-            self.pm.schedule_write(now, bytes as u32)
-        };
-        let entry = LogEntry {
-            header,
-            payload,
-            server,
-            client_port,
-            server_port,
-            persisted_at,
-        };
-        self.entries.insert(header.hash, entry);
+        persisted_at: Time,
+        bytes: u64,
+    ) {
+        self.entries.insert(
+            header.hash,
+            LogEntry {
+                header,
+                payload,
+                server,
+                client_port,
+                server_port,
+                persisted_at,
+            },
+        );
         self.used_bytes += bytes;
         self.outstanding
             .increment((server, header.client, header.session));
         self.counters.logged += 1;
         self.counters.peak_entries = self.counters.peak_entries.max(self.entries.len() as u64);
         self.counters.peak_bytes = self.counters.peak_bytes.max(self.used_bytes);
-        if stage {
-            LogOutcome::Staged
-        } else {
-            LogOutcome::Logged {
-                ack_at: persisted_at,
-            }
-        }
     }
 
-    /// Offers an update packet to the log; its PM write starts now.
+    /// Offers an update packet to the log.
     pub fn try_log(
         &mut self,
         now: Time,
@@ -365,15 +346,21 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        self.offer(
-            now,
+        let bytes = match self.admit(now, &header, &payload, server) {
+            Ok(bytes) => bytes,
+            Err(outcome) => return outcome,
+        };
+        let ack_at = self.pm.schedule_write(now, bytes as u32);
+        self.insert_entry(
             header,
             payload,
             server,
             client_port,
             server_port,
-            false,
-        )
+            ack_at,
+            bytes,
+        );
+        LogOutcome::Logged { ack_at }
     }
 
     /// Offers an update packet to the log behind the doorbell: the entry
@@ -381,7 +368,8 @@ impl LogStore {
     /// with staged-but-unwritten bytes counted against the queue bound)
     /// but its PM write is deferred until [`LogStore::flush_staged`] rings
     /// the doorbell for the whole window. Until then the entry is not
-    /// durable.
+    /// durable: `persisted_at` is the end of time, so a crash drops it and
+    /// a recovery manifest excludes it.
     pub fn try_stage(
         &mut self,
         now: Time,
@@ -391,7 +379,23 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        self.offer(now, header, payload, server, client_port, server_port, true)
+        let bytes = match self.admit(now, &header, &payload, server) {
+            Ok(bytes) => bytes,
+            Err(outcome) => return outcome,
+        };
+        let hash = header.hash;
+        self.insert_entry(
+            header,
+            payload,
+            server,
+            client_port,
+            server_port,
+            Time::MAX,
+            bytes,
+        );
+        self.staged.push(hash);
+        self.staged_bytes += bytes;
+        LogOutcome::Staged
     }
 
     /// Rings the doorbell: one PM write (one persist fence) covers every

@@ -136,13 +136,13 @@ impl Model {
             }
             5 => {
                 let entries = self.entries;
-                let durable =
-                    |h: u32| entries[HASHES.iter().position(|&x| x == h).unwrap()].durable();
+                let index = |h: u32| HASHES.iter().position(|&x| x == h).unwrap();
+                let durable = |h: u32| entries[index(h)].durable();
                 let stranded = self.chain.promoted(durable);
                 prop_assert!(stranded.windows(2).all(|w| w[0] < w[1]), "not ascending");
                 prop_assert_eq!(self.chain.role(), DeviceRole::Solo);
                 for h in stranded {
-                    let i = HASHES.iter().position(|&x| x == h).unwrap();
+                    let i = index(h);
                     prop_assert!(!self.entries[i].confirmed, "was not stranded");
                     self.check(i, Release::AckClient, false);
                 }
