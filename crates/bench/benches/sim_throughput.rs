@@ -136,7 +136,7 @@ fn churn_heap(hold: usize, iters: u64, rng: &mut SimRng) -> f64 {
 
 /// The delay mix: 80% short hops (sub-microsecond to ~10us), 15% medium
 /// (service times, ~100us), 5% long timers (retransmission, ~5ms — lands
-/// in the wheel's upper levels / overflow).
+/// in the wheel's upper levels).
 fn delay(rng: &mut SimRng) -> Dur {
     let roll = rng.uniform_u64(0..100);
     if roll < 80 {

@@ -23,7 +23,7 @@ pub mod session;
 use std::fmt;
 
 use bytes::Bytes;
-use pmnet_net::{Addr, Ctx, Msg, Node, Timer};
+use pmnet_net::{Addr, Ctx, EventId, Msg, Node, Timer};
 use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::Telemetry;
 
@@ -111,6 +111,10 @@ pub struct CompletionRecord {
 pub struct ClientLib {
     host: ClientHost,
     session: Session,
+    /// The open exchange's one armed retransmission timer. Whatever ends
+    /// the exchange cancels it: from then on its serial is stale and the
+    /// timer could only fire as a no-op (DESIGN.md §18).
+    rto_timer: Option<EventId>,
     retry_budget: u32,
     retry_counters: ClientRetryCounters,
     source: Box<dyn RequestSource>,
@@ -144,6 +148,7 @@ impl ClientLib {
         ClientLib {
             host: ClientHost::new(addr, server, session, profile),
             session: Session::new(session, mode, addr, server, timeout, retry),
+            rto_timer: None,
             retry_budget: retry.retry_budget,
             retry_counters: ClientRetryCounters::default(),
             source,
@@ -272,27 +277,36 @@ impl ClientLib {
         self.arm_timeout(ctx, serial);
     }
 
-    fn arm_timeout(&self, ctx: &mut Ctx<'_>, serial: u64) {
-        ctx.timer_in(
+    fn arm_timeout(&mut self, ctx: &mut Ctx<'_>, serial: u64) {
+        self.disarm_timeout(ctx);
+        self.rto_timer = Some(ctx.timer_in(
             self.session.rto(),
             Timer {
                 kind: TIMER_TIMEOUT,
                 a: serial,
                 b: 0,
             },
-        );
+        ));
+    }
+
+    fn disarm_timeout(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(id) = self.rto_timer.take() {
+            ctx.cancel(id);
+        }
     }
 
     /// The request will never complete (retry budget spent, or too large
     /// to send): durability is not claimed for it — it never enters
     /// `acked_updates` or the latency records — and the workload goes on.
     fn fail(&mut self, ctx: &mut Ctx<'_>, req: &AppRequest) {
+        self.disarm_timeout(ctx);
         self.retry_counters.failed += 1;
         self.source.on_outcome(req, UpdateOutcome::Failed);
         ctx.timer_in(self.host.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
+        self.disarm_timeout(ctx);
         let req = &done.request;
         #[cfg(feature = "recorder")]
         self.recorder.record(Event {
@@ -399,6 +413,7 @@ impl Node for ClientLib {
                 // handed to the application (and audited as acknowledged),
                 // so they survive the restart.
                 self.host.abandon(&self.telemetry, &mut self.session);
+                self.disarm_timeout(ctx);
             }
             Msg::Restore => {
                 self.alive = true;

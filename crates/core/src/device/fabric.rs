@@ -89,7 +89,7 @@ impl PmnetDevice {
         let Some(fabric) = self.fabric else { return };
         self.counters.promotions += 1;
         if let Some(chain_port) = fabric.chain_port {
-            for (&dst, port) in &mut self.routes {
+            for (dst, port) in self.routes.iter_mut() {
                 if *port == chain_port && Some(dst) != fabric.chain_peer {
                     let via = if dst == fabric.server {
                         fabric.tor_port

@@ -24,7 +24,7 @@ mod reads;
 mod redo;
 mod update;
 
-use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, Timer};
+use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, RouteTable, Timer};
 use pmnet_sim::Dur;
 use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
@@ -149,7 +149,7 @@ pub struct PmnetDevice {
     id: u8,
     addr: Addr,
     config: DeviceConfig,
-    routes: HashMap<Addr, PortNo>,
+    routes: RouteTable,
     /// The PM log: the only state that survives a power loss, and the
     /// only place an entry's durability is recorded.
     log: LogStore,
@@ -211,7 +211,7 @@ impl PmnetDevice {
             id,
             addr,
             config,
-            routes: HashMap::new(),
+            routes: RouteTable::default(),
             log: LogStore::new(&config),
             cache: (config.cache_entries > 0).then(|| ReadCache::new(config.cache_entries)),
             counters: DeviceCounters::default(),
@@ -347,7 +347,7 @@ impl PmnetDevice {
     /// lookup, pipeline delay); returns the egress pipeline delay when the
     /// packet was routed.
     fn emit(&mut self, ctx: &mut Ctx<'_>, packet: Packet) -> Option<Dur> {
-        let Some(&port) = self.routes.get(&packet.dst) else {
+        let Some(port) = self.routes.get(packet.dst) else {
             self.counters.unroutable += 1;
             return None;
         };
@@ -512,7 +512,7 @@ impl Node for PmnetDevice {
     }
 
     fn install_route(&mut self, dst: Addr, port: PortNo) {
-        self.routes.insert(dst, port);
+        self.routes.install(dst, port);
     }
 }
 

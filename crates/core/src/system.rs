@@ -1203,4 +1203,50 @@ mod tests {
         assert!(m.bypass_latency.len() > 50);
         assert_eq!(m.update_latency.len() + m.bypass_latency.len(), 200);
     }
+
+    /// A completed request takes its retransmission timer with it: what
+    /// is pending the moment the last client finishes does not grow with
+    /// the requests completed inside the last RTO (1 ms floor against
+    /// ~25 us and ~60 us per request: some 40 and 17 stale timers per
+    /// client before timers could be cancelled).
+    #[test]
+    fn finished_clients_leave_no_timeout_timer_pending() {
+        let run = |design| {
+            let mut b = SystemBuilder::new(design, SystemConfig::default());
+            for _ in 0..2 {
+                b = b.client(Box::new(MicroSource::updates(300, 64)));
+            }
+            let mut sys = b.build(3);
+            for &c in &sys.clients.clone() {
+                sys.world.start_node(c);
+            }
+            let finished = |sys: &BuiltSystem| {
+                let mut clients = sys.clients.iter();
+                clients.all(|&c| sys.world.node::<ClientLib>(c).is_finished())
+            };
+            let mut cursor = Time::ZERO;
+            while !finished(&sys) {
+                cursor += Dur::micros(5);
+                sys.world.run_until(cursor);
+            }
+            assert_eq!(sys.metrics().completed, 600);
+            assert_eq!(sys.client_retry_counters().retransmits, 0);
+            // Requests completed within the device's entry-retry interval:
+            // each may still have that timer pending.
+            let since = sys.world.now() - SystemConfig::default().device.log_retry_timeout;
+            let recent = |&c: &NodeId| {
+                let records = sys.world.node::<ClientLib>(c).records();
+                records.iter().filter(|r| r.at > since).count()
+            };
+            let recent: usize = sys.clients.iter().map(recent).sum();
+            (sys.world.pending_events(), recent)
+        };
+        // Without a device nothing else arms a long timer: the last
+        // completion leaves the event list empty.
+        assert_eq!(run(DesignPoint::ClientServer).0, 0);
+        // With one, what is left is its retry timer per recent entry and
+        // the last requests' server-side tail, a handful of events.
+        let (pending, recent) = run(DesignPoint::PmnetSwitch);
+        assert!(pending <= recent + 8, "{pending} pending, {recent} recent");
+    }
 }

@@ -15,12 +15,11 @@
 //! crate stays protocol-agnostic — the PMNet shard map that implements
 //! [`Steering`] lives in `pmnet-core`.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use pmnet_sim::Dur;
 
-use crate::{Addr, Ctx, Msg, Node, Packet, PortNo, Switch};
+use crate::{Addr, Ctx, Msg, Node, Packet, PortNo, RouteTable, Switch};
 
 /// A data-plane steering program installed into a [`FabricSwitch`].
 ///
@@ -43,7 +42,7 @@ pub trait Steering: fmt::Debug {
 #[derive(Debug)]
 pub struct FabricSwitch {
     name: String,
-    routes: HashMap<Addr, PortNo>,
+    routes: RouteTable,
     pipeline_delay: Dur,
     addr: Option<Addr>,
     steering: Option<Box<dyn Steering>>,
@@ -59,7 +58,7 @@ impl FabricSwitch {
     pub fn new(name: impl Into<String>) -> FabricSwitch {
         FabricSwitch {
             name: name.into(),
-            routes: HashMap::new(),
+            routes: RouteTable::default(),
             pipeline_delay: Switch::DEFAULT_PIPELINE_DELAY,
             addr: None,
             steering: None,
@@ -112,7 +111,7 @@ impl FabricSwitch {
 
     /// The configured route for `dst`, if any.
     pub fn route(&self, dst: Addr) -> Option<PortNo> {
-        self.routes.get(&dst).copied()
+        self.routes.get(dst)
     }
 }
 
@@ -137,8 +136,8 @@ impl Node for FabricSwitch {
                 None => None,
             };
             let lookup = next.unwrap_or(packet.dst);
-            match self.routes.get(&lookup) {
-                Some(&out) => {
+            match self.routes.get(lookup) {
+                Some(out) => {
                     self.forwarded += 1;
                     if next.is_some() {
                         self.steered += 1;
@@ -155,7 +154,7 @@ impl Node for FabricSwitch {
     }
 
     fn install_route(&mut self, dst: Addr, port: PortNo) {
-        self.routes.insert(dst, port);
+        self.routes.install(dst, port);
     }
 }
 

@@ -52,8 +52,8 @@ pub use addr::Addr;
 pub use fabric::{FabricSwitch, Steering};
 pub use packet::{Packet, Proto, ETH_IP_UDP_OVERHEAD, TCP_EXTRA_OVERHEAD};
 pub use port::{LinkSpec, PortCounters, PortNo, PortTable};
-pub use runtime::{AnyNode, Ctx, EchoHost, Msg, Node, Timer, World};
+pub use runtime::{AnyNode, Ctx, EchoHost, EventCounts, Msg, Node, Timer, World};
 pub use stack::StackProfile;
-pub use switch::Switch;
+pub use switch::{RouteTable, Switch};
 
-pub use pmnet_sim::NodeId;
+pub use pmnet_sim::{EventId, NodeId};

@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use pmnet_sim::{Dur, Engine, NodeId, SimRng, Time};
+use pmnet_sim::{Dur, Engine, EventId, NodeId, SimRng, Time};
 
 use bytes::Bytes;
 
@@ -108,6 +108,50 @@ pub enum Msg {
         /// Packet to transmit.
         packet: Packet,
     },
+}
+
+impl Msg {
+    /// Row of [`EventCounts::dispatched`] this message is counted in.
+    fn kind(&self) -> usize {
+        match self {
+            Msg::Packet { .. } => EventCounts::PACKET,
+            Msg::Timer(_) => EventCounts::TIMER,
+            Msg::Inject(_) => EventCounts::INJECT,
+            Msg::Start => EventCounts::START,
+            Msg::Crash => EventCounts::CRASH,
+            Msg::Restore => EventCounts::RESTORE,
+            Msg::PortTx { .. } => EventCounts::PORT_TX,
+        }
+    }
+}
+
+/// What the event loop has done so far: events dispatched per [`Msg`]
+/// kind, and events cancelled before they were due.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Events dispatched, one row per [`Msg`] kind, indexed by the
+    /// constants below. The rows sum to the engine's delivered count.
+    pub dispatched: [u64; 7],
+    /// Events removed by [`Ctx::cancel`], never dispatched.
+    pub cancelled: u64,
+}
+
+impl EventCounts {
+    /// Row of [`Msg::Packet`] deliveries (wire arrivals and stack re-posts).
+    pub const PACKET: usize = 0;
+    /// Row of [`Msg::Timer`] fires.
+    pub const TIMER: usize = 1;
+    /// Row of [`Msg::Inject`] deliveries.
+    pub const INJECT: usize = 2;
+    /// Row of [`Msg::Start`] deliveries.
+    pub const START: usize = 3;
+    /// Row of [`Msg::Crash`] deliveries.
+    pub const CRASH: usize = 4;
+    /// Row of [`Msg::Restore`] deliveries.
+    pub const RESTORE: usize = 5;
+    /// Row of the deferred transmissions ([`Ctx::send_after`]) the runtime
+    /// carried out itself; no node sees these.
+    pub const PORT_TX: usize = 6;
 }
 
 /// Behaviour of a simulated component (host, switch, PMNet device, …).
@@ -218,10 +262,21 @@ impl Ctx<'_> {
         }
     }
 
-    /// Schedules a [`Msg::Timer`] to this node after `delay`.
-    pub fn timer_in(&mut self, delay: Dur, timer: Timer) {
+    /// Schedules a [`Msg::Timer`] to this node after `delay`. The id lets
+    /// the node [`cancel`](Ctx::cancel) it; a node that lets its timers
+    /// fire can drop it.
+    pub fn timer_in(&mut self, delay: Dur, timer: Timer) -> EventId {
         self.engine
-            .schedule_in(delay, self.self_id, Msg::Timer(timer));
+            .schedule_in(delay, self.self_id, Msg::Timer(timer))
+    }
+
+    /// Cancels a timer this node armed, so that it never fires. Returns
+    /// `false` (and does nothing) if it already fired or was cancelled.
+    /// Whoever ends the exchange a timer guards cancels it, and only a
+    /// timer whose handler would by then be a no-op: removing it must not
+    /// change what any other event does (DESIGN.md §18).
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        self.engine.cancel(id)
     }
 
     /// Schedules an arbitrary message to another node after `delay`.
@@ -240,6 +295,8 @@ pub struct World {
     engine: Engine<Msg>,
     ports: PortTable,
     rng: SimRng,
+    /// Events dispatched, by [`Msg::kind`].
+    dispatched: [u64; 7],
 }
 
 impl fmt::Debug for World {
@@ -259,6 +316,7 @@ impl World {
             engine: Engine::new(),
             ports: PortTable::new(),
             rng: SimRng::seed(seed),
+            dispatched: [0; 7],
         }
     }
 
@@ -283,6 +341,15 @@ impl World {
     /// Number of events still pending in the future-event list.
     pub fn pending_events(&self) -> usize {
         self.engine.pending()
+    }
+
+    /// Events dispatched so far per [`Msg`] kind — the runtime's own
+    /// deferred transmissions included — and events cancelled.
+    pub fn event_counts(&self) -> EventCounts {
+        EventCounts {
+            dispatched: self.dispatched,
+            cancelled: self.engine.cancelled(),
+        }
     }
 
     /// The port table (for reading counters in tests and benches).
@@ -344,6 +411,7 @@ impl World {
     }
 
     fn dispatch(&mut self, at: Time, dest: NodeId, msg: Msg) {
+        self.dispatched[msg.kind()] += 1;
         // PortTx is a runtime-internal deferred transmission.
         if let Msg::PortTx { port, packet } = msg {
             let outcome = self.ports.transmit(at, &mut self.rng, dest, port, &packet);
@@ -362,13 +430,10 @@ impl World {
     }
 
     /// Runs until the event list is drained or `deadline` is passed.
-    /// Events scheduled exactly at `deadline` are processed.
+    /// Events scheduled exactly at `deadline` are processed; the clock
+    /// stops at the last event dispatched, not at `deadline`.
     pub fn run_until(&mut self, deadline: Time) {
-        while let Some(t) = self.engine.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (at, dest, msg) = self.engine.pop().expect("peeked event vanished");
+        while let Some((at, dest, msg)) = self.engine.pop_until(deadline) {
             self.dispatch(at, dest, msg);
         }
     }
@@ -593,6 +658,69 @@ mod tests {
         assert_eq!(w.node::<EchoHost>(b).received(), 0);
         w.run_for(Dur::millis(1));
         assert_eq!(w.node::<EchoHost>(b).received(), 1);
+    }
+
+    #[test]
+    fn event_counts_name_every_dispatch_including_the_runtimes_own() {
+        let (mut w, a, b, _) = two_hosts_via_switch();
+        let p = Packet::udp(Addr(1), Addr(2), 5, EchoHost::ECHO_PORT, Bytes::new());
+        w.inject(a, p);
+        w.run_to_quiescence(100);
+        // Out and back: four wire arrivals (switch, B, switch, A) and the
+        // switch's two deferred transmissions, which no node ever sees.
+        let mut expect = EventCounts::default();
+        expect.dispatched[EventCounts::INJECT] = 1;
+        expect.dispatched[EventCounts::PACKET] = 4;
+        expect.dispatched[EventCounts::PORT_TX] = 2;
+        assert_eq!(w.event_counts(), expect);
+        assert_eq!(w.engine.delivered(), 7);
+        assert_eq!(w.node::<EchoHost>(b).received(), 1);
+    }
+
+    /// Arms a short and a long timer on start; the short one cancels the
+    /// long one, then tries again.
+    #[derive(Debug, Default)]
+    struct Canceller {
+        long: Option<EventId>,
+        cancels: Vec<bool>,
+    }
+
+    impl Node for Canceller {
+        fn on_msg(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+            match msg {
+                Msg::Start => {
+                    ctx.timer_in(Dur::nanos(100), Timer::of_kind(1));
+                    self.long = Some(ctx.timer_in(Dur::millis(5), Timer::of_kind(2)));
+                }
+                Msg::Timer(Timer { kind: 1, .. }) => {
+                    let long = self.long.expect("armed on start");
+                    self.cancels = vec![ctx.cancel(long), ctx.cancel(long)];
+                }
+                other => panic!("a cancelled timer fired: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires_and_run_until_keeps_the_clock_honest() {
+        let mut w = World::new(1);
+        let n = w.add_node(Box::new(Canceller::default()));
+        w.start_node(n);
+        // An event due exactly at the deadline is processed...
+        w.run_until(Time::from_nanos(100));
+        assert_eq!(w.node::<Canceller>(n).cancels, [true, false]);
+        assert_eq!(w.pending_events(), 0);
+        // ...and a deadline with nothing before it does not move the
+        // clock past the last event dispatched.
+        w.run_until(Time::from_nanos(10_000_000));
+        assert_eq!(w.now(), Time::from_nanos(100));
+        let mut expect = EventCounts {
+            cancelled: 1,
+            ..EventCounts::default()
+        };
+        expect.dispatched[EventCounts::START] = 1;
+        expect.dispatched[EventCounts::TIMER] = 1;
+        assert_eq!(w.event_counts(), expect);
     }
 
     #[test]

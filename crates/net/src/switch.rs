@@ -5,18 +5,43 @@
 //! design uses only such switches. PMNet devices (in `pmnet-core`) extend
 //! this forwarding behaviour with the persistent-logging pipeline.
 
-use std::collections::HashMap;
-
 use pmnet_sim::Dur;
 
 use crate::{Addr, Ctx, Msg, Node, PortNo};
+
+/// A forwarding table, `Addr -> port`. It is written a handful of times at
+/// set-up and read once per forwarded packet, so it is a sorted vector
+/// under a binary search rather than a hashed map.
+#[derive(Debug, Clone, Default)]
+pub struct RouteTable(Vec<(Addr, PortNo)>);
+
+impl RouteTable {
+    /// Installs (or replaces) the route to `dst`.
+    pub fn install(&mut self, dst: Addr, port: PortNo) {
+        match self.0.binary_search_by_key(&dst, |&(a, _)| a) {
+            Ok(i) => self.0[i].1 = port,
+            Err(i) => self.0.insert(i, (dst, port)),
+        }
+    }
+
+    /// The egress port toward `dst`, if a route is installed.
+    pub fn get(&self, dst: Addr) -> Option<PortNo> {
+        let i = self.0.binary_search_by_key(&dst, |&(a, _)| a).ok()?;
+        Some(self.0[i].1)
+    }
+
+    /// Every route in address order, its port open to rewriting.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Addr, &mut PortNo)> {
+        self.0.iter_mut().map(|(dst, port)| (*dst, port))
+    }
+}
 
 /// A non-programmable switch: looks up the destination address and forwards
 /// after a fixed pipeline delay.
 #[derive(Debug)]
 pub struct Switch {
     name: String,
-    routes: HashMap<Addr, PortNo>,
+    routes: RouteTable,
     pipeline_delay: Dur,
     forwarded: u64,
     unroutable: u64,
@@ -31,7 +56,7 @@ impl Switch {
     pub fn new(name: impl Into<String>) -> Switch {
         Switch {
             name: name.into(),
-            routes: HashMap::new(),
+            routes: RouteTable::default(),
             pipeline_delay: Self::DEFAULT_PIPELINE_DELAY,
             forwarded: 0,
             unroutable: 0,
@@ -63,15 +88,15 @@ impl Switch {
 
     /// The configured route for `dst`, if any.
     pub fn route(&self, dst: Addr) -> Option<PortNo> {
-        self.routes.get(&dst).copied()
+        self.routes.get(dst)
     }
 }
 
 impl Node for Switch {
     fn on_msg(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
         if let Msg::Packet { packet, .. } = msg {
-            match self.routes.get(&packet.dst) {
-                Some(&out) => {
+            match self.routes.get(packet.dst) {
+                Some(out) => {
                     self.forwarded += 1;
                     ctx.send_after(self.pipeline_delay, out, packet);
                 }
@@ -81,7 +106,7 @@ impl Node for Switch {
     }
 
     fn install_route(&mut self, dst: Addr, port: PortNo) {
-        self.routes.insert(dst, port);
+        self.routes.install(dst, port);
     }
 }
 
@@ -98,6 +123,13 @@ mod tests {
         s.install_route(Addr(9), PortNo(3));
         assert_eq!(s.route(Addr(9)), Some(PortNo(3)));
         assert_eq!(s.route(Addr(8)), None);
+        // Installed out of address order, and one of them replaced.
+        s.install_route(Addr(12), PortNo(1));
+        s.install_route(Addr(2), PortNo(5));
+        s.install_route(Addr(9), PortNo(4));
+        let routes = [2, 8, 9, 12].map(|a| s.route(Addr(a)));
+        let expect = [Some(PortNo(5)), None, Some(PortNo(4)), Some(PortNo(1))];
+        assert_eq!(routes, expect);
     }
 
     #[test]

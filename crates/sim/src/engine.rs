@@ -1,21 +1,31 @@
-//! The future-event list: a hierarchical timer wheel with stable FIFO
-//! ordering among simultaneous events.
+//! The future-event list: a hierarchical timing wheel of index-linked
+//! cells, with cancellable events and stable FIFO ordering among
+//! simultaneous events.
 //!
 //! The event list is the hottest structure in the simulator: every packet
 //! hop, timer, and injection passes through it twice (schedule + pop). A
-//! binary heap gives `O(log n)` per operation; the hierarchical timer wheel
-//! used here (Varghese & Lauck) gives amortized `O(1)` for the short-delay
-//! events that dominate PMNet traffic (sub-microsecond switch hops, RTT-scale
-//! timers), falling back to an overflow heap only for events beyond the
-//! wheel horizon (~16.8 ms of simulated time).
+//! binary heap gives `O(log n)` per operation; the wheel used here gives
+//! `O(1)` schedule, cancel and pop, plus one relink per level an event
+//! descends while the clock approaches it.
+//!
+//! Events live in one slab of cells threaded by index into 11 × 64 slot
+//! lists. A cell is filed by the highest six-bit digit in which its
+//! timestamp differs from `now` (the XOR levelling of the Tokio and Linux
+//! timer wheels), so every `u64` nanosecond has a slot, and three
+//! invariants hold whenever the caller can look (DESIGN.md §10.1):
+//!
+//! * a level `>= 1` holds only slots strictly ahead of the clock's digit at
+//!   that level, so the first occupied slot of the lowest non-empty level
+//!   holds the global minimum;
+//! * a level-0 slot holds exactly one timestamp, and every slot's list is
+//!   in `seq` order, so a level-0 head is the next event to deliver;
+//! * every pending cell sits in the slot its timestamp and `now` name, so
+//!   [`Engine::cancel`] finds and unlinks it without a search.
 //!
 //! Determinism is preserved exactly: events are delivered in `(time, seq)`
-//! order, where `seq` is the global schedule counter, matching the previous
-//! heap implementation bit for bit. Property tests below check
-//! order-equivalence against a reference model.
+//! order, where `seq` is the global schedule counter; `tests/engine_props.rs`
+//! holds every operation to a reference model.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::Time;
@@ -40,104 +50,58 @@ impl fmt::Display for NodeId {
     }
 }
 
-struct Scheduled<M> {
-    at: Time,
+/// Names one scheduled event, for [`Engine::cancel`].
+///
+/// An id stays safe to hold after its event fired or was cancelled: the
+/// schedule counter in it is never reused, so it cannot name whichever
+/// event occupies the cell next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventId {
+    idx: u32,
     seq: u64,
-    dest: NodeId,
-    msg: M,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event (and, for
-        // ties, the earliest-scheduled event) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// log2 of the slot count per wheel level.
 const SLOT_BITS: u32 = 6;
 /// Slots per level (64, so one `u64` occupancy bitmap per level).
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `i` ticks every `64^i` ns.
-const LEVELS: usize = 4;
-/// Delays at or beyond this many nanoseconds go to the overflow heap
-/// (`64^4` ns ≈ 16.8 ms of simulated time).
-const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// Wheel levels: eleven six-bit digits cover a 64-bit nanosecond timestamp.
+const LEVELS: usize = 11;
+/// The null cell index.
+const NIL: u32 = u32::MAX;
 
-/// Wheel level for a delay strictly below [`HORIZON`].
+/// The slot (`level * SLOTS + digit`) where an event at `at` is filed while
+/// the clock reads `now`: the highest six-bit digit in which the two
+/// differ, and `at`'s value of that digit. `at == now` files at level 0.
 #[inline]
-fn level_for(delta: u64) -> usize {
-    debug_assert!(delta < HORIZON);
-    if delta < SLOTS as u64 {
-        0
-    } else {
-        ((63 - delta.leading_zeros()) / SLOT_BITS) as usize
-    }
+fn slot_of(at: Time, now: Time) -> usize {
+    let differ = (at.as_nanos() ^ now.as_nanos()) | 1;
+    let level = (63 - differ.leading_zeros()) / SLOT_BITS;
+    let digit = (at.as_nanos() >> (level * SLOT_BITS)) & (SLOTS as u64 - 1);
+    level as usize * SLOTS + digit as usize
 }
 
-/// Slot index for an absolute timestamp at a given level.
-#[inline]
-fn slot_for(at: Time, level: usize) -> usize {
-    ((at.as_nanos() >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
+struct Cell<M> {
+    at: Time,
+    seq: u64,
+    dest: NodeId,
+    prev: u32,
+    next: u32,
+    /// `None` once the event fired or was cancelled; `next` then threads
+    /// the free list.
+    msg: Option<M>,
 }
 
-struct Slot<M> {
-    events: Vec<Scheduled<M>>,
-    /// Earliest timestamp among `events`; meaningless when empty.
-    min_at: Time,
-    /// Whether `events` is sorted descending by `seq` (level 0 only: the
-    /// active slot holds a single timestamp, so delivery order is seq
-    /// order and a sorted slot delivers by popping from the back).
-    sorted: bool,
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
 }
 
-impl<M> Slot<M> {
-    fn push(&mut self, ev: Scheduled<M>) {
-        if self.events.is_empty() || ev.at < self.min_at {
-            self.min_at = ev.at;
-        }
-        self.events.push(ev);
-        self.sorted = false;
-    }
-}
-
-struct Level<M> {
-    /// Bit `s` set iff `slots[s]` is non-empty.
-    occupied: u64,
-    slots: Vec<Slot<M>>,
-}
-
-impl<M> Level<M> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: (0..SLOTS)
-                .map(|_| Slot {
-                    events: Vec::new(),
-                    min_at: Time::ZERO,
-                    sorted: true,
-                })
-                .collect(),
-        }
-    }
-}
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A generic discrete-event engine.
 ///
@@ -155,25 +119,30 @@ impl<M> Level<M> {
 ///
 /// let mut e: Engine<u32> = Engine::new();
 /// e.schedule_in(Dur::micros(1), 7, 42);
+/// let timer = e.schedule_in(Dur::millis(1), 7, 43);
 /// let (at, dest, msg) = e.pop().unwrap();
 /// assert_eq!(at, Time::ZERO + Dur::micros(1));
 /// assert_eq!(dest, NodeId(7));
 /// assert_eq!(msg, 42);
 /// assert_eq!(e.now(), at);
+/// // The request was answered: its timeout never has to fire.
+/// assert!(e.cancel(timer));
+/// assert!(e.pop().is_none());
 /// ```
 pub struct Engine<M> {
-    levels: Vec<Level<M>>,
-    /// Events scheduled beyond the wheel horizon, earliest `(at, seq)` first.
-    overflow: BinaryHeap<Scheduled<M>>,
+    cells: Vec<Cell<M>>,
+    /// Head of the free-cell list.
+    free: u32,
+    lists: Vec<List>,
+    /// Per level: bit `s` set iff slot `s` is non-empty.
+    occupied: [u64; LEVELS],
+    /// Bit `l` set iff `occupied[l] != 0`.
+    levels: u16,
     now: Time,
     seq: u64,
     delivered: u64,
+    cancelled: u64,
     pending: usize,
-    /// Memoized [`Engine::earliest_higher`] result; `None` when dirty.
-    /// Level-0 traffic (the common case) neither reads nor invalidates the
-    /// higher levels, so the per-pop scan is skipped entirely until an
-    /// insert or cascade touches a level `>= 1` or the overflow heap.
-    higher_cache: std::cell::Cell<Option<Option<(Time, usize, usize)>>>,
 }
 
 impl<M> Default for Engine<M> {
@@ -186,13 +155,16 @@ impl<M> Engine<M> {
     /// Creates an empty engine with the clock at [`Time::ZERO`].
     pub fn new() -> Self {
         Engine {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: BinaryHeap::new(),
+            cells: Vec::new(),
+            free: NIL,
+            lists: vec![EMPTY; LEVELS * SLOTS],
+            occupied: [0; LEVELS],
+            levels: 0,
             now: Time::ZERO,
             seq: 0,
             delivered: 0,
+            cancelled: 0,
             pending: 0,
-            higher_cache: std::cell::Cell::new(Some(None)),
         }
     }
 
@@ -201,12 +173,17 @@ impl<M> Engine<M> {
         self.now
     }
 
-    /// Number of events delivered so far.
+    /// Number of events delivered so far (cancelled ones never are).
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
 
-    /// Number of events still pending.
+    /// Number of events cancelled so far.
+    pub fn cancelled(&self) -> u64 {
+        self.cancelled
+    }
+
+    /// Number of events still pending (cancelled ones are not).
     pub fn pending(&self) -> usize {
         self.pending
     }
@@ -217,7 +194,7 @@ impl<M> Engine<M> {
     ///
     /// Panics if `at` is before the current time: the simulated past is
     /// immutable.
-    pub fn schedule(&mut self, at: Time, dest: impl Into<NodeId>, msg: M) {
+    pub fn schedule(&mut self, at: Time, dest: impl Into<NodeId>, msg: M) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < now {}",
@@ -226,229 +203,196 @@ impl<M> Engine<M> {
         let seq = self.seq;
         self.seq += 1;
         self.pending += 1;
-        self.insert(Scheduled {
-            at,
-            seq,
-            dest: dest.into(),
-            msg,
-        });
+        let dest = dest.into();
+        let mut idx = self.free;
+        if idx != NIL {
+            // A free cell is overwritten in place; `link` sets its links.
+            let c = &mut self.cells[idx as usize];
+            self.free = c.next;
+            (c.at, c.seq, c.dest, c.msg) = (at, seq, dest, Some(msg));
+        } else {
+            idx = u32::try_from(self.cells.len()).unwrap_or(NIL);
+            assert!(idx != NIL, "too many pending events");
+            self.cells.push(Cell {
+                at,
+                seq,
+                dest,
+                prev: NIL,
+                next: NIL,
+                msg: Some(msg),
+            });
+        }
+        self.link(idx);
+        EventId { idx, seq }
     }
 
     /// Schedules `msg` for delivery to `dest` after `delay`.
-    pub fn schedule_in(&mut self, delay: crate::Dur, dest: impl Into<NodeId>, msg: M) {
+    pub fn schedule_in(&mut self, delay: crate::Dur, dest: impl Into<NodeId>, msg: M) -> EventId {
         let at = self.now + delay;
-        self.schedule(at, dest, msg);
+        self.schedule(at, dest, msg)
     }
 
-    /// Places an event into the wheel level matching its delay, or the
-    /// overflow heap if it lies beyond the horizon. `ev.at >= self.now`
-    /// must hold.
-    fn insert(&mut self, ev: Scheduled<M>) {
-        let delta = ev.at.as_nanos() - self.now.as_nanos();
-        if delta >= HORIZON {
-            self.overflow.push(ev);
-            self.higher_cache.set(None);
-            return;
+    /// Removes a pending event so that it is never delivered. Returns
+    /// `false`, and changes nothing, when `id` names an event that already
+    /// fired or was already cancelled — whether or not its cell has since
+    /// been reused.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        match self.cells.get(id.idx as usize) {
+            Some(c) if c.seq == id.seq && c.msg.is_some() => {}
+            _ => return false,
         }
-        let lvl = level_for(delta);
-        let slot = slot_for(ev.at, lvl);
-        if lvl > 0 {
-            self.higher_cache.set(None);
-        }
-        let level = &mut self.levels[lvl];
-        level.slots[slot].push(ev);
-        level.occupied |= 1 << slot;
+        let slot = slot_of(self.cells[id.idx as usize].at, self.now);
+        self.unlink(id.idx, slot);
+        self.release(id.idx);
+        self.cancelled += 1;
+        true
     }
 
-    /// First occupied level-0 slot, scanning circularly from the cursor.
-    /// Level-0 events all lie in `[now, now + 64)`, so this slot holds the
-    /// level's earliest events and every event in it shares one timestamp.
-    fn level0_slot(&self) -> Option<usize> {
-        let occ = self.levels[0].occupied;
-        if occ == 0 {
+    /// Files cell `idx` at the tail of the slot its timestamp and `now`
+    /// name. Appending keeps every list in `seq` order with no search: a
+    /// fresh schedule carries the largest seq so far, and a cascade runs
+    /// only while every lower level is empty and relinks its source list
+    /// front to back. A level-0 slot is one timestamp, so its head is the
+    /// next event to deliver.
+    fn link(&mut self, idx: u32) {
+        let slot = slot_of(self.cells[idx as usize].at, self.now);
+        let tail = std::mem::replace(&mut self.lists[slot].tail, idx);
+        debug_assert!(tail == NIL || self.cells[tail as usize].seq < self.cells[idx as usize].seq);
+        let c = &mut self.cells[idx as usize];
+        c.prev = tail;
+        c.next = NIL;
+        match tail {
+            NIL => self.lists[slot].head = idx,
+            t => self.cells[t as usize].next = idx,
+        }
+        self.occupied[slot / SLOTS] |= 1 << (slot % SLOTS);
+        self.levels |= 1 << (slot / SLOTS);
+    }
+
+    /// Takes cell `idx` out of the list of `slot`.
+    fn unlink(&mut self, idx: u32, slot: usize) {
+        let (prev, next) = {
+            let c = &self.cells[idx as usize];
+            (c.prev, c.next)
+        };
+        match prev {
+            NIL => self.lists[slot].head = next,
+            p => self.cells[p as usize].next = next,
+        }
+        match next {
+            NIL => self.lists[slot].tail = prev,
+            n => self.cells[n as usize].prev = prev,
+        }
+        if self.lists[slot].head == NIL {
+            self.mark_empty(slot);
+        }
+    }
+
+    fn mark_empty(&mut self, slot: usize) {
+        let level = slot / SLOTS;
+        self.occupied[level] &= !(1 << (slot % SLOTS));
+        if self.occupied[level] == 0 {
+            self.levels &= !(1 << level);
+        }
+    }
+
+    /// Frees an unlinked cell and hands back its message.
+    fn release(&mut self, idx: u32) -> M {
+        let c = &mut self.cells[idx as usize];
+        let msg = c.msg.take().expect("a linked cell holds a message");
+        c.next = self.free;
+        self.free = idx;
+        self.pending -= 1;
+        msg
+    }
+
+    /// The slot holding the earliest pending event: the first occupied slot
+    /// of the lowest non-empty level (see the module docs).
+    fn first_slot(&self) -> Option<usize> {
+        if self.levels == 0 {
             return None;
         }
-        let start = (self.now.as_nanos() & (SLOTS as u64 - 1)) as u32;
-        let d = occ.rotate_right(start).trailing_zeros();
-        Some(((start + d) as usize) & (SLOTS - 1))
+        let level = self.levels.trailing_zeros() as usize;
+        Some(level * SLOTS + self.occupied[level].trailing_zeros() as usize)
     }
 
-    /// Candidate slots holding the earliest events of a level `>= 1`: the
-    /// cursor's own slot (which may mix the current tick with one full
-    /// rotation later) and the first occupied slot after it. The level's
-    /// minimum timestamp is the smaller `min_at` of the two.
-    fn level_candidates(&self, lvl: usize) -> [Option<usize>; 2] {
-        let level = &self.levels[lvl];
-        if level.occupied == 0 {
-            return [None, None];
-        }
-        let cur = ((self.now.as_nanos() >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as u32;
-        let c0 = if level.occupied & (1 << cur) != 0 {
-            Some(cur as usize)
-        } else {
-            None
-        };
-        let rest = level.occupied.rotate_right(cur) & !1;
-        let c1 = if rest != 0 {
-            Some(((cur + rest.trailing_zeros()) as usize) & (SLOTS - 1))
-        } else {
-            None
-        };
-        [c0, c1]
-    }
-
-    /// Earliest `(min_at, level, slot)` among levels `>= 1`, with
-    /// `level == LEVELS` marking the overflow heap.
-    fn earliest_higher(&self) -> Option<(Time, usize, usize)> {
-        let mut best: Option<(Time, usize, usize)> = None;
-        for lvl in 1..LEVELS {
-            for slot in self.level_candidates(lvl).into_iter().flatten() {
-                let m = self.levels[lvl].slots[slot].min_at;
-                if best.is_none_or(|(b, _, _)| m < b) {
-                    best = Some((m, lvl, slot));
-                }
+    /// The least timestamp in `slot`, by search. Only a deadline that falls
+    /// inside a higher slot's span, and `peek_time`, need it.
+    fn min_in(&self, slot: usize) -> Time {
+        let mut idx = self.lists[slot].head;
+        let mut min = Time::MAX;
+        while idx != NIL {
+            let c = &self.cells[idx as usize];
+            if c.at < min {
+                min = c.at;
             }
+            idx = c.next;
         }
-        if let Some(top) = self.overflow.peek() {
-            if best.is_none_or(|(b, _, _)| top.at < b) {
-                best = Some((top.at, LEVELS, 0));
-            }
-        }
-        best
-    }
-
-    /// [`Engine::earliest_higher`] through the memo. Valid between
-    /// structural changes to levels `>= 1` / overflow: advancing `now`
-    /// moves the candidate cursors but cannot change which event is the
-    /// levels' minimum, so only inserts and cascades invalidate.
-    fn earliest_higher_cached(&self) -> Option<(Time, usize, usize)> {
-        if let Some(c) = self.higher_cache.get() {
-            return c;
-        }
-        let c = self.earliest_higher();
-        self.higher_cache.set(Some(c));
-        c
-    }
-
-    /// Moves every event of the current tick out of `slots[slot]` at `lvl`
-    /// into lower levels. The cursor must already sit at the slot's minimum
-    /// timestamp, so each moved event descends at least one level (the
-    /// earliest lands in level 0). Events one full rotation ahead stay put.
-    fn cascade(&mut self, lvl: usize, slot: usize) {
-        let width = 1u64 << (SLOT_BITS * lvl as u32);
-        let now = self.now.as_nanos();
-        // Partition in place with swap_remove so the slot keeps its
-        // allocation: steady-state cascades are allocation-free. Moved
-        // events always land at a strictly lower level, so `insert` never
-        // touches the Vec being partitioned.
-        let mut events = std::mem::take(&mut self.levels[lvl].slots[slot].events);
-        let mut min_keep = Time::MAX;
-        let mut i = 0;
-        while i < events.len() {
-            if events[i].at.as_nanos() - now < width {
-                let ev = events.swap_remove(i);
-                self.insert(ev);
-            } else {
-                if events[i].at < min_keep {
-                    min_keep = events[i].at;
-                }
-                i += 1;
-            }
-        }
-        let level = &mut self.levels[lvl];
-        if events.is_empty() {
-            level.occupied &= !(1 << slot);
-        } else {
-            level.slots[slot].min_at = min_keep;
-        }
-        level.slots[slot].events = events;
-        self.higher_cache.set(None);
-    }
-
-    /// Pulls overflow events that now fall within the wheel horizon. The
-    /// cursor must already sit at the overflow minimum.
-    fn cascade_overflow(&mut self) {
-        let now = self.now.as_nanos();
-        while let Some(top) = self.overflow.peek() {
-            if top.at.as_nanos() - now >= HORIZON {
-                break;
-            }
-            let ev = self.overflow.pop().expect("peeked entry vanished");
-            self.insert(ev);
-        }
-        self.higher_cache.set(None);
+        min
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the event list is empty (simulation complete).
     pub fn pop(&mut self) -> Option<(Time, NodeId, M)> {
-        if self.pending == 0 {
-            return None;
-        }
+        self.pop_until(Time::MAX)
+    }
+
+    /// Pops the next event if it is due at or before `deadline`, advancing
+    /// the clock to its timestamp. Returns `None`, leaving the clock and
+    /// the event list untouched, when nothing is pending that early.
+    pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, NodeId, M)> {
         loop {
-            let t0 = self
-                .level0_slot()
-                .map(|s| (self.levels[0].slots[s].min_at, s));
-            // Cascade any higher source that could hold an event at or
-            // before the level-0 minimum: a same-timestamp event living at
-            // a higher level may carry a smaller seq and must be delivered
-            // first for stable FIFO.
-            if let Some((m, lvl, slot)) = self.earliest_higher_cached() {
-                if t0.is_none_or(|(t, _)| m <= t) {
-                    // `m` is the global minimum pending timestamp, so the
-                    // cursor may advance to it; every moved event then has
-                    // delay < the source level's tick and descends.
-                    debug_assert!(m >= self.now);
-                    self.now = m;
-                    if lvl == LEVELS {
-                        self.cascade_overflow();
-                    } else {
-                        self.cascade(lvl, slot);
-                    }
-                    continue;
+            let slot = self.first_slot()?;
+            let List { head, tail } = self.lists[slot];
+            let at = self.cells[head as usize].at;
+            // A level-0 slot is one timestamp in `seq` order and a lone
+            // cell is its slot's minimum: either way the head is next.
+            if slot < SLOTS || head == tail {
+                if at > deadline {
+                    return None;
                 }
+                debug_assert!(at >= self.now, "event list ordering violated");
+                self.now = at;
+                self.unlink(head, slot);
+                self.delivered += 1;
+                let dest = self.cells[head as usize].dest;
+                return Some((at, dest, self.release(head)));
             }
-            let (_, s) = t0.expect("pending > 0 but no event found");
-            let slot = &mut self.levels[0].slots[s];
-            // Stable FIFO among simultaneous events: deliver smallest seq.
-            // The active level-0 slot holds a single timestamp, so sorting
-            // it descending by seq once makes every delivery an O(1) pop
-            // from the back; pushes mark the slot unsorted again.
-            if !slot.sorted {
-                if slot.events.len() > 1 {
-                    slot.events
-                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
-                }
-                slot.sorted = true;
+            // A higher slot spans `start..=start + low`, all of it ahead of
+            // the clock, and holds the event to deliver next. Nothing moves
+            // until that event is known to be due: `schedule` and `cancel`
+            // file by `now`, so the clock must never pass an event the
+            // caller has not seen delivered. Only a deadline inside the
+            // span needs the search.
+            let low = (1u64 << ((slot / SLOTS) as u32 * SLOT_BITS)) - 1;
+            let start = Time::from_nanos(at.as_nanos() & !low);
+            let end = Time::from_nanos(at.as_nanos() | low);
+            if start > deadline || (end > deadline && self.min_in(slot) > deadline) {
+                return None;
             }
-            let ev = slot.events.pop().expect("occupied slot was empty");
-            if slot.events.is_empty() {
-                self.levels[0].occupied &= !(1 << s);
+            // Cascade. With the clock at the span's start every cell of
+            // the slot agrees with `now` from this level's digit up, so
+            // each re-files strictly lower. Only indices move; the
+            // messages stay where they are.
+            self.now = start;
+            let mut idx = std::mem::replace(&mut self.lists[slot], EMPTY).head;
+            self.mark_empty(slot);
+            while idx != NIL {
+                let next = self.cells[idx as usize].next;
+                self.link(idx);
+                idx = next;
             }
-            assert!(ev.at >= self.now, "event list ordering violated");
-            self.now = ev.at;
-            self.delivered += 1;
-            self.pending -= 1;
-            return Some((ev.at, ev.dest, ev.msg));
         }
     }
 
     /// The timestamp of the next pending event, if any.
     ///
-    /// Exact and read-only: the runtime uses this to stop at deadlines
-    /// without disturbing the event list.
+    /// Exact and read-only, but it searches the first occupied slot's
+    /// list: for tests and inspection. An event loop wants
+    /// [`pop_until`](Engine::pop_until), not a peek followed by a pop.
     pub fn peek_time(&self) -> Option<Time> {
-        if self.pending == 0 {
-            return None;
-        }
-        let mut best = self.level0_slot().map(|s| self.levels[0].slots[s].min_at);
-        if let Some((m, _, _)) = self.earliest_higher_cached() {
-            if best.is_none_or(|b| m < b) {
-                best = Some(m);
-            }
-        }
-        best
+        self.first_slot().map(|slot| self.min_in(slot))
     }
 }
 
@@ -464,6 +408,7 @@ impl<M> fmt::Debug for Engine<M> {
             .field("now", &self.now)
             .field("pending", &self.pending)
             .field("delivered", &self.delivered)
+            .field("cancelled", &self.cancelled)
             .finish()
     }
 }
@@ -551,9 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn events_beyond_horizon_use_overflow_and_stay_ordered() {
+    fn every_nanosecond_has_a_slot_and_far_events_stay_ordered() {
         let mut e: Engine<u32> = Engine::new();
-        // One event per decade of delay, far past the 2^24 ns horizon.
+        // One event per decade of delay, up to the last representable ns.
         let times = [
             1u64,
             100,
@@ -581,9 +526,8 @@ mod tests {
 
     #[test]
     fn clock_never_regresses_across_levels() {
-        // Deterministic mixed workload crossing every level boundary and
-        // the overflow horizon; pop() asserts `at >= now` internally, and
-        // we additionally check monotone non-decreasing delivery here.
+        // Deterministic mixed workload crossing the boundaries of the low
+        // five levels; monotone non-decreasing delivery is checked here.
         let mut e: Engine<u64> = Engine::new();
         let mut x: u64 = 0x243F_6A88_85A3_08D3;
         let mut next = || {
@@ -597,7 +541,7 @@ mod tests {
         let mut last = Time::ZERO;
         for round in 0..2_000 {
             let r = next();
-            // Spread delays across level 0..3 and overflow.
+            // Spread delays across levels 0..4.
             let delay = match round % 5 {
                 0 => r % 64,
                 1 => 64 + r % 4_000,
@@ -620,5 +564,75 @@ mod tests {
         }
         assert_eq!(e.delivered(), scheduled);
         assert_eq!(e.pending(), 0);
+    }
+
+    #[test]
+    fn slot_of_files_by_the_highest_differing_digit() {
+        let t = Time::from_nanos;
+        assert_eq!(slot_of(t(5), t(5)), 5);
+        assert_eq!(slot_of(t(63), t(0)), 63);
+        assert_eq!(slot_of(t(64), t(0)), SLOTS + 1);
+        // Two ns apart, but they differ in the level-1 digit.
+        assert_eq!(slot_of(t(65), t(63)), SLOTS + 1);
+        assert_eq!(slot_of(t(1 << 60), t(0)), 10 * SLOTS + 1);
+        assert_eq!(slot_of(Time::MAX, t(0)), 10 * SLOTS + 15);
+        assert_eq!(slot_of(Time::MAX, t(u64::MAX - 1)), 63);
+    }
+
+    #[test]
+    fn cancelled_event_is_never_delivered() {
+        let mut e: Engine<&str> = Engine::new();
+        e.schedule(Time::from_nanos(10), 0, "a");
+        let b = e.schedule(Time::from_nanos(2_000_000), 0, "b");
+        e.schedule(Time::from_nanos(2_000_000), 0, "c");
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some("a"));
+        // `b` sits at a higher level, filed when the clock read 0; the
+        // clock has moved since and `cancel` must still find its slot.
+        assert!(e.cancel(b));
+        assert_eq!((e.pending(), e.cancelled()), (1, 1));
+        assert_eq!(e.peek_time(), Some(Time::from_nanos(2_000_000)));
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some("c"));
+        assert!(e.pop().is_none());
+        assert_eq!(e.delivered(), 2);
+    }
+
+    #[test]
+    fn stale_ids_cancel_nothing() {
+        let mut e: Engine<u32> = Engine::new();
+        let fired = e.schedule(Time::from_nanos(1), 0, 1);
+        let gone = e.schedule(Time::from_nanos(500), 0, 2);
+        e.pop().unwrap();
+        assert!(e.cancel(gone));
+        // Both cells are free; the next two schedules reuse them.
+        let x = e.schedule(Time::from_nanos(500), 0, 3);
+        let y = e.schedule(Time::from_nanos(70_000), 0, 4);
+        assert_eq!(e.cells.len(), 2, "cells are reused");
+        let before = (e.pending(), e.cancelled(), e.peek_time());
+        assert!(!e.cancel(fired), "fired");
+        assert!(!e.cancel(gone), "already cancelled");
+        assert!(!e.cancel(EventId { idx: 7, seq: 0 }), "never existed");
+        assert_eq!((e.pending(), e.cancelled(), e.peek_time()), before);
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some(3));
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some(4));
+        assert!(!e.cancel(x) && !e.cancel(y));
+        assert_eq!((e.delivered(), e.cancelled()), (3, 1));
+    }
+
+    #[test]
+    fn pop_until_stops_at_the_deadline_without_moving_the_clock() {
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule(Time::from_nanos(100), 0, 1);
+        e.schedule(Time::from_nanos(5_000), 0, 2);
+        assert!(e.pop_until(Time::from_nanos(99)).is_none());
+        assert_eq!(e.now(), Time::ZERO);
+        // An event exactly at the deadline is due.
+        assert_eq!(e.pop_until(Time::from_nanos(100)).map(|x| x.2), Some(1));
+        assert!(e.pop_until(Time::from_nanos(4_999)).is_none());
+        assert_eq!((e.now(), e.pending()), (Time::from_nanos(100), 1));
+        // The refused pop left the list able to take events before the
+        // one it looked at.
+        e.schedule(Time::from_nanos(101), 0, 3);
+        assert_eq!(e.pop().map(|x| x.2), Some(3));
+        assert_eq!(e.pop().map(|x| x.2), Some(2));
     }
 }

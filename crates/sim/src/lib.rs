@@ -3,8 +3,8 @@
 //! This crate is the lowest substrate of the PMNet reproduction. It provides:
 //!
 //! * [`Time`] / [`Dur`] — nanosecond-resolution simulated clock types,
-//! * [`Engine`] — a generic future-event list (priority queue) with stable
-//!   FIFO ordering for simultaneous events,
+//! * [`Engine`] — a generic future-event list (a timing wheel) with stable
+//!   FIFO ordering for simultaneous events and O(1) cancellation,
 //! * [`SimRng`] — a seeded random-number generator plus the distribution
 //!   helpers the evaluation needs (exponential, lognormal, Zipf),
 //! * [`stats`] — histograms, percentile summaries and CDF extraction used to
@@ -43,6 +43,6 @@ pub mod hash;
 pub mod meter;
 pub mod stats;
 
-pub use engine::{Engine, NodeId};
+pub use engine::{Engine, EventId, NodeId};
 pub use rng::SimRng;
 pub use time::{Dur, Time};

@@ -166,8 +166,16 @@ impl Dur {
     /// ```
     pub fn for_bytes_at(bytes: u64, bits_per_sec: u64) -> Dur {
         assert!(bits_per_sec > 0, "bandwidth must be positive");
-        let bits = bytes as u128 * 8 * 1_000_000_000;
-        Dur((bits / bits_per_sec as u128) as u64)
+        const NS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000;
+        // Below 2.3 GB the product fits a `u64` — every packet and PM
+        // write — which spares the 128-bit division routine.
+        match bytes.checked_mul(NS_BITS_PER_BYTE) {
+            Some(bits) => Dur(bits / bits_per_sec),
+            None => {
+                let bits = u128::from(bytes) * u128::from(NS_BITS_PER_BYTE);
+                Dur((bits / u128::from(bits_per_sec)) as u64)
+            }
+        }
     }
 }
 
