@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the hot paths: CRC-32 hashing, PMNet
 //! header codec, device log operations, the five KV index structures, the
-//! PM arena persist path, and a small end-to-end simulation step.
+//! PM arena persist path, event-list churn (timer wheel vs the binary
+//! heap it replaced), and a small end-to-end simulation step.
 //!
 //! These measure the *reproduction's* own performance (how fast the
 //! simulator and data structures run on the host), complementing the
@@ -8,6 +9,8 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 use pmnet_core::system::{DesignPoint, UpdateExperiment};
@@ -15,7 +18,7 @@ use pmnet_core::{LogStore, PacketType, PmnetHeader, SystemConfig};
 use pmnet_net::Addr;
 use pmnet_pmem::kv::{all_stores, KvStore};
 use pmnet_pmem::{crc32, PmArena, Wal};
-use pmnet_sim::Time;
+use pmnet_sim::{Dur, Engine, NodeId, SimRng, Time};
 
 fn bench_crc32(c: &mut Criterion) {
     let data = vec![0xA5u8; 1024];
@@ -128,6 +131,72 @@ fn bench_arena_persist(c: &mut Criterion) {
     });
 }
 
+/// The delay mix a packet simulation produces: 80% short hops
+/// (sub-microsecond to ~10us), 15% service times (~100us), 5% long
+/// timers (retransmission, ~5ms — the wheel's upper levels).
+fn delay(rng: &mut SimRng) -> Dur {
+    let roll = rng.uniform_u64(0..100);
+    if roll < 80 {
+        Dur::nanos(rng.uniform_u64(60..10_000))
+    } else if roll < 95 {
+        Dur::nanos(rng.uniform_u64(10_000..200_000))
+    } else {
+        Dur::nanos(rng.uniform_u64(1_000_000..8_000_000))
+    }
+}
+
+/// Steady-state pop-one/schedule-one churn over 16 Ki held events: the
+/// timer wheel [`Engine`] against the binary-heap event list it replaced
+/// (same `(time, seq)` min-first contract, so simultaneous events deliver
+/// FIFO). Same pre-drawn delays, process and allocator, so the ratio of
+/// the two rows is the heap→wheel speedup with machine noise cancelled.
+fn bench_event_list(c: &mut Criterion) {
+    const HOLD: usize = 16_384;
+    let mut rng = SimRng::seed(42);
+    let delays: Vec<Dur> = (0..HOLD + 100_000).map(|_| delay(&mut rng)).collect();
+    let (fill, churn) = delays.split_at(HOLD);
+    let mut group = c.benchmark_group("event_list_churn_100k");
+    group.bench_function("wheel", |b| {
+        b.iter_batched(
+            || {
+                let mut e: Engine<u64> = Engine::new();
+                for (i, &d) in fill.iter().enumerate() {
+                    e.schedule_in(d, NodeId(i as u32), i as u64);
+                }
+                e
+            },
+            |mut e| {
+                for &d in churn {
+                    let (_, dest, msg) = e.pop().expect("hold set never drains");
+                    e.schedule(e.now() + d, dest, msg + 1);
+                }
+                e
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("heap", |b| {
+        b.iter_batched(
+            || {
+                let mut heap = BinaryHeap::new();
+                for (i, &d) in fill.iter().enumerate() {
+                    heap.push(Reverse((Time::ZERO + d, i, NodeId(i as u32), i as u64)));
+                }
+                heap
+            },
+            |mut heap| {
+                for (i, &d) in churn.iter().enumerate() {
+                    let Reverse((now, _, dest, msg)) = heap.pop().expect("hold set never drains");
+                    heap.push(Reverse((now + d, HOLD + i, dest, msg + 1)));
+                }
+                heap
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_simulation(c: &mut Criterion) {
     c.bench_function("sim/pmnet_switch_100_requests", |b| {
         b.iter(|| {
@@ -146,6 +215,7 @@ criterion_group!(
         bench_logstore,
         bench_kv_structures,
         bench_arena_persist,
+        bench_event_list,
         bench_simulation
 );
 criterion_main!(benches);

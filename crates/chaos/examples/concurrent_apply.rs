@@ -10,10 +10,9 @@
 //! model's concurrent-history durable-linearizability mode. The example
 //! exits non-zero (panics) on any invariant violation, on a vacuous
 //! campaign (no redo replays — i.e. the kills never actually landed), or
-//! if the `apply_threads: 1` pass fails to reproduce the sequential
-//! lossy-recovery campaign bit for bit.
+//! if a replay from the scheduler seed is not bit-identical.
 
-use pmnet_chaos::{run_concurrent_apply_campaign, run_lossy_recovery_campaign};
+use pmnet_chaos::{run_campaign, CampaignConfig};
 
 fn main() {
     const SEED: u64 = 2026;
@@ -21,8 +20,12 @@ fn main() {
     const THREADS: u32 = 4;
 
     let sched_seed = pmnet_core::config::ApplyConfig::sched_seed_from_env(SEED);
+    let cfg = CampaignConfig {
+        apply_threads: THREADS,
+        ..CampaignConfig::lossy_recovery(SEED, PLANS_PER_DESIGN)
+    };
     let start = std::time::Instant::now();
-    let out = run_concurrent_apply_campaign(SEED, PLANS_PER_DESIGN, THREADS);
+    let out = run_campaign(&cfg);
     let elapsed = start.elapsed();
 
     assert_eq!(out.runs.len(), 2 * PLANS_PER_DESIGN);
@@ -48,17 +51,8 @@ fn main() {
     assert!(retries > 0, "no run retransmitted under loss");
 
     // Determinism: the seeded pool scheduler must replay bit-identically.
-    let again = run_concurrent_apply_campaign(SEED, PLANS_PER_DESIGN, THREADS);
+    let again = run_campaign(&cfg);
     assert_eq!(out.digest, again.digest, "concurrent campaign must replay");
-
-    // Sequential equivalence: one apply thread is the old path, bit for
-    // bit, against the plain lossy-recovery entry point.
-    let seq = run_concurrent_apply_campaign(SEED, 10, 1);
-    let golden = run_lossy_recovery_campaign(SEED, 10);
-    assert_eq!(
-        seq.digest, golden.digest,
-        "apply_threads: 1 must match the sequential campaign"
-    );
 
     println!(
         "model feature: {} | {} runs @ {THREADS} apply threads, 0 failures, \

@@ -18,6 +18,26 @@ use crate::generate::{
 use crate::plan::FaultPlan;
 use crate::runner::{run, Scenario, Verdict};
 
+/// Which generator a campaign draws its plans from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanKind {
+    /// [`generate_plan`] at the campaign's [`Intensity`]: transient
+    /// faults of every kind.
+    Mixed,
+    /// [`generate_lossy_recovery_plan`]: every plan crashes the server
+    /// and blankets the crash/recovery window with loss bursts. The
+    /// verdict's convergence invariant — device logs drained, recovery
+    /// barrier closed — is what these plans attack.
+    LossyRecovery,
+    /// [`generate_failover_plan`]: every plan fail-stops (or replaces) at
+    /// least one chain member mid-traffic — some under a concurrent
+    /// server crash, some under spine loss. The claim under test is the
+    /// fabric's headline invariant: no client-acked update is lost when a
+    /// device dies, and the system stays live through fence → promote →
+    /// re-home.
+    Failover,
+}
+
 /// Parameters of an exploration campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
@@ -25,7 +45,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Plans generated (and executed) per design point.
     pub plans_per_design: usize,
-    /// Generator aggressiveness.
+    /// Plan generator.
+    pub plans: PlanKind,
+    /// Generator aggressiveness ([`PlanKind::Mixed`] only).
     pub intensity: Intensity,
     /// Design points to explore.
     pub designs: Vec<DesignPoint>,
@@ -34,15 +56,27 @@ pub struct CampaignConfig {
     /// Plant the deliberate dedup bug in every run (for harness
     /// self-tests).
     pub plant_dedup_bug: bool,
+    /// Doorbell batching window of every run (devices and server apply).
+    /// With a window above 1 a staged, not yet persisted batch dies with
+    /// its device, so it must be re-driven by client retries rather than
+    /// falsely acked. Plan/seed derivation does not depend on it.
+    pub batch_window: u32,
+    /// Server apply workers of every run (see `ApplyConfig` in
+    /// `pmnet-core`). With more than one, a server crash lands while the
+    /// pool holds staged updates, and the model check runs in its
+    /// concurrent-history mode. Plan/seed derivation does not depend on
+    /// it.
+    pub apply_threads: u32,
 }
 
 impl Default for CampaignConfig {
-    /// The acceptance-campaign shape: the paper's two PMNet placements
-    /// plus the baseline.
+    /// The acceptance-campaign shape: mixed plans over the paper's two
+    /// PMNet placements plus the baseline.
     fn default() -> CampaignConfig {
         CampaignConfig {
             seed: 1,
             plans_per_design: 70,
+            plans: PlanKind::Mixed,
             intensity: Intensity::Medium,
             designs: vec![
                 DesignPoint::PmnetSwitch,
@@ -51,6 +85,35 @@ impl Default for CampaignConfig {
             ],
             horizon: Dur::millis(8),
             plant_dedup_bug: false,
+            batch_window: 1,
+            apply_threads: 1,
+        }
+    }
+}
+
+impl CampaignConfig {
+    /// Lossy-recovery plans across the two PMNet placements.
+    pub fn lossy_recovery(seed: u64, plans_per_design: usize) -> CampaignConfig {
+        CampaignConfig {
+            seed,
+            plans_per_design,
+            plans: PlanKind::LossyRecovery,
+            designs: vec![DesignPoint::PmnetSwitch, DesignPoint::PmnetNic],
+            ..CampaignConfig::default()
+        }
+    }
+
+    /// Chained-replica failover plans on the 2- and 3-shard fabrics.
+    pub fn failover(seed: u64, plans_per_design: usize) -> CampaignConfig {
+        CampaignConfig {
+            seed,
+            plans_per_design,
+            plans: PlanKind::Failover,
+            designs: vec![
+                DesignPoint::PmnetSharded { shards: 2 },
+                DesignPoint::PmnetSharded { shards: 3 },
+            ],
+            ..CampaignConfig::default()
         }
     }
 }
@@ -92,9 +155,7 @@ impl CampaignOutcome {
 /// serially (RNG fork order is part of the determinism contract) and
 /// executed in any order; the merge step restores execution order.
 struct CampaignJob {
-    design: DesignPoint,
     index: usize,
-    seed: u64,
     scenario: Scenario,
     plan: FaultPlan,
 }
@@ -158,9 +219,9 @@ fn merge_outcome(jobs: Vec<CampaignJob>, verdicts: Vec<Verdict>) -> CampaignOutc
                 .push(Artifact::new(&job.scenario, job.plan).with_flight(verdict.flight.clone()));
         }
         runs.push(CampaignRun {
-            design: job.design,
+            design: job.scenario.design,
             index: job.index,
-            seed: job.seed,
+            seed: job.scenario.seed,
             verdict,
         });
     }
@@ -171,28 +232,42 @@ fn merge_outcome(jobs: Vec<CampaignJob>, verdicts: Vec<Verdict>) -> CampaignOutc
     }
 }
 
-fn campaign_with_threads(cfg: &CampaignConfig, threads: usize) -> CampaignOutcome {
+/// Generates every job of the campaign. The RNG derivation is part of the
+/// determinism contract (every pinned digest rests on it): campaign seed →
+/// `fork(1 + design index)` → `fork(plan index)` → one draw for the run
+/// seed → the plan generator.
+fn generate_jobs(cfg: &CampaignConfig) -> Vec<CampaignJob> {
     let mut meta = SimRng::seed(cfg.seed);
     let mut jobs = Vec::with_capacity(cfg.designs.len() * cfg.plans_per_design);
     for (di, &design) in cfg.designs.iter().enumerate() {
         let mut design_rng = meta.fork(1 + di as u64);
-        let base = Scenario::standard(design, 0);
-        let topo = Topology::for_design(design, base.clients);
+        let topo = Topology::for_design(design, Scenario::standard(design, 0).clients);
         for index in 0..cfg.plans_per_design {
             let mut plan_rng = design_rng.fork(index as u64);
             let seed = plan_rng.uniform_u64(0..u64::MAX);
-            let plan = generate_plan(&mut plan_rng, &topo, cfg.intensity, cfg.horizon);
-            let mut scenario = Scenario::standard(design, seed);
+            let plan = match cfg.plans {
+                PlanKind::Mixed => generate_plan(&mut plan_rng, &topo, cfg.intensity, cfg.horizon),
+                PlanKind::LossyRecovery => {
+                    generate_lossy_recovery_plan(&mut plan_rng, &topo, cfg.horizon)
+                }
+                PlanKind::Failover => generate_failover_plan(&mut plan_rng, &topo, cfg.horizon),
+            };
+            let mut scenario = Scenario::standard(design, seed)
+                .with_batch_window(cfg.batch_window)
+                .with_apply_threads(cfg.apply_threads);
             scenario.plant_dedup_bug = cfg.plant_dedup_bug;
             jobs.push(CampaignJob {
-                design,
                 index,
-                seed,
                 scenario,
                 plan,
             });
         }
     }
+    jobs
+}
+
+fn campaign_with_threads(cfg: &CampaignConfig, threads: usize) -> CampaignOutcome {
+    let jobs = generate_jobs(cfg);
     let verdicts = execute_jobs(&jobs, threads);
     merge_outcome(jobs, verdicts)
 }
@@ -206,142 +281,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
     campaign_with_threads(cfg, campaign_threads())
 }
 
-/// Executes a campaign of lossy-recovery plans: every plan crashes the
-/// server and blankets the crash/recovery window with loss bursts (see
-/// [`generate_lossy_recovery_plan`]), across the two PMNet placements.
-/// The verdict's convergence invariant — device logs drained, recovery
-/// barrier closed — is what these plans attack. Fully determined by
-/// `(seed, plans_per_design)`.
-pub fn run_lossy_recovery_campaign(seed: u64, plans_per_design: usize) -> CampaignOutcome {
-    lossy_campaign_with_threads(seed, plans_per_design, 1, campaign_threads())
-}
-
-/// [`run_lossy_recovery_campaign`] with every run batched at
-/// `batch_window` (devices and server apply). The plan/seed derivation is
-/// identical, so `batch_window: 1` reproduces the unbatched campaign
-/// digest exactly — the frozen goldens pin that equivalence.
-pub fn run_lossy_recovery_campaign_with_window(
-    seed: u64,
-    plans_per_design: usize,
-    batch_window: u32,
-) -> CampaignOutcome {
-    lossy_campaign_with_threads(seed, plans_per_design, batch_window, campaign_threads())
-}
-
-fn lossy_campaign_with_threads(
-    seed: u64,
-    plans_per_design: usize,
-    batch_window: u32,
-    threads: usize,
-) -> CampaignOutcome {
-    lossy_apply_campaign_with_threads(seed, plans_per_design, batch_window, 1, threads)
-}
-
-/// Executes a campaign of lossy-recovery plans with every run applying on
-/// `apply_threads` server workers (see `ApplyConfig` in `pmnet-core`).
-/// Every plan crashes the server mid-traffic, so with `apply_threads > 1`
-/// the kill lands while the worker pool holds staged updates — the
-/// concurrent-apply crash story. Runs with more than one apply thread are
-/// checked in the model's concurrent-history mode. Plan/seed derivation
-/// matches [`run_lossy_recovery_campaign`] exactly, so `apply_threads: 1`
-/// reproduces the frozen lossy-recovery digest bit for bit.
-pub fn run_concurrent_apply_campaign(
-    seed: u64,
-    plans_per_design: usize,
-    apply_threads: u32,
-) -> CampaignOutcome {
-    lossy_apply_campaign_with_threads(seed, plans_per_design, 1, apply_threads, campaign_threads())
-}
-
-fn lossy_apply_campaign_with_threads(
-    seed: u64,
-    plans_per_design: usize,
-    batch_window: u32,
-    apply_threads: u32,
-    threads: usize,
-) -> CampaignOutcome {
-    let mut meta = SimRng::seed(seed);
-    let designs = [DesignPoint::PmnetSwitch, DesignPoint::PmnetNic];
-    let mut jobs = Vec::with_capacity(designs.len() * plans_per_design);
-    for (di, &design) in designs.iter().enumerate() {
-        let mut design_rng = meta.fork(1 + di as u64);
-        let base = Scenario::standard(design, 0);
-        let topo = Topology::for_design(design, base.clients);
-        for index in 0..plans_per_design {
-            let mut plan_rng = design_rng.fork(index as u64);
-            let run_seed = plan_rng.uniform_u64(0..u64::MAX);
-            let plan = generate_lossy_recovery_plan(&mut plan_rng, &topo, Dur::millis(8));
-            jobs.push(CampaignJob {
-                design,
-                index,
-                seed: run_seed,
-                scenario: Scenario::standard(design, run_seed)
-                    .with_batch_window(batch_window)
-                    .with_apply_threads(apply_threads),
-                plan,
-            });
-        }
-    }
-    let verdicts = execute_jobs(&jobs, threads);
-    merge_outcome(jobs, verdicts)
-}
-
-/// Executes a campaign of chained-replica failover plans on the sharded
-/// fabric designs: every plan fail-stops (or replaces) at least one chain
-/// member mid-traffic — some under a concurrent server crash, some under
-/// spine loss (see [`generate_failover_plan`]). The claim under test is
-/// the fabric's headline invariant: no client-acked update is lost when a
-/// device dies, and the system stays live through fence → promote →
-/// re-home. Fully determined by `(seed, plans_per_design)`.
-pub fn run_failover_campaign(seed: u64, plans_per_design: usize) -> CampaignOutcome {
-    failover_campaign_with_threads(seed, plans_per_design, 1, campaign_threads())
-}
-
-/// [`run_failover_campaign`] with every run batched at `batch_window`:
-/// chained-replica failover under doorbell batching, where a staged (not
-/// yet persisted) window on the dying primary must be re-driven by client
-/// retries rather than falsely acked.
-pub fn run_failover_campaign_with_window(
-    seed: u64,
-    plans_per_design: usize,
-    batch_window: u32,
-) -> CampaignOutcome {
-    failover_campaign_with_threads(seed, plans_per_design, batch_window, campaign_threads())
-}
-
-fn failover_campaign_with_threads(
-    seed: u64,
-    plans_per_design: usize,
-    batch_window: u32,
-    threads: usize,
-) -> CampaignOutcome {
-    let mut meta = SimRng::seed(seed);
-    let designs = [
-        DesignPoint::PmnetSharded { shards: 2 },
-        DesignPoint::PmnetSharded { shards: 3 },
-    ];
-    let mut jobs = Vec::with_capacity(designs.len() * plans_per_design);
-    for (di, &design) in designs.iter().enumerate() {
-        let mut design_rng = meta.fork(1 + di as u64);
-        let base = Scenario::standard(design, 0);
-        let topo = Topology::for_design(design, base.clients);
-        for index in 0..plans_per_design {
-            let mut plan_rng = design_rng.fork(index as u64);
-            let run_seed = plan_rng.uniform_u64(0..u64::MAX);
-            let plan = generate_failover_plan(&mut plan_rng, &topo, Dur::millis(8));
-            jobs.push(CampaignJob {
-                design,
-                index,
-                seed: run_seed,
-                scenario: Scenario::standard(design, run_seed).with_batch_window(batch_window),
-                plan,
-            });
-        }
-    }
-    let verdicts = execute_jobs(&jobs, threads);
-    merge_outcome(jobs, verdicts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +290,18 @@ mod tests {
             plans_per_design: 4,
             ..CampaignConfig::default()
         }
+    }
+
+    fn assert_clean(out: &CampaignOutcome) {
+        assert_eq!(
+            out.failure_count(),
+            0,
+            "violations: {:?}",
+            out.failures
+                .iter()
+                .map(|f| f.replay().violations)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -373,24 +324,17 @@ mod tests {
         // Every plan crashes the server under loss; the convergence
         // invariant (logs drained, barrier closed) must hold on all of
         // them, and a replay must be bit-identical.
-        let a = run_lossy_recovery_campaign(2024, 20);
+        let cfg = CampaignConfig::lossy_recovery(2024, 20);
+        let a = run_campaign(&cfg);
         assert_eq!(a.runs.len(), 40);
-        assert_eq!(
-            a.failure_count(),
-            0,
-            "violations: {:?}",
-            a.failures
-                .iter()
-                .map(|f| f.replay().violations)
-                .collect::<Vec<_>>()
-        );
+        assert_clean(&a);
         // The campaign must actually exercise recovery under loss, not
         // pass vacuously: redo replays and retransmissions must occur.
         let redo: u64 = a.runs.iter().map(|r| r.verdict.redo_applied).sum();
         let retries: u64 = a.runs.iter().map(|r| r.verdict.client_retries).sum();
         assert!(redo > 0, "no run replayed a redo log");
         assert!(retries > 0, "no run retransmitted under loss");
-        let b = run_lossy_recovery_campaign(2024, 20);
+        let b = run_campaign(&cfg);
         assert_eq!(a.digest, b.digest, "campaign must be bit-identical");
         assert_eq!(a, b);
     }
@@ -400,17 +344,10 @@ mod tests {
         // Every plan kills at least one chain member mid-traffic; the
         // verdict's durability audit (no acked update missing, no double
         // apply) and liveness invariant must hold on all of them.
-        let a = run_failover_campaign(2025, 15);
+        let cfg = CampaignConfig::failover(2025, 15);
+        let a = run_campaign(&cfg);
         assert_eq!(a.runs.len(), 30);
-        assert_eq!(
-            a.failure_count(),
-            0,
-            "violations: {:?}",
-            a.failures
-                .iter()
-                .map(|f| f.replay().violations)
-                .collect::<Vec<_>>()
-        );
+        assert_clean(&a);
         // Not vacuous: the fabric must actually have driven failovers.
         let failovers: u64 = a.runs.iter().map(|r| r.verdict.failovers).sum();
         assert!(
@@ -419,7 +356,7 @@ mod tests {
              (got {failovers} across {} runs)",
             a.runs.len()
         );
-        let b = run_failover_campaign(2025, 15);
+        let b = run_campaign(&cfg);
         assert_eq!(a.digest, b.digest, "campaign must be bit-identical");
         assert_eq!(a, b);
     }
@@ -436,33 +373,43 @@ mod tests {
             assert_eq!(serial.digest, parallel.digest, "threads={threads}");
             assert_eq!(serial, parallel, "threads={threads}");
         }
-        let serial = lossy_campaign_with_threads(2024, 6, 1, 1);
-        let parallel = lossy_campaign_with_threads(2024, 6, 1, 4);
-        assert_eq!(serial, parallel);
-        let serial = failover_campaign_with_threads(2025, 4, 1, 1);
-        let parallel = failover_campaign_with_threads(2025, 4, 1, 4);
-        assert_eq!(serial, parallel);
+        for cfg in [
+            CampaignConfig::lossy_recovery(2024, 6),
+            CampaignConfig::failover(2025, 4),
+        ] {
+            let serial = campaign_with_threads(&cfg, 1);
+            let parallel = campaign_with_threads(&cfg, 4);
+            assert_eq!(serial, parallel);
+        }
     }
 
     #[test]
-    fn window_one_campaigns_match_the_unbatched_entry_points() {
-        // The `_with_window` variants derive plans and seeds identically,
-        // so window 1 must reproduce the frozen campaign digests exactly.
-        let a = run_lossy_recovery_campaign(2024, 4);
-        let b = run_lossy_recovery_campaign_with_window(2024, 4, 1);
-        assert_eq!(a, b);
-        let a = run_failover_campaign(2025, 3);
-        let b = run_failover_campaign_with_window(2025, 3, 1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn one_thread_concurrent_apply_campaign_matches_the_lossy_entry_point() {
-        // `apply_threads: 1` is the sequential path; the campaign must be
-        // indistinguishable from the frozen lossy-recovery entry point.
-        let a = run_lossy_recovery_campaign(2024, 4);
-        let b = run_concurrent_apply_campaign(2024, 4, 1);
-        assert_eq!(a, b);
+    fn window_and_apply_threads_reach_every_job_scenario() {
+        // The plan kind picks the generator and the designs; the two
+        // scenario knobs must land on the `Scenario` each job executes
+        // (and nothing else about the job may move with them).
+        for base in [
+            CampaignConfig::lossy_recovery(2024, 3),
+            CampaignConfig::failover(2025, 3),
+        ] {
+            let plain = generate_jobs(&base);
+            let tuned = generate_jobs(&CampaignConfig {
+                batch_window: 16,
+                apply_threads: 4,
+                ..base.clone()
+            });
+            assert_eq!(plain.len(), 3 * base.designs.len());
+            assert_eq!(plain.len(), tuned.len());
+            for (p, t) in plain.iter().zip(&tuned) {
+                assert_eq!((t.scenario.batch_window, t.scenario.apply_threads), (16, 4));
+                assert_eq!(
+                    p.scenario,
+                    t.scenario.with_batch_window(1).with_apply_threads(1)
+                );
+                assert_eq!((p.index, &p.plan), (t.index, &t.plan));
+                assert!(base.designs.contains(&t.scenario.design));
+            }
+        }
     }
 
     #[test]
@@ -471,19 +418,15 @@ mod tests {
         // workers hold staged updates; durability, convergence, and the
         // concurrent-history model check must all hold, and the campaign
         // must replay bit-identically (the pool's scheduler is seeded).
-        let out = run_concurrent_apply_campaign(2026, 8, 4);
-        assert_eq!(
-            out.failure_count(),
-            0,
-            "violations: {:?}",
-            out.failures
-                .iter()
-                .map(|f| f.replay().violations)
-                .collect::<Vec<_>>()
-        );
+        let cfg = CampaignConfig {
+            apply_threads: 4,
+            ..CampaignConfig::lossy_recovery(2026, 8)
+        };
+        let out = run_campaign(&cfg);
+        assert_clean(&out);
         let redo: u64 = out.runs.iter().map(|r| r.verdict.redo_applied).sum();
         assert!(redo > 0, "no run replayed a redo log");
-        let b = run_concurrent_apply_campaign(2026, 8, 4);
+        let b = run_campaign(&cfg);
         assert_eq!(out.digest, b.digest, "concurrent campaign must replay");
         assert_eq!(out, b);
     }
@@ -494,35 +437,26 @@ mod tests {
         // staged window dies with the device's volatile state, so the
         // convergence and durability invariants exercise the batch path's
         // crash story, not just its fast path.
-        let out = run_lossy_recovery_campaign_with_window(2024, 8, 16);
-        assert_eq!(
-            out.failure_count(),
-            0,
-            "violations: {:?}",
-            out.failures
-                .iter()
-                .map(|f| f.replay().violations)
-                .collect::<Vec<_>>()
-        );
+        let cfg = CampaignConfig {
+            batch_window: 16,
+            ..CampaignConfig::lossy_recovery(2024, 8)
+        };
+        let out = run_campaign(&cfg);
+        assert_clean(&out);
         let redo: u64 = out.runs.iter().map(|r| r.verdict.redo_applied).sum();
         assert!(redo > 0, "no run replayed a redo log");
         // Replay artifacts carry the window, so a failure would reproduce.
-        let b = run_lossy_recovery_campaign_with_window(2024, 8, 16);
+        let b = run_campaign(&cfg);
         assert_eq!(out.digest, b.digest, "batched campaign must replay");
     }
 
     #[test]
     fn batched_failover_campaign_never_loses_an_acked_update() {
-        let out = run_failover_campaign_with_window(2025, 6, 16);
-        assert_eq!(
-            out.failure_count(),
-            0,
-            "violations: {:?}",
-            out.failures
-                .iter()
-                .map(|f| f.replay().violations)
-                .collect::<Vec<_>>()
-        );
+        let out = run_campaign(&CampaignConfig {
+            batch_window: 16,
+            ..CampaignConfig::failover(2025, 6)
+        });
+        assert_clean(&out);
         let failovers: u64 = out.runs.iter().map(|r| r.verdict.failovers).sum();
         assert!(failovers >= out.runs.len() as u64, "vacuous campaign");
     }
@@ -531,14 +465,6 @@ mod tests {
     fn healthy_system_survives_a_small_campaign() {
         let out = run_campaign(&small());
         assert_eq!(out.runs.len(), 12);
-        assert_eq!(
-            out.failure_count(),
-            0,
-            "violations: {:?}",
-            out.failures
-                .iter()
-                .map(|a| a.replay().violations)
-                .collect::<Vec<_>>()
-        );
+        assert_clean(&out);
     }
 }

@@ -59,11 +59,7 @@ pub mod runner;
 pub mod shrink;
 
 pub use artifact::Artifact;
-pub use campaign::{
-    run_campaign, run_concurrent_apply_campaign, run_failover_campaign,
-    run_failover_campaign_with_window, run_lossy_recovery_campaign,
-    run_lossy_recovery_campaign_with_window, CampaignConfig, CampaignOutcome,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, PlanKind};
 pub use generate::{
     generate_failover_plan, generate_lossy_recovery_plan, generate_plan, Intensity, Topology,
 };

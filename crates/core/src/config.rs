@@ -7,7 +7,7 @@
 //! critical path), not from any individual constant.
 
 use pmnet_net::{LinkSpec, StackProfile};
-use pmnet_pmem::{CostModel, PmDeviceConfig};
+use pmnet_pmem::PmDeviceConfig;
 use pmnet_sim::Dur;
 
 /// The UDP port range reserved for PMNet traffic (Section IV-A2).
@@ -293,10 +293,12 @@ impl BatchConfig {
 /// sharded worker pool: each `(client, session)` pair hashes to one
 /// worker (stealing-free, so per-session apply order is preserved), and
 /// cross-worker write-write conflicts on the same KV key are fenced in
-/// delivery order. Exactly-once under crashes comes from the detectable
-/// structures underneath (`pmnet_pmem::ploc`): per-op mementos persist
-/// before the ack path observes them, so the redo-log dedup composes
-/// with concurrent apply.
+/// delivery order. Exactly-once under crashes comes from the device redo
+/// path and the server's applied-seq dedup; on either path the KV handler
+/// applies into `PersistentKv` (WAL + checkpoint). The detectably
+/// recoverable structures in `pmnet_pmem::ploc` are *not* underneath the
+/// pool: they are reached only by `pmnet-pmem`'s crash sweep (ROADMAP.md,
+/// carried deletion tail).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplyConfig {
     /// Apply workers. 1 disables the pool entirely (sequential path).
@@ -440,8 +442,6 @@ pub struct SystemConfig {
     /// Number of parallel request-handler workers on the server (Table II:
     /// 20 cores).
     pub server_workers: usize,
-    /// Server-side PM cost model for handler service times.
-    pub cost: CostModel,
     /// Client retransmission timeout (the *initial* RTO; the client's
     /// estimator adapts from here within [`RetryConfig`]'s bounds).
     pub client_timeout: Dur,
@@ -476,7 +476,6 @@ impl Default for SystemConfig {
             device: DeviceConfig::fpga(),
             link: LinkSpec::ten_gbps(),
             server_workers: 20,
-            cost: CostModel::optane_server(),
             client_timeout: Dur::millis(10),
             gap_timeout: Dur::micros(100),
             retry: RetryConfig::default(),

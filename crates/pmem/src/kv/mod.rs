@@ -12,8 +12,11 @@
 //! recoverable* PM-native conversions ([`DetectableHashMap`],
 //! [`DetectableSkipList`]) built from the [`crate::ploc`] primitives:
 //! every mutation carries an `op_seq`, persists its memento before the
-//! structure changes, and replays exactly-once after a crash — the
-//! structures concurrent server apply leans on.
+//! structure changes, and replays exactly-once after a crash. Nothing
+//! serves requests from them yet: the KV handler (sequential or pooled
+//! apply) uses the plain [`store_by_name`] indexes under
+//! [`crate::PersistentKv`], and only `tests/crash_sweep.rs` reaches the
+//! detectable pair (ROADMAP.md, carried deletion tail).
 
 mod btree;
 mod crit_bit;

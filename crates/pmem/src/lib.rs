@@ -24,7 +24,7 @@
 //!   [`DetectableCas`]): per-op memento slots persisted before the ack
 //!   path observes them, so replaying an op after a crash is exactly-once;
 //!   [`kv::DetectableHashMap`] and [`kv::DetectableSkipList`] are built
-//!   from them and back concurrent server-side apply.
+//!   from them (crash-swept, but not yet what the KV handler serves from).
 //!
 //! Substitution note (see DESIGN.md): the paper's PMDK workloads run PMDK
 //! transactions directly on Optane. We substitute a redo-log +

@@ -498,53 +498,6 @@ impl TimeSeries {
     }
 }
 
-/// Online mean/variance (Welford) for cheap running statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// The running mean (0 if no observations).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,28 +660,5 @@ mod tests {
     #[should_panic(expected = "zero bucket width")]
     fn zero_width_series_panics() {
         let _ = TimeSeries::new(Dur::ZERO);
-    }
-
-    #[test]
-    fn running_stats_match_direct_computation() {
-        let mut r = Running::new();
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        for &x in &xs {
-            r.add(x);
-        }
-        assert!((r.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic dataset is 32/7.
-        assert!((r.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(r.count(), 8);
-    }
-
-    #[test]
-    fn running_stats_degenerate_cases() {
-        let mut r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
-        r.add(3.0);
-        assert_eq!(r.variance(), 0.0);
-        assert_eq!(r.stddev(), 0.0);
     }
 }

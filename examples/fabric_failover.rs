@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example fabric_failover`
 
-use pmnet::chaos::{run_failover_campaign, run_failover_campaign_with_window};
+use pmnet::chaos::{run_campaign, CampaignConfig};
 use pmnet::core::system::DesignPoint;
 
 fn main() {
@@ -28,8 +28,9 @@ fn main() {
     const BATCH_PLANS_PER_DESIGN: usize = 15; // x2 sharded designs = 30 batched runs
 
     println!("fabric-failover campaign: {PLANS_PER_DESIGN} plans x 2 designs, seed {SEED}");
-    let outcome = run_failover_campaign(SEED, PLANS_PER_DESIGN);
-    let replay = run_failover_campaign(SEED, PLANS_PER_DESIGN);
+    let cfg = CampaignConfig::failover(SEED, PLANS_PER_DESIGN);
+    let outcome = run_campaign(&cfg);
+    let replay = run_campaign(&cfg);
     println!(
         "  {} runs, {} failures, digest {:#018x} (replay digest matches: {})",
         outcome.runs.len(),
@@ -75,7 +76,10 @@ fn main() {
         "fabric-failover campaign (batch window {BATCH_WINDOW}): \
          {BATCH_PLANS_PER_DESIGN} plans x 2 designs, seed {SEED}"
     );
-    let batched = run_failover_campaign_with_window(SEED, BATCH_PLANS_PER_DESIGN, BATCH_WINDOW);
+    let batched = run_campaign(&CampaignConfig {
+        batch_window: BATCH_WINDOW,
+        ..CampaignConfig::failover(SEED, BATCH_PLANS_PER_DESIGN)
+    });
     println!(
         "  {} runs, {} failures, digest {:#018x}",
         batched.runs.len(),

@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example lossy_recovery`
 
-use pmnet::chaos::{run_lossy_recovery_campaign, run_lossy_recovery_campaign_with_window};
+use pmnet::chaos::{run_campaign, CampaignConfig};
 use pmnet::core::system::DesignPoint;
 
 fn main() {
@@ -26,8 +26,9 @@ fn main() {
     const BATCH_PLANS_PER_DESIGN: usize = 25; // x2 designs = 50 batched runs
 
     println!("lossy-recovery campaign: {PLANS_PER_DESIGN} plans x 2 designs, seed {SEED}");
-    let outcome = run_lossy_recovery_campaign(SEED, PLANS_PER_DESIGN);
-    let replay = run_lossy_recovery_campaign(SEED, PLANS_PER_DESIGN);
+    let cfg = CampaignConfig::lossy_recovery(SEED, PLANS_PER_DESIGN);
+    let outcome = run_campaign(&cfg);
+    let replay = run_campaign(&cfg);
     println!(
         "  {} runs, {} failures, digest {:#018x} (replay digest matches: {})",
         outcome.runs.len(),
@@ -65,8 +66,10 @@ fn main() {
         "lossy-recovery campaign (batch window {BATCH_WINDOW}): \
          {BATCH_PLANS_PER_DESIGN} plans x 2 designs, seed {SEED}"
     );
-    let batched =
-        run_lossy_recovery_campaign_with_window(SEED, BATCH_PLANS_PER_DESIGN, BATCH_WINDOW);
+    let batched = run_campaign(&CampaignConfig {
+        batch_window: BATCH_WINDOW,
+        ..CampaignConfig::lossy_recovery(SEED, BATCH_PLANS_PER_DESIGN)
+    });
     println!(
         "  {} runs, {} failures, digest {:#018x}",
         batched.runs.len(),

@@ -7,10 +7,7 @@
 //! re-run with `--nocapture`, confirm the shift is expected, and update
 //! the constants — the diff then documents that behaviour moved.
 
-use pmnet::chaos::{
-    run_campaign, run_concurrent_apply_campaign, run_failover_campaign,
-    run_lossy_recovery_campaign, CampaignConfig,
-};
+use pmnet::chaos::{run_campaign, CampaignConfig};
 use pmnet::core::system::DesignPoint;
 use pmnet::core::{DeviceConfig, SystemConfig};
 use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
@@ -40,7 +37,7 @@ const FAILOVER_CAMPAIGN_DIGEST: u64 = 0xf37a_2ad4_7e32_24c3;
 
 #[test]
 fn lossy_recovery_campaign_digest_is_pinned() {
-    let outcome = run_lossy_recovery_campaign(77, 10);
+    let outcome = run_campaign(&CampaignConfig::lossy_recovery(77, 10));
     assert_eq!(outcome.failure_count(), 0, "campaign must converge");
     assert_eq!(
         outcome.digest, LOSSY_RECOVERY_DIGEST,
@@ -52,7 +49,7 @@ fn lossy_recovery_campaign_digest_is_pinned() {
 
 #[test]
 fn failover_campaign_digest_is_pinned() {
-    let outcome = run_failover_campaign(77, 5);
+    let outcome = run_campaign(&CampaignConfig::failover(77, 5));
     assert_eq!(outcome.failure_count(), 0, "campaign must converge");
     assert_eq!(
         outcome.digest, FAILOVER_CAMPAIGN_DIGEST,
@@ -83,24 +80,6 @@ fn single_shard_fabric_campaign_is_bit_identical_to_pmnet_switch() {
         ..base
     });
     assert_eq!(switch.digest, sharded.digest);
-}
-
-#[test]
-fn one_apply_thread_campaign_is_bit_identical_to_the_sequential_path() {
-    // `ApplyConfig { threads: 1 }` must be the literal sequential apply
-    // path — not "a pool of one" with different timing. The concurrent
-    // campaign at one thread derives plans and seeds identically to the
-    // lossy-recovery campaign, so the frozen seed-77 digest must
-    // reproduce bit for bit. This is the guard that the worker pool
-    // stays strictly additive behind its config flag.
-    let outcome = run_concurrent_apply_campaign(77, 10, 1);
-    assert_eq!(outcome.failure_count(), 0, "campaign must converge");
-    assert_eq!(
-        outcome.digest, LOSSY_RECOVERY_DIGEST,
-        "apply_threads: 1 diverged from the sequential path \
-         (got {:#018x}, want the frozen lossy-recovery digest)",
-        outcome.digest
-    );
 }
 
 #[test]
