@@ -295,10 +295,7 @@ impl BatchConfig {
 /// cross-worker write-write conflicts on the same KV key are fenced in
 /// delivery order. Exactly-once under crashes comes from the device redo
 /// path and the server's applied-seq dedup; on either path the KV handler
-/// applies into `PersistentKv` (WAL + checkpoint). The detectably
-/// recoverable structures in `pmnet_pmem::ploc` are *not* underneath the
-/// pool: they are reached only by `pmnet-pmem`'s crash sweep (ROADMAP.md,
-/// carried deletion tail).
+/// applies into `PersistentKv` (WAL + checkpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplyConfig {
     /// Apply workers. 1 disables the pool entirely (sequential path).

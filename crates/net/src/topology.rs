@@ -2,15 +2,15 @@
 //!
 //! The evaluation mostly uses a single rack (clients → merge switch → ToR
 //! → server), but PMNet is a data-center design: devices route per
-//! destination and log entries are keyed per server. These helpers build
-//! the common shapes — stars, lines, and two-tier (rack/spine) fabrics —
-//! so multi-server and multi-rack scenarios stay one-liners.
+//! destination and log entries are keyed per server. These helpers wire a
+//! star and validate the shard map of a sharded fabric before any node is
+//! built.
 
 use std::fmt;
 
 use pmnet_sim::NodeId;
 
-use crate::{Addr, AnyNode, LinkSpec, Switch, World};
+use crate::{Addr, LinkSpec, World};
 
 /// One shard of a sharded fabric: the chain of device addresses serving
 /// it, head first. A single-element chain is an unreplicated shard.
@@ -98,82 +98,10 @@ pub fn star(world: &mut World, center: NodeId, leaves: &[NodeId], spec: LinkSpec
     }
 }
 
-/// Connects `nodes` in a chain: `nodes[0] — nodes[1] — …`.
-pub fn line(world: &mut World, nodes: &[NodeId], spec: LinkSpec) {
-    for pair in nodes.windows(2) {
-        world.connect(pair[0], pair[1], spec);
-    }
-}
-
-/// A rack: a ToR switch with hosts attached.
-#[derive(Debug)]
-pub struct Rack {
-    /// The rack's ToR switch.
-    pub tor: NodeId,
-    /// The hosts in the rack, in insertion order.
-    pub hosts: Vec<NodeId>,
-}
-
-/// Builds a rack: creates a ToR switch named `name` and attaches `hosts`.
-pub fn rack(world: &mut World, name: &str, hosts: Vec<Box<dyn AnyNode>>, spec: LinkSpec) -> Rack {
-    let tor = world.add_node(Box::new(Switch::new(name)));
-    let mut ids = Vec::new();
-    for h in hosts {
-        let id = world.add_node(h);
-        world.connect(id, tor, spec);
-        ids.push(id);
-    }
-    Rack { tor, hosts: ids }
-}
-
-/// Builds a two-tier fabric: a spine switch interconnecting the given
-/// racks. Returns the spine's node id. Call
-/// [`World::populate_switch_routes`] afterwards.
-pub fn spine(world: &mut World, racks: &[Rack], spec: LinkSpec) -> NodeId {
-    let spine = world.add_node(Box::new(Switch::new("spine")));
-    for r in racks {
-        world.connect(r.tor, spine, spec);
-    }
-    spine
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, EchoHost, Packet};
-    use bytes::Bytes;
-    use pmnet_sim::Dur;
-
-    #[test]
-    fn two_rack_fabric_routes_across_the_spine() {
-        let mut w = World::new(7);
-        let rack_a = rack(
-            &mut w,
-            "tor-a",
-            vec![
-                Box::new(EchoHost::sink(Addr(1))),
-                Box::new(EchoHost::sink(Addr(2))),
-            ],
-            LinkSpec::ten_gbps(),
-        );
-        let rack_b = rack(
-            &mut w,
-            "tor-b",
-            vec![Box::new(EchoHost::sink(Addr(10)))],
-            LinkSpec::ten_gbps(),
-        );
-        spine(&mut w, &[rack_a, rack_b].map(|r| r), LinkSpec::ten_gbps());
-        w.populate_switch_routes();
-        // Host 1 (rack A) -> host 10 (rack B): crosses both ToRs + spine.
-        w.inject(
-            pmnet_sim::NodeId(1),
-            Packet::udp(Addr(1), Addr(10), 5, 6, Bytes::from_static(b"x")),
-        );
-        w.run_for(Dur::millis(1));
-        // rack_b was moved; find host 10 by its known insertion order:
-        // nodes: tor-a(0), h1(1), h2(2), tor-b(3), h10(4), spine(5).
-        assert_eq!(w.node::<EchoHost>(pmnet_sim::NodeId(4)).received(), 1);
-    }
+    use crate::{EchoHost, Switch};
 
     #[test]
     fn shard_validation_accepts_distinct_chains() {
@@ -234,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn star_and_line_wire_expected_port_counts() {
+    fn star_wires_one_port_per_leaf() {
         let mut w = World::new(1);
         let c = w.add_node(Box::new(Switch::new("hub")));
         let leaves: Vec<_> = (0..4)
@@ -242,12 +170,5 @@ mod tests {
             .collect();
         star(&mut w, c, &leaves, LinkSpec::ten_gbps());
         assert_eq!(w.ports().port_count(c), 4);
-
-        let chain: Vec<_> = (0..3)
-            .map(|i| w.add_node(Box::new(Switch::new(format!("s{i}")))))
-            .collect();
-        line(&mut w, &chain, LinkSpec::ten_gbps());
-        assert_eq!(w.ports().port_count(chain[1]), 2);
-        assert_eq!(w.ports().port_count(chain[0]), 1);
     }
 }

@@ -17,6 +17,15 @@
 //! The unfenced set is tracked densely (DESIGN.md §10.4): a dirty bit and
 //! a flushed bit per line plus one undo log of pre-images, so the store
 //! path neither hashes nor, once the log has grown, allocates.
+//!
+//! The arena is also its own crash injector. Every [`PmArena::fence`] and
+//! [`PmArena::set_root`] is a numbered *persist point*; [`PmArena::arm`]
+//! cuts the power at the N-th one from now. The tripped fence and every
+//! later store, flush and fence are dropped, so the code under test runs
+//! on to its end unaware — no error threads through it — and the next
+//! [`PmArena::crash`] decides what the media kept of the lines that were
+//! still unfenced at the cut. `tests/crash_sweep.rs` kills the serving
+//! store at every persist point this way.
 
 use std::fmt;
 
@@ -93,6 +102,12 @@ pub struct PmArena {
     free_lists: [Vec<usize>; usize::BITS as usize],
     root: u64,
     stats: ArenaStats,
+    /// Fences and root updates issued so far, dropped ones included.
+    persist_points: u64,
+    /// The persist point that cuts the power (0: unarmed).
+    trip_at: u64,
+    /// Power is cut: stores, flushes and persist points are dropped.
+    off: bool,
 }
 
 impl fmt::Debug for PmArena {
@@ -124,6 +139,9 @@ impl PmArena {
             free_lists: std::array::from_fn(|_| Vec::new()),
             root: 0,
             stats: ArenaStats::default(),
+            persist_points: 0,
+            trip_at: 0,
+            off: false,
         }
     }
 
@@ -194,7 +212,7 @@ impl PmArena {
             bytes.len(),
             self.data.len()
         );
-        if bytes.is_empty() {
+        if bytes.is_empty() || self.off {
             return;
         }
         for line in start / LINE..=(start + bytes.len() - 1) / LINE {
@@ -245,6 +263,9 @@ impl PmArena {
         assert!(len > 0, "zero-length flush");
         let start = ptr.offset();
         assert!(start + len <= self.data.len(), "flush out of bounds");
+        if self.off {
+            return;
+        }
         for line in start / LINE..=(start + len - 1) / LINE {
             let (word, mask) = bit(line);
             if self.dirty[word] & !self.flushed[word] & mask != 0 {
@@ -255,8 +276,11 @@ impl PmArena {
     }
 
     /// Orders all issued flushes (`sfence`): every flushed line becomes
-    /// durable.
+    /// durable. One persist point.
     pub fn fence(&mut self) {
+        if !self.persist_point() {
+            return;
+        }
         let (dirty, flushed) = (&mut self.dirty, &mut self.flushed);
         self.undo.retain(|&(line, _)| {
             let (word, mask) = bit(line);
@@ -275,8 +299,12 @@ impl PmArena {
     }
 
     /// Sets the durable root pointer (flushed and fenced immediately; real
-    /// PM roots live at a fixed offset — we model the same atomicity).
+    /// PM roots live at a fixed offset — we model the same atomicity). One
+    /// persist point.
     pub fn set_root(&mut self, v: u64) {
+        if !self.persist_point() {
+            return;
+        }
         self.root = v;
         self.stats.flushes += 1;
         self.stats.fences += 1;
@@ -285,6 +313,37 @@ impl PmArena {
     /// Reads the root pointer.
     pub fn root(&self) -> u64 {
         self.root
+    }
+
+    /// Persist points issued so far: every [`fence`](PmArena::fence) and
+    /// [`set_root`](PmArena::set_root), including the one that tripped and
+    /// those dropped after it.
+    pub fn persist_points(&self) -> u64 {
+        self.persist_points
+    }
+
+    /// Arms the crash injector: counting from now, the `nth` persist point
+    /// (1-based) cuts the power instead of persisting. It and every later
+    /// store, flush and persist point are dropped until the next
+    /// [`crash`](PmArena::crash) or
+    /// [`crash_losing_all`](PmArena::crash_losing_all), which also clears
+    /// a trip that has not fired.
+    pub fn arm(&mut self, nth: u64) {
+        assert!(nth >= 1, "persist points are 1-based");
+        self.trip_at = self.persist_points + nth;
+    }
+
+    /// True from the tripped persist point to the next crash.
+    pub fn powered_off(&self) -> bool {
+        self.off
+    }
+
+    /// Counts one persist point, tripping if it is the armed one. False
+    /// when the power is off and the caller must drop its effect.
+    fn persist_point(&mut self) -> bool {
+        self.persist_points += 1;
+        self.off |= self.persist_points == self.trip_at;
+        !self.off
     }
 
     /// Simulates a power failure: each dirty line independently either
@@ -308,6 +367,8 @@ impl PmArena {
     /// Visits the dirty lines in ascending order (determinism: one `lose`
     /// draw per line, independent of store order), reverting those lost.
     fn crash_with(&mut self, mut lose: impl FnMut() -> bool) -> usize {
+        self.trip_at = 0;
+        self.off = false;
         self.undo.sort_unstable_by_key(|&(line, _)| line);
         let mut lost = 0;
         for (line, durable) in self.undo.drain(..) {

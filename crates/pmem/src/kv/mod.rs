@@ -6,30 +6,17 @@
 //! with [`OpStats`] counters (nodes visited, key comparisons, bytes moved)
 //! so the server model can derive per-request service times from work
 //! actually done, rather than from a fixed constant. Crash consistency is
-//! provided one level up by [`crate::PersistentKv`] (WAL + checkpoint).
-//!
-//! The hash map and skip list additionally exist as *detectably
-//! recoverable* PM-native conversions ([`DetectableHashMap`],
-//! [`DetectableSkipList`]) built from the [`crate::ploc`] primitives:
-//! every mutation carries an `op_seq`, persists its memento before the
-//! structure changes, and replays exactly-once after a crash. Nothing
-//! serves requests from them yet: the KV handler (sequential or pooled
-//! apply) uses the plain [`store_by_name`] indexes under
-//! [`crate::PersistentKv`], and only `tests/crash_sweep.rs` reaches the
-//! detectable pair (ROADMAP.md, carried deletion tail).
+//! provided one level up by [`crate::PersistentKv`] (WAL + checkpoint),
+//! which is what the KV handler serves from, sequential or pooled apply.
 
 mod btree;
 mod crit_bit;
-mod dhashmap;
-mod dskiplist;
 mod hashmap;
 mod rbtree;
 mod skiplist;
 
 pub use btree::BTreeKv;
 pub use crit_bit::CritBitKv;
-pub use dhashmap::DetectableHashMap;
-pub use dskiplist::DetectableSkipList;
 pub use hashmap::HashMapKv;
 pub use rbtree::RbTreeKv;
 pub use skiplist::SkipListKv;

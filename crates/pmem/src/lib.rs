@@ -11,20 +11,17 @@
 //! * [`PmArena`] — a byte-addressable persistence simulation with
 //!   cache-line granularity: stores are volatile until flushed and fenced;
 //!   [`PmArena::crash`] persists a *random subset* of unfenced lines, the
-//!   adversarial semantics real write-back caches have.
+//!   adversarial semantics real write-back caches have. It numbers its own
+//!   persist points and [`PmArena::arm`] cuts the power at any one of them.
 //! * [`Wal`] — a checksummed write-ahead redo log on a [`PmArena`].
 //! * [`kv`] — five key-value structures mirroring the paper's PMDK
 //!   workloads (B-Tree, C-Tree/crit-bit, RB-Tree, Hashmap, Skip list), each
 //!   instrumented with [`kv::OpStats`] so server service times can be
 //!   derived from real work done.
-//! * [`PersistentKv`] — a crash-consistent store combining a KV structure
-//!   with a [`Wal`] and checkpoints; after any crash, recovery replays the
-//!   log over the last checkpoint.
-//! * [`ploc`] — detectable-recovery primitives ([`Checkpoint`],
-//!   [`DetectableCas`]): per-op memento slots persisted before the ack
-//!   path observes them, so replaying an op after a crash is exactly-once;
-//!   [`kv::DetectableHashMap`] and [`kv::DetectableSkipList`] are built
-//!   from them (crash-swept, but not yet what the KV handler serves from).
+//! * [`PersistentKv`] — the crash-consistent store every KV request is
+//!   served from: a KV structure, a [`Wal`] and out-of-place checkpoints;
+//!   after any crash, recovery replays the log over the last checkpoint.
+//!   `tests/crash_sweep.rs` kills it at every persist point.
 //!
 //! Substitution note (see DESIGN.md): the paper's PMDK workloads run PMDK
 //! transactions directly on Optane. We substitute a redo-log +
@@ -43,12 +40,10 @@ mod persistent;
 mod wal;
 
 pub mod kv;
-pub mod ploc;
 
 pub use arena::{ArenaStats, PmArena, PmPtr, LINE};
 pub use cost::CostModel;
 pub use crc32::{crc32, crc32_finish, crc32_init, crc32_update};
 pub use device::{PmDevice, PmDeviceConfig, PmDeviceCounters};
 pub use persistent::{KvOp, PersistentKv};
-pub use ploc::{CasOutcome, Checkpoint, Crashed, DetectableCas, PlocHeap};
 pub use wal::{Wal, WalStats};

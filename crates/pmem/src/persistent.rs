@@ -8,13 +8,21 @@
 //! in-network redo log cooperates with after a failure (Section IV-E:
 //! the server's last applied sequence number must itself be recoverable —
 //! it is stored through this same path).
+//!
+//! Checkpoints are written out of place. The arena holds two image slots,
+//! each `[len:u32][generation:u32][entries]`; generation `g` goes to slot
+//! `g & 1`, so the image recovery would load is never the one being
+//! written, and its header word is stored only after its entries are
+//! fenced. The slot with the larger generation is the live image, and its
+//! generation is the WAL's epoch: the fence under the header word retires
+//! the previous image and every record logged over it together.
 
 use std::fmt;
 
 use pmnet_sim::SimRng;
 
 use crate::kv::{KvStore, OpStats};
-use crate::{ArenaStats, PmArena, PmPtr, Wal};
+use crate::{ArenaStats, PmArena, PmPtr, Wal, LINE};
 
 /// A mutating operation on a [`PersistentKv`]: a view of key and value
 /// bytes wherever they already live (a wire buffer, a WAL record). Its WAL
@@ -69,9 +77,8 @@ impl<'a> KvOp<'a> {
     }
 }
 
-/// Layout of the durable root word: `(checkpoint_ptr, wal_ptr)` packed into
-/// two u64 halves is impossible in one word, so the root points at a small
-/// superblock holding both.
+/// The root points at a superblock of four words: WAL region, WAL
+/// capacity, first image slot, bytes per image slot.
 const SUPERBLOCK_LEN: usize = 32;
 
 /// A crash-consistent KV store over a [`PmArena`].
@@ -79,10 +86,20 @@ pub struct PersistentKv {
     arena: PmArena,
     wal: Wal,
     index: Box<dyn KvStore>,
-    checkpoint_ptr: PmPtr,
-    checkpoint_cap: usize,
+    /// The first of the two image slots.
+    images: PmPtr,
+    /// Bytes per image slot, header word included.
+    image_cap: usize,
+    /// Generation of the live image.
+    generation: u32,
     ops_since_checkpoint: u64,
     applied: u64,
+}
+
+/// Where the image of `generation` lives. Slots are a whole number of lines
+/// apart, so an image flushes the same lines in either.
+fn image_slot(images: PmPtr, image_cap: usize, generation: u32) -> PmPtr {
+    PmPtr(images.0 + (generation as u64 & 1) * image_cap as u64)
 }
 
 impl fmt::Debug for PersistentKv {
@@ -96,8 +113,9 @@ impl fmt::Debug for PersistentKv {
 }
 
 impl PersistentKv {
-    /// Creates a fresh store with the given index structure, arena size and
-    /// WAL/checkpoint region sizes.
+    /// Creates a fresh store with the given index structure, arena size,
+    /// WAL size and the largest checkpoint image it must hold (two image
+    /// slots of that size are allocated).
     ///
     /// # Panics
     ///
@@ -111,33 +129,35 @@ impl PersistentKv {
         let mut arena = PmArena::new(arena_bytes);
         let superblock = arena.alloc(SUPERBLOCK_LEN).expect("arena too small");
         let wal = Wal::create(&mut arena, wal_bytes).expect("arena too small for WAL");
-        let checkpoint_ptr = arena
-            .alloc(checkpoint_bytes)
+        let image_cap = checkpoint_bytes.next_multiple_of(LINE);
+        let images = arena
+            .alloc(2 * image_cap)
             .expect("arena too small for checkpoint");
-        // Empty checkpoint: length 0, durable.
-        arena.write(checkpoint_ptr, &0u64.to_le_bytes());
-        arena.persist(checkpoint_ptr, 8);
-        // Superblock: wal region, wal cap, checkpoint region, checkpoint cap.
+        // Generation 0: an empty image, durable.
+        arena.write_u64(images, 0);
+        arena.persist(images, 8);
         arena.write_u64(superblock, wal.region().0);
         arena.write_u64(PmPtr(superblock.0 + 8), wal_bytes as u64);
-        arena.write_u64(PmPtr(superblock.0 + 16), checkpoint_ptr.0);
-        arena.write_u64(PmPtr(superblock.0 + 24), checkpoint_bytes as u64);
+        arena.write_u64(PmPtr(superblock.0 + 16), images.0);
+        arena.write_u64(PmPtr(superblock.0 + 24), image_cap as u64);
         arena.persist(superblock, SUPERBLOCK_LEN);
         arena.set_root(superblock.0);
         PersistentKv {
             arena,
             wal,
             index,
-            checkpoint_ptr,
-            checkpoint_cap: checkpoint_bytes,
+            images,
+            image_cap,
+            generation: 0,
             ops_since_checkpoint: 0,
             applied: 0,
         }
     }
 
-    /// A convenient default sizing for tests and workloads.
+    /// A convenient default sizing for tests and workloads: a 64 MiB arena
+    /// holding a 16 MiB WAL and two 16 MiB image slots.
     pub fn with_defaults(index: Box<dyn KvStore>) -> PersistentKv {
-        PersistentKv::create(index, 64 << 20, 16 << 20, 32 << 20)
+        PersistentKv::create(index, 64 << 20, 16 << 20, 16 << 20)
     }
 
     /// The index structure's paper name.
@@ -190,26 +210,27 @@ impl PersistentKv {
         }
     }
 
-    /// Serializes the full index into the checkpoint region and truncates
-    /// the WAL.
+    /// Serializes the full index into the image slot the live image does
+    /// not occupy, makes it the live one and truncates the WAL.
     ///
     /// # Panics
     ///
-    /// Panics if the serialized index exceeds the checkpoint region.
+    /// Panics if the serialized index exceeds an image slot.
     pub fn checkpoint(&mut self) {
         let mut len = 0;
         self.index
             .for_each(&mut |k, v| len += 8 + k.len() + v.len());
         assert!(
-            len + 8 <= self.checkpoint_cap,
+            len + 8 <= self.image_cap,
             "checkpoint region too small: need {}",
             len + 8
         );
-        // Write payload first, then the length word, so a torn checkpoint
-        // is never exposed (the old length keeps pointing at old data only
-        // if lengths were equal — we accept the standard double-buffer
-        // simplification of writing length last with a fence between).
-        let data_ptr = PmPtr(self.checkpoint_ptr.0 + 8);
+        let generation = self.generation + 1;
+        let slot = image_slot(self.images, self.image_cap, generation);
+        // Entries first, then the header word with a fence between: until
+        // that word is durable recovery reads the slot's stale, smaller
+        // generation and loads the other slot, which nothing here touches.
+        let data_ptr = PmPtr(slot.0 + 8);
         if len > 0 {
             // Entries go from the index straight into the region, as
             // `[klen:u32][vlen:u32][key][value]` back to back.
@@ -226,16 +247,26 @@ impl PersistentKv {
             });
             arena.persist(data_ptr, len);
         }
+        let len = u32::try_from(len).expect("image slots are under 4 GiB");
         self.arena
-            .write(self.checkpoint_ptr, &(len as u64).to_le_bytes());
-        self.arena.persist(self.checkpoint_ptr, 8);
-        self.wal.reset(&mut self.arena);
+            .write_u64(slot, (generation as u64) << 32 | len as u64);
+        self.arena.persist(slot, 8);
+        self.generation = generation;
+        // The log's records are of the retired epoch now, whether or not
+        // the reset below gets to run.
+        self.wal.reset(&mut self.arena, generation);
         self.ops_since_checkpoint = 0;
     }
 
     /// Mutations applied since the last checkpoint.
     pub fn ops_since_checkpoint(&self) -> u64 {
         self.ops_since_checkpoint
+    }
+
+    /// The arena under the store: the crash injector's handle
+    /// ([`PmArena::arm`], [`PmArena::crash_losing_all`]).
+    pub fn arena_mut(&mut self) -> &mut PmArena {
+        &mut self.arena
     }
 
     /// Simulates a power failure, consuming the store and returning the
@@ -260,11 +291,15 @@ impl PersistentKv {
         );
         let wal_region = PmPtr(arena.read_u64(superblock));
         let wal_cap = arena.read_u64(PmPtr(superblock.0 + 8)) as usize;
-        let checkpoint_ptr = PmPtr(arena.read_u64(PmPtr(superblock.0 + 16)));
-        let checkpoint_cap = arena.read_u64(PmPtr(superblock.0 + 24)) as usize;
-        // Load checkpoint.
-        let blob_len = arena.read_u64(checkpoint_ptr) as usize;
-        let blob = arena.read(PmPtr(checkpoint_ptr.0 + 8), blob_len).to_vec();
+        let images = PmPtr(arena.read_u64(PmPtr(superblock.0 + 16)));
+        let image_cap = arena.read_u64(PmPtr(superblock.0 + 24)) as usize;
+        // Load the live image. The generation is the high half of a
+        // slot's header word, so the larger word is the live slot's.
+        let [even, odd] = [0, 1].map(|g| arena.read_u64(image_slot(images, image_cap, g)));
+        let head = even.max(odd);
+        let generation = (head >> 32) as u32;
+        let slot = image_slot(images, image_cap, generation);
+        let blob = arena.read(PmPtr(slot.0 + 8), head as u32 as usize).to_vec();
         let mut off = 0;
         while off + 8 <= blob.len() {
             let klen = u32::from_le_bytes(blob[off..off + 4].try_into().expect("4 bytes")) as usize;
@@ -278,7 +313,7 @@ impl PersistentKv {
             index.insert(key, value);
         }
         // Replay WAL.
-        let (wal, records) = Wal::recover(&mut arena, wal_region, wal_cap);
+        let (wal, records) = Wal::recover(&mut arena, wal_region, wal_cap, generation);
         let mut applied = 0;
         for r in &records {
             let op = KvOp::decode(r).expect("WAL record passed CRC but failed to parse");
@@ -296,8 +331,9 @@ impl PersistentKv {
             arena,
             wal,
             index,
-            checkpoint_ptr,
-            checkpoint_cap,
+            images,
+            image_cap,
+            generation,
             ops_since_checkpoint: applied,
             applied,
         }
@@ -424,6 +460,28 @@ mod tests {
         assert_eq!(r.len(), 20);
         // Nothing replayed: it all came from the checkpoint.
         assert_eq!(r.applied_ops(), 0);
+    }
+
+    /// `KvHandler` turns flushes and fences into service time, so these
+    /// counts are under every pinned digest: 4 + 4 to create, and per
+    /// checkpoint the image's lines, its header word and the WAL
+    /// terminator under three fences, in either slot.
+    #[test]
+    fn create_and_checkpoint_keep_their_flush_and_fence_counts() {
+        let mut kv = PersistentKv::with_defaults(store_by_name("btree", 0));
+        let s = kv.take_arena_stats();
+        assert_eq!((s.flushes, s.fences), (4, 4));
+        for round in 0..3u8 {
+            kv.apply(&KvOp::Put {
+                key: b"k",
+                value: &[round; 100],
+            });
+            kv.take_arena_stats();
+            kv.checkpoint();
+            let s = kv.take_arena_stats();
+            // A slot starts 32 bytes into a line: 32 + 8 + 109 bytes.
+            assert_eq!((s.flushes, s.fences), (3 + 2, 3), "checkpoint {round}");
+        }
     }
 
     #[test]

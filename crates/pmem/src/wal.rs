@@ -6,8 +6,15 @@
 //! that exceeds the region, or a CRC mismatch (a torn record from a crash
 //! mid-append). This is the same redo discipline PMNet itself applies to
 //! in-flight requests — the logged packet *is* the redo record.
+//!
+//! Every CRC is seeded with the log's *epoch*, a number its owner keeps
+//! durable and raises at each [`Wal::reset`]. Truncation only rewrites the
+//! first length word, so the bytes of older records stay in the region,
+//! and a torn append that keeps its own lines but loses the line holding
+//! its terminator lets the scan run on into them. Under the current epoch
+//! they fail the CRC like any other hole.
 
-use crate::crc32::{crc32, crc32_finish, crc32_init, crc32_update};
+use crate::crc32::{crc32_finish, crc32_init, crc32_update};
 use crate::{PmArena, PmPtr};
 
 const HEADER: usize = 8;
@@ -29,11 +36,18 @@ pub struct Wal {
     region: PmPtr,
     capacity: usize,
     tail: usize,
+    /// The CRC state every record of the current epoch starts from.
+    seed: u32,
     stats: WalStats,
 }
 
+/// The CRC state every record of `epoch` starts from.
+fn crc_seed(epoch: u32) -> u32 {
+    crc32_update(crc32_init(), &epoch.to_le_bytes())
+}
+
 impl Wal {
-    /// Allocates a `capacity`-byte log region in `arena`.
+    /// Allocates a `capacity`-byte log region in `arena`, at epoch 0.
     ///
     /// Returns `None` if the arena cannot fit the region.
     pub fn create(arena: &mut PmArena, capacity: usize) -> Option<Wal> {
@@ -45,6 +59,7 @@ impl Wal {
             region,
             capacity,
             tail: 0,
+            seed: crc_seed(0),
             stats: WalStats::default(),
         })
     }
@@ -84,7 +99,7 @@ impl Wal {
             return false;
         }
         let base = PmPtr(self.region.0 + self.tail as u64);
-        let crc = crc32_finish(parts.iter().fold(crc32_init(), |s, p| crc32_update(s, p)));
+        let crc = crc32_finish(parts.iter().fold(self.seed, |s, p| crc32_update(s, p)));
         // Write payload and CRC first, then the length word: a record only
         // becomes visible to recovery once its length is durable, and the
         // CRC catches a torn length/payload pair.
@@ -104,9 +119,15 @@ impl Wal {
         true
     }
 
-    /// Scans the region and returns every intact record in append order.
-    /// Used after a crash; also rebuilds the in-memory tail.
-    pub fn recover(arena: &mut PmArena, region: PmPtr, capacity: usize) -> (Wal, Vec<Vec<u8>>) {
+    /// Scans the region and returns every intact record of `epoch` in
+    /// append order. Used after a crash; also rebuilds the in-memory tail.
+    pub fn recover(
+        arena: &mut PmArena,
+        region: PmPtr,
+        capacity: usize,
+        epoch: u32,
+    ) -> (Wal, Vec<Vec<u8>>) {
+        let seed = crc_seed(epoch);
         let mut records = Vec::new();
         let mut off = 0usize;
         loop {
@@ -128,8 +149,8 @@ impl Wal {
                 u32::from_le_bytes(b)
             };
             let payload = arena.read(PmPtr(base.0 + 8), len).to_vec();
-            if crc32(&payload) != crc_stored {
-                break; // torn record: ignore it and everything after
+            if crc32_finish(crc32_update(seed, &payload)) != crc_stored {
+                break; // torn or pre-reset record: ignore it and everything after
             }
             records.push(payload);
             off += HEADER + len;
@@ -138,16 +159,20 @@ impl Wal {
             region,
             capacity,
             tail: off,
+            seed,
             stats: WalStats::default(),
         };
         (wal, records)
     }
 
-    /// Truncates the log (after a checkpoint made its contents redundant).
-    pub fn reset(&mut self, arena: &mut PmArena) {
+    /// Truncates the log (after a checkpoint made its contents redundant)
+    /// and starts `epoch`, which the caller has already made durable and
+    /// which no earlier record of this region carries.
+    pub fn reset(&mut self, arena: &mut PmArena, epoch: u32) {
         arena.write(self.region, &0u32.to_le_bytes());
         arena.persist(self.region, 4);
         self.tail = 0;
+        self.seed = crc_seed(epoch);
         self.stats.resets += 1;
     }
 }
@@ -169,7 +194,7 @@ mod tests {
         for i in 0..10u8 {
             assert!(wal.append(&mut arena, &[&[i; 10]]));
         }
-        let (recovered, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+        let (recovered, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 10);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r, &vec![i as u8; 10]);
@@ -184,7 +209,7 @@ mod tests {
             wal.append(&mut arena, &[&[i; 20]]);
         }
         arena.crash_losing_all(); // appends are fenced: nothing to lose
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 5);
     }
 
@@ -198,7 +223,7 @@ mod tests {
         arena.write(PmPtr(base.0 + 4), &0xDEAD_BEEFu32.to_le_bytes());
         arena.write(PmPtr(base.0 + 8), b"torn");
         arena.write(base, &4u32.to_le_bytes());
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0], b"intact-record");
     }
@@ -213,7 +238,7 @@ mod tests {
                 wal.append(&mut arena, &[&[i as u8 + 1; 33]]);
             }
             arena.crash(&mut rng);
-            let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+            let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
             // All appends were fenced, so all must be recovered intact, in
             // order.
             assert_eq!(records.len(), n);
@@ -229,7 +254,7 @@ mod tests {
         assert!(wal.append(&mut arena, &[&[1; 16]]));
         assert!(!wal.append(&mut arena, &[&[2; 64]]));
         // The rejected append must not corrupt the log.
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 1);
     }
 
@@ -237,11 +262,29 @@ mod tests {
     fn reset_truncates_durably() {
         let (mut arena, mut wal) = setup(4096);
         wal.append(&mut arena, &[b"abc"]);
-        wal.reset(&mut arena);
+        wal.reset(&mut arena, 1);
         arena.crash_losing_all();
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 1);
         assert!(records.is_empty());
         assert_eq!(wal.stats().resets, 1);
+    }
+
+    #[test]
+    fn records_of_an_earlier_epoch_are_holes() {
+        let (mut arena, mut wal) = setup(4096);
+        wal.append(&mut arena, &[b"first"]);
+        wal.append(&mut arena, &[b"second"]);
+        wal.reset(&mut arena, 1);
+        wal.append(&mut arena, &[b"third"]);
+        // "third" ends where "second" began: put the old length word back
+        // over the new terminator, as a torn append that lost that line
+        // would leave it.
+        let old = PmPtr(wal.region().0 + wal.used() as u64);
+        arena.write(old, &6u32.to_le_bytes());
+        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 1);
+        assert_eq!(records, [b"third"]);
+        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        assert!(records.is_empty(), "the live record is a hole to epoch 0");
     }
 
     #[test]
@@ -283,7 +326,8 @@ mod tests {
         let cap = by_parts.capacity();
         assert_eq!(by_parts.read(PmPtr(0), cap), joined.read(PmPtr(0), cap));
         by_parts.crash(&mut rng);
-        let (_, recovered) = Wal::recover(&mut by_parts, wal_parts.region(), wal_parts.capacity());
+        let (_, recovered) =
+            Wal::recover(&mut by_parts, wal_parts.region(), wal_parts.capacity(), 0);
         let want: Vec<Vec<u8>> = records.iter().map(|parts| parts.concat()).collect();
         assert_eq!(recovered, want);
     }

@@ -1,6 +1,7 @@
 //! Property tests for the PM arena's crash semantics: fenced data always
 //! survives, every line is atomic (pre- or post-state, never torn), the
 //! dense dirty-line tracker is indistinguishable from the map it replaced,
+//! an armed arena is the unarmed one cut off at the tripped persist point,
 //! and the WAL-over-arena discipline recovers a consistent prefix.
 
 use std::collections::HashMap;
@@ -89,6 +90,34 @@ enum TrackerOp {
     Fence,
 }
 
+impl TrackerOp {
+    /// Issues the op to the arena and, when given, to the oracle.
+    fn run(&self, arena: &mut PmArena, oracle: Option<&mut MapArena>) {
+        match *self {
+            TrackerOp::Write(at, len, fill) => {
+                // Distinct bytes, so a misplaced pre-image shows.
+                let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                arena.write(PmPtr(at as u64), &bytes);
+                if let Some(oracle) = oracle {
+                    oracle.write(at, &bytes);
+                }
+            }
+            TrackerOp::Flush(at, len) => {
+                arena.flush(PmPtr(at as u64), len);
+                if let Some(oracle) = oracle {
+                    oracle.flush(at, len);
+                }
+            }
+            TrackerOp::Fence => {
+                arena.fence();
+                if let Some(oracle) = oracle {
+                    oracle.fence();
+                }
+            }
+        }
+    }
+}
+
 fn tracker_op() -> impl Strategy<Value = TrackerOp> {
     let write = || {
         (0..DIFF_CAPACITY, 0usize..300, any::<u8>())
@@ -138,22 +167,7 @@ proptest! {
         let mut arena = PmArena::new(DIFF_CAPACITY);
         let mut oracle = MapArena::new(DIFF_CAPACITY);
         for op in &ops {
-            match *op {
-                TrackerOp::Write(at, len, fill) => {
-                    // Distinct bytes, so a misplaced pre-image shows.
-                    let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    arena.write(PmPtr(at as u64), &bytes);
-                    oracle.write(at, &bytes);
-                }
-                TrackerOp::Flush(at, len) => {
-                    arena.flush(PmPtr(at as u64), len);
-                    oracle.flush(at, len);
-                }
-                TrackerOp::Fence => {
-                    arena.fence();
-                    oracle.fence();
-                }
-            }
+            op.run(&mut arena, Some(&mut oracle));
             prop_assert_eq!(arena.dirty_lines(), oracle.dirty.len());
             prop_assert_eq!(arena.stats(), oracle.stats);
         }
@@ -170,6 +184,46 @@ proptest! {
         // The tracker is clean again: fresh stores start a fresh set.
         arena.write(PmPtr(0), &[1; 2 * LINE]);
         prop_assert_eq!(arena.dirty_lines(), 2);
+    }
+
+    /// An armed arena is the unarmed one with the power cut at the tripped
+    /// fence: the oracle is fed only the ops before it, and after either
+    /// kind of crash both hold the same bytes. So the tripped fence
+    /// commits nothing, no later store survives, and lines left unfenced
+    /// at the cut are kept or lost as in any crash.
+    #[test]
+    fn armed_arena_is_the_oracle_cut_at_the_tripped_fence(
+        ops in prop::collection::vec(tracker_op(), 0..80),
+        nth in 1u64..12,
+        seed in any::<u64>(),
+        lose_all in any::<bool>(),
+    ) {
+        let mut arena = PmArena::new(DIFF_CAPACITY);
+        let mut oracle = MapArena::new(DIFF_CAPACITY);
+        arena.arm(nth);
+        let mut fences = 0;
+        for op in &ops {
+            fences += u64::from(matches!(op, TrackerOp::Fence));
+            op.run(&mut arena, (fences < nth).then_some(&mut oracle));
+            prop_assert_eq!(arena.powered_off(), fences >= nth);
+        }
+        prop_assert_eq!(arena.persist_points(), fences);
+        let (mut rng, mut oracle_rng) = (SimRng::seed(seed), SimRng::seed(seed));
+        let (lost, oracle_lost) = if lose_all {
+            (arena.crash_losing_all(), oracle.crash(None))
+        } else {
+            (arena.crash(&mut rng), oracle.crash(Some(&mut oracle_rng)))
+        };
+        prop_assert_eq!(lost, oracle_lost);
+        prop_assert_eq!(arena.read(PmPtr(0), DIFF_CAPACITY), &oracle.data[..]);
+        // The crash restored power and cleared the trip, fired or not.
+        prop_assert!(!arena.powered_off());
+        for _ in 0..nth {
+            arena.write_u64(PmPtr(0), seed | 1);
+            arena.persist(PmPtr(0), 8);
+        }
+        arena.crash_losing_all();
+        prop_assert_eq!(arena.read_u64(PmPtr(0)), seed | 1);
     }
 
     /// After any op sequence and a random crash: every slot holds either
@@ -261,7 +315,50 @@ proptest! {
         }
         let mut rng = SimRng::seed(seed);
         arena.crash(&mut rng);
-        let (_, recovered) = Wal::recover(&mut arena, wal.region(), wal.capacity());
+        let (_, recovered) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
         prop_assert_eq!(recovered, records);
     }
+}
+
+#[test]
+fn arming_is_one_shot_and_counts_from_now() {
+    let mut pm = PmArena::new(4096);
+    let p = pm.alloc(8).expect("fits");
+    pm.write_u64(p, 1);
+    pm.persist(p, 8);
+    assert_eq!(pm.persist_points(), 1);
+    pm.arm(2);
+    pm.write_u64(p, 2);
+    pm.persist(p, 8);
+    assert!(
+        !pm.powered_off(),
+        "the first point from now is not the second"
+    );
+    pm.write_u64(p, 3);
+    pm.persist(p, 8);
+    assert!(pm.powered_off());
+    pm.write_u64(p, 4);
+    pm.persist(p, 8);
+    assert_eq!(pm.persist_points(), 4, "dropped points still count");
+    assert_eq!(pm.read_u64(p), 3, "a store after the trip never happened");
+    pm.crash_losing_all();
+    assert_eq!(pm.read_u64(p), 2, "the tripped fence committed nothing");
+    pm.write_u64(p, 5);
+    pm.persist(p, 8);
+    pm.crash_losing_all();
+    assert_eq!(pm.read_u64(p), 5, "the trip fired once");
+}
+
+#[test]
+fn set_root_is_a_persist_point() {
+    let mut pm = PmArena::new(4096);
+    pm.set_root(7);
+    assert_eq!(pm.persist_points(), 1);
+    pm.arm(1);
+    pm.set_root(9);
+    assert!(pm.powered_off());
+    pm.crash_losing_all();
+    assert_eq!(pm.root(), 7, "the tripped root update was dropped");
+    pm.set_root(9);
+    assert_eq!((pm.root(), pm.persist_points()), (9, 3));
 }
