@@ -24,9 +24,10 @@
 //! Modes: `--fast` shrinks the workload for CI smoke runs; `--gate`
 //! exits nonzero when the overhead bound is breached.
 
+use std::time::Instant;
+
 use pmnet_core::system::{DesignPoint, SystemBuilder};
 use pmnet_core::SystemConfig;
-use pmnet_sim::meter::Meter;
 use pmnet_sim::Dur;
 use pmnet_telemetry::Telemetry;
 use pmnet_workloads::{KvHandler, YcsbSource};
@@ -54,12 +55,11 @@ fn run_once(attach: bool, requests: usize) -> RunResult {
         Telemetry::disabled()
     };
     sys.attach_telemetry(&tel);
-    let m = Meter::start();
+    let wall = Instant::now();
     sys.run_clients(Dur::secs(30));
     let metrics = sys.metrics();
-    let r = m.finish(metrics.completed as u64);
     RunResult {
-        wall_nanos: r.wall_nanos,
+        wall_nanos: wall.elapsed().as_nanos() as u64,
         completed: metrics.completed,
         mean: metrics.latency.mean(),
         counters: sys.counter_set().to_string(),

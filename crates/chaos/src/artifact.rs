@@ -11,6 +11,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use pmnet_core::system::DesignPoint;
+use pmnet_sim::kinds;
+use pmnet_sim::record::{self, Kinds, Reader, Writer};
 use pmnet_telemetry::flight::FlightDump;
 
 use crate::plan::FaultPlan;
@@ -42,53 +44,17 @@ pub struct Artifact {
     pub flight: Option<FlightDump>,
 }
 
-fn design_name(d: DesignPoint) -> String {
-    match d {
-        DesignPoint::PmnetSwitch => "pmnet-switch".into(),
-        DesignPoint::PmnetNic => "pmnet-nic".into(),
-        DesignPoint::ClientServer => "client-server".into(),
-        DesignPoint::PmnetReplicated { devices } => format!("pmnet-replicated:{devices}"),
-        DesignPoint::ClientServerReplicated { replicas } => {
-            format!("client-server-replicated:{replicas}")
-        }
-        DesignPoint::ServerSideLog { replicas } => format!("server-side-log:{replicas}"),
-        DesignPoint::ClientSideLog { replicas } => format!("client-side-log:{replicas}"),
-        DesignPoint::PmnetSharded { shards } => format!("pmnet-sharded:{shards}"),
-    }
-}
-
-fn parse_design(s: &str) -> Result<DesignPoint, String> {
-    let (name, arg) = match s.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (s, None),
-    };
-    let count = |what: &str| -> Result<u8, String> {
-        arg.ok_or_else(|| format!("design `{s}`: missing :{what}"))?
-            .parse()
-            .map_err(|_| format!("design `{s}`: bad {what}"))
-    };
-    match name {
-        "pmnet-switch" => Ok(DesignPoint::PmnetSwitch),
-        "pmnet-nic" => Ok(DesignPoint::PmnetNic),
-        "client-server" => Ok(DesignPoint::ClientServer),
-        "pmnet-replicated" => Ok(DesignPoint::PmnetReplicated {
-            devices: count("devices")?,
-        }),
-        "client-server-replicated" => Ok(DesignPoint::ClientServerReplicated {
-            replicas: count("replicas")?,
-        }),
-        "server-side-log" => Ok(DesignPoint::ServerSideLog {
-            replicas: count("replicas")?,
-        }),
-        "client-side-log" => Ok(DesignPoint::ClientSideLog {
-            replicas: count("replicas")?,
-        }),
-        "pmnet-sharded" => Ok(DesignPoint::PmnetSharded {
-            shards: count("shards")?,
-        }),
-        _ => Err(format!("unknown design `{s}`")),
-    }
-}
+/// The design-point words of the `design=` header line.
+const DESIGN: Kinds<DesignPoint> = kinds!("design", DesignPoint {
+    "pmnet-switch" => PmnetSwitch,
+    "pmnet-nic" => PmnetNic,
+    "client-server" => ClientServer,
+    "pmnet-replicated" => PmnetReplicated { devices: "" },
+    "client-server-replicated" => ClientServerReplicated { replicas: "" },
+    "server-side-log" => ServerSideLog { replicas: "" },
+    "client-side-log" => ClientSideLog { replicas: "" },
+    "pmnet-sharded" => PmnetSharded { shards: "" },
+});
 
 impl Artifact {
     /// Bundles a failing run for replay.
@@ -132,15 +98,16 @@ impl Artifact {
 impl fmt::Display for Artifact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "# pmnet-chaos replay artifact")?;
-        writeln!(f, "seed={}", self.seed)?;
-        writeln!(f, "design={}", design_name(self.design))?;
-        writeln!(f, "dedup_bug={}", self.dedup_bug)?;
-        if self.batch_window != 1 {
-            writeln!(f, "batch_window={}", self.batch_window)?;
-        }
-        if self.apply_threads != 1 {
-            writeln!(f, "apply_threads={}", self.apply_threads)?;
-        }
+        let mut head = Writer::new('\n');
+        head.field("seed", &self.seed);
+        head.token("design", &DESIGN.put(&self.design));
+        head.field("dedup_bug", &self.dedup_bug);
+        head.field("batch_window", &Some(self.batch_window).filter(|&w| w != 1));
+        head.field(
+            "apply_threads",
+            &Some(self.apply_threads).filter(|&t| t != 1),
+        );
+        writeln!(f, "{}", head.finish())?;
         write!(f, "{}", self.plan)?;
         if let Some(dump) = &self.flight {
             // The flight header starts with `#`, every timeline line with
@@ -156,170 +123,88 @@ impl FromStr for Artifact {
     type Err = String;
 
     fn from_str(text: &str) -> Result<Artifact, String> {
-        let mut seed = None;
-        let mut design = None;
-        let mut dedup_bug = false;
-        let mut batch_window = 1u32;
-        let mut apply_threads = 1u32;
-        let mut plan_lines = String::new();
-        let mut flight_lines = String::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line.starts_with("flight ") {
-                flight_lines.push_str(line);
-                flight_lines.push('\n');
-                continue;
-            }
-            if let Some(v) = line.strip_prefix("seed=") {
-                seed = Some(v.parse().map_err(|_| format!("bad seed line `{line}`"))?);
-            } else if let Some(v) = line.strip_prefix("design=") {
-                design = Some(parse_design(v)?);
-            } else if let Some(v) = line.strip_prefix("dedup_bug=") {
-                dedup_bug = v
-                    .parse()
-                    .map_err(|_| format!("bad dedup_bug line `{line}`"))?;
-            } else if let Some(v) = line.strip_prefix("batch_window=") {
-                batch_window = v
-                    .parse()
-                    .map_err(|_| format!("bad batch_window line `{line}`"))?;
-            } else if let Some(v) = line.strip_prefix("apply_threads=") {
-                apply_threads = v
-                    .parse()
-                    .map_err(|_| format!("bad apply_threads line `{line}`"))?;
+        let (mut head, mut plan, mut flight) = (String::new(), String::new(), String::new());
+        for line in record::lines(text) {
+            let section = if line.starts_with("flight ") {
+                &mut flight
+            } else if Reader::new(line).take("").is_some() {
+                // Only plan lines carry a bare word (the fault kind).
+                &mut plan
             } else {
-                plan_lines.push_str(line);
-                plan_lines.push('\n');
-            }
+                &mut head
+            };
+            *section += line;
+            section.push('\n');
         }
-        let flight = if flight_lines.is_empty() {
-            None
-        } else {
-            Some(flight_lines.parse::<FlightDump>()?)
+        // The header is one record with a field per line.
+        let mut r = Reader::new(&head);
+        let artifact = Artifact {
+            seed: r.field("seed")?,
+            design: r.token("design", |s| DESIGN.get(s))?,
+            dedup_bug: r.field::<Option<bool>>("dedup_bug")?.unwrap_or(false),
+            batch_window: r.field::<Option<u32>>("batch_window")?.unwrap_or(1),
+            apply_threads: r.field::<Option<u32>>("apply_threads")?.unwrap_or(1),
+            plan: plan.parse()?,
+            flight: (!flight.is_empty()).then(|| flight.parse()).transpose()?,
         };
-        Ok(Artifact {
-            seed: seed.ok_or("artifact: missing seed= line")?,
-            design: design.ok_or("artifact: missing design= line")?,
-            dedup_bug,
-            batch_window,
-            apply_threads,
-            plan: plan_lines.parse()?,
-            flight,
-        })
+        r.finish().map_err(|e| format!("artifact: {e}"))?;
+        Ok(artifact)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Fault, LinkTarget};
-    use pmnet_sim::Dur;
+    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::generate::Intensity;
 
     fn sample() -> Artifact {
-        let mut plan = FaultPlan::new();
-        plan.push(
-            Dur::micros(50),
-            Fault::DuplicateBurst {
-                link: LinkTarget::Backbone(0),
-                permille: 500,
-                dur: Dur::millis(2),
-            },
-        );
-        Artifact {
-            seed: 77,
-            design: DesignPoint::PmnetSwitch,
-            dedup_bug: true,
-            batch_window: 1,
-            apply_threads: 1,
-            plan,
-            flight: None,
-        }
+        let text = "seed=77 design=pmnet-switch dedup_bug=true\n\
+                    at=50000 dup-burst link=backbone:0 permille=500 dur=2000000\n";
+        text.parse().expect("sample artifact")
     }
 
     #[test]
-    fn batch_window_round_trips_and_defaults_to_one() {
-        let mut a = sample();
-        a.batch_window = 16;
-        let text = a.to_string();
-        assert!(text.contains("batch_window=16"));
-        let back: Artifact = text.parse().expect("parse back");
-        assert_eq!(a, back);
-        assert_eq!(back.scenario().batch_window, 16);
-        // Window 1 is left implicit so pre-batching artifacts stay exact.
-        let plain = sample();
-        assert!(!plain.to_string().contains("batch_window"));
-        let back: Artifact = plain.to_string().parse().expect("parse");
-        assert_eq!(back.batch_window, 1);
-    }
-
-    #[test]
-    fn apply_threads_round_trips_and_defaults_to_one() {
-        let mut a = sample();
-        a.apply_threads = 4;
-        let text = a.to_string();
-        assert!(text.contains("apply_threads=4"));
-        let back: Artifact = text.parse().expect("parse back");
-        assert_eq!(a, back);
-        assert_eq!(back.scenario().apply_threads, 4);
-        // Thread count 1 is left implicit so pre-pool artifacts stay
-        // exact.
-        let plain = sample();
-        assert!(!plain.to_string().contains("apply_threads"));
-        let back: Artifact = plain.to_string().parse().expect("parse");
-        assert_eq!(back.apply_threads, 1);
-    }
-
-    #[test]
-    fn text_round_trip_is_exact() {
-        let a = sample();
-        let text = a.to_string();
-        let back: Artifact = text.parse().expect("parse back");
-        assert_eq!(a, back);
-    }
-
-    #[test]
-    fn design_names_round_trip() {
-        for d in [
-            DesignPoint::PmnetSwitch,
-            DesignPoint::PmnetNic,
-            DesignPoint::ClientServer,
-            DesignPoint::PmnetReplicated { devices: 3 },
-            DesignPoint::ClientServerReplicated { replicas: 2 },
-            DesignPoint::ServerSideLog { replicas: 2 },
-            DesignPoint::ClientSideLog { replicas: 3 },
-            DesignPoint::PmnetSharded { shards: 2 },
+    fn malformed_headers_are_errors() {
+        for (text, want) in [
+            ("design=pmnet-switch", "missing `seed=`"),
+            ("seed=1", "missing `design=`"),
+            ("seed=1 seed=2 design=pmnet-nic", "unexpected `seed=2`"),
+            (
+                "seed=1 design=pmnet-nic batch_window=-1",
+                "bad `batch_window=-1`",
+            ),
+            ("seed=1 design=abacus", "unknown design `abacus`"),
+            ("seed=1 design=pmnet-replicated", "missing value"),
+            ("seed=1 design=pmnet-replicated:300", "bad value `300`"),
+            ("seed=1 design=pmnet-switch:1", "unexpected `1`"),
         ] {
-            assert_eq!(parse_design(&design_name(d)).unwrap(), d);
+            let e = text.parse::<Artifact>().unwrap_err();
+            assert!(e.contains(want), "{e}");
         }
-        assert!(parse_design("abacus").is_err());
-        assert!(parse_design("pmnet-replicated").is_err());
     }
 
+    /// PR 19: the flight grammar had no `batch-stage` / `batch-flush`
+    /// parse arm, and a flight section rides on every failing run, so no
+    /// failure at a batch window above 1 could be replayed from its text.
     #[test]
-    fn missing_header_lines_are_errors() {
-        assert!("design=pmnet-switch".parse::<Artifact>().is_err());
-        assert!("seed=1".parse::<Artifact>().is_err());
-    }
-
-    #[test]
-    fn flight_dump_round_trips_through_the_text_format() {
-        // A replay of the planted-bug sample fails, so its verdict
-        // carries a real flight timeline; embed it and round-trip.
-        let verdict = sample().replay();
-        assert!(!verdict.passed);
-        let dump = verdict
-            .flight
-            .expect("failing verdict captures a flight dump");
-        assert!(!dump.is_empty(), "chaos runs record protocol events");
-        let a = sample().with_flight(Some(dump));
-        let text = a.to_string();
-        let back: Artifact = text.parse().expect("parse back with flight section");
-        assert_eq!(a, back);
-        // The embedded timeline is also parseable on its own.
-        let flight_text = a.flight.as_ref().unwrap().to_string();
-        assert!(flight_text.parse::<FlightDump>().is_ok());
+    fn a_failing_batched_runs_artifact_replays_from_its_text() {
+        let outcome = run_campaign(&CampaignConfig {
+            seed: 42,
+            plans_per_design: 10,
+            intensity: Intensity::Heavy,
+            designs: vec![DesignPoint::PmnetSwitch],
+            plant_dedup_bug: true,
+            batch_window: 16,
+            ..CampaignConfig::default()
+        });
+        let failure = &outcome.failures[0];
+        let text = failure.to_string();
+        assert!(text.contains(" batch-stage ") && text.contains(" batch-flush "));
+        let parsed: Artifact = text.parse().expect("a batched failure parses");
+        assert_eq!(&parsed, failure);
+        let failed = outcome.runs.iter().find(|r| !r.verdict.passed).unwrap();
+        assert_eq!(parsed.replay(), failed.verdict);
     }
 
     #[test]

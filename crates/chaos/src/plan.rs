@@ -6,14 +6,16 @@
 //! them as text. Keeping the plan a plain value (no closures, no node ids)
 //! is what makes a failure replayable from nothing but a seed and a file.
 //!
-//! Plans are serialized to a line-oriented `key=value` text format (the
-//! build environment has no serde); durations are nanoseconds and
-//! probabilities are per-mille integers so round-trips are exact.
+//! Plans are serialized to a line-oriented `key=value` text format on
+//! [`pmnet_sim::record`] (the build environment has no serde); durations
+//! are nanoseconds and probabilities are per-mille integers so round-trips
+//! are exact.
 
 use std::fmt;
 use std::str::FromStr;
 
-use pmnet_sim::Dur;
+use pmnet_sim::record::{self, Kinds, Reader, Token, Value, Writer};
+use pmnet_sim::{kinds, Dur};
 
 /// A link on the standard topologies, named positionally so a plan stays
 /// meaningful across designs and across runs.
@@ -26,32 +28,10 @@ pub enum LinkTarget {
     Backbone(usize),
 }
 
-impl fmt::Display for LinkTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkTarget::Access(i) => write!(f, "access:{i}"),
-            LinkTarget::Backbone(i) => write!(f, "backbone:{i}"),
-        }
-    }
-}
-
-impl FromStr for LinkTarget {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<LinkTarget, String> {
-        let (kind, idx) = s
-            .split_once(':')
-            .ok_or_else(|| format!("link target `{s}`: expected kind:index"))?;
-        let i: usize = idx
-            .parse()
-            .map_err(|_| format!("link target `{s}`: bad index"))?;
-        match kind {
-            "access" => Ok(LinkTarget::Access(i)),
-            "backbone" => Ok(LinkTarget::Backbone(i)),
-            _ => Err(format!("link target `{s}`: unknown kind `{kind}`")),
-        }
-    }
-}
+const LINK: Kinds<LinkTarget> = kinds!("link", LinkTarget {
+    "access" => Access(index),
+    "backbone" => Backbone(index),
+});
 
 /// One injectable fault. Durations are relative to the event's start time;
 /// probabilities are per-mille (`0..=1000`) so plans serialize exactly.
@@ -241,171 +221,40 @@ impl FaultPlan {
     }
 }
 
-fn dur_ns(d: Dur) -> u64 {
-    d.as_nanos()
-}
+/// Probabilities are per-mille integers, checked on the way in.
+const PERMILLE: Token<u32> = Token(u32::to_string, |s| match u32::get(Some(s))? {
+    p if p <= 1000 => Ok(p),
+    p => Err(format!("permille={p} out of range (0..=1000)")),
+});
+
+/// The fault kinds of the plan DSL: each word and its `key=` fields, once.
+const FAULT: Kinds<Fault> = kinds!("fault kind", Fault {
+    "server-crash" => ServerCrash { downtime: "down" },
+    "device-crash" => DeviceCrash { device: "dev", downtime: "down" },
+    "device-fail" => DeviceFail { device: "dev" },
+    "device-replace" => DeviceReplace { device: "dev", downtime: "down" },
+    "client-crash" => ClientCrash { client: "client", downtime: "down" },
+    "link-flap" => LinkFlap { link: "link" => LINK, down_for: "down" },
+    "drop-burst" => DropBurst {
+        link: "link" => LINK, permille: "permille" => PERMILLE, dur: "dur"
+    },
+    "dup-burst" => DuplicateBurst {
+        link: "link" => LINK, permille: "permille" => PERMILLE, dur: "dur"
+    },
+    "reorder-burst" => ReorderBurst {
+        link: "link" => LINK, permille: "permille" => PERMILLE, extra: "extra", dur: "dur"
+    },
+    "corrupt-burst" => CorruptBurst {
+        link: "link" => LINK, permille: "permille" => PERMILLE, dur: "dur"
+    },
+    "pm-spike" => PmSpike { device: "dev", factor: "factor", dur: "dur" },
+});
 
 impl fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "at={}", dur_ns(self.at))?;
-        match self.fault {
-            Fault::ServerCrash { downtime } => {
-                write!(f, " server-crash")?;
-                if let Some(d) = downtime {
-                    write!(f, " down={}", dur_ns(d))?;
-                }
-            }
-            Fault::DeviceCrash { device, downtime } => {
-                write!(f, " device-crash dev={device}")?;
-                if let Some(d) = downtime {
-                    write!(f, " down={}", dur_ns(d))?;
-                }
-            }
-            Fault::DeviceFail { device } => {
-                write!(f, " device-fail dev={device}")?;
-            }
-            Fault::DeviceReplace { device, downtime } => {
-                write!(f, " device-replace dev={device} down={}", dur_ns(downtime))?;
-            }
-            Fault::ClientCrash { client, downtime } => {
-                write!(f, " client-crash client={client}")?;
-                if let Some(d) = downtime {
-                    write!(f, " down={}", dur_ns(d))?;
-                }
-            }
-            Fault::LinkFlap { link, down_for } => {
-                write!(f, " link-flap link={link} down={}", dur_ns(down_for))?;
-            }
-            Fault::DropBurst {
-                link,
-                permille,
-                dur,
-            } => {
-                write!(
-                    f,
-                    " drop-burst link={link} permille={permille} dur={}",
-                    dur_ns(dur)
-                )?;
-            }
-            Fault::DuplicateBurst {
-                link,
-                permille,
-                dur,
-            } => {
-                write!(
-                    f,
-                    " dup-burst link={link} permille={permille} dur={}",
-                    dur_ns(dur)
-                )?;
-            }
-            Fault::ReorderBurst {
-                link,
-                permille,
-                extra,
-                dur,
-            } => {
-                write!(
-                    f,
-                    " reorder-burst link={link} permille={permille} extra={} dur={}",
-                    dur_ns(extra),
-                    dur_ns(dur)
-                )?;
-            }
-            Fault::CorruptBurst {
-                link,
-                permille,
-                dur,
-            } => {
-                write!(
-                    f,
-                    " corrupt-burst link={link} permille={permille} dur={}",
-                    dur_ns(dur)
-                )?;
-            }
-            Fault::PmSpike {
-                device,
-                factor,
-                dur,
-            } => {
-                write!(
-                    f,
-                    " pm-spike dev={device} factor={factor} dur={}",
-                    dur_ns(dur)
-                )?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Parses the `key=value` tail of an event line into lookup pairs.
-fn kv_pairs(tokens: &[&str]) -> Result<Vec<(String, String)>, String> {
-    tokens
-        .iter()
-        .map(|t| {
-            t.split_once('=')
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .ok_or_else(|| format!("expected key=value, got `{t}`"))
-        })
-        .collect()
-}
-
-struct Fields(Vec<(String, String)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn req(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing `{key}=`"))
-    }
-
-    fn dur(&self, key: &str) -> Result<Dur, String> {
-        let ns: u64 = self
-            .req(key)?
-            .parse()
-            .map_err(|_| format!("bad `{key}=` (want nanoseconds)"))?;
-        Ok(Dur::nanos(ns))
-    }
-
-    fn dur_opt(&self, key: &str) -> Result<Option<Dur>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let ns: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad `{key}=` (want nanoseconds)"))?;
-                Ok(Some(Dur::nanos(ns)))
-            }
-        }
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        self.req(key)?
-            .parse()
-            .map_err(|_| format!("bad `{key}=` (want an index)"))
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, String> {
-        self.req(key)?
-            .parse()
-            .map_err(|_| format!("bad `{key}=` (want an integer)"))
-    }
-
-    fn link(&self, key: &str) -> Result<LinkTarget, String> {
-        self.req(key)?.parse()
-    }
-
-    fn permille(&self) -> Result<u32, String> {
-        let p = self.u32("permille")?;
-        if p > 1000 {
-            return Err(format!("permille={p} out of range (0..=1000)"));
-        }
-        Ok(p)
+        let mut w = Writer::new(' ');
+        FAULT.write(&self.fault, w.field("at", &self.at));
+        f.write_str(&w.finish())
     }
 }
 
@@ -413,79 +262,13 @@ impl FromStr for FaultEvent {
     type Err = String;
 
     fn from_str(line: &str) -> Result<FaultEvent, String> {
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.len() < 2 {
-            return Err(format!("event line `{line}`: too short"));
-        }
-        let at = {
-            let (k, v) = tokens[0]
-                .split_once('=')
-                .ok_or_else(|| format!("event line `{line}`: expected at=<ns> first"))?;
-            if k != "at" {
-                return Err(format!("event line `{line}`: expected at=<ns> first"));
-            }
-            let ns: u64 = v
-                .parse()
-                .map_err(|_| format!("event line `{line}`: bad at="))?;
-            Dur::nanos(ns)
-        };
-        let kind = tokens[1];
-        let f = Fields(kv_pairs(&tokens[2..]).map_err(|e| format!("event line `{line}`: {e}"))?);
-        let fault = (|| -> Result<Fault, String> {
-            match kind {
-                "server-crash" => Ok(Fault::ServerCrash {
-                    downtime: f.dur_opt("down")?,
-                }),
-                "device-crash" => Ok(Fault::DeviceCrash {
-                    device: f.usize("dev")?,
-                    downtime: f.dur_opt("down")?,
-                }),
-                "device-fail" => Ok(Fault::DeviceFail {
-                    device: f.usize("dev")?,
-                }),
-                "device-replace" => Ok(Fault::DeviceReplace {
-                    device: f.usize("dev")?,
-                    downtime: f.dur("down")?,
-                }),
-                "client-crash" => Ok(Fault::ClientCrash {
-                    client: f.usize("client")?,
-                    downtime: f.dur_opt("down")?,
-                }),
-                "link-flap" => Ok(Fault::LinkFlap {
-                    link: f.link("link")?,
-                    down_for: f.dur("down")?,
-                }),
-                "drop-burst" => Ok(Fault::DropBurst {
-                    link: f.link("link")?,
-                    permille: f.permille()?,
-                    dur: f.dur("dur")?,
-                }),
-                "dup-burst" => Ok(Fault::DuplicateBurst {
-                    link: f.link("link")?,
-                    permille: f.permille()?,
-                    dur: f.dur("dur")?,
-                }),
-                "reorder-burst" => Ok(Fault::ReorderBurst {
-                    link: f.link("link")?,
-                    permille: f.permille()?,
-                    extra: f.dur("extra")?,
-                    dur: f.dur("dur")?,
-                }),
-                "corrupt-burst" => Ok(Fault::CorruptBurst {
-                    link: f.link("link")?,
-                    permille: f.permille()?,
-                    dur: f.dur("dur")?,
-                }),
-                "pm-spike" => Ok(Fault::PmSpike {
-                    device: f.usize("dev")?,
-                    factor: f.u32("factor")?,
-                    dur: f.dur("dur")?,
-                }),
-                _ => Err(format!("unknown fault kind `{kind}`")),
-            }
+        let mut r = Reader::new(line);
+        (|| {
+            let at = r.field("at")?;
+            let fault = FAULT.read(&mut r)?;
+            r.finish().map(|()| FaultEvent { at, fault })
         })()
-        .map_err(|e| format!("event line `{line}`: {e}"))?;
-        Ok(FaultEvent { at, fault })
+        .map_err(|e| format!("event line `{line}`: {e}"))
     }
 }
 
@@ -503,11 +286,7 @@ impl FromStr for FaultPlan {
 
     fn from_str(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        for line in record::lines(text) {
             let e: FaultEvent = line.parse()?;
             plan.push(e.at, e.fault);
         }
@@ -519,85 +298,15 @@ impl FromStr for FaultPlan {
 mod tests {
     use super::*;
 
+    /// Out of time order on purpose: parsing pushes line by line.
     fn sample() -> FaultPlan {
-        let mut p = FaultPlan::new();
-        p.push(
-            Dur::micros(300),
-            Fault::DropBurst {
-                link: LinkTarget::Backbone(1),
-                permille: 250,
-                dur: Dur::micros(120),
-            },
-        );
-        p.push(
-            Dur::micros(100),
-            Fault::ServerCrash {
-                downtime: Some(Dur::millis(2)),
-            },
-        );
-        p.push(
-            Dur::micros(100),
-            Fault::ClientCrash {
-                client: 2,
-                downtime: None,
-            },
-        );
-        p.push(
-            Dur::micros(450),
-            Fault::ReorderBurst {
-                link: LinkTarget::Access(0),
-                permille: 400,
-                extra: Dur::micros(80),
-                dur: Dur::micros(200),
-            },
-        );
-        p.push(
-            Dur::micros(500),
-            Fault::PmSpike {
-                device: 0,
-                factor: 25,
-                dur: Dur::micros(700),
-            },
-        );
-        p.push(
-            Dur::micros(20),
-            Fault::LinkFlap {
-                link: LinkTarget::Backbone(0),
-                down_for: Dur::micros(90),
-            },
-        );
-        p.push(
-            Dur::micros(40),
-            Fault::DuplicateBurst {
-                link: LinkTarget::Access(1),
-                permille: 500,
-                dur: Dur::micros(60),
-            },
-        );
-        p.push(
-            Dur::micros(60),
-            Fault::CorruptBurst {
-                link: LinkTarget::Backbone(1),
-                permille: 90,
-                dur: Dur::micros(70),
-            },
-        );
-        p.push(
-            Dur::micros(80),
-            Fault::DeviceCrash {
-                device: 0,
-                downtime: Some(Dur::micros(600)),
-            },
-        );
-        p.push(Dur::micros(70), Fault::DeviceFail { device: 1 });
-        p.push(
-            Dur::micros(90),
-            Fault::DeviceReplace {
-                device: 0,
-                downtime: Dur::micros(800),
-            },
-        );
-        p
+        let text = "at=300000 drop-burst link=backbone:1 permille=250 dur=120000\n\
+                    at=100000 server-crash down=2000000\n\
+                    at=100000 client-crash client=2\n\
+                    at=500000 pm-spike dev=0 factor=25 dur=700000\n\
+                    at=70000 device-fail dev=1\n\
+                    at=90000 device-replace dev=0 down=800000\n";
+        text.parse().expect("sample plan")
     }
 
     #[test]
@@ -615,14 +324,6 @@ mod tests {
             .collect();
         assert!(matches!(at100[0].fault, Fault::ServerCrash { .. }));
         assert!(matches!(at100[1].fault, Fault::ClientCrash { .. }));
-    }
-
-    #[test]
-    fn text_round_trip_is_exact() {
-        let p = sample();
-        let text = p.to_string();
-        let back: FaultPlan = text.parse().expect("parse back");
-        assert_eq!(p, back);
     }
 
     #[test]
@@ -664,20 +365,32 @@ mod tests {
 
     #[test]
     fn parse_errors_are_descriptive() {
-        let e = "at=12 warp-core-breach".parse::<FaultEvent>().unwrap_err();
-        assert!(e.contains("unknown fault kind"), "{e}");
-        let e = "drop-burst link=access:0"
-            .parse::<FaultEvent>()
-            .unwrap_err();
-        assert!(e.contains("at=<ns>"), "{e}");
-        let e = "at=1 drop-burst link=access:0 permille=2000 dur=5"
-            .parse::<FaultEvent>()
-            .unwrap_err();
-        assert!(e.contains("out of range"), "{e}");
-        let e = "at=1 link-flap link=ring:3 down=5"
-            .parse::<FaultEvent>()
-            .unwrap_err();
-        assert!(e.contains("unknown kind"), "{e}");
+        for (line, want) in [
+            (
+                "at=12 warp-core-breach",
+                "unknown fault kind `warp-core-breach`",
+            ),
+            ("drop-burst link=access:0", "missing `at=`"),
+            ("at=1 device-fail device=0", "missing `dev=`"),
+            ("at=1 device-fail dev=0 down=5", "unexpected `down=5`"),
+            ("at=1 server-crash down=soon", "bad `down=soon`"),
+            (
+                "at=1 pm-spike dev=0 factor=4294967296 dur=5",
+                "bad `factor=4294967296`",
+            ),
+            (
+                "at=1 drop-burst link=access:0 permille=2000 dur=5",
+                "out of range",
+            ),
+            ("at=1 link-flap link=ring:3 down=5", "unknown link `ring`"),
+            (
+                "at=1 link-flap link=access down=5",
+                "bad `link=access`: missing value",
+            ),
+        ] {
+            let e = line.parse::<FaultEvent>().unwrap_err();
+            assert!(e.contains(want) && e.contains(line), "{e}");
+        }
     }
 
     #[test]

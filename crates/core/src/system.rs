@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 use pmnet_net::topology::{validate_shards, ShardSpec};
-use pmnet_net::{Addr, FabricSwitch, PortNo, Switch, World};
+use pmnet_net::{Addr, PortNo, Switch, World};
 use pmnet_sim::stats::{CounterSet, LatencyHistogram};
 use pmnet_sim::{Dur, NodeId, SimRng, Time};
 use pmnet_telemetry::registry::Registry;
@@ -388,7 +388,7 @@ impl SystemBuilder {
             world.add_node(Box::new(Switch::new("merge")))
         } else {
             world.add_node(Box::new(
-                FabricSwitch::new("merge")
+                Switch::new("merge")
                     .with_addr(addrs::MERGE_SWITCH)
                     .with_steering(Box::new(FabricSteering::new(
                         SteerSide::Merge,
@@ -440,7 +440,7 @@ impl SystemBuilder {
                 // Server-side steering switch: replies and invalidations
                 // detour through the shard's chain tail.
                 let tor = world.add_node(Box::new(
-                    FabricSwitch::new("tor")
+                    Switch::new("tor")
                         .with_addr(addrs::TOR_SWITCH)
                         .with_steering(Box::new(FabricSteering::new(
                             SteerSide::Tor,

@@ -23,7 +23,8 @@
 //! ```
 //!
 //! Byte strings are `0x`-prefixed hex (`0x` alone = empty); a missing
-//! reply is `-`. Replay uses the default [`CheckerConfig`].
+//! reply is `-`; lines are [`pmnet_sim::record`] records. Replay uses the
+//! default [`CheckerConfig`].
 
 use std::collections::BTreeMap;
 
@@ -31,80 +32,41 @@ use bytes::Bytes;
 use pmnet_core::client::RequestKind;
 use pmnet_core::events::{Event, EventKind};
 use pmnet_net::Addr;
-use pmnet_sim::Time;
+use pmnet_sim::kinds;
+use pmnet_sim::record::{hex, unhex, Kinds, Reader, Token, Value, Writer};
 
 use crate::checker::{check, CheckStats, CheckerConfig, Divergence};
 
 const MAGIC: &str = "pmnet-model divergence v1";
 
-/// `0x`-prefixed lowercase hex of a byte string (`0x` alone = empty).
-pub fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(2 + bytes.len() * 2);
-    s.push_str("0x");
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
+const REQ_KIND: Kinds<RequestKind> = kinds!("request kind", RequestKind {
+    "update" => Update,
+    "bypass" => Bypass,
+});
 
-fn unhex(s: &str) -> Result<Vec<u8>, String> {
-    let body = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("expected 0x-prefixed hex, got {s:?}"))?;
-    if body.len() % 2 != 0 {
-        return Err(format!("odd-length hex string {s:?}"));
-    }
-    (0..body.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&body[i..i + 2], 16).map_err(|e| format!("bad hex {s:?}: {e}")))
-        .collect()
-}
+const HEX: Token<Bytes> = Token(|b| hex(b), |s| unhex(s).map(Bytes::from));
 
-fn kind_word(kind: RequestKind) -> &'static str {
-    match kind {
-        RequestKind::Update => "update",
-        RequestKind::Bypass => "bypass",
-    }
-}
+/// A reply that may be missing: `-` or hex.
+const REPLY: Token<Option<Bytes>> = Token(
+    |reply| reply.as_ref().map_or("-".to_string(), |b| hex(b)),
+    |s| (s != "-").then(|| HEX.get(s)).transpose(),
+);
 
-fn event_line(e: &Event) -> String {
-    let head = format!(
-        "e at={} client={} session={} seq={}",
-        e.at.as_nanos(),
-        e.client.0,
-        e.session,
-        e.seq
-    );
-    match &e.kind {
-        EventKind::Invoke { kind, payload } => {
-            format!("{head} invoke {} {}", kind_word(*kind), hex(payload))
-        }
-        EventKind::Complete {
-            kind,
-            reply,
-            device_acks,
-            server_acked,
-        } => {
-            let reply = match reply {
-                Some(r) => hex(r),
-                None => "-".to_string(),
-            };
-            format!(
-                "{head} complete {} acks={device_acks} sacked={server_acked} reply={reply}",
-                kind_word(*kind)
-            )
-        }
-        EventKind::Apply {
-            redo,
-            epoch,
-            payload,
-        } => format!("{head} apply redo={redo} epoch={epoch} {}", hex(payload)),
-        EventKind::DeviceLogged { device } => format!("{head} devlog device={}", device.0),
-        EventKind::CacheServe { device, reply } => {
-            format!("{head} cache device={} {}", device.0, hex(reply))
-        }
-    }
-}
+const ADDR: Token<Addr> = Token(|a| a.0.to_string(), |s| u32::get(Some(s)).map(Addr));
+
+/// The event kinds of an `e` line: each verb and its fields, once.
+const EVENT: Kinds<EventKind> = kinds!("event verb", EventKind {
+    "invoke" => Invoke { kind: "" => REQ_KIND, payload: "" => HEX },
+    "complete" => Complete {
+        kind: "" => REQ_KIND,
+        device_acks: "acks",
+        server_acked: "sacked",
+        reply: "reply" => REPLY,
+    },
+    "apply" => Apply { redo: "redo", epoch: "epoch", payload: "" => HEX },
+    "devlog" => DeviceLogged { device: "device" => ADDR },
+    "cache" => CacheServe { device: "device" => ADDR, reply: "" => HEX },
+});
 
 /// Renders a complete, replayable artifact for one divergence.
 pub fn render(
@@ -113,23 +75,20 @@ pub fn render(
     index: usize,
     reason: &str,
 ) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&format!("index={index}\n"));
-    out.push_str(&format!("reason={}\n", reason.replace('\n', " ")));
-    match durable {
-        None => out.push_str("state=absent\n"),
-        Some(map) => {
-            out.push_str("state=present\n");
-            for (k, v) in map {
-                out.push_str(&format!("s {} {}\n", hex(k), hex(v)));
-            }
-        }
+    let state = durable.map_or("absent", |_| "present");
+    let reason = reason.replace('\n', " ");
+    let mut out = format!("{MAGIC}\nindex={index}\nreason={reason}\nstate={state}\n");
+    for (k, v) in durable.into_iter().flatten() {
+        let mut w = Writer::new(' ');
+        w.word("s").field("", k).field("", v);
+        out += &(w.finish() + "\n");
     }
     for e in history {
-        out.push_str(&event_line(e));
-        out.push('\n');
+        let mut w = Writer::new(' ');
+        w.word("e").field("at", &e.at).field("client", &e.client.0);
+        w.field("session", &e.session).field("seq", &e.seq);
+        EVENT.write(&e.kind, &mut w);
+        out += &(w.finish() + "\n");
     }
     out
 }
@@ -147,79 +106,6 @@ pub struct ParsedArtifact {
     pub durable: Option<BTreeMap<Vec<u8>, Vec<u8>>>,
 }
 
-fn parse_field<'a>(token: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    let t = token.ok_or_else(|| format!("missing {key}= field"))?;
-    t.strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=..., got {t:?}"))
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    s.parse().map_err(|e| format!("bad {what} {s:?}: {e}"))
-}
-
-fn parse_req_kind(s: &str) -> Result<RequestKind, String> {
-    match s {
-        "update" => Ok(RequestKind::Update),
-        "bypass" => Ok(RequestKind::Bypass),
-        other => Err(format!("unknown request kind {other:?}")),
-    }
-}
-
-fn parse_event(line: &str) -> Result<Event, String> {
-    let mut toks = line.split_whitespace();
-    toks.next(); // the "e" marker, verified by the caller
-    let at: u64 = parse_num(parse_field(toks.next(), "at")?, "at")?;
-    let client: u32 = parse_num(parse_field(toks.next(), "client")?, "client")?;
-    let session: u16 = parse_num(parse_field(toks.next(), "session")?, "session")?;
-    let seq: u32 = parse_num(parse_field(toks.next(), "seq")?, "seq")?;
-    let verb = toks.next().ok_or("missing event verb")?;
-    let kind = match verb {
-        "invoke" => EventKind::Invoke {
-            kind: parse_req_kind(toks.next().ok_or("invoke: missing kind")?)?,
-            payload: Bytes::from(unhex(toks.next().ok_or("invoke: missing payload")?)?),
-        },
-        "complete" => {
-            let kind = parse_req_kind(toks.next().ok_or("complete: missing kind")?)?;
-            let device_acks: u8 = parse_num(parse_field(toks.next(), "acks")?, "acks")?;
-            let server_acked: bool = parse_num(parse_field(toks.next(), "sacked")?, "sacked")?;
-            let reply = match parse_field(toks.next(), "reply")? {
-                "-" => None,
-                r => Some(Bytes::from(unhex(r)?)),
-            };
-            EventKind::Complete {
-                kind,
-                reply,
-                device_acks,
-                server_acked,
-            }
-        }
-        "apply" => EventKind::Apply {
-            redo: parse_num(parse_field(toks.next(), "redo")?, "redo")?,
-            epoch: parse_num(parse_field(toks.next(), "epoch")?, "epoch")?,
-            payload: Bytes::from(unhex(toks.next().ok_or("apply: missing payload")?)?),
-        },
-        "devlog" => EventKind::DeviceLogged {
-            device: Addr(parse_num(parse_field(toks.next(), "device")?, "device")?),
-        },
-        "cache" => EventKind::CacheServe {
-            device: Addr(parse_num(parse_field(toks.next(), "device")?, "device")?),
-            reply: Bytes::from(unhex(toks.next().ok_or("cache: missing reply")?)?),
-        },
-        other => return Err(format!("unknown event verb {other:?}")),
-    };
-    Ok(Event {
-        at: Time::from_nanos(at),
-        client: Addr(client),
-        session,
-        seq,
-        kind,
-    })
-}
-
 /// Parses an artifact back into the checker's inputs and the recorded
 /// verdict.
 pub fn parse(text: &str) -> Result<ParsedArtifact, String> {
@@ -227,9 +113,14 @@ pub fn parse(text: &str) -> Result<ParsedArtifact, String> {
     if lines.next() != Some(MAGIC) {
         return Err(format!("not a {MAGIC} artifact"));
     }
-    let index: usize = parse_num(parse_field(lines.next(), "index")?, "index")?;
-    let reason = parse_field(lines.next(), "reason")?.to_string();
-    let durable = match parse_field(lines.next(), "state")? {
+    let mut head = |key: &str| match lines.next().and_then(|l| l.split_once('=')) {
+        Some((k, v)) if k == key => Ok(v),
+        _ => Err(format!("missing {key}= line")),
+    };
+    let index = usize::get(Some(head("index")?)).map_err(|e| format!("bad index: {e}"))?;
+    // The reason is free text to the end of its line.
+    let reason = head("reason")?.to_string();
+    let durable = match head("state")? {
         "absent" => None,
         "present" => Some(BTreeMap::new()),
         other => return Err(format!("bad state {other:?}")),
@@ -240,24 +131,26 @@ pub fn parse(text: &str) -> Result<ParsedArtifact, String> {
         history: Vec::new(),
         durable,
     };
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("s ") {
-            let mut toks = rest.split_whitespace();
-            let k = unhex(toks.next().ok_or("state line: missing key")?)?;
-            let v = unhex(toks.next().ok_or("state line: missing value")?)?;
-            parsed
-                .durable
-                .as_mut()
-                .ok_or("state line in state=absent artifact")?
-                .insert(k, v);
-        } else if line.starts_with("e ") {
-            parsed.history.push(parse_event(line)?);
-        } else {
-            return Err(format!("unrecognized line {line:?}"));
-        }
+    for line in lines.filter(|l| !l.is_empty()) {
+        let mut r = Reader::new(line);
+        (|| {
+            match r.take("") {
+                Some("s") => {
+                    let map = parsed.durable.as_mut().ok_or("state=absent artifact")?;
+                    map.insert(r.field("")?, r.field("")?);
+                }
+                Some("e") => parsed.history.push(Event {
+                    at: r.field("at")?,
+                    client: Addr(r.field("client")?),
+                    session: r.field("session")?,
+                    seq: r.field("seq")?,
+                    kind: EVENT.read(&mut r)?,
+                }),
+                _ => return Err("unrecognized line".to_string()),
+            }
+            r.finish()
+        })()
+        .map_err(|e| format!("{e} in {line:?}"))?;
     }
     Ok(parsed)
 }
@@ -281,99 +174,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_every_event_kind() {
-        let history = vec![
-            Event {
-                at: Time::from_nanos(5),
-                client: Addr(1),
-                session: 2,
-                seq: 3,
-                kind: EventKind::Invoke {
-                    kind: RequestKind::Update,
-                    payload: Bytes::from_static(b"payload"),
-                },
-            },
-            Event {
-                at: Time::from_nanos(6),
-                client: Addr(1),
-                session: 2,
-                seq: 3,
-                kind: EventKind::Complete {
-                    kind: RequestKind::Bypass,
-                    reply: Some(Bytes::new()),
-                    device_acks: 2,
-                    server_acked: true,
-                },
-            },
-            Event {
-                at: Time::from_nanos(7),
-                client: Addr(1),
-                session: 2,
-                seq: 3,
-                kind: EventKind::Complete {
-                    kind: RequestKind::Update,
-                    reply: None,
-                    device_acks: 0,
-                    server_acked: false,
-                },
-            },
-            Event {
-                at: Time::from_nanos(8),
-                client: Addr(1),
-                session: 2,
-                seq: 3,
-                kind: EventKind::Apply {
-                    redo: true,
-                    epoch: 4,
-                    payload: Bytes::new(),
-                },
-            },
-            Event {
-                at: Time::from_nanos(9),
-                client: Addr(1),
-                session: 2,
-                seq: 3,
-                kind: EventKind::DeviceLogged { device: Addr(2000) },
-            },
-            Event {
-                at: Time::from_nanos(10),
-                client: Addr(1),
-                session: 2,
-                seq: 3,
-                kind: EventKind::CacheServe {
-                    device: Addr(2001),
-                    reply: Bytes::from_static(b"\x00\xff"),
-                },
-            },
-        ];
-        let durable = BTreeMap::from([(b"k".to_vec(), vec![0u8, 255]), (Vec::new(), Vec::new())]);
-        let text = render(&history, Some(&durable), 4, "some reason: details");
-        let parsed = parse(&text).unwrap();
-        assert_eq!(parsed.index, 4);
-        assert_eq!(parsed.reason, "some reason: details");
-        assert_eq!(parsed.history, history);
-        assert_eq!(parsed.durable, Some(durable));
-
-        let text = render(&history, None, 0, "r");
-        let parsed = parse(&text).unwrap();
-        assert_eq!(parsed.durable, None);
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        for bytes in [&b""[..], &b"\x00"[..], &b"hello\xff\x00world"[..]] {
-            assert_eq!(unhex(&hex(bytes)).unwrap(), bytes.to_vec());
-        }
-        assert!(unhex("6b").is_err()); // missing prefix
-        assert!(unhex("0x6").is_err()); // odd length
-        assert!(unhex("0xzz").is_err()); // not hex
-    }
-
-    #[test]
     fn rejects_garbage() {
         assert!(parse("not an artifact").is_err());
         assert!(parse(MAGIC).is_err()); // missing fields
-        let bad = format!("{MAGIC}\nindex=0\nreason=r\nstate=absent\nwhat is this\n");
-        assert!(parse(&bad).is_err());
+        let body = |line: &str| {
+            parse(&format!(
+                "{MAGIC}\nindex=0\nreason=r\nstate=present\n{line}\n"
+            ))
+        };
+        assert!(body("s 0x6b 0x").is_ok());
+        for (line, want) in [
+            ("what is this", "unrecognized line"),
+            // PR 19: sliced the `&str` by byte pairs and panicked here.
+            ("s 0xa\u{e9}b 0x", "bad value `0xa\u{e9}b`: not a hex digit"),
+            ("s 0x6b", "missing value"),
+            ("s 0x6b 0x 0x", "unexpected `0x`"),
+            (
+                "e at=1 client=1 session=65536 seq=0 devlog device=1",
+                "bad `session=65536`",
+            ),
+            (
+                "e at=1 client=1 session=0 seq=0 vanish",
+                "unknown event verb `vanish`",
+            ),
+            (
+                "e at=1 client=1 session=0 seq=0 invoke read 0x",
+                "unknown request kind `read`",
+            ),
+        ] {
+            let e = body(line).unwrap_err();
+            assert!(e.contains(want) && e.contains(line), "{e}");
+        }
     }
 }

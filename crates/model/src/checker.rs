@@ -40,9 +40,10 @@ use pmnet_core::client::RequestKind;
 use pmnet_core::events::{Event, EventKind};
 use pmnet_core::kvproto::KvFrame;
 use pmnet_net::Addr;
+use pmnet_sim::record::hex;
 use pmnet_sim::Time;
 
-use crate::artifact::{hex, render};
+use crate::artifact::render;
 use crate::reference::{write_key, write_value, ReferenceKv};
 
 /// Identity of one client operation: `(client, session, seq)`. Update and

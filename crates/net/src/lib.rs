@@ -39,7 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
-mod fabric;
 mod packet;
 mod port;
 mod runtime;
@@ -49,11 +48,10 @@ mod switch;
 pub mod topology;
 
 pub use addr::Addr;
-pub use fabric::{FabricSwitch, Steering};
 pub use packet::{Packet, Proto, ETH_IP_UDP_OVERHEAD, TCP_EXTRA_OVERHEAD};
 pub use port::{LinkSpec, PortCounters, PortNo, PortTable};
 pub use runtime::{AnyNode, Ctx, EchoHost, EventCounts, Msg, Node, Timer, World};
 pub use stack::StackProfile;
-pub use switch::{RouteTable, Switch};
+pub use switch::{RouteTable, Steering, Switch};
 
 pub use pmnet_sim::{EventId, NodeId};

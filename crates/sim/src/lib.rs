@@ -9,10 +9,10 @@
 //!   helpers the evaluation needs (exponential, lognormal, Zipf),
 //! * [`stats`] — histograms, percentile summaries and CDF extraction used to
 //!   regenerate the paper's figures,
-//! * [`meter`] — events/sec and allocations-per-event self-measurement for
-//!   the kernel's own performance contract (DESIGN.md §10),
 //! * [`hash`] — the one FNV-1a every digest, ring and pinning function in
-//!   the workspace folds through.
+//!   the workspace folds through,
+//! * [`record`] — the one `key=value` line codec every replayable text
+//!   artifact (chaos plan, divergence, flight dump) renders and parses with.
 //!
 //! Everything is single-threaded and deterministic: running the same
 //! simulation twice with the same seed produces bit-identical results. The
@@ -40,7 +40,7 @@ mod rng;
 mod time;
 
 pub mod hash;
-pub mod meter;
+pub mod record;
 pub mod stats;
 
 pub use engine::{Engine, EventId, NodeId};

@@ -13,7 +13,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use pmnet_net::Addr;
-use pmnet_sim::{Dur, Time};
+use pmnet_sim::record::{self, Kinds, Reader, Token, Value, Writer};
+use pmnet_sim::{kinds, Dur, Time};
 
 use crate::span::{AckKind, Evidence, OpEvent, OpKey, OpKind};
 
@@ -212,195 +213,76 @@ impl FlightDump {
     }
 }
 
-fn render_kind(k: AckKind) -> String {
-    match k {
-        AckKind::Device(d) => format!("device:{d}"),
-        AckKind::Peer(d) => format!("peer:{d}"),
-        AckKind::Server => "server".into(),
-        AckKind::Reply => "reply".into(),
-        AckKind::Cache => "cache".into(),
-    }
-}
+const ACK_KIND: Kinds<AckKind> = kinds!("ack kind", AckKind {
+    "device" => Device(device),
+    "peer" => Peer(device),
+    "server" => Server,
+    "reply" => Reply,
+    "cache" => Cache,
+});
 
-fn parse_ack_kind(s: &str) -> Result<AckKind, String> {
-    if let Some(d) = s.strip_prefix("device:") {
-        return Ok(AckKind::Device(d.parse().map_err(|_| s.to_string())?));
-    }
-    if let Some(d) = s.strip_prefix("peer:") {
-        return Ok(AckKind::Peer(d.parse().map_err(|_| s.to_string())?));
-    }
-    match s {
-        "server" => Ok(AckKind::Server),
-        "reply" => Ok(AckKind::Reply),
-        "cache" => Ok(AckKind::Cache),
-        _ => Err(format!("bad ack kind: {s}")),
-    }
-}
+const EVIDENCE: Kinds<Evidence> = kinds!("evidence", Evidence {
+    "device" => DeviceAck { device: "" },
+    "server" => ServerAck,
+    "reply" => AppReply,
+    "cache" => CacheResp,
+    "local" => LocalLog,
+});
 
-fn render_evidence(e: Evidence) -> String {
-    match e {
-        Evidence::DeviceAck { device } => format!("device:{device}"),
-        Evidence::ServerAck => "server".into(),
-        Evidence::AppReply => "reply".into(),
-        Evidence::CacheResp => "cache".into(),
-        Evidence::LocalLog => "local".into(),
-    }
-}
+const OP_KIND: Kinds<OpKind> = kinds!("op kind", OpKind {
+    "update" => Update,
+    "read" => Read,
+});
 
-fn parse_evidence(s: &str) -> Result<Evidence, String> {
-    if let Some(d) = s.strip_prefix("device:") {
-        return Ok(Evidence::DeviceAck {
-            device: d.parse().map_err(|_| s.to_string())?,
-        });
-    }
-    match s {
-        "server" => Ok(Evidence::ServerAck),
-        "reply" => Ok(Evidence::AppReply),
-        "cache" => Ok(Evidence::CacheResp),
-        "local" => Ok(Evidence::LocalLog),
-        _ => Err(format!("bad evidence: {s}")),
-    }
-}
+const SPAN: Kinds<OpEvent> = kinds!("flight event", OpEvent {
+    "client-send" => ClientSend { attempt: "attempt", tx_start: "tx_start", wire_at: "wire" },
+    "client-recv" => ClientRecv { kind: "kind" => ACK_KIND, at: "at" },
+    "device-recv" => DeviceRecv { device: "device", at: "at" },
+    "device-ack" => DeviceAckSend { device: "device", at: "at" },
+    "cache-resp" => DeviceCacheResp { device: "device", at: "at" },
+    "batch-stage" => DeviceBatchStage { device: "device", at: "at" },
+    "batch-flush" => DeviceBatchFlush { device: "device", at: "at" },
+    "server-recv" => ServerRecv { at: "at" },
+    "server-apply" => ServerApply { at: "at" },
+    "server-send" => ServerSend { at: "at" },
+});
 
-fn render_op_kind(k: OpKind) -> &'static str {
-    k.name()
-}
+/// The twelve flight-line bodies: each word and its fields, once.
+const BODY: Kinds<FlightBody> = kinds!("flight event", FlightBody {
+    "issue" => Issue { kind: "kind" => OP_KIND },
+    "complete" => Complete {
+        kind: "kind" => OP_KIND,
+        latency: "latency",
+        retries: "retries",
+        evidence: "evidence" => EVIDENCE,
+    },
+    _ => Span(SPAN),
+});
 
-fn parse_op_kind(s: &str) -> Result<OpKind, String> {
-    match s {
-        "update" => Ok(OpKind::Update),
-        "read" => Ok(OpKind::Read),
-        _ => Err(format!("bad op kind: {s}")),
-    }
-}
-
-fn render_body(b: &FlightBody) -> String {
-    match *b {
-        FlightBody::Span(ev) => match ev {
-            OpEvent::ClientSend {
-                attempt,
-                tx_start,
-                wire_at,
-            } => format!(
-                "client-send attempt={attempt} tx_start={} wire={}",
-                tx_start.as_nanos(),
-                wire_at.as_nanos()
-            ),
-            OpEvent::ClientRecv { kind, at } => {
-                format!(
-                    "client-recv kind={} at={}",
-                    render_kind(kind),
-                    at.as_nanos()
-                )
-            }
-            OpEvent::DeviceRecv { device, at } => {
-                format!("device-recv device={device} at={}", at.as_nanos())
-            }
-            OpEvent::DeviceAckSend { device, at } => {
-                format!("device-ack device={device} at={}", at.as_nanos())
-            }
-            OpEvent::DeviceCacheResp { device, at } => {
-                format!("cache-resp device={device} at={}", at.as_nanos())
-            }
-            OpEvent::DeviceBatchStage { device, at } => {
-                format!("batch-stage device={device} at={}", at.as_nanos())
-            }
-            OpEvent::DeviceBatchFlush { device, at } => {
-                format!("batch-flush device={device} at={}", at.as_nanos())
-            }
-            OpEvent::ServerRecv { at } => format!("server-recv at={}", at.as_nanos()),
-            OpEvent::ServerApply { at } => format!("server-apply at={}", at.as_nanos()),
-            OpEvent::ServerSend { at } => format!("server-send at={}", at.as_nanos()),
-        },
-        FlightBody::Issue { kind } => format!("issue kind={}", render_op_kind(kind)),
-        FlightBody::Complete {
-            kind,
-            latency,
-            retries,
-            evidence,
-        } => format!(
-            "complete kind={} latency={} retries={retries} evidence={}",
-            render_op_kind(kind),
-            latency.as_nanos(),
-            render_evidence(evidence)
-        ),
-    }
-}
-
-/// Pulls `key=` out of space-separated `key=value` fields.
-fn field<'a>(fields: &[(&'a str, &'a str)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("missing field: {key}"))
-}
-
-fn field_u64(fields: &[(&str, &str)], key: &str) -> Result<u64, String> {
-    field(fields, key)?
-        .parse()
-        .map_err(|_| format!("bad number in field: {key}"))
-}
-
-fn parse_body(word: &str, fields: &[(&str, &str)]) -> Result<FlightBody, String> {
-    let t = |k: &str| -> Result<Time, String> { Ok(Time::from_nanos(field_u64(fields, k)?)) };
-    Ok(match word {
-        "client-send" => FlightBody::Span(OpEvent::ClientSend {
-            attempt: field_u64(fields, "attempt")? as u32,
-            tx_start: t("tx_start")?,
-            wire_at: t("wire")?,
-        }),
-        "client-recv" => FlightBody::Span(OpEvent::ClientRecv {
-            kind: parse_ack_kind(field(fields, "kind")?)?,
-            at: t("at")?,
-        }),
-        "device-recv" => FlightBody::Span(OpEvent::DeviceRecv {
-            device: field_u64(fields, "device")? as u8,
-            at: t("at")?,
-        }),
-        "device-ack" => FlightBody::Span(OpEvent::DeviceAckSend {
-            device: field_u64(fields, "device")? as u8,
-            at: t("at")?,
-        }),
-        "cache-resp" => FlightBody::Span(OpEvent::DeviceCacheResp {
-            device: field_u64(fields, "device")? as u8,
-            at: t("at")?,
-        }),
-        "server-recv" => FlightBody::Span(OpEvent::ServerRecv { at: t("at")? }),
-        "server-apply" => FlightBody::Span(OpEvent::ServerApply { at: t("at")? }),
-        "server-send" => FlightBody::Span(OpEvent::ServerSend { at: t("at")? }),
-        "issue" => FlightBody::Issue {
-            kind: parse_op_kind(field(fields, "kind")?)?,
-        },
-        "complete" => FlightBody::Complete {
-            kind: parse_op_kind(field(fields, "kind")?)?,
-            latency: Dur::nanos(field_u64(fields, "latency")?),
-            retries: field_u64(fields, "retries")? as u32,
-            evidence: parse_evidence(field(fields, "evidence")?)?,
-        },
-        _ => return Err(format!("unknown flight event: {word}")),
-    })
-}
-
-/// The dump header line — also the section marker chaos artifacts use.
-pub const FLIGHT_HEADER: &str = "# pmnet-telemetry flight v1";
+/// `op=client/session/seq`.
+const OP_KEY: Token<OpKey> = Token(
+    |(client, session, seq)| format!("{}/{session}/{seq}", client.0),
+    |s| match s.split('/').collect::<Vec<_>>()[..] {
+        [c, s, q] => Ok((
+            Addr(Value::get(Some(c))?),
+            Value::get(Some(s))?,
+            Value::get(Some(q))?,
+        )),
+        _ => Err("want client/session/seq".into()),
+    },
+);
 
 impl fmt::Display for FlightDump {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{FLIGHT_HEADER}")?;
+        writeln!(f, "# pmnet-telemetry flight v1")?;
         writeln!(f, "flight dropped={}", self.dropped)?;
         for e in &self.events {
-            writeln!(
-                f,
-                "flight {} t={} node={} op={}/{}/{} {}",
-                e.ord,
-                e.at.as_nanos(),
-                e.node.0,
-                e.key.0 .0,
-                e.key.1,
-                e.key.2,
-                render_body(&e.body)
-            )?;
+            let mut w = Writer::new(' ');
+            w.word("flight").field("", &e.ord).field("t", &e.at);
+            w.field("node", &e.node.0);
+            w.token("op", &OP_KEY.put(&e.key));
+            BODY.write(&e.body, &mut w);
+            writeln!(f, "{}", w.finish())?;
         }
         Ok(())
     }
@@ -411,54 +293,26 @@ impl FromStr for FlightDump {
 
     fn from_str(s: &str) -> Result<FlightDump, String> {
         let mut dump = FlightDump::default();
-        for line in s.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("flight ")
-                .ok_or_else(|| format!("not a flight line: {line}"))?;
-            if let Some(d) = rest.strip_prefix("dropped=") {
-                dump.dropped = d.parse().map_err(|_| format!("bad dropped: {d}"))?;
-                continue;
-            }
-            let mut words = rest.split_whitespace();
-            let ord: u64 = words
-                .next()
-                .ok_or("empty flight line")?
-                .parse()
-                .map_err(|_| format!("bad ord in: {line}"))?;
-            let mut fields: Vec<(&str, &str)> = Vec::new();
-            let mut body_word = None;
-            for w in words {
-                match w.split_once('=') {
-                    Some((k, v)) => fields.push((k, v)),
-                    None => body_word = Some(w),
+        for line in record::lines(s) {
+            let mut r = Reader::new(line);
+            (|| {
+                if r.take("") != Some("flight") {
+                    return Err("not a flight line".to_string());
                 }
-            }
-            let at = Time::from_nanos(field_u64(&fields, "t")?);
-            let node = Addr(field_u64(&fields, "node")? as u32);
-            let op = field(&fields, "op")?;
-            let mut parts = op.split('/');
-            let key: OpKey = (|| -> Option<OpKey> {
-                let c = parts.next()?.parse().ok()?;
-                let s = parts.next()?.parse().ok()?;
-                let q = parts.next()?.parse().ok()?;
-                Some((Addr(c), s, q))
+                if let Some(dropped) = r.field("dropped")? {
+                    dump.dropped = dropped;
+                    return r.finish();
+                }
+                dump.events.push(FlightEvent {
+                    ord: r.field("")?,
+                    at: r.field("t")?,
+                    node: Addr(r.field("node")?),
+                    key: r.token("op", |s| OP_KEY.get(s))?,
+                    body: BODY.read(&mut r)?,
+                });
+                r.finish()
             })()
-            .ok_or_else(|| format!("bad op key: {op}"))?;
-            let body = parse_body(
-                body_word.ok_or_else(|| format!("no event in: {line}"))?,
-                &fields,
-            )?;
-            dump.events.push(FlightEvent {
-                ord,
-                at,
-                node,
-                key,
-                body,
-            });
+            .map_err(|e| format!("{e} in: {line}"))?;
         }
         Ok(dump)
     }
@@ -468,57 +322,36 @@ impl FromStr for FlightDump {
 mod tests {
     use super::*;
 
+    /// Four events of one op: three on the client, one on a device.
     fn sample_recorder() -> FlightRecorder {
         let mut fr = FlightRecorder::new(4);
-        let key = (Addr(1), 2, 3);
-        fr.record(
-            Addr(1),
-            Time::from_nanos(10),
-            key,
-            FlightBody::Issue {
-                kind: OpKind::Update,
-            },
-        );
-        fr.record(
-            Addr(1),
-            Time::from_nanos(10),
-            key,
-            FlightBody::Span(OpEvent::ClientSend {
-                attempt: 0,
-                tx_start: Time::from_nanos(10),
-                wire_at: Time::from_nanos(60),
-            }),
-        );
-        fr.record(
-            Addr(2000),
-            Time::from_nanos(200),
-            key,
-            FlightBody::Span(OpEvent::DeviceRecv {
-                device: 0,
-                at: Time::from_nanos(200),
-            }),
-        );
-        fr.record(
-            Addr(1),
-            Time::from_nanos(700),
-            key,
-            FlightBody::Complete {
-                kind: OpKind::Update,
-                latency: Dur::nanos(690),
-                retries: 0,
-                evidence: Evidence::DeviceAck { device: 0 },
-            },
-        );
+        let kind = OpKind::Update;
+        for (node, at) in [(1, 10), (1, 10), (2000, 200), (1, 700)] {
+            let at = Time::from_nanos(at);
+            fr.record(Addr(node), at, (Addr(1), 2, 3), FlightBody::Issue { kind });
+        }
         fr
     }
 
+    /// PR 19: these parsed — `device=300` as device 44, the others modulo
+    /// 2^32 — because every number was read as a `u64` and cast down.
     #[test]
-    fn dump_round_trips_through_text() {
-        let dump = sample_recorder().dump();
-        let text = dump.to_string();
-        let parsed: FlightDump = text.parse().expect("parse");
-        assert_eq!(parsed, dump);
-        assert_eq!(parsed.to_string(), text, "render is a fixed point");
+    fn numbers_that_do_not_fit_their_field_are_errors() {
+        let ok = "flight 0 t=1 node=1 op=1/0/0 device-recv device=255 at=1";
+        assert!(ok.parse::<FlightDump>().is_ok());
+        for (from, to) in [
+            ("device=255", "device=300"),
+            ("node=1", "node=4294967296"),
+            ("op=1/0/0", "op=1/65536/0"),
+            (
+                "device-recv device=255 at",
+                "client-send attempt=4294967296 tx_start=1 wire",
+            ),
+            ("flight 0", "flight -1"),
+        ] {
+            let e = ok.replace(from, to).parse::<FlightDump>().unwrap_err();
+            assert!(e.contains("bad ") && e.contains(" in: flight"), "{e}");
+        }
     }
 
     #[test]
@@ -562,54 +395,6 @@ mod tests {
         let timeline = dump.for_op((Addr(1), 2, 3));
         assert_eq!(timeline.len(), 4);
         assert!(timeline.iter().all(|e| e.key == (Addr(1), 2, 3)));
-    }
-
-    #[test]
-    fn every_body_shape_round_trips() {
-        let mut fr = FlightRecorder::new(64);
-        let key = (Addr(3), 7, 9);
-        let at = Time::from_nanos(5);
-        let bodies = [
-            FlightBody::Span(OpEvent::ClientRecv {
-                kind: AckKind::Peer(201),
-                at,
-            }),
-            FlightBody::Span(OpEvent::ClientRecv {
-                kind: AckKind::Server,
-                at,
-            }),
-            FlightBody::Span(OpEvent::ClientRecv {
-                kind: AckKind::Reply,
-                at,
-            }),
-            FlightBody::Span(OpEvent::ClientRecv {
-                kind: AckKind::Cache,
-                at,
-            }),
-            FlightBody::Span(OpEvent::DeviceAckSend { device: 1, at }),
-            FlightBody::Span(OpEvent::DeviceCacheResp { device: 2, at }),
-            FlightBody::Span(OpEvent::ServerRecv { at }),
-            FlightBody::Span(OpEvent::ServerApply { at }),
-            FlightBody::Span(OpEvent::ServerSend { at }),
-            FlightBody::Complete {
-                kind: OpKind::Read,
-                latency: Dur::nanos(1),
-                retries: 3,
-                evidence: Evidence::CacheResp,
-            },
-            FlightBody::Complete {
-                kind: OpKind::Update,
-                latency: Dur::nanos(2),
-                retries: 0,
-                evidence: Evidence::LocalLog,
-            },
-        ];
-        for b in bodies {
-            fr.record(Addr(3), at, key, b);
-        }
-        let dump = fr.dump();
-        let parsed: FlightDump = dump.to_string().parse().expect("parse");
-        assert_eq!(parsed, dump);
     }
 
     #[test]
