@@ -12,50 +12,148 @@
 //! thread-local pool that is refilled when the last `Bytes` handle to an
 //! allocation drops. The pool holds whole `Arc<Vec<u8>>` handles — not bare
 //! `Vec`s — so a recycled builder's `freeze()` reuses the Arc header as well
-//! as the byte storage: the steady-state encode → freeze → drop cycle
-//! performs zero heap allocations.
+//! as the byte storage.
+//!
+//! The pool is one free list per size class (64 B to 16 KiB, four steps per
+//! doubling): [`BytesMut::with_capacity`] pops from the class its request
+//! rounds up to, a dropped buffer is pushed onto the class its capacity
+//! rounds down to, both O(1). An encode → freeze → drop cycle therefore
+//! performs zero heap allocations **as long as its class has an idle
+//! buffer**: that is, once as many buffers of that class exist as the
+//! thread ever holds at one time, and provided no more than the class's
+//! retention bound (256 buffers or 256 KiB, whichever is less) were idle
+//! at once — a burst that returns more than that frees the excess, and the
+//! next burst allocates it again (two allocations per miss: Arc header and
+//! storage). Requests above 16 KiB always allocate. A `Vec` wrapped by
+//! `Bytes::from` joins the pool when it drops, but the wrap itself pays for
+//! a fresh Arc header; the packet path builds in pooled builders instead.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// Buffers above this capacity are dropped rather than pooled.
-const POOL_MAX_CAP: usize = 16 * 1024;
-/// At most this many buffers are retained per thread.
-const POOL_MAX_LEN: usize = 128;
+/// Smallest pooled capacity: 64 B, enough for a header-only frame (24 B)
+/// or a KV `Get`, so the smallest class serves every ack and control packet.
+const MIN_CLASS_BITS: u32 = 6;
+/// Largest pooled capacity: 16 KiB. A request above it is allocated exactly
+/// and its storage freed on drop.
+const MAX_CLASS_BITS: u32 = 14;
+/// Each doubling from 64 B to 16 KiB is cut into four equal steps (64, 80,
+/// 96, 112, 128, 160, …): a frame is a power-of-two payload plus a header,
+/// so whole powers of two alone would round almost every frame up to twice
+/// its size; with the steps no buffer is more than a quarter larger than
+/// the request that allocated it.
+const STEP_BITS: u32 = 2;
+/// One free list per class.
+const CLASSES: usize = (((MAX_CLASS_BITS - MIN_CLASS_BITS) << STEP_BITS) + 1) as usize;
+/// A class keeps at most this many idle buffers …
+const CLASS_KEEP_BUFS: usize = 256;
+/// … and at most this many idle bytes, so the large classes keep fewer.
+/// Over all 33 classes a thread retains under 6 MiB whatever it ran (a
+/// workload of two or three frame sizes, a few hundred KiB).
+const CLASS_KEEP_BYTES: usize = 256 * 1024;
+
+/// One thread's idle buffers: a free list per size class.
+struct Pool {
+    classes: [Vec<Arc<Vec<u8>>>; CLASSES],
+}
 
 thread_local! {
-    static BUF_POOL: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
+    static BUF_POOL: RefCell<Pool> = const {
+        RefCell::new(Pool {
+            classes: [const { Vec::new() }; CLASSES],
+        })
+    };
 }
 
-/// Takes a pooled buffer handle with at least `cap` capacity, or allocates
-/// one. The returned Arc is always uniquely owned.
-fn pool_take(cap: usize) -> Arc<Vec<u8>> {
-    BUF_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if let Some(pos) = pool.iter().rposition(|b| b.capacity() >= cap) {
-            return pool.swap_remove(pos);
+impl Pool {
+    /// The class of the `steps`-th step above `1 << bits`.
+    fn class_at(bits: u32, steps: usize) -> usize {
+        (((bits - MIN_CLASS_BITS) << STEP_BITS) as usize) + steps
+    }
+
+    /// The class whose buffers all hold at least `cap` bytes (round up),
+    /// or `None` above the largest class.
+    fn class_to_take(cap: usize) -> Option<usize> {
+        if cap > 1 << MAX_CLASS_BITS {
+            return None;
         }
-        drop(pool);
-        Arc::new(Vec::with_capacity(cap))
-    })
+        if cap <= 1 << MIN_CLASS_BITS {
+            return Some(0);
+        }
+        // 2^bits < cap <= 2^(bits+1): one to four steps above 2^bits.
+        let bits = (cap - 1).ilog2();
+        let step = 1 << (bits - STEP_BITS);
+        Some(Pool::class_at(bits, (cap - (1 << bits)).div_ceil(step)))
+    }
+
+    /// The class a buffer of capacity `cap` may serve (round down, so it
+    /// fits every request routed there), or `None` outside the pooled
+    /// range.
+    fn class_to_put(cap: usize) -> Option<usize> {
+        if !(1 << MIN_CLASS_BITS..=1 << MAX_CLASS_BITS).contains(&cap) {
+            return None;
+        }
+        // 2^bits <= cap < 2^(bits+1): zero to three whole steps above 2^bits.
+        let bits = cap.ilog2();
+        let steps = (cap - (1 << bits)) >> (bits - STEP_BITS);
+        Some(Pool::class_at(bits, steps))
+    }
+
+    /// Bytes a fresh buffer of `class` is allocated with.
+    fn class_bytes(class: usize) -> usize {
+        let bits = MIN_CLASS_BITS + (class >> STEP_BITS) as u32;
+        let steps = class & ((1 << STEP_BITS) - 1);
+        (1 << bits) + (steps << (bits - STEP_BITS))
+    }
+
+    /// Whether `class`, holding `idle` buffers, keeps one more: at most
+    /// `CLASS_KEEP_BUFS` of them and `CLASS_KEEP_BYTES` in all.
+    fn has_room(class: usize, idle: usize) -> bool {
+        idle < CLASS_KEEP_BUFS && (idle + 1) * Pool::class_bytes(class) <= CLASS_KEEP_BYTES
+    }
+
+    #[cfg(test)]
+    fn clear(&mut self) {
+        self.classes.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Whether `buf` is idle in the pool (alive, so its address is its
+    /// identity).
+    #[cfg(test)]
+    fn holds(&self, buf: *const Vec<u8>) -> bool {
+        self.classes.iter().flatten().any(|a| Arc::as_ptr(a) == buf)
+    }
 }
 
-/// Returns a buffer handle to the pool if this was the last reference and
-/// the allocation is worth keeping.
+/// Takes a buffer handle with at least `cap` capacity from the request's
+/// own size class, or allocates one of the class size (two allocations:
+/// the Arc header and the storage). The returned Arc is always uniquely
+/// owned. O(1): a small request neither walks nor takes a large buffer.
+fn pool_take(cap: usize) -> Arc<Vec<u8>> {
+    let Some(class) = Pool::class_to_take(cap) else {
+        return Arc::new(Vec::with_capacity(cap));
+    };
+    BUF_POOL
+        .with(|pool| pool.borrow_mut().classes[class].pop())
+        .unwrap_or_else(|| Arc::new(Vec::with_capacity(Pool::class_bytes(class))))
+}
+
+/// Returns a buffer handle to its size class if this was the last
+/// reference and the class has room.
 fn pool_put(mut arc: Arc<Vec<u8>>) {
     let Some(buf) = Arc::get_mut(&mut arc) else {
         return; // still shared: other handles keep the storage alive
     };
-    if buf.capacity() == 0 || buf.capacity() > POOL_MAX_CAP {
+    let Some(class) = Pool::class_to_put(buf.capacity()) else {
         return;
-    }
+    };
     buf.clear();
     BUF_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < POOL_MAX_LEN {
-            pool.push(arc);
+        let list = &mut pool.borrow_mut().classes[class];
+        if Pool::has_room(class, list.len()) {
+            list.push(arc);
         }
     });
 }
@@ -275,6 +373,13 @@ impl BytesMut {
         self.buf_mut().extend_from_slice(extend);
     }
 
+    /// Grows or shrinks the written length to `new_len`, filling any new
+    /// tail with `value` — room for bytes produced in place (a random
+    /// value, a gathered payload) rather than appended from a slice.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.buf_mut().resize(new_len, value);
+    }
+
     /// Converts the accumulated bytes into an immutable [`Bytes`] without
     /// copying or allocating: the builder's Arc is handed over as-is.
     pub fn freeze(self) -> Bytes {
@@ -438,13 +543,88 @@ mod tests {
         let b = m.freeze();
         let ptr = b.as_ref().as_ptr();
         drop(b); // last handle: allocation returns to the pool
-        let m2 = BytesMut::with_capacity(50);
+        let m2 = BytesMut::with_capacity(100);
         assert_eq!(m2.buf.as_ptr(), ptr, "pool must reuse the freed buffer");
         // A still-shared allocation must NOT be recycled.
         let a = Bytes::from(vec![1u8; 16]);
         let a2 = a.clone();
         drop(a);
         assert_eq!(&a2[..], &[1u8; 16][..]);
+    }
+
+    #[test]
+    fn small_takes_do_not_starve_large_ones() {
+        BUF_POOL.with(|p| p.borrow_mut().clear());
+        // A burst of header-only frames in flight at once, as acks are,
+        // all returned before the next request is built.
+        let acks: Vec<Bytes> = (0..256)
+            .map(|_| BytesMut::with_capacity(24).freeze())
+            .collect();
+        drop(acks);
+        let mut large_ptr = None;
+        for cycle in 0..256 {
+            let small = BytesMut::with_capacity(24);
+            assert!(small.buf.capacity() < 2048, "an ack took a request buffer");
+            let large = BytesMut::with_capacity(2048);
+            assert!(large.buf.capacity() >= 2048);
+            let ptr = Arc::as_ptr(&large.buf);
+            // Warm-up is the first cycle's one miss.
+            if let Some(first) = large_ptr {
+                assert_eq!(ptr, first, "cycle {cycle}: 2 KiB take missed the pool");
+            }
+            large_ptr = Some(ptr);
+            drop(small.freeze());
+            drop(large.freeze());
+            // Retained, never freed: the address cannot be a reuse by the
+            // system allocator.
+            assert!(BUF_POOL.with(|p| p.borrow().holds(ptr)), "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    fn every_capacity_has_a_tightest_class_on_both_sides() {
+        assert_eq!(Pool::class_bytes(0), 64);
+        assert_eq!(Pool::class_bytes(CLASSES - 1), 16 * 1024);
+        for cap in 0..=16 * 1024 {
+            // Take rounds up to the smallest class that fits …
+            let take = Pool::class_to_take(cap).expect("pooled range");
+            assert!(Pool::class_bytes(take) >= cap, "take {cap}");
+            assert!(take == 0 || Pool::class_bytes(take - 1) < cap, "take {cap}");
+            // … within a quarter of the request above 64 B.
+            assert!(
+                cap <= 64 || Pool::class_bytes(take) * 4 <= cap * 5 + 3,
+                "take {cap}"
+            );
+            // Put rounds down to the largest class it can serve.
+            let Some(put) = Pool::class_to_put(cap) else {
+                assert!(cap < 64, "put {cap}");
+                continue;
+            };
+            assert!(Pool::class_bytes(put) <= cap, "put {cap}");
+            assert!(
+                put + 1 == CLASSES || Pool::class_bytes(put + 1) > cap,
+                "put {cap}"
+            );
+        }
+        assert_eq!(Pool::class_to_take(16 * 1024 + 1), None);
+        assert_eq!(Pool::class_to_put(16 * 1024 + 1), None);
+        assert_eq!(Pool::class_to_put(usize::MAX), None);
+    }
+
+    #[test]
+    fn retention_is_bounded_per_class() {
+        BUF_POOL.with(|p| p.borrow_mut().clear());
+        let live: Vec<Bytes> = (0..1000)
+            .map(|_| BytesMut::with_capacity(16 * 1024).freeze())
+            .collect();
+        drop(live);
+        let kept = BUF_POOL.with(|p| p.borrow().classes[CLASSES - 1].len());
+        assert_eq!(kept * 16 * 1024, CLASS_KEEP_BYTES);
+        // Above the largest class nothing is pooled.
+        let big = BytesMut::with_capacity(16 * 1024 + 1);
+        let ptr = Arc::as_ptr(&big.buf);
+        drop(big.freeze());
+        assert!(!BUF_POOL.with(|p| p.borrow().holds(ptr)));
     }
 
     #[test]

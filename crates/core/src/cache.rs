@@ -17,6 +17,8 @@
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
+
 /// The state of a cache entry (Figure 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheState {
@@ -33,7 +35,9 @@ pub enum CacheState {
 #[derive(Debug, Clone)]
 struct CacheEntry {
     state: CacheState,
-    value: Vec<u8>,
+    /// A view of the frame the value arrived in (the logged update, the
+    /// server's read reply): filling and serving it are refcount bumps.
+    value: Bytes,
     /// Updates to this key logged but not yet server-acknowledged. The
     /// paper's Figure 11 is a pure four-state machine; without this
     /// counter the sequence update→update→server-ACK lands in Invalid
@@ -118,35 +122,38 @@ impl ReadCache {
         if self.map.len() < self.capacity {
             return true;
         }
-        let victim = self
-            .map
-            .iter()
-            .find(|(_, e)| matches!(e.state, CacheState::Invalid | CacheState::Persisted))
-            .map(|(k, _)| k.clone());
-        match victim {
-            Some(k) => {
-                self.map.remove(&k);
-                self.counters.evictions += 1;
-                true
-            }
-            None => false,
-        }
+        // The first evictable entry in key order; the iterator is lazy,
+        // so taking one item removes exactly that entry.
+        let evictable = |_: &Vec<u8>, e: &mut CacheEntry| {
+            matches!(e.state, CacheState::Invalid | CacheState::Persisted)
+        };
+        let evicted = self.map.extract_if(.., evictable).next().is_some();
+        self.counters.evictions += u64::from(evicted);
+        evicted
     }
 
-    /// An update request for `key` was logged (T1/T3/T4/T5).
+    /// An update request for `key` was logged (T1/T3/T4/T5). Copies
+    /// `value` in; a caller holding the decoded frame shares it instead
+    /// ([`ReadCache::on_update_view`]).
     pub fn on_update(&mut self, key: &[u8], value: &[u8]) {
+        self.on_update_view(key, &Bytes::copy_from_slice(value));
+    }
+
+    /// [`ReadCache::on_update`] keeping a view of `value`'s buffer rather
+    /// than a copy of its bytes.
+    pub fn on_update_view(&mut self, key: &[u8], value: &Bytes) {
         if let Some(e) = self.map.get_mut(key) {
             e.inflight += 1;
             if e.inflight == 1 {
                 // T1 (from Invalid) / T3 (from Persisted): the new value
                 // is the latest and is Pending.
                 e.state = CacheState::Pending;
-                e.value = value.to_vec();
+                e.value = value.clone();
             } else {
                 // T4: a second in-flight update makes the entry Stale.
                 // T5: Stale stays Stale.
                 e.state = CacheState::Stale;
-                e.value.clear();
+                e.value = Bytes::new();
             }
             self.counters.update_fills += 1;
             return;
@@ -156,9 +163,9 @@ impl ReadCache {
         let prior = self.refused.remove(key).unwrap_or(0);
         if self.make_room() {
             let (state, value, inflight) = if prior == 0 {
-                (CacheState::Pending, value.to_vec(), 1)
+                (CacheState::Pending, value.clone(), 1)
             } else {
-                (CacheState::Stale, Vec::new(), prior + 1)
+                (CacheState::Stale, Bytes::new(), prior + 1)
             };
             self.map.insert(
                 key.to_vec(),
@@ -194,7 +201,7 @@ impl ReadCache {
                 CacheState::Stale => {
                     if e.inflight == 0 {
                         e.state = CacheState::Invalid;
-                        e.value.clear();
+                        e.value = Bytes::new();
                     }
                 }
                 CacheState::Invalid | CacheState::Persisted => {}
@@ -204,11 +211,18 @@ impl ReadCache {
 
     /// A server read response for `key` passed through the device; fill
     /// the cache (only if no in-flight update would make it unsafe).
+    /// Copies `value` in; see [`ReadCache::on_read_response_view`].
     pub fn on_read_response(&mut self, key: &[u8], value: &[u8]) {
+        self.on_read_response_view(key, &Bytes::copy_from_slice(value));
+    }
+
+    /// [`ReadCache::on_read_response`] keeping a view of `value`'s buffer
+    /// rather than a copy of its bytes.
+    pub fn on_read_response_view(&mut self, key: &[u8], value: &Bytes) {
         if let Some(e) = self.map.get_mut(key) {
             if e.state == CacheState::Invalid && e.inflight == 0 {
                 e.state = CacheState::Persisted;
-                e.value = value.to_vec();
+                e.value = value.clone();
                 self.counters.read_fills += 1;
             }
             // Pending/Persisted already hold fresher-or-equal data; a
@@ -227,7 +241,7 @@ impl ReadCache {
                 key.to_vec(),
                 CacheEntry {
                     state: CacheState::Persisted,
-                    value: value.to_vec(),
+                    value: value.clone(),
                     inflight: 0,
                 },
             );
@@ -235,8 +249,9 @@ impl ReadCache {
         }
     }
 
-    /// Attempts to serve a read. Hits only in Pending or Persisted states.
-    pub fn lookup(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    /// Attempts to serve a read. Hits only in Pending or Persisted states;
+    /// a hit is a view of the filled buffer, not a copy.
+    pub fn lookup(&mut self, key: &[u8]) -> Option<Bytes> {
         match self.map.get(key) {
             Some(e) if matches!(e.state, CacheState::Pending | CacheState::Persisted) => {
                 self.counters.hits += 1;
@@ -259,7 +274,7 @@ mod tests {
         let mut c = ReadCache::new(16);
         c.on_update(b"k", b"v1");
         assert_eq!(c.state(b"k"), CacheState::Pending);
-        assert_eq!(c.lookup(b"k"), Some(b"v1".to_vec()));
+        assert_eq!(c.lookup(b"k").as_deref(), Some(&b"v1"[..]));
     }
 
     #[test]
@@ -268,7 +283,7 @@ mod tests {
         c.on_update(b"k", b"v1");
         c.on_server_ack(b"k");
         assert_eq!(c.state(b"k"), CacheState::Persisted);
-        assert_eq!(c.lookup(b"k"), Some(b"v1".to_vec()));
+        assert_eq!(c.lookup(b"k").as_deref(), Some(&b"v1"[..]));
     }
 
     #[test]
@@ -278,7 +293,7 @@ mod tests {
         c.on_server_ack(b"k");
         c.on_update(b"k", b"v2");
         assert_eq!(c.state(b"k"), CacheState::Pending);
-        assert_eq!(c.lookup(b"k"), Some(b"v2".to_vec()));
+        assert_eq!(c.lookup(b"k").as_deref(), Some(&b"v2"[..]));
     }
 
     #[test]
@@ -305,7 +320,7 @@ mod tests {
         // A later update restarts the cycle (T1 from Invalid).
         c.on_update(b"k", b"v3");
         assert_eq!(c.state(b"k"), CacheState::Pending);
-        assert_eq!(c.lookup(b"k"), Some(b"v3".to_vec()));
+        assert_eq!(c.lookup(b"k").as_deref(), Some(&b"v3"[..]));
     }
 
     #[test]
@@ -316,7 +331,7 @@ mod tests {
         // A pending update is fresher than any read response.
         c.on_update(b"k", b"new");
         c.on_read_response(b"k", b"old");
-        assert_eq!(c.lookup(b"k"), Some(b"new".to_vec()));
+        assert_eq!(c.lookup(b"k").as_deref(), Some(&b"new"[..]));
         // A stale entry must not be resurrected by a racing read.
         c.on_update(b"k", b"newer");
         c.on_read_response(b"k", b"racing");
@@ -337,7 +352,7 @@ mod tests {
         // Once the second ack drains, fills become safe again.
         c.on_server_ack(b"k");
         c.on_read_response(b"k", b"fresh");
-        assert_eq!(c.lookup(b"k"), Some(b"fresh".to_vec()));
+        assert_eq!(c.lookup(b"k").as_deref(), Some(&b"fresh"[..]));
     }
 
     #[test]
@@ -355,7 +370,7 @@ mod tests {
         // Once B's update is acknowledged, fills become safe again.
         c.on_server_ack(b"b");
         c.on_read_response(b"b", b"b1");
-        assert_eq!(c.lookup(b"b"), Some(b"b1".to_vec()));
+        assert_eq!(c.lookup(b"b").as_deref(), Some(&b"b1"[..]));
     }
 
     #[test]
@@ -396,6 +411,20 @@ mod tests {
         c.on_server_ack(b"c");
         c.on_server_ack(b"c");
         assert_eq!(c.state(b"c"), CacheState::Invalid);
+    }
+
+    #[test]
+    fn a_hit_is_a_view_of_the_filled_buffer() {
+        let frame = Bytes::from(b"k1the-value".to_vec());
+        let (key, value) = (frame.slice(..2), frame.slice(2..));
+        let mut c = ReadCache::new(4);
+        c.on_update_view(&key, &value);
+        let hit = c.lookup(&key).expect("pending serves reads");
+        assert_eq!(hit, value);
+        assert_eq!(hit.as_ptr(), value.as_ptr(), "update fill copied");
+        // The same through a read reply's fill.
+        c.on_read_response_view(b"r", &value);
+        assert_eq!(c.lookup(b"r").expect("filled").as_ptr(), value.as_ptr());
     }
 
     #[test]

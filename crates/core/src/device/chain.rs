@@ -9,6 +9,8 @@
 
 use std::collections::HashSet;
 
+use pmnet_sim::hash::FixedState;
+
 /// The device's position in its shard's replication chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceRole {
@@ -43,13 +45,13 @@ pub struct Chain {
     /// Primary role: admitted entries the backup has not confirmed. Empty
     /// in every other role — a solo device keeps no per-entry record.
     /// Held in DRAM: a power loss forgets it ([`Chain::reset`]).
-    awaiting: HashSet<u32>,
+    awaiting: HashSet<u32, FixedState>,
 }
 
 impl Chain {
     /// A chain member in `role` with nothing outstanding.
     pub fn new(role: DeviceRole) -> Chain {
-        let awaiting = HashSet::new();
+        let awaiting = HashSet::default();
         Chain { role, awaiting }
     }
 

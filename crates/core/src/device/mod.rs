@@ -25,6 +25,7 @@ mod redo;
 mod update;
 
 use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, RouteTable, Timer};
+use pmnet_sim::hash::FixedState;
 use pmnet_sim::Dur;
 use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
@@ -163,7 +164,7 @@ pub struct PmnetDevice {
     /// stays staged — re-fired on a backoff timer — until the server's
     /// redo ack invalidates it; when the last staged entry for a server
     /// clears, the device emits `RecoveryDone`.
-    staged_resends: HashMap<u32, StagedResend>,
+    staged_resends: HashMap<u32, StagedResend, FixedState>,
     /// Cache-miss reads held because a logged update from the same
     /// `(server, client, session)` is still un-server-acked: the update
     /// is durable (we acked it) but possibly unapplied, so forwarding the
@@ -197,7 +198,7 @@ pub struct PmnetDevice {
     batch_seq: u64,
     /// The payload of each pending [`TIMER_BATCH_PERSIST`]: the entries a
     /// flushed window's single PM write covers, keyed by batch id.
-    inflight_batches: HashMap<u64, Vec<u32>>,
+    inflight_batches: HashMap<u64, Vec<u32>, FixedState>,
     telemetry: Telemetry,
     #[cfg(feature = "recorder")]
     recorder: Recorder,
@@ -217,7 +218,7 @@ impl PmnetDevice {
             counters: DeviceCounters::default(),
             alive: true,
             epoch: 0,
-            staged_resends: HashMap::new(),
+            staged_resends: HashMap::default(),
             parked_reads: HashMap::new(),
             #[cfg(feature = "recorder")]
             stale_read_bug: false,
@@ -227,7 +228,7 @@ impl PmnetDevice {
             fabric_epoch: 0,
             batch: BatchConfig::default(),
             batch_seq: 0,
-            inflight_batches: HashMap::new(),
+            inflight_batches: HashMap::default(),
             telemetry: Telemetry::disabled(),
             #[cfg(feature = "recorder")]
             recorder: Recorder::default(),

@@ -34,7 +34,7 @@ impl PmnetDevice {
                     h.device_id = self.id;
                     let frame = KvFrame::Value {
                         key,
-                        value: value.into(),
+                        value,
                         found: true,
                     };
                     let frame_bytes = frame.encode();
@@ -92,7 +92,7 @@ impl PmnetDevice {
                 found: true,
             }) = KvFrame::decode(&payload)
             {
-                cache.on_read_response(&key, &value);
+                cache.on_read_response_view(&key, &value);
             }
         }
         self.forward(ctx, packet);

@@ -143,7 +143,7 @@ impl PmnetDevice {
         }
         if let Some(cache) = &mut self.cache {
             if let Some(KvFrame::Set { key, value }) = KvFrame::decode(payload) {
-                cache.on_update(&key, &value);
+                cache.on_update_view(&key, &value);
             }
         }
     }

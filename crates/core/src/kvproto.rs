@@ -58,7 +58,9 @@ impl KvFrame {
     ///
     /// The builder is drawn from the thread-local recycle pool and its
     /// whole allocation returns there when the last `Bytes` handle drops,
-    /// so the steady-state encode path allocates nothing.
+    /// so an encode allocates nothing whenever the frame's size class has
+    /// an idle buffer (the condition
+    /// [`crate::protocol::PmnetHeader::encode`] spells out).
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(self.encoded_len());
         self.encode_into(&mut b);
@@ -68,41 +70,49 @@ impl KvFrame {
     /// Writes the frame into an existing buffer — used by batch framing to
     /// pack several frames into one backing allocation.
     pub fn encode_into(&self, b: &mut impl BufMut) {
-        // Tag + length prefix staged on the stack: one append for the
-        // prefix instead of one per field (each `put_*` re-checks unique
-        // ownership and spare capacity).
         match self {
-            KvFrame::Get { key } => {
-                let mut p = [b'G', 0, 0];
-                p[1..3].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                b.put_slice(&p);
-                b.put_slice(key);
-            }
+            KvFrame::Get { key } => put_keyed(b, b'G', key),
             KvFrame::Set { key, value } => {
-                let mut p = [b'S', 0, 0];
-                p[1..3].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                b.put_slice(&p);
-                b.put_slice(key);
+                put_keyed(b, b'S', key);
                 b.put_slice(value);
             }
-            KvFrame::Del { key } => {
-                let mut p = [b'D', 0, 0];
-                p[1..3].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                b.put_slice(&p);
-                b.put_slice(key);
-            }
-            KvFrame::Value { key, value, found } => {
-                let mut p = [b'V', u8::from(*found), 0, 0];
-                p[2..4].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                b.put_slice(&p);
-                b.put_slice(key);
-                b.put_slice(value);
-            }
+            KvFrame::Del { key } => put_keyed(b, b'D', key),
+            KvFrame::Value { key, value, found } => put_value(b, key, value, *found),
             KvFrame::Opaque { bytes } => {
                 b.put_u8(b'O');
                 b.put_slice(bytes);
             }
         }
+    }
+
+    /// The wire form of `Get { key }` from a borrowed key: a request
+    /// source formats its key on the stack and pays one pooled builder,
+    /// not a key buffer and a frame on top.
+    pub fn encode_get(key: &[u8]) -> Bytes {
+        let mut b = BytesMut::with_capacity(3 + key.len());
+        put_keyed(&mut b, b'G', key);
+        b.freeze()
+    }
+
+    /// The wire form of `Set { key, value }` whose `value_len`-byte value
+    /// `fill` produces in place (a source's random value is drawn straight
+    /// into the frame).
+    pub fn encode_set_with(key: &[u8], value_len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        let at = 3 + key.len();
+        let mut b = BytesMut::with_capacity(at + value_len);
+        put_keyed(&mut b, b'S', key);
+        b.resize(at + value_len, 0);
+        fill(&mut b[at..]);
+        b.freeze()
+    }
+
+    /// The wire form of a read reply from borrowed parts: `Some(value)` is
+    /// a hit, `None` a miss (`found == false`, empty value).
+    pub fn encode_value(key: &[u8], value: Option<&[u8]>) -> Bytes {
+        let body = value.unwrap_or_default();
+        let mut b = BytesMut::with_capacity(4 + key.len() + body.len());
+        put_value(&mut b, key, body, value.is_some());
+        b.freeze()
     }
 
     /// Exact wire length of [`KvFrame::encode`]'s output.
@@ -174,6 +184,27 @@ impl KvFrame {
     }
 }
 
+// Tag + length prefix staged on the stack: one append for the prefix
+// instead of one per field (each `put_*` re-checks unique ownership and
+// spare capacity).
+
+/// `tag klen key`: the whole of a `Get`/`Del`, the head of a `Set`.
+fn put_keyed(b: &mut impl BufMut, tag: u8, key: &[u8]) {
+    let mut p = [tag, 0, 0];
+    p[1..3].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    b.put_slice(&p);
+    b.put_slice(key);
+}
+
+/// `'V' found klen key value`.
+fn put_value(b: &mut impl BufMut, key: &[u8], value: &[u8], found: bool) {
+    let mut p = [b'V', u8::from(found), 0, 0];
+    p[2..4].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    b.put_slice(&p);
+    b.put_slice(key);
+    b.put_slice(value);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +236,36 @@ mod tests {
         ];
         for f in &frames {
             assert_eq!(KvFrame::decode(&f.encode()).as_ref(), Some(f));
+        }
+    }
+
+    #[test]
+    fn borrowed_part_encoders_match_the_frame_encoder() {
+        let (key, value) = (
+            Bytes::from_static(b"user01"),
+            Bytes::from_static(b"\x00\x01v"),
+        );
+        assert_eq!(
+            KvFrame::encode_get(&key),
+            KvFrame::Get { key: key.clone() }.encode()
+        );
+        let set = KvFrame::encode_set_with(&key, value.len(), |v| v.copy_from_slice(&value));
+        let frame = KvFrame::Set {
+            key: key.clone(),
+            value: value.clone(),
+        };
+        assert_eq!(set, frame.encode());
+        for found in [true, false] {
+            let (body, value) = if found {
+                (Some(&value[..]), value.clone())
+            } else {
+                (None, Bytes::new())
+            };
+            let key = key.clone();
+            assert_eq!(
+                KvFrame::encode_value(&key, body),
+                KvFrame::Value { key, value, found }.encode()
+            );
         }
     }
 

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use pmnet_net::Addr;
 use pmnet_pmem::PmDevice;
+use pmnet_sim::hash::FixedState;
 use pmnet_sim::Time;
 
 use crate::config::DeviceConfig;
@@ -182,7 +183,7 @@ impl OutstandingTable {
 #[derive(Debug)]
 pub struct LogStore {
     pm: PmDevice,
-    entries: HashMap<u32, LogEntry>,
+    entries: HashMap<u32, LogEntry, FixedState>,
     max_entries: usize,
     max_bytes: u64,
     queue_bytes: u64,
@@ -212,7 +213,7 @@ impl LogStore {
     pub fn new(config: &DeviceConfig) -> LogStore {
         LogStore {
             pm: PmDevice::new(config.pm),
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             max_entries: config.log_capacity_entries,
             max_bytes: config.log_capacity_bytes,
             queue_bytes: config.log_queue_bytes,
@@ -409,9 +410,9 @@ impl LogStore {
             return None;
         }
         let ack_at = self.pm.schedule_write(now, self.staged_bytes as u32);
-        let staged = std::mem::take(&mut self.staged);
-        let mut hashes = Vec::with_capacity(staged.len());
-        for h in staged {
+        // Drained, not taken: the next window stages into the same buffer.
+        let mut hashes = Vec::with_capacity(self.staged.len());
+        for h in self.staged.drain(..) {
             if let Some(e) = self.entries.get_mut(&h) {
                 e.persisted_at = ack_at;
                 hashes.push(h);

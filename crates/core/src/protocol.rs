@@ -236,7 +236,10 @@ impl PmnetHeader {
     ///
     /// The builder is drawn from the thread-local recycle pool and its
     /// whole allocation (Arc handle included) returns there when the last
-    /// `Bytes` drops, so the steady-state encode path allocates nothing.
+    /// `Bytes` drops, so an encode allocates nothing whenever the frame's
+    /// size class has an idle buffer — always, once the pool holds as many
+    /// buffers as are in flight at one time (see the `bytes` crate docs for
+    /// the retention bound past which a burst is freed instead).
     pub fn encode(&self, payload: &[u8]) -> Bytes {
         let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
         self.encode_into(&mut buf, payload);

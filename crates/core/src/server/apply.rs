@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Packet, Proto};
 use pmnet_pmem::CostModel;
-use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
+use pmnet_sim::hash::{fnv1a, FixedState, FNV_OFFSET};
 use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::span::OpEvent;
 
@@ -80,16 +80,16 @@ pub(super) struct ApplyPool {
     /// Monotone delivery counter feeding [`ApplyOp::id`].
     next_id: u64,
     /// Ids staged but not yet dispatched to a worker.
-    pending: HashSet<u64>,
+    pending: HashSet<u64, FixedState>,
     /// Latest staged writer id per KV key: the write-write fence source
     /// and the read-parking predicate.
-    key_writer: HashMap<Bytes, u64>,
+    key_writer: HashMap<Bytes, u64, FixedState>,
     /// `(client, session, seq)` of every staged fragment. A duplicate or
     /// redo resend matching one is dropped *without* a make-up ack: the
     /// update has not reached the handler, so acking it would let the
     /// device invalidate its log entry while the only copy of the update
     /// sits in this volatile queue.
-    pub(super) in_flight: HashSet<(Addr, u16, u32)>,
+    pub(super) in_flight: HashSet<(Addr, u16, u32), FixedState>,
     /// Bypass reads parked behind a staged same-key write.
     parked_reads: Vec<PendingPkt>,
     /// The seeded logical scheduler: jitters run occupancy so different
@@ -107,9 +107,9 @@ impl ApplyPool {
             busy: vec![false; n],
             busy_until: vec![Time::ZERO; n],
             next_id: 0,
-            pending: HashSet::new(),
-            key_writer: HashMap::new(),
-            in_flight: HashSet::new(),
+            pending: HashSet::default(),
+            key_writer: HashMap::default(),
+            in_flight: HashSet::default(),
             parked_reads: Vec::new(),
             rng: SimRng::seed(cfg.sched_seed ^ 0x9e37_79b9_7f4a_7c15),
         }
@@ -160,7 +160,7 @@ impl ServerLib {
     /// occupancy is the calling policy's business.
     fn apply_one(&mut self, ctx: &mut Ctx<'_>, update: &Update) -> Dur {
         let (client, session) = (update.ticket.client, update.ticket.session);
-        for h in &update.ticket.frag_headers {
+        for h in update.ticket.frag_headers.iter() {
             self.stamp(ctx, h, OpEvent::ServerApply { at: ctx.now() });
         }
         let service = self.handler.handle_update(
@@ -318,7 +318,7 @@ impl ServerLib {
         }
         self.pool.pending.insert(id);
         let (client, session) = (update.ticket.client, update.ticket.session);
-        for h in &update.ticket.frag_headers {
+        for h in update.ticket.frag_headers.iter() {
             self.pool.in_flight.insert((client, session, h.seq));
         }
         let w = self.apply_worker(client, session);
@@ -372,7 +372,7 @@ impl ServerLib {
                 }
             }
             let (client, session) = (op.update.ticket.client, op.update.ticket.session);
-            for h in &op.update.ticket.frag_headers {
+            for h in op.update.ticket.frag_headers.iter() {
                 self.pool.in_flight.remove(&(client, session, h.seq));
             }
             service += self.apply_one(ctx, &op.update);
@@ -467,7 +467,7 @@ impl ServerLib {
     }
 
     fn redeem(&mut self, ctx: &mut Ctx<'_>, ticket: &AckTicket) {
-        for h in &ticket.frag_headers {
+        for h in ticket.frag_headers.iter() {
             self.send_server_ack(ctx, h, ticket.src_port, ticket.proto);
         }
     }
@@ -480,7 +480,7 @@ impl ServerLib {
             // defer the client ACK until they all confirm (Figure 21).
             for i in 0..self.replicate_to.len() {
                 let replica = self.replicate_to[i];
-                for h in &ticket.frag_headers {
+                for h in ticket.frag_headers.iter() {
                     // Address the copy's ACK back to this primary by
                     // rewriting the header's client field.
                     let mut copy = *h;

@@ -30,6 +30,7 @@ use std::fmt;
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, Proto, Timer};
 use pmnet_pmem::{PmDevice, PmDeviceConfig};
+use pmnet_sim::hash::FixedState;
 use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
@@ -101,7 +102,7 @@ pub trait RequestHandler: fmt::Debug {
 /// handler with negligible durable state.
 #[derive(Debug, Default)]
 pub struct IdealHandler {
-    applied: HashMap<(Addr, u16), u32>,
+    applied: HashMap<(Addr, u16), u32, FixedState>,
     service: Dur,
 }
 
@@ -109,7 +110,7 @@ impl IdealHandler {
     /// Creates an ideal handler with a minimal fixed service time.
     pub fn new() -> IdealHandler {
         IdealHandler {
-            applied: HashMap::new(),
+            applied: HashMap::default(),
             service: Dur::nanos(500),
         }
     }
@@ -226,9 +227,9 @@ pub struct ServerLib {
     handler: Box<dyn RequestHandler>,
     workers: Vec<Time>,
     /// In-order delivery state, one [`Stream`] per `(client, session)`.
-    streams: HashMap<(Addr, u16), Stream>,
+    streams: HashMap<(Addr, u16), Stream, FixedState>,
     /// Work whose worker occupancy is still elapsing ([`TIMER_DONE`]).
-    parked: HashMap<u64, Parked>,
+    parked: HashMap<u64, Parked, FixedState>,
     next_parked: u64,
     batch: BatchConfig,
     /// Applied updates staged for the next doorbell job, and their summed
@@ -297,8 +298,8 @@ impl ServerLib {
             profile,
             handler,
             workers: vec![Time::ZERO; workers],
-            streams: HashMap::new(),
-            parked: HashMap::new(),
+            streams: HashMap::default(),
+            parked: HashMap::default(),
             next_parked: 0,
             batch: BatchConfig::default(),
             window: Vec::new(),

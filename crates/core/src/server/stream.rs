@@ -6,9 +6,9 @@
 //! [`ServerLib`] adapter that lowers those answers onto the simulator.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use pmnet_net::{Addr, Ctx, Proto, Timer};
 use pmnet_sim::Dur;
 
@@ -28,6 +28,28 @@ pub struct PendingPkt {
     pub proto: Proto,
 }
 
+/// The headers of one update's fragments, in `SeqNum` order. An update that
+/// fits one packet keeps its header inline; only a fragmented one pays for
+/// a vector.
+#[derive(Debug)]
+pub enum FragHeaders {
+    /// The whole update was one packet.
+    One([PmnetHeader; 1]),
+    /// One header per fragment.
+    Many(Vec<PmnetHeader>),
+}
+
+impl Deref for FragHeaders {
+    type Target = [PmnetHeader];
+
+    fn deref(&self) -> &[PmnetHeader] {
+        match self {
+            FragHeaders::One(h) => h,
+            FragHeaders::Many(v) => v,
+        }
+    }
+}
+
 /// The obligation an accepted update leaves behind: one `ServerAck` per
 /// fragment header, to this flow, once applied. The only thing that
 /// travels from delivery to completion, whichever policy carries it.
@@ -38,7 +60,7 @@ pub struct AckTicket {
     /// The client's session.
     pub session: u16,
     /// Every fragment of the update, in `SeqNum` order.
-    pub frag_headers: Vec<PmnetHeader>,
+    pub frag_headers: FragHeaders,
     /// The flow's source port.
     pub src_port: u16,
     /// The flow's transport.
@@ -170,24 +192,34 @@ impl Stream {
 
     fn assemble(&mut self) -> Update {
         let first = &self.partial[0];
-        let ticket = AckTicket {
-            client: first.header.client,
-            session: first.header.session,
-            frag_headers: self.partial.iter().map(|f| f.header).collect(),
-            src_port: first.src_port,
-            proto: first.proto,
-        };
-        let mut payload = Vec::new();
-        for f in &self.partial {
-            payload.extend_from_slice(&f.payload);
-        }
+        let (client, session) = (first.header.client, first.header.session);
+        let (src_port, proto) = (first.src_port, first.proto);
         let redo = self.partial.iter().any(|f| f.header.is_redo());
-        self.partial.clear();
+        let (frag_headers, payload) = if self.partial.len() == 1 {
+            // One fragment: its body already is a refcounted slice of the
+            // packet it arrived in. Nothing to gather, nothing to copy.
+            let only = self.partial.pop().expect("one fragment");
+            (FragHeaders::One([only.header]), only.payload)
+        } else {
+            let headers = self.partial.iter().map(|f| f.header).collect();
+            let len = self.partial.iter().map(|f| f.payload.len()).sum();
+            let mut gathered = BytesMut::with_capacity(len);
+            for f in self.partial.drain(..) {
+                gathered.extend_from_slice(&f.payload);
+            }
+            (FragHeaders::Many(headers), gathered.freeze())
+        };
         Update {
             last_seq: self.expected - 1,
-            payload: Bytes::from(payload),
+            payload,
             redo,
-            ticket,
+            ticket: AckTicket {
+                client,
+                session,
+                frag_headers,
+                src_port,
+                proto,
+            },
         }
     }
 
@@ -359,5 +391,62 @@ impl ServerLib {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fragment `idx` of `cnt`, carrying `body` as a slice of a larger
+    /// datagram, the way a decoded packet's payload is.
+    fn frag(seq: u32, idx: u16, cnt: u16, body: &[u8]) -> PendingPkt {
+        let mut datagram = vec![0xEE; 24];
+        datagram.extend_from_slice(body);
+        PendingPkt {
+            header: PmnetHeader::request(PacketType::UpdateReq, 1, seq, Addr(1), Addr(9), idx, cnt),
+            payload: Bytes::from(datagram).slice(24..),
+            src_port: 51001,
+            proto: Proto::Udp,
+        }
+    }
+
+    #[test]
+    fn a_single_fragment_update_is_the_offered_buffer() {
+        let mut s = Stream::new(0);
+        let pkt = frag(0, 0, 1, b"whole update");
+        let offered = pkt.payload.as_ptr();
+        assert!(matches!(s.offer(pkt), Offer::Accepted));
+        let update = s.next_ready().expect("complete");
+        assert_eq!(&update.payload[..], b"whole update");
+        assert_eq!(update.payload.as_ptr(), offered, "the payload was copied");
+        assert!(matches!(update.ticket.frag_headers, FragHeaders::One(_)));
+        assert!(s.next_ready().is_none());
+    }
+
+    #[test]
+    fn a_three_fragment_update_is_gathered_into_one_buffer() {
+        let mut s = Stream::new(0);
+        let bodies: [&[u8]; 3] = [b"first,", b"second,", b"third"];
+        let mut offered = Vec::new();
+        // Out of order, so two fragments come back from the reorder buffer.
+        for i in [2usize, 0, 1] {
+            let pkt = frag(i as u32, i as u16, 3, bodies[i]);
+            offered.push(pkt.payload.clone());
+            s.offer(pkt);
+        }
+        let update = s.next_ready().expect("complete");
+        assert_eq!(update.payload, bodies.concat());
+        assert_eq!(update.last_seq, 2);
+        let seqs: Vec<u32> = update.ticket.frag_headers.iter().map(|h| h.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        // One buffer of its own: no fragment's bytes are aliased.
+        let gathered = update.payload.as_ptr_range();
+        for f in &offered {
+            assert!(!gathered.contains(&f.as_ptr()), "a fragment was aliased");
+        }
+        // The next request starts from an empty assembly.
+        assert!(matches!(s.offer(frag(3, 0, 1, b"next")), Offer::Accepted));
+        assert_eq!(&s.next_ready().expect("complete").payload[..], b"next");
     }
 }

@@ -21,7 +21,7 @@
 //!                 to PMNet-Switch exactly)
 //! ```
 
-use bytes::Bytes;
+use bytes::{BufMut, BytesMut};
 use pmnet_net::topology::{validate_shards, ShardSpec};
 use pmnet_net::{Addr, PortNo, Switch, World};
 use pmnet_sim::stats::{CounterSet, LatencyHistogram};
@@ -836,13 +836,15 @@ impl RequestSource for MicroSource {
         } else {
             RequestKind::Bypass
         };
-        let mut payload = vec![0u8; self.payload_bytes];
-        rng.fill_bytes(&mut payload);
-        // Tag as an opaque app frame so KV-aware components skip it.
-        payload.insert(0, b'O');
+        // Tag as an opaque app frame so KV-aware components skip it, then
+        // the random body, drawn in place.
+        let mut payload = BytesMut::with_capacity(1 + self.payload_bytes);
+        payload.put_u8(b'O');
+        payload.resize(1 + self.payload_bytes, 0);
+        rng.fill_bytes(&mut payload[1..]);
         Some(AppRequest {
             kind,
-            payload: Bytes::from(payload),
+            payload: payload.freeze(),
         })
     }
 }
@@ -937,6 +939,31 @@ mod tests {
         UpdateExperiment::new(design, SystemConfig::default())
             .requests_per_client(100)
             .run(7)
+    }
+
+    #[test]
+    fn micro_source_payload_bytes_and_rng_draws_are_pinned() {
+        use pmnet_pmem::{crc32_finish, crc32_init, crc32_update};
+        // Literals captured from the `vec!` + `insert(0, b'O')` source this
+        // code replaced: same bytes, same draws.
+        for (seed, crc, next) in [
+            (1, 0xc3d5_7231, 0x09a5_a611_a6c9_fbfa_u64),
+            (2, 0xdc91_36eb, 0xb554_d1ea_f751_cc49),
+            (7, 0x1bfd_3f6a, 0xb956_85b6_3161_118d),
+        ] {
+            let mut source = MicroSource::updates(200, 64);
+            let mut rng = SimRng::seed(seed);
+            let mut state = crc32_init();
+            while let Some(r) = source.next_request(&mut rng) {
+                assert_eq!((r.payload.len(), r.payload[0]), (65, b'O'));
+                state = crc32_update(state, &r.payload);
+            }
+            assert_eq!(
+                (crc32_finish(state), rng.next_u64()),
+                (crc, next),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -106,26 +106,16 @@ impl KvHandler {
         rng.jittered(t, self.jitter_frac)
     }
 
-    /// Serves one read and returns (service time, reply frame).
-    pub fn get_costed(&mut self, key: &[u8], rng: &mut SimRng) -> (Dur, KvFrame) {
+    /// Serves one read and returns (service time, encoded reply frame).
+    /// The value is encoded straight from the store's copy into a pooled
+    /// builder — no refcounted wrapper around it on the way.
+    pub fn get_costed(&mut self, key: &[u8], rng: &mut SimRng) -> (Dur, Bytes) {
         let kv = self.kv.as_mut().expect("handler used while crashed");
         let value = kv.get(key);
         let idx = kv.take_index_stats();
         let pm = kv.take_arena_stats();
         let t = rng.jittered(self.cost.service_time(idx, pm), self.jitter_frac);
-        let frame = match value {
-            Some(v) => KvFrame::Value {
-                key: Bytes::copy_from_slice(key),
-                value: Bytes::from(v),
-                found: true,
-            },
-            None => KvFrame::Value {
-                key: Bytes::copy_from_slice(key),
-                value: Bytes::new(),
-                found: false,
-            },
-        };
-        (t, frame)
+        (t, KvFrame::encode_value(key, value.as_deref()))
     }
 }
 
@@ -167,8 +157,8 @@ impl RequestHandler for KvHandler {
     fn handle_bypass(&mut self, payload: &Bytes, rng: &mut SimRng) -> (Dur, Option<Bytes>) {
         match KvFrame::decode(payload) {
             Some(KvFrame::Get { key }) => {
-                let (t, frame) = self.get_costed(&key, rng);
-                (t + self.extra, Some(frame.encode()))
+                let (t, reply) = self.get_costed(&key, rng);
+                (t + self.extra, Some(reply))
             }
             _ => (self.extra + Dur::micros(1), Some(Bytes::new())),
         }

@@ -338,10 +338,10 @@ impl RequestHandler for TpccHandler {
                 (Dur::micros(5), Some(Bytes::from(vec![1])))
             }
             Some(TpccOp::OrderStatus { warehouse, item }) => {
-                let (t, frame) = self
+                let (t, reply) = self
                     .kv
                     .get_costed(format!("stock:{warehouse}:{item}").as_bytes(), rng);
-                (t + Dur::micros(5), Some(frame.encode()))
+                (t + Dur::micros(5), Some(reply))
             }
             _ => (Dur::micros(1), Some(Bytes::new())),
         }

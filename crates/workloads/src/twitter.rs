@@ -239,11 +239,11 @@ impl RequestHandler for TwitterHandler {
                 let mut t = Dur::micros(4);
                 let mut out = BytesMut::new();
                 for id in self.next_tweet_id.saturating_sub(10)..self.next_tweet_id {
-                    let (dt, frame) = self
+                    let (dt, reply) = self
                         .kv
                         .get_costed(format!("posts:{user}:{id}").as_bytes(), rng);
                     t += dt;
-                    out.put_slice(&frame.encode());
+                    out.put_slice(&reply);
                 }
                 (t, Some(out.freeze()))
             }

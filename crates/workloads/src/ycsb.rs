@@ -131,7 +131,7 @@ pub struct YcsbSource {
     mix: Option<YcsbMix>,
     /// For workload F: the key read in the first half of an RMW, awaiting
     /// its write half.
-    rmw_pending: Option<Vec<u8>>,
+    rmw_pending: Option<Key>,
 }
 
 impl YcsbSource {
@@ -170,7 +170,57 @@ impl YcsbSource {
 
     /// The key encoding used by all KV workloads.
     pub fn key_bytes(id: u64) -> Vec<u8> {
-        format!("user{id:012}").into_bytes()
+        Key::new(id).as_bytes().to_vec()
+    }
+
+    fn set(&self, key: &Key, rng: &mut SimRng) -> AppRequest {
+        let value = |v: &mut [u8]| rng.fill_bytes(v);
+        AppRequest {
+            kind: RequestKind::Update,
+            payload: KvFrame::encode_set_with(key.as_bytes(), self.value_bytes, value),
+        }
+    }
+
+    fn get(key: &Key) -> AppRequest {
+        AppRequest {
+            kind: RequestKind::Bypass,
+            payload: KvFrame::encode_get(key.as_bytes()),
+        }
+    }
+}
+
+/// `user{id:012}` formatted on the stack: the digits are written from the
+/// right, so a request costs no `String` on the way to its frame.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    buf: [u8; Key::CAP],
+    at: usize,
+}
+
+impl Key {
+    /// `"user"` and the twenty digits of `u64::MAX`.
+    const CAP: usize = 4 + 20;
+    /// Ids are zero-padded to at least this many digits.
+    const MIN_DIGITS: usize = 12;
+
+    fn new(id: u64) -> Key {
+        let mut buf = [b'0'; Key::CAP];
+        let (mut at, mut rest) = (Key::CAP, id);
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        at = at.min(Key::CAP - Key::MIN_DIGITS) - 4;
+        buf[at..at + 4].copy_from_slice(b"user");
+        Key { buf, at }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.at..]
     }
 }
 
@@ -183,66 +233,32 @@ impl RequestSource for YcsbSource {
         // Workload F: the write half of a read-modify-write reuses the key
         // the read half touched.
         if let Some(key) = self.rmw_pending.take() {
-            let mut value = vec![0u8; self.value_bytes];
-            rng.fill_bytes(&mut value);
-            return Some(AppRequest {
-                kind: RequestKind::Update,
-                payload: KvFrame::Set {
-                    key: key.into(),
-                    value: value.into(),
-                }
-                .encode(),
-            });
+            return Some(self.set(&key, rng));
         }
         let key = match self.mix {
             // Workload D reads the latest inserted keys ("read latest"):
             // rank 0 of the popularity distribution is the newest insert.
             Some(YcsbMix::D) if self.inserted > 0 => {
                 let back = self.zipf.sample(rng).min(self.inserted - 1);
-                Self::key_bytes(self.inserted - 1 - back)
+                Key::new(self.inserted - 1 - back)
             }
-            _ => Self::key_bytes(self.zipf.sample(rng)),
+            _ => Key::new(self.zipf.sample(rng)),
         };
         if let Some(YcsbMix::F) = self.mix {
             // First half of an RMW: the read.
-            self.rmw_pending = Some(key.clone());
-            return Some(AppRequest {
-                kind: RequestKind::Bypass,
-                payload: KvFrame::Get { key: key.into() }.encode(),
-            });
+            self.rmw_pending = Some(key);
+            return Some(Self::get(&key));
         }
-        if rng.chance(self.update_ratio) {
-            if let Some(YcsbMix::D) = self.mix {
-                // Workload D "updates" are inserts of fresh keys.
-                let key = Self::key_bytes(self.inserted);
-                self.inserted += 1;
-                let mut value = vec![0u8; self.value_bytes];
-                rng.fill_bytes(&mut value);
-                return Some(AppRequest {
-                    kind: RequestKind::Update,
-                    payload: KvFrame::Set {
-                        key: key.into(),
-                        value: value.into(),
-                    }
-                    .encode(),
-                });
-            }
-            let mut value = vec![0u8; self.value_bytes];
-            rng.fill_bytes(&mut value);
-            Some(AppRequest {
-                kind: RequestKind::Update,
-                payload: KvFrame::Set {
-                    key: key.into(),
-                    value: value.into(),
-                }
-                .encode(),
-            })
-        } else {
-            Some(AppRequest {
-                kind: RequestKind::Bypass,
-                payload: KvFrame::Get { key: key.into() }.encode(),
-            })
+        if !rng.chance(self.update_ratio) {
+            return Some(Self::get(&key));
         }
+        if let Some(YcsbMix::D) = self.mix {
+            // Workload D "updates" are inserts of fresh keys.
+            let key = Key::new(self.inserted);
+            self.inserted += 1;
+            return Some(self.set(&key, rng));
+        }
+        Some(self.set(&key, rng))
     }
 }
 
@@ -417,6 +433,58 @@ mod tests {
                 }
                 _ => panic!("unexpected frame"),
             }
+        }
+    }
+
+    /// CRC-32 over every payload `source` emits under `seed`, and the RNG's
+    /// next draw after the last one.
+    fn payload_crc(mut source: YcsbSource, seed: u64) -> (u32, u64) {
+        use pmnet_pmem::{crc32_finish, crc32_init, crc32_update};
+        let mut rng = SimRng::seed(seed);
+        let mut state = crc32_init();
+        while let Some(r) = source.next_request(&mut rng) {
+            state = crc32_update(state, &r.payload);
+        }
+        (crc32_finish(state), rng.next_u64())
+    }
+
+    #[test]
+    fn payload_bytes_and_rng_draws_are_pinned() {
+        // Literals captured from the `vec!` + `format!` + `KvFrame::encode`
+        // sources this code replaced: same bytes, same draws.
+        let kv_mixed = || YcsbSource::new(200, 8192, 0.5, 2048);
+        for (seed, crc, next) in [
+            (1, 0x7f8d_f8d9, 0xa283_9adc_8e76_7ced),
+            (2, 0x7659_e510, 0xeb99_1b94_2d2d_2cf6),
+            (7, 0xc398_d0eb, 0xd0b6_9f37_042e_2f47),
+        ] {
+            assert_eq!(payload_crc(kv_mixed(), seed), (crc, next), "seed {seed}");
+        }
+        // The insert (D) and read-modify-write (F) branches.
+        for (mix, crc, next) in [
+            (YcsbMix::D, 0xb094_77e1, 0x247b_6a54_ab5a_e7fb),
+            (YcsbMix::F, 0x1cc6_0c7a, 0x8d44_13a7_a9f4_8540),
+        ] {
+            let source = YcsbSource::workload(mix, 200, 100);
+            assert_eq!(payload_crc(source, 1), (crc, next), "{mix:?}");
+        }
+    }
+
+    #[test]
+    fn keys_are_the_formatted_id_at_every_width() {
+        for id in [0, 7, 999_999, 123_456_789_012, 999_999_999_999] {
+            assert_eq!(
+                YcsbSource::key_bytes(id),
+                format!("user{id:012}").as_bytes()
+            );
+            assert_eq!(YcsbSource::key_bytes(id).len(), 16);
+        }
+        // Past twelve digits the key grows, as the format string's did.
+        for id in [1_000_000_000_000, u64::MAX] {
+            assert_eq!(
+                YcsbSource::key_bytes(id),
+                format!("user{id:012}").as_bytes()
+            );
         }
     }
 

@@ -1,0 +1,137 @@
+//! The allocation budget: a tripwire, in tier-1, for the packet path's
+//! heap traffic. `benchmark/` stays the measurement (`allocs_per_op`, five
+//! workloads, full size); this fails `cargo test -q` the moment a
+//! per-packet `Vec`, `Bytes::from(vec)` or a buffer pool that misses comes
+//! back.
+//!
+//! Two systems in the shape of the benchmark's `closed_small` and
+//! `kv_mixed`, built through the public builders, run to their half-way
+//! point (pools and tables warm, device log at its plateau), then counted
+//! to the end. Its own test binary and one `#[test]`: the counter is the
+//! process's allocator, so nothing else may run beside it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use pmnet::core::client::{ClientLib, RequestSource};
+use pmnet::core::config::{DeviceConfig, SystemConfig};
+use pmnet::core::server::{IdealHandler, RequestHandler};
+use pmnet::core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
+use pmnet::sim::{Dur, Time};
+use pmnet::workloads::{KvHandler, YcsbSource};
+
+/// Calls that reach the system allocator for new memory. A statistic:
+/// nothing is published through it, so `Relaxed`.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter never influences the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: `ptr`/`layout`/`new_size` are the caller's, unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const CLIENTS: usize = 16;
+
+fn completed(sys: &BuiltSystem) -> usize {
+    let done = |&c| sys.world.node::<ClientLib>(c).total_completed();
+    sys.clients.iter().map(done).sum()
+}
+
+/// Allocations per completed op over the second half of a closed-loop run
+/// of `CLIENTS` × `per_client` requests.
+fn second_half_allocs_per_op(
+    config: SystemConfig,
+    per_client: usize,
+    source: impl Fn(usize) -> Box<dyn RequestSource>,
+    handler: impl Fn() -> Box<dyn RequestHandler> + 'static,
+) -> f64 {
+    let mut b = SystemBuilder::new(DesignPoint::PmnetSwitch, config);
+    for _ in 0..CLIENTS {
+        b = b.client(source(per_client));
+    }
+    let mut sys = b.handler_factory(handler).build(1);
+    for &c in &sys.clients.clone() {
+        sys.world.start_node(c);
+    }
+    let total = CLIENTS * per_client;
+    // The cursor, not the event clock, sets each slice's end: a gap in
+    // the event stream (a request waiting out a timer) must not stall it.
+    let mut cursor = Time::ZERO;
+    let mut run_to = |sys: &mut BuiltSystem, ops: usize| {
+        while completed(sys) < ops {
+            assert!(
+                sys.world.pending_events() > 0,
+                "stalled at {}",
+                completed(sys)
+            );
+            cursor += Dur::micros(50);
+            sys.world.run_until(cursor);
+        }
+    };
+    run_to(&mut sys, total / 2);
+    let (ops_before, allocs_before) = (completed(&sys), ALLOCS.load(Relaxed));
+    run_to(&mut sys, total);
+    let allocs = ALLOCS.load(Relaxed) - allocs_before;
+    allocs as f64 / (total - ops_before) as f64
+}
+
+#[test]
+fn the_packet_path_stays_inside_its_allocation_budget() {
+    // `closed_small`: 64 B single-fragment updates, a free handler. What is
+    // left is the amortized growth of the completion records.
+    let closed_small = second_half_allocs_per_op(
+        SystemConfig::default(),
+        2_000,
+        |n| Box::new(MicroSource::updates(n, 64)),
+        || Box::new(IdealHandler::new()),
+    );
+    // `kv_mixed`: 50 % reads, 2 KiB two-fragment updates on a PM-backed
+    // btree behind a 1 024-entry device read cache. What is left are the
+    // copies the model makes — index value and key, the store's read copy,
+    // the cache's map key — and the second fragment's header vector.
+    let kv_mixed = second_half_allocs_per_op(
+        SystemConfig {
+            device: DeviceConfig::fpga().with_cache(1024),
+            ..SystemConfig::default()
+        },
+        1_000,
+        |n| Box::new(YcsbSource::new(n, 8_192, 0.5, 2_048)),
+        || Box::new(KvHandler::new("btree", 1)),
+    );
+    // At the commit before the size-classed pool these read 6.41 and
+    // 21.21; at the commit that added this test, 0.002 and 2.87.
+    assert!(
+        closed_small <= 0.25,
+        "closed_small shape: {closed_small:.3} allocations per op (budget 0.25)"
+    );
+    assert!(
+        kv_mixed <= 3.5,
+        "kv_mixed shape: {kv_mixed:.3} allocations per op (budget 3.5)"
+    );
+}
