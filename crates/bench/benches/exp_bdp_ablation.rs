@@ -9,7 +9,7 @@
 //! 4. Log-capacity pressure: a full table degrades gracefully to the
 //!    baseline (forward-without-ack), never stalling traffic.
 
-use pmnet_bench::{banner, row, stress_point, us, Micro};
+use pmnet_bench::{banner, micro, row, stress_point, us};
 use pmnet_core::config::bdp;
 use pmnet_core::system::DesignPoint;
 use pmnet_core::SystemConfig;
@@ -50,45 +50,21 @@ fn main() {
     for queue in [256u64, 1024, 4096, 16_384] {
         let mut cfg = SystemConfig::default();
         cfg.device = cfg.device.with_log_queue_bytes(queue);
-        let (gbps, mean, p99) = {
-            // stress_point builds its own config; inline a variant here.
-            let mut b = pmnet_core::system::SystemBuilder::new(DesignPoint::PmnetSwitch, cfg);
-            for _ in 0..32 {
-                b = b.client(Box::new(pmnet_core::system::MicroSource::updates(
-                    usize::MAX >> 1,
-                    1000,
-                )));
-            }
-            let mut sys = b.warmup(20).build(31);
-            for &c in &sys.clients.clone() {
-                sys.world.start_node(c);
-            }
-            sys.world.run_until(pmnet_sim::Time::ZERO + Dur::millis(20));
-            let m = sys.metrics();
-            let wire = (1000 + 1 + 20 + 42) as f64;
-            let gbps = m.completed as f64 * wire * 8.0 / 0.020 / 1e9;
-            let mut lat = m.latency;
-            if lat.is_empty() {
-                (gbps, Dur::ZERO, Dur::ZERO)
-            } else {
-                let p = lat.percentile(0.99);
-                (gbps, lat.mean(), p)
-            }
-        };
+        let (gbps, mean, p99) =
+            stress_point(DesignPoint::PmnetSwitch, cfg, 32, 1000, Dur::millis(20), 31);
         row(&[queue.to_string(), format!("{gbps:.2}"), us(mean), us(p99)]);
     }
 
     println!("\n[ablation] device PM write-latency sweep (100 B updates):");
     row(&["PM write".into(), "PMNet mean".into(), "speedup".into()]);
-    let base = Micro::new(DesignPoint::ClientServer).run(42).latency.mean();
+    let base = micro(DesignPoint::ClientServer, SystemConfig::default())
+        .run(42)
+        .latency
+        .mean();
     for write_ns in [273u64, 1000, 5000, 20_000] {
         let mut cfg = SystemConfig::default();
         cfg.device.pm = cfg.device.pm.with_write_latency(Dur::nanos(write_ns));
-        let m = Micro {
-            config: cfg,
-            ..Micro::new(DesignPoint::PmnetSwitch)
-        }
-        .run(42);
+        let m = micro(DesignPoint::PmnetSwitch, cfg).run(42);
         row(&[
             format!("{write_ns}ns"),
             us(m.latency.mean()),
@@ -104,14 +80,11 @@ fn main() {
     for entries in [4usize, 64, 65_536] {
         let mut cfg = SystemConfig::default();
         cfg.device = cfg.device.with_log_capacity(entries, 1 << 30);
-        let m = Micro {
-            clients: 8,
-            requests: 500,
-            warmup: 50,
-            config: cfg,
-            ..Micro::new(DesignPoint::PmnetSwitch)
-        }
-        .run(42);
+        let m = micro(DesignPoint::PmnetSwitch, cfg)
+            .clients(8)
+            .requests_per_client(500)
+            .warmup(50)
+            .run(42);
         let note = if entries <= 64 {
             "bypasses fall back to server ACKs"
         } else {
@@ -121,7 +94,14 @@ fn main() {
     }
 
     println!("\n[100 Gbps check] Eq. 2 queue keeps line rate at 100 Gbps:");
-    let (gbps, mean, _) = stress_point(DesignPoint::PmnetSwitch, 16, 1000, Dur::millis(10), 3);
+    let (gbps, mean, _) = stress_point(
+        DesignPoint::PmnetSwitch,
+        SystemConfig::default(),
+        16,
+        1000,
+        Dur::millis(10),
+        3,
+    );
     println!(
         "  16 clients on 10 Gbps fabric: {gbps:.2} Gbps at mean {}",
         us(mean)

@@ -8,7 +8,7 @@
 //! workload; the measured difference *is* the server-side share, and the
 //! nominal stack model decomposes the remainder.
 
-use pmnet_bench::{banner, row, us, Micro};
+use pmnet_bench::{banner, micro, row, us};
 use pmnet_core::system::DesignPoint;
 use pmnet_core::{HostProfile, SystemConfig};
 
@@ -17,15 +17,15 @@ fn main() {
         "Figure 2",
         "Latency breakdown of an update request (100 B, ideal handler)",
     );
-    let base = Micro::new(DesignPoint::ClientServer).run(42);
-    let pmnet = Micro::new(DesignPoint::PmnetSwitch).run(42);
+    let cfg = SystemConfig::default();
+    let base = micro(DesignPoint::ClientServer, cfg).run(42);
+    let pmnet = micro(DesignPoint::PmnetSwitch, cfg).run(42);
 
     let total = base.latency.mean();
     let client_net = pmnet.latency.mean(); // client side + network only
     let server_side = total - client_net.min(total);
 
     // Nominal decomposition of the client+network share.
-    let cfg = SystemConfig::default();
     let payload = 100 + 1 + 20; // payload + tag + PMNet header
     let client_stack = cfg.client.kernel_tx.nominal(payload)
         + cfg.client.user_tx.nominal(payload)

@@ -4,8 +4,9 @@
 //! Paper targets: PMNet-Switch/NIC ~2.83x/2.90x over Client-Server at
 //! 50 B, shrinking to ~2.19x at 1000 B; |Switch − NIC| < 1 us.
 
-use pmnet_bench::{banner, row, us, x, Micro};
+use pmnet_bench::{banner, micro, row, us, x};
 use pmnet_core::system::DesignPoint;
+use pmnet_core::SystemConfig;
 
 fn main() {
     banner(
@@ -22,13 +23,11 @@ fn main() {
     ]);
     for payload in [50usize, 100, 200, 400, 600, 800, 1000] {
         let mean = |design| {
-            Micro {
-                payload,
-                ..Micro::new(design)
-            }
-            .run(42)
-            .latency
-            .mean()
+            micro(design, SystemConfig::default())
+                .payload_bytes(payload)
+                .run(42)
+                .latency
+                .mean()
         };
         let base = mean(DesignPoint::ClientServer);
         let sw = mean(DesignPoint::PmnetSwitch);

@@ -7,6 +7,7 @@
 
 use pmnet_bench::{banner, row, stress_point, us};
 use pmnet_core::system::DesignPoint;
+use pmnet_core::SystemConfig;
 use pmnet_sim::Dur;
 
 fn main() {
@@ -22,10 +23,11 @@ fn main() {
         "PMNet mean".into(),
         "PMNet p99".into(),
     ]);
+    let cfg = SystemConfig::default();
     let window = Dur::millis(40);
     for clients in [1usize, 2, 4, 8, 16, 32, 48, 64, 96] {
-        let (bg, bm, _) = stress_point(DesignPoint::ClientServer, clients, 1000, window, 5);
-        let (pg, pm, pp99) = stress_point(DesignPoint::PmnetSwitch, clients, 1000, window, 5);
+        let (bg, bm, _) = stress_point(DesignPoint::ClientServer, cfg, clients, 1000, window, 5);
+        let (pg, pm, pp99) = stress_point(DesignPoint::PmnetSwitch, cfg, clients, 1000, window, 5);
         row(&[
             clients.to_string(),
             format!("{bg:.2}"),

@@ -6,15 +6,21 @@
 //! server-side 47.97; with 3-way replication — PMNet 22.8 < client-side
 //! 41.61 < server-side 94.02.
 
-use pmnet_bench::{banner, row, us, Micro};
+use pmnet_bench::{banner, micro, row, us};
 use pmnet_core::system::DesignPoint;
+use pmnet_core::SystemConfig;
 
 fn main() {
     banner(
         "Figure 18",
         "PMNet vs client-side and server-side logging (100 B updates)",
     );
-    let mean = |design| Micro::new(design).run(42).latency.mean();
+    let mean = |design| {
+        micro(design, SystemConfig::default())
+            .run(42)
+            .latency
+            .mean()
+    };
     row(&["design".into(), "no repl".into(), "paper".into()]);
     row(&[
         "client-side log".into(),

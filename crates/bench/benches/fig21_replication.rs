@@ -5,15 +5,21 @@
 //! faster than server-side replication on average, and costs only ~16%
 //! over single-log PMNet because the per-switch persists overlap.
 
-use pmnet_bench::{banner, row, us, x, Micro};
+use pmnet_bench::{banner, micro, row, us, x};
 use pmnet_core::system::DesignPoint;
+use pmnet_core::SystemConfig;
 
 fn main() {
     banner(
         "Figure 21",
         "3-way replication latency (normalized to no-repl Client-Server)",
     );
-    let mean = |design| Micro::new(design).run(42).latency.mean();
+    let mean = |design| {
+        micro(design, SystemConfig::default())
+            .run(42)
+            .latency
+            .mean()
+    };
     let base = mean(DesignPoint::ClientServer);
     let pmnet1 = mean(DesignPoint::PmnetSwitch);
     let pmnet3 = mean(DesignPoint::PmnetReplicated { devices: 3 });

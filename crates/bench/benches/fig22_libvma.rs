@@ -5,7 +5,7 @@
 //! still 3.56x with libVMA — bypass shrinks the stack share, but the
 //! remaining server-side time PMNet removes is still substantial.
 
-use pmnet_bench::{banner, row, x, Micro};
+use pmnet_bench::{banner, micro, row, x};
 use pmnet_core::system::DesignPoint;
 use pmnet_core::SystemConfig;
 
@@ -15,15 +15,12 @@ fn main() {
         "Update throughput with an optimized network stack (8 clients)",
     );
     let tput = |design, config| {
-        Micro {
-            clients: 8,
-            requests: 1000,
-            warmup: 100,
-            config,
-            ..Micro::new(design)
-        }
-        .run(42)
-        .ops_per_sec
+        micro(design, config)
+            .clients(8)
+            .requests_per_client(1000)
+            .warmup(100)
+            .run(42)
+            .ops_per_sec
     };
     let kernel = SystemConfig::default();
     let vma = SystemConfig::default().with_bypass_stacks();

@@ -9,8 +9,9 @@
 
 #![warn(missing_docs)]
 
-use pmnet_core::client::RequestKind;
-use pmnet_core::system::{BuiltSystem, DesignPoint, RunMetrics, SystemBuilder};
+use pmnet_core::system::{
+    drive, BuiltSystem, DesignPoint, RunMetrics, SystemBuilder, UpdateExperiment,
+};
 use pmnet_core::SystemConfig;
 use pmnet_sim::{Dur, Time};
 use pmnet_workloads::WorkloadSpec;
@@ -40,52 +41,13 @@ pub fn x(v: f64) -> String {
 
 /// The standard microbenchmark (Section VI-B1): the *ideal request
 /// handler* acknowledges on reception, so network and stack dominate.
-#[derive(Debug, Clone, Copy)]
-pub struct Micro {
-    /// Design under test.
-    pub design: DesignPoint,
-    /// Client instances.
-    pub clients: usize,
-    /// Request payload bytes.
-    pub payload: usize,
-    /// Requests per client.
-    pub requests: usize,
-    /// Warm-up completions excluded per client.
-    pub warmup: usize,
-    /// Fraction of updates.
-    pub update_ratio: f64,
-    /// System calibration.
-    pub config: SystemConfig,
-}
-
-impl Micro {
-    /// Single-client, 100 B, update-only defaults.
-    pub fn new(design: DesignPoint) -> Micro {
-        Micro {
-            design,
-            clients: 1,
-            payload: 100,
-            requests: 2000,
-            warmup: 200,
-            update_ratio: 1.0,
-            config: SystemConfig::default(),
-        }
-    }
-
-    /// Runs and collects.
-    pub fn run(self, seed: u64) -> RunMetrics {
-        let mut b = SystemBuilder::new(self.design, self.config).warmup(self.warmup);
-        for _ in 0..self.clients {
-            b = b.client(Box::new(pmnet_core::system::MicroSource::mixed(
-                self.requests,
-                self.payload,
-                self.update_ratio,
-            )));
-        }
-        let mut sys = b.build(seed);
-        sys.run_clients(Dur::secs(60));
-        sys.metrics()
-    }
+/// Single-client, 100 B, update-only, 2000 requests of which the first
+/// 200 warm up; the figure benches vary it from there.
+pub fn micro(design: DesignPoint, config: SystemConfig) -> UpdateExperiment {
+    UpdateExperiment::new(design, config)
+        .requests_per_client(2000)
+        .warmup(200)
+        .deadline(Dur::secs(60))
 }
 
 /// Runs a real workload (Figures 19/20): `clients` closed-loop clients of
@@ -121,40 +83,32 @@ pub fn run_workload(
 
 /// A fixed-simulated-time saturation point for the Figure 16 stress test:
 /// `clients` continuously send `payload`-byte updates for `window`;
-/// returns (achieved Gbps of request traffic, mean latency).
+/// returns (achieved Gbps of request traffic, mean latency, p99 latency).
 pub fn stress_point(
     design: DesignPoint,
+    config: SystemConfig,
     clients: usize,
     payload: usize,
     window: Dur,
     seed: u64,
 ) -> (f64, Dur, Dur) {
-    let mut b = SystemBuilder::new(design, SystemConfig::default()).warmup(20);
-    for _ in 0..clients {
-        b = b.client(Box::new(pmnet_core::system::MicroSource::updates(
-            usize::MAX >> 1,
-            payload,
-        )));
-    }
-    let mut sys = b.build(seed);
-    for &c in &sys.clients.clone() {
+    let mut sys = UpdateExperiment::new(design, config)
+        .clients(clients)
+        .payload_bytes(payload)
+        .requests_per_client(usize::MAX >> 1)
+        .warmup(20)
+        .builder()
+        .build(seed);
+    // Clients only: the sweep measures the data path with the fabric's
+    // heartbeats and watchdog unarmed.
+    for &c in &sys.clients {
         sys.world.start_node(c);
     }
-    sys.world.run_until(Time::ZERO + window);
-    let mut latency = pmnet_sim::stats::LatencyHistogram::new();
-    let mut completed: u64 = 0;
-    for &c in &sys.clients {
-        let client = sys.world.node::<pmnet_core::ClientLib>(c);
-        for r in client.records() {
-            if r.kind == RequestKind::Update {
-                latency.record(r.latency);
-                completed += 1;
-            }
-        }
-    }
+    drive(&mut sys.world, Time::ZERO, Time::ZERO + window, |_| false);
+    let mut latency = sys.metrics().update_latency;
     // Wire bytes per request: payload + opaque tag + PMNet header + UDP/IP.
     let wire = (payload + 1 + 20 + 42) as f64;
-    let gbps = completed as f64 * wire * 8.0 / window.as_secs_f64() / 1e9;
+    let gbps = latency.len() as f64 * wire * 8.0 / window.as_secs_f64() / 1e9;
     if latency.is_empty() {
         (gbps, Dur::ZERO, Dur::ZERO)
     } else {
@@ -179,18 +133,23 @@ mod tests {
 
     #[test]
     fn micro_runs_quickly() {
-        let m = Micro {
-            requests: 50,
-            warmup: 5,
-            ..Micro::new(DesignPoint::PmnetSwitch)
-        }
-        .run(1);
+        let m = micro(DesignPoint::PmnetSwitch, SystemConfig::default())
+            .requests_per_client(50)
+            .warmup(5)
+            .run(1);
         assert_eq!(m.completed, 45);
     }
 
     #[test]
     fn stress_point_reports_bandwidth() {
-        let (gbps, mean, p99) = stress_point(DesignPoint::PmnetSwitch, 4, 1000, Dur::millis(5), 2);
+        let (gbps, mean, p99) = stress_point(
+            DesignPoint::PmnetSwitch,
+            SystemConfig::default(),
+            4,
+            1000,
+            Dur::millis(5),
+            2,
+        );
         assert!(gbps > 0.1, "{gbps}");
         assert!(mean > Dur::micros(5));
         assert!(p99 >= mean);

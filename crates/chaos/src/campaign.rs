@@ -241,7 +241,7 @@ fn generate_jobs(cfg: &CampaignConfig) -> Vec<CampaignJob> {
     let mut jobs = Vec::with_capacity(cfg.designs.len() * cfg.plans_per_design);
     for (di, &design) in cfg.designs.iter().enumerate() {
         let mut design_rng = meta.fork(1 + di as u64);
-        let topo = Topology::for_design(design, Scenario::standard(design, 0).clients);
+        let topo = Topology::of(&Scenario::standard(design, 0).build());
         for index in 0..cfg.plans_per_design {
             let mut plan_rng = design_rng.fork(index as u64);
             let seed = plan_rng.uniform_u64(0..u64::MAX);

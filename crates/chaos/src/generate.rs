@@ -6,7 +6,7 @@
 //! runner's liveness invariant (every client eventually finishes) is only
 //! checkable when the plan lets the system heal.
 
-use pmnet_core::system::DesignPoint;
+use pmnet_core::system::BuiltSystem;
 use pmnet_sim::{Dur, SimRng};
 
 use crate::plan::{Fault, FaultPlan, LinkTarget};
@@ -43,8 +43,7 @@ impl Intensity {
     }
 }
 
-/// What the generator may aim at — derived from a design point without
-/// building the system, mirroring the `SystemBuilder` topology rules.
+/// What the generator may aim at, read off a built system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Number of clients (access links).
@@ -60,45 +59,17 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The topology `SystemBuilder::build` produces for `design` with
-    /// `clients` clients. (The runner tolerates out-of-range targets by
-    /// ignoring them, so a stale mirror degrades to a no-op fault, not a
-    /// panic.)
-    pub fn for_design(design: DesignPoint, clients: usize) -> Topology {
-        let devices = match design {
-            DesignPoint::PmnetSwitch | DesignPoint::PmnetNic => 1,
-            DesignPoint::PmnetReplicated { devices } => usize::from(devices),
-            // Each shard chain is a primary plus a backup. `shards = 1`
-            // normalizes to PMNet-Switch at build time.
-            DesignPoint::PmnetSharded { shards } if shards > 1 => 2 * usize::from(shards),
-            DesignPoint::PmnetSharded { .. } => 1,
-            _ => 0,
-        };
-        let backbone_links = match design {
-            // merge -> dev_0 .. dev_{n-1} -> server
-            DesignPoint::PmnetSwitch => 2,
-            DesignPoint::PmnetReplicated { devices } => usize::from(devices) + 1,
-            // merge -> tor -> dev -> server
-            DesignPoint::PmnetNic => 3,
-            // merge-fabric -> tor-fabric -> server (the chains hang off
-            // both fabrics; `path` carries only the direct spine)
-            DesignPoint::PmnetSharded { shards } if shards > 1 => 2,
-            // merge -> tor -> server
-            DesignPoint::PmnetSharded { .. }
-            | DesignPoint::ClientServer
-            | DesignPoint::ClientServerReplicated { .. }
-            | DesignPoint::ServerSideLog { .. }
-            | DesignPoint::ClientSideLog { .. } => 2,
-        };
-        let shards = match design {
-            DesignPoint::PmnetSharded { shards } if shards > 1 => usize::from(shards),
-            _ => 0,
-        };
+    /// The targets `sys` offers. (The runner tolerates out-of-range
+    /// targets by ignoring them, so a plan generated for another system
+    /// degrades to a no-op fault, not a panic.)
+    pub fn of(sys: &BuiltSystem) -> Topology {
         Topology {
-            clients,
-            devices,
-            backbone_links,
-            shards,
+            clients: sys.clients.len(),
+            devices: sys.devices.len(),
+            // On a sharded fabric the chains hang off both switches;
+            // `path` carries only the direct spine.
+            backbone_links: sys.path.len() - 1,
+            shards: sys.chains(),
         }
     }
 }
@@ -314,10 +285,16 @@ pub fn generate_failover_plan(rng: &mut SimRng, topo: &Topology, horizon: Dur) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Scenario;
+    use pmnet_core::system::DesignPoint;
+
+    fn topo(design: DesignPoint) -> Topology {
+        Topology::of(&Scenario::standard(design, 0).build())
+    }
 
     #[test]
     fn plans_are_seed_deterministic() {
-        let topo = Topology::for_design(DesignPoint::PmnetSwitch, 3);
+        let topo = topo(DesignPoint::PmnetSwitch);
         let a = generate_plan(
             &mut SimRng::seed(9),
             &topo,
@@ -342,7 +319,7 @@ mod tests {
 
     #[test]
     fn generated_plans_are_transient_and_in_horizon() {
-        let topo = Topology::for_design(DesignPoint::PmnetNic, 4);
+        let topo = topo(DesignPoint::PmnetNic);
         let mut rng = SimRng::seed(3);
         for _ in 0..200 {
             let p = generate_plan(&mut rng, &topo, Intensity::Heavy, Dur::millis(8));
@@ -356,7 +333,7 @@ mod tests {
 
     #[test]
     fn no_device_faults_without_devices() {
-        let topo = Topology::for_design(DesignPoint::ClientServer, 2);
+        let topo = topo(DesignPoint::ClientServer);
         assert_eq!(topo.devices, 0);
         let mut rng = SimRng::seed(4);
         for _ in 0..200 {
@@ -372,7 +349,7 @@ mod tests {
 
     #[test]
     fn intensity_scales_event_count() {
-        let topo = Topology::for_design(DesignPoint::PmnetSwitch, 3);
+        let topo = topo(DesignPoint::PmnetSwitch);
         let mut rng = SimRng::seed(5);
         for _ in 0..100 {
             let l = generate_plan(&mut rng, &topo, Intensity::Light, Dur::millis(8)).len();
@@ -382,24 +359,36 @@ mod tests {
         }
     }
 
+    /// The targets are the built system's own, on every design point:
+    /// devices on the path (two per chain on a fabric), the spine from the
+    /// merge switch to the server, and the chain count failover plans
+    /// index by.
     #[test]
-    fn topology_mirror_matches_built_systems() {
-        use pmnet_core::system::SystemBuilder;
-        use pmnet_core::SystemConfig;
-        for design in [
-            DesignPoint::PmnetSwitch,
-            DesignPoint::PmnetNic,
-            DesignPoint::ClientServer,
-            DesignPoint::PmnetReplicated { devices: 3 },
+    fn topology_is_read_off_the_built_system_on_every_design_point() {
+        let sharded = |shards| (DesignPoint::PmnetSharded { shards }, 2 * shards, 2, shards);
+        for (design, devices, backbone_links, shards) in [
+            (DesignPoint::PmnetSwitch, 1, 2, 0),
+            (DesignPoint::PmnetNic, 1, 3, 0),
+            (DesignPoint::ClientServer, 0, 2, 0),
+            (DesignPoint::PmnetReplicated { devices: 3 }, 3, 4, 0),
+            (DesignPoint::ClientServerReplicated { replicas: 3 }, 0, 2, 0),
+            (DesignPoint::ServerSideLog { replicas: 3 }, 0, 2, 0),
+            (DesignPoint::ClientSideLog { replicas: 3 }, 0, 2, 0),
+            sharded(1),
+            sharded(2),
+            sharded(3),
         ] {
-            let mut b = SystemBuilder::new(design, SystemConfig::default());
-            for _ in 0..2 {
-                b = b.client(Box::new(pmnet_core::system::MicroSource::updates(1, 16)));
-            }
-            let sys = b.build(1);
-            let topo = Topology::for_design(design, 2);
-            assert_eq!(topo.devices, sys.devices.len(), "{design:?}");
-            assert_eq!(topo.backbone_links, sys.path.len() - 1, "{design:?}");
+            let sys = Scenario::standard(design, 0).build();
+            let expect = Topology {
+                clients: 3,
+                devices: usize::from(devices),
+                backbone_links,
+                shards: usize::from(shards),
+            };
+            assert_eq!(Topology::of(&sys), expect, "{design:?}");
+            assert_eq!(expect.devices, sys.devices.len(), "{design:?}");
+            assert_eq!(expect.backbone_links, sys.path.len() - 1, "{design:?}");
+            assert_eq!(expect.shards, sys.chains(), "{design:?}");
         }
     }
 }

@@ -16,8 +16,9 @@ use pmnet_core::client::ClientLib;
 use pmnet_core::config::RetryConfig;
 use pmnet_core::device::PmnetDevice;
 use pmnet_core::server::ServerLib;
-use pmnet_core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
+use pmnet_core::system::{clients_finished, drive, BuiltSystem, DesignPoint, UpdateExperiment};
 use pmnet_core::SystemConfig;
+use pmnet_net::World;
 use pmnet_sim::{Dur, NodeId, Time};
 use pmnet_telemetry::flight::FlightDump;
 use pmnet_telemetry::Telemetry;
@@ -78,12 +79,6 @@ impl Scenario {
         }
     }
 
-    /// Returns a copy with the dedup bug planted.
-    pub fn with_dedup_bug(mut self) -> Scenario {
-        self.plant_dedup_bug = true;
-        self
-    }
-
     /// Returns a copy running with the given doorbell batching window.
     pub fn with_batch_window(mut self, window: u32) -> Scenario {
         self.batch_window = window;
@@ -122,14 +117,12 @@ impl Scenario {
                 )),
             ..SystemConfig::default()
         };
-        let mut b = SystemBuilder::new(self.design, config);
-        for _ in 0..self.clients {
-            b = b.client(Box::new(MicroSource::updates(
-                self.requests_per_client,
-                self.payload_bytes,
-            )));
-        }
-        b = b.handler_factory(|| Box::new(KvHandler::new("btree", 5)));
+        let mut b = UpdateExperiment::new(self.design, config)
+            .clients(self.clients)
+            .requests_per_client(self.requests_per_client)
+            .payload_bytes(self.payload_bytes)
+            .builder()
+            .handler_factory(|| Box::new(KvHandler::new("btree", 5)));
         if self.plant_dedup_bug {
             b = b.map_server(ServerLib::with_dedup_disabled);
         }
@@ -200,40 +193,32 @@ impl Verdict {
     }
 }
 
-/// A fault event lowered onto concrete world objects, scheduled at an
-/// absolute time. Burst-type faults lower to an apply/revert pair.
+/// One setting of a link a burst turns on and then back off.
+#[derive(Debug, Clone, Copy)]
+enum LinkSetting {
+    Up(bool),
+    DropProb(f64),
+    DuplicateProb(f64),
+    Reordering(f64, Dur),
+    CorruptProb(f64),
+}
+
+/// Half of a burst, lowered onto concrete world objects: the run applies
+/// it when the clock passes its instant.
 #[derive(Debug, Clone, Copy)]
 enum Act {
-    Link {
-        a: NodeId,
-        b: NodeId,
-        up: bool,
-    },
-    Drop {
-        a: NodeId,
-        b: NodeId,
-        prob: f64,
-    },
-    Duplicate {
-        a: NodeId,
-        b: NodeId,
-        prob: f64,
-    },
-    Reorder {
-        a: NodeId,
-        b: NodeId,
-        prob: f64,
-        extra: Dur,
-    },
-    Corrupt {
-        a: NodeId,
-        b: NodeId,
-        prob: f64,
-    },
-    Slowdown {
-        dev: NodeId,
-        factor: u32,
-    },
+    Link(NodeId, NodeId, LinkSetting),
+    PmSlowdown(NodeId, u32),
+}
+
+/// A fault in the built system's own terms. `None` is a node or link this
+/// topology lacks: a plan written for a bigger system degrades to fewer
+/// faults, never a panic.
+enum Lowered {
+    /// Scheduled on the world directly, with its restore if it has one.
+    Crash(Option<NodeId>, Option<Dur>),
+    /// Applied at the fault's instant and reverted `Dur` later.
+    Burst(Option<[Act; 2]>, Dur),
 }
 
 fn resolve_link(sys: &BuiltSystem, link: LinkTarget) -> Option<(NodeId, NodeId)> {
@@ -249,110 +234,73 @@ fn resolve_link(sys: &BuiltSystem, link: LinkTarget) -> Option<(NodeId, NodeId)>
     }
 }
 
+/// One row per fault kind: what it crashes, or the setting it turns on,
+/// the one that reverts it and for how long.
+fn lower(sys: &BuiltSystem, fault: Fault) -> Lowered {
+    use Fault::*;
+    use LinkSetting::*;
+    use Lowered::{Burst, Crash};
+    let dev = |i: usize| sys.devices.get(i).copied();
+    let link =
+        |l, on, off| resolve_link(sys, l).map(|(a, b)| [Act::Link(a, b, on), Act::Link(a, b, off)]);
+    let p = |permille: u32| f64::from(permille) / 1000.0;
+    match fault {
+        ServerCrash { downtime } => Crash(Some(sys.server), downtime),
+        DeviceCrash { device, downtime } => Crash(dev(device), downtime),
+        DeviceFail { device } => Crash(dev(device), None),
+        DeviceReplace { device, downtime } => Crash(dev(device), Some(downtime)),
+        ClientCrash { client, downtime } => Crash(sys.clients.get(client).copied(), downtime),
+        LinkFlap { link: l, down_for } => Burst(link(l, Up(false), Up(true)), down_for),
+        DropBurst {
+            link: l,
+            permille,
+            dur,
+        } => Burst(link(l, DropProb(p(permille)), DropProb(0.0)), dur),
+        DuplicateBurst {
+            link: l,
+            permille,
+            dur,
+        } => Burst(link(l, DuplicateProb(p(permille)), DuplicateProb(0.0)), dur),
+        ReorderBurst {
+            link: l,
+            permille,
+            extra,
+            dur,
+        } => Burst(
+            link(
+                l,
+                Reordering(p(permille), extra),
+                Reordering(0.0, Dur::ZERO),
+            ),
+            dur,
+        ),
+        CorruptBurst {
+            link: l,
+            permille,
+            dur,
+        } => Burst(link(l, CorruptProb(p(permille)), CorruptProb(0.0)), dur),
+        PmSpike {
+            device,
+            factor,
+            dur,
+        } => {
+            let on_off = |d| [Act::PmSlowdown(d, factor.max(1)), Act::PmSlowdown(d, 1)];
+            Burst(dev(device).map(on_off), dur)
+        }
+    }
+}
+
 /// Lowers the plan onto the built system: crashes are scheduled directly
 /// on the world; link and PM impairments become a time-sorted action list
-/// the run loop applies as the clock passes them. Events naming a node or
-/// link the topology doesn't have are ignored — a plan written for a
-/// bigger system degrades to fewer faults, never a panic.
+/// the run applies as the clock passes them.
 fn lower_plan(sys: &mut BuiltSystem, plan: &FaultPlan) -> Vec<(Time, Act)> {
     let mut acts: Vec<(Time, Act)> = Vec::new();
     for e in &plan.events {
         let at = Time::ZERO + e.at;
-        match e.fault {
-            Fault::ServerCrash { downtime } => {
-                let server = sys.server;
-                sys.world.schedule_crash(server, at, downtime);
-            }
-            Fault::DeviceCrash { device, downtime } => {
-                if let Some(&dev) = sys.devices.get(device) {
-                    sys.world.schedule_crash(dev, at, downtime);
-                }
-            }
-            Fault::DeviceFail { device } => {
-                if let Some(&dev) = sys.devices.get(device) {
-                    sys.world.schedule_crash(dev, at, None);
-                }
-            }
-            Fault::DeviceReplace { device, downtime } => {
-                if let Some(&dev) = sys.devices.get(device) {
-                    sys.world.schedule_crash(dev, at, Some(downtime));
-                }
-            }
-            Fault::ClientCrash { client, downtime } => {
-                if let Some(&c) = sys.clients.get(client) {
-                    sys.world.schedule_crash(c, at, downtime);
-                }
-            }
-            Fault::LinkFlap { link, down_for } => {
-                if let Some((a, b)) = resolve_link(sys, link) {
-                    acts.push((at, Act::Link { a, b, up: false }));
-                    acts.push((at + down_for, Act::Link { a, b, up: true }));
-                }
-            }
-            Fault::DropBurst {
-                link,
-                permille,
-                dur,
-            } => {
-                if let Some((a, b)) = resolve_link(sys, link) {
-                    let prob = f64::from(permille) / 1000.0;
-                    acts.push((at, Act::Drop { a, b, prob }));
-                    acts.push((at + dur, Act::Drop { a, b, prob: 0.0 }));
-                }
-            }
-            Fault::DuplicateBurst {
-                link,
-                permille,
-                dur,
-            } => {
-                if let Some((a, b)) = resolve_link(sys, link) {
-                    let prob = f64::from(permille) / 1000.0;
-                    acts.push((at, Act::Duplicate { a, b, prob }));
-                    acts.push((at + dur, Act::Duplicate { a, b, prob: 0.0 }));
-                }
-            }
-            Fault::ReorderBurst {
-                link,
-                permille,
-                extra,
-                dur,
-            } => {
-                if let Some((a, b)) = resolve_link(sys, link) {
-                    let prob = f64::from(permille) / 1000.0;
-                    acts.push((at, Act::Reorder { a, b, prob, extra }));
-                    acts.push((
-                        at + dur,
-                        Act::Reorder {
-                            a,
-                            b,
-                            prob: 0.0,
-                            extra: Dur::ZERO,
-                        },
-                    ));
-                }
-            }
-            Fault::CorruptBurst {
-                link,
-                permille,
-                dur,
-            } => {
-                if let Some((a, b)) = resolve_link(sys, link) {
-                    let prob = f64::from(permille) / 1000.0;
-                    acts.push((at, Act::Corrupt { a, b, prob }));
-                    acts.push((at + dur, Act::Corrupt { a, b, prob: 0.0 }));
-                }
-            }
-            Fault::PmSpike {
-                device,
-                factor,
-                dur,
-            } => {
-                if let Some(&dev) = sys.devices.get(device) {
-                    let factor = factor.max(1);
-                    acts.push((at, Act::Slowdown { dev, factor }));
-                    acts.push((at + dur, Act::Slowdown { dev, factor: 1 }));
-                }
-            }
+        match lower(sys, e.fault) {
+            Lowered::Crash(Some(node), downtime) => sys.world.schedule_crash(node, at, downtime),
+            Lowered::Burst(Some([on, off]), dur) => acts.extend([(at, on), (at + dur, off)]),
+            Lowered::Crash(None, _) | Lowered::Burst(None, _) => {}
         }
     }
     // Stable by time: simultaneous apply/revert pairs keep plan order.
@@ -360,25 +308,21 @@ fn lower_plan(sys: &mut BuiltSystem, plan: &FaultPlan) -> Vec<(Time, Act)> {
     acts
 }
 
-fn apply_act(sys: &mut BuiltSystem, act: Act) {
+fn apply_act(world: &mut World, act: Act) {
+    use LinkSetting::*;
     match act {
-        Act::Link { a, b, up } => sys.world.set_link_up(a, b, up),
-        Act::Drop { a, b, prob } => sys
-            .world
-            .update_link_spec(a, b, move |s| s.with_drop_prob(prob)),
-        Act::Duplicate { a, b, prob } => sys
-            .world
-            .update_link_spec(a, b, move |s| s.with_duplicate_prob(prob)),
-        Act::Reorder { a, b, prob, extra } => sys
-            .world
-            .update_link_spec(a, b, move |s| s.with_reordering(prob, extra)),
-        Act::Corrupt { a, b, prob } => sys
-            .world
-            .update_link_spec(a, b, move |s| s.with_corrupt_prob(prob)),
-        Act::Slowdown { dev, factor } => sys
-            .world
-            .node_mut::<PmnetDevice>(dev)
-            .set_pm_slowdown(factor),
+        Act::Link(a, b, Up(up)) => world.set_link_up(a, b, up),
+        Act::Link(a, b, DropProb(p)) => world.update_link_spec(a, b, move |s| s.with_drop_prob(p)),
+        Act::Link(a, b, DuplicateProb(p)) => {
+            world.update_link_spec(a, b, move |s| s.with_duplicate_prob(p));
+        }
+        Act::Link(a, b, Reordering(p, extra)) => {
+            world.update_link_spec(a, b, move |s| s.with_reordering(p, extra));
+        }
+        Act::Link(a, b, CorruptProb(p)) => {
+            world.update_link_spec(a, b, move |s| s.with_corrupt_prob(p));
+        }
+        Act::PmSlowdown(dev, factor) => world.node_mut::<PmnetDevice>(dev).set_pm_slowdown(factor),
     }
 }
 
@@ -419,43 +363,23 @@ pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
     sys.attach_telemetry(&telemetry);
     let acts = lower_plan(&mut sys, plan);
 
-    // Fabric designs need their coordinator and chain members started
-    // (heartbeats, watchdog). Empty on the classic designs, so their
-    // digest lines are untouched.
-    for &n in &sys.start_nodes.clone() {
-        sys.world.start_node(n);
-    }
-    for &c in &sys.clients.clone() {
-        sys.world.start_node(c);
-    }
+    sys.start();
     let end = Time::ZERO + scenario.deadline;
-    let slice = Dur::millis(1);
+    // Run to each fault instant and apply it there; the slices — and with
+    // them the chance to stop early — begin where the last one landed. A
+    // plan that outlasts the deadline just runs to the deadline.
     let mut cursor = sys.world.now();
-    let mut next_act = 0;
-    while cursor < end {
-        let mut stop = (cursor + slice).min(end);
-        if let Some(&(t, _)) = acts.get(next_act) {
-            stop = stop.min(t.max(cursor));
+    for &(t, act) in &acts {
+        cursor = t.min(end);
+        sys.world.run_until(cursor);
+        if t > end {
+            break;
         }
-        sys.world.run_until(stop);
-        cursor = stop;
-        while let Some(&(t, act)) = acts.get(next_act) {
-            if t > cursor {
-                break;
-            }
-            apply_act(&mut sys, act);
-            next_act += 1;
-        }
-        if next_act == acts.len() {
-            let all_done = sys
-                .clients
-                .iter()
-                .all(|&c| sys.world.node::<ClientLib>(c).is_finished());
-            if all_done || sys.world.pending_events() == 0 {
-                break;
-            }
-        }
+        apply_act(&mut sys.world, act);
     }
+    drive(&mut sys.world, cursor, end, |w| {
+        clients_finished(w, &sys.clients)
+    });
     // Settle: let trailing ACKs, recovery replay and GC traffic finish.
     sys.world.run_for(scenario.drain);
 
@@ -772,7 +696,8 @@ mod tests {
                 dur: Dur::millis(2),
             },
         );
-        let scenario = Scenario::standard(DesignPoint::PmnetSwitch, 71).with_dedup_bug();
+        let mut scenario = Scenario::standard(DesignPoint::PmnetSwitch, 71);
+        scenario.plant_dedup_bug = true;
         let v = run(&scenario, &plan);
         assert!(!v.passed, "the planted bug must fail the audit");
         assert!(

@@ -73,14 +73,8 @@ impl Node for PeerLogger {
             return;
         }
         // Full receive stack (it is a user-space process), persist, ack.
-        let rx = self
-            .profile
-            .kernel_rx
-            .sample(ctx.rng(), packet.payload.len() as u32)
-            + self
-                .profile
-                .user_rx
-                .sample(ctx.rng(), packet.payload.len() as u32);
+        let len = packet.payload.len() as u32;
+        let rx = self.profile.rx_delay(ctx.rng(), len, false);
         let persist_at = self.pm.schedule_write(ctx.now() + rx, packet.wire_bytes());
         self.logged += 1;
         let ack = header.ack_from_device(self.logger_id);
@@ -91,8 +85,7 @@ impl Node for PeerLogger {
             packet.src_port,
             ack.encode(&[]),
         );
-        let tx =
-            self.profile.user_tx.sample(ctx.rng(), 0) + self.profile.kernel_tx.sample(ctx.rng(), 0);
+        let tx = self.profile.tx_delay(ctx.rng(), 0, false);
         let total = persist_at.saturating_since(ctx.now()) + tx;
         ctx.send_after(total, PortNo(0), reply);
     }

@@ -64,21 +64,11 @@ impl ClientHost {
 
     /// Samples the user + kernel transmit stack for one packet.
     pub fn tx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
-        let mut d = self.profile.user_tx.sample(ctx.rng(), payload_len)
-            + self.profile.kernel_tx.sample(ctx.rng(), payload_len);
-        if self.use_tcp {
-            d += HostProfile::tcp_extra();
-        }
-        d
+        self.profile.tx_delay(ctx.rng(), payload_len, self.use_tcp)
     }
 
     fn rx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
-        let mut d = self.profile.kernel_rx.sample(ctx.rng(), payload_len)
-            + self.profile.user_rx.sample(ctx.rng(), payload_len);
-        if self.use_tcp {
-            d += HostProfile::tcp_extra();
-        }
-        d
+        self.profile.rx_delay(ctx.rng(), payload_len, self.use_tcp)
     }
 
     /// Frames `header` + `payload` as a packet on this host's flow.

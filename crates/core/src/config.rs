@@ -8,7 +8,7 @@
 
 use pmnet_net::{LinkSpec, StackProfile};
 use pmnet_pmem::PmDeviceConfig;
-use pmnet_sim::Dur;
+use pmnet_sim::{Dur, SimRng};
 
 /// The UDP port range reserved for PMNet traffic (Section IV-A2).
 pub const PMNET_UDP_PORTS: std::ops::RangeInclusive<u16> = 51000..=52000;
@@ -108,6 +108,22 @@ impl HostProfile {
     /// TCP, Section VI-A3).
     pub fn tcp_extra() -> Dur {
         Dur::micros(2)
+    }
+
+    /// Samples the user + kernel transmit stack for one `len`-byte
+    /// packet (user crossing drawn first), plus [`tcp_extra`](Self::tcp_extra)
+    /// when it rides TCP.
+    pub fn tx_delay(&self, rng: &mut SimRng, len: u32, tcp: bool) -> Dur {
+        let d = self.user_tx.sample(rng, len) + self.kernel_tx.sample(rng, len);
+        d + if tcp { Self::tcp_extra() } else { Dur::ZERO }
+    }
+
+    /// Samples the kernel + user receive stack for one `len`-byte packet
+    /// (kernel half drawn first), plus [`tcp_extra`](Self::tcp_extra)
+    /// when it rides TCP.
+    pub fn rx_delay(&self, rng: &mut SimRng, len: u32, tcp: bool) -> Dur {
+        let d = self.kernel_rx.sample(rng, len) + self.user_rx.sample(rng, len);
+        d + if tcp { Self::tcp_extra() } else { Dur::ZERO }
     }
 }
 

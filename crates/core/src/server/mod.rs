@@ -493,11 +493,9 @@ impl ServerLib {
     /// sampled stack delay (the packet enters the wire at `now + d`).
     fn send_via_stack(&mut self, ctx: &mut Ctx<'_>, packet: Packet) -> Dur {
         let len = packet.payload.len() as u32;
-        let mut d = self.profile.user_tx.sample(ctx.rng(), len)
-            + self.profile.kernel_tx.sample(ctx.rng(), len);
-        if packet.proto == Proto::Tcp {
-            d += HostProfile::tcp_extra();
-        }
+        let d = self
+            .profile
+            .tx_delay(ctx.rng(), len, packet.proto == Proto::Tcp);
         ctx.send_after(d, PortNo(0), packet);
         d
     }

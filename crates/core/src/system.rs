@@ -2,7 +2,11 @@
 //!
 //! Builds the paper's design points (Section VI-A4) as simulated
 //! topologies and runs closed-loop clients against them, collecting the
-//! metrics the evaluation figures report.
+//! metrics the evaluation figures report. This module is the only place
+//! a world is assembled ([`SystemBuilder::build`]) and the only place one
+//! is driven ([`drive`]); every other harness — the open-loop traffic
+//! engine, the chaos runner, the figure benches — builds through the one
+//! and steps through the other (DESIGN.md §21).
 //!
 //! Topologies (all links 10 Gbps unless overridden):
 //!
@@ -17,13 +21,12 @@
 //! ClientLog(r)  : Client-Server + (r−1) peer loggers on the merge switch
 //! Sharded(n)    : clients ── merge-fabric ──╥ P_i ══ B_i ╥── tor-fabric ── server
 //!                 (n chains; merge steers updates to shard heads, tor
-//!                 steers replies through shard tails; n = 1 degenerates
-//!                 to PMNet-Switch exactly)
+//!                 steers replies through shard tails)
 //! ```
 
 use bytes::{BufMut, BytesMut};
 use pmnet_net::topology::{validate_shards, ShardSpec};
-use pmnet_net::{Addr, PortNo, Switch, World};
+use pmnet_net::{Addr, AnyNode, PortNo, Switch, World};
 use pmnet_sim::stats::{CounterSet, LatencyHistogram};
 use pmnet_sim::{Dur, NodeId, SimRng, Time};
 use pmnet_telemetry::registry::Registry;
@@ -80,8 +83,8 @@ pub enum DesignPoint {
     /// A sharded PMNet fabric: the client/session space is consistent-hash
     /// partitioned across `shards` device chains (primary + chained
     /// backup each), with heartbeat-driven failover that never loses a
-    /// client-acked update. `shards = 1` takes the PMNet-Switch code path
-    /// literally — same topology, same RNG draws, same digests.
+    /// client-acked update. `shards = 1` is one replicated chain, the
+    /// like-for-like base of a shard-count sweep.
     PmnetSharded {
         /// Number of shards (each a primary/backup device chain).
         shards: u8,
@@ -142,13 +145,29 @@ pub struct BuiltSystem {
     pub start_nodes: Vec<NodeId>,
 }
 
+/// Who the clients are: the builder's own [`ClientLib`]s, one per request
+/// source, or `n` nodes of any type from a per-index factory.
+enum Clients {
+    Sources(Vec<Box<dyn RequestSource>>),
+    Nodes(usize, Box<dyn FnMut(usize) -> Box<dyn AnyNode>>),
+}
+
+impl Clients {
+    fn len(&self) -> usize {
+        match self {
+            Clients::Sources(sources) => sources.len(),
+            Clients::Nodes(n, _) => *n,
+        }
+    }
+}
+
 /// Builds systems for a design point.
 pub struct SystemBuilder {
     design: DesignPoint,
     config: SystemConfig,
     use_tcp: bool,
     warmup: usize,
-    sources: Vec<Box<dyn RequestSource>>,
+    clients: Clients,
     handler_factory: Box<dyn FnMut() -> Box<dyn RequestHandler>>,
     map_server: Option<Box<dyn FnOnce(ServerLib) -> ServerLib>>,
 }
@@ -157,9 +176,28 @@ impl std::fmt::Debug for SystemBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemBuilder")
             .field("design", &self.design)
-            .field("clients", &self.sources.len())
+            .field("clients", &self.clients.len())
             .finish()
     }
+}
+
+/// The one place a server is made from the configuration. Replicas stop
+/// here; the primary goes on to take the device list, the recovery and
+/// gap knobs and the batch window.
+fn server_from(cfg: &SystemConfig, addr: Addr, handler: Box<dyn RequestHandler>) -> ServerLib {
+    ServerLib::new(
+        addr,
+        cfg.server,
+        cfg.server_workers,
+        cfg.gap_timeout,
+        handler,
+    )
+    .with_apply(cfg.apply)
+}
+
+/// The one place a device is made from the configuration.
+fn device_from(cfg: &SystemConfig, name: String, id: u8, addr: Addr) -> PmnetDevice {
+    PmnetDevice::new(name, id, addr, cfg.device).with_batch(cfg.batch)
 }
 
 impl SystemBuilder {
@@ -170,7 +208,7 @@ impl SystemBuilder {
             config,
             use_tcp: false,
             warmup: 0,
-            sources: Vec::new(),
+            clients: Clients::Sources(Vec::new()),
             handler_factory: Box::new(|| Box::new(IdealHandler::new())),
             map_server: None,
         }
@@ -186,8 +224,33 @@ impl SystemBuilder {
     }
 
     /// Adds a client driven by `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`client_nodes`](Self::client_nodes): a system's
+    /// clients are the builder's own or the caller's, not a mix.
     pub fn client(mut self, source: Box<dyn RequestSource>) -> SystemBuilder {
-        self.sources.push(source);
+        match &mut self.clients {
+            Clients::Sources(sources) => sources.push(source),
+            Clients::Nodes(..) => panic!("client() after client_nodes()"),
+        }
+        self
+    }
+
+    /// Makes the clients `n` nodes of the caller's own type: `node(i)`
+    /// sits where client `i` would (address [`addrs::client`]`(i)`, same
+    /// node id, same access link) and replaces every `client` source.
+    /// [`tcp`](Self::tcp) and [`warmup`](Self::warmup) configure the
+    /// builder's own [`ClientLib`]s and do not reach these nodes, and of
+    /// the built system only the fields and [`drive`] apply to them — the
+    /// [`BuiltSystem`] methods that read clients back downcast to
+    /// `ClientLib`.
+    pub fn client_nodes(
+        mut self,
+        n: usize,
+        node: impl FnMut(usize) -> Box<dyn AnyNode> + 'static,
+    ) -> SystemBuilder {
+        self.clients = Clients::Nodes(n, Box::new(node));
         self
     }
 
@@ -249,26 +312,21 @@ impl SystemBuilder {
     /// a nonsensical retry/recovery knob would wedge or spin the run,
     /// which is much harder to diagnose than failing here.
     pub fn build(mut self, seed: u64) -> BuiltSystem {
-        assert!(!self.sources.is_empty(), "need at least one client");
+        let client_count = self.clients.len();
+        assert!(client_count > 0, "need at least one client");
         if let Err(e) = self.config.validate() {
             panic!("invalid SystemConfig: {e}");
         }
-        // A single-shard fabric is *literally* the PMNet-Switch design:
-        // same topology, same node order, same RNG draws. The golden
-        // digests hold by construction, not by coincidence.
-        if let DesignPoint::PmnetSharded { shards } = self.design {
-            assert!(shards >= 1, "a sharded fabric needs at least one shard");
-            if shards == 1 {
-                self.design = DesignPoint::PmnetSwitch;
-            }
-        }
         let shard_chains: Vec<ShardChain> = match self.design {
-            DesignPoint::PmnetSharded { shards } => (0..u32::from(shards))
-                .map(|i| ShardChain {
-                    primary: Addr(addrs::DEVICE_BASE + i),
-                    backup: Some(Addr(addrs::SHARD_BACKUP_BASE + i)),
-                })
-                .collect(),
+            DesignPoint::PmnetSharded { shards } => {
+                assert!(shards >= 1, "a sharded fabric needs at least one shard");
+                (0..u32::from(shards))
+                    .map(|i| ShardChain {
+                        primary: Addr(addrs::DEVICE_BASE + i),
+                        backup: Some(Addr(addrs::SHARD_BACKUP_BASE + i)),
+                    })
+                    .collect()
+            }
             _ => Vec::new(),
         };
         if !shard_chains.is_empty() {
@@ -281,7 +339,7 @@ impl SystemBuilder {
                 })
                 .collect();
             let mut reserved = vec![addrs::SERVER, addrs::MERGE_SWITCH, addrs::TOR_SWITCH];
-            reserved.extend((0..self.sources.len()).map(addrs::client));
+            reserved.extend((0..client_count).map(addrs::client));
             if let Err(e) = validate_shards(&specs, &reserved) {
                 panic!("invalid shard topology: {e}");
             }
@@ -292,22 +350,27 @@ impl SystemBuilder {
 
         // Clients.
         let mut clients = Vec::new();
-        for (i, source) in self.sources.drain(..).enumerate() {
-            let mut c = ClientLib::new(
-                addrs::client(i),
-                addrs::SERVER,
-                i as u16,
-                mode.clone(),
-                cfg.client,
-                cfg.client_timeout,
-                cfg.retry,
-                source,
-            )
-            .with_warmup(self.warmup);
-            if self.use_tcp {
-                c = c.with_tcp();
+        match self.clients {
+            Clients::Sources(sources) => {
+                for (i, source) in sources.into_iter().enumerate() {
+                    let mut c = ClientLib::new(
+                        addrs::client(i),
+                        addrs::SERVER,
+                        i as u16,
+                        mode.clone(),
+                        cfg.client,
+                        cfg.client_timeout,
+                        cfg.retry,
+                        source,
+                    )
+                    .with_warmup(self.warmup);
+                    if self.use_tcp {
+                        c = c.with_tcp();
+                    }
+                    clients.push(world.add_node(Box::new(c)));
+                }
             }
-            clients.push(world.add_node(Box::new(c)));
+            Clients::Nodes(n, mut node) => clients.extend((0..n).map(|i| world.add_node(node(i)))),
         }
 
         // Devices along the client->server path.
@@ -331,36 +394,22 @@ impl SystemBuilder {
         };
 
         // Server(s).
+        let replica = |i: u8| Addr(addrs::REPLICA_BASE + u32::from(i));
         let mut replicas = Vec::new();
         let server = {
-            let handler = (self.handler_factory)();
-            let mut s = ServerLib::new(
-                addrs::SERVER,
-                cfg.server,
-                cfg.server_workers,
-                cfg.gap_timeout,
-                handler,
-            )
-            .with_devices(device_addrs.clone())
-            .with_recovery_poll_timeout(cfg.recovery_poll_timeout)
-            .with_gap_skip_rounds(cfg.gap_skip_rounds)
-            .with_batch(cfg.batch)
-            .with_apply(cfg.apply);
+            let mut s = server_from(&cfg, addrs::SERVER, (self.handler_factory)())
+                .with_devices(device_addrs.clone())
+                .with_recovery_poll_timeout(cfg.recovery_poll_timeout)
+                .with_gap_skip_rounds(cfg.gap_skip_rounds)
+                .with_batch(cfg.batch);
             match self.design {
                 DesignPoint::ClientServerReplicated { replicas: r } => {
-                    let backups: Vec<Addr> = (1..r)
-                        .map(|i| Addr(addrs::REPLICA_BASE + u32::from(i)))
-                        .collect();
-                    s = s.with_replication(backups);
+                    s = s.with_replication((1..r).map(replica).collect());
                 }
                 DesignPoint::ServerSideLog { replicas: r } => {
                     // Replication is a chain (Figure 17b): the primary
                     // forwards to replica #1, which forwards to #2, ...
-                    let first: Vec<Addr> = if r > 1 {
-                        vec![Addr(addrs::REPLICA_BASE + 1)]
-                    } else {
-                        Vec::new()
-                    };
+                    let first = if r > 1 { vec![replica(1)] } else { Vec::new() };
                     s = s.with_early_log(100, first);
                 }
                 DesignPoint::PmnetSharded { .. } => {
@@ -368,7 +417,7 @@ impl SystemBuilder {
                         FabricMap::new(shard_chains.clone()),
                         addrs::MERGE_SWITCH,
                         addrs::TOR_SWITCH,
-                        (0..clients.len()).map(addrs::client).collect(),
+                        (0..client_count).map(addrs::client).collect(),
                         FABRIC_HEARTBEAT_TIMEOUT,
                         FABRIC_CHECK_INTERVAL,
                     );
@@ -412,10 +461,8 @@ impl SystemBuilder {
             DesignPoint::PmnetSwitch | DesignPoint::PmnetReplicated { .. } => {
                 let mut prev = merge;
                 for (i, addr) in device_addrs.iter().enumerate() {
-                    let dev = world.add_node(Box::new(
-                        PmnetDevice::new(format!("pmnet{i}"), 1 + i as u8, *addr, cfg.device)
-                            .with_batch(cfg.batch),
-                    ));
+                    let dev = device_from(&cfg, format!("pmnet{i}"), 1 + i as u8, *addr);
+                    let dev = world.add_node(Box::new(dev));
                     world.connect(prev, dev, cfg.link);
                     devices.push(dev);
                     path.push(dev);
@@ -427,16 +474,14 @@ impl SystemBuilder {
             DesignPoint::PmnetNic => {
                 let tor = world.add_node(Box::new(Switch::new("tor")));
                 world.connect(merge, tor, cfg.link);
-                let dev = world.add_node(Box::new(
-                    PmnetDevice::new("pmnet-nic", 1, device_addrs[0], cfg.device)
-                        .with_batch(cfg.batch),
-                ));
+                let dev = device_from(&cfg, "pmnet-nic".into(), 1, device_addrs[0]);
+                let dev = world.add_node(Box::new(dev));
                 world.connect(tor, dev, cfg.link);
                 world.connect(dev, server, cfg.link);
                 devices.push(dev);
                 path.extend([tor, dev, server]);
             }
-            DesignPoint::PmnetSharded { shards } => {
+            DesignPoint::PmnetSharded { .. } => {
                 // Server-side steering switch: replies and invalidations
                 // detour through the shard's chain tail.
                 let tor = world.add_node(Box::new(
@@ -451,18 +496,17 @@ impl SystemBuilder {
                 // Direct merge—tor backbone: control packets and unsteered
                 // traffic never depend on any one chain being alive.
                 world.connect(merge, tor, cfg.link);
-                let devcfg = cfg.device.with_heartbeat(FABRIC_HEARTBEAT_INTERVAL);
+                let beaconing = SystemConfig {
+                    device: cfg.device.with_heartbeat(FABRIC_HEARTBEAT_INTERVAL),
+                    ..cfg
+                };
                 for (i, chain) in shard_chains.iter().enumerate() {
                     let p_addr = chain.primary;
                     let b_addr = chain.backup.expect("sharded chains are replicated");
-                    let p = world.add_node(Box::new(
-                        PmnetDevice::new(format!("pmnet-p{i}"), 1 + i as u8, p_addr, devcfg)
-                            .with_batch(cfg.batch),
-                    ));
-                    let b = world.add_node(Box::new(
-                        PmnetDevice::new(format!("pmnet-b{i}"), 101 + i as u8, b_addr, devcfg)
-                            .with_batch(cfg.batch),
-                    ));
+                    let p = device_from(&beaconing, format!("pmnet-p{i}"), 1 + i as u8, p_addr);
+                    let p = world.add_node(Box::new(p));
+                    let b = device_from(&beaconing, format!("pmnet-b{i}"), 101 + i as u8, b_addr);
+                    let b = world.add_node(Box::new(b));
                     // Five links per shard: the chain itself, both members'
                     // ingress from the merge (the backup's is the promote
                     // bypass), and both members' egress to the tor (the
@@ -492,7 +536,7 @@ impl SystemBuilder {
                     // routing must win so both logs see every update and
                     // every invalidation. Promote flips these back.
                     route_overrides.push((p, addrs::SERVER, p_chain));
-                    for j in 0..clients.len() {
+                    for j in 0..client_count {
                         route_overrides.push((b, addrs::client(j), b_chain));
                     }
                     devices.push(p);
@@ -500,7 +544,6 @@ impl SystemBuilder {
                 }
                 world.connect(tor, server, cfg.link);
                 path.extend([tor, server]);
-                let _ = shards;
                 start_nodes.push(server);
                 start_nodes.extend(devices.iter().copied());
             }
@@ -514,42 +557,19 @@ impl SystemBuilder {
                 path.extend([tor, server]);
                 // Attach replicas / peer loggers.
                 match self.design {
-                    DesignPoint::ClientServerReplicated { replicas: r } => {
+                    DesignPoint::ClientServerReplicated { replicas: r }
+                    | DesignPoint::ServerSideLog { replicas: r } => {
                         for i in 1..r {
-                            let handler = (self.handler_factory)();
-                            let rep = ServerLib::new(
-                                Addr(addrs::REPLICA_BASE + u32::from(i)),
-                                cfg.server,
-                                cfg.server_workers,
-                                cfg.gap_timeout,
-                                handler,
-                            )
-                            .with_apply(cfg.apply)
-                            .as_silent_replica();
-                            let id = world.add_node(Box::new(rep));
-                            world.connect(tor, id, cfg.link);
-                            replicas.push(id);
-                        }
-                    }
-                    DesignPoint::ServerSideLog { replicas: r } => {
-                        for i in 1..r {
-                            let next: Vec<Addr> = if i + 1 < r {
-                                vec![Addr(addrs::REPLICA_BASE + u32::from(i) + 1)]
-                            } else {
-                                Vec::new()
-                            };
-                            let handler = (self.handler_factory)();
-                            let rep = ServerLib::new(
-                                Addr(addrs::REPLICA_BASE + u32::from(i)),
-                                cfg.server,
-                                cfg.server_workers,
-                                cfg.gap_timeout,
-                                handler,
-                            )
-                            .with_early_log(100 + i, next)
-                            .with_apply(cfg.apply)
-                            .as_silent_replica();
-                            let id = world.add_node(Box::new(rep));
+                            let mut rep = server_from(&cfg, replica(i), (self.handler_factory)());
+                            if let DesignPoint::ServerSideLog { .. } = self.design {
+                                let next = if i + 1 < r {
+                                    vec![replica(i + 1)]
+                                } else {
+                                    Vec::new()
+                                };
+                                rep = rep.with_early_log(100 + i, next);
+                            }
+                            let id = world.add_node(Box::new(rep.as_silent_replica()));
                             world.connect(tor, id, cfg.link);
                             replicas.push(id);
                         }
@@ -614,43 +634,79 @@ pub struct RunMetrics {
     pub end: Time,
 }
 
+/// The slice [`drive`] steps a world in.
+const SLICE: Dur = Dur::millis(1);
+
+/// Drives `world` in 1 ms slices from `from`: returns `true` at the first
+/// slice boundary where `done` holds (`from` itself included), `false`
+/// once nothing is pending or `deadline` is reached. Every harness loop
+/// is this one.
+///
+/// The cursor walks independently of the event clock: [`World::now`]
+/// stands at the last event dispatched, not at the instant the world was
+/// run to, so a loop measuring from it would stall across a gap in the
+/// event stream (e.g. waiting out a retransmission timeout). For the
+/// same reason a caller that stepped the world itself (the chaos runner,
+/// to a fault instant) passes where it left off as `from`; everyone else
+/// passes `world.now()`. `done` is observed at `from + k` ms and nowhere
+/// else, and where the clock stands when it first holds is hashed into
+/// every campaign digest (`Verdict::end_ns`), so the boundaries are part
+/// of the contract (DESIGN.md §21). `drive` never moves the clock past
+/// an event.
+pub fn drive(
+    world: &mut World,
+    from: Time,
+    deadline: Time,
+    mut done: impl FnMut(&World) -> bool,
+) -> bool {
+    let mut cursor = from;
+    loop {
+        if done(world) {
+            return true;
+        }
+        // Nothing can make progress anymore (a stalled system is
+        // surfaced by the metrics, not by hanging the harness).
+        if world.pending_events() == 0 || cursor >= deadline {
+            return false;
+        }
+        cursor = (cursor + SLICE).min(deadline);
+        world.run_until(cursor);
+    }
+}
+
+/// Whether every [`ClientLib`] in `clients` has finished its workload —
+/// the `done` of a closed-loop [`drive`].
+pub fn clients_finished(world: &World, clients: &[NodeId]) -> bool {
+    let mut clients = clients.iter();
+    clients.all(|&c| world.node::<ClientLib>(c).is_finished())
+}
+
 impl BuiltSystem {
-    /// Starts every client and runs until all finish or `deadline` passes.
-    pub fn run_clients(&mut self, deadline: Dur) {
-        // Fabric designs also start the coordinator and devices (arming
-        // heartbeats and the watchdog); empty for classic designs so their
-        // event streams stay byte-identical to the seed.
-        for &n in &self.start_nodes.clone() {
+    /// Schedules the kick-off signals: the fabric's coordinator and
+    /// devices first (arming heartbeats and the watchdog; none on the
+    /// classic designs, so their event streams stay byte-identical to the
+    /// seed), then every client.
+    pub fn start(&mut self) {
+        for &n in self.start_nodes.iter().chain(&self.clients) {
             self.world.start_node(n);
         }
-        for &c in &self.clients.clone() {
-            self.world.start_node(c);
+    }
+
+    /// Starts every client and runs until all finish or `deadline` passes.
+    pub fn run_clients(&mut self, deadline: Dur) {
+        self.start();
+        let (from, clients) = (self.world.now(), &self.clients);
+        let finished = |w: &World| clients_finished(w, clients);
+        if drive(&mut self.world, from, Time::ZERO + deadline, finished) {
+            // Drain trailing ACK/GC traffic briefly.
+            self.world.run_for(SLICE);
         }
-        let end = Time::ZERO + deadline;
-        // Step in slices so we can stop early when all clients finish.
-        // The cursor advances independently of the event clock, so gaps in
-        // the event stream (e.g. waiting out a retransmission timeout)
-        // don't stall the loop.
-        let slice = Dur::millis(1);
-        let mut cursor = self.world.now();
-        while cursor < end {
-            cursor = (cursor + slice).min(end);
-            self.world.run_until(cursor);
-            let all_done = self
-                .clients
-                .iter()
-                .all(|&c| self.world.node::<ClientLib>(c).is_finished());
-            if all_done {
-                // Drain trailing ACK/GC traffic briefly.
-                self.world.run_for(Dur::millis(1));
-                break;
-            }
-            if self.world.pending_events() == 0 {
-                // Nothing can make progress anymore (a stalled system is
-                // surfaced by the metrics, not by hanging the harness).
-                break;
-            }
-        }
+    }
+
+    /// Shard chains of a sharded fabric (0 on every other design).
+    pub fn chains(&self) -> usize {
+        let server = self.world.node::<ServerLib>(self.server);
+        server.fabric_map().map_or(0, |m| m.chains().len())
     }
 
     /// Collects metrics across all clients.
@@ -849,8 +905,9 @@ impl RequestSource for MicroSource {
     }
 }
 
-/// Convenience wrapper used across the benches: N identical microbenchmark
-/// clients against an ideal-handler server.
+/// N identical microbenchmark clients against one server (the ideal
+/// handler unless [`builder`](Self::builder)'s caller sets another) —
+/// what the benches, the chaos scenarios and the stress test all run.
 #[derive(Debug)]
 pub struct UpdateExperiment {
     design: DesignPoint,
@@ -915,8 +972,9 @@ impl UpdateExperiment {
         self
     }
 
-    /// Builds, runs and collects.
-    pub fn run(&mut self, seed: u64) -> RunMetrics {
+    /// The builder with this experiment's clients on it, for callers that
+    /// set their own handler or run the world themselves.
+    pub fn builder(&self) -> SystemBuilder {
         let mut b = SystemBuilder::new(self.design, self.config).warmup(self.warmup);
         for _ in 0..self.clients {
             b = b.client(Box::new(MicroSource::mixed(
@@ -925,7 +983,12 @@ impl UpdateExperiment {
                 self.update_ratio,
             )));
         }
-        let mut sys = b.build(seed);
+        b
+    }
+
+    /// Builds, runs and collects.
+    pub fn run(&mut self, seed: u64) -> RunMetrics {
+        let mut sys = self.builder().build(seed);
         sys.run_clients(self.deadline);
         sys.metrics()
     }
@@ -987,16 +1050,78 @@ mod tests {
         }
     }
 
+    /// `done` is observed at `from + k` ms and nowhere else, and the
+    /// first boundary it holds at ends the drive with the clock still at
+    /// the last event dispatched before it.
     #[test]
-    fn single_shard_fabric_is_bit_identical_to_pmnet_switch() {
-        // Not "close": the builder rewrites shards=1 to PmnetSwitch before
-        // any node or RNG draw exists, so every metric matches exactly.
-        let sw = quick(DesignPoint::PmnetSwitch);
-        let sh = quick(DesignPoint::PmnetSharded { shards: 1 });
-        assert_eq!(sw.completed, sh.completed);
-        assert_eq!(sw.latency.mean(), sh.latency.mean());
-        assert_eq!(sw.client_retries, sh.client_retries);
-        assert_eq!(sw.end, sh.end);
+    fn drive_stops_at_the_first_slice_boundary_where_done_holds() {
+        let mut sys = UpdateExperiment::new(DesignPoint::PmnetSwitch, SystemConfig::default())
+            .requests_per_client(100)
+            .builder()
+            .build(7);
+        sys.start();
+        // A caller that stepped the world itself says where it left off:
+        // the clock stands earlier, at the last event before that instant.
+        let from = Time::ZERO + Dur::micros(300);
+        sys.world.run_until(from);
+        assert!(sys.world.now() < from);
+        let (clients, mut seen) = (sys.clients.clone(), Vec::new());
+        let held = drive(&mut sys.world, from, Time::ZERO + Dur::secs(1), |w| {
+            seen.push(w.now());
+            clients_finished(w, &clients)
+        });
+        assert!(held);
+        for (k, &now) in seen.iter().enumerate() {
+            assert!(now <= from + SLICE * k as u64, "observation {k} at {now}");
+        }
+        let boundary = from + SLICE * (seen.len() as u64 - 1);
+        let finished_at = sys.world.node::<ClientLib>(clients[0]).records()[99].at;
+        assert!(finished_at <= boundary && boundary - finished_at < SLICE);
+        assert_eq!(Some(&sys.world.now()), seen.last());
+        assert!(finished_at <= sys.world.now() && sys.world.now() < boundary);
+    }
+
+    #[test]
+    fn drive_stops_at_the_deadline_and_when_nothing_is_pending() {
+        let endless = |design| {
+            let mut sys = UpdateExperiment::new(design, SystemConfig::default())
+                .requests_per_client(usize::MAX >> 1)
+                .builder()
+                .build(7);
+            sys.start();
+            sys
+        };
+        // Never done: four observations (0, 1, 2 and 2.5 ms), then the
+        // deadline, with work still pending and the clock short of it.
+        let mut sys = endless(DesignPoint::PmnetSwitch);
+        let (deadline, mut calls) = (Time::ZERO + Dur::micros(2_500), 0);
+        let held = drive(&mut sys.world, Time::ZERO, deadline, |_| {
+            calls += 1;
+            false
+        });
+        assert!(!held && calls == 4 && sys.world.pending_events() > 0);
+        assert!(sys.world.now() <= deadline && deadline - sys.world.now() < SLICE);
+
+        // Nothing pending: a dead client leaves the event list to drain,
+        // and the drive ends at the next boundary instead of walking idle
+        // slices to the deadline. The clock stays at the last event.
+        let mut sys = endless(DesignPoint::ClientServer);
+        let client = sys.clients[0];
+        sys.world
+            .schedule_crash(client, Time::ZERO + Dur::micros(1_200), None);
+        let mut seen = Vec::new();
+        let held = drive(&mut sys.world, Time::ZERO, Time::ZERO + Dur::secs(1), |w| {
+            seen.push(w.now());
+            false
+        });
+        assert!(!held && sys.world.pending_events() == 0);
+        assert_eq!(seen.len(), 3, "observed at 0, 1 and 2 ms: {seen:?}");
+        assert_eq!(sys.world.now(), seen[2]);
+        assert!(sys.world.now() < Time::ZERO + Dur::millis(2));
+        // And an empty world is not run at all.
+        let mut empty = World::new(1);
+        assert!(!drive(&mut empty, Time::ZERO, deadline, |_| false));
+        assert_eq!(empty.now(), Time::ZERO);
     }
 
     #[test]

@@ -18,11 +18,6 @@ pub struct Addr(pub u32);
 impl Addr {
     /// The unspecified address.
     pub const UNSPECIFIED: Addr = Addr(0);
-
-    /// True if this is the reserved unspecified address.
-    pub fn is_unspecified(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Display for Addr {
@@ -57,8 +52,7 @@ mod tests {
 
     #[test]
     fn unspecified() {
-        assert!(Addr::UNSPECIFIED.is_unspecified());
-        assert!(!Addr(7).is_unspecified());
+        assert_eq!(Addr::UNSPECIFIED, Addr::default());
         assert_eq!(Addr::from(7u32), Addr(7));
     }
 }

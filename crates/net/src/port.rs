@@ -73,14 +73,6 @@ impl LinkSpec {
         }
     }
 
-    /// A 100 Gbps link (Section VII scaling discussion).
-    pub fn hundred_gbps() -> LinkSpec {
-        LinkSpec {
-            bandwidth_bps: 100_000_000_000,
-            ..LinkSpec::ten_gbps()
-        }
-    }
-
     /// Returns a copy with the given drop probability, clamped to `[0, 1]`.
     pub fn with_drop_prob(mut self, p: f64) -> LinkSpec {
         self.drop_prob = clamp_prob(p);
@@ -628,15 +620,5 @@ mod tests {
         t.ensure_node(NodeId(0));
         t.ensure_node(NodeId(1));
         t.set_link_up(NodeId(0), NodeId(1), false);
-    }
-
-    #[test]
-    fn hundred_gig_is_ten_times_faster() {
-        let ten = LinkSpec::ten_gbps();
-        let hundred = LinkSpec::hundred_gbps();
-        assert_eq!(
-            ten.serialization(1000).as_nanos(),
-            10 * hundred.serialization(1000).as_nanos()
-        );
     }
 }

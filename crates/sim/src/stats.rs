@@ -349,91 +349,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Counts completed operations over a window to derive throughput.
-///
-/// # Example
-///
-/// ```
-/// use pmnet_sim::{Time, Dur, stats::Throughput};
-/// let mut t = Throughput::new();
-/// t.start(Time::ZERO);
-/// t.record(10);
-/// t.finish(Time::ZERO + Dur::secs(2));
-/// assert_eq!(t.ops_per_sec(), 5.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Throughput {
-    ops: u64,
-    bytes: u64,
-    start: Option<Time>,
-    end: Option<Time>,
-}
-
-impl Throughput {
-    /// Creates an idle counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the beginning of the measurement window.
-    pub fn start(&mut self, at: Time) {
-        self.start = Some(at);
-    }
-
-    /// Records `n` completed operations.
-    pub fn record(&mut self, n: u64) {
-        self.ops += n;
-    }
-
-    /// Records `n` bytes moved (for bandwidth figures).
-    pub fn record_bytes(&mut self, n: u64) {
-        self.bytes += n;
-    }
-
-    /// Marks the end of the measurement window.
-    pub fn finish(&mut self, at: Time) {
-        self.end = Some(at);
-    }
-
-    /// Total operations recorded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// The window length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start`/`finish` were not both called.
-    pub fn window(&self) -> Dur {
-        let s = self.start.expect("throughput window not started");
-        let e = self.end.expect("throughput window not finished");
-        e - s
-    }
-
-    /// Operations per second over the window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is zero-length or unset.
-    pub fn ops_per_sec(&self) -> f64 {
-        let w = self.window().as_secs_f64();
-        assert!(w > 0.0, "zero-length throughput window");
-        self.ops as f64 / w
-    }
-
-    /// Bits per second moved over the window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is zero-length or unset.
-    pub fn bits_per_sec(&self) -> f64 {
-        let w = self.window().as_secs_f64();
-        assert!(w > 0.0, "zero-length throughput window");
-        self.bytes as f64 * 8.0 / w
-    }
-}
-
 /// Fixed-width time buckets counting events per window — the series behind
 /// timeline plots such as throughput during a failure/recovery episode.
 ///
@@ -627,18 +542,6 @@ mod tests {
         assert!(s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99);
         assert!(s.p99 <= s.p999 && s.p999 <= s.max);
         assert!(!s.to_string().is_empty());
-    }
-
-    #[test]
-    fn throughput_math() {
-        let mut t = Throughput::new();
-        t.start(Time::ZERO);
-        t.record(100);
-        t.record_bytes(1_250_000); // 10 Mbit
-        t.finish(Time::ZERO + Dur::secs(1));
-        assert_eq!(t.ops_per_sec(), 100.0);
-        assert_eq!(t.bits_per_sec(), 10_000_000.0);
-        assert_eq!(t.ops(), 100);
     }
 
     #[test]

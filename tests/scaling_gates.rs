@@ -3,9 +3,9 @@
 //! and simulated ops/sec at fixed seeds), so they are exact asserts
 //! rather than noise-tolerant baselines.
 //!
-//! 1. **Fabric saturation** — the 1/2/4-shard sweep behind the paper's
-//!    Figure 16 knee: two replicated chains hold near parity with the one
-//!    unreplicated device they replace, four scale past both.
+//! 1. **Fabric saturation** — the 1/2/4-chain sweep behind the paper's
+//!    Figure 16 knee, like for like (every point a replicated chain, one
+//!    chain included): capacity grows with the chain count.
 //! 2. **Lock fraction** — Section III-C's TPCC observation (~13.7 % of
 //!    requests hit the locking primitive) against the apply pool: four
 //!    apply workers must outscale one even with that fraction of writes
@@ -27,9 +27,10 @@ use pmnet::workloads::KvHandler;
 /// whichever design it doesn't suit.
 fn fabric_saturation(shards: u8) -> f64 {
     let design = DesignPoint::PmnetSharded { shards };
+    let cfg = SystemConfig::default();
     [32usize, 40, 48, 56, 64]
         .into_iter()
-        .map(|clients| pmnet_bench::stress_point(design, clients, 1024, Dur::millis(2), 3).0)
+        .map(|clients| pmnet_bench::stress_point(design, cfg, clients, 1024, Dur::millis(2), 3).0)
         .fold(0.0, f64::max)
 }
 
@@ -38,19 +39,18 @@ fn fabric_saturation_scales_with_shards() {
     let sat1 = fabric_saturation(1);
     let sat2 = fabric_saturation(2);
     let sat4 = fabric_saturation(4);
-    // A chain does ~2x the per-update packet work of a bare device (stage
-    // to the backup, collect the chain ack), so two replicated chains buy
-    // fault tolerance at near parity with the single unreplicated device,
-    // and capacity scales from there.
+    // Every point is a primary/backup chain, so the sweep isolates what a
+    // chain count buys. It buys less than NetChain's scale-free growth:
+    // 1.07x at two chains, 1.41x at four (ROADMAP item 5(a) asks why).
     assert!(
-        sat2 > 0.8 * sat1,
-        "two chains must hold near parity with one bare device \
-         ({sat2:.3} vs {sat1:.3} Gbps; measured 5.974 vs 6.352 at PR 17)"
+        sat2 > sat1,
+        "two chains must carry more than one \
+         ({sat2:.3} vs {sat1:.3} Gbps; measured 5.974 vs 5.592 at PR 21)"
     );
     assert!(
-        sat4 > 1.15 * sat1 && sat4 > 1.2 * sat2,
-        "four chains must scale past both the bare device and two chains \
-         ({sat4:.3} vs {sat1:.3} / {sat2:.3} Gbps; measured 7.874 vs 6.352 / 5.974 at PR 17)"
+        sat4 > 1.2 * sat2,
+        "four chains must scale past two \
+         ({sat4:.3} vs {sat2:.3} Gbps; measured 7.874 vs 5.974 at PR 21)"
     );
 }
 
