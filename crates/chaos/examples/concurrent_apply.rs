@@ -3,11 +3,11 @@
 //! the pool holds staged updates.
 //!
 //! ```text
-//! cargo run --release -p pmnet-chaos --features model --example concurrent_apply
+//! cargo run --release -p pmnet-chaos --example concurrent_apply
 //! ```
 //!
-//! With the `model` feature on, every run is additionally checked in the
-//! model's concurrent-history durable-linearizability mode. The example
+//! Every run is additionally checked by the model's
+//! durable-linearizability checker. The example
 //! exits non-zero (panics) on any invariant violation, on a vacuous
 //! campaign (no redo replays — i.e. the kills never actually landed), or
 //! if a replay from the scheduler seed is not bit-identical.
@@ -56,9 +56,8 @@ fn main() {
 
     // Stdout is what CI diffs across two processes; wall time is not.
     println!(
-        "model feature: {} | {} runs @ {THREADS} apply threads, 0 failures, \
+        "{} runs @ {THREADS} apply threads, 0 failures, \
          {redo} redo applies, {retries} retries, digest {:#018x}",
-        cfg!(feature = "model"),
         out.runs.len(),
         out.digest,
     );

@@ -63,9 +63,8 @@ pub struct CampaignConfig {
     pub batch_window: u32,
     /// Server apply workers of every run (see `ApplyConfig` in
     /// `pmnet-core`). With more than one, a server crash lands while the
-    /// pool holds staged updates, and the model check runs in its
-    /// concurrent-history mode. Plan/seed derivation does not depend on
-    /// it.
+    /// pool holds staged updates. Plan/seed derivation does not depend
+    /// on it.
     pub apply_threads: u32,
 }
 
@@ -416,7 +415,7 @@ mod tests {
     fn concurrent_apply_campaign_survives_kills_inside_apply() {
         // Every plan crashes the server under loss while four apply
         // workers hold staged updates; durability, convergence, and the
-        // concurrent-history model check must all hold, and the campaign
+        // model check must all hold, and the campaign
         // must replay bit-identically (the pool's scheduler is seeded).
         let cfg = CampaignConfig {
             apply_threads: 4,

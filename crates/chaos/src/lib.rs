@@ -13,8 +13,9 @@
 //!    intensity, aimed using a positional view of the topology.
 //! 3. **Execution** ([`runner`]) — a plan runs against a freshly built
 //!    system; the verdict checks the durability audit (apply order,
-//!    exactly-once, no acknowledged update lost) and liveness (transient
-//!    faults must not wedge the protocol).
+//!    exactly-once, no acknowledged update lost), liveness (transient
+//!    faults must not wedge the protocol) and the `pmnet-model`
+//!    durable-linearizability checker over the run's recorded history.
 //! 4. **Campaigns** ([`campaign`]) — hundreds of plans across design
 //!    points, folded into an FNV digest so determinism is a one-word
 //!    comparison.

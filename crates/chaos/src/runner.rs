@@ -40,7 +40,7 @@ pub struct Scenario {
     pub requests_per_client: usize,
     /// Update payload size in bytes.
     pub payload_bytes: usize,
-    /// Plant the deliberate dedup bug (`ServerLib::with_dedup_disabled`)
+    /// Plant the deliberate dedup bug (`ServerLib::set_dedup_disabled`)
     /// on the primary — used to prove the harness catches real
     /// protocol-level defects.
     pub plant_dedup_bug: bool,
@@ -50,8 +50,6 @@ pub struct Scenario {
     pub batch_window: u32,
     /// Server apply worker threads; 1 (the default) is the sequential
     /// apply path, so all frozen campaign digests keep their meaning.
-    /// With more than one thread the model check switches into
-    /// concurrent-history mode (`pmnet_model::config_for_apply`).
     pub apply_threads: u32,
     /// Wall-clock (simulated) budget for the run.
     pub deadline: Dur,
@@ -117,16 +115,17 @@ impl Scenario {
                 )),
             ..SystemConfig::default()
         };
-        let mut b = UpdateExperiment::new(self.design, config)
+        let mut sys = UpdateExperiment::new(self.design, config)
             .clients(self.clients)
             .requests_per_client(self.requests_per_client)
             .payload_bytes(self.payload_bytes)
             .builder()
-            .handler_factory(|| Box::new(KvHandler::new("btree", 5)));
-        if self.plant_dedup_bug {
-            b = b.map_server(ServerLib::with_dedup_disabled);
-        }
-        b.build(self.seed)
+            .handler_factory(|| Box::new(KvHandler::new("btree", 5)))
+            .build(self.seed);
+        sys.world
+            .node_mut::<ServerLib>(sys.server)
+            .set_dedup_disabled(self.plant_dedup_bug);
+        sys
     }
 }
 
@@ -345,14 +344,14 @@ pub const FLIGHT_CAPACITY: usize = 256;
 ///    invalidated by a fast-path server-ACK or confirmed by a redo ack)
 ///    and the recovery barrier is closed (every registered device reported
 ///    `RecoveryDone` after the last server restart).
+/// 4. **Model** — the recorded history is durably linearizable
+///    (`pmnet_model::check`; `PMNET_MODEL_DUMP=1` prints a divergence's
+///    replayable artifact to stderr).
 pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
     let mut sys = scenario.build();
-    // With the `model` feature, every run also records a client/server/
-    // device event history and submits it to the pmnet-model checker as a
-    // fourth invariant. Recording is pure observation, so enabling it
-    // changes no timeline — a passing run's digest line is identical with
-    // the feature on or off.
-    #[cfg(feature = "model")]
+    // Every run also records a client/server/device event history and
+    // submits it to the pmnet-model checker as a fourth invariant.
+    // Recording is pure observation, so it changes no timeline.
     let recorder = pmnet_model::attach(&mut sys);
     // Every run also carries a flight recorder: bounded per-node rings of
     // recent protocol events, dumped into the verdict (and any failure
@@ -413,12 +412,9 @@ pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
             (server.counters().updates_applied, redo)
         }
     };
-    #[cfg(feature = "model")]
-    if let Err(d) = pmnet_model::check_system_with(
-        &sys,
-        &recorder,
-        pmnet_model::config_for_apply(scenario.design, scenario.apply_threads),
-    ) {
+    if let Err(d) =
+        pmnet_model::check_system_with(&sys, &recorder, pmnet_model::config_for(scenario.design))
+    {
         if std::env::var_os("PMNET_MODEL_DUMP").is_some() {
             eprintln!("{}", d.artifact);
         }
@@ -465,17 +461,8 @@ pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
 
     // Capture the flight timeline only for failing runs: passing verdicts
     // stay lean and `PartialEq` over them keeps asserting what it always
-    // did. `PMNET_TELEMETRY_DUMP=1` additionally prints the timeline, the
-    // same escape hatch `PMNET_MODEL_DUMP` provides for model counterexamples.
-    let flight = if violations.is_empty() {
-        None
-    } else {
-        let dump = telemetry.flight_dump();
-        if std::env::var_os("PMNET_TELEMETRY_DUMP").is_some() {
-            eprintln!("{dump}");
-        }
-        Some(dump)
-    };
+    // did.
+    let flight = (!violations.is_empty()).then(|| telemetry.flight_dump());
 
     Verdict {
         passed: violations.is_empty(),

@@ -28,7 +28,6 @@ use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::Telemetry;
 
 use crate::config::{HostProfile, RetryConfig};
-#[cfg(feature = "recorder")]
 use crate::events::{Event, EventKind, Recorder};
 use crate::protocol::{PacketType, PmnetHeader};
 
@@ -127,7 +126,6 @@ pub struct ClientLib {
     /// liveness checks).
     crashes: u32,
     telemetry: Telemetry,
-    #[cfg(feature = "recorder")]
     recorder: Recorder,
 }
 
@@ -159,7 +157,6 @@ impl ClientLib {
             alive: true,
             crashes: 0,
             telemetry: Telemetry::disabled(),
-            #[cfg(feature = "recorder")]
             recorder: Recorder::default(),
         }
     }
@@ -173,7 +170,6 @@ impl ClientLib {
 
     /// Attaches a history recorder: invocation and completion events flow
     /// into `recorder`'s shared tap for the `pmnet-model` checker.
-    #[cfg(feature = "recorder")]
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -228,8 +224,9 @@ impl ClientLib {
         self.host.addr
     }
 
-    /// `(session, seq)` of every acknowledged update packet (audit input;
-    /// one entry per fragment). Session-qualified because a restarted
+    /// `(session, seq)` of every acknowledged update (audit input), one
+    /// entry each under its last fragment's `SeqNum` — the identity the
+    /// server's apply reports. Session-qualified because a restarted
     /// client opens a fresh session (see [`Msg::Restore`] handling).
     pub fn acked_updates(&self) -> &[(u16, u32)] {
         &self.acked_updates
@@ -245,18 +242,19 @@ impl ClientLib {
             self.fail(ctx, &req);
             return;
         };
-        #[cfg(feature = "recorder")]
-        if let Some(open) = self.session.open() {
-            self.recorder.record(Event {
-                at: ctx.now(),
-                client: self.host.addr,
-                session: open.session,
-                seq: open.frag_range.1,
-                kind: EventKind::Invoke {
-                    kind: req.kind,
-                    payload: req.payload.clone(),
-                },
-            });
+        if self.recorder.is_armed() {
+            if let Some(open) = self.session.open() {
+                self.recorder.record(Event {
+                    at: ctx.now(),
+                    client: self.host.addr,
+                    session: open.session,
+                    seq: open.frag_range.1,
+                    kind: EventKind::Invoke {
+                        kind: req.kind,
+                        payload: req.payload.clone(),
+                    },
+                });
+            }
         }
         self.host
             .transmit(ctx, &self.telemetry, &self.session, Which::All);
@@ -308,23 +306,22 @@ impl ClientLib {
     fn complete(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
         self.disarm_timeout(ctx);
         let req = &done.request;
-        #[cfg(feature = "recorder")]
-        self.recorder.record(Event {
-            at: ctx.now(),
-            client: self.host.addr,
-            session: req.session,
-            seq: req.frag_range.1,
-            kind: EventKind::Complete {
-                kind: req.app.kind,
-                reply: done.reply.clone(),
-                device_acks: done.device_acks,
-                server_acked: done.server_acked,
-            },
-        });
+        if self.recorder.is_armed() {
+            self.recorder.record(Event {
+                at: ctx.now(),
+                client: self.host.addr,
+                session: req.session,
+                seq: req.frag_range.1,
+                kind: EventKind::Complete {
+                    kind: req.app.kind,
+                    reply: done.reply.clone(),
+                    device_acks: done.device_acks,
+                    server_acked: done.server_acked,
+                },
+            });
+        }
         if req.app.kind == RequestKind::Update {
-            let (first, last) = req.frag_range;
-            self.acked_updates
-                .extend((first..=last).map(|seq| (req.session, seq)));
+            self.acked_updates.push((req.session, req.frag_range.1));
         }
         let latency = self
             .host

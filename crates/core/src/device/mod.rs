@@ -37,7 +37,6 @@ pub use self::fabric::DeviceFabric;
 use self::redo::StagedResend;
 use crate::cache::ReadCache;
 use crate::config::{BatchConfig, DeviceConfig};
-#[cfg(feature = "recorder")]
 use crate::events::Recorder;
 use crate::logstore::LogStore;
 use crate::protocol::{is_pmnet_port, PacketType, PmnetHeader};
@@ -174,7 +173,6 @@ pub struct PmnetDevice {
     /// (the client's timeout resends the read).
     parked_reads: HashMap<(Addr, Addr, u16), Vec<(u32, Packet)>>,
     /// **Fault-injection hook** (see [`PmnetDevice::set_stale_read_bug`]).
-    #[cfg(feature = "recorder")]
     stale_read_bug: bool,
     /// Fabric wiring; `None` for the classic single-device configuration.
     fabric: Option<DeviceFabric>,
@@ -200,7 +198,6 @@ pub struct PmnetDevice {
     /// flushed window's single PM write covers, keyed by batch id.
     inflight_batches: HashMap<u64, Vec<u32>, FixedState>,
     telemetry: Telemetry,
-    #[cfg(feature = "recorder")]
     recorder: Recorder,
 }
 
@@ -220,7 +217,6 @@ impl PmnetDevice {
             epoch: 0,
             staged_resends: HashMap::default(),
             parked_reads: HashMap::new(),
-            #[cfg(feature = "recorder")]
             stale_read_bug: false,
             fabric: None,
             chain: Chain::new(DeviceRole::Solo),
@@ -230,7 +226,6 @@ impl PmnetDevice {
             batch_seq: 0,
             inflight_batches: HashMap::default(),
             telemetry: Telemetry::disabled(),
-            #[cfg(feature = "recorder")]
             recorder: Recorder::default(),
         }
     }
@@ -259,16 +254,14 @@ impl PmnetDevice {
     /// when an update is logged, so a previously cached value keeps being
     /// served after the key has been overwritten by an acknowledged
     /// update. Exists so the `pmnet-model` checker can prove it catches
-    /// stale reads; it is compiled only with the `recorder` feature the
-    /// checker builds with, never into a default build.
-    #[cfg(feature = "recorder")]
+    /// stale reads; never enable it in a real run.
+    #[doc(hidden)]
     pub fn set_stale_read_bug(&mut self, enabled: bool) {
         self.stale_read_bug = enabled;
     }
 
     /// Attaches a history recorder: log-persist and cache-serve events
     /// flow into `recorder`'s shared tap for the `pmnet-model` checker.
-    #[cfg(feature = "recorder")]
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }

@@ -16,7 +16,6 @@ use super::{
     PmnetDevice, TIMER_BATCH_FLUSH, TIMER_BATCH_PERSIST, TIMER_ENTRY_RETRY, TIMER_PERSIST_DONE,
 };
 use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN};
-#[cfg(feature = "recorder")]
 use crate::events::{Event, EventKind};
 use crate::kvproto::KvFrame;
 use crate::logstore::{BypassReason, LogOutcome, LogStore};
@@ -92,7 +91,6 @@ impl PmnetDevice {
             LogOutcome::Logged { ack_at } => {
                 let wait = ack_at.saturating_since(at);
                 self.arm(ctx, wait, TIMER_PERSIST_DONE, u64::from(hash));
-                #[cfg(feature = "recorder")]
                 self.record_logged(ctx, &header);
                 self.entry_admitted(ctx, &header, &payload);
             }
@@ -137,7 +135,6 @@ impl PmnetDevice {
         // the entry from the log.
         let retry = self.config.log_retry_timeout;
         self.arm(ctx, retry, TIMER_ENTRY_RETRY, u64::from(header.hash));
-        #[cfg(feature = "recorder")]
         if self.stale_read_bug {
             return;
         }
@@ -169,15 +166,16 @@ impl PmnetDevice {
     /// The entry's PM write is scheduled — its durability point for the
     /// model checker (`try_log` on the per-packet path, the flush on the
     /// doorbell path).
-    #[cfg(feature = "recorder")]
     fn record_logged(&self, ctx: &Ctx<'_>, header: &PmnetHeader) {
-        self.recorder.record(Event {
-            at: ctx.now(),
-            client: header.client,
-            session: header.session,
-            seq: header.seq,
-            kind: EventKind::DeviceLogged { device: self.addr },
-        });
+        if self.recorder.is_armed() {
+            self.recorder.record(Event {
+                at: ctx.now(),
+                client: header.client,
+                session: header.session,
+                seq: header.seq,
+                kind: EventKind::DeviceLogged { device: self.addr },
+            });
+        }
     }
 
     /// Rings the doorbell: every staged entry persists behind **one** PM
@@ -196,7 +194,6 @@ impl PmnetDevice {
         let (device, at) = (self.id, ctx.now());
         for entry in hashes.iter().filter_map(|&hash| self.log.peek(hash)) {
             self.span(ctx, &entry.header, OpEvent::DeviceBatchFlush { device, at });
-            #[cfg(feature = "recorder")]
             self.record_logged(ctx, &entry.header);
         }
         let wait = ack_at.saturating_since(at);

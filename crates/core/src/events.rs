@@ -1,8 +1,8 @@
-//! The recorded-history event vocabulary (feature `recorder`).
+//! The recorded-history event vocabulary.
 //!
-//! When the `recorder` feature is enabled, [`crate::ClientLib`],
-//! [`crate::ServerLib`] and [`crate::PmnetDevice`] each accept a cloned
-//! [`Recorder`] handle and append one [`Event`] per PMNet-visible state
+//! [`crate::ClientLib`], [`crate::ServerLib`] and [`crate::PmnetDevice`]
+//! each accept a cloned [`Recorder`] handle (`set_recorder`) and, while
+//! it is armed, append one [`Event`] per PMNet-visible state
 //! transition: a client invoking or completing a request, the server
 //! applying an update, a device logging an update fragment or serving a
 //! read from its cache. The merged, sim-timestamped stream is the input to
@@ -10,8 +10,11 @@
 //!
 //! Recording is pure observation: no RNG draws, no timers, no packets —
 //! an attached recorder cannot change a run's behaviour (campaign digests
-//! are bit-identical with recording on or off). With the feature disabled
-//! the hooks do not exist at all, so the fast path pays nothing.
+//! are bit-identical with recording on or off). The hooks are always
+//! compiled; every hook body sits under [`Recorder::is_armed`], so a
+//! detached run pays one branch per hook — it builds no [`Event`] and
+//! touches no `Bytes` refcount — exactly like a detached `Telemetry`
+//! (`tests/alloc_budget.rs` runs detached).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -91,9 +94,8 @@ pub struct Event {
 ///
 /// `Recorder::default()` is detached and records nothing; an armed handle
 /// (from [`Recorder::new`]) shares one history across every clone (one
-/// `Rc` per simulated world; single-threaded by design). Nodes hold a
-/// `Recorder` field unconditionally-cheaply: the detached state is a
-/// `None` and each hook is one branch.
+/// `Rc` per simulated world; single-threaded by design). Every node
+/// holds one: the detached state is a `None` and each hook is one branch.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     tap: Option<Rc<RefCell<Vec<Event>>>>,

@@ -54,7 +54,6 @@ pub mod cache;
 pub mod client;
 pub mod config;
 pub mod device;
-#[cfg(feature = "recorder")]
 pub mod events;
 pub mod fabric;
 pub mod kvproto;
@@ -71,7 +70,6 @@ pub use client::{
 };
 pub use config::{ApplyConfig, BatchConfig, DeviceConfig, HostProfile, RetryConfig, SystemConfig};
 pub use device::{DeviceFabric, DeviceRole, PmnetDevice};
-#[cfg(feature = "recorder")]
 pub use events::{Event, EventKind, Recorder};
 pub use fabric::{FabricMap, FabricSteering, ReconfigAction, ShardChain, ShardMap, SteerSide};
 pub use logstore::{LogOutcome, LogStore};

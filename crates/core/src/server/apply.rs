@@ -20,7 +20,6 @@ use super::stream::{AckTicket, PendingPkt, Update};
 use super::{ServerLib, TIMER_DONE, TIMER_WINDOW_FLUSH};
 use crate::audit::AuditEntry;
 use crate::config::ApplyConfig;
-#[cfg(feature = "recorder")]
 use crate::events::{Event, EventKind};
 use crate::kvproto::KvFrame;
 use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
@@ -178,18 +177,19 @@ impl ServerLib {
             redo: update.redo,
             epoch: self.epoch,
         });
-        #[cfg(feature = "recorder")]
-        self.recorder.record(Event {
-            at: ctx.now(),
-            client,
-            session,
-            seq: update.last_seq,
-            kind: EventKind::Apply {
-                redo: update.redo,
-                epoch: self.epoch,
-                payload: update.payload.clone(),
-            },
-        });
+        if self.recorder.is_armed() {
+            self.recorder.record(Event {
+                at: ctx.now(),
+                client,
+                session,
+                seq: update.last_seq,
+                kind: EventKind::Apply {
+                    redo: update.redo,
+                    epoch: self.epoch,
+                    payload: update.payload.clone(),
+                },
+            });
+        }
         if update.redo {
             self.counters.redo_applied += 1;
             if let Some(r) = &mut self.recovery {

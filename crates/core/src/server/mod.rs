@@ -42,7 +42,6 @@ pub use self::recovery::RecoveryStats;
 use self::stream::{AckTicket, PendingPkt, Stream};
 use crate::audit::AuditLog;
 use crate::config::{ApplyConfig, BatchConfig, HostProfile};
-#[cfg(feature = "recorder")]
 use crate::events::Recorder;
 use crate::protocol::{PacketType, PmnetHeader};
 
@@ -271,7 +270,6 @@ pub struct ServerLib {
     dedup_disabled: bool,
     audit: AuditLog,
     telemetry: Telemetry,
-    #[cfg(feature = "recorder")]
     recorder: Recorder,
 }
 
@@ -326,7 +324,6 @@ impl ServerLib {
             dedup_disabled: false,
             audit: AuditLog::new(),
             telemetry: Telemetry::disabled(),
-            #[cfg(feature = "recorder")]
             recorder: Recorder::default(),
         }
     }
@@ -339,7 +336,6 @@ impl ServerLib {
 
     /// Attaches a history recorder: every handler apply flows into
     /// `recorder`'s shared tap for the `pmnet-model` checker.
-    #[cfg(feature = "recorder")]
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -348,10 +344,9 @@ impl ServerLib {
     /// so redo resends and duplicated packets are applied again. Exists so
     /// invariant checkers (e.g. the `pmnet-chaos` harness) can prove they
     /// catch exactly-once violations; never enable it in a real run.
-    #[must_use]
-    pub fn with_dedup_disabled(mut self) -> ServerLib {
-        self.dedup_disabled = true;
-        self
+    #[doc(hidden)]
+    pub fn set_dedup_disabled(&mut self, disabled: bool) {
+        self.dedup_disabled = disabled;
     }
 
     /// Registers the PMNet devices to poll during recovery.

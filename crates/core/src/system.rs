@@ -169,7 +169,6 @@ pub struct SystemBuilder {
     warmup: usize,
     clients: Clients,
     handler_factory: Box<dyn FnMut() -> Box<dyn RequestHandler>>,
-    map_server: Option<Box<dyn FnOnce(ServerLib) -> ServerLib>>,
 }
 
 impl std::fmt::Debug for SystemBuilder {
@@ -210,17 +209,7 @@ impl SystemBuilder {
             warmup: 0,
             clients: Clients::Sources(Vec::new()),
             handler_factory: Box::new(|| Box::new(IdealHandler::new())),
-            map_server: None,
         }
-    }
-
-    /// Applies a final transformation to the **primary** server before it
-    /// is added to the world — e.g. planting a bug with
-    /// [`ServerLib::with_dedup_disabled`] so a checker can prove it
-    /// notices. Replicas are not affected.
-    pub fn map_server(mut self, f: impl FnOnce(ServerLib) -> ServerLib + 'static) -> SystemBuilder {
-        self.map_server = Some(Box::new(f));
-        self
     }
 
     /// Adds a client driven by `source`.
@@ -423,9 +412,6 @@ impl SystemBuilder {
                     );
                 }
                 _ => {}
-            }
-            if let Some(f) = self.map_server.take() {
-                s = f(s);
             }
             world.add_node(Box::new(s))
         };
@@ -804,17 +790,15 @@ impl BuiltSystem {
 
     /// Retransmission/backoff counters summed across all clients.
     pub fn client_retry_counters(&self) -> ClientRetryCounters {
-        let mut reg = Registry::new();
+        let mut sum = ClientRetryCounters::default();
         for &c in &self.clients {
-            reg.record_group("client", &self.world.node::<ClientLib>(c).retry_counters());
+            let c = self.world.node::<ClientLib>(c).retry_counters();
+            sum.retransmits += c.retransmits;
+            sum.backoffs += c.backoffs;
+            sum.congestion_signals += c.congestion_signals;
+            sum.failed += c.failed;
         }
-        let set = reg.counters();
-        ClientRetryCounters {
-            retransmits: set.get("client.retransmits"),
-            backoffs: set.get("client.backoffs"),
-            congestion_signals: set.get("client.congestion_signals"),
-            failed: set.get("client.failed"),
-        }
+        sum
     }
 
     /// Publishes every component's counter group into `registry` (the

@@ -17,7 +17,9 @@
 //!    evidence (a device log record or the server's ACK).
 //! 4. **Real-time write order** — two writes to the same key where one
 //!    completed before the other was invoked must be applied in that
-//!    order.
+//!    order (pairs whose windows overlap are unconstrained, and counted);
+//!    and, across keys, an update that completed on the server's ACK
+//!    alone is applied before anything invoked after that completion.
 //! 5. **Read values** — every KV read (server- or cache-served) returns a
 //!    value some ack-order-consistent linearization allows: at least as
 //!    new as the newest write completed before the read was invoked, and
@@ -58,21 +60,12 @@ pub struct CheckerConfig {
     /// client-side-logging systems, where completion evidence (the peer
     /// loggers) is outside the recorded vocabulary.
     pub require_ack_evidence: bool,
-    /// Concurrent-history mode, for runs with `apply.threads > 1`: the
-    /// real-time write rule is checked as an explicit pairwise partial
-    /// order over Invoke/Complete windows (overlapping pairs are
-    /// unconstrained and counted into [`CheckStats`] to prove the run
-    /// actually exercised concurrency), and a cross-key rule requires
-    /// server-acked completions — which happen-after their apply — to be
-    /// applied before anything invoked later.
-    pub concurrent: bool,
 }
 
 impl Default for CheckerConfig {
     fn default() -> CheckerConfig {
         CheckerConfig {
             require_ack_evidence: true,
-            concurrent: false,
         }
     }
 }
@@ -92,12 +85,12 @@ pub struct CheckStats {
     pub reads_checked: usize,
     /// Keys compared against the reference model's final state.
     pub state_keys_checked: usize,
-    /// Concurrent mode: same-key write pairs whose real-time windows
-    /// overlapped (legally orderable either way). Zero in a concurrent
-    /// campaign means the schedule never actually raced two writes.
+    /// Same-key write pairs whose real-time windows overlapped (legally
+    /// orderable either way). Zero in a concurrent-apply campaign means
+    /// the schedule never actually raced two writes.
     pub overlapping_write_pairs: usize,
-    /// Concurrent mode: same-key write pairs constrained by real time
-    /// and verified to be applied in that order.
+    /// Same-key write pairs constrained by real time and verified to be
+    /// applied in that order.
     pub ordered_write_pairs: usize,
 }
 
@@ -352,105 +345,76 @@ pub fn check(
     }
 
     // --- Rule 4: real-time order of same-key writes. --------------------
-    if cfg.concurrent {
-        // Concurrent-history mode: the partial order made explicit, pair
-        // by pair. For two applied writes to the same key (a before b in
-        // apply order), real time constrains them only when one's
-        // Complete precedes the other's Invoke; overlapping windows are
-        // legally orderable either way and are *counted*, so a campaign
-        // that claims to have raced writes can prove it was not vacuous.
-        for recs in writes_by_key.values() {
-            let applied: Vec<&WriteRec> = recs.iter().filter(|w| w.pos != usize::MAX).collect();
-            for (i, a) in applied.iter().enumerate() {
-                for b in &applied[i + 1..] {
-                    if b.complete_at.is_some_and(|c| c < a.invoke_at) {
-                        candidates.push((
-                            a.apply_idx,
-                            format!(
-                                "real-time order violation: {} completed before {} was \
-                                 invoked, yet was applied after it",
-                                op(b.id.0, b.id.1, b.id.2),
-                                op(a.id.0, a.id.1, a.id.2)
-                            ),
-                        ));
-                    } else if a.complete_at.is_some_and(|c| c < b.invoke_at) {
-                        stats.ordered_write_pairs += 1;
-                    } else {
-                        stats.overlapping_write_pairs += 1;
-                    }
-                }
-            }
-        }
-        // Cross-key rule: a server ACK is only ever sent after the apply
-        // reaches the handler, so a completion resting solely on the
-        // server's ACK happens-after its own apply. Anything invoked
-        // after such a completion must therefore apply after it —
-        // regardless of key, which catches a pool that reorders opaque
-        // payloads across sessions.
-        let mut first_apply_idx: HashMap<OpId, usize> = HashMap::new();
-        for &(idx, id, ..) in &applies {
-            first_apply_idx.entry(id).or_insert(idx);
-        }
-        let mut acked: Vec<(Time, usize, OpId)> = update_completes
-            .iter()
-            .filter(|&(_, &(_, _, device_acks, server_acked))| server_acked && device_acks == 0)
-            .filter_map(|(&id, &(_, at, ..))| first_apply_idx.get(&id).map(|&i| (at, i, id)))
-            .collect();
-        acked.sort_unstable_by_key(|&(t, i, _)| (t, i));
-        let mut invoked: Vec<(Time, usize, OpId)> = update_invokes
-            .iter()
-            .filter_map(|(&id, &(_, at, _))| first_apply_idx.get(&id).map(|&i| (at, i, id)))
-            .collect();
-        invoked.sort_unstable_by_key(|&(t, i, _)| (t, i));
-        let mut j = 0;
-        let mut latest_acked: Option<(usize, OpId)> = None;
-        for (invoke_at, b_idx, b_id) in invoked {
-            while j < acked.len() && acked[j].0 < invoke_at {
-                if latest_acked.is_none_or(|(i, _)| acked[j].1 > i) {
-                    latest_acked = Some((acked[j].1, acked[j].2));
-                }
-                j += 1;
-            }
-            if let Some((a_idx, a_id)) = latest_acked {
-                if a_idx > b_idx {
+    // The partial order made explicit, pair by pair. For two applied
+    // writes to the same key (a before b in apply order), real time
+    // constrains them only when one's Complete precedes the other's
+    // Invoke; overlapping windows are legally orderable either way and
+    // are *counted*, so a campaign that claims to have raced writes can
+    // prove it was not vacuous.
+    for recs in writes_by_key.values() {
+        let applied: Vec<&WriteRec> = recs.iter().filter(|w| w.pos != usize::MAX).collect();
+        for (i, a) in applied.iter().enumerate() {
+            for b in &applied[i + 1..] {
+                if b.complete_at.is_some_and(|c| c < a.invoke_at) {
                     candidates.push((
-                        a_idx,
+                        a.apply_idx,
                         format!(
-                            "concurrent-history order violation: {} was server-acked \
-                             before {} was invoked, yet was applied after it",
-                            op(a_id.0, a_id.1, a_id.2),
-                            op(b_id.0, b_id.1, b_id.2)
+                            "real-time order violation: {} completed before {} was \
+                             invoked, yet was applied after it",
+                            op(b.id.0, b.id.1, b.id.2),
+                            op(a.id.0, a.id.1, a.id.2)
                         ),
                     ));
+                } else if a.complete_at.is_some_and(|c| c < b.invoke_at) {
+                    stats.ordered_write_pairs += 1;
+                } else {
+                    stats.overlapping_write_pairs += 1;
                 }
             }
         }
-    } else {
-        let mut max_invoke_by_key: HashMap<Vec<u8>, Time> = HashMap::new();
-        for &(idx, id, _redo, _epoch, payload) in &applies {
-            let Some(k) = write_key(payload) else {
-                continue;
-            };
-            let Some(&(_, invoke_at, _)) = update_invokes.get(&id) else {
-                continue;
-            };
-            if let (Some(&max_inv), Some(&(_, complete_at, ..))) =
-                (max_invoke_by_key.get(&k), update_completes.get(&id))
-            {
-                if complete_at < max_inv {
-                    candidates.push((
-                        idx,
-                        format!(
-                            "real-time order violation on key {}: {} completed before an \
-                             earlier-applied write to the key was even invoked",
-                            hex(&k),
-                            op(id.0, id.1, id.2)
-                        ),
-                    ));
-                }
+    }
+    // Cross-key rule: a server ACK is only ever sent after the apply
+    // reaches the handler, so a completion resting solely on the
+    // server's ACK happens-after its own apply. Anything invoked
+    // after such a completion must therefore apply after it —
+    // regardless of key, which catches a pool that reorders opaque
+    // payloads across sessions.
+    let mut first_apply_idx: HashMap<OpId, usize> = HashMap::new();
+    for &(idx, id, ..) in &applies {
+        first_apply_idx.entry(id).or_insert(idx);
+    }
+    let mut acked: Vec<(Time, usize, OpId)> = update_completes
+        .iter()
+        .filter(|&(_, &(_, _, device_acks, server_acked))| server_acked && device_acks == 0)
+        .filter_map(|(&id, &(_, at, ..))| first_apply_idx.get(&id).map(|&i| (at, i, id)))
+        .collect();
+    acked.sort_unstable_by_key(|&(t, i, _)| (t, i));
+    let mut invoked: Vec<(Time, usize, OpId)> = update_invokes
+        .iter()
+        .filter_map(|(&id, &(_, at, _))| first_apply_idx.get(&id).map(|&i| (at, i, id)))
+        .collect();
+    invoked.sort_unstable_by_key(|&(t, i, _)| (t, i));
+    let mut j = 0;
+    let mut latest_acked: Option<(usize, OpId)> = None;
+    for (invoke_at, b_idx, b_id) in invoked {
+        while j < acked.len() && acked[j].0 < invoke_at {
+            if latest_acked.is_none_or(|(i, _)| acked[j].1 > i) {
+                latest_acked = Some((acked[j].1, acked[j].2));
             }
-            let e = max_invoke_by_key.entry(k).or_insert(invoke_at);
-            *e = (*e).max(invoke_at);
+            j += 1;
+        }
+        if let Some((a_idx, a_id)) = latest_acked {
+            if a_idx > b_idx {
+                candidates.push((
+                    a_idx,
+                    format!(
+                        "concurrent-history order violation: {} was server-acked \
+                         before {} was invoked, yet was applied after it",
+                        op(a_id.0, a_id.1, a_id.2),
+                        op(b_id.0, b_id.1, b_id.2)
+                    ),
+                ));
+            }
         }
     }
 
@@ -833,13 +797,6 @@ mod tests {
         assert!(d.reason.contains("no prior device log"), "{}", d.reason);
     }
 
-    fn concurrent_cfg() -> CheckerConfig {
-        CheckerConfig {
-            concurrent: true,
-            ..CheckerConfig::default()
-        }
-    }
-
     /// Two sessions' writes to one key with overlapping Invoke/Complete
     /// windows, applied in either order.
     fn overlapping_writes(apply_first: u32) -> Vec<Event> {
@@ -906,7 +863,7 @@ mod tests {
     fn overlapping_writes_pass_in_either_apply_order_and_are_counted() {
         for first in [0, 1] {
             let h = overlapping_writes(first);
-            let stats = check(&h, None, concurrent_cfg()).unwrap();
+            let stats = check(&h, None, CheckerConfig::default()).unwrap();
             assert_eq!(stats.overlapping_write_pairs, 1, "apply_first={first}");
             assert_eq!(stats.ordered_write_pairs, 0);
         }
@@ -961,22 +918,20 @@ mod tests {
                 payload: p1.clone(),
             },
         });
-        let d = check(&h, None, concurrent_cfg()).unwrap_err();
+        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
         assert!(
             d.reason.contains("real-time order violation"),
             "{}",
             d.reason
         );
-        // The sequential mode flags the same history.
-        let d2 = check(&h, None, CheckerConfig::default()).unwrap_err();
-        assert!(d2.reason.contains("real-time order"), "{}", d2.reason);
     }
 
     #[test]
     fn server_acked_completion_fences_later_invokes_across_keys() {
         // Update A (key a) rests solely on the server's ACK — so it was
         // applied before it completed. Update B (key b) is invoked after
-        // A completed but applied *before* A: impossible.
+        // A completed but applied *before* A: impossible, on one apply
+        // thread as on four, so the default configuration rejects it.
         let pa = set(b"a", b"1");
         let pb = set(b"b", b"2");
         let server_acked_complete = |at: u64, session: u16| Event {
@@ -1003,7 +958,7 @@ mod tests {
             apply(210, 0, pa.clone()),                   // …A applied after: violation
             with_session(server_acked_complete(300, 1), 1),
         ];
-        let d = check(&h, None, concurrent_cfg()).unwrap_err();
+        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
         assert!(
             d.reason.contains("concurrent-history order violation"),
             "{}",
@@ -1021,7 +976,7 @@ mod tests {
         // Re-sort by time so history order matches apply order.
         let mut h_ok = h_ok;
         h_ok.sort_by_key(|e| e.at);
-        check(&h_ok, None, concurrent_cfg()).unwrap();
+        check(&h_ok, None, CheckerConfig::default()).unwrap();
     }
 
     #[test]

@@ -41,18 +41,6 @@ pub fn attach(sys: &mut BuiltSystem) -> Recorder {
 pub fn config_for(design: DesignPoint) -> CheckerConfig {
     CheckerConfig {
         require_ack_evidence: !matches!(design, DesignPoint::ClientSideLog { .. }),
-        concurrent: false,
-    }
-}
-
-/// [`config_for`], additionally switching the checker into
-/// concurrent-history mode when the run used more than one apply thread
-/// (see `ApplyConfig` in `pmnet-core`): the total-order real-time write
-/// rule is replaced by the pairwise partial-order rules.
-pub fn config_for_apply(design: DesignPoint, apply_threads: u32) -> CheckerConfig {
-    CheckerConfig {
-        concurrent: apply_threads > 1,
-        ..config_for(design)
     }
 }
 

@@ -9,10 +9,10 @@
 //!   semantics ([`ReferenceKv`]): what the store must contain given an
 //!   apply stream.
 //! * [`checker`] — [`check`] validates a recorded event history (see
-//!   `pmnet_core::events`, behind the `recorder` feature) against every
-//!   linearization consistent with ack order: exactly-once in-order
-//!   applies, durable acknowledgements, real-time write order, read
-//!   values, and the final durable state.
+//!   `pmnet_core::events`) against every linearization consistent with
+//!   ack order: exactly-once in-order applies, durable acknowledgements,
+//!   real-time write order, read values, and the final durable state.
+//!   One rule set runs on every history, sequential or concurrent.
 //! * [`artifact`] — every divergence carries a self-contained text
 //!   artifact; [`artifact::replay`] re-runs the checker on it and must
 //!   reproduce the verdict.
@@ -20,9 +20,8 @@
 //!   `BuiltSystem`'s clients, server, and devices; [`check_system`]
 //!   snapshots the server and checks the run.
 //!
-//! Recording is pure observation: with the recorder armed (or the
-//! feature off entirely) simulated timelines, RNG draws, and campaign
-//! digests are bit-identical.
+//! Recording is pure observation: with the recorder armed or detached,
+//! simulated timelines, RNG draws, and campaign digests are bit-identical.
 
 #![warn(missing_docs)]
 
@@ -33,7 +32,5 @@ pub mod reference;
 
 pub use artifact::{parse, render, replay, ParsedArtifact};
 pub use checker::{check, CheckStats, CheckerConfig, Divergence};
-pub use harness::{
-    attach, check_system, check_system_with, config_for, config_for_apply, snapshot_server_state,
-};
+pub use harness::{attach, check_system, check_system_with, config_for, snapshot_server_state};
 pub use reference::ReferenceKv;

@@ -91,8 +91,10 @@ fn dedup_bug_is_caught_with_a_replayable_artifact() {
     let mut sys = SystemBuilder::new(DesignPoint::PmnetSwitch, config)
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("btree", 5)))
-        .map_server(ServerLib::with_dedup_disabled)
         .build(47);
+    sys.world
+        .node_mut::<ServerLib>(sys.server)
+        .set_dedup_disabled(true);
     let rec = attach(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
@@ -269,8 +271,8 @@ fn sharded_failover_run_passes_the_checker() {
 #[test]
 fn detached_recorder_records_nothing_across_a_real_run() {
     // Without attach(), runs record no history at all — the checker's
-    // hooks are pure observation and default-off even with the feature
-    // compiled in.
+    // hooks are always compiled, pure observation and detached by
+    // default.
     let mut sys = SystemBuilder::new(DesignPoint::PmnetSwitch, SystemConfig::default())
         .client(Box::new(ScriptSource::new([update(set_frame(b"k", b"v"))])))
         .handler_factory(|| Box::new(KvHandler::new("btree", 1)))

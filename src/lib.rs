@@ -71,9 +71,10 @@
 //!
 //! ## Model checking
 //!
-//! The [`model`] crate closes the loop on correctness: a feature-gated
-//! recorder captures every invocation, acknowledgement, and apply of a
-//! simulated run, and a durable-linearizability checker verifies the
+//! The [`model`] crate closes the loop on correctness: a recorder
+//! (always compiled; one branch per hook while detached) captures every
+//! invocation, acknowledgement, and apply of a simulated run, and a
+//! durable-linearizability checker verifies the
 //! history — and the server's final durable state — against a sequential
 //! reference model, reporting the first divergent op as a replayable
 //! artifact. The chaos harness runs it as an extra invariant on every

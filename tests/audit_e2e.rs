@@ -4,36 +4,32 @@
 //! acknowledged update was lost — across the crash.
 
 use pmnet::core::audit;
-use pmnet::core::client::ClientLib;
 use pmnet::core::server::ServerLib;
 use pmnet::core::system::{DesignPoint, SystemBuilder};
 use pmnet::core::SystemConfig;
-use pmnet::net::Addr;
 use pmnet::sim::{Dur, Time};
 use pmnet::workloads::{KvHandler, YcsbSource};
 
-fn gather_acked(sys: &pmnet::core::system::BuiltSystem) -> Vec<(Addr, u16, u32)> {
-    let mut acked = Vec::new();
-    for &c in &sys.clients {
-        let client = sys.world.node::<ClientLib>(c);
-        let addr = client.client_addr();
-        for &(session, seq) in client.acked_updates() {
-            acked.push((addr, session, seq));
-        }
-    }
-    acked
+fn audit_run(
+    design: DesignPoint,
+    config: SystemConfig,
+    crash: Option<(Dur, Dur)>,
+    seed: u64,
+) -> audit::AuditReport {
+    audit_run_sized(design, config, crash, seed, 60)
 }
 
-fn audit_run(
+fn audit_run_sized(
     design: DesignPoint,
     mut config: SystemConfig,
     crash: Option<(Dur, Dur)>,
     seed: u64,
+    value_bytes: usize,
 ) -> audit::AuditReport {
     config.client_timeout = Dur::millis(2);
     let mut b = SystemBuilder::new(design, config);
     for _ in 0..4 {
-        b = b.client(Box::new(YcsbSource::new(100, 500, 1.0, 60)));
+        b = b.client(Box::new(YcsbSource::new(100, 500, 1.0, value_bytes)));
     }
     let mut sys = b
         .handler_factory(|| Box::new(KvHandler::new("btree", 5)))
@@ -45,7 +41,7 @@ fn audit_run(
     }
     sys.run_clients(Dur::secs(60));
     sys.world.run_for(Dur::millis(300));
-    let acked = gather_acked(&sys);
+    let acked = sys.acked_updates();
     assert!(!acked.is_empty(), "clients must have acked updates");
     let server = sys.world.node::<ServerLib>(sys.server);
     match audit::verify(server.audit_log(), &acked) {
@@ -119,4 +115,20 @@ fn chaos_loss_reorder_and_crash_pass_the_audit() {
         8,
     );
     assert_eq!(report.acked_checked, 400);
+}
+
+/// A 4 000 B value is a three-fragment update and one identity: the
+/// client reports it once, under the last fragment's `SeqNum` the
+/// server's apply records, so the audit checks one entry per update.
+#[test]
+fn fragmented_updates_pass_the_audit_under_one_identity_each() {
+    let report = audit_run_sized(
+        DesignPoint::PmnetSwitch,
+        SystemConfig::default(),
+        Some((Dur::millis(2), Dur::millis(4))),
+        9,
+        4_000,
+    );
+    assert_eq!(report.acked_checked, 400);
+    assert!(report.redo > 0, "recovery must have replayed something");
 }

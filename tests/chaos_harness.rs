@@ -3,7 +3,8 @@
 //! * a 210-plan seeded campaign across the three headline design points
 //!   is bit-identical on replay and violates no invariant,
 //! * a deliberately planted dedup bug is found by the campaign and
-//!   ddmin-shrunk to a minimal (<= 3 event) replayable artifact,
+//!   ddmin-shrunk to a minimal (<= 3 event) replayable artifact, whose
+//!   verdict is pinned,
 //! * a PMNet device power-cycled mid-workload (crash with a restart
 //!   downtime) rejoins and the run still satisfies the durability audit.
 
@@ -104,6 +105,36 @@ fn planted_dedup_bug_is_found_and_shrinks_to_a_tiny_artifact() {
     clean.dedup_bug = false;
     let control = clean.replay();
     assert!(control.passed, "{:?}", control.violations);
+}
+
+/// The dedup bug is planted on the built server (`set_dedup_disabled`);
+/// the literals are what the commit before read when the builder planted
+/// it on the server before adding it to the world, on the minimal
+/// artifact `chaos_search` prints.
+#[test]
+fn dedup_bug_planted_after_build_reproduces_the_pinned_verdict() {
+    let artifact: Artifact = "# pmnet-chaos replay artifact\n\
+         seed=14108052177633193631\n\
+         design=pmnet-switch\n\
+         dedup_bug=true\n\
+         at=61000 corrupt-burst link=backbone:0 permille=229 dur=257000\n\
+         at=775000 server-crash down=1966000\n"
+        .parse()
+        .expect("artifact text parses");
+    let verdict = artifact.replay();
+    assert_eq!(
+        verdict.digest_line(),
+        "passed=false violations=2 finished=3 acked=120 applied=121 redo=72 dups=0 corrupt=2 \
+         retries=2 failed=0 stranded=0 end=6467941"
+    );
+    assert_eq!(
+        verdict.violations,
+        [
+            "audit: duplicate apply: 10.0.0.3/s2 seq 7",
+            "model: divergence at event 433: duplicate apply: update client 3 session 2 seq 7 \
+             applied twice despite equal SeqNum"
+        ]
+    );
 }
 
 #[test]
