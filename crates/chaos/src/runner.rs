@@ -325,11 +325,6 @@ fn apply_act(world: &mut World, act: Act) {
     }
 }
 
-/// Per-node flight-recorder ring capacity used by chaos runs. Big enough
-/// to hold the events leading up to an invariant violation, small enough
-/// that ten thousand campaign runs don't notice it.
-pub const FLIGHT_CAPACITY: usize = 256;
-
 /// Runs `plan` against a fresh system built for `scenario` and checks the
 /// invariants:
 ///
@@ -349,16 +344,14 @@ pub const FLIGHT_CAPACITY: usize = 256;
 ///    replayable artifact to stderr).
 pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
     let mut sys = scenario.build();
-    // Every run also records a client/server/device event history and
-    // submits it to the pmnet-model checker as a fourth invariant.
-    // Recording is pure observation, so it changes no timeline.
-    let recorder = pmnet_model::attach(&mut sys);
-    // Every run also carries a flight recorder: bounded per-node rings of
-    // recent protocol events, dumped into the verdict (and any failure
-    // artifact) when an invariant fires. Telemetry hooks are pure
-    // observation — no RNG draws, no scheduled events — so attaching the
-    // handle changes no timeline and no digest.
-    let telemetry = Telemetry::flight_only(FLIGHT_CAPACITY);
+    // Every run carries one checking handle. It records a client/server/
+    // device event history, submitted to the pmnet-model checker as a
+    // fourth invariant, and bounded per-node flight rings of recent
+    // protocol events, dumped into the verdict (and any failure artifact)
+    // when an invariant fires. Telemetry hooks are pure observation — no
+    // RNG draws, no scheduled events — so attaching the handle changes no
+    // timeline and no digest.
+    let telemetry = Telemetry::checking();
     sys.attach_telemetry(&telemetry);
     let acts = lower_plan(&mut sys, plan);
 
@@ -412,9 +405,8 @@ pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
             (server.counters().updates_applied, redo)
         }
     };
-    if let Err(d) =
-        pmnet_model::check_system_with(&sys, &recorder, pmnet_model::config_for(scenario.design))
-    {
+    let model = pmnet_model::config_for(scenario.design);
+    if let Err(d) = pmnet_model::check_system_with(&sys.world, sys.server, &telemetry, model) {
         if std::env::var_os("PMNET_MODEL_DUMP").is_some() {
             eprintln!("{}", d.artifact);
         }

@@ -42,6 +42,9 @@ pub const BATCH_HDR_LEN: usize = 3;
 /// Per-frame framing overhead: the `u16` length prefix.
 pub const FRAME_PREFIX_LEN: usize = 2;
 
+/// Hard cap on frames coalesced into one batch packet.
+pub const MAX_FRAMES: usize = 64;
+
 /// True if `body` starts like a batch body. Callers check this before
 /// [`PmnetHeader::decode`]: a batch body never parses as a plain header.
 pub fn is_batch(body: &[u8]) -> bool {

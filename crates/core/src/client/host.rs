@@ -2,10 +2,14 @@
 //! [`Session`]'s answers onto the simulator — [`ClientHost::transmit`],
 //! [`ClientHost::frames`], [`ClientHost::report`] — plus the receive stack
 //! and the abandon hook that drops an unfinished request's span state.
+//! Both client drivers go through it, so the history's client events
+//! (invoke on first transmission, complete on report) are recorded here
+//! once for both.
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Msg, Packet, PortNo, Proto};
 use pmnet_sim::{Dur, Time};
+use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::{AckKind, OpCompletion, OpEvent, OpKind};
 use pmnet_telemetry::Telemetry;
 
@@ -90,7 +94,8 @@ impl ClientHost {
     /// Puts the selected fragments of `session`'s open exchange on the
     /// wire, each behind its own stack draw so they leave back to back.
     /// [`Which::All`] is a request's first transmission and also announces
-    /// the op to the flight recorder.
+    /// the op to the flight recorder and records its invocation in the
+    /// history.
     pub fn transmit(
         &self,
         ctx: &mut Ctx<'_>,
@@ -100,11 +105,22 @@ impl ClientHost {
     ) {
         let Some(open) = session.open() else { return };
         if which == Which::All {
+            let kind = op_kind(open.app.kind);
+            telemetry.record(|| Event {
+                at: ctx.now(),
+                client: self.addr,
+                session: open.session,
+                seq: open.frag_range.1,
+                kind: EventKind::Invoke {
+                    kind,
+                    payload: open.app.payload.clone(),
+                },
+            });
             telemetry.op_issue(
                 self.addr,
                 ctx.now(),
                 (self.addr, open.session, open.frag_range.1),
-                op_kind(open.app.kind),
+                kind,
             );
         }
         // Client-side logging with replication: the logger process fans
@@ -164,8 +180,8 @@ impl ClientHost {
         batched.into_iter().flatten().chain(plain)
     }
 
-    /// Reports a completion to telemetry and returns the
-    /// application-observed latency, measured from `anchor`: the issue
+    /// Reports a completion to telemetry (history included) and returns
+    /// the application-observed latency, measured from `anchor`: the issue
     /// instant for a closed-loop client, the arrival instant (queue wait
     /// included) for an open-loop one.
     pub fn report(
@@ -175,20 +191,34 @@ impl ClientHost {
         done: &Completion,
         anchor: Time,
     ) -> Dur {
+        let req = &done.request;
+        let kind = op_kind(req.app.kind);
+        telemetry.record(|| Event {
+            at: ctx.now(),
+            client: self.addr,
+            session: req.session,
+            seq: req.frag_range.1,
+            kind: EventKind::Complete {
+                kind,
+                reply: done.reply.clone(),
+                device_acks: done.device_acks,
+                server_acked: done.server_acked,
+            },
+        });
         let latency = ctx.now() - anchor + self.profile.app_overhead;
         telemetry.op_complete(
             self.addr,
             ctx.now(),
             OpCompletion {
                 client: self.addr,
-                session: done.request.session,
+                session: req.session,
                 completing_seq: done.completing_seq,
-                frag_range: done.request.frag_range,
-                kind: op_kind(done.request.app.kind),
+                frag_range: req.frag_range,
+                kind,
                 issued_at: anchor,
                 completed_at: ctx.now(),
                 latency,
-                retries: done.request.attempt,
+                retries: req.attempt,
                 evidence: done.evidence,
             },
         );
@@ -200,11 +230,7 @@ impl ClientHost {
     /// which will never complete.
     pub fn abandon(&self, telemetry: &Telemetry, session: &mut Session) -> Option<Request> {
         let gone = session.abandon()?;
-        if telemetry.is_enabled() {
-            let (first, last) = gone.frag_range;
-            let frags: Vec<(u16, u32)> = (first..=last).map(|seq| (gone.session, seq)).collect();
-            telemetry.op_abandon(self.addr, &frags);
-        }
+        telemetry.op_abandon(self.addr, gone.session, gone.frag_range);
         Some(gone)
     }
 

@@ -28,7 +28,6 @@ use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::Telemetry;
 
 use crate::config::{HostProfile, RetryConfig};
-use crate::events::{Event, EventKind, Recorder};
 use crate::protocol::{PacketType, PmnetHeader};
 
 pub use host::ClientHost;
@@ -126,7 +125,6 @@ pub struct ClientLib {
     /// liveness checks).
     crashes: u32,
     telemetry: Telemetry,
-    recorder: Recorder,
 }
 
 impl ClientLib {
@@ -157,21 +155,14 @@ impl ClientLib {
             alive: true,
             crashes: 0,
             telemetry: Telemetry::disabled(),
-            recorder: Recorder::default(),
         }
     }
 
-    /// Attaches a telemetry handle: span events and completions flow into
-    /// its shared sink. Pure observation — never touches the RNG or the
-    /// event queue.
+    /// Attaches a telemetry handle: span events, completions and history
+    /// events flow into its shared sink. Pure observation — never touches
+    /// the RNG or the event queue.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Attaches a history recorder: invocation and completion events flow
-    /// into `recorder`'s shared tap for the `pmnet-model` checker.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
     }
 
     /// Times this client has been power-cycled.
@@ -242,20 +233,6 @@ impl ClientLib {
             self.fail(ctx, &req);
             return;
         };
-        if self.recorder.is_armed() {
-            if let Some(open) = self.session.open() {
-                self.recorder.record(Event {
-                    at: ctx.now(),
-                    client: self.host.addr,
-                    session: open.session,
-                    seq: open.frag_range.1,
-                    kind: EventKind::Invoke {
-                        kind: req.kind,
-                        payload: req.payload.clone(),
-                    },
-                });
-            }
-        }
         self.host
             .transmit(ctx, &self.telemetry, &self.session, Which::All);
         // Client-side logging: the local logger persists in parallel with
@@ -306,20 +283,6 @@ impl ClientLib {
     fn complete(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
         self.disarm_timeout(ctx);
         let req = &done.request;
-        if self.recorder.is_armed() {
-            self.recorder.record(Event {
-                at: ctx.now(),
-                client: self.host.addr,
-                session: req.session,
-                seq: req.frag_range.1,
-                kind: EventKind::Complete {
-                    kind: req.app.kind,
-                    reply: done.reply.clone(),
-                    device_acks: done.device_acks,
-                    server_acked: done.server_acked,
-                },
-            });
-        }
         if req.app.kind == RequestKind::Update {
             self.acked_updates.push((req.session, req.frag_range.1));
         }

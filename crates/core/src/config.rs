@@ -252,8 +252,6 @@ pub struct BatchConfig {
     /// Doorbell window: entries staged before a flush. 1 disables
     /// batching entirely (per-packet persists and ACKs).
     pub window: u32,
-    /// Hard cap on frames coalesced into one batch packet.
-    pub max_frames: usize,
     /// Longest a staged entry may wait for its window to fill before a
     /// partial flush (bounds the latency cost of coalescing).
     pub max_wait: Dur,
@@ -263,7 +261,6 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             window: 1,
-            max_frames: 64,
             // Roughly one 1 KiB-payload device pipeline traversal: long
             // enough to fill a window under load, short enough to stay
             // well below an RTT when traffic is sparse.
@@ -273,7 +270,7 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// A policy with the given window and default cap/wait.
+    /// A policy with the given window and the default wait.
     pub fn windowed(window: u32) -> BatchConfig {
         BatchConfig {
             window,
@@ -290,9 +287,6 @@ impl BatchConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.window == 0 {
             return Err("batch.window must be >= 1".into());
-        }
-        if self.max_frames == 0 {
-            return Err("batch.max_frames must be >= 1".into());
         }
         if self.window > 1 && self.max_wait == Dur::ZERO {
             return Err("batch.max_wait must be non-zero when batching".into());
@@ -652,21 +646,14 @@ mod tests {
             .unwrap_err()
             .contains("window"));
         let b = BatchConfig {
-            max_frames: 0,
-            ..BatchConfig::default()
-        };
-        assert!(b.validate().unwrap_err().contains("max_frames"));
-        let b = BatchConfig {
             window: 4,
             max_wait: Dur::ZERO,
-            ..BatchConfig::default()
         };
         assert!(b.validate().unwrap_err().contains("max_wait"));
         // An unbatched config may carry a zero wait (it is never armed).
         let b = BatchConfig {
             window: 1,
             max_wait: Dur::ZERO,
-            ..BatchConfig::default()
         };
         assert_eq!(b.validate(), Ok(()));
         // The system-level knob threads through validation.

@@ -37,7 +37,6 @@ pub use self::fabric::DeviceFabric;
 use self::redo::StagedResend;
 use crate::cache::ReadCache;
 use crate::config::{BatchConfig, DeviceConfig};
-use crate::events::Recorder;
 use crate::logstore::LogStore;
 use crate::protocol::{is_pmnet_port, PacketType, PmnetHeader};
 
@@ -198,7 +197,6 @@ pub struct PmnetDevice {
     /// flushed window's single PM write covers, keyed by batch id.
     inflight_batches: HashMap<u64, Vec<u32>, FixedState>,
     telemetry: Telemetry,
-    recorder: Recorder,
 }
 
 impl PmnetDevice {
@@ -226,12 +224,12 @@ impl PmnetDevice {
             batch_seq: 0,
             inflight_batches: HashMap::default(),
             telemetry: Telemetry::disabled(),
-            recorder: Recorder::default(),
         }
     }
 
     /// Attaches a telemetry handle: the device emits span events as
-    /// requests, persists, and cache hits cross it.
+    /// requests, persists, and cache hits cross it, and records log
+    /// persists and cache serves in the history.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -258,12 +256,6 @@ impl PmnetDevice {
     #[doc(hidden)]
     pub fn set_stale_read_bug(&mut self, enabled: bool) {
         self.stale_read_bug = enabled;
-    }
-
-    /// Attaches a history recorder: log-persist and cache-serve events
-    /// flow into `recorder`'s shared tap for the `pmnet-model` checker.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
     }
 
     /// The device's name.

@@ -4,10 +4,10 @@
 
 use bytes::Bytes;
 use pmnet_net::{Ctx, Packet};
+use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
 use super::PmnetDevice;
-use crate::events::{Event, EventKind};
 use crate::kvproto::KvFrame;
 use crate::logstore::LogEntry;
 use crate::protocol::{PacketType, PmnetHeader};
@@ -45,18 +45,16 @@ impl PmnetDevice {
                         h.encode(&frame_bytes),
                     );
                     self.counters.cache_responses += 1;
-                    if self.recorder.is_armed() {
-                        self.recorder.record(Event {
-                            at: ctx.now(),
-                            client: header.client,
-                            session: header.session,
-                            seq: header.seq,
-                            kind: EventKind::CacheServe {
-                                device: self.addr,
-                                reply: frame_bytes.clone(),
-                            },
-                        });
-                    }
+                    self.telemetry.record(|| Event {
+                        at: ctx.now(),
+                        client: header.client,
+                        session: header.session,
+                        seq: header.seq,
+                        kind: EventKind::CacheServe {
+                            device: self.addr,
+                            reply: frame_bytes.clone(),
+                        },
+                    });
                     if let Some(d) = self.emit(ctx, reply) {
                         let (device, at) = (self.id, ctx.now());
                         self.span(ctx, &header, OpEvent::DeviceRecv { device, at });

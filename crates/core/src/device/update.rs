@@ -9,14 +9,14 @@
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Packet};
+use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
 use super::chain::{DeviceRole, Release};
 use super::{
     PmnetDevice, TIMER_BATCH_FLUSH, TIMER_BATCH_PERSIST, TIMER_ENTRY_RETRY, TIMER_PERSIST_DONE,
 };
-use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN};
-use crate::events::{Event, EventKind};
+use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN, MAX_FRAMES};
 use crate::kvproto::KvFrame;
 use crate::logstore::{BypassReason, LogOutcome, LogStore};
 use crate::protocol::{PmnetHeader, FLAG_CONGESTED, HEADER_LEN};
@@ -167,15 +167,13 @@ impl PmnetDevice {
     /// model checker (`try_log` on the per-packet path, the flush on the
     /// doorbell path).
     fn record_logged(&self, ctx: &Ctx<'_>, header: &PmnetHeader) {
-        if self.recorder.is_armed() {
-            self.recorder.record(Event {
-                at: ctx.now(),
-                client: header.client,
-                session: header.session,
-                seq: header.seq,
-                kind: EventKind::DeviceLogged { device: self.addr },
-            });
-        }
+        self.telemetry.record(|| Event {
+            at: ctx.now(),
+            client: header.client,
+            session: header.session,
+            seq: header.seq,
+            kind: EventKind::DeviceLogged { device: self.addr },
+        });
     }
 
     /// Rings the doorbell: every staged entry persists behind **one** PM
@@ -250,7 +248,7 @@ impl PmnetDevice {
 
     /// Sends the PMNet-ACKs of `hashes` — live entries the one rule has
     /// released — coalescing same-flow ACKs into one batch packet (capped
-    /// at `batch.max_frames`).
+    /// at [`MAX_FRAMES`]).
     pub(super) fn ack_clients(&mut self, ctx: &mut Ctx<'_>, hashes: &[u32]) {
         if hashes.len() <= 1 {
             // The per-packet path: nothing to group, nothing allocated.
@@ -268,7 +266,7 @@ impl PmnetDevice {
             }
         }
         for (_, flow_hashes) in flows {
-            for chunk in flow_hashes.chunks(self.batch.max_frames.max(1)) {
+            for chunk in flow_hashes.chunks(MAX_FRAMES) {
                 self.send_ack_packet(ctx, chunk);
             }
         }

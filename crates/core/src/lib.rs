@@ -54,7 +54,6 @@ pub mod cache;
 pub mod client;
 pub mod config;
 pub mod device;
-pub mod events;
 pub mod fabric;
 pub mod kvproto;
 pub mod logstore;
@@ -70,7 +69,6 @@ pub use client::{
 };
 pub use config::{ApplyConfig, BatchConfig, DeviceConfig, HostProfile, RetryConfig, SystemConfig};
 pub use device::{DeviceFabric, DeviceRole, PmnetDevice};
-pub use events::{Event, EventKind, Recorder};
 pub use fabric::{FabricMap, FabricSteering, ReconfigAction, ShardChain, ShardMap, SteerSide};
 pub use logstore::{LogOutcome, LogStore};
 pub use protocol::{PacketType, PmnetHeader, PMNET_PORT_HI, PMNET_PORT_LO};

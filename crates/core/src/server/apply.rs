@@ -14,13 +14,13 @@ use pmnet_net::{Addr, Ctx, Packet, Proto};
 use pmnet_pmem::CostModel;
 use pmnet_sim::hash::{fnv1a, FixedState, FNV_OFFSET};
 use pmnet_sim::{Dur, SimRng, Time};
+use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
 use super::stream::{AckTicket, PendingPkt, Update};
 use super::{ServerLib, TIMER_DONE, TIMER_WINDOW_FLUSH};
 use crate::audit::AuditEntry;
 use crate::config::ApplyConfig;
-use crate::events::{Event, EventKind};
 use crate::kvproto::KvFrame;
 use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
 
@@ -177,19 +177,17 @@ impl ServerLib {
             redo: update.redo,
             epoch: self.epoch,
         });
-        if self.recorder.is_armed() {
-            self.recorder.record(Event {
-                at: ctx.now(),
-                client,
-                session,
-                seq: update.last_seq,
-                kind: EventKind::Apply {
-                    redo: update.redo,
-                    epoch: self.epoch,
-                    payload: update.payload.clone(),
-                },
-            });
-        }
+        self.telemetry.record(|| Event {
+            at: ctx.now(),
+            client,
+            session,
+            seq: update.last_seq,
+            kind: EventKind::Apply {
+                redo: update.redo,
+                epoch: self.epoch,
+                payload: update.payload.clone(),
+            },
+        });
         if update.redo {
             self.counters.redo_applied += 1;
             if let Some(r) = &mut self.recovery {

@@ -42,7 +42,6 @@ pub use self::recovery::RecoveryStats;
 use self::stream::{AckTicket, PendingPkt, Stream};
 use crate::audit::AuditLog;
 use crate::config::{ApplyConfig, BatchConfig, HostProfile};
-use crate::events::Recorder;
 use crate::protocol::{PacketType, PmnetHeader};
 
 const POST_STACK: PortNo = PortNo(200);
@@ -270,7 +269,6 @@ pub struct ServerLib {
     dedup_disabled: bool,
     audit: AuditLog,
     telemetry: Telemetry,
-    recorder: Recorder,
 }
 
 #[derive(Debug)]
@@ -324,20 +322,14 @@ impl ServerLib {
             dedup_disabled: false,
             audit: AuditLog::new(),
             telemetry: Telemetry::disabled(),
-            recorder: Recorder::default(),
         }
     }
 
     /// Attaches a telemetry handle: the server emits span events as
-    /// requests arrive, are applied, and are acknowledged.
+    /// requests arrive, are applied, and are acknowledged, and records
+    /// every handler apply in the history.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Attaches a history recorder: every handler apply flows into
-    /// `recorder`'s shared tap for the `pmnet-model` checker.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
     }
 
     /// **Fault-injection hook**: disables the duplicate-suppression branch

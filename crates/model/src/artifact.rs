@@ -29,19 +29,21 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use pmnet_core::client::RequestKind;
-use pmnet_core::events::{Event, EventKind};
 use pmnet_net::Addr;
 use pmnet_sim::kinds;
 use pmnet_sim::record::{hex, unhex, Kinds, Reader, Token, Value, Writer};
+use pmnet_telemetry::history::{Event, EventKind};
+use pmnet_telemetry::span::OpKind;
 
 use crate::checker::{check, CheckStats, CheckerConfig, Divergence};
 
 const MAGIC: &str = "pmnet-model divergence v1";
 
-const REQ_KIND: Kinds<RequestKind> = kinds!("request kind", RequestKind {
+/// Reads keep the client library's name, `bypass` (`PMNet_bypass`), so
+/// artifact text is unchanged since histories were first recorded.
+const REQ_KIND: Kinds<OpKind> = kinds!("request kind", OpKind {
     "update" => Update,
-    "bypass" => Bypass,
+    "bypass" => Read,
 });
 
 const HEX: Token<Bytes> = Token(|b| hex(b), |s| unhex(s).map(Bytes::from));

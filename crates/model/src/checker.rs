@@ -1,8 +1,9 @@
 //! The durable-linearizability checker.
 //!
-//! [`check`] takes a recorded history (see [`pmnet_core::events`]) plus an
-//! optional snapshot of the server's durable KV state and verifies that
-//! the run is explainable as a correct sequential execution:
+//! [`check`] takes a recorded history (see [`pmnet_telemetry::history`])
+//! plus an optional snapshot of the server's durable KV state and
+//! verifies that the run is explainable as a correct sequential
+//! execution:
 //!
 //! 1. **Exactly-once, in-order apply** — per `(client, session)` the
 //!    applied sequence numbers are strictly increasing; an equal number is
@@ -38,12 +39,12 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use bytes::Bytes;
-use pmnet_core::client::RequestKind;
-use pmnet_core::events::{Event, EventKind};
 use pmnet_core::kvproto::KvFrame;
 use pmnet_net::Addr;
 use pmnet_sim::record::hex;
 use pmnet_sim::Time;
+use pmnet_telemetry::history::{Event, EventKind};
+use pmnet_telemetry::span::OpKind;
 
 use crate::artifact::render;
 use crate::reference::{write_key, write_value, ReferenceKv};
@@ -157,8 +158,8 @@ pub fn check(
             EventKind::Invoke { kind, payload } => {
                 stats.invokes += 1;
                 let map = match kind {
-                    RequestKind::Update => &mut update_invokes,
-                    RequestKind::Bypass => &mut bypass_invokes,
+                    OpKind::Update => &mut update_invokes,
+                    OpKind::Read => &mut bypass_invokes,
                 };
                 map.entry(id).or_insert((idx, e.at, payload));
             }
@@ -170,7 +171,7 @@ pub fn check(
             } => {
                 stats.completes += 1;
                 match kind {
-                    RequestKind::Update => {
+                    OpKind::Update => {
                         update_completes.entry(id).or_insert((
                             idx,
                             e.at,
@@ -178,7 +179,7 @@ pub fn check(
                             *server_acked,
                         ));
                     }
-                    RequestKind::Bypass => {
+                    OpKind::Read => {
                         bypass_completes.push((idx, e.at, id, reply.as_ref()));
                     }
                 }
@@ -541,7 +542,7 @@ mod tests {
             at,
             seq,
             EventKind::Invoke {
-                kind: RequestKind::Update,
+                kind: OpKind::Update,
                 payload,
             },
         )
@@ -552,7 +553,7 @@ mod tests {
             at,
             seq,
             EventKind::Complete {
-                kind: RequestKind::Update,
+                kind: OpKind::Update,
                 reply: None,
                 device_acks: 1,
                 server_acked: false,
@@ -673,7 +674,7 @@ mod tests {
             200,
             0,
             EventKind::Invoke {
-                kind: RequestKind::Bypass,
+                kind: OpKind::Read,
                 payload: get(b"k"),
             },
         ));
@@ -681,7 +682,7 @@ mod tests {
             210,
             0,
             EventKind::Complete {
-                kind: RequestKind::Bypass,
+                kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"v1", true)),
                 device_acks: 0,
                 server_acked: false,
@@ -696,7 +697,7 @@ mod tests {
             210,
             0,
             EventKind::Complete {
-                kind: RequestKind::Bypass,
+                kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"v2", true)),
                 device_acks: 0,
                 server_acked: false,
@@ -720,7 +721,7 @@ mod tests {
                 110,
                 0,
                 EventKind::Invoke {
-                    kind: RequestKind::Bypass,
+                    kind: OpKind::Read,
                     payload: get(b"k"),
                 },
             ));
@@ -728,7 +729,7 @@ mod tests {
                 120,
                 0,
                 EventKind::Complete {
-                    kind: RequestKind::Bypass,
+                    kind: OpKind::Read,
                     reply: Some(value_reply(b"k", returned, true)),
                     device_acks: 0,
                     server_acked: false,
@@ -750,7 +751,7 @@ mod tests {
             100,
             0,
             EventKind::Invoke {
-                kind: RequestKind::Bypass,
+                kind: OpKind::Read,
                 payload: get(b"k"),
             },
         ));
@@ -758,7 +759,7 @@ mod tests {
             110,
             0,
             EventKind::Complete {
-                kind: RequestKind::Bypass,
+                kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"", false)),
                 device_acks: 0,
                 server_acked: false,
@@ -810,7 +811,7 @@ mod tests {
                     session,
                     seq,
                     kind: EventKind::Invoke {
-                        kind: RequestKind::Update,
+                        kind: OpKind::Update,
                         payload: p.clone(),
                     },
                 },
@@ -827,7 +828,7 @@ mod tests {
                     session,
                     seq,
                     kind: EventKind::Complete {
-                        kind: RequestKind::Update,
+                        kind: OpKind::Update,
                         reply: None,
                         device_acks: 1,
                         server_acked: false,
@@ -882,7 +883,7 @@ mod tests {
                 session: 1,
                 seq: 0,
                 kind: EventKind::Invoke {
-                    kind: RequestKind::Update,
+                    kind: OpKind::Update,
                     payload: p1.clone(),
                 },
             },
@@ -899,7 +900,7 @@ mod tests {
                 session: 1,
                 seq: 0,
                 kind: EventKind::Complete {
-                    kind: RequestKind::Update,
+                    kind: OpKind::Update,
                     reply: None,
                     device_acks: 1,
                     server_acked: false,
@@ -940,7 +941,7 @@ mod tests {
             session,
             seq: 0,
             kind: EventKind::Complete {
-                kind: RequestKind::Update,
+                kind: OpKind::Update,
                 reply: None,
                 device_acks: 0,
                 server_acked: true,

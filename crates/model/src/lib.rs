@@ -8,19 +8,21 @@
 //! * [`mod@reference`] — a sequential model of the server's durable KV
 //!   semantics ([`ReferenceKv`]): what the store must contain given an
 //!   apply stream.
-//! * [`checker`] — [`check`] validates a recorded event history (see
-//!   `pmnet_core::events`) against every linearization consistent with
-//!   ack order: exactly-once in-order applies, durable acknowledgements,
-//!   real-time write order, read values, and the final durable state.
-//!   One rule set runs on every history, sequential or concurrent.
+//! * [`checker`] — [`check`] validates a recorded event history (the
+//!   history pillar of `pmnet-telemetry`, [`pmnet_telemetry::history`])
+//!   against every linearization consistent with ack order: exactly-once
+//!   in-order applies, durable acknowledgements, real-time write order,
+//!   read values, and the final durable state. One rule set runs on every
+//!   history, sequential or concurrent.
 //! * [`artifact`] — every divergence carries a self-contained text
 //!   artifact; [`artifact::replay`] re-runs the checker on it and must
 //!   reproduce the verdict.
-//! * [`harness`] — [`attach`] arms a shared recorder on a
-//!   `BuiltSystem`'s clients, server, and devices; [`check_system`]
+//! * [`harness`] — after a run with a
+//!   [`Telemetry::checking`](pmnet_telemetry::Telemetry::checking) handle
+//!   attached (closed-loop or open-loop clients alike), [`check_system`]
 //!   snapshots the server and checks the run.
 //!
-//! Recording is pure observation: with the recorder armed or detached,
+//! Recording is pure observation: whichever telemetry handle is attached,
 //! simulated timelines, RNG draws, and campaign digests are bit-identical.
 
 #![warn(missing_docs)]
@@ -32,5 +34,5 @@ pub mod reference;
 
 pub use artifact::{parse, render, replay, ParsedArtifact};
 pub use checker::{check, CheckStats, CheckerConfig, Divergence};
-pub use harness::{attach, check_system, check_system_with, config_for, snapshot_server_state};
+pub use harness::{check_system, check_system_with, config_for, snapshot_server_state};
 pub use reference::ReferenceKv;

@@ -1,7 +1,8 @@
 //! The sequential reference model of PMNet-visible server state.
 //!
 //! [`ReferenceKv`] replays the server's apply stream — exactly the
-//! [`pmnet_core::EventKind::Apply`] events of a recorded history — through
+//! [`pmnet_telemetry::history::EventKind::Apply`] events of a recorded
+//! history — through
 //! an in-memory mirror of `pmnet_workloads::KvHandler`'s durable
 //! semantics: a `Set` puts, a `Del` deletes, anything else (opaque
 //! payloads) changes no workload key, and *every* apply durably records

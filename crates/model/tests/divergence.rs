@@ -9,10 +9,12 @@ use pmnet_core::client::ClientLib;
 use pmnet_core::device::PmnetDevice;
 use pmnet_core::kvproto::KvFrame;
 use pmnet_core::server::ServerLib;
+use pmnet_core::system::BuiltSystem;
 use pmnet_core::system::{DesignPoint, SystemBuilder};
 use pmnet_core::SystemConfig;
-use pmnet_model::{attach, check_system, check_system_with, config_for, replay};
+use pmnet_model::{check_system, check_system_with, config_for, replay};
 use pmnet_sim::{Dur, Time};
+use pmnet_telemetry::Telemetry;
 use pmnet_workloads::KvHandler;
 
 fn set_frame(key: &[u8], value: &[u8]) -> Bytes {
@@ -30,6 +32,13 @@ fn get_frame(key: &[u8]) -> Bytes {
     .encode()
 }
 
+/// Attaches a fresh checking handle to every recording node of `sys`.
+fn attach_checking(sys: &mut BuiltSystem) -> Telemetry {
+    let tel = Telemetry::checking();
+    sys.attach_telemetry(&tel);
+    tel
+}
+
 #[test]
 fn clean_run_passes_the_checker() {
     let mut script = Vec::new();
@@ -44,11 +53,12 @@ fn clean_run_passes_the_checker() {
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("btree", 3)))
         .build(41);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
     assert_eq!(sys.metrics().completed, 40);
-    let stats = check_system(&sys, &rec).unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
+    let stats = check_system(&sys.world, sys.server, &tel)
+        .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 20);
     assert_eq!(stats.invokes, 40);
     assert_eq!(stats.reads_checked, 20);
@@ -58,7 +68,7 @@ fn clean_run_passes_the_checker() {
 #[test]
 fn clean_lossy_run_passes_the_checker() {
     // Loss + retransmission must not trip the checker: dedup keeps the
-    // apply stream exactly-once, and the recorder sees it all.
+    // apply stream exactly-once, and the history sees it all.
     let mut config = SystemConfig::default();
     config.link = config.link.with_drop_prob(0.15);
     config.client_timeout = Dur::millis(2);
@@ -69,11 +79,12 @@ fn clean_lossy_run_passes_the_checker() {
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("hashmap", 4)))
         .build(43);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(20));
     sys.world.run_for(Dur::millis(100));
     assert_eq!(sys.metrics().completed, 30);
-    let stats = check_system(&sys, &rec).unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
+    let stats = check_system(&sys.world, sys.server, &tel)
+        .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 30, "exactly-once despite loss");
 }
 
@@ -95,17 +106,18 @@ fn dedup_bug_is_caught_with_a_replayable_artifact() {
     sys.world
         .node_mut::<ServerLib>(sys.server)
         .set_dedup_disabled(true);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
-    let d = check_system(&sys, &rec).expect_err("the dedup bug must be caught");
+    let d = check_system(&sys.world, sys.server, &tel).expect_err("the dedup bug must be caught");
     assert!(
         d.reason.contains("duplicate apply"),
         "wrong first divergence: {}",
         d.reason
     );
     // The divergence points at a real event of the recorded history.
-    assert!(d.index < rec.len(), "index {} of {}", d.index, rec.len());
+    let events = tel.history().len();
+    assert!(d.index < events, "index {} of {events}", d.index);
     // The artifact replays to the identical verdict.
     let replayed = replay(&d.artifact)
         .expect("artifact must parse")
@@ -127,10 +139,11 @@ fn dedup_bug_absent_means_redo_storm_is_clean() {
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("btree", 5)))
         .build(47);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
-    let stats = check_system(&sys, &rec).unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
+    let stats = check_system(&sys.world, sys.server, &tel)
+        .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 10);
 }
 
@@ -155,14 +168,14 @@ fn stale_read_bug_is_caught_with_a_replayable_artifact() {
             .node_mut::<PmnetDevice>(dev)
             .set_stale_read_bug(true);
     }
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
     assert_eq!(sys.metrics().completed, 4);
     // Sanity: the second read really was served stale by the cache.
     let client = sys.world.node::<ClientLib>(sys.clients[0]);
     assert_eq!(client.total_completed(), 4);
-    let d = check_system(&sys, &rec).expect_err("the stale read must be caught");
+    let d = check_system(&sys.world, sys.server, &tel).expect_err("the stale read must be caught");
     assert!(
         d.reason.contains("stale read"),
         "wrong first divergence: {}",
@@ -189,10 +202,11 @@ fn stale_read_bug_absent_means_cached_reads_are_clean() {
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("hashmap", 6)))
         .build(53);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
-    let stats = check_system(&sys, &rec).unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
+    let stats = check_system(&sys.world, sys.server, &tel)
+        .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.reads_checked, 2);
 }
 
@@ -217,11 +231,11 @@ fn clean_sharded_fabric_run_passes_the_checker() {
         .client(Box::new(ScriptSource::new(script(1))))
         .handler_factory(|| Box::new(KvHandler::new("btree", 7)))
         .build(61);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
     assert_eq!(sys.metrics().completed, 30);
-    let stats = check_system_with(&sys, &rec, config_for(design))
+    let stats = check_system_with(&sys.world, sys.server, &tel, config_for(design))
         .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 30);
 }
@@ -251,7 +265,7 @@ fn sharded_failover_run_passes_the_checker() {
     let p0 = sys.devices[0];
     sys.world
         .schedule_crash(p0, Time::ZERO + Dur::micros(400), None);
-    let rec = attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
     assert_eq!(sys.metrics().completed, 75);
@@ -263,20 +277,24 @@ fn sharded_failover_run_passes_the_checker() {
             .any(|c| c.failovers > 0),
         "the kill must actually trigger a failover"
     );
-    let stats = check_system_with(&sys, &rec, config_for(design))
+    let stats = check_system_with(&sys.world, sys.server, &tel, config_for(design))
         .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 75, "exactly-once across the handover");
 }
 
 #[test]
-fn detached_recorder_records_nothing_across_a_real_run() {
-    // Without attach(), runs record no history at all — the checker's
-    // hooks are always compiled, pure observation and detached by
-    // default.
+fn full_telemetry_records_traces_but_no_history_across_a_real_run() {
+    // Only a checking handle keeps a history: the tracing handle the
+    // benchmarks attach records spans through the same hooks and builds
+    // no history event.
     let mut sys = SystemBuilder::new(DesignPoint::PmnetSwitch, SystemConfig::default())
         .client(Box::new(ScriptSource::new([update(set_frame(b"k", b"v"))])))
         .handler_factory(|| Box::new(KvHandler::new("btree", 1)))
         .build(59);
+    let tel = Telemetry::full();
+    sys.attach_telemetry(&tel);
     sys.run_clients(Dur::secs(1));
     assert_eq!(sys.metrics().completed, 1);
+    assert_eq!(tel.traces().len(), 1);
+    assert!(tel.history().is_empty());
 }

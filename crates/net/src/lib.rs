@@ -48,6 +48,9 @@ mod switch;
 pub mod topology;
 
 pub use addr::Addr;
+/// The payload type of [`Packet::payload`], named here so crates above
+/// this one need no direct `bytes` dependency to hold one.
+pub use bytes::Bytes;
 pub use packet::{Packet, Proto, ETH_IP_UDP_OVERHEAD, TCP_EXTRA_OVERHEAD};
 pub use port::{LinkSpec, PortCounters, PortNo, PortTable};
 pub use runtime::{AnyNode, Ctx, EchoHost, EventCounts, Msg, Node, Timer, World};

@@ -70,13 +70,12 @@ impl RouteTable {
 }
 
 /// A switch: looks up the destination address (or the address its
-/// [`Steering`] program names instead) and forwards after a fixed pipeline
-/// delay.
+/// [`Steering`] program names instead) and forwards after
+/// [`Switch::DEFAULT_PIPELINE_DELAY`].
 #[derive(Debug)]
 pub struct Switch {
     name: String,
     routes: RouteTable,
-    pipeline_delay: Dur,
     addr: Option<Addr>,
     steering: Option<Box<dyn Steering>>,
     forwarded: u64,
@@ -90,27 +89,17 @@ impl Switch {
     /// Section VI-A1).
     pub const DEFAULT_PIPELINE_DELAY: Dur = Dur::nanos(600);
 
-    /// Creates a switch with the default pipeline delay and no address
-    /// or steering program.
+    /// Creates a switch with no address or steering program.
     pub fn new(name: impl Into<String>) -> Switch {
         Switch {
             name: name.into(),
             routes: RouteTable::default(),
-            pipeline_delay: Self::DEFAULT_PIPELINE_DELAY,
             addr: None,
             steering: None,
             forwarded: 0,
             steered: 0,
             unroutable: 0,
             control_handled: 0,
-        }
-    }
-
-    /// Creates a switch with a custom pipeline delay.
-    pub fn with_pipeline_delay(name: impl Into<String>, delay: Dur) -> Switch {
-        Switch {
-            pipeline_delay: delay,
-            ..Switch::new(name)
         }
     }
 
@@ -177,7 +166,7 @@ impl Node for Switch {
                 Some(out) => {
                     self.forwarded += 1;
                     self.steered += u64::from(next.is_some());
-                    ctx.send_after(self.pipeline_delay, out, packet);
+                    ctx.send_after(Self::DEFAULT_PIPELINE_DELAY, out, packet);
                 }
                 None => self.unroutable += 1,
             }
@@ -257,15 +246,17 @@ mod tests {
         let mut w = World::new(4);
         let a = w.add_node(Box::new(EchoHost::sink(Addr(1))));
         let b = w.add_node(Box::new(EchoHost::sink(Addr(2))));
-        let s = w.add_node(Box::new(Switch::with_pipeline_delay("s", Dur::micros(5))));
+        let s = w.add_node(Box::new(Switch::new("s")));
         w.connect(a, s, LinkSpec::ten_gbps());
         w.connect(s, b, LinkSpec::ten_gbps());
         w.populate_switch_routes();
         w.inject(a, Packet::udp(Addr(1), Addr(2), 1, 2, Bytes::new()));
         w.run_to_quiescence(1000);
-        // 42 B wire both hops (~34 ns each) + 2x300 ns prop + 5 us pipeline.
-        assert!(w.now() > Time::from_nanos(5_600));
-        assert!(w.now() < Time::from_nanos(6_000));
+        // 42 B wire both hops (~34 ns each) + 2x300 ns prop + 600 ns
+        // pipeline.
+        assert_eq!(Switch::DEFAULT_PIPELINE_DELAY, Dur::nanos(600));
+        assert!(w.now() > Time::from_nanos(1_200));
+        assert!(w.now() < Time::from_nanos(1_300));
     }
 
     /// Steers every packet destined to `from` toward `to` instead.

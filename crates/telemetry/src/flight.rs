@@ -197,16 +197,6 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    /// Events concerning one `(client, session, seq)` fragment, in order
-    /// — the violating op's timeline.
-    pub fn for_op(&self, key: OpKey) -> Vec<FlightEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.key == key)
-            .copied()
-            .collect()
-    }
-
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -380,21 +370,6 @@ mod tests {
         assert_eq!(dump.events.len(), 2);
         assert_eq!(dump.events[0].ord, 3);
         assert_eq!(dump.dropped, 3);
-    }
-
-    #[test]
-    fn for_op_filters_one_timeline() {
-        let mut fr = sample_recorder();
-        fr.record(
-            Addr(9),
-            Time::from_nanos(999),
-            (Addr(9), 0, 0),
-            FlightBody::Issue { kind: OpKind::Read },
-        );
-        let dump = fr.dump();
-        let timeline = dump.for_op((Addr(1), 2, 3));
-        assert_eq!(timeline.len(), 4);
-        assert!(timeline.iter().all(|e| e.key == (Addr(1), 2, 3)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # pmnet-telemetry — deterministic observability for the PMNet stack
 //!
 //! An always-compiled, runtime-gated observability layer threaded through
-//! `pmnet-core`, `pmnet-sim` and `pmnet-chaos`. Four pillars:
+//! `pmnet-core`, `pmnet-sim` and `pmnet-chaos`. Five pillars:
 //!
 //! 1. **Causal span tracing** ([`span`]) — every op, keyed by
 //!    `(client, session, seq)`, accumulates exact sim-time events as it
@@ -18,6 +18,14 @@
 //! 4. **A flight recorder** ([`flight`]) — bounded per-node rings of
 //!    recent events, dumped as a replayable text timeline when a chaos
 //!    invariant or the model checker fires.
+//! 5. **A recorded history** ([`history`]) — every client invoke and
+//!    complete, server apply, device log persist and cache serve, the
+//!    input to `pmnet-model`'s durable-linearizability checker.
+//!
+//! A handle comes in two fixed modes: [`Telemetry::full`] (spans,
+//! registry, 64-deep flight rings — what benchmarks trace with) and
+//! [`Telemetry::checking`] (256-deep flight rings and the history — what
+//! every model-checked run attaches).
 //!
 //! ## Determinism rules
 //!
@@ -26,10 +34,9 @@
 //! future-time events (wire exits, ack emissions) by reusing delay
 //! values the instrumented component had already computed. Consequently
 //! a simulation's event stream — and every golden digest — is
-//! bit-identical whether telemetry is attached, detached, or partially
-//! enabled. Each simulated world owns one handle (`Rc`-shared, like the
-//! model recorder's tap), so parallel chaos campaigns stay deterministic
-//! at any thread count.
+//! bit-identical whether telemetry is attached, in either mode, or
+//! detached. Each simulated world owns one handle (`Rc`-shared), so
+//! parallel chaos campaigns stay deterministic at any thread count.
 //!
 //! ## Quickstart
 //!
@@ -54,6 +61,7 @@
 
 pub mod export;
 pub mod flight;
+pub mod history;
 pub mod registry;
 pub mod span;
 
@@ -65,37 +73,17 @@ use pmnet_sim::stats::LatencyHistogram;
 use pmnet_sim::Time;
 
 use flight::{FlightBody, FlightDump, FlightRecorder};
+use history::Event;
 use registry::Registry;
 use span::{OpCompletion, OpEvent, OpKey, OpKind, OpTrace, Phase, SpanCollector};
 
-/// What a [`Telemetry`] handle records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Keep per-op span state and produce [`OpTrace`]s (plus per-phase
-    /// histograms in the registry).
-    pub trace_ops: bool,
-    /// Flight-recorder ring capacity per node (0 disables the recorder).
-    pub flight_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            trace_ops: true,
-            // Sized so the rings of a typical world (a few clients, a
-            // couple of devices, one server) stay within L2 cache:
-            // always-on recording is paid on every hook, and a larger
-            // window mostly buys evicted history. Post-mortem harnesses
-            // that want a deeper timeline (pmnet-chaos) pass their own
-            // capacity via `flight_only`.
-            flight_capacity: 64,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
-    config: TelemetryConfig,
+    /// Keep per-op span state and produce [`OpTrace`]s (plus per-phase
+    /// histograms in the registry): [`Telemetry::full`] only.
+    trace_ops: bool,
+    /// The model checker's history: [`Telemetry::checking`] only.
+    history: Option<Vec<Event>>,
     spans: SpanCollector,
     flight: FlightRecorder,
     registry: Registry,
@@ -143,13 +131,13 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// An attached handle with the given config.
-    pub fn enabled(config: TelemetryConfig) -> Telemetry {
+    fn attached(trace_ops: bool, flight_capacity: usize, history: Option<Vec<Event>>) -> Telemetry {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Inner {
-                config,
+                trace_ops,
+                history,
                 spans: SpanCollector::new(),
-                flight: FlightRecorder::new(config.flight_capacity),
+                flight: FlightRecorder::new(flight_capacity),
                 registry: Registry::new(),
                 op_hists: std::array::from_fn(|_| LatencyHistogram::new()),
                 phase_hists: std::array::from_fn(|_| LatencyHistogram::new()),
@@ -157,18 +145,24 @@ impl Telemetry {
         }
     }
 
-    /// Full tracing: spans, registry histograms, and the flight recorder.
+    /// Full tracing: spans, registry histograms, and the flight recorder;
+    /// no history.
     pub fn full() -> Telemetry {
-        Telemetry::enabled(TelemetryConfig::default())
+        // Rings sized so a typical world (a few clients, a couple of
+        // devices, one server) stays within L2 cache: always-on recording
+        // is paid on every hook, and a larger window mostly buys evicted
+        // history.
+        Telemetry::attached(true, 64, None)
     }
 
-    /// Flight recorder only (what chaos campaigns run with): bounded
-    /// memory, no per-op span retention.
-    pub fn flight_only(capacity: usize) -> Telemetry {
-        Telemetry::enabled(TelemetryConfig {
-            trace_ops: false,
-            flight_capacity: capacity,
-        })
+    /// What a model-checked run (every chaos run) attaches: the full
+    /// [`history`] for the checker and deeper flight rings for the
+    /// post-mortem timeline, with no per-op span retention.
+    pub fn checking() -> Telemetry {
+        // Rings big enough to hold the events leading up to an invariant
+        // violation, small enough that ten thousand campaign runs don't
+        // notice them.
+        Telemetry::attached(false, 256, Some(Vec::new()))
     }
 
     /// True when attached.
@@ -184,7 +178,7 @@ impl Telemetry {
     pub fn op_event(&self, node: Addr, now: Time, key: OpKey, ev: OpEvent) {
         if let Some(inner) = &self.inner {
             let mut i = inner.borrow_mut();
-            if i.config.trace_ops {
+            if i.trace_ops {
                 i.spans.record(key, ev);
             }
             i.flight.record(node, now, key, FlightBody::Span(ev));
@@ -203,7 +197,7 @@ impl Telemetry {
         }
     }
 
-    /// Reports a completed op: attributes its spans (when `trace_ops`),
+    /// Reports a completed op: attributes its spans (in [`full`](Self::full) mode),
     /// folds phase durations into the registry, and appends a completion
     /// record to the flight ring.
     pub fn op_complete(&self, node: Addr, now: Time, c: OpCompletion) {
@@ -220,7 +214,7 @@ impl Telemetry {
                     evidence: c.evidence,
                 },
             );
-            if i.config.trace_ops {
+            if i.trace_ops {
                 // Attribution and histogram folding are deferred to the
                 // next trace/registry read; completing here only purges
                 // open state and snapshots the op's events.
@@ -229,16 +223,38 @@ impl Telemetry {
         }
     }
 
-    /// Drops span state for fragments that will never complete (failed
-    /// or abandoned ops).
-    pub fn op_abandon(&self, client: Addr, frags: &[(u16, u32)]) {
+    /// Drops span state for the fragments `frags` (an inclusive seq range,
+    /// like [`OpCompletion::frag_range`]) of an op that will never
+    /// complete (failed or abandoned).
+    pub fn op_abandon(&self, client: Addr, session: u16, frags: (u32, u32)) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().spans.abandon(client, frags);
+            inner.borrow_mut().spans.abandon(client, session, frags);
         }
     }
 
-    /// Completed per-op traces, in completion order (empty when
-    /// detached or `trace_ops` is off).
+    /// Appends the event `event` builds to the history. Only a
+    /// [`checking`](Self::checking) handle keeps one: any other handle
+    /// never calls `event`, so a hook costs one branch and builds nothing.
+    #[inline]
+    pub fn record(&self, event: impl FnOnce() -> Event) {
+        if let Some(inner) = &self.inner {
+            if let Some(history) = &mut inner.borrow_mut().history {
+                history.push(event());
+            }
+        }
+    }
+
+    /// A copy of the recorded history, oldest first (empty unless this is
+    /// a [`checking`](Self::checking) handle).
+    pub fn history(&self) -> Vec<Event> {
+        match &self.inner {
+            Some(inner) => inner.borrow().history.clone().unwrap_or_default(),
+            None => Vec::new(),
+        }
+    }
+
+    /// Completed per-op traces, in completion order (empty unless this is
+    /// a [`full`](Self::full) handle).
     pub fn traces(&self) -> Vec<OpTrace> {
         match &self.inner {
             Some(inner) => {
@@ -284,11 +300,6 @@ impl Telemetry {
             None => FlightDump::default(),
         }
     }
-
-    /// The active config, if attached.
-    pub fn config(&self) -> Option<TelemetryConfig> {
-        self.inner.as_ref().map(|i| i.borrow().config)
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +336,7 @@ mod tests {
         assert!(!t.is_enabled());
         assert!(t.traces().is_empty());
         assert!(t.flight_dump().is_empty());
-        assert!(t.config().is_none());
+        assert!(t.history().is_empty());
     }
 
     #[test]
@@ -369,8 +380,8 @@ mod tests {
     }
 
     #[test]
-    fn flight_only_skips_span_state() {
-        let t = Telemetry::flight_only(8);
+    fn checking_skips_span_state() {
+        let t = Telemetry::checking();
         t.op_event(
             Addr(1),
             Time::ZERO,

@@ -79,11 +79,6 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    /// Histogram names in sorted order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// The flattened counters.
     pub fn counters(&self) -> &CounterSet {
         &self.counters
@@ -101,36 +96,6 @@ impl Registry {
         for (name, h) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
-    }
-
-    /// JSON-lines rendering: one `counter` object per counter, one
-    /// `histogram` object (with summary fields) per histogram, in sorted
-    /// name order.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.counters.iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}\n"
-            ));
-        }
-        let names: Vec<&str> = self.histogram_names().collect();
-        for name in names {
-            let mut h = self.histograms[name].clone();
-            if h.is_empty() {
-                continue;
-            }
-            let s = h.summary();
-            out.push_str(&format!(
-                "{{\"type\":\"histogram\",\"name\":\"{name}\",\"count\":{},\
-                 \"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}\n",
-                s.count,
-                s.mean.as_nanos(),
-                s.p50.as_nanos(),
-                s.p99.as_nanos(),
-                s.max.as_nanos(),
-            ));
-        }
-        out
     }
 }
 
@@ -176,16 +141,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counters().get("x"), 3);
         assert_eq!(a.histogram("lat").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn json_lines_render() {
-        let mut r = Registry::new();
-        r.add("ops", 7);
-        r.record_duration("lat", Dur::nanos(50));
-        let j = r.to_json_lines();
-        assert!(j.contains("{\"type\":\"counter\",\"name\":\"ops\",\"value\":7}"));
-        assert!(j.contains("\"type\":\"histogram\""));
-        assert!(j.contains("\"mean_ns\":50"));
     }
 }

@@ -438,9 +438,10 @@ impl SpanCollector {
         &self.traces[first..]
     }
 
-    /// Drops event state for fragments that will never complete.
-    pub fn abandon(&mut self, client: Addr, frags: &[(u16, u32)]) {
-        for &(session, seq) in frags {
+    /// Drops event state for fragments that will never complete: `frags`
+    /// is the op's inclusive seq range, as in [`OpCompletion::frag_range`].
+    pub fn abandon(&mut self, client: Addr, session: u16, frags: (u32, u32)) {
+        for seq in frags.0..=frags.1 {
             if let Some(buf) = self.take((client, session, seq)) {
                 self.recycle(buf);
             }
@@ -930,7 +931,7 @@ mod tests {
         );
         sc.record((Addr(1), 1, 3), OpEvent::ServerRecv { at: t(10) });
         assert_eq!(sc.open_keys(), 1);
-        sc.abandon(Addr(1), &[(1, 3)]);
+        sc.abandon(Addr(1), 1, (3, 3));
         assert_eq!(sc.open_keys(), 0);
     }
 

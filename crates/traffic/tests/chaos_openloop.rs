@@ -10,8 +10,12 @@
 //! 3. **Liveness** — goodput is non-zero despite the faults.
 //! 4. **Determinism** — the same seed replays the whole faulty campaign
 //!    bit-identically.
+//! 5. **Model** — the history the engines, device and server record is
+//!    durably linearizable (`pmnet_model::check`), and the checker flags
+//!    the planted dedup bug under the same campaign.
 
 use pmnet_core::{audit, ServerLib, SystemConfig};
+use pmnet_model::{check_system, CheckStats, Divergence};
 use pmnet_sim::{Dur, Time};
 use pmnet_telemetry::Telemetry;
 use pmnet_traffic::{TrafficCounters, TrafficSpec, TrafficSystem};
@@ -31,7 +35,8 @@ fn chaotic_spec() -> TrafficSpec {
     spec
 }
 
-fn run_chaotic(seed: u64) -> (TrafficCounters, String, usize, usize) {
+/// The seed's campaign, built and faulted, not yet run.
+fn chaotic_system(seed: u64) -> TrafficSystem {
     let spec = chaotic_spec();
     let mut sys = TrafficSystem::build_with(&spec, SystemConfig::default(), seed);
     // 5% loss on every hop of the device chain, for the entire run.
@@ -48,6 +53,12 @@ fn run_chaotic(seed: u64) -> (TrafficCounters, String, usize, usize) {
     // its persisted log.
     sys.world
         .schedule_crash(device, Time::ZERO + Dur::millis(12), Some(Dur::millis(2)));
+    sys
+}
+
+fn run_chaotic(seed: u64) -> (TrafficCounters, String, usize, usize) {
+    let mut sys = chaotic_system(seed);
+    let server = sys.server;
     sys.run();
 
     let counters = sys.counters();
@@ -154,5 +165,42 @@ fn a_restarted_engine_keeps_its_offered_rate_and_never_reuses_an_identity() {
             + c.disconnect_queue_drops
             + (inflight + queued) as u64,
         "admission accounting must be total: {c:?} inflight={inflight} queued={queued}"
+    );
+}
+
+/// Runs the seed's campaign under one checking handle, optionally with
+/// the dedup bug planted on the server, and checks its history.
+fn run_checked(seed: u64, dedup_bug: bool) -> (TrafficSystem, Result<CheckStats, Divergence>) {
+    let mut sys = chaotic_system(seed);
+    sys.world
+        .node_mut::<ServerLib>(sys.server)
+        .set_dedup_disabled(dedup_bug);
+    let tel = Telemetry::checking();
+    sys.attach_telemetry(&tel);
+    sys.run();
+    let verdict = check_system(&sys.world, sys.server, &tel);
+    (sys, verdict)
+}
+
+#[test]
+fn the_open_loop_campaign_is_durably_linearizable() {
+    let (sys, verdict) = run_checked(77, false);
+    let stats = verdict.unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
+    // The history saw every op the engines issued, and every completion.
+    let c = sys.counters();
+    let (inflight, _) = sys.backlog();
+    let issued = c.completed + c.timed_out + c.disconnect_aborts + inflight as u64;
+    assert_eq!(stats.invokes as u64, issued, "{stats:?} {c:?}");
+    assert_eq!(stats.completes as u64, c.completed, "{stats:?} {c:?}");
+}
+
+#[test]
+fn the_checker_flags_the_dedup_bug_under_open_loop_load() {
+    let (_, verdict) = run_checked(77, true);
+    let d = verdict.expect_err("the dedup bug must be caught");
+    assert!(
+        d.reason.contains("duplicate apply"),
+        "wrong first divergence: {}",
+        d.reason
     );
 }

@@ -1,6 +1,6 @@
 //! Model-checked chaos campaign: ~100 seeded fault plans across the
-//! paper's three design points, each run recorded by the `pmnet-model`
-//! history recorder and verified by the durable-linearizability checker
+//! paper's three design points, each run's history recorded by its
+//! checking telemetry handle and verified by the durable-linearizability checker
 //! as a fourth invariant (on top of the audit, liveness, and convergence
 //! checks).
 //!

@@ -63,17 +63,19 @@
 //! observability layer: causal span tracing that attributes every op's
 //! measured latency to protocol phases (the paper's Figure 2 breakdown,
 //! from traces instead of constants), fixed-memory log-bucketed
-//! histograms, a metric registry, and a crash flight recorder whose
-//! timeline is embedded in chaos failure artifacts. Attach a handle with
-//! [`core::system::BuiltSystem::attach_telemetry`]; hooks are pure
+//! histograms, a metric registry, a crash flight recorder whose
+//! timeline is embedded in chaos failure artifacts, and the recorded
+//! history the model checker judges. A handle is [`telemetry::Telemetry::full`]
+//! (tracing) or [`telemetry::Telemetry::checking`] (history); attach it
+//! with [`core::system::BuiltSystem::attach_telemetry`]. Hooks are pure
 //! observation, so golden digests are bit-identical with telemetry on or
 //! off (DESIGN.md §12).
 //!
 //! ## Model checking
 //!
-//! The [`model`] crate closes the loop on correctness: a recorder
-//! (always compiled; one branch per hook while detached) captures every
-//! invocation, acknowledgement, and apply of a simulated run, and a
+//! The [`model`] crate closes the loop on correctness: a checking
+//! telemetry handle captures every invocation, acknowledgement, and apply
+//! of a simulated run — closed-loop or open-loop clients alike — and a
 //! durable-linearizability checker verifies the
 //! history — and the server's final durable state — against a sequential
 //! reference model, reporting the first divergent op as a replayable

@@ -1,17 +1,28 @@
 //! End-to-end durable-linearizability checking through the facade: a
 //! mixed read/write workload with an in-network read cache and a server
 //! power failure mid-run must replay cleanly against the `pmnet-model`
-//! reference checker (DESIGN.md §11).
+//! reference checker (DESIGN.md §11), and the history such a run records
+//! is pinned byte for byte.
 
 mod common;
 
 use common::{get_frame, run_and_drain, set_frame};
 use pmnet::core::api::{bypass, update, ScriptSource};
-use pmnet::core::system::{DesignPoint, SystemBuilder};
+use pmnet::core::system::{BuiltSystem, DesignPoint, SystemBuilder};
 use pmnet::core::SystemConfig;
 use pmnet::model;
+use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
 use pmnet::sim::{Dur, Time};
+use pmnet::telemetry::history::EventKind;
+use pmnet::telemetry::Telemetry;
 use pmnet::workloads::KvHandler;
+
+/// Attaches one checking handle to every recording node of `sys`.
+fn attach_checking(sys: &mut BuiltSystem) -> Telemetry {
+    let tel = Telemetry::checking();
+    sys.attach_telemetry(&tel);
+    tel
+}
 
 #[test]
 fn crash_recovery_run_passes_the_checker() {
@@ -29,14 +40,14 @@ fn crash_recovery_run_passes_the_checker() {
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("btree", 6)))
         .build(97);
-    let recorder = model::attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     let server = sys.server;
     sys.world
         .schedule_crash(server, Time::ZERO + Dur::millis(1), Some(Dur::millis(4)));
     run_and_drain(&mut sys, Dur::secs(30), Dur::millis(200));
     assert_eq!(sys.metrics().completed, 50, "40 updates + 10 reads");
 
-    let stats = model::check_system(&sys, &recorder)
+    let stats = model::check_system(&sys.world, sys.server, &tel)
         .unwrap_or_else(|d| panic!("durable linearizability violated:\n{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 40, "every update applied exactly once");
     assert_eq!(stats.reads_checked, 10, "every read validated");
@@ -64,13 +75,13 @@ fn uncached_reads_never_overtake_acked_writes() {
         .client(Box::new(ScriptSource::new(script)))
         .handler_factory(|| Box::new(KvHandler::new("btree", 2)))
         .build(123);
-    let recorder = model::attach(&mut sys);
+    let tel = attach_checking(&mut sys);
     let server = sys.server;
     sys.world
         .schedule_crash(server, Time::ZERO + Dur::micros(500), Some(Dur::millis(3)));
     run_and_drain(&mut sys, Dur::secs(30), Dur::millis(200));
 
-    let stats = model::check_system(&sys, &recorder)
+    let stats = model::check_system(&sys.world, sys.server, &tel)
         .unwrap_or_else(|d| panic!("durable linearizability violated:\n{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 20);
     assert_eq!(stats.reads_checked, 20, "every read validated");
@@ -86,10 +97,52 @@ fn checker_verdicts_are_deterministic_across_replays() {
             .client(Box::new(ScriptSource::new(script)))
             .handler_factory(|| Box::new(KvHandler::new("hashmap", 4)))
             .build(101);
-        let recorder = model::attach(&mut sys);
+        let tel = attach_checking(&mut sys);
         run_and_drain(&mut sys, Dur::secs(5), Dur::millis(50));
-        let stats = model::check_system(&sys, &recorder).expect("clean run");
+        let stats = model::check_system(&sys.world, sys.server, &tel).expect("clean run");
         (sys.metrics().completed, stats.events, stats.applies)
     };
     assert_eq!(run(), run());
+}
+
+/// One seeded closed-loop KV run — two-fragment SETs, GETs the device
+/// cache serves, a server crash — renders its history as divergence-
+/// artifact text whose FNV-1a is pinned, so a history hook that moves,
+/// drops an event or changes the record order shows here even when every
+/// checker verdict still passes.
+#[test]
+fn a_recorded_history_is_pinned() {
+    let mut script = Vec::new();
+    for i in 0..16u32 {
+        let key = format!("h{}", i % 4);
+        script.push(update(set_frame(key.as_bytes(), &[i as u8; 2000])));
+        if i % 2 == 1 {
+            script.push(bypass(get_frame(key.as_bytes())));
+        }
+    }
+    let mut config = SystemConfig::default();
+    config.device = config.device.with_cache(64);
+    let mut sys = SystemBuilder::new(DesignPoint::PmnetSwitch, config)
+        .client(Box::new(ScriptSource::new(script)))
+        .handler_factory(|| Box::new(KvHandler::new("btree", 6)))
+        .build(131);
+    let tel = attach_checking(&mut sys);
+    let server = sys.server;
+    sys.world
+        .schedule_crash(server, Time::ZERO + Dur::micros(300), Some(Dur::millis(2)));
+    run_and_drain(&mut sys, Dur::secs(30), Dur::millis(200));
+    assert_eq!(sys.metrics().completed, 24, "16 updates + 8 reads");
+
+    let history = tel.history();
+    let count = |f: fn(&EventKind) -> bool| history.iter().filter(|e| f(&e.kind)).count();
+    let kinds = [
+        count(|k| matches!(k, EventKind::Invoke { .. })),
+        count(|k| matches!(k, EventKind::Complete { .. })),
+        count(|k| matches!(k, EventKind::Apply { .. })),
+        count(|k| matches!(k, EventKind::DeviceLogged { .. })),
+        count(|k| matches!(k, EventKind::CacheServe { .. })),
+    ];
+    assert_eq!(kinds, [24, 24, 16, 32, 8], "two devlogs per update");
+    let text = model::render(&history, None, 0, "pinned");
+    assert_eq!(fnv1a(FNV_OFFSET, text.as_bytes()), 0x04ff_b2a3_c544_567b);
 }

@@ -13,12 +13,11 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use pmnet::chaos::{Artifact, Fault, FaultEvent, FaultPlan, LinkTarget, Scenario};
-use pmnet::core::client::RequestKind;
-use pmnet::core::events::{Event, EventKind};
 use pmnet::core::system::DesignPoint;
 use pmnet::net::Addr;
 use pmnet::sim::{Dur, Time};
 use pmnet::telemetry::flight::{FlightBody, FlightDump, FlightEvent};
+use pmnet::telemetry::history::{Event, EventKind};
 use pmnet::telemetry::span::{AckKind, Evidence, OpEvent, OpKind};
 use proptest::prelude::*;
 
@@ -80,15 +79,15 @@ fn design_after(prev: Option<&DesignPoint>) -> Option<(DesignPoint, &'static str
 #[rustfmt::skip]
 fn event_after(prev: Option<&EventKind>) -> Option<(EventKind, &'static str)> {
     use EventKind::*;
-    use RequestKind::{Bypass, Update};
+    use OpKind::{Read, Update};
     let bytes = Bytes::from_static;
     Some(match prev {
         None => (Invoke { kind: Update, payload: bytes(b"payload") },
             "e at=5 client=1 session=2 seq=3 invoke update 0x7061796c6f6164"),
         Some(Invoke { .. }) =>
-            (Complete { kind: Bypass, reply: Some(bytes(b"")), device_acks: 2, server_acked: true },
+            (Complete { kind: Read, reply: Some(bytes(b"")), device_acks: 2, server_acked: true },
             "e at=5 client=1 session=2 seq=3 complete bypass acks=2 sacked=true reply=0x"),
-        Some(Complete { kind: Bypass, .. }) =>
+        Some(Complete { kind: Read, .. }) =>
             (Complete { kind: Update, reply: None, device_acks: 0, server_acked: false },
             "e at=5 client=1 session=2 seq=3 complete update acks=0 sacked=false reply=-"),
         Some(Complete { kind: Update, .. }) => (Apply { redo: true, epoch: 4, payload: bytes(b"") },
