@@ -8,10 +8,19 @@
 //! characteristics are preserved: clones and slices are refcount bumps, and
 //! [`BytesMut::freeze`] hands its allocation over without copying.
 //!
+//! Unlike upstream, both types are single-thread (`!Send`): the simulator
+//! runs one world per thread, so a handle is an `Rc<Vec<u8>>` plus `u32`
+//! bounds — 16 bytes, where an `Arc`, a `&'static` variant and `usize`
+//! bounds made 32 — and a clone, a drop and a builder's uniqueness check are
+//! plain loads and stores instead of atomic read-modify-writes. A packet
+//! carries one `Bytes`, so every queued event shrinks with it (DESIGN.md
+//! §10.2). [`Bytes::from_static`] copies into pooled storage; no hot path
+//! calls it.
+//!
 //! Beyond the upstream API, builders draw their backing storage from a
 //! thread-local pool that is refilled when the last `Bytes` handle to an
-//! allocation drops. The pool holds whole `Arc<Vec<u8>>` handles — not bare
-//! `Vec`s — so a recycled builder's `freeze()` reuses the Arc header as well
+//! allocation drops. The pool holds whole `Rc<Vec<u8>>` handles — not bare
+//! `Vec`s — so a recycled builder's `freeze()` reuses the Rc header as well
 //! as the byte storage.
 //!
 //! The pool is one free list per size class (64 B to 16 KiB, four steps per
@@ -23,15 +32,15 @@
 //! thread ever holds at one time, and provided no more than the class's
 //! retention bound (256 buffers or 256 KiB, whichever is less) were idle
 //! at once — a burst that returns more than that frees the excess, and the
-//! next burst allocates it again (two allocations per miss: Arc header and
+//! next burst allocates it again (two allocations per miss: Rc header and
 //! storage). Requests above 16 KiB always allocate. A `Vec` wrapped by
 //! `Bytes::from` joins the pool when it drops, but the wrap itself pays for
-//! a fresh Arc header; the packet path builds in pooled builders instead.
+//! a fresh Rc header; the packet path builds in pooled builders instead.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Smallest pooled capacity: 64 B, enough for a header-only frame (24 B)
 /// or a KV `Get`, so the smallest class serves every ack and control packet.
@@ -56,7 +65,7 @@ const CLASS_KEEP_BYTES: usize = 256 * 1024;
 
 /// One thread's idle buffers: a free list per size class.
 struct Pool {
-    classes: [Vec<Arc<Vec<u8>>>; CLASSES],
+    classes: [Vec<Rc<Vec<u8>>>; CLASSES],
 }
 
 thread_local! {
@@ -123,27 +132,27 @@ impl Pool {
     /// identity).
     #[cfg(test)]
     fn holds(&self, buf: *const Vec<u8>) -> bool {
-        self.classes.iter().flatten().any(|a| Arc::as_ptr(a) == buf)
+        self.classes.iter().flatten().any(|a| Rc::as_ptr(a) == buf)
     }
 }
 
 /// Takes a buffer handle with at least `cap` capacity from the request's
 /// own size class, or allocates one of the class size (two allocations:
-/// the Arc header and the storage). The returned Arc is always uniquely
+/// the Rc header and the storage). The returned Rc is always uniquely
 /// owned. O(1): a small request neither walks nor takes a large buffer.
-fn pool_take(cap: usize) -> Arc<Vec<u8>> {
+fn pool_take(cap: usize) -> Rc<Vec<u8>> {
     let Some(class) = Pool::class_to_take(cap) else {
-        return Arc::new(Vec::with_capacity(cap));
+        return Rc::new(Vec::with_capacity(cap));
     };
     BUF_POOL
         .with(|pool| pool.borrow_mut().classes[class].pop())
-        .unwrap_or_else(|| Arc::new(Vec::with_capacity(Pool::class_bytes(class))))
+        .unwrap_or_else(|| Rc::new(Vec::with_capacity(Pool::class_bytes(class))))
 }
 
 /// Returns a buffer handle to its size class if this was the last
 /// reference and the class has room.
-fn pool_put(mut arc: Arc<Vec<u8>>) {
-    let Some(buf) = Arc::get_mut(&mut arc) else {
+fn pool_put(mut rc: Rc<Vec<u8>>) {
+    let Some(buf) = Rc::get_mut(&mut rc) else {
         return; // still shared: other handles keep the storage alive
     };
     let Some(class) = Pool::class_to_put(buf.capacity()) else {
@@ -153,21 +162,23 @@ fn pool_put(mut arc: Arc<Vec<u8>>) {
     BUF_POOL.with(|pool| {
         let list = &mut pool.borrow_mut().classes[class];
         if Pool::has_room(class, list.len()) {
-            list.push(arc);
+            list.push(rc);
         }
     });
 }
 
-#[derive(Clone)]
-enum Storage {
-    Static(&'static [u8]),
-    Shared(Arc<Vec<u8>>),
+/// `n + plus` as a buffer bound, or `None` past any buffer's length.
+fn bound(n: usize, plus: usize) -> Option<u32> {
+    n.checked_add(plus).and_then(|n| u32::try_from(n).ok())
 }
 
-impl Default for Storage {
-    fn default() -> Storage {
-        Storage::Static(&[])
-    }
+/// The length of a new handle's storage as a bound.
+///
+/// # Panics
+///
+/// Panics above `u32::MAX` bytes, the most a handle addresses.
+fn whole(len: usize) -> u32 {
+    u32::try_from(len).expect("a Bytes holds at most u32::MAX bytes")
 }
 
 /// A cheaply cloneable, contiguous, immutable byte buffer.
@@ -175,9 +186,10 @@ impl Default for Storage {
 /// Clones and [`Bytes::slice`] share the same backing allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Storage,
-    start: usize,
-    end: usize,
+    /// `None` for an empty buffer that never had storage.
+    data: Option<Rc<Vec<u8>>>,
+    start: u32,
+    end: u32,
 }
 
 impl Bytes {
@@ -186,13 +198,10 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wraps a static byte slice (no allocation, no copy).
+    /// Copies a static byte slice into a new buffer, like
+    /// [`Bytes::copy_from_slice`].
     pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes {
-            data: Storage::Static(bytes),
-            start: 0,
-            end: bytes.len(),
-        }
+        Bytes::copy_from_slice(bytes)
     }
 
     /// Copies a slice into a new buffer (pooled storage when available).
@@ -204,7 +213,7 @@ impl Bytes {
 
     /// Number of bytes in the buffer.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the buffer is empty.
@@ -218,16 +227,19 @@ impl Bytes {
     ///
     /// Panics if the range is out of bounds or inverted.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
-        let len = self.len();
+        let len = self.end - self.start;
         let begin = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
+            Bound::Included(&n) => bound(n, 0),
+            Bound::Excluded(&n) => bound(n, 1),
+            Bound::Unbounded => Some(0),
         };
         let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => len,
+            Bound::Included(&n) => bound(n, 1),
+            Bound::Excluded(&n) => bound(n, 0),
+            Bound::Unbounded => Some(len),
+        };
+        let (Some(begin), Some(end)) = (begin, end) else {
+            panic!("slice range out of bounds (len {len})");
         };
         assert!(begin <= end, "slice range inverted: {begin}..{end}");
         assert!(
@@ -244,15 +256,11 @@ impl Bytes {
 
 impl Drop for Bytes {
     fn drop(&mut self) {
-        // If this was the last handle to a shared allocation, recycle the
-        // whole Arc (header + Vec) into the thread-local builder pool.
-        // The strong-count probe filters still-shared handles with a plain
-        // atomic load; `pool_put`'s `Arc::get_mut` re-verifies uniqueness
-        // (via the heavier weak-lock CAS), so a racing clone on another
-        // thread costs at worst a missed recycle, never a shared recycle.
-        if let Storage::Shared(arc) = std::mem::take(&mut self.data) {
-            if Arc::strong_count(&arc) == 1 {
-                pool_put(arc);
+        // If this was the last handle to its allocation, recycle the whole
+        // Rc (header + Vec) into the thread-local builder pool.
+        if let Some(rc) = self.data.take() {
+            if Rc::strong_count(&rc) == 1 {
+                pool_put(rc);
             }
         }
     }
@@ -263,8 +271,8 @@ impl Deref for Bytes {
 
     fn deref(&self) -> &[u8] {
         match &self.data {
-            Storage::Static(s) => &s[self.start..self.end],
-            Storage::Shared(v) => &v[self.start..self.end],
+            Some(v) => &v[self.start as usize..self.end as usize],
+            None => &[],
         }
     }
 }
@@ -277,9 +285,9 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+        let end = whole(v.len());
         Bytes {
-            data: Storage::Shared(Arc::new(v)),
+            data: Some(Rc::new(v)),
             start: 0,
             end,
         }
@@ -333,11 +341,11 @@ impl std::hash::Hash for Bytes {
 /// A growable byte buffer that freezes into an immutable [`Bytes`].
 ///
 /// Invariant: `buf` is uniquely owned (strong count 1) for the builder's
-/// whole lifetime — `Clone` deep-copies and the Arc is never shared until
+/// whole lifetime — `Clone` deep-copies and the Rc is never shared until
 /// [`BytesMut::freeze`] hands it to a `Bytes`.
 #[derive(Debug, PartialEq, Eq)]
 pub struct BytesMut {
-    buf: Arc<Vec<u8>>,
+    buf: Rc<Vec<u8>>,
 }
 
 impl BytesMut {
@@ -355,7 +363,7 @@ impl BytesMut {
     }
 
     fn buf_mut(&mut self) -> &mut Vec<u8> {
-        Arc::get_mut(&mut self.buf).expect("BytesMut backing storage is uniquely owned")
+        Rc::get_mut(&mut self.buf).expect("BytesMut backing storage is uniquely owned")
     }
 
     /// Number of bytes written so far.
@@ -381,11 +389,15 @@ impl BytesMut {
     }
 
     /// Converts the accumulated bytes into an immutable [`Bytes`] without
-    /// copying or allocating: the builder's Arc is handed over as-is.
+    /// copying or allocating: the builder's Rc is handed over as-is.
+    ///
+    /// # Panics
+    ///
+    /// Panics above `u32::MAX` bytes.
     pub fn freeze(self) -> Bytes {
-        let end = self.buf.len();
+        let end = whole(self.buf.len());
         Bytes {
-            data: Storage::Shared(self.buf),
+            data: Some(self.buf),
             start: 0,
             end,
         }
@@ -400,7 +412,7 @@ impl Default for BytesMut {
 
 impl Clone for BytesMut {
     fn clone(&self) -> BytesMut {
-        // A derived clone would share the Arc and break the uniqueness
+        // A derived clone would share the Rc and break the uniqueness
         // invariant; a builder clone is a deep copy.
         let mut m = BytesMut::with_capacity(self.buf.len());
         m.extend_from_slice(&self.buf);
@@ -479,6 +491,36 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let b = Bytes::from(vec![1, 2, 3]);
         let _ = b.slice(0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_to_usize_max_inclusive_panics_instead_of_wrapping() {
+        let b = Bytes::from(vec![1, 2, 3]);
+        let _ = b.slice(..=usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_from_after_usize_max_panics_instead_of_wrapping() {
+        let b = Bytes::from(vec![1, 2, 3]);
+        let _ = b.slice((Bound::Excluded(usize::MAX), Bound::Unbounded));
+    }
+
+    #[test]
+    fn a_handle_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 16);
+    }
+
+    #[test]
+    fn empty_buffers_slice_and_compare() {
+        let e = Bytes::new();
+        assert!(e.is_empty());
+        assert_eq!(&e.slice(..)[..], b"");
+        assert_eq!(e, Bytes::from_static(b""));
+        let b = Bytes::from(vec![1, 2, 3]);
+        assert_eq!(&b.slice(3..)[..], b"");
+        assert_eq!(&b.slice(1..=2)[..], &[2, 3]);
     }
 
     #[test]
@@ -567,7 +609,7 @@ mod tests {
             assert!(small.buf.capacity() < 2048, "an ack took a request buffer");
             let large = BytesMut::with_capacity(2048);
             assert!(large.buf.capacity() >= 2048);
-            let ptr = Arc::as_ptr(&large.buf);
+            let ptr = Rc::as_ptr(&large.buf);
             // Warm-up is the first cycle's one miss.
             if let Some(first) = large_ptr {
                 assert_eq!(ptr, first, "cycle {cycle}: 2 KiB take missed the pool");
@@ -622,24 +664,24 @@ mod tests {
         assert_eq!(kept * 16 * 1024, CLASS_KEEP_BYTES);
         // Above the largest class nothing is pooled.
         let big = BytesMut::with_capacity(16 * 1024 + 1);
-        let ptr = Arc::as_ptr(&big.buf);
+        let ptr = Rc::as_ptr(&big.buf);
         drop(big.freeze());
         assert!(!BUF_POOL.with(|p| p.borrow().holds(ptr)));
     }
 
     #[test]
-    fn recycled_arc_header_is_reused_whole() {
-        // The pool keeps the Arc itself: take → freeze → drop → take must
-        // hand back the identical Arc allocation, not just the same Vec.
+    fn recycled_rc_header_is_reused_whole() {
+        // The pool keeps the Rc itself: take → freeze → drop → take must
+        // hand back the identical Rc allocation, not just the same Vec.
         BUF_POOL.with(|p| p.borrow_mut().clear());
         let m = BytesMut::with_capacity(64);
-        let arc_ptr = Arc::as_ptr(&m.buf);
+        let rc_ptr = Rc::as_ptr(&m.buf);
         drop(m.freeze()); // empty Bytes, storage pooled
         let m2 = BytesMut::with_capacity(32);
         assert_eq!(
-            Arc::as_ptr(&m2.buf),
-            arc_ptr,
-            "pool must recycle the Arc handle, not only the Vec"
+            Rc::as_ptr(&m2.buf),
+            rc_ptr,
+            "pool must recycle the Rc handle, not only the Vec"
         );
     }
 

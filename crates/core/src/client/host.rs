@@ -250,16 +250,34 @@ impl ClientHost {
         newer
     }
 
+    /// The headers of [`ClientHost::frames`], without the payload slices.
+    fn headers(packet: &Packet) -> impl Iterator<Item = PmnetHeader> {
+        let (batched, plain) = if batch::is_batch(&packet.payload) {
+            (BatchFrames::decode(&packet.payload), None)
+        } else {
+            (None, PmnetHeader::peek(&packet.payload))
+        };
+        batched.into_iter().flatten().map(|(h, _)| h).chain(plain)
+    }
+
     /// The receive stack. A packet raw off the wire is stamped for span
     /// attribution, charged the kernel + user receive cost and re-posted
     /// to this node on the post-stack port (`None`); one arriving on that
     /// port has finished the climb and is handed back.
+    ///
+    /// `spent` says whether a frame names a fragment the calling client's
+    /// sessions will never have open again ([`Session::spent`]). A packet
+    /// whose every frame is inert — a non-congested `ServerAck` or
+    /// `PmnetAck` naming a spent fragment; a packet that parses as no frame
+    /// has none to act on either — is still charged its stack draw but not
+    /// re-posted: after the climb it could only be ignored (DESIGN.md §18).
     pub fn receive(
         &self,
         ctx: &mut Ctx<'_>,
         telemetry: &Telemetry,
         port: PortNo,
         packet: Packet,
+        spent: impl Fn(&PmnetHeader) -> bool,
     ) -> Option<Packet> {
         if port == POST_STACK {
             return Some(packet);
@@ -268,7 +286,7 @@ impl ClientHost {
             // A coalesced batch carries several acks behind one wire
             // arrival: every inner frame gets its own recv stamp so
             // per-op spans stay attributable.
-            for (h, _) in Self::frames(&packet) {
+            for h in Self::headers(&packet) {
                 let kind = match h.ptype {
                     PacketType::PmnetAck => Some(if h.device_id >= PEER_LOGGER_ID_BASE {
                         AckKind::Peer(h.device_id)
@@ -294,6 +312,14 @@ impl ClientHost {
             }
         }
         let delay = self.rx_delay(ctx, packet.payload.len() as u32);
+        let inert = |h: PmnetHeader| {
+            matches!(h.ptype, PacketType::ServerAck | PacketType::PmnetAck)
+                && !h.is_congested()
+                && spent(&h)
+        };
+        if Self::headers(&packet).all(inert) {
+            return None;
+        }
         let self_id = ctx.self_id();
         ctx.message_in(
             delay,

@@ -388,7 +388,8 @@ impl Node for ClientLib {
             _ if !self.alive => {}
             Msg::Start => self.issue_next(ctx),
             Msg::Packet { port, packet } => {
-                if let Some(packet) = self.host.receive(ctx, &self.telemetry, port, packet) {
+                let spent = |h: &PmnetHeader| self.session.spent(h);
+                if let Some(packet) = self.host.receive(ctx, &self.telemetry, port, packet, spent) {
                     for (header, payload) in ClientHost::frames(&packet) {
                         self.on_frame(ctx, header, payload);
                     }

@@ -391,6 +391,15 @@ impl Session {
         self.matching(header).is_some()
     }
 
+    /// True if `header` names an update fragment this incarnation already
+    /// numbered and has no longer open. Update numbers are issued once, in
+    /// order, and [`reopen`](Session::reopen) moves to a fresh id, so no
+    /// later update fragment of this session can match it: an ack naming
+    /// it can only be ignored from now on (DESIGN.md §18).
+    pub fn spent(&self, header: &PmnetHeader) -> bool {
+        header.session == self.id && header.seq < self.update_seq && !self.answers(header)
+    }
+
     /// Shows the session one received frame.
     pub fn absorb(&mut self, header: &PmnetHeader, payload: Bytes, now: Time) -> Absorbed {
         let Some(idx) = self.matching(header) else {

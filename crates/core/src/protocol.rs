@@ -235,7 +235,7 @@ impl PmnetHeader {
     /// Encodes the header followed by `payload` into a datagram body.
     ///
     /// The builder is drawn from the thread-local recycle pool and its
-    /// whole allocation (Arc handle included) returns there when the last
+    /// whole allocation (Rc handle included) returns there when the last
     /// `Bytes` drops, so an encode allocates nothing whenever the frame's
     /// size class has an idle buffer — always, once the pool holds as many
     /// buffers as are in flight at one time (see the `bytes` crate docs for

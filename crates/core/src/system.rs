@@ -1385,4 +1385,37 @@ mod tests {
         let (pending, recent) = run(DesignPoint::PmnetSwitch);
         assert!(pending <= recent + 8, "{pending} pending, {recent} recent");
     }
+
+    /// The event census of the benchmark's `closed_small` shape (16
+    /// clients × 64 B updates, `PmnetSwitch`, default config, window 1),
+    /// at a twentieth of its length and drained to quiescence so that
+    /// every device entry-retry timer fires: what one op costs the event
+    /// loop (DESIGN.md §18).
+    #[test]
+    fn closed_small_event_census_is_pinned() {
+        use pmnet_net::EventCounts;
+
+        let ops = 16_000;
+        let mut sys = UpdateExperiment::new(DesignPoint::PmnetSwitch, SystemConfig::default())
+            .clients(16)
+            .payload_bytes(64)
+            .requests_per_client(ops / 16)
+            .builder()
+            .build(1);
+        sys.run_clients(Dur::secs(30));
+        assert_eq!(sys.metrics().completed, ops);
+        sys.world.run_to_quiescence(1_000_000);
+        let mut expect = EventCounts {
+            cancelled: 16_000, // 1.00 per op: every RTO timer
+            ..EventCounts::default()
+        };
+        // 11.02 per op; 12.02 while the late `ServerAck`, which answers
+        // nothing once the device's ack has completed the update, was
+        // still re-posted up the client's receive stack.
+        expect.dispatched[EventCounts::PACKET] = 176_300;
+        expect.dispatched[EventCounts::TIMER] = 64_177; // 4.01 per op
+        expect.dispatched[EventCounts::PORT_TX] = 128_190; // 8.01 per op
+        expect.dispatched[EventCounts::START] = 16;
+        assert_eq!(sys.world.event_counts(), expect);
+    }
 }

@@ -240,6 +240,88 @@ proptest! {
         let want = if resends == 0 { rtt * 3 } else { TIMEOUT * (1 << resends) };
         prop_assert_eq!(s.rto(), want);
     }
+
+    /// The lemma behind the client's inert-ack rule (DESIGN.md §18): a
+    /// frame naming a fragment the session calls spent when it arrives is
+    /// never answered by an update afterwards, whatever is issued,
+    /// acknowledged, completed, retransmitted, abandoned or reopened in
+    /// between, so an ack naming it can only be ignored. Update numbers
+    /// are issued once, in order, and `reopen` moves to a fresh id. Reads
+    /// are numbered apart from updates and hash alike, which is why
+    /// `spent` asks for a number already issued to an update: an ack
+    /// naming a read's identity (a reply whose type bits flipped) could
+    /// otherwise match a later update of the same number. (Ids are `u16`:
+    /// they come round again after 65 536 / gcd(stride, 65 536) reopens,
+    /// 8 192 at `ClientLib`'s stride of 1 000; a case here makes at most
+    /// eight.)
+    #[test]
+    fn a_frame_spent_on_arrival_never_answers_an_update_later(
+        mode_pick in 0u8..4,
+        // (operation, pick, sender, corruption).
+        steps in prop::collection::vec((0u8..7, any::<usize>(), 0u8..6, 0u8..8), 1..80),
+    ) {
+        let mut s = session(mode(mode_pick));
+        let mut serial = None;
+        // Every fragment header ever put on the wire, and every arrival
+        // that named a spent fragment.
+        let (mut sent, mut spent) = (Vec::new(), Vec::new());
+        let mut reopens = 0;
+        for (op, pick, sender, corruption) in steps {
+            let now = Time::ZERO + Dur::micros(sent.len() as u64);
+            match op {
+                0 if s.open().is_none() => {
+                    serial = Some(s.begin(request(pick % 4), now).unwrap());
+                    sent.extend(headers(&s));
+                }
+                1..=3 if !sent.is_empty() => {
+                    let mut h: PmnetHeader = sent[pick % sent.len()];
+                    (h.ptype, h.device_id) = match sender {
+                        0 => (PacketType::ServerAck, 0),
+                        1 => (PacketType::PmnetAck, 1),
+                        2 => (PacketType::PmnetAck, 2),
+                        3 => (PacketType::PmnetAck, PEER),
+                        4 => (PacketType::AppReply, 0),
+                        _ => (PacketType::Retrans, 0),
+                    };
+                    match corruption {
+                        0 => h.seq = h.seq.wrapping_add(1), // a later fragment's number
+                        1 => h.session ^= 1,
+                        2 => h.hash ^= 1,
+                        _ => {}
+                    }
+                    if s.spent(&h) {
+                        spent.push(h);
+                    } else {
+                        s.absorb(&h, Bytes::new(), now);
+                    }
+                }
+                4 => {
+                    if let Some(serial) = serial {
+                        if s.expire(serial, 2) == Expiry::Exhausted {
+                            s.abandon();
+                        }
+                    }
+                }
+                5 => {
+                    s.abandon();
+                }
+                6 if reopens < 8 => {
+                    reopens += 1;
+                    s.reopen(1 + (pick % 1000) as u16);
+                }
+                _ => {}
+            }
+            let updating = s.open().map(|r| r.app.kind) == Some(RequestKind::Update);
+            for h in &spent {
+                prop_assert!(!(updating && s.answers(h)), "{:?} answers an update after it was spent", h);
+                let mut ack = *h;
+                ack.ptype = PacketType::ServerAck;
+                prop_assert_eq!(s.absorb(&ack, Bytes::new(), now), Absorbed::Ignored);
+                ack.ptype = PacketType::PmnetAck;
+                prop_assert_eq!(s.absorb(&ack, Bytes::new(), now), Absorbed::Ignored);
+            }
+        }
+    }
 }
 
 /// `got` must be `Done` exactly when the model's rule first holds.

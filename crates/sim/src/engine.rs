@@ -297,6 +297,7 @@ impl<M> Engine<M> {
     }
 
     /// Frees an unlinked cell and hands back its message.
+    #[inline(always)]
     fn release(&mut self, idx: u32) -> M {
         let c = &mut self.cells[idx as usize];
         let msg = c.msg.take().expect("a linked cell holds a message");
@@ -341,6 +342,11 @@ impl<M> Engine<M> {
     /// Pops the next event if it is due at or before `deadline`, advancing
     /// the clock to its timestamp. Returns `None`, leaving the clock and
     /// the event list untouched, when nothing is pending that early.
+    ///
+    /// Always inlined, with the cascade kept out of line: in an event loop
+    /// the message then moves from its cell straight into the dispatch
+    /// that consumes it instead of through a returned tuple.
+    #[inline(always)]
     pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, NodeId, M)> {
         loop {
             let slot = self.first_slot()?;
@@ -359,31 +365,42 @@ impl<M> Engine<M> {
                 let dest = self.cells[head as usize].dest;
                 return Some((at, dest, self.release(head)));
             }
-            // A higher slot spans `start..=start + low`, all of it ahead of
-            // the clock, and holds the event to deliver next. Nothing moves
-            // until that event is known to be due: `schedule` and `cancel`
-            // file by `now`, so the clock must never pass an event the
-            // caller has not seen delivered. Only a deadline inside the
-            // span needs the search.
-            let low = (1u64 << ((slot / SLOTS) as u32 * SLOT_BITS)) - 1;
-            let start = Time::from_nanos(at.as_nanos() & !low);
-            let end = Time::from_nanos(at.as_nanos() | low);
-            if start > deadline || (end > deadline && self.min_in(slot) > deadline) {
+            if !self.cascade(slot, at, deadline) {
                 return None;
             }
-            // Cascade. With the clock at the span's start every cell of
-            // the slot agrees with `now` from this level's digit up, so
-            // each re-files strictly lower. Only indices move; the
-            // messages stay where they are.
-            self.now = start;
-            let mut idx = std::mem::replace(&mut self.lists[slot], EMPTY).head;
-            self.mark_empty(slot);
-            while idx != NIL {
-                let next = self.cells[idx as usize].next;
-                self.link(idx);
-                idx = next;
-            }
         }
+    }
+
+    /// Empties the higher-level `slot`, whose head is due at `at`, one
+    /// level or more down — unless nothing in it is due by `deadline`, in
+    /// which case it changes nothing and returns `false`.
+    #[inline(never)]
+    fn cascade(&mut self, slot: usize, at: Time, deadline: Time) -> bool {
+        // A higher slot spans `start..=start + low`, all of it ahead of
+        // the clock, and holds the event to deliver next. Nothing moves
+        // until that event is known to be due: `schedule` and `cancel`
+        // file by `now`, so the clock must never pass an event the
+        // caller has not seen delivered. Only a deadline inside the span
+        // needs the search.
+        let low = (1u64 << ((slot / SLOTS) as u32 * SLOT_BITS)) - 1;
+        let start = Time::from_nanos(at.as_nanos() & !low);
+        let end = Time::from_nanos(at.as_nanos() | low);
+        if start > deadline || (end > deadline && self.min_in(slot) > deadline) {
+            return false;
+        }
+        // With the clock at the span's start every cell of the slot
+        // agrees with `now` from this level's digit up, so each re-files
+        // strictly lower. Only indices move; the messages stay where they
+        // are.
+        self.now = start;
+        let mut idx = std::mem::replace(&mut self.lists[slot], EMPTY).head;
+        self.mark_empty(slot);
+        while idx != NIL {
+            let next = self.cells[idx as usize].next;
+            self.link(idx);
+            idx = next;
+        }
+        true
     }
 
     /// The timestamp of the next pending event, if any.

@@ -31,6 +31,25 @@ pub struct Time(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(u64);
 
+/// `x` rounded half away from zero, as a saturating `u64` — exactly
+/// `x.round().max(0.0) as u64` (negatives and NaN give 0, anything from
+/// 2^64 up gives `u64::MAX`), but without `f64::round`, which the x86-64
+/// baseline target lowers to an out-of-line library call, and with
+/// signed conversions only, which are single instructions there. Below
+/// 2^52 the truncation and the fraction `x - t` are exact, so comparing
+/// the fraction with one half rounds exactly; from 2^52 up every double
+/// is an integer already.
+#[inline]
+fn round_ns(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if (0.0..EXACT).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
+    }
+}
+
 impl Time {
     /// The start of simulated time.
     pub const ZERO: Time = Time(0);
@@ -101,13 +120,13 @@ impl Dur {
     /// Constructs a duration from fractional microseconds, rounding to the
     /// nearest nanosecond. Negative inputs clamp to zero.
     pub fn from_micros_f64(us: f64) -> Dur {
-        Dur((us * 1_000.0).round().max(0.0) as u64)
+        Dur(round_ns(us * 1_000.0))
     }
 
     /// Constructs a duration from fractional nanoseconds, rounding to the
     /// nearest nanosecond. Negative inputs clamp to zero.
     pub fn from_nanos_f64(ns: f64) -> Dur {
-        Dur(ns.round().max(0.0) as u64)
+        Dur(round_ns(ns))
     }
 
     /// The raw nanosecond count.
@@ -152,7 +171,7 @@ impl Dur {
     /// Panics in debug builds if `factor` is negative or NaN.
     pub fn mul_f64(self, factor: f64) -> Dur {
         debug_assert!(factor >= 0.0, "duration factor must be non-negative");
-        Dur((self.0 as f64 * factor).round() as u64)
+        Dur(round_ns(self.0 as f64 * factor))
     }
 
     /// The time needed to move `bytes` bytes at `bits_per_sec`, i.e. the
