@@ -6,7 +6,22 @@
 //! with a *different* request, or the table/PM capacity is exhausted, the
 //! packet is forwarded **without** logging or acknowledging — the client
 //! then simply waits for the server as in the baseline (Section IV-B1).
+//!
+//! Two exact-match tables, one lookup each per packet, both hashed with
+//! [`FixedState`]:
+//!
+//! - the entry table, keyed by `HashVal` — the state a crash keeps;
+//! - the per-session ledger, live-entry counts keyed by
+//!   `(server, client, session)` — derived state, rebuilt from the
+//!   surviving entries on [`LogStore::crash`]. It answers the read-ordering
+//!   guard ([`LogStore::has_outstanding`]) and the spill quota
+//!   ([`BypassReason::SessionQuota`]).
+//!
+//! Neither is iterated in an order that leaves the store: whatever is
+//! listed ([`LogStore::hashes`], [`LogStore::recovery_manifest`]) is
+//! sorted first.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use bytes::Bytes;
@@ -116,69 +131,6 @@ impl pmnet_telemetry::registry::CounterGroup for LogCounters {
     }
 }
 
-/// Live-entry counts per `(server, client, session)`, held in one flat
-/// vector instead of a `HashMap`: the key population is bounded by the
-/// log's live sessions (small), every packet on the device hot path
-/// queries it, and a flat scan behind an MRU hint beats hashing at that
-/// size — the same trick the telemetry span collector and the traffic
-/// engine's arena tables use. Unlike those, this table is **lossless**:
-/// counts guard read-after-update ordering, so eviction is not an option
-/// and capacity is simply the vector's length.
-#[derive(Debug, Default)]
-struct OutstandingTable {
-    entries: Vec<((Addr, Addr, u16), u32)>,
-    /// Index of the most recently touched key; packet trains from one
-    /// session make the next lookup a single compare.
-    mru: usize,
-}
-
-impl OutstandingTable {
-    fn position(&self, key: (Addr, Addr, u16)) -> Option<usize> {
-        if let Some(e) = self.entries.get(self.mru) {
-            if e.0 == key {
-                return Some(self.mru);
-            }
-        }
-        self.entries.iter().position(|e| e.0 == key)
-    }
-
-    /// Live-entry count for `key` (`0` when absent).
-    fn count(&self, key: (Addr, Addr, u16)) -> u32 {
-        self.position(key).map_or(0, |i| self.entries[i].1)
-    }
-
-    fn increment(&mut self, key: (Addr, Addr, u16)) {
-        match self.position(key) {
-            Some(i) => {
-                self.entries[i].1 += 1;
-                self.mru = i;
-            }
-            None => {
-                self.mru = self.entries.len();
-                self.entries.push((key, 1));
-            }
-        }
-    }
-
-    /// Decrements `key`, dropping it at zero. Missing keys are a logic
-    /// error upstream (every decrement pairs with an increment) and are
-    /// ignored, matching the old `HashMap` behaviour.
-    fn decrement(&mut self, key: (Addr, Addr, u16)) {
-        if let Some(i) = self.position(key) {
-            self.entries[i].1 -= 1;
-            if self.entries[i].1 == 0 {
-                self.entries.swap_remove(i);
-            }
-            self.mru = 0;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.mru = 0;
-    }
-}
-
 /// The log store: PM timing model + hash-indexed entry table.
 #[derive(Debug)]
 pub struct LogStore {
@@ -192,8 +144,8 @@ pub struct LogStore {
     /// count means a device-acked (durable) update from that session is
     /// still in flight to the server, so a read from the same session
     /// must not overtake it. Doubles as the spill policy's per-session
-    /// occupancy ledger.
-    outstanding: OutstandingTable,
+    /// occupancy ledger. A key is present iff its count is non-zero.
+    outstanding: HashMap<(Addr, Addr, u16), u32, FixedState>,
     /// Per-session live-entry quota (`0` = unlimited).
     session_quota: u32,
     /// Soft occupancy watermark in entries (`0` = off).
@@ -218,7 +170,7 @@ impl LogStore {
             max_bytes: config.log_capacity_bytes,
             queue_bytes: config.log_queue_bytes,
             used_bytes: 0,
-            outstanding: OutstandingTable::default(),
+            outstanding: HashMap::default(),
             session_quota: config.log_session_quota,
             spill_watermark: config.log_spill_watermark,
             staged: Vec::new(),
@@ -285,8 +237,8 @@ impl LogStore {
         if self.session_quota > 0
             && self
                 .outstanding
-                .count((server, header.client, header.session))
-                >= self.session_quota
+                .get(&(server, header.client, header.session))
+                .is_some_and(|&n| n >= self.session_quota)
         {
             self.counters.spilled_quota += 1;
             return Err(LogOutcome::Bypass(BypassReason::SessionQuota));
@@ -330,8 +282,10 @@ impl LogStore {
             },
         );
         self.used_bytes += bytes;
-        self.outstanding
-            .increment((server, header.client, header.session));
+        *self
+            .outstanding
+            .entry((server, header.client, header.session))
+            .or_insert(0) += 1;
         self.counters.logged += 1;
         self.counters.peak_entries = self.counters.peak_entries.max(self.entries.len() as u64);
         self.counters.peak_bytes = self.counters.peak_bytes.max(self.used_bytes);
@@ -443,7 +397,7 @@ impl LogStore {
     /// update is durable but possibly unapplied — a read from the same
     /// session forwarded now could overtake it and observe stale state.
     pub fn has_outstanding(&self, server: Addr, client: Addr, session: u16) -> bool {
-        self.outstanding.count((server, client, session)) > 0
+        self.outstanding.contains_key(&(server, client, session))
     }
 
     /// Invalidates the entry for `hash` (server-ACK received). Returns the
@@ -451,8 +405,15 @@ impl LogStore {
     pub fn invalidate(&mut self, hash: u32) -> Option<LogEntry> {
         let entry = self.entries.remove(&hash)?;
         self.used_bytes -= Self::entry_bytes(&entry.payload);
-        self.outstanding
-            .decrement((entry.server, entry.header.client, entry.header.session));
+        let key = (entry.server, entry.header.client, entry.header.session);
+        // Every live entry counted itself in, so the key is present; the
+        // last one out drops it.
+        if let Entry::Occupied(mut count) = self.outstanding.entry(key) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
         self.counters.invalidated += 1;
         Some(entry)
     }
@@ -506,8 +467,8 @@ impl LogStore {
     /// The hashes of every live entry, in ascending order. Used by the
     /// device's restart path to re-arm per-entry retry timers (the old
     /// timers died with the pre-crash epoch). Sorted because the arming
-    /// order decides the post-restore resend order on the wire, and
-    /// `HashMap` iteration order is not stable across same-seed replays.
+    /// order decides the post-restore resend order on the wire, and the
+    /// table's iteration order is an accident of the hash function.
     pub fn hashes(&self) -> Vec<u32> {
         let mut hashes: Vec<u32> = self.entries.keys().copied().collect();
         hashes.sort_unstable();
@@ -557,8 +518,10 @@ impl LogStore {
         // table is PM; the index is derived state).
         self.outstanding.clear();
         for e in self.entries.values() {
-            self.outstanding
-                .increment((e.server, e.header.client, e.header.session));
+            *self
+                .outstanding
+                .entry((e.server, e.header.client, e.header.session))
+                .or_insert(0) += 1;
         }
         before - self.entries.len()
     }

@@ -503,9 +503,16 @@ impl ServerLib {
     }
 
     /// A `ServerAck` arriving *at a server* is a replica confirmation.
+    /// Its `client` field names this primary, not the issuing client, so
+    /// the fragment's `hash` (which names both, and survives the rewrite
+    /// and `server_ack()`) tells apart two clients that share a session
+    /// id and a seq.
     pub(super) fn on_replica_ack(&mut self, ctx: &mut Ctx<'_>, header: PmnetHeader) {
         let Some(i) = self.awaiting_replicas.iter().position(|(_, t)| {
-            t.session == header.session && t.frag_headers.iter().any(|h| h.seq == header.seq)
+            t.session == header.session
+                && t.frag_headers
+                    .iter()
+                    .any(|h| h.seq == header.seq && h.hash == header.hash)
         }) else {
             return;
         };
@@ -519,6 +526,12 @@ impl ServerLib {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use pmnet_net::{LinkSpec, Msg, Node, World};
+
+    use super::super::stream::FragHeaders;
     use super::super::tests::mk;
     use super::super::IdealHandler;
     use super::*;
@@ -595,5 +608,58 @@ mod tests {
             "delivery ids stay monotone across crashes"
         );
         assert_eq!(s.next_parked, 3, "so do completion tokens");
+    }
+
+    /// An endpoint that keeps the header of every packet that arrives.
+    struct Tap(Rc<RefCell<Vec<PmnetHeader>>>);
+
+    impl Node for Tap {
+        fn on_msg(&mut self, msg: Msg, _: &mut Ctx<'_>) {
+            if let Msg::Packet { packet, .. } = msg {
+                self.0
+                    .borrow_mut()
+                    .extend(PmnetHeader::peek(&packet.payload));
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_ack_releases_only_the_update_it_names() {
+        // Two clients share a session id and a seq. The primary forwarded
+        // both updates and awaits one replica ack each; B's ticket is first.
+        let (a, b, primary) = (Addr(1), Addr(2), Addr(9));
+        let update =
+            |client| PmnetHeader::request(PacketType::UpdateReq, 1, 5, client, primary, 0, 1);
+        let ticket = |client| AckTicket {
+            client,
+            session: 1,
+            frag_headers: FragHeaders::One([update(client)]),
+            src_port: 51001,
+            proto: Proto::Udp,
+        };
+        let mut s = mk(Box::new(IdealHandler::new()));
+        s.awaiting_replicas.push((1, ticket(b)));
+        s.awaiting_replicas.push((1, ticket(a)));
+        // The replica confirms A's copy: the client field names the
+        // primary, the hash is still A's.
+        let mut copy = update(a);
+        copy.client = primary;
+        let ack = copy.server_ack().encode(&[]);
+        let mut w = World::new(1);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let node = w.add_node(Box::new(s));
+        let tap = w.add_node(Box::new(Tap(seen.clone())));
+        w.connect(node, tap, LinkSpec::ten_gbps());
+        let packet = Packet::udp(Addr(10), primary, 51000, 51000, ack);
+        let port = super::super::POST_STACK;
+        w.schedule(Time::ZERO, node, Msg::Packet { port, packet });
+        w.run_to_quiescence(1_000);
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 1, "one ServerAck: {seen:?}");
+        assert_eq!(seen[0].ptype, PacketType::ServerAck);
+        assert_eq!(seen[0].client, a, "B's update is not replicated yet");
+        let left = &w.node::<ServerLib>(node).awaiting_replicas;
+        assert_eq!(left.len(), 1);
+        assert_eq!(left[0].1.client, b);
     }
 }

@@ -17,7 +17,10 @@
 //! broken chain after a crash, client-side-log completions) lands in
 //! [`Phase::Unattributed`] rather than being silently dropped.
 
+use std::collections::HashMap;
+
 use pmnet_net::Addr;
+use pmnet_sim::hash::FixedState;
 use pmnet_sim::{Dur, Time};
 
 /// Key of one in-flight fragment: `(client, session, fragment seq)`.
@@ -344,15 +347,13 @@ impl OpTrace {
 
 /// Accumulates [`OpEvent`]s per fragment and attributes completed ops.
 ///
-/// The open set holds one entry per *in-flight* fragment — bounded by the
-/// client population's request windows, a handful in practice — so it
-/// lives in a flat vector with a most-recently-used index hint instead of
-/// a hash map: consecutive events for the same fragment (the common case)
-/// cost one key compare, and even a miss is a short linear scan.
+/// The open set holds one entry per *in-flight* fragment, which under
+/// open-loop overload is every queued fragment of hundreds of sessions,
+/// so it is a [`FixedState`] hash map touched only by key; nothing
+/// iterates it.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
-    open: Vec<(OpKey, Vec<OpEvent>)>,
-    mru: usize,
+    open: HashMap<OpKey, Vec<OpEvent>, FixedState>,
     /// Completed ops not yet attributed: `(completion, start, len)` into
     /// [`done_events`](Self::done_events). Attribution (the chain walk
     /// and the per-trace phase vector) runs lazily when traces are first
@@ -385,29 +386,13 @@ impl SpanCollector {
     /// — which no chain walk can use; accepting them would leak one entry
     /// per completed op for the rest of the run.
     pub fn record(&mut self, key: OpKey, ev: OpEvent) {
-        if let Some((k, buf)) = self.open.get_mut(self.mru) {
-            if *k == key {
-                buf.push(ev);
-                return;
-            }
-        }
-        if let Some(i) = self.open.iter().position(|(k, _)| *k == key) {
-            self.mru = i;
-            self.open[i].1.push(ev);
+        if let Some(buf) = self.open.get_mut(&key) {
+            buf.push(ev);
         } else if matches!(ev, OpEvent::ClientSend { .. }) {
             let mut buf = self.pool.pop().unwrap_or_default();
             buf.push(ev);
-            self.mru = self.open.len();
-            self.open.push((key, buf));
+            self.open.insert(key, buf);
         }
-    }
-
-    /// Removes and returns the event buffer for `key`, if open.
-    fn take(&mut self, key: OpKey) -> Option<Vec<OpEvent>> {
-        let i = self.open.iter().position(|(k, _)| *k == key)?;
-        let (_, buf) = self.open.swap_remove(i);
-        self.mru = 0;
-        Some(buf)
     }
 
     fn recycle(&mut self, mut buf: Vec<OpEvent>) {
@@ -442,7 +427,7 @@ impl SpanCollector {
     /// is the op's inclusive seq range, as in [`OpCompletion::frag_range`].
     pub fn abandon(&mut self, client: Addr, session: u16, frags: (u32, u32)) {
         for seq in frags.0..=frags.1 {
-            if let Some(buf) = self.take((client, session, seq)) {
+            if let Some(buf) = self.open.remove(&(client, session, seq)) {
                 self.recycle(buf);
             }
         }
@@ -464,9 +449,9 @@ impl SpanCollector {
     /// [`attribute_pending`](Self::attribute_pending) is next called.
     pub fn complete(&mut self, c: OpCompletion) {
         let key = (c.client, c.session, c.completing_seq);
-        let evs = self.take(key).unwrap_or_default();
+        let evs = self.open.remove(&key).unwrap_or_default();
         for seq in c.frag_range.0..=c.frag_range.1 {
-            if let Some(buf) = self.take((c.client, c.session, seq)) {
+            if let Some(buf) = self.open.remove(&(c.client, c.session, seq)) {
                 self.recycle(buf);
             }
         }
