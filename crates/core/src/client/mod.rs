@@ -17,7 +17,6 @@
 //! device's idempotent duplicate detection.
 
 mod host;
-mod rto;
 pub mod session;
 
 use std::fmt;
@@ -31,7 +30,6 @@ use crate::config::{HostProfile, RetryConfig};
 use crate::protocol::{PacketType, PmnetHeader};
 
 pub use host::ClientHost;
-pub use rto::RtoEstimator;
 pub(crate) use session::PEER_LOGGER_ID_BASE;
 use session::{Absorbed, Completion, Expiry, Session, Which};
 pub use session::{AppRequest, ClientMode, RequestKind};

@@ -18,9 +18,9 @@ use pmnet_net::Addr;
 use pmnet_sim::{Dur, Time};
 use pmnet_telemetry::span::Evidence;
 
-use super::rto::RtoEstimator;
 use crate::config::{RetryConfig, MTU_BYTES};
 use crate::protocol::{PacketType, PmnetHeader, HEADER_LEN};
+use crate::rto::RtoEstimator;
 
 /// Device ids at or above this value are client-side peer loggers, not
 /// in-network PMNet devices.
@@ -261,7 +261,7 @@ impl Session {
             mode,
             client,
             server,
-            rto: RtoEstimator::new(timeout, retry),
+            rto: RtoEstimator::new(timeout, retry.rto_min, retry.rto_max),
             serial: 0,
             exchange: None,
             // Room for one fragment up front: a single-fragment session

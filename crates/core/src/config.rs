@@ -149,9 +149,13 @@ pub struct DeviceConfig {
     pub log_capacity_bytes: u64,
     /// Read-cache capacity in entries (0 disables caching).
     pub cache_entries: usize,
-    /// How long a log entry may sit without a server-ACK before the device
-    /// resends it to the server as a redo (repairs forwards lost with no
-    /// follow-up traffic to trigger the server's gap detector).
+    /// The floor and first guess of how long a log entry may sit without a
+    /// server-ACK before the device resends it to the server as a redo
+    /// (repairs forwards lost with no follow-up traffic to trigger the
+    /// server's gap detector). The wait itself is measured per server from
+    /// the acks that invalidate its entries (RFC 6298 arithmetic, capped at
+    /// 8× this floor) and doubles per unanswered redo of one entry;
+    /// the server ack that ends an entry cancels its retry (DESIGN.md §7).
     pub log_retry_timeout: Dur,
     /// How long a recovery resend staged by a `RecoveryPoll` may sit
     /// without the server's redo ACK before the device re-fires it

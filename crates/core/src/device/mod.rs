@@ -24,7 +24,7 @@ mod reads;
 mod redo;
 mod update;
 
-use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, RouteTable, Timer};
+use pmnet_net::{Addr, Ctx, EventId, Msg, Node, Packet, PortNo, RouteTable, Timer};
 use pmnet_sim::hash::FixedState;
 use pmnet_sim::Dur;
 use pmnet_telemetry::span::OpEvent;
@@ -34,11 +34,12 @@ use std::collections::HashMap;
 use self::chain::Chain;
 pub use self::chain::DeviceRole;
 pub use self::fabric::DeviceFabric;
-use self::redo::StagedResend;
+use self::redo::{EntryRetry, StagedResend};
 use crate::cache::ReadCache;
 use crate::config::{BatchConfig, DeviceConfig};
 use crate::logstore::LogStore;
 use crate::protocol::{is_pmnet_port, PacketType, PmnetHeader};
+use crate::rto::RtoEstimator;
 
 /// The per-packet path's PM write completed. `a` carries the entry hash.
 const TIMER_PERSIST_DONE: u32 = 1;
@@ -163,6 +164,14 @@ pub struct PmnetDevice {
     /// redo ack invalidates it; when the last staged entry for a server
     /// clears, the device emits `RecoveryDone`.
     staged_resends: HashMap<u32, StagedResend, FixedState>,
+    /// The re-forward of every live log entry, keyed by entry hash: its
+    /// armed [`TIMER_ENTRY_RETRY`], which the server ack that invalidates
+    /// the entry cancels. Held in DRAM; `Restore` re-arms the survivors.
+    entry_retries: HashMap<u32, EntryRetry, FixedState>,
+    /// One timeout estimator per destination server, fed by the server
+    /// acks that invalidate entries; it times every entry's re-forward.
+    /// Forgotten on power loss, as a client restart forgets its RTTs.
+    server_rtos: HashMap<Addr, RtoEstimator, FixedState>,
     /// Cache-miss reads held because a logged update from the same
     /// `(server, client, session)` is still un-server-acked: the update
     /// is durable (we acked it) but possibly unapplied, so forwarding the
@@ -214,6 +223,8 @@ impl PmnetDevice {
             alive: true,
             epoch: 0,
             staged_resends: HashMap::default(),
+            entry_retries: HashMap::default(),
+            server_rtos: HashMap::default(),
             parked_reads: HashMap::new(),
             stale_read_bug: false,
             fabric: None,
@@ -351,9 +362,9 @@ impl PmnetDevice {
 
     /// Arms a timer stamped with the power epoch; the [`Node`] impl drops
     /// any whose stamp a crash has since made stale.
-    fn arm(&self, ctx: &mut Ctx<'_>, after: Dur, kind: u32, a: u64) {
+    fn arm(&self, ctx: &mut Ctx<'_>, after: Dur, kind: u32, a: u64) -> EventId {
         let b = self.epoch;
-        ctx.timer_in(after, Timer { kind, a, b });
+        ctx.timer_in(after, Timer { kind, a, b })
     }
 
     /// Records a span event for the request `header` identifies.
@@ -367,9 +378,12 @@ impl PmnetDevice {
     /// itself is the caller's to settle (`crash` keeps what had persisted,
     /// `purge` nothing).
     fn reset_volatile(&mut self) {
-        // Staged resends and flushed-but-unpersisted windows die with
-        // their timers; withheld chain acks are re-driven by the clients.
+        // Staged resends, entry retries and flushed-but-unpersisted
+        // windows die with their timers; withheld chain acks are re-driven
+        // by the clients.
         self.staged_resends.clear();
+        self.entry_retries.clear();
+        self.server_rtos.clear();
         self.inflight_batches.clear();
         self.chain.reset();
         // The clients' read timeouts resend parked reads (and the resends
@@ -476,12 +490,9 @@ impl Node for PmnetDevice {
                 // re-driven to the server instead of sitting in the log
                 // forever.
                 for hash in self.log.hashes() {
-                    self.arm(
-                        ctx,
-                        self.config.log_retry_timeout,
-                        TIMER_ENTRY_RETRY,
-                        u64::from(hash),
-                    );
+                    if let Some(server) = self.log.peek(hash).map(|e| e.server) {
+                        self.arm_entry_retry(ctx, hash, server);
+                    }
                     let release = self.chain.restored(hash);
                     self.carry_out(ctx, hash, release);
                 }
@@ -508,14 +519,17 @@ pub(super) mod rig {
     pub use super::*;
     pub use crate::config::SystemConfig;
     pub use bytes::Bytes;
-    pub use pmnet_net::{EchoHost, LinkSpec, World};
+    pub use pmnet_net::{AnyNode, EchoHost, LinkSpec, World};
     pub use pmnet_sim::{NodeId, Time};
 
-    /// client(EchoHost-sink) -- device -- server(EchoHost-sink)
-    pub fn rig_as_configured(config: DeviceConfig) -> (World, NodeId, NodeId, NodeId) {
+    /// client(EchoHost-sink) -- device -- `server` (at `Addr(9)`)
+    pub fn rig_with_server(
+        config: DeviceConfig,
+        server: Box<dyn AnyNode>,
+    ) -> (World, NodeId, NodeId, NodeId) {
         let mut w = World::new(11);
         let client = w.add_node(Box::new(EchoHost::sink(Addr(1))));
-        let server = w.add_node(Box::new(EchoHost::sink(Addr(9))));
+        let server = w.add_node(server);
         let dev = w.add_node(Box::new(PmnetDevice::new("pmnet0", 1, Addr(100), config)));
         w.connect(client, dev, LinkSpec::ten_gbps());
         w.connect(dev, server, LinkSpec::ten_gbps());
@@ -529,7 +543,7 @@ pub(super) mod rig {
     pub fn rig(mut config: DeviceConfig) -> (World, NodeId, NodeId, NodeId) {
         config.log_retry_timeout = Dur::secs(3600);
         config.recovery_resend_timeout = Dur::secs(3600);
-        rig_as_configured(config)
+        rig_with_server(config, Box::new(EchoHost::sink(Addr(9))))
     }
 
     pub fn update_packet(seq: u32, payload: &[u8]) -> (PmnetHeader, Packet) {

@@ -3,11 +3,43 @@
 //! server detected, and the recovery barrier — poll, paced resends,
 //! `RecoveryDone`. All three rebuild the packet through [`redo_packet`].
 
-use pmnet_net::{Addr, Ctx, Packet};
+use std::collections::HashMap;
+
+use pmnet_net::{Addr, Ctx, EventId, Packet};
+use pmnet_sim::hash::FixedState;
+use pmnet_sim::{Dur, Time};
 
 use super::{PmnetDevice, TIMER_ENTRY_RETRY, TIMER_RECOVERY_RESEND};
 use crate::logstore::LogEntry;
 use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
+use crate::rto::RtoEstimator;
+
+/// The entry-retry timeout's cap, in multiples of its floor
+/// ([`crate::config::DeviceConfig::log_retry_timeout`]).
+const ENTRY_RETRY_CAP: u64 = 8;
+
+/// The DRAM side of one live log entry's re-forward.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct EntryRetry {
+    /// The armed [`TIMER_ENTRY_RETRY`]; the server ack cancels it.
+    timer: EventId,
+    /// When the entry was forwarded (or re-armed by `Restore`): its
+    /// server ack samples the server's delay from here.
+    since: Time,
+    /// Re-forwards fired so far (the backoff exponent).
+    fires: u32,
+}
+
+/// `server`'s entry-retry estimator, seeded and floored at `floor` on
+/// first use.
+fn estimator(
+    rtos: &mut HashMap<Addr, RtoEstimator, FixedState>,
+    floor: Dur,
+    server: Addr,
+) -> &mut RtoEstimator {
+    rtos.entry(server)
+        .or_insert_with(|| RtoEstimator::new(floor, floor, floor * ENTRY_RETRY_CAP))
+}
 
 /// Book-keeping for one staged recovery resend.
 #[derive(Debug, Clone, Copy)]
@@ -61,16 +93,54 @@ impl PmnetDevice {
         }
     }
 
-    /// Re-forwards a still-unacknowledged log entry to its server as a
-    /// redo, and re-arms the retry timer.
-    pub(super) fn retry_entry(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
-        let Some(redo) = self.log.peek(hash).map(redo_packet) else {
-            return; // acknowledged in the meantime
+    /// Arms the first re-forward of the live entry `hash` at its server's
+    /// current timeout: on admission, and for each survivor on `Restore`.
+    pub(super) fn arm_entry_retry(&mut self, ctx: &mut Ctx<'_>, hash: u32, server: Addr) {
+        let floor = self.config.log_retry_timeout;
+        let after = estimator(&mut self.server_rtos, floor, server).current();
+        let timer = self.arm(ctx, after, TIMER_ENTRY_RETRY, u64::from(hash));
+        let since = ctx.now();
+        let retry = EntryRetry {
+            timer,
+            since,
+            fires: 0,
         };
+        self.entry_retries.insert(hash, retry);
+    }
+
+    /// Re-forwards a still-unacknowledged log entry to its server as a
+    /// redo, and re-arms the retry timer backed off once more.
+    pub(super) fn retry_entry(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
+        // The server ack that ends an entry cancels its timer, so only a
+        // fence (which purged both) leaves one to fire on nothing.
+        let (Some(retry), Some(entry)) = (self.entry_retries.get_mut(&hash), self.log.peek(hash))
+        else {
+            return;
+        };
+        retry.fires += 1;
+        let floor = self.config.log_retry_timeout;
+        let after = estimator(&mut self.server_rtos, floor, entry.server).backed_off(retry.fires);
+        let redo = redo_packet(entry);
         self.counters.entry_retries += 1;
         self.emit(ctx, redo);
-        let retry = self.config.log_retry_timeout;
-        self.arm(ctx, retry, TIMER_ENTRY_RETRY, u64::from(hash));
+        let timer = self.arm(ctx, after, TIMER_ENTRY_RETRY, u64::from(hash));
+        if let Some(retry) = self.entry_retries.get_mut(&hash) {
+            retry.timer = timer;
+        }
+    }
+
+    /// The server acked `entry` and the log invalidated it: its retry ends
+    /// here, and the wait since its forward is a sample of the server's
+    /// delay. Karn's rule does not apply: the server acks an update once,
+    /// when it applied it, and drops the copies it receives meanwhile, so
+    /// the ack answers the update rather than one copy of it.
+    pub(super) fn entry_retired(&mut self, ctx: &mut Ctx<'_>, entry: &LogEntry) {
+        let Some(retry) = self.entry_retries.remove(&entry.header.hash) else {
+            return;
+        };
+        ctx.cancel(retry.timer);
+        let floor = self.config.log_retry_timeout;
+        estimator(&mut self.server_rtos, floor, entry.server).sample(ctx.now() - retry.since);
     }
 
     /// A recovering `server` polled: stage every durable entry destined to
@@ -194,12 +264,64 @@ mod tests {
         assert_eq!(w.node::<EchoHost>(server).received(), 6);
     }
 
-    /// The plain rig with both device retry timeouts set by the caller.
+    /// A server that never acks on its own: it notes when each redo copy
+    /// reaches it, and sends what the test injects.
+    #[derive(Debug, Default)]
+    struct RedoTap {
+        /// `(arrival, seq)` of every redo-flagged update received.
+        redos: Vec<(Time, u32)>,
+    }
+
+    impl RedoTap {
+        /// When the redo copies of update `seq` arrived.
+        fn copies_of(&self, seq: u32) -> Vec<Time> {
+            let copies = self.redos.iter().filter(|&&(_, s)| s == seq);
+            copies.map(|&(at, _)| at).collect()
+        }
+    }
+
+    impl Node for RedoTap {
+        fn on_msg(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+            match msg {
+                Msg::Packet { packet, .. } => {
+                    if let Some((h, _)) = PmnetHeader::decode(&packet.payload) {
+                        if h.is_redo() {
+                            self.redos.push((ctx.now(), h.seq));
+                        }
+                    }
+                }
+                Msg::Inject(packet) => ctx.send(PortNo(0), packet),
+                _ => {}
+            }
+        }
+
+        fn addr(&self) -> Option<Addr> {
+            Some(Addr(9))
+        }
+    }
+
+    /// client(sink) -- device -- server([`RedoTap`]), with both device
+    /// retry timeouts set by the caller.
     fn retrying_rig(entry_retry: Dur, resend: Dur) -> (World, NodeId, NodeId, NodeId) {
         let mut config = SystemConfig::default().device;
         config.log_retry_timeout = entry_retry;
         config.recovery_resend_timeout = resend;
-        rig_as_configured(config)
+        rig_with_server(config, Box::new(RedoTap::default()))
+    }
+
+    fn ms(ms: u64) -> Time {
+        Time::ZERO + Dur::millis(ms)
+    }
+
+    /// Asserts that `copies` arrived at the `due` instants (in ms), each
+    /// within the few microseconds of link and pipeline delay behind its
+    /// timer.
+    fn assert_copies_at(copies: &[Time], due: &[u64]) {
+        let late = |(&at, &due): (&Time, &u64)| at >= ms(due) && at < ms(due) + Dur::micros(10);
+        assert!(
+            copies.len() == due.len() && copies.iter().zip(due).all(late),
+            "redo copies at {copies:?}, expected at {due:?} ms"
+        );
     }
 
     #[test]
@@ -207,14 +329,63 @@ mod tests {
         let (mut w, client, dev, server) = retrying_rig(Dur::millis(1), Dur::secs(3600));
         let (_, pkt) = update_packet(1, b"payload");
         w.inject(client, pkt);
-        // The sink server never ACKs: the device must re-forward the
-        // logged entry on each retry interval.
-        w.run_for(Dur::from_micros_f64(3500.0));
+        // The server never ACKs: the device re-forwards the logged entry,
+        // doubling its wait from the 1 ms floor up to the 8 ms cap.
+        w.run_until(ms(30));
+        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &[1, 3, 7, 15, 23]);
         let d = w.node::<PmnetDevice>(dev);
-        assert!(d.counters().entry_retries >= 3, "{:?}", d.counters());
-        assert!(w.node::<EchoHost>(server).received() >= 4);
+        assert_eq!(d.counters().entry_retries, 5, "{:?}", d.counters());
         // Still exactly one log entry (retries are redo copies).
         assert_eq!(d.log_len(), 1);
+    }
+
+    /// The server acks an update, the client's retransmission of it is
+    /// logged again, and that new incarnation is redone only on its own
+    /// clock: the ack cancelled the first incarnation's timer.
+    #[test]
+    fn a_relogged_incarnation_is_retried_on_its_own_timer() {
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(5), Dur::secs(3600));
+        let (h, pkt) = update_packet(1, b"payload");
+        w.inject(client, pkt.clone());
+        w.schedule(ms(1), server, Msg::Inject(server_ack(&h)));
+        w.schedule(ms(2), client, Msg::Inject(pkt));
+        w.run_until(ms(3));
+        let d = w.node::<PmnetDevice>(dev);
+        assert_eq!((d.log_counters().invalidated, d.log_len()), (1, 1));
+        // The first incarnation's timer would have been due at 5 ms.
+        w.run_until(ms(9));
+        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &[7]);
+    }
+
+    /// A server that acks every update 20 ms after it was logged is
+    /// waited for: once its first ack has taught the device that delay,
+    /// no entry is re-forwarded to it again.
+    #[test]
+    fn a_slow_server_is_timed_from_its_acks() {
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(5), Dur::secs(3600));
+        let n = 40;
+        for i in 0..n {
+            let (h, pkt) = update_packet(i + 1, b"payload");
+            w.schedule(ms(u64::from(i)), client, Msg::Inject(pkt));
+            w.schedule(ms(u64::from(i) + 20), server, Msg::Inject(server_ack(&h)));
+        }
+        w.run_until(ms(100));
+        let tap = w.node::<RedoTap>(server);
+        // Before any ack the floor rules, doubling per entry: 5, then 10.
+        assert_copies_at(&tap.copies_of(1), &[5, 15]);
+        // Logged after the first ack (20 ms) landed: never re-forwarded.
+        assert!(
+            tap.redos.iter().all(|&(_, seq)| seq <= 21),
+            "{:?}",
+            tap.redos
+        );
+        let d = w.node::<PmnetDevice>(dev);
+        assert_eq!(
+            (d.log_counters().invalidated, d.log_len()),
+            (u64::from(n), 0)
+        );
+        // Every retry ended with its entry: nothing is left to fire.
+        assert_eq!(w.pending_events(), 0);
     }
 
     #[test]

@@ -13,9 +13,7 @@ use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
 use super::chain::{DeviceRole, Release};
-use super::{
-    PmnetDevice, TIMER_BATCH_FLUSH, TIMER_BATCH_PERSIST, TIMER_ENTRY_RETRY, TIMER_PERSIST_DONE,
-};
+use super::{PmnetDevice, TIMER_BATCH_FLUSH, TIMER_BATCH_PERSIST, TIMER_PERSIST_DONE};
 use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN, MAX_FRAMES};
 use crate::kvproto::KvFrame;
 use crate::logstore::{BypassReason, LogOutcome, LogStore};
@@ -57,12 +55,13 @@ impl PmnetDevice {
             LogStore::try_log
         };
         let arrival = at + self.pipeline_for(payload.len());
+        let server = packet.dst;
         let outcome = admit(
             &mut self.log,
             arrival,
             header,
             payload.clone(),
-            packet.dst,
+            server,
             packet.src_port,
             packet.dst_port,
         );
@@ -92,13 +91,13 @@ impl PmnetDevice {
                 let wait = ack_at.saturating_since(at);
                 self.arm(ctx, wait, TIMER_PERSIST_DONE, u64::from(hash));
                 self.record_logged(ctx, &header);
-                self.entry_admitted(ctx, &header, &payload);
+                self.entry_admitted(ctx, &header, &payload, server);
             }
             LogOutcome::Staged => {
                 // Admitted behind the doorbell: no persist timer — the
                 // window's single flush owns that.
                 self.span(ctx, &header, OpEvent::DeviceBatchStage { device, at });
-                self.entry_admitted(ctx, &header, &payload);
+                self.entry_admitted(ctx, &header, &payload, server);
                 if self.log.staged_len() >= self.batch.window as usize {
                     // Window full: ring the doorbell now.
                     self.flush_batch(ctx);
@@ -128,13 +127,18 @@ impl PmnetDevice {
 
     /// The log took this update (written or staged): what every admitted
     /// entry needs whichever way its PM write is scheduled.
-    fn entry_admitted(&mut self, ctx: &mut Ctx<'_>, header: &PmnetHeader, payload: &Bytes) {
+    fn entry_admitted(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        header: &PmnetHeader,
+        payload: &Bytes,
+        server: Addr,
+    ) {
         self.chain.admitted(header.hash);
         // If the server never acknowledges (the forward may have been
         // lost with no follow-up traffic to trip the gap detector), redo
         // the entry from the log.
-        let retry = self.config.log_retry_timeout;
-        self.arm(ctx, retry, TIMER_ENTRY_RETRY, u64::from(header.hash));
+        self.arm_entry_retry(ctx, header.hash, server);
         if self.stale_read_bug {
             return;
         }
@@ -155,6 +159,7 @@ impl PmnetDevice {
     ) {
         self.chain.server_acked(header.hash);
         if let Some(entry) = self.log.invalidate(header.hash) {
+            self.entry_retired(ctx, &entry);
             self.entry_drained(ctx, &entry);
         }
         self.redo_confirmed(ctx, header.hash);

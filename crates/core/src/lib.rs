@@ -58,6 +58,7 @@ pub mod fabric;
 pub mod kvproto;
 pub mod logstore;
 pub mod protocol;
+pub mod rto;
 pub mod server;
 pub mod system;
 
@@ -65,11 +66,12 @@ pub use batch::{BatchBuilder, BatchFrames};
 pub use cache::{CacheState, ReadCache};
 pub use client::{
     ClientLib, ClientMode, ClientRetryCounters, CompletionRecord, RequestKind, RequestSource,
-    RtoEstimator, UpdateOutcome,
+    UpdateOutcome,
 };
 pub use config::{ApplyConfig, BatchConfig, DeviceConfig, HostProfile, RetryConfig, SystemConfig};
 pub use device::{DeviceFabric, DeviceRole, PmnetDevice};
 pub use fabric::{FabricMap, FabricSteering, ReconfigAction, ShardChain, ShardMap, SteerSide};
 pub use logstore::{LogOutcome, LogStore};
 pub use protocol::{PacketType, PmnetHeader, PMNET_PORT_HI, PMNET_PORT_LO};
+pub use rto::RtoEstimator;
 pub use server::{RequestHandler, ServerLib};

@@ -1367,8 +1367,8 @@ mod tests {
             }
             assert_eq!(sys.metrics().completed, 600);
             assert_eq!(sys.client_retry_counters().retransmits, 0);
-            // Requests completed within the device's entry-retry interval:
-            // each may still have that timer pending.
+            // Requests completed within the device's entry-retry floor: each
+            // may still have its entry, and so its retry timer, pending.
             let since = sys.world.now() - SystemConfig::default().device.log_retry_timeout;
             let recent = |&c: &NodeId| {
                 let records = sys.world.node::<ClientLib>(c).records();
@@ -1388,9 +1388,8 @@ mod tests {
 
     /// The event census of the benchmark's `closed_small` shape (16
     /// clients × 64 B updates, `PmnetSwitch`, default config, window 1),
-    /// at a twentieth of its length and drained to quiescence so that
-    /// every device entry-retry timer fires: what one op costs the event
-    /// loop (DESIGN.md §18).
+    /// at a twentieth of its length and drained to quiescence: what one op
+    /// costs the event loop (DESIGN.md §18).
     #[test]
     fn closed_small_event_census_is_pinned() {
         use pmnet_net::EventCounts;
@@ -1406,14 +1405,17 @@ mod tests {
         assert_eq!(sys.metrics().completed, ops);
         sys.world.run_to_quiescence(1_000_000);
         let mut expect = EventCounts {
-            cancelled: 16_000, // 1.00 per op: every RTO timer
+            // 2.00 per op: every client RTO timer, and every device
+            // entry-retry timer, ended by the server ack that invalidates
+            // its entry.
+            cancelled: 32_000,
             ..EventCounts::default()
         };
         // 11.02 per op; 12.02 while the late `ServerAck`, which answers
         // nothing once the device's ack has completed the update, was
         // still re-posted up the client's receive stack.
         expect.dispatched[EventCounts::PACKET] = 176_300;
-        expect.dispatched[EventCounts::TIMER] = 64_177; // 4.01 per op
+        expect.dispatched[EventCounts::TIMER] = 48_177; // 3.01 per op
         expect.dispatched[EventCounts::PORT_TX] = 128_190; // 8.01 per op
         expect.dispatched[EventCounts::START] = 16;
         assert_eq!(sys.world.event_counts(), expect);

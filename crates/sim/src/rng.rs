@@ -143,10 +143,19 @@ impl SimRng {
     }
 
     /// Fills `buf` with random bytes (payload generation).
+    ///
+    /// One draw per eight bytes, little-endian, the last draw cut to the
+    /// tail. Whole words are fixed-size stores; only the tail (under eight
+    /// bytes) is a variable-length copy.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
+        let mut words = buf.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.step().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
             let bytes = self.step().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
+            tail.copy_from_slice(&bytes[..tail.len()]);
         }
     }
 
@@ -184,6 +193,25 @@ mod tests {
         let mut c1 = root1.fork(5);
         let mut c2 = root2.fork(5);
         assert_eq!(c1.next_u64(), c2.next_u64());
+    }
+
+    /// `fill_bytes` is the raw stream, eight little-endian bytes per draw
+    /// and the last draw cut to length: payload bytes, and every digest
+    /// over them, depend on it.
+    #[test]
+    fn fill_bytes_is_the_concatenated_word_stream() {
+        for len in (0..=17).chain([1024, 2048]) {
+            let (mut filler, mut words) = (SimRng::seed(77), SimRng::seed(77));
+            let mut buf = vec![0u8; len];
+            filler.fill_bytes(&mut buf);
+            let mut expect = Vec::with_capacity(len + 8);
+            while expect.len() < len {
+                expect.extend_from_slice(&words.next_u64().to_le_bytes());
+            }
+            expect.truncate(len);
+            assert_eq!(buf, expect, "len {len}");
+            assert_eq!(filler.next_u64(), words.next_u64(), "state after len {len}");
+        }
     }
 
     #[test]

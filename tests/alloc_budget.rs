@@ -4,19 +4,20 @@
 //! per-packet `Vec`, `Bytes::from(vec)` or a buffer pool that misses comes
 //! back.
 //!
-//! Two systems in the shape of the benchmark's `closed_small` and
-//! `kv_mixed`, built through the public builders, run to their half-way
-//! point (pools and tables warm, device log at its plateau), then counted
-//! to the end. Its own test binary and one `#[test]`: the counter is the
+//! Three systems in the shape of the benchmark's `closed_small`,
+//! `kv_mixed` and `apply_contended`, built through the public builders,
+//! run to their half-way point (pools and tables warm, device log at its
+//! plateau), then counted to the end. Its own test binary and one `#[test]`: the counter is the
 //! process's allocator, so nothing else may run beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use pmnet::core::client::{ClientLib, RequestSource};
-use pmnet::core::config::{DeviceConfig, SystemConfig};
+use pmnet::core::config::{ApplyConfig, DeviceConfig, SystemConfig};
 use pmnet::core::server::{IdealHandler, RequestHandler};
 use pmnet::core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
+use pmnet::core::PmnetDevice;
 use pmnet::sim::{Dur, Time};
 use pmnet::workloads::{KvHandler, YcsbSource};
 
@@ -56,30 +57,29 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-const CLIENTS: usize = 16;
-
 fn completed(sys: &BuiltSystem) -> usize {
     let done = |&c| sys.world.node::<ClientLib>(c).total_completed();
     sys.clients.iter().map(done).sum()
 }
 
 /// Allocations per completed op over the second half of a closed-loop run
-/// of `CLIENTS` × `per_client` requests.
+/// of `clients` × `per_client` requests, and the system as it ended.
 fn second_half_allocs_per_op(
     config: SystemConfig,
+    clients: usize,
     per_client: usize,
     source: impl Fn(usize) -> Box<dyn RequestSource>,
     handler: impl Fn() -> Box<dyn RequestHandler> + 'static,
-) -> f64 {
+) -> (f64, BuiltSystem) {
     let mut b = SystemBuilder::new(DesignPoint::PmnetSwitch, config);
-    for _ in 0..CLIENTS {
+    for _ in 0..clients {
         b = b.client(source(per_client));
     }
     let mut sys = b.handler_factory(handler).build(1);
     for &c in &sys.clients.clone() {
         sys.world.start_node(c);
     }
-    let total = CLIENTS * per_client;
+    let total = clients * per_client;
     // The cursor, not the event clock, sets each slice's end: a gap in
     // the event stream (a request waiting out a timer) must not stall it.
     let mut cursor = Time::ZERO;
@@ -98,15 +98,16 @@ fn second_half_allocs_per_op(
     let (ops_before, allocs_before) = (completed(&sys), ALLOCS.load(Relaxed));
     run_to(&mut sys, total);
     let allocs = ALLOCS.load(Relaxed) - allocs_before;
-    allocs as f64 / (total - ops_before) as f64
+    (allocs as f64 / (total - ops_before) as f64, sys)
 }
 
 #[test]
 fn the_packet_path_stays_inside_its_allocation_budget() {
     // `closed_small`: 64 B single-fragment updates, a free handler. What is
     // left is the amortized growth of the completion records.
-    let closed_small = second_half_allocs_per_op(
+    let (closed_small, _) = second_half_allocs_per_op(
         SystemConfig::default(),
+        16,
         2_000,
         |n| Box::new(MicroSource::updates(n, 64)),
         || Box::new(IdealHandler::new()),
@@ -115,17 +116,42 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
     // btree behind a 1 024-entry device read cache. What is left are the
     // copies the model makes — index value and key, the store's read copy,
     // the cache's map key — and the second fragment's header vector.
-    let kv_mixed = second_half_allocs_per_op(
+    let (kv_mixed, _) = second_half_allocs_per_op(
         SystemConfig {
             device: DeviceConfig::fpga().with_cache(1024),
             ..SystemConfig::default()
         },
+        16,
         1_000,
         |n| Box::new(YcsbSource::new(n, 8_192, 0.5, 2_048)),
         || Box::new(KvHandler::new("btree", 1)),
     );
+    // `apply_contended`: zipfian 512 B updates into a hash map behind 4
+    // apply workers and a lossy link. The server runs behind the device,
+    // so entries wait long enough for their retry timers to fire; a
+    // smaller log than the benchmark's keeps the run short.
+    let mut config = SystemConfig {
+        device: DeviceConfig::fpga().with_log_capacity(1_024, 1 << 20),
+        ..SystemConfig::default().with_apply(ApplyConfig::threaded(4).with_sched_seed(7))
+    };
+    config.link = config.link.with_drop_prob(0.001);
+    let (apply_contended, sys) = second_half_allocs_per_op(
+        config,
+        32,
+        500,
+        |n| Box::new(YcsbSource::new(n, 10_000, 1.0, 512)),
+        || Box::new(KvHandler::new("hashmap", 1)),
+    );
+    let retries = sys
+        .world
+        .node::<PmnetDevice>(sys.devices[0])
+        .counters()
+        .entry_retries;
+    assert!(retries > 0, "no entry retry fired");
     // At the commit before the size-classed pool these read 6.41 and
-    // 21.21; at the commit that added this test, 0.002 and 2.87.
+    // 21.21; at the commit that added this test, 0.002 and 2.87. The
+    // `apply_contended` row reads 2.91 (2.93 with the fixed 5 ms retry
+    // clock); a retry record that allocated once per entry reads 3.91.
     assert!(
         closed_small <= 0.25,
         "closed_small shape: {closed_small:.3} allocations per op (budget 0.25)"
@@ -133,5 +159,9 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
     assert!(
         kv_mixed <= 3.5,
         "kv_mixed shape: {kv_mixed:.3} allocations per op (budget 3.5)"
+    );
+    assert!(
+        apply_contended <= 3.5,
+        "apply_contended shape: {apply_contended:.3} allocations per op (budget 3.5)"
     );
 }

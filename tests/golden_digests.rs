@@ -17,8 +17,9 @@ use pmnet::traffic::{AdmissionSpec, TrafficSpec, TrafficSystem};
 
 /// Seed-77 lossy-recovery campaign, 10 plans x 2 designs. Covers the
 /// client retry path, device redo, the full recovery handshake, and the
-/// campaign digesting itself.
-const LOSSY_RECOVERY_DIGEST: u64 = 0xcb7a_9acf_b7f0_a13b;
+/// campaign digesting itself. Moved when the device's entry retry became
+/// a measured, backed-off timer cancelled with its entry (DESIGN.md §7).
+const LOSSY_RECOVERY_DIGEST: u64 = 0x2d04_de4c_2e77_2401;
 
 /// FNV-1a over the formatted Figure-16 stress rows (saturation points for
 /// both PMNet designs). Covers the data path end to end: MAT pipeline
@@ -117,8 +118,9 @@ fn open_loop_digest(sys: &mut TrafficSystem) -> u64 {
 /// spec, same faults): 5 % loss on every hop, a device power cut and
 /// constant mid-flight disconnects under open-loop load. Covers the
 /// open-loop driver's timeout, retransmission and churn paths, which the
-/// closed-loop goldens above never reach. Captured at PR 12.
-const OPEN_LOOP_CHAOS_DIGEST: u64 = 0x9af3_e1d8_25ca_cfeb;
+/// closed-loop goldens above never reach. Moved with the device's
+/// measured entry retry, as `LOSSY_RECOVERY_DIGEST` did.
+const OPEN_LOOP_CHAOS_DIGEST: u64 = 0x98ff_1819_e892_21f4;
 
 /// A no-fault AIMD overload point: 400 k/s offered into a 256-entry log
 /// with the spill policy on, so `FLAG_CONGESTED` acks steer the gate and
