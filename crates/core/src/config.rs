@@ -245,16 +245,16 @@ impl DeviceConfig {
 /// and the server applies a window of deliverable updates behind a single
 /// fence.
 ///
-/// `window: 1` (the default) is the per-packet path and is bit-identical
-/// to the unbatched system — the golden digests pin this. Batching is an
+/// `window: 1` (the default) is a window of one and is bit-identical to
+/// the unbatched system — the golden digests pin this. Batching is an
 /// ordering-preserving optimization: entries within a window persist (and
 /// apply) in arrival order, and the single fence covering the window
 /// provides the same durable-before-acknowledged guarantee as a fence per
 /// entry ("Correct, Fast Remote Persistence"'s batch-ordering argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Doorbell window: entries staged before a flush. 1 disables
-    /// batching entirely (per-packet persists and ACKs).
+    /// Doorbell window: entries staged before a flush. 1 is a window of
+    /// one: a persist and an ACK per packet.
     pub window: u32,
     /// Longest a staged entry may wait for its window to fill before a
     /// partial flush (bounds the latency cost of coalescing).
@@ -282,7 +282,8 @@ impl BatchConfig {
         }
     }
 
-    /// True when batching is active (`window > 1`).
+    /// True when batching is active (`window > 1`): only then do the
+    /// batch counters count and the batch spans appear.
     pub fn is_batched(&self) -> bool {
         self.window > 1
     }
@@ -464,8 +465,8 @@ pub struct SystemConfig {
     /// Base delay before the recovering server re-polls devices that have
     /// not yet reported `RecoveryDone` (doubles per round).
     pub recovery_poll_timeout: Dur,
-    /// Doorbell batching/coalescing policy for every hop (`window: 1`
-    /// disables it; the per-packet path is untouched).
+    /// Doorbell batching/coalescing policy for every hop (`window: 1`, a
+    /// window of one, disables it).
     pub batch: BatchConfig,
     /// Concurrent server-side apply policy (`threads: 1` disables it; the
     /// sequential path is untouched).

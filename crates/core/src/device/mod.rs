@@ -41,7 +41,8 @@ use crate::logstore::LogStore;
 use crate::protocol::{is_pmnet_port, PacketType, PmnetHeader};
 use crate::rto::RtoEstimator;
 
-/// The per-packet path's PM write completed. `a` carries the entry hash.
+/// The single PM write covering a flushed window completed. `a` carries
+/// the window id.
 const TIMER_PERSIST_DONE: u32 = 1;
 const TIMER_RECOVERY_RESEND: u32 = 2;
 const TIMER_ENTRY_RETRY: u32 = 3;
@@ -50,9 +51,6 @@ const TIMER_HEARTBEAT: u32 = 4;
 /// if it never fills. `a` carries the window id (`batch_seq` at arming
 /// time) so a window that already flushed on occupancy ignores the fire.
 const TIMER_BATCH_FLUSH: u32 = 5;
-/// The single PM write covering a flushed window completed. `a` carries
-/// the batch id.
-const TIMER_BATCH_PERSIST: u32 = 6;
 
 /// Device-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,15 +194,18 @@ pub struct PmnetDevice {
     /// (re-delivered) `Promote`/`EpochNotify` orders carry older epochs
     /// and are ignored.
     fabric_epoch: u64,
-    /// Doorbell batching policy; `window: 1` (the default) takes the
-    /// per-packet code path untouched.
+    /// Doorbell batching policy; `window: 1` (the default) is a window of
+    /// one, flushed by the entry that opens it.
     batch: BatchConfig,
-    /// Monotone window id: bumped on every flush so a pending
+    /// The open window's id: bumped on every flush so a pending
     /// [`TIMER_BATCH_FLUSH`] for an already-flushed window is ignored.
     batch_seq: u64,
-    /// The payload of each pending [`TIMER_BATCH_PERSIST`]: the entries a
-    /// flushed window's single PM write covers, keyed by batch id.
-    inflight_batches: HashMap<u64, Vec<u32>, FixedState>,
+    /// `(window id, hash)` of every entry whose window's PM write is in
+    /// flight, in flush order: the payload of the pending
+    /// [`TIMER_PERSIST_DONE`]s.
+    persisting: Vec<(u64, u32)>,
+    /// Reused buffer for the hashes one completed write covers.
+    written_scratch: Vec<u32>,
     telemetry: Telemetry,
 }
 
@@ -233,7 +234,10 @@ impl PmnetDevice {
             fabric_epoch: 0,
             batch: BatchConfig::default(),
             batch_seq: 0,
-            inflight_batches: HashMap::default(),
+            // Sized so writes in flight and the windows they cover never
+            // grow either buffer while traffic runs.
+            persisting: Vec::with_capacity(256),
+            written_scratch: Vec::with_capacity(64),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -246,8 +250,8 @@ impl PmnetDevice {
     }
 
     /// Installs the doorbell batching policy. With `window: 1` (the
-    /// default) every update takes the per-packet path: one PM fence and
-    /// one ACK packet each, bit-identical to the unbatched device.
+    /// default) every update is a window of one: one PM fence and one ACK
+    /// packet each, bit-identical to the unbatched device.
     pub fn set_batch(&mut self, batch: BatchConfig) {
         self.batch = batch;
     }
@@ -384,7 +388,7 @@ impl PmnetDevice {
         self.staged_resends.clear();
         self.entry_retries.clear();
         self.server_rtos.clear();
-        self.inflight_batches.clear();
+        self.persisting.clear();
         self.chain.reset();
         // The clients' read timeouts resend parked reads (and the resends
         // re-park if their session's surviving entries are still un-acked).
@@ -456,15 +460,16 @@ impl Node for PmnetDevice {
                     return; // stale timer from before a crash
                 }
                 match kind {
-                    TIMER_PERSIST_DONE => self.on_persist_done(ctx, a as u32),
+                    TIMER_PERSIST_DONE => self.on_persist_done(ctx, a),
                     TIMER_RECOVERY_RESEND => self.fire_recovery_resend(ctx, a as u32),
                     TIMER_ENTRY_RETRY => self.retry_entry(ctx, a as u32),
                     TIMER_HEARTBEAT => self.send_heartbeat(ctx),
                     // Doorbell deadline: flush only if this window has not
                     // already flushed on occupancy.
-                    TIMER_BATCH_FLUSH if a == self.batch_seq => self.flush_batch(ctx),
-                    TIMER_BATCH_FLUSH => {}
-                    TIMER_BATCH_PERSIST => self.on_batch_persist_done(ctx, a),
+                    TIMER_BATCH_FLUSH if a == self.batch_seq => {
+                        let now = ctx.now();
+                        self.flush_batch(ctx, now);
+                    }
                     _ => {}
                 }
             }

@@ -2,21 +2,22 @@
 //! forward → persist → acknowledge → invalidate on the server's ack.
 //!
 //! Every entry is acknowledged under **one rule**: only while it is live
-//! in the log with `persisted_at <= now` ([`LogStore::durable`]), and to
+//! in the log with `persisted_at <= now` ([`crate::LogStore::durable`]), and to
 //! whom [`super::chain::Chain`] says — so a primary additionally needs its
 //! backup's confirmation unless `Promote` collapsed the chain. Every
 //! PMNet-ACK leaves through [`PmnetDevice::ack_clients`].
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Packet};
+use pmnet_sim::Time;
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
 use super::chain::{DeviceRole, Release};
-use super::{PmnetDevice, TIMER_BATCH_FLUSH, TIMER_BATCH_PERSIST, TIMER_PERSIST_DONE};
+use super::{PmnetDevice, TIMER_BATCH_FLUSH, TIMER_PERSIST_DONE};
 use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN, MAX_FRAMES};
 use crate::kvproto::KvFrame;
-use crate::logstore::{BypassReason, LogOutcome, LogStore};
+use crate::logstore::{BypassReason, LogOutcome};
 use crate::protocol::{PmnetHeader, FLAG_CONGESTED, HEADER_LEN};
 
 impl PmnetDevice {
@@ -46,19 +47,13 @@ impl PmnetDevice {
         // Try the log first so a pressure bypass can be stamped on the
         // forwarded copy; the forward still happens at `ctx.now()` either
         // way, so the fast path's timing is unchanged (Figure 3: egress
-        // forward in parallel with PM logging). In doorbell mode the entry
-        // is admitted behind the window and its PM write (and fence) is
-        // deferred to the whole window's single flush.
-        let admit = if self.batch.is_batched() {
-            LogStore::try_stage
-        } else {
-            LogStore::try_log
-        };
-        let arrival = at + self.pipeline_for(payload.len());
+        // forward in parallel with PM logging). The entry is admitted into
+        // the open doorbell window as it leaves the MAT pipeline; its PM
+        // write (and fence) is the whole window's single flush.
+        let exit = at + self.pipeline_for(payload.len());
         let server = packet.dst;
-        let outcome = admit(
-            &mut self.log,
-            arrival,
+        let outcome = self.log.try_stage(
+            exit,
             header,
             payload.clone(),
             server,
@@ -87,20 +82,17 @@ impl PmnetDevice {
         self.forward(ctx, packet);
         let hash = header.hash;
         match outcome {
-            LogOutcome::Logged { ack_at } => {
-                let wait = ack_at.saturating_since(at);
-                self.arm(ctx, wait, TIMER_PERSIST_DONE, u64::from(hash));
-                self.record_logged(ctx, &header);
-                self.entry_admitted(ctx, &header, &payload, server);
-            }
             LogOutcome::Staged => {
                 // Admitted behind the doorbell: no persist timer — the
                 // window's single flush owns that.
-                self.span(ctx, &header, OpEvent::DeviceBatchStage { device, at });
+                if self.batch.is_batched() {
+                    self.span(ctx, &header, OpEvent::DeviceBatchStage { device, at });
+                }
                 self.entry_admitted(ctx, &header, &payload, server);
                 if self.log.staged_len() >= self.batch.window as usize {
-                    // Window full: ring the doorbell now.
-                    self.flush_batch(ctx);
+                    // This entry fills the window: the doorbell rings and
+                    // the write starts as the entry leaves the pipeline.
+                    self.flush_batch(ctx, exit);
                 } else if self.log.staged_len() == 1 {
                     // First entry of a fresh window: bound its wait.
                     self.arm(ctx, self.batch.max_wait, TIMER_BATCH_FLUSH, self.batch_seq);
@@ -118,15 +110,15 @@ impl PmnetDevice {
                     self.ack_clients(ctx, &[hash]);
                 }
             }
-            LogOutcome::Bypass(_) => {
-                // Forwarded without logging or acknowledgement; the client
-                // falls back to waiting for the server (Section IV-B1).
-            }
+            // Forwarded without logging or acknowledgement; the client
+            // falls back to waiting for the server (Section IV-B1).
+            // `Logged` is `try_log`'s outcome, never staging's.
+            LogOutcome::Bypass(_) | LogOutcome::Logged { .. } => {}
         }
     }
 
-    /// The log took this update (written or staged): what every admitted
-    /// entry needs whichever way its PM write is scheduled.
+    /// The log took this update into the open window: what every admitted
+    /// entry needs before the window's write is scheduled.
     fn entry_admitted(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -168,9 +160,8 @@ impl PmnetDevice {
         self.forward(ctx, packet);
     }
 
-    /// The entry's PM write is scheduled — its durability point for the
-    /// model checker (`try_log` on the per-packet path, the flush on the
-    /// doorbell path).
+    /// The entry's window was flushed, so its PM write is scheduled — its
+    /// durability point for the model checker.
     fn record_logged(&self, ctx: &Ctx<'_>, header: &PmnetHeader) {
         self.telemetry.record(|| Event {
             at: ctx.now(),
@@ -182,44 +173,66 @@ impl PmnetDevice {
     }
 
     /// Rings the doorbell: every staged entry persists behind **one** PM
-    /// write (one fence for the whole window), and the window acks
-    /// together when that write completes.
-    pub(super) fn flush_batch(&mut self, ctx: &mut Ctx<'_>) {
-        let Some((ack_at, hashes)) = self.log.flush_staged(ctx.now()) else {
+    /// write starting at `write_at` (one fence for the whole window), and
+    /// the window acks together when that write completes.
+    pub(super) fn flush_batch(&mut self, ctx: &mut Ctx<'_>, write_at: Time) {
+        let Some((ack_at, hashes)) = self.log.flush_staged(write_at) else {
             return;
         };
         // Retire the window id so a pending doorbell-deadline timer for
         // this window fizzles.
+        let window = self.batch_seq;
         self.batch_seq += 1;
-        self.counters.batches_flushed += 1;
-        self.counters.batched_entries += hashes.len() as u64;
-        self.counters.batch_fences_elided += hashes.len() as u64 - 1;
+        let first = self.persisting.len();
+        self.persisting.extend(hashes.map(|hash| (window, hash)));
+        let n = (self.persisting.len() - first) as u64;
+        if n == 0 {
+            // Every entry was server-acked while staged: nobody is owed an
+            // acknowledgement, so nothing waits for the write.
+            return;
+        }
+        let batched = self.batch.is_batched();
+        if batched {
+            self.counters.batches_flushed += 1;
+            self.counters.batched_entries += n;
+            self.counters.batch_fences_elided += n - 1;
+        }
         let (device, at) = (self.id, ctx.now());
-        for entry in hashes.iter().filter_map(|&hash| self.log.peek(hash)) {
-            self.span(ctx, &entry.header, OpEvent::DeviceBatchFlush { device, at });
-            self.record_logged(ctx, &entry.header);
+        if self.telemetry.is_enabled() {
+            for &(_, hash) in &self.persisting[first..] {
+                let Some(entry) = self.log.peek(hash) else {
+                    continue;
+                };
+                if batched {
+                    self.span(ctx, &entry.header, OpEvent::DeviceBatchFlush { device, at });
+                }
+                self.record_logged(ctx, &entry.header);
+            }
         }
         let wait = ack_at.saturating_since(at);
-        self.arm(ctx, wait, TIMER_BATCH_PERSIST, self.batch_seq);
-        self.inflight_batches.insert(self.batch_seq, hashes);
-    }
-
-    /// The per-packet path's PM write completed.
-    pub(super) fn on_persist_done(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
-        if self.written(ctx, hash) {
-            self.ack_clients(ctx, &[hash]);
-        }
+        self.arm(ctx, wait, TIMER_PERSIST_DONE, window);
     }
 
     /// The window's single PM write completed: settle each entry, then
     /// coalesce the client ACKs that fell due into batch packets (chain
     /// ACKs stay per-packet — the peer link is device-to-device).
-    pub(super) fn on_batch_persist_done(&mut self, ctx: &mut Ctx<'_>, batch_id: u64) {
-        let Some(mut hashes) = self.inflight_batches.remove(&batch_id) else {
+    pub(super) fn on_persist_done(&mut self, ctx: &mut Ctx<'_>, window: u64) {
+        // One contiguous run of the flush-ordered list, usually its head:
+        // a PM slowdown lifted between two flushes lets the later write
+        // finish first. A fence may have purged the run already.
+        let Some(start) = self.persisting.iter().position(|&(w, _)| w == window) else {
             return;
         };
+        let run = self.persisting[start..]
+            .iter()
+            .take_while(|&&(w, _)| w == window);
+        let end = start + run.count();
+        let mut hashes = std::mem::take(&mut self.written_scratch);
+        hashes.extend(self.persisting.drain(start..end).map(|(_, hash)| hash));
         hashes.retain(|&hash| self.written(ctx, hash));
         self.ack_clients(ctx, &hashes);
+        hashes.clear();
+        self.written_scratch = hashes;
     }
 
     /// The PM write covering `hash` completed. Returns whether the client's
@@ -256,7 +269,7 @@ impl PmnetDevice {
     /// at [`MAX_FRAMES`]).
     pub(super) fn ack_clients(&mut self, ctx: &mut Ctx<'_>, hashes: &[u32]) {
         if hashes.len() <= 1 {
-            // The per-packet path: nothing to group, nothing allocated.
+            // One ACK: nothing to group, nothing allocated.
             return self.send_ack_packet(ctx, hashes);
         }
         let mut flows: Vec<((Addr, u16, u16), Vec<u32>)> = Vec::new();
@@ -323,7 +336,11 @@ impl PmnetDevice {
 #[cfg(test)]
 mod tests {
     use super::super::rig::*;
-    use crate::protocol::FLAG_REDO;
+    use crate::batch::{BATCH_HDR_LEN, FRAME_PREFIX_LEN};
+    use crate::protocol::{FLAG_REDO, HEADER_LEN};
+    use pmnet_net::{EventCounts, Msg};
+    use pmnet_pmem::PmDevice;
+    use pmnet_telemetry::flight::FlightBody;
 
     #[test]
     fn update_is_forwarded_and_acked() {
@@ -466,6 +483,86 @@ mod tests {
         assert_eq!(w.node::<EchoHost>(client).received(), 1);
         // Both copies were forwarded (cut-through is unconditional).
         assert_eq!(w.node::<EchoHost>(server).received(), 2);
+    }
+
+    #[test]
+    fn a_filled_window_starts_its_write_when_the_last_entry_leaves_the_pipeline() {
+        let (mut w, client, dev, _server) = rig(SystemConfig::default().device);
+        let telemetry = Telemetry::full();
+        let d = w.node_mut::<PmnetDevice>(dev);
+        d.set_batch(BatchConfig::windowed(4));
+        d.set_telemetry(telemetry.clone());
+        let payload = b"payload";
+        for seq in 1..=4u32 {
+            let (_, pkt) = update_packet(seq, payload);
+            w.inject(client, pkt);
+        }
+        w.run_for(Dur::millis(5));
+        // The 4th update fills the window; its arrival and the coalesced
+        // ack's exit, as the device stamped them.
+        let stamp = |want: fn(&OpEvent) -> bool| {
+            let dump = telemetry.flight_dump();
+            let mut stamps = dump.events.iter().filter_map(|e| match e.body {
+                FlightBody::Span(ev) if e.key.2 == 4 && want(&ev) => Some(ev.at()),
+                _ => None,
+            });
+            stamps.next().expect("the 4th update was stamped")
+        };
+        let arrived = stamp(|ev| matches!(ev, OpEvent::DeviceRecv { .. }));
+        let ack_left = stamp(|ev| matches!(ev, OpEvent::DeviceAckSend { .. }));
+        let d = w.node_mut::<PmnetDevice>(dev);
+        assert_eq!(d.counters().batch_ack_packets, 1);
+        let pm = d.log.pm_mut();
+        assert_eq!(pm.counters().writes, 1, "one write for the window");
+        let bytes = pm.counters().bytes_written as u32;
+        let write = PmDevice::new(d.config.pm).schedule_write(Time::ZERO, bytes) - Time::ZERO;
+        let ack_len = BATCH_HDR_LEN + 4 * (FRAME_PREFIX_LEN + HEADER_LEN);
+        let exit = arrived + d.pipeline_for(payload.len());
+        assert_eq!(
+            ack_left,
+            exit + write + d.pipeline_for(ack_len),
+            "the write starts at the 4th update's pipeline exit ({exit:?})"
+        );
+    }
+
+    #[test]
+    fn a_later_window_may_persist_first() {
+        // The first update's write runs on a PM slowed 100-fold; the
+        // second, flushed after the slowdown is lifted, completes ~25 µs
+        // earlier. Each completion settles its own window.
+        let (mut w, client, dev, _server) = rig(SystemConfig::default().device);
+        w.node_mut::<PmnetDevice>(dev).set_pm_slowdown(100);
+        let (_, first) = update_packet(1, b"slow");
+        w.inject(client, first);
+        w.run_until(Time::ZERO + Dur::micros(3));
+        w.node_mut::<PmnetDevice>(dev).set_pm_slowdown(1);
+        let (_, second) = update_packet(2, b"fast");
+        w.schedule(Time::ZERO + Dur::micros(5), client, Msg::Inject(second));
+        w.run_until(Time::ZERO + Dur::micros(15));
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().acks_sent, 1);
+        w.run_for(Dur::millis(5));
+        assert_eq!(w.node::<PmnetDevice>(dev).counters().acks_sent, 2);
+        assert_eq!(w.node::<EchoHost>(client).received(), 2);
+    }
+
+    #[test]
+    fn a_window_emptied_by_server_acks_owes_no_ack_and_arms_no_persist() {
+        // The one entry of the window is server-acked while it waits for
+        // the doorbell: the deadline flush has nobody to acknowledge.
+        let (mut w, client, dev, server) = windowed_rig(Dur::millis(1));
+        let (h, pkt) = update_packet(1, b"acked");
+        w.inject(client, pkt);
+        let ack = Msg::Inject(server_ack(&h));
+        w.schedule(Time::ZERO + Dur::micros(50), server, ack);
+        w.run_for(Dur::millis(5));
+        let d = w.node::<PmnetDevice>(dev);
+        assert_eq!(d.log_len(), 0);
+        let c = d.counters();
+        assert!(c.batch_fences_elided <= c.batched_entries, "{c:?}");
+        assert_eq!(c.acks_sent, 0);
+        // The deadline is the only timer that fired: the entry's retry was
+        // cancelled with it, and the empty window armed no persist.
+        assert_eq!(w.event_counts().dispatched[EventCounts::TIMER], 1);
     }
 
     #[test]

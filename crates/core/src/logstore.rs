@@ -23,6 +23,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::vec::Drain;
 
 use bytes::Bytes;
 use pmnet_net::Addr;
@@ -73,7 +74,8 @@ pub enum BypassReason {
 /// Outcome of offering a packet to the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogOutcome {
-    /// Logged; the PMNet-ACK may be sent at `ack_at` (persist completion).
+    /// Logged and written at once ([`LogStore::try_log`]); the PMNet-ACK
+    /// may be sent at `ack_at` (persist completion).
     Logged {
         /// Persist-completion instant.
         ack_at: Time,
@@ -173,7 +175,9 @@ impl LogStore {
             outstanding: HashMap::default(),
             session_quota: config.log_session_quota,
             spill_watermark: config.log_spill_watermark,
-            staged: Vec::new(),
+            // Sized for any window up to 64 entries, so staging never
+            // grows it while traffic runs.
+            staged: Vec::with_capacity(64),
             staged_bytes: 0,
             counters: LogCounters::default(),
         }
@@ -210,88 +214,9 @@ impl LogStore {
         (crate::protocol::HEADER_LEN + payload.len() + 16) as u64
     }
 
-    /// Runs the admission checks shared by [`LogStore::try_log`] and
-    /// [`LogStore::try_stage`]; `Ok(bytes)` admits the entry.
-    fn admit(
-        &mut self,
-        now: Time,
-        header: &PmnetHeader,
-        payload: &Bytes,
-        server: Addr,
-    ) -> Result<u64, LogOutcome> {
-        if let Some(existing) = self.entries.get(&header.hash) {
-            if existing.header.session == header.session
-                && existing.header.seq == header.seq
-                && existing.header.client == header.client
-            {
-                // Client retransmission of an already-logged packet (its
-                // ACK may have been lost): idempotent.
-                return Err(LogOutcome::Duplicate);
-            }
-            self.counters.bypass_collision += 1;
-            return Err(LogOutcome::Bypass(BypassReason::HashCollision));
-        }
-        // Spill policy (both checks default off): shed load *before* the
-        // hard capacity checks so occupancy stays bounded with headroom
-        // and no session can starve the others out of the log.
-        if self.session_quota > 0
-            && self
-                .outstanding
-                .get(&(server, header.client, header.session))
-                .is_some_and(|&n| n >= self.session_quota)
-        {
-            self.counters.spilled_quota += 1;
-            return Err(LogOutcome::Bypass(BypassReason::SessionQuota));
-        }
-        if self.spill_watermark > 0 && self.entries.len() >= self.spill_watermark {
-            self.counters.spilled_watermark += 1;
-            return Err(LogOutcome::Bypass(BypassReason::Watermark));
-        }
-        let bytes = Self::entry_bytes(payload);
-        if self.entries.len() >= self.max_entries || self.used_bytes + bytes > self.max_bytes {
-            self.counters.bypass_full += 1;
-            return Err(LogOutcome::Bypass(BypassReason::LogFull));
-        }
-        if self.pm.queued_bytes(now) + self.staged_bytes + bytes > self.queue_bytes {
-            self.counters.bypass_queue += 1;
-            return Err(LogOutcome::Bypass(BypassReason::QueueFull));
-        }
-        Ok(bytes)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert_entry(
-        &mut self,
-        header: PmnetHeader,
-        payload: Bytes,
-        server: Addr,
-        client_port: u16,
-        server_port: u16,
-        persisted_at: Time,
-        bytes: u64,
-    ) {
-        self.entries.insert(
-            header.hash,
-            LogEntry {
-                header,
-                payload,
-                server,
-                client_port,
-                server_port,
-                persisted_at,
-            },
-        );
-        self.used_bytes += bytes;
-        *self
-            .outstanding
-            .entry((server, header.client, header.session))
-            .or_insert(0) += 1;
-        self.counters.logged += 1;
-        self.counters.peak_entries = self.counters.peak_entries.max(self.entries.len() as u64);
-        self.counters.peak_bytes = self.counters.peak_bytes.max(self.used_bytes);
-    }
-
-    /// Offers an update packet to the log.
+    /// Offers an update packet to the log and writes it at once: a window
+    /// of one, [`LogStore::try_stage`] followed by
+    /// [`LogStore::flush_staged`]. Entries already staged share the write.
     pub fn try_log(
         &mut self,
         now: Time,
@@ -301,30 +226,20 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        let bytes = match self.admit(now, &header, &payload, server) {
-            Ok(bytes) => bytes,
-            Err(outcome) => return outcome,
-        };
-        let ack_at = self.pm.schedule_write(now, bytes as u32);
-        self.insert_entry(
-            header,
-            payload,
-            server,
-            client_port,
-            server_port,
-            ack_at,
-            bytes,
-        );
-        LogOutcome::Logged { ack_at }
+        let outcome = self.try_stage(now, header, payload, server, client_port, server_port);
+        if outcome != LogOutcome::Staged {
+            return outcome;
+        }
+        self.flush_staged(now)
+            .map_or(outcome, |(ack_at, _)| LogOutcome::Logged { ack_at })
     }
 
     /// Offers an update packet to the log behind the doorbell: the entry
-    /// is admitted (same checks and backpressure as [`LogStore::try_log`],
-    /// with staged-but-unwritten bytes counted against the queue bound)
-    /// but its PM write is deferred until [`LogStore::flush_staged`] rings
-    /// the doorbell for the whole window. Until then the entry is not
-    /// durable: `persisted_at` is the end of time, so a crash drops it and
-    /// a recovery manifest excludes it.
+    /// is admitted (staged-but-unwritten bytes count against the Eq. 2
+    /// queue bound) but its PM write is deferred until
+    /// [`LogStore::flush_staged`] rings the doorbell for the whole window.
+    /// Until then the entry is not durable: `persisted_at` is the end of
+    /// time, so a crash drops it and a recovery manifest excludes it.
     pub fn try_stage(
         &mut self,
         now: Time,
@@ -334,46 +249,86 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        let bytes = match self.admit(now, &header, &payload, server) {
-            Ok(bytes) => bytes,
-            Err(outcome) => return outcome,
-        };
+        if let Some(existing) = self.entries.get(&header.hash) {
+            if existing.header.session == header.session
+                && existing.header.seq == header.seq
+                && existing.header.client == header.client
+            {
+                // Client retransmission of an already-logged packet (its
+                // ACK may have been lost): idempotent.
+                return LogOutcome::Duplicate;
+            }
+            self.counters.bypass_collision += 1;
+            return LogOutcome::Bypass(BypassReason::HashCollision);
+        }
+        let session = (server, header.client, header.session);
+        // Spill policy (both checks default off): shed load *before* the
+        // hard capacity checks so occupancy stays bounded with headroom
+        // and no session can starve the others out of the log.
+        if self.session_quota > 0
+            && self
+                .outstanding
+                .get(&session)
+                .is_some_and(|&n| n >= self.session_quota)
+        {
+            self.counters.spilled_quota += 1;
+            return LogOutcome::Bypass(BypassReason::SessionQuota);
+        }
+        if self.spill_watermark > 0 && self.entries.len() >= self.spill_watermark {
+            self.counters.spilled_watermark += 1;
+            return LogOutcome::Bypass(BypassReason::Watermark);
+        }
+        let bytes = Self::entry_bytes(&payload);
+        if self.entries.len() >= self.max_entries || self.used_bytes + bytes > self.max_bytes {
+            self.counters.bypass_full += 1;
+            return LogOutcome::Bypass(BypassReason::LogFull);
+        }
+        if self.pm.queued_bytes(now) + self.staged_bytes + bytes > self.queue_bytes {
+            self.counters.bypass_queue += 1;
+            return LogOutcome::Bypass(BypassReason::QueueFull);
+        }
         let hash = header.hash;
-        self.insert_entry(
+        let entry = LogEntry {
             header,
             payload,
             server,
             client_port,
             server_port,
-            Time::MAX,
-            bytes,
-        );
+            persisted_at: Time::MAX,
+        };
+        self.entries.insert(hash, entry);
+        self.used_bytes += bytes;
+        *self.outstanding.entry(session).or_insert(0) += 1;
+        self.counters.logged += 1;
+        self.counters.peak_entries = self.counters.peak_entries.max(self.entries.len() as u64);
+        self.counters.peak_bytes = self.counters.peak_bytes.max(self.used_bytes);
         self.staged.push(hash);
         self.staged_bytes += bytes;
         LogOutcome::Staged
     }
 
-    /// Rings the doorbell: one PM write (one persist fence) covers every
-    /// staged entry, amortizing the per-write latency across the window.
-    /// Returns the common persist-completion instant and the staged hashes
-    /// in arrival order, or `None` if nothing was staged. Entries already
-    /// invalidated while staged (their server-ACK overtook the doorbell)
-    /// are skipped but their queued bytes are still written.
-    pub fn flush_staged(&mut self, now: Time) -> Option<(Time, Vec<u32>)> {
+    /// Rings the doorbell: one PM write (one persist fence), starting at
+    /// `now`, covers every staged entry, amortizing the per-write latency
+    /// across the window. Returns the common persist-completion instant
+    /// and the staged hashes in arrival order, drained from the staging
+    /// buffer (the next window stages into the same allocation), or `None`
+    /// if nothing was staged. Entries already invalidated while staged
+    /// (their server-ACK overtook the doorbell) are left out, but their
+    /// queued bytes are still written, so the drain may be empty.
+    pub fn flush_staged(&mut self, now: Time) -> Option<(Time, Drain<'_, u32>)> {
         if self.staged.is_empty() {
             return None;
         }
         let ack_at = self.pm.schedule_write(now, self.staged_bytes as u32);
-        // Drained, not taken: the next window stages into the same buffer.
-        let mut hashes = Vec::with_capacity(self.staged.len());
-        for h in self.staged.drain(..) {
-            if let Some(e) = self.entries.get_mut(&h) {
+        self.staged.retain(|h| match self.entries.get_mut(h) {
+            Some(e) => {
                 e.persisted_at = ack_at;
-                hashes.push(h);
+                true
             }
-        }
+            None => false,
+        });
         self.staged_bytes = 0;
-        Some((ack_at, hashes))
+        Some((ack_at, self.staged.drain(..)))
     }
 
     /// Entries currently staged behind the doorbell.
@@ -698,6 +653,7 @@ mod tests {
             .recovery_manifest(Addr(9), Time::ZERO + Dur::millis(1))
             .is_empty());
         let (ack_at, hashes) = s.flush_staged(Time::ZERO).expect("staged entries");
+        let hashes: Vec<u32> = hashes.collect();
         assert_eq!(hashes.len(), 4);
         assert_eq!(s.staged_len(), 0);
         // One write covers 4 x 136 B: transfer scales, the 273 ns write
@@ -761,9 +717,36 @@ mod tests {
         s.try_stage(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
         s.try_stage(Time::ZERO, hdr(2), payload(10), Addr(9), 51000, 51000);
         assert!(s.invalidate(h.hash).is_some());
-        let (_, hashes) = s.flush_staged(Time::ZERO).unwrap();
+        let hashes: Vec<u32> = s.flush_staged(Time::ZERO).unwrap().1.collect();
         assert_eq!(hashes.len(), 1, "invalidated entry drops out of the batch");
         assert_ne!(hashes[0], h.hash);
+    }
+
+    #[test]
+    fn try_log_is_a_window_of_one() {
+        let h = hdr(1);
+        let mut staged = store();
+        staged.try_stage(Time::ZERO, h, payload(100), Addr(9), 51000, 51000);
+        let (written, _) = staged.flush_staged(Time::ZERO).expect("one staged");
+        let mut s = store();
+        assert_eq!(
+            s.try_log(Time::ZERO, h, payload(100), Addr(9), 51000, 51000),
+            LogOutcome::Logged { ack_at: written }
+        );
+        assert_eq!(s.staged_len(), 0);
+        assert_eq!(s.peek(h.hash).unwrap().persisted_at, written);
+    }
+
+    #[test]
+    fn a_window_emptied_while_staged_still_writes_its_bytes() {
+        let mut s = store();
+        let h = hdr(1);
+        s.try_stage(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        assert!(s.invalidate(h.hash).is_some());
+        let (_, hashes) = s.flush_staged(Time::ZERO).expect("a window was staged");
+        assert_eq!(hashes.count(), 0, "nothing left to acknowledge");
+        assert_eq!(s.pm_mut().counters().writes, 1);
+        assert_eq!(s.staged_len(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Applying updates and completing them. A **scheduling policy** decides
 //! when an in-order [`Update`] reaches the handler and how long a worker
-//! is occupied — the k-worker delay queue (a job per update), the doorbell
-//! window (`batch.window > 1`: a job per window) or the session-pinned
+//! is occupied — the doorbell window on the k-worker delay queue (a job
+//! per window; a window of one is a job per update) or the session-pinned
 //! pool (`apply.threads > 1`: a run per worker). [`ServerLib::apply_one`]
 //! is the only place the handler and every observer see it; its
 //! [`AckTicket`] is then parked until the occupancy elapses
@@ -28,11 +28,12 @@ use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
 /// [`TIMER_DONE`] token in [`ServerLib::parked`].
 #[derive(Debug)]
 pub(super) enum Parked {
-    /// One applied update; the ticket rides inline, so the per-update
-    /// policy pays no allocation for its completion.
+    /// A window that flushed with one applied update; the ticket rides
+    /// inline, so it pays no allocation for its completion.
     Update(AckTicket),
-    /// A doorbell window or a pool run, each ticket redeemed exactly as a
-    /// solo one. `worker` is the pool worker occupied (`None`: delay queue).
+    /// A doorbell window of two or more, or a pool run, each ticket
+    /// redeemed exactly as a solo one. `worker` is the pool worker
+    /// occupied (`None`: delay queue).
     Run {
         tickets: Vec<AckTicket>,
         worker: Option<usize>,
@@ -205,11 +206,9 @@ impl ServerLib {
             return;
         }
         let service = self.apply_one(ctx, &update);
-        if !self.batch.is_batched() {
-            self.park(ctx, service, Parked::Update(update.ticket));
-            return;
+        if self.batch.is_batched() {
+            self.counters.batched_applies += 1;
         }
-        self.counters.batched_applies += 1;
         self.window.push(update.ticket);
         self.window_service += service;
         if self.window.len() >= self.batch.window as usize {
@@ -221,20 +220,28 @@ impl ServerLib {
         }
     }
 
-    /// Submits the staged doorbell window as one combined worker job.
+    /// Submits the staged doorbell window as one combined worker job. A
+    /// job of one ticket parks it inline, so a window of one allocates
+    /// nothing.
     pub(super) fn flush_window(&mut self, ctx: &mut Ctx<'_>) {
-        let tickets = std::mem::take(&mut self.window);
         let service = std::mem::take(&mut self.window_service);
         self.window_seq += 1;
-        if tickets.is_empty() {
+        let n = self.window.len() as u64;
+        let work = if n > 1 {
+            let tickets = self.window.drain(..).collect();
+            let worker = None; // the delay queue, not a pool worker
+            Parked::Run { tickets, worker }
+        } else if let Some(ticket) = self.window.pop() {
+            Parked::Update(ticket)
+        } else {
             return;
+        };
+        if self.batch.is_batched() {
+            self.counters.apply_batches += 1;
+            self.counters.apply_fences_elided += n - 1;
         }
-        let n = tickets.len() as u64;
-        self.counters.apply_batches += 1;
-        self.counters.apply_fences_elided += n - 1;
         let service = service.saturating_sub(fence_refund(n));
-        let worker = None; // the delay queue, not a pool worker
-        self.park(ctx, service, Parked::Run { tickets, worker });
+        self.park(ctx, service, work);
     }
 
     /// The k-worker delay queue: occupies the earliest-free worker for

@@ -298,7 +298,7 @@ impl ServerLib {
             parked: HashMap::default(),
             next_parked: 0,
             batch: BatchConfig::default(),
-            window: Vec::new(),
+            window: Vec::with_capacity(1),
             window_service: Dur::ZERO,
             window_seq: 0,
             apply: ApplyConfig::default(),
@@ -350,11 +350,13 @@ impl ServerLib {
     /// Configures doorbell-batched apply: in-order updates are staged and
     /// submitted to the worker pool as one combined job per window, with
     /// the redundant per-op fence drains amortized away. `window: 1` (the
-    /// default) keeps the per-update path byte-identical.
+    /// default) is a window of one: a job per update, byte-identical to
+    /// the unbatched server.
     #[must_use]
     pub fn with_batch(mut self, batch: BatchConfig) -> ServerLib {
         batch.validate().expect("invalid batch config");
         self.batch = batch;
+        self.window = Vec::with_capacity(batch.window as usize);
         self
     }
 

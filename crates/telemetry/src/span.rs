@@ -180,7 +180,7 @@ pub enum Phase {
     /// ack's wire exit.
     Device,
     /// Time the fragment sat staged behind the device's doorbell window
-    /// waiting for the batch flush (zero on the per-packet path).
+    /// waiting for the batch flush (zero at a window of one).
     BatchWait,
     /// Server kernel + user RX stack traversal.
     ServerStack,

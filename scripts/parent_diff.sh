@@ -1,0 +1,101 @@
+#!/usr/bin/env bash
+# Behaviour diff of the work tree against PARENT_REV: what a change that
+# claims to move no simulated behaviour must leave byte-identical.
+#
+#   scripts/parent_diff.sh PARENT_REV
+#
+# Exports PARENT_REV with `git archive` into a temporary directory (set
+# TMPDIR to choose where), builds the examples and `benchmark/` there and
+# in the work tree into separate target directories, then
+#   - runs the six campaign examples (`chaos_search`, `lossy_recovery`,
+#     `fabric_failover`, `model_check`, `concurrent_apply`,
+#     `overload_sweep -- --smoke`) on both sides and diffs their stdout;
+#   - runs the benchmark with `--seconds 0` on all five workloads for
+#     seeds 1 and 29 and compares `sim_digest`, every `sim_*` value,
+#     `attempted` and `failed`.
+# Prints one line per comparison and exits non-zero on any difference; the
+# outputs stay in the printed directory. `--trace` is never passed: it
+# writes into the source tree the benchmark was built in.
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+    echo "usage: $0 PARENT_REV" >&2
+    exit 2
+fi
+rev="$1"
+tree="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+dir="$(mktemp -d "${TMPDIR:-/tmp}/parent_diff.XXXXXX")"
+mkdir -p "$dir/parent" "$dir/out"
+git -C "$tree" archive "$rev" | tar -x -C "$dir/parent"
+
+examples=(chaos_search lossy_recovery fabric_failover model_check concurrent_apply overload_sweep)
+workloads=(closed_small kv_mixed open_overload fabric_saturated apply_contended)
+seeds=(1 29)
+
+build() { # SOURCE_TREE SIDE
+    local target="$dir/target-$2"
+    (cd "$1" && CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet --examples)
+    CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet \
+        --manifest-path "$1/benchmark/Cargo.toml"
+}
+build "$dir/parent" parent
+build "$tree" change
+
+run() { # SOURCE_TREE SIDE
+    local bin="$dir/target-$2/release"
+    for ex in "${examples[@]}"; do
+        local args=()
+        [[ $ex == overload_sweep ]] && args=(--smoke)
+        (cd "$1" && "$bin/examples/$ex" "${args[@]}") > "$dir/out/$2.$ex.txt" 2> /dev/null
+    done
+    for seed in "${seeds[@]}"; do
+        for w in "${workloads[@]}"; do
+            "$bin/pmnet-benchmark" --workload "$w" --seed "$seed" --seconds 0 \
+                > "$dir/out/$2.bench.$w.$seed.txt"
+        done
+    done
+}
+run "$dir/parent" parent
+run "$tree" change
+
+status=0
+for ex in "${examples[@]}"; do
+    if cmp -s "$dir/out/parent.$ex.txt" "$dir/out/change.$ex.txt"; then
+        echo "same    example $ex ($(wc -l < "$dir/out/change.$ex.txt") lines)"
+    else
+        echo "DIFFERS example $ex"
+        diff "$dir/out/parent.$ex.txt" "$dir/out/change.$ex.txt" | head -20 || true
+        status=1
+    fi
+done
+
+python3 - "$dir/out" "${seeds[*]}" "${workloads[*]}" <<'EOF' || status=1
+import json, sys
+
+out, seeds, workloads = sys.argv[1], sys.argv[2].split(), sys.argv[3].split()
+
+def fate(side, w, seed):
+    lines = open(f"{out}/{side}.bench.{w}.{seed}.txt").read().splitlines()
+    result = json.loads(lines[-1])
+    digest = next(l.split()[1:] for l in lines if l.split()[:1] == ["sim_digest"])
+    sim = {k: v["value"] for k, v in result["metrics"].items() if k.startswith("sim_")}
+    return {"sim_digest": " ".join(digest), **sim,
+            "attempted": result["attempted"], "failed": result["failed"]}
+
+differs = False
+for seed in seeds:
+    for w in workloads:
+        p, c = fate("parent", w, seed), fate("change", w, seed)
+        if p == c:
+            print(f"same    bench {w} seed {seed}: sim_digest {c['sim_digest']}")
+            continue
+        differs = True
+        print(f"DIFFERS bench {w} seed {seed}")
+        for k in sorted(set(p) | set(c)):
+            if p.get(k) != c.get(k):
+                print(f"  {k}: {p.get(k)} -> {c.get(k)}")
+sys.exit(1 if differs else 0)
+EOF
+
+echo "outputs: $dir/out" >&2
+exit "$status"

@@ -4,8 +4,9 @@
 //! per-packet `Vec`, `Bytes::from(vec)` or a buffer pool that misses comes
 //! back.
 //!
-//! Three systems in the shape of the benchmark's `closed_small`,
-//! `kv_mixed` and `apply_contended`, built through the public builders,
+//! Four systems in the shape of the benchmark's `closed_small`,
+//! `kv_mixed`, `apply_contended` and `fabric_saturated` (scaled down),
+//! built through the public builders,
 //! run to their half-way point (pools and tables warm, device log at its
 //! plateau), then counted to the end. Its own test binary and one `#[test]`: the counter is the
 //! process's allocator, so nothing else may run beside it.
@@ -14,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use pmnet::core::client::{ClientLib, RequestSource};
-use pmnet::core::config::{ApplyConfig, DeviceConfig, SystemConfig};
+use pmnet::core::config::{ApplyConfig, BatchConfig, DeviceConfig, SystemConfig};
 use pmnet::core::server::{IdealHandler, RequestHandler};
 use pmnet::core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
 use pmnet::core::PmnetDevice;
@@ -65,13 +66,14 @@ fn completed(sys: &BuiltSystem) -> usize {
 /// Allocations per completed op over the second half of a closed-loop run
 /// of `clients` × `per_client` requests, and the system as it ended.
 fn second_half_allocs_per_op(
+    design: DesignPoint,
     config: SystemConfig,
     clients: usize,
     per_client: usize,
     source: impl Fn(usize) -> Box<dyn RequestSource>,
     handler: impl Fn() -> Box<dyn RequestHandler> + 'static,
 ) -> (f64, BuiltSystem) {
-    let mut b = SystemBuilder::new(DesignPoint::PmnetSwitch, config);
+    let mut b = SystemBuilder::new(design, config);
     for _ in 0..clients {
         b = b.client(source(per_client));
     }
@@ -106,6 +108,7 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
     // `closed_small`: 64 B single-fragment updates, a free handler. What is
     // left is the amortized growth of the completion records.
     let (closed_small, _) = second_half_allocs_per_op(
+        DesignPoint::PmnetSwitch,
         SystemConfig::default(),
         16,
         2_000,
@@ -117,6 +120,7 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
     // copies the model makes — index value and key, the store's read copy,
     // the cache's map key — and the second fragment's header vector.
     let (kv_mixed, _) = second_half_allocs_per_op(
+        DesignPoint::PmnetSwitch,
         SystemConfig {
             device: DeviceConfig::fpga().with_cache(1024),
             ..SystemConfig::default()
@@ -136,6 +140,7 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
     };
     config.link = config.link.with_drop_prob(0.001);
     let (apply_contended, sys) = second_half_allocs_per_op(
+        DesignPoint::PmnetSwitch,
         config,
         32,
         500,
@@ -148,10 +153,29 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
         .counters()
         .entry_retries;
     assert!(retries > 0, "no entry retry fired");
+    // `fabric_saturated`: 4 replicated shard chains, doorbell window 16,
+    // 1 KiB updates. Every update goes through a staged window, its flush
+    // and a persist completion on each chain member.
+    let (fabric_saturated, sys) = second_half_allocs_per_op(
+        DesignPoint::PmnetSharded { shards: 4 },
+        SystemConfig::default().with_batch(BatchConfig::windowed(16)),
+        48,
+        300,
+        |n| Box::new(MicroSource::updates(n, 1_024)),
+        || Box::new(IdealHandler::new()),
+    );
+    let flushed: u64 = sys
+        .devices
+        .iter()
+        .map(|&d| sys.world.node::<PmnetDevice>(d).counters().batches_flushed)
+        .sum();
+    assert!(flushed > 0, "no doorbell window flushed");
     // At the commit before the size-classed pool these read 6.41 and
     // 21.21; at the commit that added this test, 0.002 and 2.87. The
     // `apply_contended` row reads 2.91 (2.93 with the fixed 5 ms retry
     // clock); a retry record that allocated once per entry reads 3.91.
+    // The `fabric_saturated` row reads 0.56; with a fresh hash list per
+    // flushed window, parked in a map until its write completed, 1.49.
     assert!(
         closed_small <= 0.25,
         "closed_small shape: {closed_small:.3} allocations per op (budget 0.25)"
@@ -163,5 +187,9 @@ fn the_packet_path_stays_inside_its_allocation_budget() {
     assert!(
         apply_contended <= 3.5,
         "apply_contended shape: {apply_contended:.3} allocations per op (budget 3.5)"
+    );
+    assert!(
+        fabric_saturated <= 1.0,
+        "fabric_saturated shape: {fabric_saturated:.3} allocations per op (budget 1.0)"
     );
 }
