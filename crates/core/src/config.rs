@@ -156,13 +156,10 @@ pub struct DeviceConfig {
     /// the acks that invalidate its entries (RFC 6298 arithmetic, capped at
     /// 8× this floor) and doubles per unanswered redo of one entry;
     /// the server ack that ends an entry cancels its retry (DESIGN.md §7).
+    /// A recovery resend is the same retry pulled forward by a
+    /// `RecoveryPoll`, so this also floors its re-fires when the resend or
+    /// its redo ack is lost (DESIGN.md §9.2).
     pub log_retry_timeout: Dur,
-    /// How long a recovery resend staged by a `RecoveryPoll` may sit
-    /// without the server's redo ACK before the device re-fires it
-    /// (doubling per attempt). A lost resend or a lost redo ACK would
-    /// otherwise strand the entry — and the server's recovery barrier —
-    /// forever.
-    pub recovery_resend_timeout: Dur,
     /// Overload spill policy: maximum live (un-server-acked) log entries
     /// any one `(server, client, session)` may hold. Further updates from
     /// that session spill to the bypass path (forwarded congested, not
@@ -177,11 +174,6 @@ pub struct DeviceConfig {
     /// congestion signal fires while the log still has recovery headroom.
     /// `0` disables the watermark.
     pub log_spill_watermark: usize,
-    /// Liveness heartbeat period toward the fabric coordinator. `None`
-    /// (the default, and the single-device configuration) sends no
-    /// heartbeats at all; sharded fabrics set it so the server's failure
-    /// detector can fence and replace a silent device.
-    pub heartbeat_interval: Option<Dur>,
 }
 
 impl DeviceConfig {
@@ -199,15 +191,7 @@ impl DeviceConfig {
             log_session_quota: 0,
             log_spill_watermark: 0,
             log_retry_timeout: Dur::millis(5),
-            recovery_resend_timeout: Dur::millis(1),
-            heartbeat_interval: None,
         }
-    }
-
-    /// Returns a copy that emits liveness heartbeats every `interval`.
-    pub fn with_heartbeat(mut self, interval: Dur) -> DeviceConfig {
-        self.heartbeat_interval = Some(interval);
-        self
     }
 
     /// Returns a copy with read caching enabled (Section IV-D).
@@ -538,9 +522,6 @@ impl SystemConfig {
         if self.gap_skip_rounds == 0 {
             return Err("gap_skip_rounds must be >= 1".into());
         }
-        if self.device.recovery_resend_timeout == Dur::ZERO {
-            return Err("device.recovery_resend_timeout must be non-zero".into());
-        }
         if self.device.log_retry_timeout == Dur::ZERO {
             return Err("device.log_retry_timeout must be non-zero".into());
         }
@@ -739,11 +720,8 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("gap_skip_rounds"));
 
         let mut s = SystemConfig::default();
-        s.device.recovery_resend_timeout = Dur::ZERO;
-        assert!(s
-            .validate()
-            .unwrap_err()
-            .contains("recovery_resend_timeout"));
+        s.device.log_retry_timeout = Dur::ZERO;
+        assert!(s.validate().unwrap_err().contains("log_retry_timeout"));
 
         let s = SystemConfig {
             client_timeout: Dur::ZERO,

@@ -4,10 +4,15 @@
 //! [`super::chain::Chain`]'s; this file lowers them onto the wire.
 
 use pmnet_net::{Addr, Ctx, Packet, PortNo};
+use pmnet_sim::Dur;
 
 use super::chain::{DeviceRole, Release};
 use super::{PmnetDevice, TIMER_HEARTBEAT};
 use crate::protocol::{PacketType, PmnetHeader};
+
+/// How often a fabric-wired device beacons its liveness to the
+/// coordinator, whose watchdog fences a member silent for longer.
+const HEARTBEAT_INTERVAL: Dur = Dur::micros(100);
 
 /// Fabric wiring a sharded device needs beyond its routing table: its
 /// chain role and peer, plus the ports whose meaning the reconfiguration
@@ -112,13 +117,11 @@ impl PmnetDevice {
         });
     }
 
-    /// Arms (or re-arms, after a power cycle) the heartbeat timer.
+    /// Arms (or re-arms, after a power cycle) the heartbeat timer of a
+    /// fabric-wired device; a lone device sends none.
     pub(super) fn arm_heartbeat(&mut self, ctx: &mut Ctx<'_>) {
-        if self.fenced || !self.alive {
-            return;
-        }
-        if let (Some(interval), Some(_)) = (self.config.heartbeat_interval, self.fabric) {
-            self.arm(ctx, interval, TIMER_HEARTBEAT, 0);
+        if self.fabric.is_some() && !self.fenced && self.alive {
+            self.arm(ctx, HEARTBEAT_INTERVAL, TIMER_HEARTBEAT, 0);
         }
     }
 

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use self::chain::Chain;
 pub use self::chain::DeviceRole;
 pub use self::fabric::DeviceFabric;
-use self::redo::{EntryRetry, StagedResend};
+use self::redo::EntryRetry;
 use crate::cache::ReadCache;
 use crate::config::{BatchConfig, DeviceConfig};
 use crate::logstore::LogStore;
@@ -44,13 +44,12 @@ use crate::rto::RtoEstimator;
 /// The single PM write covering a flushed window completed. `a` carries
 /// the window id.
 const TIMER_PERSIST_DONE: u32 = 1;
-const TIMER_RECOVERY_RESEND: u32 = 2;
-const TIMER_ENTRY_RETRY: u32 = 3;
-const TIMER_HEARTBEAT: u32 = 4;
+const TIMER_ENTRY_RETRY: u32 = 2;
+const TIMER_HEARTBEAT: u32 = 3;
 /// Doorbell deadline: a staged window flushes after `batch.max_wait` even
 /// if it never fills. `a` carries the window id (`batch_seq` at arming
 /// time) so a window that already flushed on occupancy ignores the fire.
-const TIMER_BATCH_FLUSH: u32 = 5;
+const TIMER_BATCH_FLUSH: u32 = 4;
 
 /// Device-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,19 +60,17 @@ pub struct DeviceCounters {
     pub acks_sent: u64,
     /// Retransmissions served from the log.
     pub retrans_served: u64,
-    /// Recovery resends transmitted (including backoff re-fires).
+    /// Recovery resends: the first re-forward of each entry a
+    /// `RecoveryPoll` re-armed (its later re-fires are `entry_retries`).
     pub recovery_resends: u64,
-    /// Recovery resends re-fired because the server's redo ack had not
-    /// arrived within the backoff window (the retried subset of
-    /// `recovery_resends`).
-    pub recovery_resend_retries: u64,
     /// `RecoveryDone` notifications sent to recovering servers.
     pub recovery_done_sent: u64,
     /// Update forwards stamped with [`crate::protocol::FLAG_CONGESTED`]
     /// because the log bypassed them under pressure (queue or capacity
     /// full).
     pub congestion_flagged: u64,
-    /// Unacknowledged log entries re-forwarded to the server.
+    /// Unacknowledged log entries re-forwarded to the server on their
+    /// retry timer, apart from the recovery resends.
     pub entry_retries: u64,
     /// Reads served from the cache.
     pub cache_responses: u64,
@@ -118,7 +115,6 @@ impl pmnet_telemetry::registry::CounterGroup for DeviceCounters {
         f("acks_sent", self.acks_sent);
         f("retrans_served", self.retrans_served);
         f("recovery_resends", self.recovery_resends);
-        f("recovery_resend_retries", self.recovery_resend_retries);
         f("recovery_done_sent", self.recovery_done_sent);
         f("congestion_flagged", self.congestion_flagged);
         f("entry_retries", self.entry_retries);
@@ -157,14 +153,12 @@ pub struct PmnetDevice {
     /// Power epoch, stamped on every timer; bumped by a crash so timers
     /// armed before it are dropped at dispatch.
     epoch: u64,
-    /// Recovery resends staged by a poll, keyed by entry hash. An entry
-    /// stays staged — re-fired on a backoff timer — until the server's
-    /// redo ack invalidates it; when the last staged entry for a server
-    /// clears, the device emits `RecoveryDone`.
-    staged_resends: HashMap<u32, StagedResend, FixedState>,
     /// The re-forward of every live log entry, keyed by entry hash: its
     /// armed [`TIMER_ENTRY_RETRY`], which the server ack that invalidates
-    /// the entry cancels. Held in DRAM; `Restore` re-arms the survivors.
+    /// the entry cancels. A `RecoveryPoll` pulls its server's durable
+    /// entries forward into paced resends and marks them as owing the
+    /// barrier; the last of them to retire sends `RecoveryDone`. Held in
+    /// DRAM; `Restore` re-arms the survivors.
     entry_retries: HashMap<u32, EntryRetry, FixedState>,
     /// One timeout estimator per destination server, fed by the server
     /// acks that invalidate entries; it times every entry's re-forward.
@@ -223,7 +217,6 @@ impl PmnetDevice {
             counters: DeviceCounters::default(),
             alive: true,
             epoch: 0,
-            staged_resends: HashMap::default(),
             entry_retries: HashMap::default(),
             server_rtos: HashMap::default(),
             parked_reads: HashMap::new(),
@@ -382,10 +375,9 @@ impl PmnetDevice {
     /// itself is the caller's to settle (`crash` keeps what had persisted,
     /// `purge` nothing).
     fn reset_volatile(&mut self) {
-        // Staged resends, entry retries and flushed-but-unpersisted
-        // windows die with their timers; withheld chain acks are re-driven
-        // by the clients.
-        self.staged_resends.clear();
+        // Entry retries (recovery resends included) and flushed-but-
+        // unpersisted windows die with their timers; withheld chain acks
+        // are re-driven by the clients.
         self.entry_retries.clear();
         self.server_rtos.clear();
         self.persisting.clear();
@@ -461,7 +453,6 @@ impl Node for PmnetDevice {
                 }
                 match kind {
                     TIMER_PERSIST_DONE => self.on_persist_done(ctx, a),
-                    TIMER_RECOVERY_RESEND => self.fire_recovery_resend(ctx, a as u32),
                     TIMER_ENTRY_RETRY => self.retry_entry(ctx, a as u32),
                     TIMER_HEARTBEAT => self.send_heartbeat(ctx),
                     // Doorbell deadline: flush only if this window has not
@@ -542,12 +533,11 @@ pub(super) mod rig {
         (w, client, dev, server)
     }
 
-    /// EchoHost servers never send server-ACKs, so the usual rig disables
-    /// the device's unacknowledged-entry retry and staged-resend re-fire
-    /// to keep runs quiescent; both retry behaviours have their own tests.
+    /// EchoHost servers never send server-ACKs, so the usual rig pushes
+    /// the device's entry retry (and so a recovery resend's re-fires) an
+    /// hour out to keep runs quiescent; retries have their own tests.
     pub fn rig(mut config: DeviceConfig) -> (World, NodeId, NodeId, NodeId) {
         config.log_retry_timeout = Dur::secs(3600);
-        config.recovery_resend_timeout = Dur::secs(3600);
         rig_with_server(config, Box::new(EchoHost::sink(Addr(9))))
     }
 

@@ -1,7 +1,9 @@
 //! Re-sending logged updates from the log (Sections IV-B3, IV-E): the
 //! per-entry retry toward a silent server, `Retrans` service for a gap the
-//! server detected, and the recovery barrier — poll, paced resends,
-//! `RecoveryDone`. All three rebuild the packet through [`redo_packet`].
+//! server detected, and the recovery barrier — a poll re-arms each logged
+//! entry's own retry as a paced resend, and the last of them to retire
+//! reports `RecoveryDone`. All three rebuild the packet through
+//! [`redo_packet`].
 
 use std::collections::HashMap;
 
@@ -9,7 +11,7 @@ use pmnet_net::{Addr, Ctx, EventId, Packet};
 use pmnet_sim::hash::FixedState;
 use pmnet_sim::{Dur, Time};
 
-use super::{PmnetDevice, TIMER_ENTRY_RETRY, TIMER_RECOVERY_RESEND};
+use super::{PmnetDevice, TIMER_ENTRY_RETRY};
 use crate::logstore::LogEntry;
 use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
 use crate::rto::RtoEstimator;
@@ -23,11 +25,14 @@ const ENTRY_RETRY_CAP: u64 = 8;
 pub(super) struct EntryRetry {
     /// The armed [`TIMER_ENTRY_RETRY`]; the server ack cancels it.
     timer: EventId,
-    /// When the entry was forwarded (or re-armed by `Restore`): its
-    /// server ack samples the server's delay from here.
+    /// When the entry was forwarded (or re-armed by `Restore` or a
+    /// recovery poll): its server ack samples the server's delay from here.
     since: Time,
     /// Re-forwards fired so far (the backoff exponent).
     fires: u32,
+    /// Re-armed by its server's `RecoveryPoll`: the server's recovery
+    /// barrier waits for this entry to retire.
+    owes_barrier: bool,
 }
 
 /// `server`'s entry-retry estimator, seeded and floored at `floor` on
@@ -39,15 +44,6 @@ fn estimator(
 ) -> &mut RtoEstimator {
     rtos.entry(server)
         .or_insert_with(|| RtoEstimator::new(floor, floor, floor * ENTRY_RETRY_CAP))
-}
-
-/// Book-keeping for one staged recovery resend.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct StagedResend {
-    /// The recovering server this entry is destined to.
-    server: Addr,
-    /// Transmissions fired so far (drives the backoff exponent).
-    attempts: u32,
 }
 
 /// Regenerates the logged update as the client sent it, flagged as a redo
@@ -98,18 +94,25 @@ impl PmnetDevice {
     pub(super) fn arm_entry_retry(&mut self, ctx: &mut Ctx<'_>, hash: u32, server: Addr) {
         let floor = self.config.log_retry_timeout;
         let after = estimator(&mut self.server_rtos, floor, server).current();
+        self.restart_retry(ctx, hash, after, false);
+    }
+
+    /// Arms `hash`'s retry `after` from now under a fresh record: its
+    /// clock starts now and its backoff at zero.
+    fn restart_retry(&mut self, ctx: &mut Ctx<'_>, hash: u32, after: Dur, owes_barrier: bool) {
         let timer = self.arm(ctx, after, TIMER_ENTRY_RETRY, u64::from(hash));
-        let since = ctx.now();
         let retry = EntryRetry {
             timer,
-            since,
+            since: ctx.now(),
             fires: 0,
+            owes_barrier,
         };
         self.entry_retries.insert(hash, retry);
     }
 
     /// Re-forwards a still-unacknowledged log entry to its server as a
-    /// redo, and re-arms the retry timer backed off once more.
+    /// redo, and re-arms the retry timer backed off once more. The first
+    /// fire after a recovery poll is that poll's resend.
     pub(super) fn retry_entry(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
         // The server ack that ends an entry cancels its timer, so only a
         // fence (which purged both) leaves one to fire on nothing.
@@ -118,10 +121,14 @@ impl PmnetDevice {
             return;
         };
         retry.fires += 1;
+        if retry.owes_barrier && retry.fires == 1 {
+            self.counters.recovery_resends += 1;
+        } else {
+            self.counters.entry_retries += 1;
+        }
         let floor = self.config.log_retry_timeout;
         let after = estimator(&mut self.server_rtos, floor, entry.server).backed_off(retry.fires);
         let redo = redo_packet(entry);
-        self.counters.entry_retries += 1;
         self.emit(ctx, redo);
         let timer = self.arm(ctx, after, TIMER_ENTRY_RETRY, u64::from(hash));
         if let Some(retry) = self.entry_retries.get_mut(&hash) {
@@ -133,7 +140,8 @@ impl PmnetDevice {
     /// here, and the wait since its forward is a sample of the server's
     /// delay. Karn's rule does not apply: the server acks an update once,
     /// when it applied it, and drops the copies it receives meanwhile, so
-    /// the ack answers the update rather than one copy of it.
+    /// the ack answers the update rather than one copy of it. The last
+    /// entry a recovering server's barrier waits for reports the drain.
     pub(super) fn entry_retired(&mut self, ctx: &mut Ctx<'_>, entry: &LogEntry) {
         let Some(retry) = self.entry_retries.remove(&entry.header.hash) else {
             return;
@@ -141,30 +149,32 @@ impl PmnetDevice {
         ctx.cancel(retry.timer);
         let floor = self.config.log_retry_timeout;
         estimator(&mut self.server_rtos, floor, entry.server).sample(ctx.now() - retry.since);
+        if retry.owes_barrier {
+            self.maybe_recovery_done(ctx, entry.server);
+        }
     }
 
-    /// A recovering `server` polled: stage every durable entry destined to
-    /// it, in (client, session, seq) order, paced by PM read completions
-    /// (Figure 3 recovery steps; Section VI-B6 measures this rate).
-    /// Entries stay staged until the server's redo ack confirms
-    /// application, so a repeated poll (the server re-polls with backoff
-    /// until it hears `RecoveryDone`) is idempotent: already staged
-    /// entries are owned by their backoff timers and are not staged twice.
+    /// A recovering `server` polled: every durable entry destined to it
+    /// that does not already owe the barrier has its retry pulled forward
+    /// to a resend, in (client, session, seq) order, paced by PM read
+    /// completions (Figure 3 recovery steps; Section VI-B6 measures this
+    /// rate). From there the entry backs off as any retry does until the
+    /// server's redo ack retires it. A repeated poll (the server re-polls
+    /// with backoff until it hears `RecoveryDone`) leaves owing entries
+    /// to their timers, so it is idempotent.
     pub(super) fn handle_recovery_poll(&mut self, ctx: &mut Ctx<'_>, server: Addr) {
-        // The manifest carries only (hash, wire bytes): staging needs the
-        // PM read size, not a clone of each logged entry.
-        for (hash, bytes) in self.log.recovery_manifest(server, ctx.now()) {
-            if self.staged_resends.contains_key(&hash) {
-                continue;
-            }
-            let ready = self.log.schedule_read(ctx.now(), bytes);
-            let staged = StagedResend {
-                server,
-                attempts: 0,
+        let now = ctx.now();
+        // The manifest carries only (hash, wire bytes): pacing needs the
+        // PM read size, not a clone of each logged entry. Admission and
+        // `Restore` gave every live entry a retry record.
+        for (hash, bytes) in self.log.recovery_manifest(server, now) {
+            match self.entry_retries.get(&hash) {
+                Some(retry) if !retry.owes_barrier => ctx.cancel(retry.timer),
+                _ => continue,
             };
-            self.staged_resends.insert(hash, staged);
-            let wait = ready.saturating_since(ctx.now()) + self.config.pipeline_delay;
-            self.arm(ctx, wait, TIMER_RECOVERY_RESEND, u64::from(hash));
+            let ready = self.log.schedule_read(now, bytes);
+            let wait = ready.saturating_since(now) + self.config.pipeline_delay;
+            self.restart_retry(ctx, hash, wait, true);
         }
         // Nothing (left) to resend for this server: report the drain
         // immediately. This also repairs a lost `RecoveryDone` — the
@@ -172,47 +182,13 @@ impl PmnetDevice {
         self.maybe_recovery_done(ctx, server);
     }
 
-    pub(super) fn fire_recovery_resend(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
-        let Some(staged) = self.staged_resends.get_mut(&hash) else {
-            return; // confirmed by a redo ack since the timer was armed
-        };
-        let Some(redo) = self.log.peek(hash).map(redo_packet) else {
-            // Invalidated since the poll (e.g. the normal-path server ack
-            // raced the staging): nothing left to resend — clear the stage
-            // and maybe report the drain.
-            let server = staged.server;
-            self.staged_resends.remove(&hash);
-            return self.maybe_recovery_done(ctx, server);
-        };
-        staged.attempts += 1;
-        let attempts = staged.attempts;
-        self.counters.recovery_resends += 1;
-        if attempts > 1 {
-            self.counters.recovery_resend_retries += 1;
-        }
-        self.emit(ctx, redo);
-        // Keep the entry staged: if the redo (or its ack) is lost, re-fire
-        // after an exponentially backed-off wait. The redo ack
-        // ([`PmnetDevice::redo_confirmed`]) is what finally clears the
-        // stage.
-        let backoff = self.config.recovery_resend_timeout * (1u64 << (attempts - 1).min(4));
-        self.arm(ctx, backoff, TIMER_RECOVERY_RESEND, u64::from(hash));
-    }
-
-    /// The server acknowledged `hash`. If that was a staged resend's redo
-    /// ack — the server applied (or deduplicated) the entry — stop
-    /// re-firing it and, if it was the last one outstanding for that
-    /// server, report the log drained.
-    pub(super) fn redo_confirmed(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
-        if let Some(staged) = self.staged_resends.remove(&hash) {
-            self.maybe_recovery_done(ctx, staged.server);
-        }
-    }
-
-    /// Emits `RecoveryDone` to `server` once no staged resend for it
-    /// remains. Safe to call eagerly: it re-checks the staging table.
+    /// Emits `RecoveryDone` to `server` once no live entry owes its
+    /// barrier. Safe to call eagerly: it re-checks the retry records.
     fn maybe_recovery_done(&mut self, ctx: &mut Ctx<'_>, server: Addr) {
-        if self.staged_resends.values().any(|s| s.server == server) {
+        let owed = |(hash, retry): (&u32, &EntryRetry)| {
+            retry.owes_barrier && self.log.peek(*hash).is_some_and(|e| e.server == server)
+        };
+        if self.entry_retries.iter().any(owed) {
             return;
         }
         let h = PmnetHeader::control(PacketType::RecoveryDone, 0, self.addr, server);
@@ -300,39 +276,43 @@ mod tests {
         }
     }
 
-    /// client(sink) -- device -- server([`RedoTap`]), with both device
-    /// retry timeouts set by the caller.
-    fn retrying_rig(entry_retry: Dur, resend: Dur) -> (World, NodeId, NodeId, NodeId) {
+    /// client(sink) -- device -- server([`RedoTap`]), with the device's
+    /// entry-retry floor set by the caller.
+    fn retrying_rig(entry_retry: Dur) -> (World, NodeId, NodeId, NodeId) {
         let mut config = SystemConfig::default().device;
         config.log_retry_timeout = entry_retry;
-        config.recovery_resend_timeout = resend;
         rig_with_server(config, Box::new(RedoTap::default()))
     }
 
-    fn ms(ms: u64) -> Time {
-        Time::ZERO + Dur::millis(ms)
+    fn us(us: u64) -> Time {
+        Time::ZERO + Dur::micros(us)
     }
 
-    /// Asserts that `copies` arrived at the `due` instants (in ms), each
-    /// within the few microseconds of link and pipeline delay behind its
-    /// timer.
+    fn ms(ms: u64) -> Time {
+        us(ms * 1_000)
+    }
+
+    /// Asserts that `copies` arrived at the `due` instants (in µs), each
+    /// within the few microseconds of link, PM-read and pipeline delay
+    /// behind its timer.
     fn assert_copies_at(copies: &[Time], due: &[u64]) {
-        let late = |(&at, &due): (&Time, &u64)| at >= ms(due) && at < ms(due) + Dur::micros(10);
+        let late = |(&at, &due): (&Time, &u64)| at >= us(due) && at < us(due) + Dur::micros(10);
         assert!(
             copies.len() == due.len() && copies.iter().zip(due).all(late),
-            "redo copies at {copies:?}, expected at {due:?} ms"
+            "redo copies at {copies:?}, expected at {due:?} us"
         );
     }
 
     #[test]
     fn unacknowledged_entries_are_retried_to_the_server() {
-        let (mut w, client, dev, server) = retrying_rig(Dur::millis(1), Dur::secs(3600));
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(1));
         let (_, pkt) = update_packet(1, b"payload");
         w.inject(client, pkt);
         // The server never ACKs: the device re-forwards the logged entry,
         // doubling its wait from the 1 ms floor up to the 8 ms cap.
         w.run_until(ms(30));
-        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &[1, 3, 7, 15, 23]);
+        let due = [1_000, 3_000, 7_000, 15_000, 23_000];
+        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &due);
         let d = w.node::<PmnetDevice>(dev);
         assert_eq!(d.counters().entry_retries, 5, "{:?}", d.counters());
         // Still exactly one log entry (retries are redo copies).
@@ -344,7 +324,7 @@ mod tests {
     /// clock: the ack cancelled the first incarnation's timer.
     #[test]
     fn a_relogged_incarnation_is_retried_on_its_own_timer() {
-        let (mut w, client, dev, server) = retrying_rig(Dur::millis(5), Dur::secs(3600));
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(5));
         let (h, pkt) = update_packet(1, b"payload");
         w.inject(client, pkt.clone());
         w.schedule(ms(1), server, Msg::Inject(server_ack(&h)));
@@ -354,7 +334,7 @@ mod tests {
         assert_eq!((d.log_counters().invalidated, d.log_len()), (1, 1));
         // The first incarnation's timer would have been due at 5 ms.
         w.run_until(ms(9));
-        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &[7]);
+        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &[7_000]);
     }
 
     /// A server that acks every update 20 ms after it was logged is
@@ -362,7 +342,7 @@ mod tests {
     /// no entry is re-forwarded to it again.
     #[test]
     fn a_slow_server_is_timed_from_its_acks() {
-        let (mut w, client, dev, server) = retrying_rig(Dur::millis(5), Dur::secs(3600));
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(5));
         let n = 40;
         for i in 0..n {
             let (h, pkt) = update_packet(i + 1, b"payload");
@@ -372,7 +352,7 @@ mod tests {
         w.run_until(ms(100));
         let tap = w.node::<RedoTap>(server);
         // Before any ack the floor rules, doubling per entry: 5, then 10.
-        assert_copies_at(&tap.copies_of(1), &[5, 15]);
+        assert_copies_at(&tap.copies_of(1), &[5_000, 15_000]);
         // Logged after the first ack (20 ms) landed: never re-forwarded.
         assert!(
             tap.redos.iter().all(|&(_, seq)| seq <= 21),
@@ -388,38 +368,51 @@ mod tests {
         assert_eq!(w.pending_events(), 0);
     }
 
+    /// A poll half a millisecond after the update was logged pulls the
+    /// entry's own retry forward: its redo copies follow one schedule —
+    /// the paced resend, then the retry's doubling from there — and the
+    /// device holds one armed timer for its one live entry.
+    #[test]
+    fn a_poll_pulls_the_entry_retry_forward_onto_one_schedule() {
+        let (mut w, client, dev, server) = retrying_rig(Dur::millis(1));
+        let (_, pkt) = update_packet(1, b"payload");
+        w.inject(client, pkt);
+        w.schedule(us(500), server, Msg::Inject(poll_packet()));
+        w.run_until(us(900));
+        assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 1);
+        assert_eq!(w.pending_events(), 1, "one armed timer per live entry");
+        w.run_until(ms(30));
+        let due = [500, 2_500, 6_500, 14_500, 22_500];
+        assert_copies_at(&w.node::<RedoTap>(server).copies_of(1), &due);
+        let c = w.node::<PmnetDevice>(dev).counters();
+        assert_eq!((c.recovery_resends, c.entry_retries), (1, 4), "{c:?}");
+        assert_eq!(c.recovery_done_sent, 0);
+    }
+
     #[test]
     fn staged_resends_refire_until_the_redo_ack_confirms() {
-        let (mut w, client, dev, server) = retrying_rig(Dur::secs(3600), Dur::micros(50));
+        let (mut w, client, dev, server) = retrying_rig(Dur::micros(50));
         let (h, pkt) = update_packet(1, b"hello");
         w.inject(client, pkt);
         w.run_for(Dur::millis(1));
+        let retries_at_poll = w.node::<PmnetDevice>(dev).counters().entry_retries;
         // The server "crashes and recovers", then polls; its redo acks
-        // never come back (EchoHost sink), so the device must keep
-        // re-firing the staged resend with backoff.
+        // never come back, so the resend keeps re-firing on the entry's
+        // backed-off retry.
         w.inject(server, poll_packet());
         w.run_for(Dur::millis(2));
-        let d = w.node::<PmnetDevice>(dev);
-        assert!(d.counters().recovery_resends >= 3, "{:?}", d.counters());
-        assert!(
-            d.counters().recovery_resend_retries >= 2,
-            "{:?}",
-            d.counters()
-        );
-        assert_eq!(d.counters().recovery_done_sent, 0);
-        // The redo ack finally lands: the stage clears, RecoveryDone goes
-        // out, and the re-fire loop stops.
+        let c = w.node::<PmnetDevice>(dev).counters();
+        assert_eq!(c.recovery_resends, 1, "{c:?}");
+        assert!(c.entry_retries >= retries_at_poll + 2, "{c:?}");
+        assert_eq!(c.recovery_done_sent, 0);
+        // The redo ack finally lands: the entry retires, RecoveryDone goes
+        // out, and the re-fire loop stops with the cancelled timer.
         w.inject(server, server_ack(&h));
         w.run_for(Dur::millis(1));
-        let resends_at_ack = w.node::<PmnetDevice>(dev).counters().recovery_resends;
-        assert_eq!(w.node::<PmnetDevice>(dev).counters().recovery_done_sent, 1);
-        assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 0);
-        w.run_for(Dur::millis(5));
-        assert_eq!(
-            w.node::<PmnetDevice>(dev).counters().recovery_resends,
-            resends_at_ack,
-            "re-fires must stop once the redo ack confirms"
-        );
+        let d = w.node::<PmnetDevice>(dev);
+        assert_eq!(d.counters().recovery_done_sent, 1);
+        assert_eq!(d.log_len(), 0);
+        assert_eq!(w.pending_events(), 0, "re-fires stop with the redo ack");
     }
 
     #[test]
@@ -434,8 +427,8 @@ mod tests {
         w.inject(server, poll_packet());
         w.run_for(Dur::millis(1));
         assert_eq!(w.node::<PmnetDevice>(dev).counters().recovery_done_sent, 2);
-        // With an entry staged, repeated polls do not stage (or resend) it
-        // twice: the backoff timer owns it.
+        // With an entry owing the barrier, repeated polls do not re-arm
+        // (or resend) it: its one retry timer owns it.
         let (_, pkt) = update_packet(1, b"hello");
         w.inject(client, pkt);
         w.run_for(Dur::millis(1));
@@ -444,6 +437,7 @@ mod tests {
         w.run_for(Dur::millis(2));
         let d = w.node::<PmnetDevice>(dev);
         assert_eq!(d.counters().recovery_resends, 1, "{:?}", d.counters());
+        assert_eq!(w.pending_events(), 1, "one armed timer per live entry");
         // And no premature drain report while the entry is outstanding.
         assert_eq!(d.counters().recovery_done_sent, 2);
     }

@@ -151,10 +151,11 @@ impl PmnetDevice {
     ) {
         self.chain.server_acked(header.hash);
         if let Some(entry) = self.log.invalidate(header.hash) {
-            self.entry_retired(ctx, &entry);
             self.entry_drained(ctx, &entry);
+            // Retired last, so a `RecoveryDone` it completes follows the
+            // reads the entry released.
+            self.entry_retired(ctx, &entry);
         }
-        self.redo_confirmed(ctx, header.hash);
         // Forward toward the client; the next PMNet on the route may hold
         // its own copy of the log (Section IV-B1).
         self.forward(ctx, packet);

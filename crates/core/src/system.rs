@@ -41,8 +41,6 @@ use crate::device::{DeviceFabric, DeviceRole, PmnetDevice};
 use crate::fabric::{FabricMap, FabricSteering, ShardChain, SteerSide};
 use crate::server::{IdealHandler, RequestHandler, ServerLib};
 
-/// How often a sharded chain member beacons its liveness.
-const FABRIC_HEARTBEAT_INTERVAL: Dur = Dur::micros(100);
 /// Silence past this long declares a chain member fail-stop.
 const FABRIC_HEARTBEAT_TIMEOUT: Dur = Dur::micros(400);
 /// The coordinator's watchdog sweep period.
@@ -482,16 +480,12 @@ impl SystemBuilder {
                 // Direct merge—tor backbone: control packets and unsteered
                 // traffic never depend on any one chain being alive.
                 world.connect(merge, tor, cfg.link);
-                let beaconing = SystemConfig {
-                    device: cfg.device.with_heartbeat(FABRIC_HEARTBEAT_INTERVAL),
-                    ..cfg
-                };
                 for (i, chain) in shard_chains.iter().enumerate() {
                     let p_addr = chain.primary;
                     let b_addr = chain.backup.expect("sharded chains are replicated");
-                    let p = device_from(&beaconing, format!("pmnet-p{i}"), 1 + i as u8, p_addr);
+                    let p = device_from(&cfg, format!("pmnet-p{i}"), 1 + i as u8, p_addr);
                     let p = world.add_node(Box::new(p));
-                    let b = device_from(&beaconing, format!("pmnet-b{i}"), 101 + i as u8, b_addr);
+                    let b = device_from(&cfg, format!("pmnet-b{i}"), 101 + i as u8, b_addr);
                     let b = world.add_node(Box::new(b));
                     // Five links per shard: the chain itself, both members'
                     // ingress from the merge (the backup's is the promote

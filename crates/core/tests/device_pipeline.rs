@@ -17,7 +17,6 @@ const DEV2: Addr = Addr(102);
 
 fn no_retry(mut d: DeviceConfig) -> DeviceConfig {
     d.log_retry_timeout = Dur::secs(3600);
-    d.recovery_resend_timeout = Dur::secs(3600);
     d
 }
 

@@ -74,7 +74,6 @@ fn every_redo_path_emits_the_same_packet() {
     // `Retrans` service, and a recovery resend. The server taps them.
     let mut config = DeviceConfig::fpga();
     config.log_retry_timeout = Dur::millis(1);
-    config.recovery_resend_timeout = Dur::secs(3600);
     let (mut w, client, dev, server) = rig(device(config), SERVER);
     let (h, pkt) = update(1, b"the same bytes");
     w.inject(client, pkt);

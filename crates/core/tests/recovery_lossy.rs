@@ -1,7 +1,7 @@
 //! Deterministic single-drop recovery scenarios: each test surgically
 //! drops exactly one leg of the recovery handshake — the `RecoveryPoll`,
-//! the redo resend, or the redo server-ACK — and proves the retry
-//! machinery converges anyway: every client-acked update applied exactly
+//! the redo resend, the redo server-ACK, or the `RecoveryDone` — and
+//! proves the retry machinery converges anyway: every client-acked update applied exactly
 //! once, every device log drained, the recovery barrier closed.
 //!
 //! The drops are engineered with the administrative link state rather
@@ -11,7 +11,7 @@
 
 use pmnet_core::audit;
 use pmnet_core::client::ClientLib;
-use pmnet_core::device::PmnetDevice;
+use pmnet_core::device::{DeviceCounters, PmnetDevice};
 use pmnet_core::server::ServerLib;
 use pmnet_core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
 use pmnet_core::SystemConfig;
@@ -42,6 +42,11 @@ fn build(seed: u64) -> BuiltSystem {
 fn last_hop(sys: &BuiltSystem) -> (pmnet_sim::NodeId, pmnet_sim::NodeId) {
     let n = sys.path.len();
     (sys.path[n - 2], sys.path[n - 1])
+}
+
+/// The counters of the one device on the path.
+fn device(sys: &BuiltSystem) -> DeviceCounters {
+    sys.world.node::<PmnetDevice>(sys.devices[0]).counters()
 }
 
 fn all_finished(sys: &BuiltSystem) -> bool {
@@ -125,8 +130,8 @@ fn dropped_recovery_poll_is_healed_by_server_repoll() {
 /// Drop the redo resends: the link goes down the instant the first poll
 /// hits the wire (the in-flight poll still arrives — `ports.transmit`
 /// checks the administrative state at transmit time, not at delivery),
-/// so every redo the device sends in response dies. The device's resend
-/// backoff re-fires them once the link heals.
+/// so every redo the device sends in response dies. Each entry's retry,
+/// which the poll pulled forward, re-fires it once the link heals.
 #[test]
 fn dropped_redo_resend_is_healed_by_device_refire() {
     let mut sys = build(73);
@@ -160,24 +165,24 @@ fn dropped_redo_resend_is_healed_by_device_refire() {
         cursor += Dur::nanos(500);
         sys.world.run_until(cursor);
     }
+    let retries_at_poll = device(&sys).entry_retries;
     sys.world.set_link_up(dev, server, false);
     sys.world.run_for(Dur::micros(200));
     sys.world.set_link_up(dev, server, true);
 
     finish_and_check_convergence(&mut sys);
-    let d = sys.world.node::<PmnetDevice>(dev_id);
+    let d = device(&sys);
     assert!(
-        d.counters().recovery_resend_retries >= 1,
-        "dropped redo resends must be re-fired by the backoff timer: {:?}",
-        d.counters()
+        d.recovery_resends >= 1 && d.entry_retries > retries_at_poll,
+        "dropped redo resends must be re-fired by their entry retries: {d:?}"
     );
 }
 
 /// Drop the redo server-ACK: the first resend is allowed through (the
 /// link goes down only once the resend is in flight), the server applies
-/// it, but its ACK dies. The device re-fires the resend, the server
-/// dedups it and answers with a make-up ACK — exactly-once apply, log
-/// still drains.
+/// it, but its ACK dies. The entry's retry re-fires the resend, the
+/// server dedups it and answers with a make-up ACK — exactly-once apply,
+/// log still drains.
 #[test]
 fn dropped_redo_ack_is_healed_by_dedup_and_makeup_ack() {
     let mut sys = build(79);
@@ -192,7 +197,6 @@ fn dropped_redo_ack_is_healed_by_dedup_and_makeup_ack() {
     // redo. Its ACK is still queued behind the server's host-stack delay
     // (microseconds, far above the stepping granularity), so cutting the
     // link now drops the ACK while the apply has already happened.
-    let dev_id = sys.devices[0];
     let step_deadline = sys.world.now() + Dur::millis(2);
     let mut cursor = sys.world.now();
     loop {
@@ -208,6 +212,7 @@ fn dropped_redo_ack_is_healed_by_dedup_and_makeup_ack() {
         cursor += Dur::nanos(500);
         sys.world.run_until(cursor);
     }
+    let retries_at_apply = device(&sys).entry_retries;
     sys.world.set_link_up(dev, server, false);
     sys.world.run_for(Dur::micros(200));
     sys.world.set_link_up(dev, server, true);
@@ -221,10 +226,62 @@ fn dropped_redo_ack_is_healed_by_dedup_and_makeup_ack() {
         "the re-fired resend must be absorbed by dedup: {:?}",
         s.counters()
     );
-    let d = sys.world.node::<PmnetDevice>(dev_id);
+    let d = device(&sys);
     assert!(
-        d.counters().recovery_resend_retries >= 1,
-        "the unconfirmed resend must have been re-fired: {:?}",
-        d.counters()
+        d.entry_retries > retries_at_apply,
+        "the unconfirmed resend must have been re-fired: {d:?}"
+    );
+}
+
+/// Drop the device's `RecoveryDone`: every redo is applied and acked, but
+/// the link goes down while the drain report is still in the device's
+/// pipeline. The server's backoff re-poll finds nothing owed and the
+/// device regenerates the report, which closes the barrier.
+#[test]
+fn dropped_recovery_done_is_regenerated_by_server_repoll() {
+    let mut sys = build(83);
+    let (dev, server) = last_hop(&sys);
+    let server_id = sys.server;
+    sys.world.run_until(Time::ZERO + CRASH_AT);
+    let crash_at = sys.world.now() + Dur::micros(10);
+    sys.world
+        .schedule_crash(server_id, crash_at, Some(DOWNTIME));
+    sys.world.run_until(crash_at + DOWNTIME);
+    // Step finer than the device's pipeline delay until the report is
+    // emitted, then cut the link before it reaches the wire.
+    let step_deadline = sys.world.now() + Dur::millis(2);
+    let mut cursor = sys.world.now();
+    while device(&sys).recovery_done_sent == 0 {
+        assert!(
+            cursor < step_deadline,
+            "the device never reported its drain"
+        );
+        cursor += Dur::nanos(100);
+        sys.world.run_until(cursor);
+    }
+    sys.world.set_link_up(dev, server, false);
+    sys.world.run_for(Dur::micros(200));
+    sys.world.set_link_up(dev, server, true);
+    assert_eq!(
+        sys.world.node::<ServerLib>(server_id).recovery_pending(),
+        1,
+        "the first RecoveryDone must have been dropped"
+    );
+
+    finish_and_check_convergence(&mut sys);
+    let rec = sys
+        .world
+        .node::<ServerLib>(server_id)
+        .recovery()
+        .expect("recovered");
+    assert!(rec.redo_applied >= 1, "the resends must have been applied");
+    assert!(
+        rec.poll_retries >= 1,
+        "only a re-poll can close the barrier (retries={})",
+        rec.poll_retries
+    );
+    assert!(
+        device(&sys).recovery_done_sent >= 2,
+        "the re-poll must regenerate RecoveryDone"
     );
 }

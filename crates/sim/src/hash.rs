@@ -25,7 +25,8 @@
 //! - `LogStore::crash` retains by a per-entry predicate and rebuilds the
 //!   per-session ledger by counting, both order-free;
 //! - `Chain::promoted` drains the withheld-ack set, then sorts;
-//! - the device's `staged_resends.values().any(..)` asks a yes/no question.
+//! - the device's scan of `entry_retries` for an entry still owing a
+//!   server's recovery barrier is an `any(..)`: a yes/no question.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -9,7 +9,8 @@
 # in the work tree into separate target directories, then
 #   - runs the six campaign examples (`chaos_search`, `lossy_recovery`,
 #     `fabric_failover`, `model_check`, `concurrent_apply`,
-#     `overload_sweep -- --smoke`) on both sides and diffs their stdout;
+#     `overload_sweep -- --smoke`) and the `failover_recovery` power-cut
+#     demo on both sides and diffs their stdout;
 #   - runs the benchmark with `--seconds 0` on all five workloads for
 #     seeds 1 and 29 and compares `sim_digest`, every `sim_*` value,
 #     `attempted` and `failed`.
@@ -28,7 +29,8 @@ dir="$(mktemp -d "${TMPDIR:-/tmp}/parent_diff.XXXXXX")"
 mkdir -p "$dir/parent" "$dir/out"
 git -C "$tree" archive "$rev" | tar -x -C "$dir/parent"
 
-examples=(chaos_search lossy_recovery fabric_failover model_check concurrent_apply overload_sweep)
+examples=(chaos_search lossy_recovery fabric_failover model_check concurrent_apply overload_sweep
+    failover_recovery)
 workloads=(closed_small kv_mixed open_overload fabric_saturated apply_contended)
 seeds=(1 29)
 

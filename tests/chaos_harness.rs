@@ -110,9 +110,10 @@ fn planted_dedup_bug_is_found_and_shrinks_to_a_tiny_artifact() {
 /// The dedup bug is planted on the built server (`set_dedup_disabled`);
 /// the literals are what the commit before read when the builder planted
 /// it on the server before adding it to the world, on the minimal
-/// artifact `chaos_search` prints. Only `end=` has moved since: the
-/// device's entry retries now wait on a measured timeout and end with
-/// their entry, so the run's last event comes sooner.
+/// artifact `chaos_search` prints. Only `end=` has moved since, twice and
+/// both times sooner: the device's entry retries wait on a measured
+/// timeout and end with their entry, and a recovery poll pulls each
+/// entry's retry forward instead of arming a second resend timer.
 #[test]
 fn dedup_bug_planted_after_build_reproduces_the_pinned_verdict() {
     let artifact: Artifact = "# pmnet-chaos replay artifact\n\
@@ -127,7 +128,7 @@ fn dedup_bug_planted_after_build_reproduces_the_pinned_verdict() {
     assert_eq!(
         verdict.digest_line(),
         "passed=false violations=2 finished=3 acked=120 applied=121 redo=72 dups=0 corrupt=2 \
-         retries=2 failed=0 stranded=0 end=4859981"
+         retries=2 failed=0 stranded=0 end=4339000"
     );
     assert_eq!(
         verdict.violations,

@@ -18,8 +18,10 @@ use pmnet::traffic::{AdmissionSpec, TrafficSpec, TrafficSystem};
 /// Seed-77 lossy-recovery campaign, 10 plans x 2 designs. Covers the
 /// client retry path, device redo, the full recovery handshake, and the
 /// campaign digesting itself. Moved when the device's entry retry became
-/// a measured, backed-off timer cancelled with its entry (DESIGN.md §7).
-const LOSSY_RECOVERY_DIGEST: u64 = 0x2d04_de4c_2e77_2401;
+/// a measured, backed-off timer cancelled with its entry (DESIGN.md §7),
+/// and again when a recovery poll began pulling that retry forward in
+/// place of a second resend timer (DESIGN.md §9.2).
+const LOSSY_RECOVERY_DIGEST: u64 = 0x5147_6da8_1008_98d0;
 
 /// FNV-1a over the formatted Figure-16 stress rows (saturation points for
 /// both PMNet designs). Covers the data path end to end: MAT pipeline
