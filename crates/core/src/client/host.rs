@@ -1,28 +1,29 @@
-//! The host a client runs on: the three IO helpers that lower a
-//! [`Session`]'s answers onto the simulator — [`ClientHost::transmit`],
-//! [`ClientHost::frames`], [`ClientHost::report`] — plus the receive stack
-//! and the abandon hook that drops an unfinished request's span state.
-//! Both client drivers go through it, so the history's client events
-//! (invoke on first transmission, complete on report) are recorded here
-//! once for both.
+//! The host side of a client node's [`Arena`]: the helpers that lower a
+//! slot's [`Session`](super::session::Session) onto the simulator —
+//! issue, transmit, the RTO timer, report, abandon — and the receive
+//! stack. Every request of every policy crosses them, so the history's
+//! client events (invoke on first transmission, complete on report) are
+//! recorded here once.
 
 use bytes::Bytes;
-use pmnet_net::{Addr, Ctx, Msg, Packet, PortNo, Proto};
+use pmnet_net::{Addr, Ctx, Msg, Packet, PortNo, Proto, Timer};
 use pmnet_sim::{Dur, Time};
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::{AckKind, OpCompletion, OpEvent, OpKind};
-use pmnet_telemetry::Telemetry;
 
 use super::session::{
-    ClientMode, Completion, Request, RequestKind, Session, Which, PEER_LOGGER_ID_BASE,
+    AppRequest, ClientMode, Completion, Oversize, Request, RequestKind, Which, PEER_LOGGER_ID_BASE,
 };
+use super::{Arena, TIMER_LOCAL_LOG, TIMER_RTO};
 use crate::batch::{self, BatchFrames};
-use crate::config::HostProfile;
 use crate::protocol::{PacketType, PmnetHeader};
 
 /// Sentinel ingress port marking a packet that has finished traversing the
 /// receive stack.
 const POST_STACK: PortNo = PortNo(200);
+
+/// The server's PMNet port.
+const SERVER_PORT: u16 = 51000;
 
 fn op_kind(kind: RequestKind) -> OpKind {
     match kind {
@@ -31,79 +32,138 @@ fn op_kind(kind: RequestKind) -> OpKind {
     }
 }
 
-/// The host a client node runs on: its address, the flow its requests
-/// travel on, and the network-stack cost model between the application
-/// and the wire. [`super::ClientLib`] and `pmnet-traffic`'s open-loop
-/// engine both hold one, so every session crosses the same stack.
-#[derive(Debug, Clone)]
-pub struct ClientHost {
-    /// This client's address.
-    pub addr: Addr,
-    /// The server requests are addressed to.
-    pub server: Addr,
-    /// The stack's per-layer cost distributions.
-    pub profile: HostProfile,
-    /// TCP framing/costs instead of UDP.
-    pub(super) use_tcp: bool,
-    src_port: u16,
-    server_port: u16,
-    /// The highest fabric epoch seen in an `EpochNotify` (sharded
-    /// designs).
-    fabric_epoch: u64,
+/// The PMNet frames a post-stack packet carries. A coalesced batch from a
+/// device yields every inner frame as if it had arrived alone (each
+/// carries its own identity hash). The batch check comes first — a batch
+/// body never parses as a plain header, and vice versa.
+pub(super) fn frames(packet: &Packet) -> impl Iterator<Item = (PmnetHeader, Bytes)> {
+    let (batched, plain) = if batch::is_batch(&packet.payload) {
+        (BatchFrames::decode(&packet.payload), None)
+    } else {
+        (None, PmnetHeader::decode(&packet.payload))
+    };
+    batched.into_iter().flatten().chain(plain)
 }
 
-impl ClientHost {
-    /// A UDP host; `index` picks the source port.
-    pub fn new(addr: Addr, server: Addr, index: u16, profile: HostProfile) -> ClientHost {
-        ClientHost {
-            addr,
-            server,
-            profile,
-            use_tcp: false,
-            src_port: 51001 + index % 999,
-            server_port: 51000,
-            fabric_epoch: 0,
+/// The headers of [`frames`], without the payload slices.
+fn headers(packet: &Packet) -> impl Iterator<Item = PmnetHeader> {
+    let (batched, plain) = if batch::is_batch(&packet.payload) {
+        (BatchFrames::decode(&packet.payload), None)
+    } else {
+        (None, PmnetHeader::peek(&packet.payload))
+    };
+    batched.into_iter().flatten().map(|(h, _)| h).chain(plain)
+}
+
+impl Arena {
+    /// This node's address.
+    pub fn addr(&self) -> Addr {
+        self.addr
+    }
+
+    /// True if `slot` has a request open.
+    pub fn is_open(&self, slot: usize) -> bool {
+        self.slots[slot].session.open().is_some()
+    }
+
+    /// Maps a wire session back to its slot. Ids stride by a multiple of
+    /// the arena size on restart, so the residue is stable; the equality
+    /// check rejects frames naming a pre-restart incarnation.
+    pub(super) fn slot_of(&self, session: u16) -> Option<usize> {
+        let idx = usize::from(session) % self.slots.len();
+        (self.slots[idx].session.id() == session).then_some(idx)
+    }
+
+    /// Opens `app` on `slot`, whose latency runs from `anchor`: sends
+    /// every fragment, then arms the client-side-log timer (an update
+    /// under that mode) and the RTO timer. An oversize request is counted
+    /// failed, and nothing is sent or numbered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` has a request open.
+    pub fn issue(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        slot: usize,
+        app: AppRequest,
+        anchor: Time,
+    ) -> Result<(), Oversize> {
+        let update = app.kind == RequestKind::Update;
+        let s = &mut self.slots[slot];
+        s.anchor = anchor;
+        let serial = s
+            .session
+            .begin(app, ctx.now())
+            .inspect_err(|_| self.retry.failed += 1)?;
+        self.transmit(ctx, slot, Which::All);
+        // Client-side logging: the local logger persists in parallel with
+        // the (asynchronous) forward to the server.
+        if let ClientMode::ClientSideLog { local_persist, .. } = self.slots[slot].session.mode() {
+            if update {
+                let timer = Timer {
+                    kind: TIMER_LOCAL_LOG,
+                    a: serial,
+                    b: slot as u64,
+                };
+                ctx.timer_in(*local_persist, timer);
+            }
+        }
+        self.arm_rto(ctx, slot, serial);
+        Ok(())
+    }
+
+    pub(super) fn arm_rto(&mut self, ctx: &mut Ctx<'_>, slot: usize, serial: u64) {
+        self.disarm(ctx, slot);
+        let s = &mut self.slots[slot];
+        let timer = Timer {
+            kind: TIMER_RTO,
+            a: serial,
+            b: slot as u64,
+        };
+        s.rto_timer = Some(ctx.timer_in(s.session.rto(), timer));
+    }
+
+    pub(super) fn disarm(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
+        if let Some(id) = self.slots[slot].rto_timer.take() {
+            ctx.cancel(id);
         }
     }
 
-    /// Samples the user + kernel transmit stack for one packet.
-    pub fn tx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
+    /// Gives up on `slot`'s open request, if any (retry budget spent,
+    /// disconnect, power loss): cancels its timer and drops the span state
+    /// of its fragments, which will never complete.
+    pub fn abandon(&mut self, ctx: &mut Ctx<'_>, slot: usize) -> Option<Request> {
+        self.disarm(ctx, slot);
+        let gone = self.slots[slot].session.abandon()?;
+        self.telemetry
+            .op_abandon(self.addr, gone.session, gone.frag_range);
+        Some(gone)
+    }
+
+    fn tx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
         self.profile.tx_delay(ctx.rng(), payload_len, self.use_tcp)
     }
 
-    fn rx_delay(&self, ctx: &mut Ctx<'_>, payload_len: u32) -> Dur {
-        self.profile.rx_delay(ctx.rng(), payload_len, self.use_tcp)
-    }
-
     /// Frames `header` + `payload` as a packet on this host's flow.
-    pub fn make_packet(&self, header: &PmnetHeader, payload: &[u8]) -> Packet {
+    fn make_packet(&self, header: &PmnetHeader, payload: &[u8]) -> Packet {
         let body = header.encode(payload);
-        let mut p = Packet::udp(
-            self.addr,
-            self.server,
-            self.src_port,
-            self.server_port,
-            body,
-        );
+        let mut p = Packet::udp(self.addr, self.server, self.src_port, SERVER_PORT, body);
         if self.use_tcp {
             p.proto = Proto::Tcp;
         }
         p
     }
 
-    /// Puts the selected fragments of `session`'s open exchange on the
-    /// wire, each behind its own stack draw so they leave back to back.
+    /// Puts the selected fragments of `slot`'s open exchange on the wire,
+    /// each behind its own stack draw so they leave back to back.
     /// [`Which::All`] is a request's first transmission and also announces
     /// the op to the flight recorder and records its invocation in the
     /// history.
-    pub fn transmit(
-        &self,
-        ctx: &mut Ctx<'_>,
-        telemetry: &Telemetry,
-        session: &Session,
-        which: Which,
-    ) {
+    pub(super) fn transmit(&self, ctx: &mut Ctx<'_>, slot: usize, which: Which) {
+        let session = &self.slots[slot].session;
         let Some(open) = session.open() else { return };
+        let telemetry = &self.telemetry;
         if which == Which::All {
             let kind = op_kind(open.app.kind);
             telemetry.record(|| Event {
@@ -167,33 +227,14 @@ impl ClientHost {
         }
     }
 
-    /// The PMNet frames a post-stack packet carries. A coalesced batch
-    /// from a device yields every inner frame as if it had arrived alone
-    /// (each carries its own identity hash). The batch check comes first —
-    /// a batch body never parses as a plain header, and vice versa.
-    pub fn frames(packet: &Packet) -> impl Iterator<Item = (PmnetHeader, Bytes)> {
-        let (batched, plain) = if batch::is_batch(&packet.payload) {
-            (BatchFrames::decode(&packet.payload), None)
-        } else {
-            (None, PmnetHeader::decode(&packet.payload))
-        };
-        batched.into_iter().flatten().chain(plain)
-    }
-
-    /// Reports a completion to telemetry (history included) and returns
-    /// the application-observed latency, measured from `anchor`: the issue
-    /// instant for a closed-loop client, the arrival instant (queue wait
-    /// included) for an open-loop one.
-    pub fn report(
-        &self,
-        ctx: &Ctx<'_>,
-        telemetry: &Telemetry,
-        done: &Completion,
-        anchor: Time,
-    ) -> Dur {
+    /// Reports `slot`'s completion to telemetry (history included) and
+    /// returns the application-observed latency, measured from the slot's
+    /// anchor.
+    pub(super) fn report(&self, ctx: &Ctx<'_>, slot: usize, done: &Completion) -> Dur {
+        let anchor = self.slots[slot].anchor;
         let req = &done.request;
         let kind = op_kind(req.app.kind);
-        telemetry.record(|| Event {
+        self.telemetry.record(|| Event {
             at: ctx.now(),
             client: self.addr,
             session: req.session,
@@ -206,7 +247,7 @@ impl ClientHost {
             },
         });
         let latency = ctx.now() - anchor + self.profile.app_overhead;
-        telemetry.op_complete(
+        self.telemetry.op_complete(
             self.addr,
             ctx.now(),
             OpCompletion {
@@ -225,23 +266,14 @@ impl ClientHost {
         latency
     }
 
-    /// Gives up on `session`'s open exchange (retry budget spent,
-    /// disconnect, power loss) and drops the span state of its fragments,
-    /// which will never complete.
-    pub fn abandon(&self, telemetry: &Telemetry, session: &mut Session) -> Option<Request> {
-        let gone = session.abandon()?;
-        telemetry.op_abandon(self.addr, gone.session, gone.frag_range);
-        Some(gone)
-    }
-
     /// Notes an `EpochNotify` (the fabric re-homed a shard; the epoch
     /// rides in `seq`). True for the first notice of a new epoch: any
     /// fragment still in flight may have died with the fenced device, and
-    /// the ack it was waiting for will never come, so the caller resends
+    /// the ack it was waiting for will never come, so every slot resends
     /// its incomplete fragments at once. This is not a timeout, so the
     /// attempt budget is untouched; the resend is deduplicated by the new
     /// chain's log and the server. Duplicate notices are no-ops.
-    pub fn rehomed(&mut self, notice: &PmnetHeader) -> bool {
+    pub(super) fn rehomed(&mut self, notice: &PmnetHeader) -> bool {
         let epoch = u64::from(notice.seq);
         let newer = epoch > self.fabric_epoch;
         if newer {
@@ -250,43 +282,31 @@ impl ClientHost {
         newer
     }
 
-    /// The headers of [`ClientHost::frames`], without the payload slices.
-    fn headers(packet: &Packet) -> impl Iterator<Item = PmnetHeader> {
-        let (batched, plain) = if batch::is_batch(&packet.payload) {
-            (BatchFrames::decode(&packet.payload), None)
-        } else {
-            (None, PmnetHeader::peek(&packet.payload))
-        };
-        batched.into_iter().flatten().map(|(h, _)| h).chain(plain)
-    }
-
     /// The receive stack. A packet raw off the wire is stamped for span
     /// attribution, charged the kernel + user receive cost and re-posted
     /// to this node on the post-stack port (`None`); one arriving on that
     /// port has finished the climb and is handed back.
     ///
-    /// `spent` says whether a frame names a fragment the calling client's
-    /// sessions will never have open again ([`Session::spent`]). A packet
-    /// whose every frame is inert — a non-congested `ServerAck` or
-    /// `PmnetAck` naming a spent fragment; a packet that parses as no frame
-    /// has none to act on either — is still charged its stack draw but not
-    /// re-posted: after the climb it could only be ignored (DESIGN.md §18).
-    pub fn receive(
+    /// A packet whose every frame is inert — a non-congested `ServerAck`
+    /// or `PmnetAck` naming a fragment its slot's session will never have
+    /// open again ([`Session::spent`](super::session::Session::spent)); a
+    /// packet that parses as no frame has none to act on either — is still
+    /// charged its stack draw but not re-posted: after the climb it could
+    /// only be ignored (DESIGN.md §18).
+    pub(super) fn receive(
         &self,
         ctx: &mut Ctx<'_>,
-        telemetry: &Telemetry,
         port: PortNo,
         packet: Packet,
-        spent: impl Fn(&PmnetHeader) -> bool,
     ) -> Option<Packet> {
         if port == POST_STACK {
             return Some(packet);
         }
-        if telemetry.is_enabled() {
+        if self.telemetry.is_enabled() {
             // A coalesced batch carries several acks behind one wire
             // arrival: every inner frame gets its own recv stamp so
             // per-op spans stay attributable.
-            for h in Self::headers(&packet) {
+            for h in headers(&packet) {
                 let kind = match h.ptype {
                     PacketType::PmnetAck => Some(if h.device_id >= PEER_LOGGER_ID_BASE {
                         AckKind::Peer(h.device_id)
@@ -299,7 +319,7 @@ impl ClientHost {
                     _ => None,
                 };
                 if let Some(kind) = kind {
-                    telemetry.op_event(
+                    self.telemetry.op_event(
                         self.addr,
                         ctx.now(),
                         (self.addr, h.session, h.seq),
@@ -311,13 +331,17 @@ impl ClientHost {
                 }
             }
         }
-        let delay = self.rx_delay(ctx, packet.payload.len() as u32);
+        let delay = self
+            .profile
+            .rx_delay(ctx.rng(), packet.payload.len() as u32, self.use_tcp);
         let inert = |h: PmnetHeader| {
             matches!(h.ptype, PacketType::ServerAck | PacketType::PmnetAck)
                 && !h.is_congested()
-                && spent(&h)
+                && self
+                    .slot_of(h.session)
+                    .is_some_and(|s| self.slots[s].session.spent(&h))
         };
-        if Self::headers(&packet).all(inert) {
+        if headers(&packet).all(inert) {
             return None;
         }
         let self_id = ctx.self_id();

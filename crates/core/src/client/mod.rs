@@ -1,9 +1,9 @@
 //! The client-side PMNet software library (Table I, Section V-B).
 //!
-//! A [`ClientLib`] node runs a closed-loop synchronous client: it draws
-//! requests from a [`RequestSource`] (the workload), encapsulates them in
-//! PMNet headers — fragmenting over-MTU requests (Section IV-A3) — and
-//! blocks until the current request completes:
+//! Every client node is one [`Client`]: an arena of slots, each a wire
+//! [`Session`] with its one armed retransmission timer. The node
+//! encapsulates requests in PMNet headers — fragmenting over-MTU requests
+//! (Section IV-A3) — and waits on each slot's request until it completes:
 //!
 //! * **Baseline** mode completes an update on the server's ACK (full RTT);
 //! * **PMNet** mode completes as soon as the required number of distinct
@@ -14,12 +14,16 @@
 //!   loggers — have persisted the request.
 //!
 //! Lost packets are retransmitted on timeout; lost ACKs are handled by the
-//! device's idempotent duplicate detection.
+//! device's idempotent duplicate detection. When requests arrive is a
+//! [`LoadPolicy`]: the closed loop ([`ClientLib`]) draws the next one from
+//! a [`RequestSource`] `app_overhead` after the last ended, and
+//! `pmnet-traffic`'s open loop issues on an arrival clock.
 
 mod host;
 pub mod session;
 
 use std::fmt;
+use std::ops::{Deref, Range};
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, EventId, Msg, Node, Timer};
@@ -28,15 +32,17 @@ use pmnet_telemetry::Telemetry;
 
 use crate::config::{HostProfile, RetryConfig};
 use crate::protocol::{PacketType, PmnetHeader};
+use crate::system::addrs::{self, SERVER};
 
-pub use host::ClientHost;
 pub(crate) use session::PEER_LOGGER_ID_BASE;
-use session::{Absorbed, Completion, Expiry, Session, Which};
+use session::{Absorbed, Completion, Expiry, Request, Session, Which};
 pub use session::{AppRequest, ClientMode, RequestKind};
 
-const TIMER_TIMEOUT: u32 = 10;
-const TIMER_NEXT: u32 = 11;
+/// The node's own timer kinds; a policy's timers use any other kind.
+const TIMER_RTO: u32 = 10;
 const TIMER_LOCAL_LOG: u32 = 12;
+/// The closed loop's next request.
+const TIMER_NEXT: u32 = 11;
 
 /// Terminal fate of a request, as reported to the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,10 +78,11 @@ pub struct ClientRetryCounters {
     pub retransmits: u64,
     /// RTO doublings (timeouts plus congestion signals).
     pub backoffs: u64,
-    /// Congestion-flagged server ACKs received (device log under
-    /// pressure — see [`crate::protocol::FLAG_CONGESTED`]).
+    /// Congestion-flagged server ACKs that backed a session off (device
+    /// log under pressure — see [`crate::protocol::FLAG_CONGESTED`]).
     pub congestion_signals: u64,
-    /// Requests abandoned after exhausting the retry budget.
+    /// Requests abandoned after exhausting the retry budget, or too large
+    /// to send.
     pub failed: u64,
 }
 
@@ -101,31 +108,359 @@ pub struct CompletionRecord {
     pub retries: u32,
 }
 
-/// The client node: Table I's `PMNet_send_update` / `PMNet_bypass` /
-/// session functions driven as a closed loop over one [`Session`].
+/// What a [`Client`] tells its [`LoadPolicy`]. An exchange that ended
+/// has had its RTO timer cancelled.
 #[derive(Debug)]
-pub struct ClientLib {
-    host: ClientHost,
+pub enum Event {
+    /// The load starts (`Msg::Start`).
+    Start,
+    /// The node is back from a power cycle: every slot is reopened under a
+    /// fresh id, and none has a request open.
+    Restart,
+    /// One of the policy's own timers fired.
+    Timer(Timer),
+    /// A slot's request reached its completion rule, after this latency
+    /// (from the slot's anchor, `app_overhead` included).
+    Done(usize, Completion, Dur),
+    /// A slot's retry budget ran out: nothing is claimed for the request.
+    Failed(usize, Request),
+    /// Fragments went out again: a timeout, or the server asked for one.
+    Resent,
+    /// A `FLAG_CONGESTED` `ServerAck` arrived, whichever session it names.
+    Congested,
+    /// Power loss abandoned every slot, this many mid-request.
+    Crashed(u64),
+}
+
+/// What a client node does beside the protocol: when requests arrive,
+/// which slot each takes and what an ended exchange leads to.
+pub trait LoadPolicy: fmt::Debug + 'static {
+    /// How many ids a restart moves every slot's session on, so that no
+    /// `(client, session, seq)` from before it is issued again.
+    fn restart_stride(&self, slots: usize) -> u16;
+
+    /// Reacts to one event.
+    fn on_event(&mut self, arena: &mut Arena, ctx: &mut Ctx<'_>, event: Event);
+}
+
+/// A policy built per node from a campaign description: the constructor
+/// behind `pmnet-traffic`'s `OpenLoopClient::new`.
+pub trait FromSpec: LoadPolicy + Sized {
+    /// The campaign description.
+    type Spec;
+
+    /// A node's policy, issuing until `stop_at`, with its slot count and
+    /// their mode.
+    fn build(spec: &Self::Spec, stop_at: Time) -> (Self, u16, ClientMode);
+}
+
+/// A client node: an [`Arena`] of sessions under a [`LoadPolicy`], whose
+/// accessors the node reaches through `Deref`.
+#[derive(Debug)]
+pub struct Client<P> {
+    arena: Arena,
+    policy: P,
+}
+
+/// The node's side of a [`Client`]: the host it runs on (address, flow,
+/// stack cost model, fabric epoch), its slots and its one observer.
+#[derive(Debug)]
+pub struct Arena {
+    addr: Addr,
+    server: Addr,
+    profile: HostProfile,
+    use_tcp: bool,
+    src_port: u16,
+    /// The highest fabric epoch seen in an `EpochNotify` (sharded
+    /// designs).
+    fabric_epoch: u64,
+    slots: Vec<Slot>,
+    retry_budget: u32,
+    retry: ClientRetryCounters,
+    alive: bool,
+    /// Times this node has been power-cycled.
+    crashes: u32,
+    telemetry: Telemetry,
+}
+
+#[derive(Debug)]
+struct Slot {
+    /// Its id strides on restart so `(client, session, seq)` identities
+    /// are never reused.
     session: Session,
     /// The open exchange's one armed retransmission timer. Whatever ends
     /// the exchange cancels it: from then on its serial is stale and the
     /// timer could only fire as a no-op (DESIGN.md §18).
     rto_timer: Option<EventId>,
-    retry_budget: u32,
-    retry_counters: ClientRetryCounters,
+    /// What the open request's latency is measured from: its issue
+    /// (closed loop) or its arrival, queue wait included (open loop).
+    anchor: Time,
+}
+
+impl<P: LoadPolicy> Client<P> {
+    /// A node at `addr` with one slot per session id in `ids`, each in
+    /// `mode`, talking to `server`; `port` picks the source port.
+    #[allow(clippy::too_many_arguments)]
+    fn with_policy(
+        addr: Addr,
+        server: Addr,
+        port: u16,
+        ids: Range<u16>,
+        mode: ClientMode,
+        profile: HostProfile,
+        timeout: Dur,
+        retry: RetryConfig,
+        policy: P,
+    ) -> Client<P> {
+        let slots = ids
+            .map(|id| Slot {
+                session: Session::new(id, mode.clone(), addr, server, timeout, retry),
+                rto_timer: None,
+                anchor: Time::ZERO,
+            })
+            .collect();
+        let arena = Arena {
+            addr,
+            server,
+            profile,
+            use_tcp: false,
+            src_port: 51001 + port % 999,
+            fabric_epoch: 0,
+            slots,
+            retry_budget: retry.retry_budget,
+            retry: ClientRetryCounters::default(),
+            alive: true,
+            crashes: 0,
+            telemetry: Telemetry::disabled(),
+        };
+        Client { arena, policy }
+    }
+
+    /// Attaches a telemetry handle: span events, completions and history
+    /// events flow into its shared sink. Pure observation — never touches
+    /// the RNG or the event queue.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.arena.telemetry = telemetry;
+    }
+
+    /// Uses TCP framing/costs for this client's traffic (baseline Redis /
+    /// Twitter / TPCC keep their native TCP, Section VI-A3).
+    pub fn with_tcp(mut self) -> Client<P> {
+        self.arena.use_tcp = true;
+        self
+    }
+
+    /// Times this client has been power-cycled.
+    pub fn crashes(&self) -> u32 {
+        self.arena.crashes
+    }
+
+    /// Retransmission/backoff/failure counters.
+    pub fn retry_counters(&self) -> ClientRetryCounters {
+        self.arena.retry
+    }
+
+    /// This client's address.
+    pub fn client_addr(&self) -> Addr {
+        self.arena.addr
+    }
+
+    /// The slots' sessions, in slot order.
+    pub fn sessions(&self) -> impl ExactSizeIterator<Item = &Session> {
+        self.arena.slots.iter().map(|s| &s.session)
+    }
+
+    /// Requests still in flight (issued, neither completed nor abandoned).
+    pub fn in_flight(&self) -> usize {
+        self.sessions().filter(|s| s.open().is_some()).count()
+    }
+
+    /// Per slot, in slot order: whether a request is open, and whether
+    /// its RTO timer is armed. Whatever ends an exchange disarms its
+    /// timer, so the two agree between events.
+    pub fn slot_timers(&self) -> impl ExactSizeIterator<Item = (bool, bool)> + '_ {
+        let pair = |s: &Slot| (s.session.open().is_some(), s.rto_timer.is_some());
+        self.arena.slots.iter().map(pair)
+    }
+
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, header: PmnetHeader, payload: Bytes) {
+        let arena = &mut self.arena;
+        if header.ptype == PacketType::EpochNotify {
+            if arena.rehomed(&header) {
+                for slot in 0..arena.slots.len() {
+                    arena.transmit(ctx, slot, Which::Incomplete);
+                }
+            }
+            return;
+        }
+        let slot = arena.slot_of(header.session);
+        if header.ptype == PacketType::ServerAck && header.is_congested() {
+            self.policy.on_event(arena, ctx, Event::Congested);
+            // The congestion rule (DESIGN.md §9.1): the ack backs off the
+            // session it names, if that session has a request open.
+            if let Some(s) = slot.filter(|&s| arena.slots[s].session.open().is_some()) {
+                arena.retry.congestion_signals += 1;
+                arena.retry.backoffs += 1;
+                arena.slots[s].session.back_off();
+            }
+        }
+        if let Some(slot) = slot {
+            let absorbed = arena.slots[slot]
+                .session
+                .absorb(&header, payload, ctx.now());
+            self.on_absorbed(ctx, slot, absorbed);
+        }
+    }
+
+    fn on_absorbed(&mut self, ctx: &mut Ctx<'_>, slot: usize, absorbed: Absorbed) {
+        match absorbed {
+            Absorbed::Ignored | Absorbed::Progress => {}
+            Absorbed::Resend(frag) => {
+                self.policy.on_event(&mut self.arena, ctx, Event::Resent);
+                self.arena.transmit(ctx, slot, Which::One(frag));
+            }
+            Absorbed::Done(done) => {
+                self.arena.disarm(ctx, slot);
+                let latency = self.arena.report(ctx, slot, &done);
+                let done = Event::Done(slot, done, latency);
+                self.policy.on_event(&mut self.arena, ctx, done);
+            }
+        }
+    }
+
+    fn on_rto(&mut self, ctx: &mut Ctx<'_>, slot: usize, serial: u64) {
+        let arena = &mut self.arena;
+        match arena.slots[slot].session.expire(serial, arena.retry_budget) {
+            Expiry::Stale => {}
+            Expiry::Resend => {
+                arena.retry.retransmits += 1;
+                arena.retry.backoffs += 1;
+                self.policy.on_event(arena, ctx, Event::Resent);
+                arena.transmit(ctx, slot, Which::Incomplete);
+                arena.arm_rto(ctx, slot, serial);
+            }
+            Expiry::Exhausted => {
+                let gone = arena
+                    .abandon(ctx, slot)
+                    .expect("an exhausted exchange is open");
+                arena.retry.failed += 1;
+                self.policy.on_event(arena, ctx, Event::Failed(slot, gone));
+            }
+        }
+    }
+}
+
+impl<P: FromSpec> Client<P> {
+    /// Builds node `index` of a campaign `spec` describes, at the
+    /// builder's client address `index`, issuing until `stop_at`.
+    pub fn new(
+        index: usize,
+        spec: &P::Spec,
+        profile: HostProfile,
+        retry: RetryConfig,
+        timeout: Dur,
+        stop_at: Time,
+    ) -> Client<P> {
+        let (policy, slots, mode) = P::build(spec, stop_at);
+        let (addr, port) = (addrs::client(index), index as u16);
+        Client::with_policy(
+            addr,
+            SERVER,
+            port,
+            0..slots,
+            mode,
+            profile,
+            timeout,
+            retry,
+            policy,
+        )
+    }
+}
+
+impl<P> Deref for Client<P> {
+    type Target = P;
+
+    fn deref(&self) -> &P {
+        &self.policy
+    }
+}
+
+impl<P: LoadPolicy> Node for Client<P> {
+    fn on_msg(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+        let arena = &mut self.arena;
+        match msg {
+            // Idempotent power transitions: a second crash inside an
+            // existing downtime window (overlapping fault schedules) must
+            // not count another crash, and a stray restore while running
+            // must not reset the sessions mid-flight.
+            Msg::Crash if !arena.alive => {}
+            Msg::Restore if arena.alive => {}
+            Msg::Crash => {
+                arena.alive = false;
+                arena.crashes += 1;
+                // Requests in flight and their volatile retry state are
+                // lost. Completion and ACK records model results already
+                // handed to the application (and audited as acknowledged),
+                // so they survive the restart.
+                let slots = 0..arena.slots.len();
+                let aborted = slots.filter(|&s| arena.abandon(ctx, s).is_some()).count();
+                self.policy
+                    .on_event(arena, ctx, Event::Crashed(aborted as u64));
+            }
+            Msg::Restore => {
+                arena.alive = true;
+                // A restarted application opens fresh sessions; the
+                // requests in flight at the crash stay abandoned.
+                let stride = self.policy.restart_stride(arena.slots.len());
+                for slot in &mut arena.slots {
+                    slot.session.reopen(stride);
+                }
+                self.policy.on_event(arena, ctx, Event::Restart);
+            }
+            _ if !arena.alive => {}
+            Msg::Start => self.policy.on_event(arena, ctx, Event::Start),
+            Msg::Packet { port, packet } => {
+                if let Some(packet) = arena.receive(ctx, port, packet) {
+                    for (header, payload) in host::frames(&packet) {
+                        self.on_frame(ctx, header, payload);
+                    }
+                }
+            }
+            Msg::Timer(t) => match t.kind {
+                TIMER_RTO => self.on_rto(ctx, t.b as usize, t.a),
+                TIMER_LOCAL_LOG => {
+                    let slot = t.b as usize;
+                    let absorbed = arena.slots[slot].session.logged_locally(t.a, ctx.now());
+                    self.on_absorbed(ctx, slot, absorbed);
+                }
+                _ => self.policy.on_event(arena, ctx, Event::Timer(t)),
+            },
+            _ => {}
+        }
+    }
+
+    fn addr(&self) -> Option<Addr> {
+        Some(self.arena.addr)
+    }
+}
+
+/// The closed loop: Table I's synchronous client over one slot. Its
+/// [`RequestSource`] hands out the next request `app_overhead` after the
+/// last one completed or failed.
+#[derive(Debug)]
+pub struct ClosedLoop {
     source: Box<dyn RequestSource>,
     records: Vec<CompletionRecord>,
     acked_updates: Vec<(u16, u32)>,
     warmup: usize,
     finished: bool,
-    alive: bool,
-    /// Times this client has been power-cycled (observability for chaos
-    /// liveness checks).
-    crashes: u32,
-    telemetry: Telemetry,
 }
 
-impl ClientLib {
+/// The closed-loop client node: Table I's `PMNet_send_update` /
+/// `PMNet_bypass` / session functions over one [`Session`].
+pub type ClientLib = Client<ClosedLoop>;
+
+impl Client<ClosedLoop> {
     /// Creates a client. `session` doubles as the client's index for port
     /// assignment.
     #[allow(clippy::too_many_arguments)]
@@ -139,54 +474,33 @@ impl ClientLib {
         retry: RetryConfig,
         source: Box<dyn RequestSource>,
     ) -> ClientLib {
-        ClientLib {
-            host: ClientHost::new(addr, server, session, profile),
-            session: Session::new(session, mode, addr, server, timeout, retry),
-            rto_timer: None,
-            retry_budget: retry.retry_budget,
-            retry_counters: ClientRetryCounters::default(),
+        let policy = ClosedLoop {
             source,
             records: Vec::new(),
             acked_updates: Vec::new(),
             warmup: 0,
             finished: false,
-            alive: true,
-            crashes: 0,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Attaches a telemetry handle: span events, completions and history
-    /// events flow into its shared sink. Pure observation — never touches
-    /// the RNG or the event queue.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Times this client has been power-cycled.
-    pub fn crashes(&self) -> u32 {
-        self.crashes
-    }
-
-    /// Retransmission/backoff/failure counters.
-    pub fn retry_counters(&self) -> ClientRetryCounters {
-        self.retry_counters
-    }
-
-    /// Uses TCP framing/costs for this client's traffic (baseline Redis /
-    /// Twitter / TPCC keep their native TCP, Section VI-A3).
-    pub fn with_tcp(mut self) -> ClientLib {
-        self.host.use_tcp = true;
-        self
+        };
+        let ids = session..session + 1;
+        Client::with_policy(
+            addr, server, session, ids, mode, profile, timeout, retry, policy,
+        )
     }
 
     /// Skips the first `n` completions in the recorded statistics
     /// (the paper skips 10 k warm-up requests, Section VI-A2).
     pub fn with_warmup(mut self, n: usize) -> ClientLib {
-        self.warmup = n;
+        self.policy.warmup = n;
         self
     }
 
+    /// This client's session id.
+    pub fn session(&self) -> u16 {
+        self.arena.slots[0].session.id()
+    }
+}
+
+impl ClosedLoop {
     /// All completion records after warm-up.
     pub fn records(&self) -> &[CompletionRecord] {
         let skip = self.warmup.min(self.records.len());
@@ -203,241 +517,67 @@ impl ClientLib {
         self.finished
     }
 
-    /// This client's session id.
-    pub fn session(&self) -> u16 {
-        self.session.id()
-    }
-
-    /// This client's address.
-    pub fn client_addr(&self) -> Addr {
-        self.host.addr
-    }
-
     /// `(session, seq)` of every acknowledged update (audit input), one
     /// entry each under its last fragment's `SeqNum` — the identity the
     /// server's apply reports. Session-qualified because a restarted
-    /// client opens a fresh session (see [`Msg::Restore`] handling).
+    /// client opens a fresh session.
     pub fn acked_updates(&self) -> &[(u16, u32)] {
         &self.acked_updates
     }
 
-    fn issue_next(&mut self, ctx: &mut Ctx<'_>) {
+    fn issue_next(&mut self, arena: &mut Arena, ctx: &mut Ctx<'_>) {
         let Some(req) = self.source.next_request(ctx.rng()) else {
             self.finished = true;
             return;
         };
-        let Ok(serial) = self.session.begin(req.clone(), ctx.now()) else {
+        let now = ctx.now();
+        if arena.issue(ctx, 0, req.clone(), now).is_err() {
             // Too large for the wire: nothing was sent or numbered.
-            self.fail(ctx, &req);
-            return;
-        };
-        self.host
-            .transmit(ctx, &self.telemetry, &self.session, Which::All);
-        // Client-side logging: the local logger persists in parallel with
-        // the (asynchronous) forward to the server.
-        if let ClientMode::ClientSideLog { local_persist, .. } = self.session.mode() {
-            if req.kind == RequestKind::Update {
-                ctx.timer_in(
-                    *local_persist,
-                    Timer {
-                        kind: TIMER_LOCAL_LOG,
-                        a: serial,
-                        b: 0,
-                    },
-                );
-            }
-        }
-        self.arm_timeout(ctx, serial);
-    }
-
-    fn arm_timeout(&mut self, ctx: &mut Ctx<'_>, serial: u64) {
-        self.disarm_timeout(ctx);
-        self.rto_timer = Some(ctx.timer_in(
-            self.session.rto(),
-            Timer {
-                kind: TIMER_TIMEOUT,
-                a: serial,
-                b: 0,
-            },
-        ));
-    }
-
-    fn disarm_timeout(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(id) = self.rto_timer.take() {
-            ctx.cancel(id);
+            self.fail(arena, ctx, &req);
         }
     }
 
     /// The request will never complete (retry budget spent, or too large
     /// to send): durability is not claimed for it — it never enters
     /// `acked_updates` or the latency records — and the workload goes on.
-    fn fail(&mut self, ctx: &mut Ctx<'_>, req: &AppRequest) {
-        self.disarm_timeout(ctx);
-        self.retry_counters.failed += 1;
+    fn fail(&mut self, arena: &Arena, ctx: &mut Ctx<'_>, req: &AppRequest) {
         self.source.on_outcome(req, UpdateOutcome::Failed);
-        ctx.timer_in(self.host.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
-    }
-
-    fn complete(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
-        self.disarm_timeout(ctx);
-        let req = &done.request;
-        if req.app.kind == RequestKind::Update {
-            self.acked_updates.push((req.session, req.frag_range.1));
-        }
-        let latency = self
-            .host
-            .report(ctx, &self.telemetry, &done, done.issued_at);
-        self.records.push(CompletionRecord {
-            kind: req.app.kind,
-            latency,
-            at: ctx.now(),
-            retries: req.attempt,
-        });
-        self.source.on_complete(&req.app, done.reply.as_ref());
-        self.source.on_outcome(&req.app, UpdateOutcome::Completed);
-        ctx.timer_in(self.host.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
-    }
-
-    fn on_absorbed(&mut self, ctx: &mut Ctx<'_>, absorbed: Absorbed) {
-        match absorbed {
-            Absorbed::Ignored | Absorbed::Progress => {}
-            Absorbed::Resend(frag) => {
-                self.host
-                    .transmit(ctx, &self.telemetry, &self.session, Which::One(frag));
-            }
-            Absorbed::Done(done) => self.complete(ctx, done),
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, header: PmnetHeader, payload: Bytes) {
-        if header.ptype == PacketType::EpochNotify {
-            if self.host.rehomed(&header) {
-                self.host
-                    .transmit(ctx, &self.telemetry, &self.session, Which::Incomplete);
-            }
-            return;
-        }
-        // A congestion-flagged ACK means the device log bypassed an update
-        // under pressure (LogFull / QueueFull). The closed-loop policy
-        // backs off on any such signal while a request is open, whether or
-        // not it answers that request (DESIGN.md §9.1).
-        if header.ptype == PacketType::ServerAck
-            && header.is_congested()
-            && self.session.open().is_some()
-        {
-            self.retry_counters.congestion_signals += 1;
-            self.retry_counters.backoffs += 1;
-            self.session.back_off();
-        }
-        let absorbed = self.session.absorb(&header, payload, ctx.now());
-        self.on_absorbed(ctx, absorbed);
-    }
-
-    fn on_timeout(&mut self, ctx: &mut Ctx<'_>, serial: u64) {
-        match self.session.expire(serial, self.retry_budget) {
-            Expiry::Stale => {}
-            Expiry::Resend => {
-                self.retry_counters.retransmits += 1;
-                self.retry_counters.backoffs += 1;
-                self.host
-                    .transmit(ctx, &self.telemetry, &self.session, Which::Incomplete);
-                self.arm_timeout(ctx, serial);
-            }
-            Expiry::Exhausted => {
-                let gone = self
-                    .host
-                    .abandon(&self.telemetry, &mut self.session)
-                    .expect("an exhausted exchange is open");
-                self.fail(ctx, &gone.app);
-            }
-        }
+        ctx.timer_in(arena.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
     }
 }
 
-impl Node for ClientLib {
-    fn on_msg(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match msg {
-            // Idempotent power transitions: a second crash inside an
-            // existing downtime window (overlapping fault schedules) must
-            // not count another crash, and a stray restore while running
-            // must not reset the session mid-flight.
-            Msg::Crash if !self.alive => {}
-            Msg::Restore if self.alive => {}
-            Msg::Crash => {
-                self.alive = false;
-                self.crashes += 1;
-                // The in-flight request and its volatile retry state are
-                // lost. Completion and ACK records model results already
-                // handed to the application (and audited as acknowledged),
-                // so they survive the restart.
-                self.host.abandon(&self.telemetry, &mut self.session);
-                self.disarm_timeout(ctx);
+impl LoadPolicy for ClosedLoop {
+    fn restart_stride(&self, _slots: usize) -> u16 {
+        // Keeps restarted sessions from colliding with other clients'
+        // (which are small indices).
+        1000
+    }
+
+    fn on_event(&mut self, arena: &mut Arena, ctx: &mut Ctx<'_>, event: Event) {
+        match event {
+            Event::Start | Event::Restart => self.issue_next(arena, ctx),
+            // Guarded so a timer from before a crash can't double-issue
+            // after the restart re-primed the loop.
+            Event::Timer(t) if t.kind == TIMER_NEXT && !arena.is_open(0) && !self.finished => {
+                self.issue_next(arena, ctx)
             }
-            Msg::Restore => {
-                self.alive = true;
-                // A restarted application opens a fresh session. Striding
-                // by 1000 keeps restarted sessions from colliding with
-                // other clients' (which are small indices).
-                self.session.reopen(1000);
-                // Resume the workload with the next request; the one that
-                // was in flight at the crash is abandoned.
-                self.issue_next(ctx);
+            Event::Done(_, done, latency) => {
+                let req = &done.request;
+                if req.app.kind == RequestKind::Update {
+                    self.acked_updates.push((req.session, req.frag_range.1));
+                }
+                self.records.push(CompletionRecord {
+                    kind: req.app.kind,
+                    latency,
+                    at: ctx.now(),
+                    retries: req.attempt,
+                });
+                self.source.on_complete(&req.app, done.reply.as_ref());
+                self.source.on_outcome(&req.app, UpdateOutcome::Completed);
+                ctx.timer_in(arena.profile.app_overhead, Timer::of_kind(TIMER_NEXT));
             }
-            _ if !self.alive => {}
-            Msg::Start => self.issue_next(ctx),
-            Msg::Packet { port, packet } => {
-                let spent = |h: &PmnetHeader| self.session.spent(h);
-                if let Some(packet) = self.host.receive(ctx, &self.telemetry, port, packet, spent) {
-                    for (header, payload) in ClientHost::frames(&packet) {
-                        self.on_frame(ctx, header, payload);
-                    }
-                }
-            }
-            Msg::Timer(Timer { kind, a, .. }) => match kind {
-                // Guarded so a timer from before a crash can't double-issue
-                // after the restart re-primed the loop.
-                TIMER_NEXT if self.session.open().is_none() && !self.finished => {
-                    self.issue_next(ctx)
-                }
-                TIMER_TIMEOUT => self.on_timeout(ctx, a),
-                TIMER_LOCAL_LOG => {
-                    let absorbed = self.session.logged_locally(a, ctx.now());
-                    self.on_absorbed(ctx, absorbed);
-                }
-                _ => {}
-            },
+            Event::Failed(_, gone) => self.fail(arena, ctx, &gone.app),
             _ => {}
         }
-    }
-
-    fn addr(&self) -> Option<Addr> {
-        Some(self.host.addr)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::session::MAX_FRAGMENT_PAYLOAD;
-    use super::*;
-    use crate::api::{update, ScriptSource};
-
-    #[test]
-    fn fragmentation_splits_large_updates() {
-        let mut c = ClientLib::new(
-            Addr(1),
-            Addr(9),
-            0,
-            ClientMode::Pmnet { needed_acks: 1 },
-            HostProfile::kernel_client(),
-            Dur::millis(10),
-            RetryConfig::default(),
-            Box::new(ScriptSource::new([update(vec![7u8; 4000])])),
-        );
-        // 1500 - 42 - 24 = 1434 per fragment -> 3 fragments for 4000 B
-        // (`tests/session_props.rs` drives the real split).
-        assert_eq!(MAX_FRAGMENT_PAYLOAD, 1434);
-        assert_eq!(4000usize.div_ceil(MAX_FRAGMENT_PAYLOAD), 3);
-        c.warmup = 1;
-        assert!(c.records().is_empty());
     }
 }

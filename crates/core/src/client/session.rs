@@ -6,9 +6,9 @@
 //! answered), and decides from the timeouts it is shown whether to
 //! retransmit or give up. It is a pure state machine — no clock, no RNG,
 //! no packets, no telemetry — in the style of
-//! [`crate::server::stream::Stream`]: the closed-loop [`super::ClientLib`]
-//! and `pmnet-traffic`'s open-loop engine feed it frames and timer fires
-//! and lower its answers onto the simulator through [`super::ClientHost`].
+//! [`crate::server::stream::Stream`]. The one client node,
+//! [`super::Client`], holds one per slot, feeds it frames and timer fires
+//! and lowers its answers onto the simulator, under either load policy.
 //!
 //! The paper's client is synchronous, so a session holds at most one open
 //! exchange; concurrency is many sessions, not many exchanges.

@@ -13,9 +13,10 @@
 //! * [`spec`] — a typed, validated description of a traffic campaign:
 //!   arrival law, node/session topology, key space, churn, queueing and
 //!   admission control.
-//! * [`engine`] — the [`engine::OpenLoopClient`] node multiplexing
-//!   hundreds of wire sessions with lifecycle churn, an AIMD admission
-//!   gate driven by the server's congestion acks, and the
+//! * [`engine`] — the [`engine::OpenLoop`] load policy of `pmnet-core`'s
+//!   client node ([`engine::OpenLoopClient`]): hundreds of wire sessions
+//!   with lifecycle churn, an AIMD admission gate driven by the server's
+//!   congestion acks, and the
 //!   [`engine::TrafficSystem`] harness plus its SLO-style
 //!   [`engine::TrafficReport`] (p50/p99/p999, goodput vs offered load,
 //!   total drop accounting, device-log pressure, phase attribution).
@@ -38,5 +39,5 @@ pub mod engine;
 pub mod spec;
 
 pub use arrivals::{ArrivalProcess, MmppArrivals, PoissonArrivals};
-pub use engine::{OpenLoopClient, TrafficCounters, TrafficReport, TrafficSystem};
+pub use engine::{OpenLoop, OpenLoopClient, TrafficCounters, TrafficReport, TrafficSystem};
 pub use spec::{AdmissionSpec, ArrivalSpec, ChurnSpec, TrafficSpec};
