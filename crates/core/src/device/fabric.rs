@@ -1,14 +1,62 @@
-//! The device's side of the sharded fabric (DESIGN.md §13): the chain
+//! The device's side of the sharded fabric (DESIGN.md §13, §19): the
+//! role rule deciding whom a durable entry is acknowledged to, the chain
 //! peer link, the coordinator's `Fence` and `Promote` orders, and the
-//! liveness heartbeat. The role decisions themselves are
-//! [`super::chain::Chain`]'s; this file lowers them onto the wire.
+//! liveness heartbeat.
 
 use pmnet_net::{Addr, Ctx, Packet, PortNo};
-use pmnet_sim::Dur;
+use pmnet_sim::{Dur, Time};
 
-use super::chain::{DeviceRole, Release};
 use super::{PmnetDevice, TIMER_HEARTBEAT};
+use crate::logstore::LogStore;
 use crate::protocol::{PacketType, PmnetHeader};
+
+/// The device's position in its shard's replication chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceRole {
+    /// Unreplicated (the single-device configuration, or a promoted
+    /// survivor): log-and-ack exactly as the paper describes.
+    Solo,
+    /// Chain head: logs, forwards the update through the backup, and
+    /// withholds the client's PMNet-ACK until the backup's `ChainAck`
+    /// proves the update is durable twice.
+    Primary,
+    /// Chain tail: logs and acknowledges *to the primary* (`ChainAck`)
+    /// instead of to the client.
+    Backup,
+}
+
+/// What the device owes for one entry after an event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Release {
+    /// Nothing yet: a later event (the write completing, the backup's
+    /// confirmation, a promotion) releases it.
+    Hold,
+    /// The PMNet-ACK to the client.
+    AckClient,
+    /// The `ChainAck` to the chain primary.
+    AckPrimary,
+}
+
+impl DeviceRole {
+    /// The one acknowledgement rule: what the entry `hash` is owed at
+    /// `now`. Nothing unless it is durable ([`LogStore::durable`]); then a
+    /// solo device acks the client, a primary does so once its backup has
+    /// confirmed the entry ([`crate::logstore::LogEntry::confirmed`]), and
+    /// a backup acks the primary. Every fact it reads is in the log.
+    pub fn owed(self, log: &LogStore, hash: u32, now: Time) -> Release {
+        if !log.durable(hash, now) {
+            return Release::Hold;
+        }
+        match self {
+            DeviceRole::Solo => Release::AckClient,
+            DeviceRole::Primary if log.peek(hash).is_some_and(|e| e.confirmed) => {
+                Release::AckClient
+            }
+            DeviceRole::Primary => Release::Hold,
+            DeviceRole::Backup => Release::AckPrimary,
+        }
+    }
+}
 
 /// How often a fabric-wired device beacons its liveness to the
 /// coordinator, whose watchdog fences a member silent for longer.
@@ -20,7 +68,8 @@ const HEARTBEAT_INTERVAL: Dur = Dur::micros(100);
 /// chain link from a bypass link).
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceFabric {
-    /// Chain position.
+    /// Chain position, the device's one record of its role; `Promote`
+    /// turns it [`DeviceRole::Solo`].
     pub role: DeviceRole,
     /// The other device of this shard's chain, if any.
     pub chain_peer: Option<Addr>,
@@ -56,11 +105,12 @@ impl PmnetDevice {
     }
 
     /// Primary role: the backup confirmed durability of `hash`; release
-    /// the withheld client ACK once our own write has also finished.
+    /// the withheld client ACK once our own write has also finished. A
+    /// repeat, or one for an entry the server already acknowledged,
+    /// releases nothing.
     pub(super) fn handle_chain_ack(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
         self.counters.chain_acks_received += 1;
-        let durable = self.log.durable(hash, ctx.now());
-        if self.chain.confirmed(hash, durable) == Release::AckClient {
+        if self.role() == DeviceRole::Primary && self.log.confirm(hash) && self.settle(ctx, hash) {
             self.counters.chain_releases += 1;
             self.ack_clients(ctx, &[hash]);
         }
@@ -105,16 +155,23 @@ impl PmnetDevice {
                 }
             }
         }
-        let now = ctx.now();
-        for hash in self.chain.promoted(|hash| self.log.durable(hash, now)) {
-            self.counters.chain_releases += 1;
-            self.ack_clients(ctx, &[hash]);
-        }
         self.fabric = Some(DeviceFabric {
             role: DeviceRole::Solo,
             chain_peer: None,
             ..fabric
         });
+        if fabric.role != DeviceRole::Primary {
+            return; // a backup's entries were never owed to the client
+        }
+        // Ascending hash order, the order the acks go on the wire; an
+        // entry still in flight to PM is acknowledged when it lands.
+        for hash in self.log.hashes() {
+            let unconfirmed = self.log.peek(hash).is_some_and(|e| !e.confirmed);
+            if unconfirmed && self.settle(ctx, hash) {
+                self.counters.chain_releases += 1;
+                self.ack_clients(ctx, &[hash]);
+            }
+        }
     }
 
     /// Arms (or re-arms, after a power cycle) the heartbeat timer of a

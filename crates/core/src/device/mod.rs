@@ -13,12 +13,12 @@
 //!    answer cached reads.
 //!
 //! One node, split along the state each mechanism owns (the module map
-//! is DESIGN.md §19): `update` is the life of a log entry, [`chain`] the
-//! pure role table deciding whom a durable entry is acknowledged to,
-//! `redo` everything re-sent from the log, `reads` the cache and parked
-//! reads, `fabric` the chain link, fence, promote and heartbeat.
+//! is DESIGN.md §19): `update` is the life of a log entry, `redo`
+//! everything re-sent from the log, `reads` the cache and parked reads,
+//! `fabric` the role rule ([`DeviceRole::owed`]) deciding whom a durable
+//! entry is acknowledged to, and the chain link, fence, promote and
+//! heartbeat.
 
-pub mod chain;
 mod fabric;
 mod reads;
 mod redo;
@@ -31,9 +31,7 @@ use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
 use std::collections::HashMap;
 
-use self::chain::Chain;
-pub use self::chain::DeviceRole;
-pub use self::fabric::DeviceFabric;
+pub use self::fabric::{DeviceFabric, DeviceRole, Release};
 use self::redo::EntryRetry;
 use crate::cache::ReadCache;
 use crate::config::{BatchConfig, DeviceConfig};
@@ -174,13 +172,9 @@ pub struct PmnetDevice {
     parked_reads: HashMap<(Addr, Addr, u16), Vec<(u32, Packet)>>,
     /// **Fault-injection hook** (see [`PmnetDevice::set_stale_read_bug`]).
     stale_read_bug: bool,
-    /// Fabric wiring; `None` for the classic single-device configuration.
+    /// Fabric wiring, the chain role included; `None` for the classic
+    /// single-device configuration, whose role is [`DeviceRole::Solo`].
     fabric: Option<DeviceFabric>,
-    /// The chain role and, for a primary, the acks it withholds.
-    /// [`DeviceRole::Solo`] without fabric wiring: the machine then holds
-    /// no state and the solo path is byte-identical to the unsharded
-    /// device.
-    chain: Chain,
     /// Fenced out of the fabric by the coordinator: the device forwards
     /// transit traffic but never logs, acks, or serves again.
     fenced: bool,
@@ -222,7 +216,6 @@ impl PmnetDevice {
             parked_reads: HashMap::new(),
             stale_read_bug: false,
             fabric: None,
-            chain: Chain::new(DeviceRole::Solo),
             fenced: false,
             fabric_epoch: 0,
             batch: BatchConfig::default(),
@@ -285,14 +278,13 @@ impl PmnetDevice {
     /// reconfiguration protocol steers). Called by the system builder
     /// after links are connected, since the port numbers only exist then.
     pub fn set_fabric(&mut self, fabric: DeviceFabric) {
-        self.chain = Chain::new(fabric.role);
         self.fabric = Some(fabric);
     }
 
     /// The device's current chain role ([`DeviceRole::Solo`] when no
     /// fabric wiring is installed).
     pub fn role(&self) -> DeviceRole {
-        self.chain.role()
+        self.fabric.map_or(DeviceRole::Solo, |f| f.role)
     }
 
     /// True once the coordinator has fenced this device out of the fabric.
@@ -376,12 +368,11 @@ impl PmnetDevice {
     /// `purge` nothing).
     fn reset_volatile(&mut self) {
         // Entry retries (recovery resends included) and flushed-but-
-        // unpersisted windows die with their timers; withheld chain acks
-        // are re-driven by the clients.
+        // unpersisted windows die with their timers. A withheld chain ack
+        // needs nothing here: the backup's confirmation is the entry's.
         self.entry_retries.clear();
         self.server_rtos.clear();
         self.persisting.clear();
-        self.chain.reset();
         // The clients' read timeouts resend parked reads (and the resends
         // re-park if their session's surviving entries are still un-acked).
         self.parked_reads.clear();
@@ -484,13 +475,18 @@ impl Node for PmnetDevice {
                 // the pre-crash epoch: re-arm them so an entry whose
                 // server ack was in flight during the outage still gets
                 // re-driven to the server instead of sitting in the log
-                // forever.
+                // forever. A backup also re-sends each survivor's
+                // `ChainAck`: its primary may be withholding a client ack
+                // on one the outage swallowed. (A client whose PMNet-ACK
+                // was lost retransmits, and the duplicate is answered.)
+                let backup = self.role() == DeviceRole::Backup;
                 for hash in self.log.hashes() {
                     if let Some(server) = self.log.peek(hash).map(|e| e.server) {
                         self.arm_entry_retry(ctx, hash, server);
                     }
-                    let release = self.chain.restored(hash);
-                    self.carry_out(ctx, hash, release);
+                    if backup {
+                        self.settle(ctx, hash);
+                    }
                 }
                 // Resume heartbeating: if the coordinator retired this
                 // device during the outage it answers with a fresh Fence.

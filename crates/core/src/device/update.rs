@@ -1,11 +1,12 @@
 //! The life of a log entry (Section IV-B1, Figure 3): verify → admit →
 //! forward → persist → acknowledge → invalidate on the server's ack.
 //!
-//! Every entry is acknowledged under **one rule**: only while it is live
-//! in the log with `persisted_at <= now` ([`crate::LogStore::durable`]), and to
-//! whom [`super::chain::Chain`] says — so a primary additionally needs its
-//! backup's confirmation unless `Promote` collapsed the chain. Every
-//! PMNet-ACK leaves through [`PmnetDevice::ack_clients`].
+//! Every entry is acknowledged under **one rule**, [`DeviceRole::owed`]:
+//! only while it is live in the log with `persisted_at <= now`
+//! ([`crate::LogStore::durable`]), and to whom the device's role says — so
+//! a primary additionally needs the entry's `confirmed` bit unless
+//! `Promote` collapsed the chain. Every PMNet-ACK leaves through
+//! [`PmnetDevice::ack_clients`].
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Packet};
@@ -13,8 +14,7 @@ use pmnet_sim::Time;
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
-use super::chain::{DeviceRole, Release};
-use super::{PmnetDevice, TIMER_BATCH_FLUSH, TIMER_PERSIST_DONE};
+use super::{DeviceRole, PmnetDevice, Release, TIMER_BATCH_FLUSH, TIMER_PERSIST_DONE};
 use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN, MAX_FRAMES};
 use crate::kvproto::KvFrame;
 use crate::logstore::{BypassReason, LogOutcome};
@@ -104,9 +104,7 @@ impl PmnetDevice {
                 // acknowledgement it is owed — if it has earned one. While
                 // the original's write is staged or in flight, the copy is
                 // held and the pending completion acknowledges it.
-                let durable = self.log.durable(hash, at);
-                let release = self.chain.duplicate(hash, durable);
-                if self.carry_out(ctx, hash, release) {
+                if self.settle(ctx, hash) {
                     self.ack_clients(ctx, &[hash]);
                 }
             }
@@ -126,7 +124,6 @@ impl PmnetDevice {
         payload: &Bytes,
         server: Addr,
     ) {
-        self.chain.admitted(header.hash);
         // If the server never acknowledges (the forward may have been
         // lost with no follow-up traffic to trip the gap detector), redo
         // the entry from the log.
@@ -149,7 +146,6 @@ impl PmnetDevice {
         header: PmnetHeader,
         packet: Packet,
     ) {
-        self.chain.server_acked(header.hash);
         if let Some(entry) = self.log.invalidate(header.hash) {
             self.entry_drained(ctx, &entry);
             // Retired last, so a `RecoveryDone` it completes follows the
@@ -236,14 +232,11 @@ impl PmnetDevice {
         self.written_scratch = hashes;
     }
 
-    /// The PM write covering `hash` completed. Returns whether the client's
-    /// PMNet-ACK fell due (see [`PmnetDevice::carry_out`]).
+    /// The PM write covering `hash` completed (an entry server-acked
+    /// before then is owed nothing). Returns whether the client's
+    /// PMNet-ACK fell due (see [`PmnetDevice::settle`]).
     fn written(&mut self, ctx: &mut Ctx<'_>, hash: u32) -> bool {
-        if !self.log.durable(hash, ctx.now()) {
-            return false; // server-acked (invalidated) before the write completed
-        }
-        let release = self.chain.written(hash);
-        let due = self.carry_out(ctx, hash, release);
+        let due = self.settle(ctx, hash);
         if due && self.role() == DeviceRole::Primary {
             // Confirmed by the backup before our own write finished.
             self.counters.chain_releases += 1;
@@ -251,11 +244,11 @@ impl PmnetDevice {
         due
     }
 
-    /// Carries out a chain decision for `hash`: a backup's `ChainAck`
-    /// leaves here; for the client's PMNet-ACK it returns `true` and the
-    /// caller sends it, so a window's worth can share packets.
-    pub(super) fn carry_out(&mut self, ctx: &mut Ctx<'_>, hash: u32, release: Release) -> bool {
-        match release {
+    /// Carries out what the one rule says `hash` is owed now: a backup's
+    /// `ChainAck` leaves here; for the client's PMNet-ACK it returns `true`
+    /// and the caller sends it, so a window's worth can share packets.
+    pub(super) fn settle(&mut self, ctx: &mut Ctx<'_>, hash: u32) -> bool {
+        match self.role().owed(&self.log, hash, ctx.now()) {
             Release::Hold => false,
             Release::AckClient => true,
             Release::AckPrimary => {

@@ -49,6 +49,11 @@ pub struct LogEntry {
     pub server_port: u16,
     /// When the PM write completes; the entry is only durable from then.
     pub persisted_at: Time,
+    /// A chain primary's entry: the backup confirmed its own copy durable
+    /// ([`LogStore::confirm`]). Written with invalidation's timing (no PM
+    /// cost) and kept by a crash; losing it needs no fence, as an
+    /// unconfirmed survivor only waits for a fresh `ChainAck`.
+    pub confirmed: bool,
 }
 
 /// Why a packet was not logged.
@@ -295,6 +300,7 @@ impl LogStore {
             client_port,
             server_port,
             persisted_at: Time::MAX,
+            confirmed: false,
         };
         self.entries.insert(hash, entry);
         self.used_bytes += bytes;
@@ -314,18 +320,21 @@ impl LogStore {
     /// buffer (the next window stages into the same allocation), or `None`
     /// if nothing was staged. Entries already invalidated while staged
     /// (their server-ACK overtook the doorbell) are left out, but their
-    /// queued bytes are still written, so the drain may be empty.
+    /// queued bytes are still written, so the drain may be empty; one
+    /// admitted again after that is drained once, so it is owed one ack.
     pub fn flush_staged(&mut self, now: Time) -> Option<(Time, Drain<'_, u32>)> {
         if self.staged.is_empty() {
             return None;
         }
         let ack_at = self.pm.schedule_write(now, self.staged_bytes as u32);
+        // An entry invalidated while staged and admitted again is listed
+        // twice: the first listing stamps it, the second finds it stamped.
         self.staged.retain(|h| match self.entries.get_mut(h) {
-            Some(e) => {
+            Some(e) if e.persisted_at == Time::MAX => {
                 e.persisted_at = ack_at;
                 true
             }
-            None => false,
+            _ => false,
         });
         self.staged_bytes = 0;
         Some((ack_at, self.staged.drain(..)))
@@ -345,6 +354,14 @@ impl LogStore {
         self.entries
             .get(&hash)
             .is_some_and(|e| e.persisted_at <= now)
+    }
+
+    /// Records the chain backup's confirmation of `hash`. Returns true iff
+    /// the entry is live and was unconfirmed.
+    pub fn confirm(&mut self, hash: u32) -> bool {
+        self.entries
+            .get_mut(&hash)
+            .is_some_and(|e| !std::mem::replace(&mut e.confirmed, true))
     }
 
     /// Whether a live entry from `(client, session)` to `server` remains
@@ -453,7 +470,8 @@ impl LogStore {
     }
 
     /// Power failure: entries whose PM write had not completed by `now`
-    /// never reached the persistence domain. Returns how many were lost.
+    /// never reached the persistence domain; the survivors keep every
+    /// field, `confirmed` included. Returns how many were lost.
     pub fn crash(&mut self, now: Time) -> usize {
         // Staged entries never rang the doorbell: their `persisted_at` is
         // `Time::MAX`, so the retain below drops them all.
@@ -592,6 +610,21 @@ mod tests {
     }
 
     #[test]
+    fn confirmation_is_once_per_live_entry_and_survives_a_crash() {
+        let mut s = store();
+        let h = hdr(1);
+        s.try_log(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        assert!(!s.peek(h.hash).unwrap().confirmed, "staged unconfirmed");
+        assert!(s.confirm(h.hash));
+        assert!(!s.confirm(h.hash), "a repeat");
+        assert!(!s.confirm(12345), "not live");
+        assert_eq!(s.crash(Time::ZERO + Dur::millis(1)), 0);
+        assert!(s.peek(h.hash).unwrap().confirmed, "the bit is PM state");
+        s.invalidate(h.hash);
+        assert!(!s.confirm(h.hash), "invalidated");
+    }
+
+    #[test]
     fn retrans_lookup_counts_hits_and_misses() {
         let mut s = store();
         let h = hdr(1);
@@ -720,6 +753,19 @@ mod tests {
         let hashes: Vec<u32> = s.flush_staged(Time::ZERO).unwrap().1.collect();
         assert_eq!(hashes.len(), 1, "invalidated entry drops out of the batch");
         assert_ne!(hashes[0], h.hash);
+    }
+
+    #[test]
+    fn readmitted_while_staged_is_flushed_once() {
+        // Invalidated while staged, then admitted again before the
+        // doorbell: the window lists the hash twice but owes it one ack.
+        let mut s = store();
+        let h = hdr(1);
+        s.try_stage(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        assert!(s.invalidate(h.hash).is_some());
+        s.try_stage(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        let hashes: Vec<u32> = s.flush_staged(Time::ZERO).unwrap().1.collect();
+        assert_eq!(hashes, [h.hash]);
     }
 
     #[test]

@@ -1,23 +1,41 @@
 //! The device's acknowledgement rule, checked without a simulated world:
-//! [`Chain`] is a pure machine, so random interleavings of everything that
-//! can happen to a log entry are driven straight into it, the way the
-//! device does (DESIGN.md §19), against a model of the log.
+//! [`DeviceRole::owed`] is a pure function of the role and the log, so
+//! random interleavings of everything that can happen to a log entry are
+//! driven into a real [`LogStore`] and the rule is asked, the way the
+//! device does (DESIGN.md §19), against a model of what the wire saw.
 //!
 //! Whatever the order: a client ack is never released before the entry's
 //! write completed, at most once per admission outside duplicate re-acks,
 //! and never lost; a primary never releases before its backup confirmed
-//! or the chain was promoted; a backup never acks the client and acks the
-//! primary only for a durable entry; nothing is released for an entry the
-//! server acknowledged or a power loss took.
+//! or the chain was promoted, across power loss too; a backup never acks
+//! the client and acks the primary only for a durable entry; nothing is
+//! released for an entry the server acknowledged or a power loss took.
 
-use pmnet_core::device::chain::{Chain, DeviceRole, Release};
+use bytes::Bytes;
+use pmnet_core::config::DeviceConfig;
+use pmnet_core::device::{DeviceRole, Release};
+use pmnet_core::logstore::{LogOutcome, LogStore};
+use pmnet_core::protocol::{PacketType, PmnetHeader};
+use pmnet_net::Addr;
+use pmnet_sim::Time;
 use proptest::prelude::*;
 
 /// Deliberately not ascending, so promote's release order is not the
 /// admission order by accident.
 const HASHES: [u32; 3] = [0x30, 0x10, 0x20];
 
-/// What the log and the wire know about one hash.
+/// The update logged under `HASHES[i]`.
+fn header(i: usize) -> PmnetHeader {
+    let mut h = PmnetHeader::request(PacketType::UpdateReq, 1, i as u32, Addr(1), Addr(9), 0, 1);
+    h.hash = HASHES[i];
+    h
+}
+
+fn index(hash: u32) -> usize {
+    HASHES.iter().position(|&x| x == hash).unwrap()
+}
+
+/// What the wire knows about one hash.
 #[derive(Clone, Copy, Default)]
 struct Entry {
     /// In the log (admitted and not yet server-acked or lost).
@@ -26,12 +44,8 @@ struct Entry {
     written: bool,
     /// The backup's `ChainAck` arrived during this admission.
     confirmed: bool,
-    /// Admitted since the last power loss. A power loss wipes the
-    /// primary's withheld-ack set (DRAM), so a surviving entry is from
-    /// then on acknowledged as if confirmed; the chain properties below
-    /// speak about entries the machine has watched from admission.
-    watched: bool,
-    /// Client acks released by `written` / `confirmed` / `promoted`.
+    /// Client acks released by a write completion, a `ChainAck` or a
+    /// promotion.
     released: u32,
 }
 
@@ -42,18 +56,23 @@ impl Entry {
 }
 
 struct Model {
-    chain: Chain,
-    /// The role the device was wired with; `chain.role()` turns solo on
-    /// promotion.
+    log: LogStore,
+    now: Time,
+    /// The role the device was wired with; `role` turns solo on promotion.
     wired: DeviceRole,
+    role: DeviceRole,
     entries: [Entry; 3],
 }
 
 impl Model {
+    fn owed(&self, hash: u32) -> Release {
+        self.role.owed(&self.log, hash, self.now)
+    }
+
     /// Checks one decision against every safety property.
     fn check(&mut self, i: usize, release: Release, duplicate: bool) {
         let e = self.entries[i];
-        let promoted = self.chain.role() != self.wired;
+        let promoted = self.role != self.wired;
         match release {
             Release::Hold => {}
             Release::AckClient => {
@@ -62,7 +81,7 @@ impl Model {
                     self.wired != DeviceRole::Backup || promoted,
                     "a backup acknowledged a client"
                 );
-                if self.wired == DeviceRole::Primary && !promoted && e.watched {
+                if self.wired == DeviceRole::Primary && !promoted {
                     prop_assert!(e.confirmed, "primary released before the backup confirmed");
                 }
                 if !duplicate {
@@ -72,7 +91,7 @@ impl Model {
             }
             Release::AckPrimary => {
                 prop_assert!(e.durable(), "chain ack before the write completed");
-                prop_assert_eq!(self.chain.role(), DeviceRole::Backup);
+                prop_assert_eq!(self.role, DeviceRole::Backup);
             }
         }
     }
@@ -86,8 +105,8 @@ impl Model {
             // retransmits and the duplicate is answered.
             return;
         }
-        for e in self.entries.iter().filter(|e| e.durable() && e.watched) {
-            let owed = match self.chain.role() {
+        for e in self.entries.iter().filter(|e| e.durable()) {
+            let owed = match self.role {
                 DeviceRole::Solo => true,
                 DeviceRole::Primary => e.confirmed,
                 DeviceRole::Backup => false,
@@ -102,63 +121,89 @@ impl Model {
         let hash = HASHES[i];
         let e = self.entries[i];
         match event {
-            // An update arrives: admitted, or a duplicate of a live entry.
+            // An update arrives: staged behind the doorbell, or a duplicate
+            // of a live entry.
             0 if !e.live => {
+                let h = header(i);
+                let staged = self.log.try_stage(self.now, h, Bytes::new(), Addr(9), 1, 2);
                 self.entries[i] = Entry {
                     live: true,
-                    watched: true,
                     ..Entry::default()
                 };
-                self.chain.admitted(hash);
+                prop_assert_eq!(staged, LogOutcome::Staged);
             }
             0 | 1 if e.live => {
-                let release = self.chain.duplicate(hash, e.durable());
+                let release = self.owed(hash);
                 self.check(i, release, true);
             }
-            // The PM write completes — once per admission, and only for an
-            // entry still in the log (the device checks `durable` first).
+            // The doorbell rings and the window's PM write completes:
+            // every staged entry is written at once.
             2 if e.live && !e.written => {
-                self.entries[i].written = true;
-                let release = self.chain.written(hash);
-                self.check(i, release, false);
+                let (ack_at, window) = self.log.flush_staged(self.now).expect("staged");
+                let window: Vec<u32> = window.collect();
+                prop_assert!(window.contains(&hash));
+                self.now = ack_at;
+                for hash in window {
+                    let i = index(hash);
+                    self.entries[i].written = true;
+                    let release = self.owed(hash);
+                    self.check(i, release, false);
+                }
             }
             // A `ChainAck` arrives — possibly late, repeated, or for an
-            // entry long gone.
+            // entry long gone. Only a primary records it.
             3 => {
                 self.entries[i].confirmed |= e.live;
-                let release = self.chain.confirmed(hash, e.durable());
+                let confirmed = self.role == DeviceRole::Primary && self.log.confirm(hash);
+                let release = if confirmed {
+                    self.owed(hash)
+                } else {
+                    Release::Hold
+                };
                 prop_assert!(e.live || release == Release::Hold, "released a dead entry");
                 self.check(i, release, false);
             }
             4 => {
-                self.chain.server_acked(hash);
+                self.log.invalidate(hash);
                 self.entries[i].live = false;
             }
+            // Promote: a primary's durable unconfirmed entries are owed
+            // their client acks now, in ascending hash order.
             5 => {
-                let entries = self.entries;
-                let index = |h: u32| HASHES.iter().position(|&x| x == h).unwrap();
-                let durable = |h: u32| entries[index(h)].durable();
-                let stranded = self.chain.promoted(durable);
-                prop_assert!(stranded.windows(2).all(|w| w[0] < w[1]), "not ascending");
-                prop_assert_eq!(self.chain.role(), DeviceRole::Solo);
-                for h in stranded {
-                    let i = index(h);
-                    prop_assert!(!self.entries[i].confirmed, "was not stranded");
-                    self.check(i, Release::AckClient, false);
+                let was = std::mem::replace(&mut self.role, DeviceRole::Solo);
+                if was != DeviceRole::Primary {
+                    return self.check_nothing_stranded();
+                }
+                let mut last = None;
+                for hash in self.log.hashes() {
+                    if self.log.peek(hash).is_some_and(|e| e.confirmed) {
+                        continue;
+                    }
+                    let release = self.owed(hash);
+                    if release == Release::AckClient {
+                        prop_assert!(last < Some(hash), "not ascending");
+                        last = Some(hash);
+                        let i = index(hash);
+                        prop_assert!(!self.entries[i].confirmed, "was not stranded");
+                        self.check(i, release, false);
+                    }
                 }
             }
-            // Power loss: PM keeps what was written, DRAM keeps nothing.
+            // Power loss and restore: PM keeps what was written, the bit
+            // included; a backup re-sends each survivor's `ChainAck`.
             6 => {
-                self.chain.reset();
+                self.log.crash(self.now);
                 for e in &mut self.entries {
                     e.live &= e.written;
-                    e.watched = false;
                 }
                 for (i, &hash) in HASHES.iter().enumerate() {
-                    let release = self.chain.restored(hash);
-                    if self.entries[i].live {
-                        prop_assert!(release != Release::AckClient);
-                        self.check(i, release, true);
+                    let kept = self.log.peek(hash).is_some();
+                    prop_assert_eq!(kept, self.entries[i].live, "the log disagrees");
+                }
+                if self.role == DeviceRole::Backup {
+                    for hash in self.log.hashes() {
+                        let release = self.owed(hash);
+                        self.check(index(hash), release, true);
                     }
                 }
             }
@@ -170,8 +215,10 @@ impl Model {
 
 fn run(wired: DeviceRole, events: &[(u8, usize)]) {
     let mut model = Model {
-        chain: Chain::new(wired),
+        log: LogStore::new(&DeviceConfig::fpga()),
+        now: Time::ZERO,
         wired,
+        role: wired,
         entries: [Entry::default(); 3],
     };
     for &(event, i) in events {
@@ -194,33 +241,35 @@ proptest! {
 #[test]
 fn the_three_role_table() {
     // The happy path of each role, spelled out once.
-    let mut solo = Chain::new(DeviceRole::Solo);
-    solo.admitted(1);
-    assert_eq!(solo.duplicate(1, false), Release::Hold);
-    assert_eq!(solo.written(1), Release::AckClient);
-    assert_eq!(solo.duplicate(1, true), Release::AckClient);
+    use DeviceRole::{Backup, Primary, Solo};
+    use Release::{AckClient, AckPrimary, Hold};
+    let mut log = LogStore::new(&DeviceConfig::fpga());
+    let owed = |log: &LogStore, hash, now| [Solo, Primary, Backup].map(|r| r.owed(log, hash, now));
+    let stage =
+        |log: &mut LogStore, i| log.try_stage(Time::ZERO, header(i), Bytes::new(), Addr(9), 1, 2);
+    let (one, two) = (HASHES[0], HASHES[1]);
 
-    let mut primary = Chain::new(DeviceRole::Primary);
-    primary.admitted(1);
-    assert_eq!(primary.written(1), Release::Hold);
-    assert_eq!(primary.duplicate(1, true), Release::Hold);
-    assert_eq!(primary.confirmed(1, true), Release::AckClient);
-    assert_eq!(primary.confirmed(1, true), Release::Hold, "a repeat");
-    assert_eq!(primary.duplicate(1, true), Release::AckClient);
-    primary.admitted(2);
+    stage(&mut log, 0);
+    assert_eq!(owed(&log, one, Time::ZERO), [Hold; 3], "staged");
+    let (now, _) = log.flush_staged(Time::ZERO).unwrap();
+    assert_eq!(owed(&log, one, now), [AckClient, Hold, AckPrimary]);
+    assert!(log.confirm(one));
+    assert!(!log.confirm(one), "a repeat");
+    assert_eq!(owed(&log, one, now), [AckClient, AckClient, AckPrimary]);
+    assert_eq!(log.crash(now), 0);
     assert_eq!(
-        primary.confirmed(2, false),
-        Release::Hold,
-        "confirmed first"
+        owed(&log, one, now),
+        [AckClient, AckClient, AckPrimary],
+        "kept"
     );
-    assert_eq!(primary.written(2), Release::AckClient);
 
-    let mut backup = Chain::new(DeviceRole::Backup);
-    backup.admitted(1);
-    assert_eq!(backup.duplicate(1, false), Release::Hold);
-    assert_eq!(backup.written(1), Release::AckPrimary);
-    assert_eq!(backup.duplicate(1, true), Release::AckPrimary);
-    assert_eq!(backup.restored(1), Release::AckPrimary);
-    assert_eq!(backup.promoted(|_| true), Vec::<u32>::new());
-    assert_eq!(backup.duplicate(1, true), Release::AckClient, "solo now");
+    stage(&mut log, 1);
+    assert!(log.confirm(two), "confirmed first");
+    assert_eq!(owed(&log, two, now), [Hold; 3]);
+    let (later, _) = log.flush_staged(now).unwrap();
+    assert_eq!(owed(&log, two, later), [AckClient, AckClient, AckPrimary]);
+
+    log.invalidate(one);
+    assert_eq!(owed(&log, one, later), [Hold; 3], "server-acked");
+    assert!(!log.confirm(one));
 }

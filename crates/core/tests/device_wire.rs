@@ -105,20 +105,27 @@ fn every_redo_path_emits_the_same_packet() {
     assert_eq!(redo, wire(&flagged));
 }
 
-/// A chain primary whose backup never answers, holding 24 durable
-/// entries, is promoted; returns the hashes of the client ACKs in wire
-/// order.
-fn acks_released_by_promote() -> Vec<u32> {
+/// The chain peer of [`silent_backup_primary`].
+const BACKUP: Addr = Addr(200);
+
+/// A chain primary whose backup never answers, with the client tapped.
+fn silent_backup_primary() -> (World, NodeId, NodeId, NodeId) {
     let mut primary = device(DeviceConfig::fpga());
     primary.set_fabric(DeviceFabric {
         role: DeviceRole::Primary,
-        chain_peer: Some(Addr(200)),
+        chain_peer: Some(BACKUP),
         chain_port: None,
         merge_port: None,
         tor_port: None,
         server: SERVER,
     });
-    let (mut w, client, dev, server) = rig(primary, CLIENT);
+    rig(primary, CLIENT)
+}
+
+/// The primary, holding 24 durable entries, is promoted; returns the
+/// hashes of the client ACKs in wire order.
+fn acks_released_by_promote() -> Vec<u32> {
+    let (mut w, client, dev, server) = silent_backup_primary();
     for seq in 1..=24 {
         w.inject(client, update(seq, b"withheld").1);
     }
@@ -143,6 +150,38 @@ fn promote_releases_withheld_acks_in_one_order() {
     assert_eq!(first.len(), 24);
     assert_eq!(first, acks_released_by_promote());
     assert!(first.windows(2).all(|w| w[0] < w[1]), "ascending by hash");
+}
+
+#[test]
+fn a_power_cycled_primary_still_waits_for_its_backup() {
+    // The backup's confirmation is part of the logged entry: a restart
+    // must not turn the client's retransmission into an ack the backup
+    // never backed.
+    let (mut w, client, dev, server) = silent_backup_primary();
+    let (h, pkt) = update(1, b"withheld");
+    w.inject(client, pkt.clone());
+    w.run_for(Dur::micros(100));
+    assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 1);
+    w.schedule_crash(dev, w.now() + Dur::micros(1), Some(Dur::micros(50)));
+    w.run_for(Dur::micros(100));
+    let d = w.node::<PmnetDevice>(dev);
+    assert!(d.is_alive());
+    assert_eq!(d.log_len(), 1, "the durable entry survives");
+    w.inject(client, pkt);
+    w.run_for(Dur::micros(100));
+    assert!(
+        w.node::<Tap>(client).seen.is_empty(),
+        "acked without the backup"
+    );
+    let mut confirm = h;
+    confirm.ptype = PacketType::ChainAck;
+    let chain_ack = Packet::udp(BACKUP, DEVICE, 51000, 51000, confirm.encode(&[]));
+    w.inject(server, chain_ack);
+    w.run_for(Dur::micros(100));
+    let acks = &w.node::<Tap>(client).seen;
+    assert_eq!(acks.len(), 1, "exactly one ack, once the backup confirmed");
+    let (ack, _) = PmnetHeader::decode(&acks[0].1.payload).unwrap();
+    assert_eq!((ack.ptype, ack.hash), (PacketType::PmnetAck, h.hash));
 }
 
 /// Injects `packets` back to back at a solo device and returns when each

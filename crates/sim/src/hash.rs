@@ -21,10 +21,10 @@
 //! then only change speed, never behaviour. The sites that iterate one
 //! today keep the rule:
 //!
-//! - `LogStore::hashes` and `LogStore::recovery_manifest` sort;
+//! - `LogStore::hashes` and `LogStore::recovery_manifest` sort (a
+//!   promoted primary releases its withheld acks in `hashes` order);
 //! - `LogStore::crash` retains by a per-entry predicate and rebuilds the
 //!   per-session ledger by counting, both order-free;
-//! - `Chain::promoted` drains the withheld-ack set, then sorts;
 //! - the device's scan of `entry_retries` for an entry still owing a
 //!   server's recovery barrier is an `any(..)`: a yes/no question.
 
