@@ -100,13 +100,11 @@ impl Scenario {
             client_timeout: Dur::millis(2),
             // Scaled to the compressed chaos timescale: the RTO can back
             // off hard under a loss burst yet still leave the retry budget
-            // room to converge inside the deadline, and the settle window
-            // strictly exceeds the backoff cap.
+            // room to converge inside the deadline.
             retry: RetryConfig {
                 rto_min: Dur::micros(500),
                 rto_max: Dur::millis(8),
                 retry_budget: 16,
-                settle_window: Dur::millis(20),
             },
             batch: pmnet_core::config::BatchConfig::windowed(self.batch_window.max(1)),
             apply: pmnet_core::config::ApplyConfig::threaded(self.apply_threads.max(1))
@@ -115,6 +113,14 @@ impl Scenario {
                 )),
             ..SystemConfig::default()
         };
+        // The drain is the settle window the convergence check waits out:
+        // one maximally backed-off retransmission must fit inside it.
+        assert!(
+            self.drain > config.retry.rto_max,
+            "drain ({}) must exceed retry.rto_max ({})",
+            self.drain,
+            config.retry.rto_max
+        );
         let mut sys = UpdateExperiment::new(self.design, config)
             .clients(self.clients)
             .requests_per_client(self.requests_per_client)
@@ -405,8 +411,7 @@ pub fn run(scenario: &Scenario, plan: &FaultPlan) -> Verdict {
             (server.counters().updates_applied, redo)
         }
     };
-    let model = pmnet_model::config_for(scenario.design);
-    if let Err(d) = pmnet_model::check_system_with(&sys.world, sys.server, &telemetry, model) {
+    if let Err(d) = pmnet_model::check_system(&sys.world, sys.server, &telemetry) {
         if std::env::var_os("PMNET_MODEL_DUMP").is_some() {
             eprintln!("{}", d.artifact);
         }

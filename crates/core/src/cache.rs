@@ -8,9 +8,9 @@
 //!   server has not yet acknowledged (serves reads);
 //! * **Persisted** — the server has acknowledged the update, or the value
 //!   was filled from a server read response (serves reads);
-//! * **Stale** — a second in-flight update exists for the key; the cached
-//!   value may not match what the server will end up with, so reads miss
-//!   until the in-flight updates drain.
+//! * **Stale** — a second in-flight update (or an in-flight delete) exists
+//!   for the key; the cached value may not match what the server will end
+//!   up with, so reads miss until the in-flight updates drain.
 //!
 //! Transitions T1–T6 follow Figure 11 exactly; the unit tests enumerate
 //! them.
@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+
+use crate::kvproto::KvFrame;
 
 /// The state of a cache entry (Figure 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,18 +144,32 @@ impl ReadCache {
     /// [`ReadCache::on_update`] keeping a view of `value`'s buffer rather
     /// than a copy of its bytes.
     pub fn on_update_view(&mut self, key: &[u8], value: &Bytes) {
+        self.on_logged(key, Some(value));
+    }
+
+    /// A `Del` for `key` was logged. It is an update with no value to
+    /// serve, so the entry goes Stale (T4/T5) until every in-flight update
+    /// to the key is acknowledged (T6), and a read meanwhile misses.
+    pub fn on_delete(&mut self, key: &[u8]) {
+        self.on_logged(key, None);
+    }
+
+    fn on_logged(&mut self, key: &[u8], value: Option<&Bytes>) {
         if let Some(e) = self.map.get_mut(key) {
             e.inflight += 1;
-            if e.inflight == 1 {
+            match value {
                 // T1 (from Invalid) / T3 (from Persisted): the new value
                 // is the latest and is Pending.
-                e.state = CacheState::Pending;
-                e.value = value.clone();
-            } else {
-                // T4: a second in-flight update makes the entry Stale.
-                // T5: Stale stays Stale.
-                e.state = CacheState::Stale;
-                e.value = Bytes::new();
+                Some(value) if e.inflight == 1 => {
+                    e.state = CacheState::Pending;
+                    e.value = value.clone();
+                }
+                // T4: a second in-flight update (or a delete) makes the
+                // entry Stale. T5: Stale stays Stale.
+                _ => {
+                    e.state = CacheState::Stale;
+                    e.value = Bytes::new();
+                }
             }
             self.counters.update_fills += 1;
             return;
@@ -162,22 +178,39 @@ impl ReadCache {
         // they are still in flight, so an admitted entry starts Stale.
         let prior = self.refused.remove(key).unwrap_or(0);
         if self.make_room() {
-            let (state, value, inflight) = if prior == 0 {
-                (CacheState::Pending, value.clone(), 1)
-            } else {
-                (CacheState::Stale, Bytes::new(), prior + 1)
+            let (state, value) = match value {
+                Some(value) if prior == 0 => (CacheState::Pending, value.clone()),
+                _ => (CacheState::Stale, Bytes::new()),
             };
             self.map.insert(
                 key.to_vec(),
                 CacheEntry {
                     state,
                     value,
-                    inflight,
+                    inflight: prior + 1,
                 },
             );
             self.counters.update_fills += 1;
         } else {
             self.refused.insert(key.to_vec(), prior + 1);
+        }
+    }
+
+    /// The device logged the update `frame`: a `Set` fills its key, a
+    /// `Del` stales it, and any other frame leaves the cache alone.
+    pub fn on_logged_frame(&mut self, frame: &Bytes) {
+        match KvFrame::decode(frame) {
+            Some(KvFrame::Set { key, value }) => self.on_update_view(&key, &value),
+            Some(KvFrame::Del { key }) => self.on_delete(&key),
+            _ => {}
+        }
+    }
+
+    /// The server acknowledged the update `frame` that
+    /// [`ReadCache::on_logged_frame`] counted in flight.
+    pub fn on_acked_frame(&mut self, frame: &Bytes) {
+        if let Some(KvFrame::Set { key, .. } | KvFrame::Del { key }) = KvFrame::decode(frame) {
+            self.on_server_ack(&key);
         }
     }
 
@@ -321,6 +354,23 @@ mod tests {
         c.on_update(b"k", b"v3");
         assert_eq!(c.state(b"k"), CacheState::Pending);
         assert_eq!(c.lookup(b"k").as_deref(), Some(&b"v3"[..]));
+    }
+
+    #[test]
+    fn a_delete_serves_nothing_until_it_drains() {
+        let mut c = ReadCache::new(16);
+        c.on_update(b"k", b"v1");
+        c.on_server_ack(b"k");
+        c.on_delete(b"k");
+        assert_eq!(c.state(b"k"), CacheState::Stale);
+        assert_eq!(c.lookup(b"k"), None, "deleted value served");
+        c.on_read_response(b"k", b"v1"); // raced the delete
+        c.on_server_ack(b"k");
+        assert_eq!(c.state(b"k"), CacheState::Invalid);
+        // A delete of an uncached key blocks racing fills the same way.
+        c.on_delete(b"j");
+        c.on_read_response(b"j", b"old");
+        assert_eq!(c.lookup(b"j"), None);
     }
 
     #[test]

@@ -380,11 +380,6 @@ pub struct RetryConfig {
     pub rto_max: Dur,
     /// Retransmission rounds before a request fails terminally (≥ 1).
     pub retry_budget: u32,
-    /// How long after the last fault/workload event the system is given to
-    /// converge (device logs drained, every acked update applied). Must
-    /// exceed `rto_max`, or a single maximally-backed-off retransmission
-    /// could not fit inside the window it is supposed to converge in.
-    pub settle_window: Dur,
 }
 
 impl Default for RetryConfig {
@@ -393,7 +388,6 @@ impl Default for RetryConfig {
             rto_min: Dur::millis(1),
             rto_max: Dur::millis(80),
             retry_budget: 16,
-            settle_window: Dur::millis(200),
         }
     }
 }
@@ -413,12 +407,6 @@ impl RetryConfig {
         }
         if self.retry_budget == 0 {
             return Err("retry.retry_budget must be >= 1".into());
-        }
-        if self.settle_window <= self.rto_max {
-            return Err(format!(
-                "retry.settle_window ({}) must exceed retry.rto_max ({})",
-                self.settle_window, self.rto_max
-            ));
         }
         Ok(())
     }
@@ -693,16 +681,6 @@ mod tests {
             ..RetryConfig::default()
         };
         assert!(r.validate().unwrap_err().contains("retry_budget"));
-    }
-
-    #[test]
-    fn retry_config_rejects_settle_window_inside_backoff_cap() {
-        let r = RetryConfig {
-            rto_max: Dur::millis(80),
-            settle_window: Dur::millis(80),
-            ..RetryConfig::default()
-        };
-        assert!(r.validate().unwrap_err().contains("settle_window"));
     }
 
     #[test]

@@ -101,9 +101,7 @@ impl PmnetDevice {
     /// last outstanding entry, let the reads held behind it go.
     pub(super) fn entry_drained(&mut self, ctx: &mut Ctx<'_>, entry: &LogEntry) {
         if let Some(cache) = &mut self.cache {
-            if let Some(KvFrame::Set { key, .. }) = KvFrame::decode(&entry.payload) {
-                cache.on_server_ack(&key);
-            }
+            cache.on_acked_frame(&entry.payload);
         }
         let session = (entry.server, entry.header.client, entry.header.session);
         if self.log.has_outstanding(session.0, session.1, session.2) {

@@ -16,7 +16,6 @@ use pmnet_telemetry::span::OpEvent;
 
 use super::{DeviceRole, PmnetDevice, Release, TIMER_BATCH_FLUSH, TIMER_PERSIST_DONE};
 use crate::batch::{BatchBuilder, FRAME_PREFIX_LEN, MAX_FRAMES};
-use crate::kvproto::KvFrame;
 use crate::logstore::{BypassReason, LogOutcome};
 use crate::protocol::{PmnetHeader, FLAG_CONGESTED, HEADER_LEN};
 
@@ -132,9 +131,7 @@ impl PmnetDevice {
             return;
         }
         if let Some(cache) = &mut self.cache {
-            if let Some(KvFrame::Set { key, value }) = KvFrame::decode(payload) {
-                cache.on_update_view(&key, &value);
-            }
+            cache.on_logged_frame(payload);
         }
     }
 

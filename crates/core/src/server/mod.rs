@@ -32,6 +32,7 @@ use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, Proto, Timer};
 use pmnet_pmem::{PmDevice, PmDeviceConfig};
 use pmnet_sim::hash::FixedState;
 use pmnet_sim::{Dur, SimRng, Time};
+use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
 
@@ -566,6 +567,15 @@ impl ServerLib {
         }
         let el = self.early_log.as_mut().expect("checked above");
         let persist_at = el.pm.schedule_write(ctx.now(), packet.wire_bytes());
+        // The logger's acks rest on this write, as a device's rest on its
+        // flush: the model checker's durability point.
+        self.telemetry.record(|| Event {
+            at: ctx.now(),
+            client: header.client,
+            session: header.session,
+            seq: header.seq,
+            kind: EventKind::DeviceLogged { device: self.addr },
+        });
         let ack = header.ack_from_device(el.logger_id);
         let forward_to = el.forward_to.clone();
         let pkt = self.reply_packet(ack, &[], packet.src_port, packet.proto);

@@ -1,11 +1,12 @@
 //! Property tests for the Figure 11 read-cache state machine (with the
 //! in-flight counter refinement — see DESIGN.md §7).
 //!
-//! The model mirrors what a correct server would do: updates queue, each
-//! server-ACK applies the oldest in-flight update, and read responses
-//! carry the server's current value at pass-through time. Against any
-//! interleaving, a cache hit must return the freshest value the device
-//! has observed for the key.
+//! The model mirrors what a correct server would do: updates (a `Del` is
+//! an update with no value) queue, each server-ACK applies the oldest
+//! in-flight update, and read responses carry the server's current value
+//! at pass-through time. Against any interleaving, a cache hit must return
+//! the freshest value the device has observed for the key, and a key whose
+//! latest update is a `Del` must not hit at all.
 
 use pmnet_core::cache::{CacheState, ReadCache};
 use proptest::prelude::*;
@@ -14,6 +15,7 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Clone)]
 enum Op {
     Update(u8, Vec<u8>),
+    Delete(u8),
     ServerAck(u8),
     ReadResponse(u8),
     Lookup(u8),
@@ -24,6 +26,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let val = prop::collection::vec(any::<u8>(), 1..8);
     prop_oneof![
         (key.clone(), val).prop_map(|(k, v)| Op::Update(k, v)),
+        key.clone().prop_map(Op::Delete),
         key.clone().prop_map(Op::ServerAck),
         key.clone().prop_map(Op::ReadResponse),
         key.prop_map(Op::Lookup),
@@ -33,10 +36,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Reference model per key: a correct server plus device-visible truth.
 #[derive(Debug, Default, Clone)]
 struct ModelEntry {
-    /// Value of the most recent update the device saw.
-    latest_update: Option<Vec<u8>>,
+    /// Value of the most recent update the device saw (`Some(None)`: a
+    /// `Del`).
+    latest_update: Option<Option<Vec<u8>>>,
     /// Updates logged but not yet applied+acked by the server (in order).
-    inflight: VecDeque<Vec<u8>>,
+    inflight: VecDeque<Option<Vec<u8>>>,
     /// The server's current durable value.
     server_value: Option<Vec<u8>>,
 }
@@ -45,7 +49,15 @@ impl ModelEntry {
     /// The only value a cache hit may legally return: the latest update if
     /// one ever happened, otherwise whatever the server holds.
     fn fresh(&self) -> Option<&Vec<u8>> {
-        self.latest_update.as_ref().or(self.server_value.as_ref())
+        match &self.latest_update {
+            Some(latest) => latest.as_ref(),
+            None => self.server_value.as_ref(),
+        }
+    }
+
+    fn log(&mut self, value: Option<Vec<u8>>) {
+        self.latest_update = Some(value.clone());
+        self.inflight.push_back(value);
     }
 }
 
@@ -63,15 +75,17 @@ proptest! {
             match op {
                 Op::Update(k, v) => {
                     cache.on_update(&[k], &v);
-                    let e = model.entry(k).or_default();
-                    e.latest_update = Some(v.clone());
-                    e.inflight.push_back(v);
+                    model.entry(k).or_default().log(Some(v));
+                }
+                Op::Delete(k) => {
+                    cache.on_delete(&[k]);
+                    model.entry(k).or_default().log(None);
                 }
                 Op::ServerAck(k) => {
                     let e = model.entry(k).or_default();
                     // A correct server only acks work it has applied.
                     if let Some(v) = e.inflight.pop_front() {
-                        e.server_value = Some(v);
+                        e.server_value = v;
                         cache.on_server_ack(&[k]);
                     }
                 }
@@ -87,7 +101,7 @@ proptest! {
                     let hit = cache.lookup(&[k]);
                     let e = model.get(&k).cloned().unwrap_or_default();
                     if let Some(value) = hit {
-                        let fresh = e.fresh().expect("hit on never-written key");
+                        let fresh = e.fresh().expect("hit on a deleted or never-written key");
                         prop_assert_eq!(
                             &value, fresh,
                             "stale value served for key {} (inflight={})",
@@ -124,6 +138,10 @@ proptest! {
             match op {
                 Op::Update(k, v) => {
                     cache.on_update(&[k], &v);
+                    *inflight.entry(k).or_default() += 1;
+                }
+                Op::Delete(k) => {
+                    cache.on_delete(&[k]);
                     *inflight.entry(k).or_default() += 1;
                 }
                 Op::ServerAck(k) => {
@@ -169,12 +187,20 @@ proptest! {
         let mut prev: HashMap<u8, CacheState> = HashMap::new();
         for op in ops {
             let key = match op {
-                Op::Update(k, _) | Op::ServerAck(k) | Op::ReadResponse(k) | Op::Lookup(k) => k,
+                Op::Update(k, _)
+                | Op::Delete(k)
+                | Op::ServerAck(k)
+                | Op::ReadResponse(k)
+                | Op::Lookup(k) => k,
             };
             let before = prev.get(&key).copied().unwrap_or(CacheState::Invalid);
             match &op {
                 Op::Update(k, v) => {
                     cache.on_update(&[*k], v);
+                    *inflight.entry(*k).or_default() += 1;
+                }
+                Op::Delete(k) => {
+                    cache.on_delete(&[*k]);
                     *inflight.entry(*k).or_default() += 1;
                 }
                 Op::ServerAck(k) => {
@@ -198,6 +224,8 @@ proptest! {
                 (Op::Update(..), Invalid, Invalid) => true,
                 // T4/T5: overlapping updates -> Stale.
                 (Op::Update(..), Pending | Stale, Stale) => true,
+                // A delete serves nothing: Stale, or refused admission.
+                (Op::Delete(..), _, Stale) | (Op::Delete(..), Invalid, Invalid) => true,
                 // T2: ack persists Pending.
                 (Op::ServerAck(..), Pending, Persisted) => true,
                 // T6 (refined): Stale drains to Invalid only at zero

@@ -23,8 +23,7 @@
 //! ```
 //!
 //! Byte strings are `0x`-prefixed hex (`0x` alone = empty); a missing
-//! reply is `-`; lines are [`pmnet_sim::record`] records. Replay uses the
-//! default [`CheckerConfig`].
+//! reply is `-`; lines are [`pmnet_sim::record`] records.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +34,7 @@ use pmnet_sim::record::{hex, unhex, Kinds, Reader, Token, Value, Writer};
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpKind;
 
-use crate::checker::{check, CheckStats, CheckerConfig, Divergence};
+use crate::checker::{check, CheckStats, Divergence};
 
 const MAGIC: &str = "pmnet-model divergence v1";
 
@@ -157,18 +156,14 @@ pub fn parse(text: &str) -> Result<ParsedArtifact, String> {
     Ok(parsed)
 }
 
-/// Parses an artifact and re-runs the checker (default config) on the
-/// recorded inputs. `Ok(Err(..))` is the normal outcome — the divergence
-/// reproduced; `Ok(Ok(..))` means the artifact no longer diverges (a
-/// checker change, or a hand-edited artifact); `Err` is a parse failure.
+/// Parses an artifact and re-runs the checker on the recorded inputs.
+/// `Ok(Err(..))` is the normal outcome — the divergence reproduced;
+/// `Ok(Ok(..))` means the artifact no longer diverges (a checker change,
+/// or a hand-edited artifact); `Err` is a parse failure.
 #[allow(clippy::type_complexity)]
 pub fn replay(text: &str) -> Result<Result<CheckStats, Divergence>, String> {
     let parsed = parse(text)?;
-    Ok(check(
-        &parsed.history,
-        parsed.durable.as_ref(),
-        CheckerConfig::default(),
-    ))
+    Ok(check(&parsed.history, parsed.durable.as_ref()))
 }
 
 #[cfg(test)]

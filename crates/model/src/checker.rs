@@ -53,24 +53,6 @@ use crate::reference::{write_key, write_value, ReferenceKv};
 /// bypass sequence spaces are independent; maps are kept per kind.
 pub type OpId = (Addr, u16, u32);
 
-/// Checker knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckerConfig {
-    /// Require every completed update to rest on a device log record or
-    /// the server's ACK. True for the standard designs; disable for
-    /// client-side-logging systems, where completion evidence (the peer
-    /// loggers) is outside the recorded vocabulary.
-    pub require_ack_evidence: bool,
-}
-
-impl Default for CheckerConfig {
-    fn default() -> CheckerConfig {
-        CheckerConfig {
-            require_ack_evidence: true,
-        }
-    }
-}
-
 /// What a passing check covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckStats {
@@ -136,7 +118,6 @@ struct WriteRec {
 pub fn check(
     history: &[Event],
     durable: Option<&BTreeMap<Vec<u8>, Vec<u8>>>,
-    cfg: CheckerConfig,
 ) -> Result<CheckStats, Divergence> {
     let mut stats = CheckStats {
         events: history.len(),
@@ -283,26 +264,24 @@ pub fn check(
                 ),
             ));
         }
-        if cfg.require_ack_evidence {
-            if device_acks == 0 && !server_acked {
-                candidates.push((
-                    cidx,
-                    format!(
-                        "update {} completed with neither a device ACK nor the server's",
-                        op(client, session, seq)
-                    ),
-                ));
-            }
-            if device_acks > 0 && !has_log_evidence(client, session, seq, cidx) {
-                candidates.push((
-                    cidx,
-                    format!(
-                        "update {} claims {} device ACK(s) but no device logged it",
-                        op(client, session, seq),
-                        device_acks
-                    ),
-                ));
-            }
+        if device_acks == 0 && !server_acked {
+            candidates.push((
+                cidx,
+                format!(
+                    "update {} completed with neither a device ACK nor the server's",
+                    op(client, session, seq)
+                ),
+            ));
+        }
+        if device_acks > 0 && !has_log_evidence(client, session, seq, cidx) {
+            candidates.push((
+                cidx,
+                format!(
+                    "update {} claims {} device ACK(s) but no device logged it",
+                    op(client, session, seq),
+                    device_acks
+                ),
+            ));
         }
     }
 
@@ -596,7 +575,7 @@ mod tests {
         let mut model = ReferenceKv::new();
         model.apply(Addr(1), 0, 0, &p0);
         model.apply(Addr(1), 0, 1, &p1);
-        let stats = check(&h, Some(model.map()), CheckerConfig::default()).unwrap();
+        let stats = check(&h, Some(model.map())).unwrap();
         assert_eq!(stats.applies, 2);
         assert_eq!(stats.invokes, 2);
         assert!(stats.state_keys_checked >= 2);
@@ -607,7 +586,7 @@ mod tests {
         let p = set(b"k", b"v");
         let mut h = healthy_op(0, 0, &p);
         h.push(apply(50, 0, p.clone())); // the dedup bug
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert_eq!(d.index, 4);
         assert!(d.reason.contains("duplicate apply"), "{}", d.reason);
         assert!(d.artifact.contains("duplicate apply"));
@@ -627,7 +606,7 @@ mod tests {
         ];
         h.push(apply(20, 1, p1));
         h.push(apply(21, 0, p0));
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(d.reason.contains("order regression"), "{}", d.reason);
         assert_eq!(d.index, 7);
     }
@@ -636,7 +615,7 @@ mod tests {
     fn acked_but_never_applied_is_caught() {
         let p = set(b"k", b"v");
         let h = vec![invoke(0, 0, p.clone()), logged(1, 0), complete(2, 0)];
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert_eq!(d.index, 2);
         assert!(d.reason.contains("never applied"), "{}", d.reason);
     }
@@ -647,7 +626,7 @@ mod tests {
         let wrong = set(b"k", b"evil");
         let mut h = vec![invoke(0, 0, p.clone()), logged(1, 0), complete(2, 0)];
         h.push(apply(3, 0, wrong));
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(d.reason.contains("payload mismatch"), "{}", d.reason);
     }
 
@@ -659,7 +638,7 @@ mod tests {
             complete(2, 0), // claims device_acks=1, but nothing was logged
             apply(3, 0, p.clone()),
         ];
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(d.reason.contains("no device logged it"), "{}", d.reason);
     }
 
@@ -688,7 +667,7 @@ mod tests {
                 server_acked: false,
             },
         ));
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(d.reason.contains("stale read"), "{}", d.reason);
         assert_eq!(d.index, 9);
         // The same read returning v2 passes.
@@ -703,7 +682,7 @@ mod tests {
                 server_acked: false,
             },
         );
-        let stats = check(&h, None, CheckerConfig::default()).unwrap();
+        let stats = check(&h, None).unwrap();
         assert_eq!(stats.reads_checked, 1);
     }
 
@@ -738,7 +717,7 @@ mod tests {
             hh.push(logged(130, 1));
             hh.push(complete(140, 1));
             hh.push(apply(150, 1, p1.clone()));
-            let r = check(&hh, None, CheckerConfig::default());
+            let r = check(&hh, None);
             assert!(r.is_ok(), "returned {:?}: {:?}", returned, r);
         }
     }
@@ -765,7 +744,7 @@ mod tests {
                 server_acked: false,
             },
         ));
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(d.reason.contains("not-found"), "{}", d.reason);
     }
 
@@ -774,7 +753,7 @@ mod tests {
         let p = set(b"k", b"v");
         let h = healthy_op(0, 0, &p);
         let tampered = BTreeMap::from([(b"k".to_vec(), b"other".to_vec())]);
-        let d = check(&h, Some(&tampered), CheckerConfig::default()).unwrap_err();
+        let d = check(&h, Some(&tampered)).unwrap_err();
         assert_eq!(d.index, h.len());
         assert!(d.reason.contains("final state divergence"), "{}", d.reason);
     }
@@ -794,7 +773,7 @@ mod tests {
                 },
             ),
         ];
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(d.reason.contains("no prior device log"), "{}", d.reason);
     }
 
@@ -864,7 +843,7 @@ mod tests {
     fn overlapping_writes_pass_in_either_apply_order_and_are_counted() {
         for first in [0, 1] {
             let h = overlapping_writes(first);
-            let stats = check(&h, None, CheckerConfig::default()).unwrap();
+            let stats = check(&h, None).unwrap();
             assert_eq!(stats.overlapping_write_pairs, 1, "apply_first={first}");
             assert_eq!(stats.ordered_write_pairs, 0);
         }
@@ -919,7 +898,7 @@ mod tests {
                 payload: p1.clone(),
             },
         });
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(
             d.reason.contains("real-time order violation"),
             "{}",
@@ -959,7 +938,7 @@ mod tests {
             apply(210, 0, pa.clone()),                   // …A applied after: violation
             with_session(server_acked_complete(300, 1), 1),
         ];
-        let d = check(&h, None, CheckerConfig::default()).unwrap_err();
+        let d = check(&h, None).unwrap_err();
         assert!(
             d.reason.contains("concurrent-history order violation"),
             "{}",
@@ -977,7 +956,7 @@ mod tests {
         // Re-sort by time so history order matches apply order.
         let mut h_ok = h_ok;
         h_ok.sort_by_key(|e| e.at);
-        check(&h_ok, None, CheckerConfig::default()).unwrap();
+        check(&h_ok, None).unwrap();
     }
 
     #[test]
@@ -988,7 +967,7 @@ mod tests {
         let h = healthy_op(0, 0, &p);
         let mut model = ReferenceKv::new();
         model.apply(Addr(1), 0, 0, &p);
-        let stats = check(&h, Some(model.map()), CheckerConfig::default()).unwrap();
+        let stats = check(&h, Some(model.map())).unwrap();
         assert_eq!(stats.reads_checked, 0);
         assert_eq!(stats.applies, 1);
     }

@@ -10,21 +10,11 @@
 use std::collections::BTreeMap;
 
 use pmnet_core::server::ServerLib;
-use pmnet_core::system::DesignPoint;
 use pmnet_net::{NodeId, World};
 use pmnet_telemetry::Telemetry;
 use pmnet_workloads::KvHandler;
 
-use crate::checker::{check, CheckStats, CheckerConfig, Divergence};
-
-/// The checker configuration appropriate for a design point: client-side
-/// logging completes on peer-logger ACKs, which are outside the recorded
-/// event vocabulary, so ack-evidence rules are disabled there.
-pub fn config_for(design: DesignPoint) -> CheckerConfig {
-    CheckerConfig {
-        require_ack_evidence: !matches!(design, DesignPoint::ClientSideLog { .. }),
-    }
-}
+use crate::checker::{check, CheckStats, Divergence};
 
 /// Snapshots the durable KV state of the server at `server` (workload keys
 /// plus the `0x00` applied-sequence table). `None` when the server is
@@ -44,22 +34,12 @@ pub fn snapshot_server_state(world: &World, server: NodeId) -> Option<BTreeMap<V
 }
 
 /// Runs the checker over a finished run: the history `telemetry` recorded
-/// plus the durable state of the server at `server`, under `cfg`.
-pub fn check_system_with(
-    world: &World,
-    server: NodeId,
-    telemetry: &Telemetry,
-    cfg: CheckerConfig,
-) -> Result<CheckStats, Divergence> {
-    let durable = snapshot_server_state(world, server);
-    check(&telemetry.history(), durable.as_ref(), cfg)
-}
-
-/// [`check_system_with`] under the default configuration.
+/// plus the durable state of the server at `server`.
 pub fn check_system(
     world: &World,
     server: NodeId,
     telemetry: &Telemetry,
 ) -> Result<CheckStats, Divergence> {
-    check_system_with(world, server, telemetry, CheckerConfig::default())
+    let durable = snapshot_server_state(world, server);
+    check(&telemetry.history(), durable.as_ref())
 }

@@ -33,6 +33,6 @@ pub mod harness;
 pub mod reference;
 
 pub use artifact::{parse, render, replay, ParsedArtifact};
-pub use checker::{check, CheckStats, CheckerConfig, Divergence};
-pub use harness::{check_system, check_system_with, config_for, snapshot_server_state};
+pub use checker::{check, CheckStats, Divergence};
+pub use harness::{check_system, snapshot_server_state};
 pub use reference::ReferenceKv;

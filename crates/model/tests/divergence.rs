@@ -12,7 +12,7 @@ use pmnet_core::server::ServerLib;
 use pmnet_core::system::BuiltSystem;
 use pmnet_core::system::{DesignPoint, SystemBuilder};
 use pmnet_core::SystemConfig;
-use pmnet_model::{check_system, check_system_with, config_for, replay};
+use pmnet_model::{check_system, replay};
 use pmnet_sim::{Dur, Time};
 use pmnet_telemetry::Telemetry;
 use pmnet_workloads::KvHandler;
@@ -41,28 +41,48 @@ fn attach_checking(sys: &mut BuiltSystem) -> Telemetry {
 
 #[test]
 fn clean_run_passes_the_checker() {
-    let mut script = Vec::new();
-    for i in 0..20u32 {
-        script.push(update(set_frame(
-            format!("k{}", i % 5).as_bytes(),
-            &i.to_le_bytes(),
-        )));
-        script.push(bypass(get_frame(format!("k{}", i % 5).as_bytes())));
+    // One rule set for every design point but client-side logging, whose
+    // peer-logger acks are not in the history: each acknowledgement rests
+    // on a recorded log write (a device's, or the server's early log) or
+    // on the server's own ack.
+    let script = |client: u32| -> Vec<_> {
+        (0..10u32)
+            .flat_map(|i| {
+                let key = format!("k{}", i % 3);
+                let value = (client * 100 + i).to_le_bytes();
+                [
+                    update(set_frame(key.as_bytes(), &value)),
+                    bypass(get_frame(key.as_bytes())),
+                ]
+            })
+            .collect()
+    };
+    for design in [
+        DesignPoint::PmnetSwitch,
+        DesignPoint::PmnetNic,
+        DesignPoint::ClientServer,
+        DesignPoint::PmnetReplicated { devices: 3 },
+        DesignPoint::ClientServerReplicated { replicas: 3 },
+        DesignPoint::ServerSideLog { replicas: 1 },
+        DesignPoint::ServerSideLog { replicas: 3 },
+        DesignPoint::PmnetSharded { shards: 2 },
+    ] {
+        let mut sys = SystemBuilder::new(design, SystemConfig::default())
+            .client(Box::new(ScriptSource::new(script(0))))
+            .client(Box::new(ScriptSource::new(script(1))))
+            .handler_factory(|| Box::new(KvHandler::new("btree", 3)))
+            .build(61);
+        let tel = attach_checking(&mut sys);
+        sys.run_clients(Dur::secs(2));
+        sys.world.run_for(Dur::millis(50));
+        assert_eq!(sys.metrics().completed, 40, "{design:?}");
+        let stats = check_system(&sys.world, sys.server, &tel)
+            .unwrap_or_else(|d| panic!("{design:?}: {d}\n{}", d.artifact));
+        assert_eq!(stats.applies, 20, "{design:?}");
+        assert_eq!(stats.invokes, 40, "{design:?}");
+        assert_eq!(stats.reads_checked, 20, "{design:?}");
+        assert!(stats.state_keys_checked >= 4, "{design:?}: {stats:?}");
     }
-    let mut sys = SystemBuilder::new(DesignPoint::PmnetSwitch, SystemConfig::default())
-        .client(Box::new(ScriptSource::new(script)))
-        .handler_factory(|| Box::new(KvHandler::new("btree", 3)))
-        .build(41);
-    let tel = attach_checking(&mut sys);
-    sys.run_clients(Dur::secs(2));
-    sys.world.run_for(Dur::millis(50));
-    assert_eq!(sys.metrics().completed, 40);
-    let stats = check_system(&sys.world, sys.server, &tel)
-        .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
-    assert_eq!(stats.applies, 20);
-    assert_eq!(stats.invokes, 40);
-    assert_eq!(stats.reads_checked, 20);
-    assert!(stats.state_keys_checked >= 6, "{stats:?}");
 }
 
 #[test]
@@ -211,6 +231,43 @@ fn stale_read_bug_absent_means_cached_reads_are_clean() {
 }
 
 #[test]
+fn a_logged_delete_stops_the_cache_serving_the_old_value() {
+    // While the Del is in flight its key's entry serves nothing; the Del's
+    // server ack drains it, so the last read goes to the server and finds
+    // nothing.
+    let mut config = SystemConfig::default();
+    config.device = config.device.with_cache(64);
+    let del = KvFrame::Del {
+        key: Bytes::from_static(b"k"),
+    };
+    let script = vec![
+        update(set_frame(b"k", b"v1")),
+        bypass(get_frame(b"k")),
+        bypass(get_frame(b"k")),
+        update(del.encode()),
+        bypass(get_frame(b"k")),
+    ];
+    let mut sys = SystemBuilder::new(DesignPoint::PmnetSwitch, config)
+        .client(Box::new(ScriptSource::new(script)))
+        .handler_factory(|| Box::new(KvHandler::new("hashmap", 6)))
+        .build(53);
+    let tel = attach_checking(&mut sys);
+    sys.run_clients(Dur::secs(2));
+    sys.world.run_for(Dur::millis(50));
+    assert_eq!(sys.metrics().completed, 5);
+    let stats = check_system(&sys.world, sys.server, &tel)
+        .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
+    assert_eq!(stats.reads_checked, 3);
+    let cache = sys
+        .world
+        .node::<PmnetDevice>(sys.devices[0])
+        .cache_counters()
+        .expect("cache on");
+    assert_eq!(cache.hits, 2, "{cache:?}");
+    assert!(cache.misses >= 1, "{cache:?}");
+}
+
+#[test]
 fn clean_sharded_fabric_run_passes_the_checker() {
     // Two shards, two clients hashed across them: provenance events now
     // come from four devices (two chains), and every update is applied
@@ -235,7 +292,7 @@ fn clean_sharded_fabric_run_passes_the_checker() {
     sys.run_clients(Dur::secs(2));
     sys.world.run_for(Dur::millis(50));
     assert_eq!(sys.metrics().completed, 30);
-    let stats = check_system_with(&sys.world, sys.server, &tel, config_for(design))
+    let stats = check_system(&sys.world, sys.server, &tel)
         .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 30);
 }
@@ -277,7 +334,7 @@ fn sharded_failover_run_passes_the_checker() {
             .any(|c| c.failovers > 0),
         "the kill must actually trigger a failover"
     );
-    let stats = check_system_with(&sys.world, sys.server, &tel, config_for(design))
+    let stats = check_system(&sys.world, sys.server, &tel)
         .unwrap_or_else(|d| panic!("{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 75, "exactly-once across the handover");
 }
