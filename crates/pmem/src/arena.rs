@@ -9,7 +9,8 @@
 //!
 //! [`PmArena`] models exactly that. Stores mark lines dirty while
 //! remembering their last durable contents; [`PmArena::flush`] +
-//! [`PmArena::fence`] commit lines; [`PmArena::crash`] durably keeps a
+//! [`PmArena::fence`] commit lines, and [`PmArena::store_persist`] stores,
+//! flushes and fences in one call; [`PmArena::crash`] durably keeps a
 //! random subset of the remaining dirty lines and reverts the rest. Crash-
 //! consistency property tests in [`crate::PersistentKv`] drive recovery
 //! across many random subsets.
@@ -295,6 +296,49 @@ impl PmArena {
     /// Convenience: flush the range and fence.
     pub fn persist(&mut self, ptr: PmPtr, len: usize) {
         self.flush(ptr, len);
+        self.fence();
+    }
+
+    /// Stores the `len` bytes `fill` writes at `ptr`, flushes their lines
+    /// and fences: libpmem's `pmem_memcpy_persist`. Data, every counter
+    /// and the one persist point are those of [`write`](PmArena::write)
+    /// followed by [`persist`](PmArena::persist), but a line this fence
+    /// takes from clean to durable keeps no pre-image: no crash can fall
+    /// between its store and the fence. Unless the fence is the armed one
+    /// — then the range keeps pre-images as under `write`, and the tripped
+    /// fence leaves it torn.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-length or out-of-bounds store.
+    pub fn store_persist(&mut self, ptr: PmPtr, len: usize, fill: impl FnOnce(&mut [u8])) {
+        assert!(len > 0, "zero-length store");
+        let start = ptr.offset();
+        assert!(
+            start + len <= self.data.len(),
+            "store out of bounds: {start}+{len} > {}",
+            self.data.len()
+        );
+        if self.off {
+            self.persist_point();
+            return;
+        }
+        let tripping = self.persist_points + 1 == self.trip_at;
+        let (first, last) = (start / LINE, (start + len - 1) / LINE);
+        self.stats.flushes += (last - first + 1) as u64;
+        for line in first..=last {
+            let (word, mask) = bit(line);
+            if tripping && self.dirty[word] & mask == 0 {
+                self.dirty[word] |= mask;
+                let durable = self.data[line * LINE..(line + 1) * LINE].try_into();
+                self.undo.push((line, durable.expect("one line")));
+            }
+            // A line dirty before this call keeps its pre-image until the
+            // fence below retires it; a clean one stays clean.
+            self.flushed[word] |= self.dirty[word] & mask;
+        }
+        fill(&mut self.data[start..start + len]);
+        self.stats.bytes_written += len as u64;
         self.fence();
     }
 

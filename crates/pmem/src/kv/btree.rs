@@ -12,9 +12,9 @@ use super::{KvStore, OpStats};
 /// Maximum entries per leaf / separators per internal node before a split.
 const MAX_KEYS: usize = 16;
 
-/// Result of a recursive insert: the replaced value (if the key existed)
-/// and, when the node split, the separator plus the new right sibling.
-type InsertOutcome = (Option<Vec<u8>>, Option<(Vec<u8>, Box<Node>)>);
+/// Result of a recursive insert: whether the key existed and, when the
+/// node split, the separator plus the new right sibling.
+type InsertOutcome = (bool, Option<(Vec<u8>, Box<Node>)>);
 
 #[derive(Debug)]
 enum Node {
@@ -95,22 +95,22 @@ impl BTreeKv {
                 let idx = Self::lower_bound(stats, entries, k, |e| &e.0);
                 if idx < entries.len() && entries[idx].0 == k {
                     stats.key_comparisons += 1;
-                    let old = std::mem::replace(&mut entries[idx].1, v.to_vec());
-                    return (Some(old), None);
+                    v.clone_into(&mut entries[idx].1);
+                    return (true, None);
                 }
                 stats.bytes_moved += (k.len() + v.len()) as u64;
                 entries.insert(idx, (k.to_vec(), v.to_vec()));
                 if entries.len() > MAX_KEYS {
                     let right = entries.split_off(entries.len() / 2);
                     let sep = right[0].0.clone();
-                    (None, Some((sep, Box::new(Node::Leaf { entries: right }))))
+                    (false, Some((sep, Box::new(Node::Leaf { entries: right }))))
                 } else {
-                    (None, None)
+                    (false, None)
                 }
             }
             Node::Internal { keys, children } => {
                 let idx = Self::child_index(stats, keys, k);
-                let (old, split) = Self::insert_rec(stats, &mut children[idx], k, v);
+                let (replaced, split) = Self::insert_rec(stats, &mut children[idx], k, v);
                 if let Some((sep, right)) = split {
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
@@ -123,10 +123,10 @@ impl BTreeKv {
                             keys: right_keys,
                             children: right_children,
                         });
-                        return (old, Some((sep_up, right)));
+                        return (replaced, Some((sep_up, right)));
                     }
                 }
-                (old, None)
+                (replaced, None)
             }
         }
     }
@@ -212,7 +212,7 @@ impl KvStore for BTreeKv {
         "btree"
     }
 
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
         let stats = &mut self.stats;
         let mut node: &Node = &self.root;
         loop {
@@ -223,7 +223,7 @@ impl KvStore for BTreeKv {
                     if idx < entries.len() && entries[idx].0 == key {
                         stats.key_comparisons += 1;
                         stats.bytes_moved += entries[idx].1.len() as u64;
-                        return Some(entries[idx].1.clone());
+                        return Some(&entries[idx].1);
                     }
                     return None;
                 }
@@ -235,8 +235,8 @@ impl KvStore for BTreeKv {
         }
     }
 
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
-        let (old, split) = Self::insert_rec(&mut self.stats, &mut self.root, key, value);
+    fn insert(&mut self, key: &[u8], value: &[u8]) -> bool {
+        let (replaced, split) = Self::insert_rec(&mut self.stats, &mut self.root, key, value);
         if let Some((sep, right)) = split {
             let left = std::mem::replace(
                 &mut self.root,
@@ -249,10 +249,10 @@ impl KvStore for BTreeKv {
                 children: vec![left, right],
             };
         }
-        if old.is_none() {
+        if !replaced {
             self.len += 1;
         }
-        old
+        replaced
     }
 
     fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {

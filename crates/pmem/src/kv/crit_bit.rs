@@ -155,7 +155,7 @@ impl KvStore for CritBitKv {
         "ctree"
     }
 
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
         if self.root == NIL {
             return None;
         }
@@ -165,13 +165,13 @@ impl KvStore for CritBitKv {
         match &self.nodes[leaf] {
             CbNode::Leaf { ikey: lk, value } if *lk == ikey => {
                 self.stats.bytes_moved += value.len() as u64;
-                Some(value.clone())
+                Some(value)
             }
             _ => None,
         }
     }
 
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+    fn insert(&mut self, key: &[u8], value: &[u8]) -> bool {
         let ikey = encode(key);
         self.stats.bytes_moved += (ikey.len() + value.len()) as u64;
         if self.root == NIL {
@@ -180,18 +180,21 @@ impl KvStore for CritBitKv {
                 value: value.to_vec(),
             });
             self.len = 1;
-            return None;
+            return false;
         }
         let best = self.best_leaf(&ikey);
-        let best_ikey = match &self.nodes[best] {
-            CbNode::Leaf { ikey, .. } => ikey.clone(),
-            _ => unreachable!("best_leaf returned non-leaf"),
+        let CbNode::Leaf {
+            ikey: best_ikey, ..
+        } = &self.nodes[best]
+        else {
+            unreachable!("best_leaf returned non-leaf")
         };
         self.stats.key_comparisons += 1;
-        let Some((byte, mask)) = Self::crit_pos(&ikey, &best_ikey) else {
+        let Some((byte, mask)) = Self::crit_pos(&ikey, best_ikey) else {
             // Same key: replace value.
             if let CbNode::Leaf { value: v, .. } = &mut self.nodes[best] {
-                return Some(std::mem::replace(v, value.to_vec()));
+                value.clone_into(v);
+                return true;
             }
             unreachable!()
         };
@@ -240,7 +243,7 @@ impl KvStore for CritBitKv {
             None => self.root = internal,
         }
         self.len += 1;
-        None
+        false
     }
 
     fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
@@ -347,10 +350,10 @@ mod tests {
         t.insert(b"ab", b"2");
         t.insert(b"abc", b"3");
         t.insert(b"", b"0");
-        assert_eq!(t.get(b"a"), Some(b"1".to_vec()));
-        assert_eq!(t.get(b"ab"), Some(b"2".to_vec()));
-        assert_eq!(t.get(b"abc"), Some(b"3".to_vec()));
-        assert_eq!(t.get(b""), Some(b"0".to_vec()));
+        assert_eq!(t.get(b"a"), Some(&b"1"[..]));
+        assert_eq!(t.get(b"ab"), Some(&b"2"[..]));
+        assert_eq!(t.get(b"abc"), Some(&b"3"[..]));
+        assert_eq!(t.get(b""), Some(&b"0"[..]));
         t.validate();
     }
 

@@ -58,33 +58,34 @@ impl KvStore for HashMapKv {
         "hashmap"
     }
 
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
         let b = self.bucket_of(key);
         self.stats.nodes_visited += 1;
         for (k, v) in &self.buckets[b] {
             self.stats.key_comparisons += 1;
             if k == key {
                 self.stats.bytes_moved += v.len() as u64;
-                return Some(v.clone());
+                return Some(v);
             }
         }
         None
     }
 
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+    fn insert(&mut self, key: &[u8], value: &[u8]) -> bool {
         let b = self.bucket_of(key);
         self.stats.nodes_visited += 1;
         self.stats.bytes_moved += (key.len() + value.len()) as u64;
         for (k, v) in &mut self.buckets[b] {
             self.stats.key_comparisons += 1;
             if k == key {
-                return Some(std::mem::replace(v, value.to_vec()));
+                value.clone_into(v);
+                return true;
             }
         }
         self.buckets[b].push((key.to_vec(), value.to_vec()));
         self.len += 1;
         self.maybe_grow();
-        None
+        false
     }
 
     fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
@@ -145,7 +146,7 @@ mod tests {
             m.insert(&[i], &[i]);
         }
         for i in 0..64u8 {
-            assert_eq!(m.get(&[i]), Some(vec![i]));
+            assert_eq!(m.get(&[i]), Some(&[i][..]));
         }
     }
 

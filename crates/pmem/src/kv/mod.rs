@@ -52,11 +52,12 @@ pub trait KvStore: std::fmt::Debug {
     /// The structure's name as used in the paper's figures (e.g. "btree").
     fn name(&self) -> &'static str;
 
-    /// Looks up `key`, returning a copy of the value.
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>>;
+    /// Looks up `key`, borrowing its value.
+    fn get(&mut self, key: &[u8]) -> Option<&[u8]>;
 
-    /// Inserts or replaces `key`, returning the previous value if any.
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>>;
+    /// Inserts or replaces `key`; a replaced value is overwritten in its
+    /// own buffer. Returns whether it replaced one.
+    fn insert(&mut self, key: &[u8], value: &[u8]) -> bool;
 
     /// Removes `key`, returning its value if present.
     fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>>;
@@ -133,28 +134,27 @@ mod conformance {
     }
 
     fn check_against_model(store: &mut dyn KvStore, ops: &[Op]) {
+        let name = store.name();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
-                    let expect = model.insert(k.clone(), v.clone());
-                    assert_eq!(
-                        store.insert(k, v),
-                        expect,
-                        "insert {k:?} on {}",
-                        store.name()
-                    );
+                    // The value an insert replaces, checked before it goes.
+                    let before = model.get(k).map(Vec::as_slice);
+                    assert_eq!(store.get(k), before, "get {k:?} on {name}");
+                    let expect = model.insert(k.clone(), v.clone()).is_some();
+                    assert_eq!(store.insert(k, v), expect, "insert {k:?} on {name}");
                 }
                 Op::Remove(k) => {
                     let expect = model.remove(k);
-                    assert_eq!(store.remove(k), expect, "remove {k:?} on {}", store.name());
+                    assert_eq!(store.remove(k), expect, "remove {k:?} on {name}");
                 }
                 Op::Get(k) => {
-                    let expect = model.get(k).cloned();
-                    assert_eq!(store.get(k), expect, "get {k:?} on {}", store.name());
+                    let expect = model.get(k).map(Vec::as_slice);
+                    assert_eq!(store.get(k), expect, "get {k:?} on {name}");
                 }
             }
-            assert_eq!(store.len(), model.len(), "len mismatch on {}", store.name());
+            assert_eq!(store.len(), model.len(), "len mismatch on {name}");
         }
         // for_each visits exactly the model's pairs.
         let mut seen: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -164,7 +164,7 @@ mod conformance {
                 "duplicate key"
             );
         });
-        assert_eq!(seen, model, "for_each mismatch on {}", store.name());
+        assert_eq!(seen, model, "for_each mismatch on {name}");
     }
 
     proptest! {
@@ -212,7 +212,7 @@ mod conformance {
             }
             assert_eq!(store.len(), 1000);
             for i in (0..1000u32).rev() {
-                assert_eq!(store.get(&i.to_be_bytes()), Some(i.to_le_bytes().to_vec()));
+                assert_eq!(store.get(&i.to_be_bytes()), Some(&i.to_le_bytes()[..]));
             }
             for i in (0..1000u32).step_by(2) {
                 assert!(store.remove(&i.to_be_bytes()).is_some());
@@ -228,11 +228,51 @@ mod conformance {
     #[test]
     fn empty_key_and_empty_value_are_legal() {
         for mut store in all_stores(9) {
-            assert_eq!(store.insert(b"", b""), None);
-            assert_eq!(store.get(b""), Some(vec![]));
-            assert_eq!(store.insert(b"", b"x"), Some(vec![]));
+            assert!(!store.insert(b"", b""));
+            assert_eq!(store.get(b""), Some(&[][..]));
+            assert!(store.insert(b"", b"x"));
             assert_eq!(store.remove(b""), Some(b"x".to_vec()));
             assert!(store.is_empty(), "{}", store.name());
         }
+    }
+
+    /// A same-length replace overwrites the value in its own buffer: the
+    /// bytes `get` borrows stay where they were. A store that hands back
+    /// a fresh copy moves them.
+    fn replace_keeps_the_value_buffer(mut store: Box<dyn KvStore>) {
+        for i in 0..100u32 {
+            store.insert(&i.to_be_bytes(), &[1; 48]);
+        }
+        let (key, name) = (37u32.to_be_bytes(), store.name());
+        let before = store.get(&key).expect("present").as_ptr();
+        assert!(store.insert(&key, &[2; 48]));
+        let after = store.get(&key).expect("present");
+        assert_eq!(after, &[2; 48][..], "{name}");
+        assert_eq!(after.as_ptr(), before, "{name} copied the value");
+    }
+
+    #[test]
+    fn btree_replace_keeps_the_value_buffer() {
+        replace_keeps_the_value_buffer(store_by_name("btree", 0));
+    }
+
+    #[test]
+    fn ctree_replace_keeps_the_value_buffer() {
+        replace_keeps_the_value_buffer(store_by_name("ctree", 0));
+    }
+
+    #[test]
+    fn rbtree_replace_keeps_the_value_buffer() {
+        replace_keeps_the_value_buffer(store_by_name("rbtree", 0));
+    }
+
+    #[test]
+    fn hashmap_replace_keeps_the_value_buffer() {
+        replace_keeps_the_value_buffer(store_by_name("hashmap", 0));
+    }
+
+    #[test]
+    fn skiplist_replace_keeps_the_value_buffer() {
+        replace_keeps_the_value_buffer(store_by_name("skiplist", 0));
     }
 }

@@ -304,18 +304,18 @@ impl KvStore for RbTreeKv {
         "rbtree"
     }
 
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
         let n = self.find(key);
         if n == NIL {
             None
         } else {
-            let v = self.nodes[n].value.clone();
+            let v = &self.nodes[n].value;
             self.stats.bytes_moved += v.len() as u64;
             Some(v)
         }
     }
 
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+    fn insert(&mut self, key: &[u8], value: &[u8]) -> bool {
         self.stats.bytes_moved += (key.len() + value.len()) as u64;
         let mut parent = NIL;
         let mut cur = self.root;
@@ -334,10 +334,8 @@ impl KvStore for RbTreeKv {
                     went_left = false;
                 }
                 std::cmp::Ordering::Equal => {
-                    return Some(std::mem::replace(
-                        &mut self.nodes[cur].value,
-                        value.to_vec(),
-                    ));
+                    value.clone_into(&mut self.nodes[cur].value);
+                    return true;
                 }
             }
         }
@@ -352,7 +350,7 @@ impl KvStore for RbTreeKv {
         }
         self.insert_fixup(z);
         self.len += 1;
-        None
+        false
     }
 
     fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
@@ -467,7 +465,7 @@ mod tests {
         t.validate();
         assert_eq!(t.len(), 9);
         for i in [12u8, 37, 75, 6, 18, 31, 43, 62, 87] {
-            assert_eq!(t.get(&[i]), Some(vec![i]));
+            assert_eq!(t.get(&[i]), Some(&[i][..]));
         }
     }
 

@@ -136,12 +136,12 @@ impl KvStore for SkipListKv {
         "skiplist"
     }
 
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
         let (_, cand) = self.find(key);
         if cand != NIL {
             self.stats.key_comparisons += 1;
             if self.nodes[cand].key == key {
-                let v = self.nodes[cand].value.clone();
+                let v = &self.nodes[cand].value;
                 self.stats.bytes_moved += v.len() as u64;
                 return Some(v);
             }
@@ -149,15 +149,13 @@ impl KvStore for SkipListKv {
         None
     }
 
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+    fn insert(&mut self, key: &[u8], value: &[u8]) -> bool {
         let (update, cand) = self.find(key);
         self.stats.bytes_moved += (key.len() + value.len()) as u64;
         if cand != NIL && self.nodes[cand].key == key {
             self.stats.key_comparisons += 1;
-            return Some(std::mem::replace(
-                &mut self.nodes[cand].value,
-                value.to_vec(),
-            ));
+            value.clone_into(&mut self.nodes[cand].value);
+            return true;
         }
         let lvl = self.random_level();
         if lvl > self.level {
@@ -183,7 +181,7 @@ impl KvStore for SkipListKv {
             self.set_next(pred, l, idx);
         }
         self.len += 1;
-        None
+        false
     }
 
     fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {

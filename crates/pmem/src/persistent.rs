@@ -134,13 +134,13 @@ impl PersistentKv {
             .alloc(2 * image_cap)
             .expect("arena too small for checkpoint");
         // Generation 0: an empty image, durable.
-        arena.write_u64(images, 0);
-        arena.persist(images, 8);
-        arena.write_u64(superblock, wal.region().0);
-        arena.write_u64(PmPtr(superblock.0 + 8), wal_bytes as u64);
-        arena.write_u64(PmPtr(superblock.0 + 16), images.0);
-        arena.write_u64(PmPtr(superblock.0 + 24), image_cap as u64);
-        arena.persist(superblock, SUPERBLOCK_LEN);
+        arena.store_persist(images, 8, |word| word.fill(0));
+        let words = [wal.region().0, wal_bytes as u64, images.0, image_cap as u64];
+        arena.store_persist(superblock, SUPERBLOCK_LEN, |block| {
+            for (at, word) in block.chunks_exact_mut(8).zip(words) {
+                at.copy_from_slice(&word.to_le_bytes());
+            }
+        });
         arena.set_root(superblock.0);
         PersistentKv {
             arena,
@@ -181,18 +181,18 @@ impl PersistentKv {
     }
 
     /// Reads a key (no durability interaction).
-    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
         self.index.get(key)
     }
 
     /// Applies a mutation durably: WAL append (flush+fence) then index
-    /// update. Returns the previous value, if any.
+    /// update. Returns whether the key was present before.
     ///
     /// # Panics
     ///
     /// Panics if the WAL fills and an automatic checkpoint cannot free it
     /// (store misconfiguration).
-    pub fn apply(&mut self, op: &KvOp<'_>) -> Option<Vec<u8>> {
+    pub fn apply(&mut self, op: &KvOp<'_>) -> bool {
         let (head, key, value) = op.record();
         let record = [&head[..], key, value];
         if !self.wal.append(&mut self.arena, &record) {
@@ -206,7 +206,7 @@ impl PersistentKv {
         self.applied += 1;
         match *op {
             KvOp::Put { key, value } => self.index.insert(key, value),
-            KvOp::Del { key } => self.index.remove(key),
+            KvOp::Del { key } => self.index.remove(key).is_some(),
         }
     }
 
@@ -230,27 +230,27 @@ impl PersistentKv {
         // Entries first, then the header word with a fence between: until
         // that word is durable recovery reads the slot's stale, smaller
         // generation and loads the other slot, which nothing here touches.
-        let data_ptr = PmPtr(slot.0 + 8);
         if len > 0 {
             // Entries go from the index straight into the region, as
             // `[klen:u32][vlen:u32][key][value]` back to back.
-            let arena = &mut self.arena;
-            let mut at = data_ptr;
-            self.index.for_each(&mut |k, v| {
-                let mut head = [0; 8];
-                head[..4].copy_from_slice(&(k.len() as u32).to_le_bytes());
-                head[4..].copy_from_slice(&(v.len() as u32).to_le_bytes());
-                for part in [&head[..], k, v] {
-                    arena.write(at, part);
-                    at.0 += part.len() as u64;
-                }
+            let index = &self.index;
+            self.arena.store_persist(PmPtr(slot.0 + 8), len, |body| {
+                let mut at = 0;
+                index.for_each(&mut |k, v| {
+                    body[at..at + 4].copy_from_slice(&(k.len() as u32).to_le_bytes());
+                    body[at + 4..at + 8].copy_from_slice(&(v.len() as u32).to_le_bytes());
+                    at += 8;
+                    for part in [k, v] {
+                        body[at..at + part.len()].copy_from_slice(part);
+                        at += part.len();
+                    }
+                });
             });
-            arena.persist(data_ptr, len);
         }
         let len = u32::try_from(len).expect("image slots are under 4 GiB");
+        let head = (generation as u64) << 32 | len as u64;
         self.arena
-            .write_u64(slot, (generation as u64) << 32 | len as u64);
-        self.arena.persist(slot, 8);
+            .store_persist(slot, 8, |word| word.copy_from_slice(&head.to_le_bytes()));
         self.generation = generation;
         // The log's records are of the retired epoch now, whether or not
         // the reset below gets to run.
@@ -299,7 +299,7 @@ impl PersistentKv {
         let head = even.max(odd);
         let generation = (head >> 32) as u32;
         let slot = image_slot(images, image_cap, generation);
-        let blob = arena.read(PmPtr(slot.0 + 8), head as u32 as usize).to_vec();
+        let blob = arena.read(PmPtr(slot.0 + 8), head as u32 as usize);
         let mut off = 0;
         while off + 8 <= blob.len() {
             let klen = u32::from_le_bytes(blob[off..off + 4].try_into().expect("4 bytes")) as usize;

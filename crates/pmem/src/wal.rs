@@ -53,8 +53,7 @@ impl Wal {
     pub fn create(arena: &mut PmArena, capacity: usize) -> Option<Wal> {
         let region = arena.alloc(capacity)?;
         // Durable zero length marks an empty log.
-        arena.write(region, &0u32.to_le_bytes());
-        arena.persist(region, 4);
+        arena.store_persist(region, 4, |word| word.fill(0));
         Some(Wal {
             region,
             capacity,
@@ -100,19 +99,19 @@ impl Wal {
         }
         let base = PmPtr(self.region.0 + self.tail as u64);
         let crc = crc32_finish(parts.iter().fold(self.seed, |s, p| crc32_update(s, p)));
-        // Write payload and CRC first, then the length word: a record only
-        // becomes visible to recovery once its length is durable, and the
-        // CRC catches a torn length/payload pair.
-        arena.write(PmPtr(base.0 + 4), &crc.to_le_bytes());
-        let mut at = PmPtr(base.0 + HEADER as u64);
-        for part in parts {
-            arena.write(at, part);
-            at.0 += part.len() as u64;
-        }
-        // Terminator for the *next* record before exposing this one.
-        arena.write(at, &0u32.to_le_bytes());
-        arena.write(base, &(len as u32).to_le_bytes());
-        arena.persist(base, HEADER + len + 4);
+        // Header, payload and the *next* record's terminator are one
+        // persisted range: a crash sees its lines, never the order of the
+        // stores inside it, and the CRC catches a torn length/payload pair.
+        arena.store_persist(base, HEADER + len + 4, |record| {
+            record[..4].copy_from_slice(&(len as u32).to_le_bytes());
+            record[4..HEADER].copy_from_slice(&crc.to_le_bytes());
+            let mut at = HEADER;
+            for part in parts {
+                record[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
+            record[at..].fill(0);
+        });
         self.tail += HEADER + len;
         self.stats.appends += 1;
         self.stats.payload_bytes += len as u64;
@@ -169,8 +168,7 @@ impl Wal {
     /// and starts `epoch`, which the caller has already made durable and
     /// which no earlier record of this region carries.
     pub fn reset(&mut self, arena: &mut PmArena, epoch: u32) {
-        arena.write(self.region, &0u32.to_le_bytes());
-        arena.persist(self.region, 4);
+        arena.store_persist(self.region, 4, |word| word.fill(0));
         self.tail = 0;
         self.seed = crc_seed(epoch);
         self.stats.resets += 1;

@@ -1,8 +1,9 @@
 //! Property tests for the PM arena's crash semantics: fenced data always
 //! survives, every line is atomic (pre- or post-state, never torn), the
-//! dense dirty-line tracker is indistinguishable from the map it replaced,
-//! an armed arena is the unarmed one cut off at the tripped persist point,
-//! and the WAL-over-arena discipline recovers a consistent prefix.
+//! dense dirty-line tracker — `store_persist` included — is
+//! indistinguishable from the map it replaced, an armed arena is the
+//! unarmed one cut off at the tripped persist point, and the
+//! WAL-over-arena discipline recovers a consistent prefix.
 
 use std::collections::HashMap;
 
@@ -88,29 +89,51 @@ enum TrackerOp {
     /// Flush `[start, start + len)`.
     Flush(usize, usize),
     Fence,
+    /// `store_persist` of `len` (at least one) bytes of `fill` at `start`.
+    StorePersist(usize, usize, u8),
+}
+
+/// `len` bytes counting up from `fill`: distinct bytes, so a misplaced
+/// pre-image shows.
+fn pattern(len: usize, fill: u8) -> Vec<u8> {
+    (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
 }
 
 impl TrackerOp {
-    /// Issues the op to the arena and, when given, to the oracle.
-    fn run(&self, arena: &mut PmArena, oracle: Option<&mut MapArena>) {
+    /// True for the ops that are a persist point.
+    fn persists(&self) -> bool {
+        matches!(self, TrackerOp::Fence | TrackerOp::StorePersist(..))
+    }
+
+    /// Issues the op to the arena.
+    fn run(&self, arena: &mut PmArena) {
         match *self {
-            TrackerOp::Write(at, len, fill) => {
-                // Distinct bytes, so a misplaced pre-image shows.
-                let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                arena.write(PmPtr(at as u64), &bytes);
-                if let Some(oracle) = oracle {
-                    oracle.write(at, &bytes);
-                }
+            TrackerOp::Write(at, len, fill) => arena.write(PmPtr(at as u64), &pattern(len, fill)),
+            TrackerOp::Flush(at, len) => arena.flush(PmPtr(at as u64), len),
+            TrackerOp::Fence => arena.fence(),
+            TrackerOp::StorePersist(at, len, fill) => {
+                let bytes = pattern(len, fill);
+                arena.store_persist(PmPtr(at as u64), len, |dst| dst.copy_from_slice(&bytes));
             }
-            TrackerOp::Flush(at, len) => {
-                arena.flush(PmPtr(at as u64), len);
-                if let Some(oracle) = oracle {
-                    oracle.flush(at, len);
-                }
-            }
+        }
+    }
+
+    /// Replays the op on the oracle: `store_persist` as a write, a flush
+    /// of its range and a fence. `fenced: false` stops it short of that
+    /// fence, as the power cut at it does.
+    fn replay(&self, oracle: &mut MapArena, fenced: bool) {
+        match *self {
+            TrackerOp::Write(at, len, fill) => oracle.write(at, &pattern(len, fill)),
+            TrackerOp::Flush(at, len) => oracle.flush(at, len),
             TrackerOp::Fence => {
-                arena.fence();
-                if let Some(oracle) = oracle {
+                if fenced {
+                    oracle.fence();
+                }
+            }
+            TrackerOp::StorePersist(at, len, fill) => {
+                oracle.write(at, &pattern(len, fill));
+                oracle.flush(at, len);
+                if fenced {
                     oracle.fence();
                 }
             }
@@ -123,13 +146,17 @@ fn tracker_op() -> impl Strategy<Value = TrackerOp> {
         (0..DIFF_CAPACITY, 0usize..300, any::<u8>())
             .prop_map(|(at, len, fill)| TrackerOp::Write(at, len.min(DIFF_CAPACITY - at), fill))
     };
-    // The choice is uniform: two write arms make half the ops stores.
+    // The choice is uniform: two write arms make two fifths of the ops
+    // plain stores, one fifth stores that persist themselves.
     prop_oneof![
         write(),
         write(),
         (0..DIFF_CAPACITY, 1usize..400)
             .prop_map(|(at, len)| TrackerOp::Flush(at, len.min(DIFF_CAPACITY - at))),
         Just(TrackerOp::Fence),
+        (0..DIFF_CAPACITY, 1usize..300, any::<u8>()).prop_map(|(at, len, fill)| {
+            TrackerOp::StorePersist(at, len.min(DIFF_CAPACITY - at), fill)
+        }),
     ]
 }
 
@@ -151,8 +178,51 @@ fn arena_op() -> impl Strategy<Value = ArenaOp> {
     ]
 }
 
+/// An armed arena is the unarmed one with the power cut at the tripped
+/// persist point: the oracle is fed only the ops before it, plus the
+/// stores and flush of a tripped `store_persist`, and after either kind of
+/// crash both hold the same bytes. So the tripped fence commits nothing,
+/// no later store survives, and lines left unfenced at the cut are kept or
+/// lost as in any crash.
+fn check_armed_against_the_cut_oracle(ops: &[TrackerOp], nth: u64, seed: u64, lose_all: bool) {
+    let mut arena = PmArena::new(DIFF_CAPACITY);
+    let mut oracle = MapArena::new(DIFF_CAPACITY);
+    arena.arm(nth);
+    let mut points = 0;
+    for op in ops {
+        let before = points;
+        points += u64::from(op.persists());
+        op.run(&mut arena);
+        if before < nth {
+            op.replay(&mut oracle, points < nth);
+        }
+        prop_assert_eq!(arena.powered_off(), points >= nth);
+    }
+    prop_assert_eq!(arena.persist_points(), points);
+    prop_assert_eq!(arena.dirty_lines(), oracle.dirty.len());
+    prop_assert_eq!(arena.stats(), oracle.stats);
+    let (mut rng, mut oracle_rng) = (SimRng::seed(seed), SimRng::seed(seed));
+    let (lost, oracle_lost) = if lose_all {
+        (arena.crash_losing_all(), oracle.crash(None))
+    } else {
+        (arena.crash(&mut rng), oracle.crash(Some(&mut oracle_rng)))
+    };
+    prop_assert_eq!(lost, oracle_lost);
+    prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+    prop_assert_eq!(arena.read(PmPtr(0), DIFF_CAPACITY), &oracle.data[..]);
+    // The crash restored power and cleared the trip, fired or not.
+    prop_assert!(!arena.powered_off());
+    for _ in 0..nth {
+        arena.write_u64(PmPtr(0), seed | 1);
+        arena.persist(PmPtr(0), 8);
+    }
+    arena.crash_losing_all();
+    prop_assert_eq!(arena.read_u64(PmPtr(0)), seed | 1);
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    // Miri runs this file too; a few cases there exercise every path.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
 
     /// The dense tracker and the map oracle agree after every step — dirty
     /// count and every counter — and after the final crash: the same lines
@@ -167,7 +237,8 @@ proptest! {
         let mut arena = PmArena::new(DIFF_CAPACITY);
         let mut oracle = MapArena::new(DIFF_CAPACITY);
         for op in &ops {
-            op.run(&mut arena, Some(&mut oracle));
+            op.run(&mut arena);
+            op.replay(&mut oracle, true);
             prop_assert_eq!(arena.dirty_lines(), oracle.dirty.len());
             prop_assert_eq!(arena.stats(), oracle.stats);
         }
@@ -186,11 +257,6 @@ proptest! {
         prop_assert_eq!(arena.dirty_lines(), 2);
     }
 
-    /// An armed arena is the unarmed one with the power cut at the tripped
-    /// fence: the oracle is fed only the ops before it, and after either
-    /// kind of crash both hold the same bytes. So the tripped fence
-    /// commits nothing, no later store survives, and lines left unfenced
-    /// at the cut are kept or lost as in any crash.
     #[test]
     fn armed_arena_is_the_oracle_cut_at_the_tripped_fence(
         ops in prop::collection::vec(tracker_op(), 0..80),
@@ -198,32 +264,7 @@ proptest! {
         seed in any::<u64>(),
         lose_all in any::<bool>(),
     ) {
-        let mut arena = PmArena::new(DIFF_CAPACITY);
-        let mut oracle = MapArena::new(DIFF_CAPACITY);
-        arena.arm(nth);
-        let mut fences = 0;
-        for op in &ops {
-            fences += u64::from(matches!(op, TrackerOp::Fence));
-            op.run(&mut arena, (fences < nth).then_some(&mut oracle));
-            prop_assert_eq!(arena.powered_off(), fences >= nth);
-        }
-        prop_assert_eq!(arena.persist_points(), fences);
-        let (mut rng, mut oracle_rng) = (SimRng::seed(seed), SimRng::seed(seed));
-        let (lost, oracle_lost) = if lose_all {
-            (arena.crash_losing_all(), oracle.crash(None))
-        } else {
-            (arena.crash(&mut rng), oracle.crash(Some(&mut oracle_rng)))
-        };
-        prop_assert_eq!(lost, oracle_lost);
-        prop_assert_eq!(arena.read(PmPtr(0), DIFF_CAPACITY), &oracle.data[..]);
-        // The crash restored power and cleared the trip, fired or not.
-        prop_assert!(!arena.powered_off());
-        for _ in 0..nth {
-            arena.write_u64(PmPtr(0), seed | 1);
-            arena.persist(PmPtr(0), 8);
-        }
-        arena.crash_losing_all();
-        prop_assert_eq!(arena.read_u64(PmPtr(0)), seed | 1);
+        check_armed_against_the_cut_oracle(&ops, nth, seed, lose_all);
     }
 
     /// After any op sequence and a random crash: every slot holds either
@@ -317,6 +358,29 @@ proptest! {
         arena.crash(&mut rng);
         let (_, recovered) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
         prop_assert_eq!(recovered, records);
+    }
+}
+
+/// The cut lands exactly on a `store_persist` over lines both dirty and
+/// clean, and a `store_persist` follows the cut: the random mix reaches
+/// these, this pins them.
+#[test]
+fn armed_at_a_store_persist_and_storing_after_the_cut() {
+    use TrackerOp::*;
+    let ops = [
+        Write(10, 100, 3),
+        StorePersist(200, 150, 9),
+        Write(500, 20, 5),
+        Flush(500, 20),
+        StorePersist(60, 520, 17),
+        Write(0, 64, 1),
+        StorePersist(0, 3 * LINE, 33),
+        Fence,
+    ];
+    for seed in 0..8 {
+        for lose_all in [false, true] {
+            check_armed_against_the_cut_oracle(&ops, 2, seed, lose_all);
+        }
     }
 }
 

@@ -85,7 +85,7 @@ impl KvHandler {
 
     /// Reads a key directly (test support).
     pub fn peek(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.as_mut().and_then(|kv| kv.get(key))
+        self.kv.as_mut()?.get(key).map(<[u8]>::to_vec)
     }
 
     fn kv_mut(&mut self) -> &mut PersistentKv {
@@ -107,15 +107,15 @@ impl KvHandler {
     }
 
     /// Serves one read and returns (service time, encoded reply frame).
-    /// The value is encoded straight from the store's copy into a pooled
-    /// builder — no refcounted wrapper around it on the way.
+    /// The reply is encoded into a pooled builder straight from the value
+    /// the store lends — the value's one copy on the way to the wire.
     pub fn get_costed(&mut self, key: &[u8], rng: &mut SimRng) -> (Dur, Bytes) {
         let kv = self.kv.as_mut().expect("handler used while crashed");
-        let value = kv.get(key);
+        let reply = KvFrame::encode_value(key, kv.get(key));
         let idx = kv.take_index_stats();
         let pm = kv.take_arena_stats();
         let t = rng.jittered(self.cost.service_time(idx, pm), self.jitter_frac);
-        (t, KvFrame::encode_value(key, value.as_deref()))
+        (t, reply)
     }
 }
 
@@ -131,7 +131,8 @@ impl RequestHandler for KvHandler {
         let mut t = self.extra;
         t += match KvFrame::decode(payload) {
             // The op views the wire buffer; the durable store takes its
-            // two copies from there (into the WAL, into the index).
+            // two copies from there (into the WAL, into the index, over a
+            // replaced value's own buffer).
             Some(KvFrame::Set { key, value }) => self.apply_costed(
                 &KvOp::Put {
                     key: &key,
