@@ -16,14 +16,11 @@ use super::session::{
 };
 use super::{Arena, TIMER_LOCAL_LOG, TIMER_RTO};
 use crate::batch::{self, BatchFrames};
-use crate::protocol::{PacketType, PmnetHeader};
+use crate::protocol::{PacketType, PmnetHeader, SERVICE_PORT};
 
 /// Sentinel ingress port marking a packet that has finished traversing the
 /// receive stack.
 const POST_STACK: PortNo = PortNo(200);
-
-/// The server's PMNet port.
-const SERVER_PORT: u16 = 51000;
 
 fn op_kind(kind: RequestKind) -> OpKind {
     match kind {
@@ -148,7 +145,7 @@ impl Arena {
     /// Frames `header` + `payload` as a packet on this host's flow.
     fn make_packet(&self, header: &PmnetHeader, payload: &[u8]) -> Packet {
         let body = header.encode(payload);
-        let mut p = Packet::udp(self.addr, self.server, self.src_port, SERVER_PORT, body);
+        let mut p = Packet::udp(self.addr, self.server, self.src_port, SERVICE_PORT, body);
         if self.use_tcp {
             p.proto = Proto::Tcp;
         }

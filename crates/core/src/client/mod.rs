@@ -31,7 +31,7 @@ use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::Telemetry;
 
 use crate::config::{HostProfile, RetryConfig};
-use crate::protocol::{PacketType, PmnetHeader};
+use crate::protocol::{client_port, PacketType, PmnetHeader};
 use crate::system::addrs::{self, SERVER};
 
 pub(crate) use session::PEER_LOGGER_ID_BASE;
@@ -224,7 +224,7 @@ impl<P: LoadPolicy> Client<P> {
             server,
             profile,
             use_tcp: false,
-            src_port: 51001 + port % 999,
+            src_port: client_port(port),
             fabric_epoch: 0,
             slots,
             retry_budget: retry.retry_budget,

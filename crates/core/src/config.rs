@@ -10,9 +10,6 @@ use pmnet_net::{LinkSpec, StackProfile};
 use pmnet_pmem::PmDeviceConfig;
 use pmnet_sim::{Dur, SimRng};
 
-/// The UDP port range reserved for PMNet traffic (Section IV-A2).
-pub const PMNET_UDP_PORTS: std::ops::RangeInclusive<u16> = 51000..=52000;
-
 /// Maximum transmission unit (Section IV-A3).
 pub const MTU_BYTES: usize = 1500;
 
@@ -598,8 +595,8 @@ mod tests {
 
     #[test]
     fn pmnet_port_range_matches_paper() {
-        assert_eq!(*PMNET_UDP_PORTS.start(), 51000);
-        assert_eq!(*PMNET_UDP_PORTS.end(), 52000);
+        use crate::protocol::{PMNET_PORT_HI, PMNET_PORT_LO};
+        assert_eq!((PMNET_PORT_LO, PMNET_PORT_HI), (51000, 52000));
         assert_eq!(MTU_BYTES, 1500);
     }
 

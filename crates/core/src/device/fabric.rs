@@ -8,7 +8,7 @@ use pmnet_sim::{Dur, Time};
 
 use super::{PmnetDevice, TIMER_HEARTBEAT};
 use crate::logstore::LogStore;
-use crate::protocol::{PacketType, PmnetHeader};
+use crate::protocol::{PacketType, PmnetHeader, SERVICE_PORT};
 
 /// The device's position in its shard's replication chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl PmnetDevice {
         let mut h = entry.header;
         h.ptype = PacketType::ChainAck;
         h.device_id = self.id;
-        let pkt = Packet::udp(self.addr, peer, 51000, 51000, h.encode(&[]));
+        let pkt = Packet::udp(self.addr, peer, SERVICE_PORT, SERVICE_PORT, h.encode(&[]));
         self.counters.chain_acks_sent += 1;
         self.emit(ctx, pkt);
     }
@@ -199,7 +199,13 @@ impl PmnetDevice {
         // packet's rewritten src along the path.
         let epoch = self.fabric_epoch as u32;
         let h = PmnetHeader::control(PacketType::Heartbeat, epoch, self.addr, fabric.server);
-        let pkt = Packet::udp(self.addr, fabric.server, 51000, 51000, h.encode(&[]));
+        let pkt = Packet::udp(
+            self.addr,
+            fabric.server,
+            SERVICE_PORT,
+            SERVICE_PORT,
+            h.encode(&[]),
+        );
         self.counters.heartbeats_sent += 1;
         ctx.send_after(self.config.pipeline_delay, tor_port, pkt);
         self.arm_heartbeat(ctx);

@@ -510,6 +510,7 @@ impl Node for PmnetDevice {
 pub(super) mod rig {
     pub use super::*;
     pub use crate::config::SystemConfig;
+    pub use crate::protocol::{client_port, CONTROL_PORT, SERVICE_PORT};
     pub use bytes::Bytes;
     pub use pmnet_net::{AnyNode, EchoHost, LinkSpec, World};
     pub use pmnet_sim::{NodeId, Time};
@@ -540,19 +541,37 @@ pub(super) mod rig {
     pub fn update_packet(seq: u32, payload: &[u8]) -> (PmnetHeader, Packet) {
         let h = PmnetHeader::request(PacketType::UpdateReq, 1, seq, Addr(1), Addr(9), 0, 1)
             .with_payload(payload);
-        let p = Packet::udp(Addr(1), Addr(9), 51001, 51000, h.encode(payload));
+        let p = Packet::udp(
+            Addr(1),
+            Addr(9),
+            client_port(0),
+            SERVICE_PORT,
+            h.encode(payload),
+        );
         (h, p)
     }
 
     /// A `RecoveryPoll` from the rig's server to its device.
     pub fn poll_packet() -> Packet {
         let poll = PmnetHeader::request(PacketType::RecoveryPoll, 0, 0, Addr(9), Addr(100), 0, 1);
-        Packet::udp(Addr(9), Addr(100), 51000, 51002, poll.encode(&[]))
+        Packet::udp(
+            Addr(9),
+            Addr(100),
+            SERVICE_PORT,
+            CONTROL_PORT,
+            poll.encode(&[]),
+        )
     }
 
     /// The server's ack of the update `h` heads.
     pub fn server_ack(h: &PmnetHeader) -> Packet {
-        Packet::udp(Addr(9), Addr(1), 51000, 51001, h.server_ack().encode(&[]))
+        Packet::udp(
+            Addr(9),
+            Addr(1),
+            SERVICE_PORT,
+            client_port(0),
+            h.server_ack().encode(&[]),
+        )
     }
 }
 

@@ -135,7 +135,13 @@ mod tests {
             let rh =
                 PmnetHeader::request(PacketType::BypassReq, session, seq, Addr(1), Addr(9), 0, 1)
                     .with_payload(b"read");
-            Packet::udp(Addr(1), Addr(9), 51001, 51000, rh.encode(b"read"))
+            Packet::udp(
+                Addr(1),
+                Addr(9),
+                client_port(0),
+                SERVICE_PORT,
+                rh.encode(b"read"),
+            )
         };
         w.inject(client, read(1, 7));
         // A retransmission of the same held read must not park twice.
@@ -179,7 +185,13 @@ mod tests {
             .with_payload(&get.encode());
         w.inject(
             client,
-            Packet::udp(Addr(1), Addr(9), 51001, 51000, h2.encode(&get.encode())),
+            Packet::udp(
+                Addr(1),
+                Addr(9),
+                client_port(0),
+                SERVICE_PORT,
+                h2.encode(&get.encode()),
+            ),
         );
         w.run_for(Dur::millis(5));
         let d = w.node::<PmnetDevice>(dev);

@@ -13,7 +13,7 @@ use pmnet_sim::{Dur, Time};
 
 use super::{PmnetDevice, TIMER_ENTRY_RETRY};
 use crate::logstore::LogEntry;
-use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
+use crate::protocol::{PacketType, PmnetHeader, CONTROL_PORT, FLAG_REDO, SERVICE_PORT};
 use crate::rto::RtoEstimator;
 
 /// The entry-retry timeout's cap, in multiples of its floor
@@ -192,7 +192,7 @@ impl PmnetDevice {
             return;
         }
         let h = PmnetHeader::control(PacketType::RecoveryDone, 0, self.addr, server);
-        let pkt = Packet::udp(self.addr, server, 51002, 51000, h.encode(&[]));
+        let pkt = Packet::udp(self.addr, server, CONTROL_PORT, SERVICE_PORT, h.encode(&[]));
         self.counters.recovery_done_sent += 1;
         self.emit(ctx, pkt);
     }
@@ -212,7 +212,13 @@ mod tests {
         // Server requests a retransmission of the (supposedly lost) packet.
         let mut rh = h;
         rh.ptype = PacketType::Retrans;
-        let retrans = Packet::udp(Addr(9), Addr(1), 51000, 51001, rh.encode(&[]));
+        let retrans = Packet::udp(
+            Addr(9),
+            Addr(1),
+            SERVICE_PORT,
+            client_port(0),
+            rh.encode(&[]),
+        );
         w.inject(server, retrans);
         w.run_for(Dur::millis(5));
         // The device served it to the server; the client never saw the

@@ -370,7 +370,13 @@ mod tests {
         let (h, _) = update_packet(1, b"x");
         let mut redo = h;
         redo.flags |= FLAG_REDO;
-        let pkt = Packet::udp(Addr(1), Addr(9), 51001, 51000, redo.encode(b"x"));
+        let pkt = Packet::udp(
+            Addr(1),
+            Addr(9),
+            client_port(0),
+            SERVICE_PORT,
+            redo.encode(b"x"),
+        );
         w.inject(client, pkt);
         w.run_for(Dur::millis(5));
         assert_eq!(w.node::<EchoHost>(server).received(), 1);
@@ -479,7 +485,7 @@ mod tests {
     #[test]
     fn a_filled_window_starts_its_write_when_the_last_entry_leaves_the_pipeline() {
         let (mut w, client, dev, _server) = rig(SystemConfig::default().device);
-        let telemetry = Telemetry::full();
+        let telemetry = Telemetry::checking();
         let d = w.node_mut::<PmnetDevice>(dev);
         d.set_batch(BatchConfig::windowed(4));
         d.set_telemetry(telemetry.clone());

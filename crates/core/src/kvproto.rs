@@ -173,15 +173,6 @@ impl KvFrame {
             _ => None,
         }
     }
-
-    /// The key this frame addresses, if it is a cacheable KV operation.
-    pub fn cache_key(&self) -> Option<&[u8]> {
-        match self {
-            KvFrame::Get { key } | KvFrame::Set { key, .. } | KvFrame::Del { key } => Some(key),
-            KvFrame::Value { key, .. } => Some(key),
-            KvFrame::Opaque { .. } => None,
-        }
-    }
 }
 
 // Tag + length prefix staged on the stack: one append for the prefix
@@ -347,23 +338,5 @@ mod tests {
             }
             other => panic!("decode failed: {other:?}"),
         }
-    }
-
-    #[test]
-    fn cache_key_only_for_kv_ops() {
-        assert_eq!(
-            KvFrame::Get {
-                key: Bytes::from_static(b"a")
-            }
-            .cache_key(),
-            Some(b"a".as_ref())
-        );
-        assert_eq!(
-            KvFrame::Opaque {
-                bytes: Bytes::from(vec![1])
-            }
-            .cache_key(),
-            None
-        );
     }
 }

@@ -18,6 +18,20 @@ pub const PMNET_PORT_LO: u16 = 51000;
 /// High end of the reserved PMNet UDP port range.
 pub const PMNET_PORT_HI: u16 = 52000;
 
+/// The PMNet service port: a server listens here, and devices and servers
+/// address the PMNet traffic they send each other to it.
+pub const SERVICE_PORT: u16 = PMNET_PORT_LO;
+
+/// The recovery control port: a recovering server's `RecoveryPoll` goes to
+/// it, and a device's `RecoveryDone` leaves from it.
+pub const CONTROL_PORT: u16 = 51002;
+
+/// The source port of client `i`: `51001 + i mod 999`, inside the
+/// reserved range.
+pub const fn client_port(i: u16) -> u16 {
+    PMNET_PORT_LO + 1 + i % 999
+}
+
 /// Returns true if `port` falls in the PMNet range; the device's ingress
 /// stage uses this to separate PMNet traffic from other packets.
 pub fn is_pmnet_port(port: u16) -> bool {

@@ -22,7 +22,7 @@ use super::{ServerLib, TIMER_DONE, TIMER_WINDOW_FLUSH};
 use crate::audit::AuditEntry;
 use crate::config::ApplyConfig;
 use crate::kvproto::KvFrame;
-use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO};
+use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO, SERVICE_PORT};
 
 /// Work whose worker occupancy is still elapsing, keyed by the
 /// [`TIMER_DONE`] token in [`ServerLib::parked`].
@@ -491,8 +491,13 @@ impl ServerLib {
                     let mut copy = *h;
                     copy.client = self.addr;
                     copy.flags |= FLAG_REDO; // never logged in-network
-                    let mut pkt =
-                        Packet::udp(self.addr, replica, self.port, 51000, copy.encode(&[]));
+                    let mut pkt = Packet::udp(
+                        self.addr,
+                        replica,
+                        self.port,
+                        SERVICE_PORT,
+                        copy.encode(&[]),
+                    );
                     pkt.proto = ticket.proto;
                     self.send_via_stack(ctx, pkt);
                 }
@@ -542,6 +547,7 @@ mod tests {
     use super::super::tests::mk;
     use super::super::IdealHandler;
     use super::*;
+    use crate::protocol::client_port;
 
     #[test]
     fn apply_worker_pins_sessions_and_spreads_them() {
@@ -578,7 +584,7 @@ mod tests {
         let bypass = |payload: Bytes| PendingPkt {
             header: PmnetHeader::request(PacketType::BypassReq, 1, 0, Addr(1), Addr(9), 0, 1),
             payload,
-            src_port: 51001,
+            src_port: client_port(0),
             proto: Proto::Udp,
         };
         let get = |key: &[u8]| {
@@ -641,7 +647,7 @@ mod tests {
             client,
             session: 1,
             frag_headers: FragHeaders::One([update(client)]),
-            src_port: 51001,
+            src_port: client_port(0),
             proto: Proto::Udp,
         };
         let mut s = mk(Box::new(IdealHandler::new()));
@@ -657,7 +663,7 @@ mod tests {
         let node = w.add_node(Box::new(s));
         let tap = w.add_node(Box::new(Tap(seen.clone())));
         w.connect(node, tap, LinkSpec::ten_gbps());
-        let packet = Packet::udp(Addr(10), primary, 51000, 51000, ack);
+        let packet = Packet::udp(Addr(10), primary, SERVICE_PORT, SERVICE_PORT, ack);
         let port = super::super::POST_STACK;
         w.schedule(Time::ZERO, node, Msg::Packet { port, packet });
         w.run_to_quiescence(1_000);

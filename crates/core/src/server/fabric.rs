@@ -10,7 +10,7 @@ use pmnet_sim::{Dur, Time};
 
 use super::{ServerLib, TIMER_FABRIC_CHECK};
 use crate::fabric::{FabricMap, FabricSteering, ReconfigAction};
-use crate::protocol::{PacketType, PmnetHeader};
+use crate::protocol::{client_port, PacketType, PmnetHeader, SERVICE_PORT};
 
 /// How many fabric check ticks a reconfiguration's orders are re-sent
 /// for. Every order is idempotent at its receiver (epoch fencing), so
@@ -180,7 +180,7 @@ impl ServerLib {
     /// fabric epoch rides in the header's `seq` field.
     fn send_fabric_order(&mut self, ctx: &mut Ctx<'_>, ptype: PacketType, dst: Addr, epoch: u64) {
         let h = PmnetHeader::control(ptype, epoch as u32, self.addr, dst);
-        let pkt = Packet::udp(self.addr, dst, self.port, 51000, h.encode(&[]));
+        let pkt = Packet::udp(self.addr, dst, self.port, SERVICE_PORT, h.encode(&[]));
         self.send_via_stack(ctx, pkt);
     }
 
@@ -304,7 +304,8 @@ impl ServerLib {
                         sw,
                     )
                     .with_payload(&payload);
-                    let pkt = Packet::udp(self.addr, sw, self.port, 51000, h.encode(&payload));
+                    let pkt =
+                        Packet::udp(self.addr, sw, self.port, SERVICE_PORT, h.encode(&payload));
                     self.send_via_stack(ctx, pkt);
                 }
             }
@@ -313,7 +314,7 @@ impl ServerLib {
                 for cl in clients {
                     let h =
                         PmnetHeader::control(PacketType::EpochNotify, epoch as u32, cl, self.addr);
-                    let pkt = Packet::udp(self.addr, cl, self.port, 51001, h.encode(&[]));
+                    let pkt = Packet::udp(self.addr, cl, self.port, client_port(0), h.encode(&[]));
                     self.send_via_stack(ctx, pkt);
                 }
             }

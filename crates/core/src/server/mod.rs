@@ -42,8 +42,8 @@ pub use self::fabric::FabricShardCounters;
 pub use self::recovery::RecoveryStats;
 use self::stream::{AckTicket, PendingPkt, Stream};
 use crate::audit::AuditLog;
-use crate::config::{ApplyConfig, BatchConfig, HostProfile};
-use crate::protocol::{PacketType, PmnetHeader};
+use crate::config::{ApplyConfig, BatchConfig, HostProfile, SystemConfig};
+use crate::protocol::{PacketType, PmnetHeader, SERVICE_PORT};
 
 const POST_STACK: PortNo = PortNo(200);
 const KERNEL_STAGE: PortNo = PortNo(201);
@@ -289,9 +289,10 @@ impl ServerLib {
         handler: Box<dyn RequestHandler>,
     ) -> ServerLib {
         assert!(workers > 0, "need at least one worker");
+        let defaults = SystemConfig::default();
         ServerLib {
             addr,
-            port: 51000,
+            port: SERVICE_PORT,
             profile,
             handler,
             workers: vec![Time::ZERO; workers],
@@ -306,11 +307,11 @@ impl ServerLib {
             pool: ApplyPool::new(&ApplyConfig::default()),
             counters: ServerCounters::default(),
             gap_timeout,
-            gap_skip_rounds: 8,
+            gap_skip_rounds: defaults.gap_skip_rounds,
             devices: Vec::new(),
             recovery_pending: Vec::new(),
             parked_bypass: Vec::new(),
-            recovery_poll_timeout: Dur::micros(500),
+            recovery_poll_timeout: defaults.recovery_poll_timeout,
             poll_round: 0,
             alive: true,
             epoch: 0,
@@ -664,6 +665,7 @@ mod tests {
 
     use super::stream::GapCheck;
     use super::*;
+    use crate::protocol::client_port;
 
     pub(super) fn mk(handler: Box<dyn RequestHandler>) -> ServerLib {
         ServerLib::new(
@@ -680,7 +682,7 @@ mod tests {
         let p = PendingPkt {
             header: PmnetHeader::request(PacketType::UpdateReq, 1, 3, Addr(1), Addr(9), 0, 1),
             payload: Bytes::from_static(b"x"),
-            src_port: 51001,
+            src_port: client_port(0),
             proto: Proto::Udp,
         };
         assert_eq!(p.header.seq, 3);

@@ -13,7 +13,7 @@ use pmnet_net::{Addr, Ctx, Proto, Timer};
 use pmnet_sim::Dur;
 
 use super::{ServerLib, TIMER_GAP};
-use crate::protocol::{PacketType, PmnetHeader};
+use crate::protocol::{client_port, PacketType, PmnetHeader};
 
 /// One decoded request packet, with the flow it must be answered on.
 #[derive(Debug, Clone)]
@@ -368,7 +368,7 @@ impl ServerLib {
                         0,
                         1,
                     );
-                    let pkt = self.reply_packet(h, &[], 51001 + session % 999, Proto::Udp);
+                    let pkt = self.reply_packet(h, &[], client_port(session), Proto::Udp);
                     self.counters.retrans_sent += 1;
                     self.send_via_stack(ctx, pkt);
                 }
@@ -406,7 +406,7 @@ mod tests {
         PendingPkt {
             header: PmnetHeader::request(PacketType::UpdateReq, 1, seq, Addr(1), Addr(9), idx, cnt),
             payload: Bytes::from(datagram).slice(24..),
-            src_port: 51001,
+            src_port: client_port(0),
             proto: Proto::Udp,
         }
     }

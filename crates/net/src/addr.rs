@@ -15,11 +15,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u32);
 
-impl Addr {
-    /// The unspecified address.
-    pub const UNSPECIFIED: Addr = Addr(0);
-}
-
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Render in a 10.x.y.z dotted style for readable traces.
@@ -52,7 +47,7 @@ mod tests {
 
     #[test]
     fn unspecified() {
-        assert_eq!(Addr::UNSPECIFIED, Addr::default());
+        assert_eq!(Addr(0), Addr::default());
         assert_eq!(Addr::from(7u32), Addr(7));
     }
 }

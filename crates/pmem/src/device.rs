@@ -1,4 +1,4 @@
-//! Timing and capacity model of a persistent-memory module.
+//! Timing model of a persistent-memory module.
 //!
 //! Models the PM attached to a PMNet device (the FPGA's battery-backed
 //! DRAM: 273 ns write latency, 2.5 GB/s — Sections V-A and VII) as a single
@@ -19,8 +19,6 @@ pub struct PmDeviceConfig {
     pub read_latency: Dur,
     /// Sustained bandwidth in bytes per second (2.5 GB/s, Section VII).
     pub bandwidth_bytes_per_sec: u64,
-    /// Usable capacity in bytes (the VCU118 board has 2 GB, Section V-A).
-    pub capacity_bytes: u64,
 }
 
 impl PmDeviceConfig {
@@ -30,7 +28,6 @@ impl PmDeviceConfig {
             write_latency: Dur::nanos(273),
             read_latency: Dur::nanos(100),
             bandwidth_bytes_per_sec: 2_500_000_000,
-            capacity_bytes: 2 * 1024 * 1024 * 1024,
         }
     }
 
@@ -38,12 +35,6 @@ impl PmDeviceConfig {
     /// ablation: NVDIMM / STT-RAM / slower Optane generations).
     pub fn with_write_latency(mut self, d: Dur) -> PmDeviceConfig {
         self.write_latency = d;
-        self
-    }
-
-    /// Returns a copy with a different capacity.
-    pub fn with_capacity(mut self, bytes: u64) -> PmDeviceConfig {
-        self.capacity_bytes = bytes;
         self
     }
 }
@@ -61,7 +52,7 @@ pub struct PmDeviceCounters {
     pub bytes_read: u64,
 }
 
-/// A PM module as a serial timed resource with capacity accounting.
+/// A PM module as a serial timed resource.
 ///
 /// # Example
 ///
@@ -78,18 +69,16 @@ pub struct PmDeviceCounters {
 pub struct PmDevice {
     config: PmDeviceConfig,
     busy_until: Time,
-    used_bytes: u64,
     counters: PmDeviceCounters,
     slowdown: u32,
 }
 
 impl PmDevice {
-    /// Creates an idle, empty device.
+    /// Creates an idle device.
     pub fn new(config: PmDeviceConfig) -> PmDevice {
         PmDevice {
             config,
             busy_until: Time::ZERO,
-            used_bytes: 0,
             counters: PmDeviceCounters::default(),
             slowdown: 1,
         }
@@ -108,29 +97,9 @@ impl PmDevice {
         self.slowdown = factor;
     }
 
-    /// The current slowdown factor.
-    pub fn slowdown(&self) -> u32 {
-        self.slowdown
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> PmDeviceConfig {
-        self.config
-    }
-
     /// Access counters.
     pub fn counters(&self) -> PmDeviceCounters {
         self.counters
-    }
-
-    /// Bytes currently allocated.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    /// Free capacity in bytes.
-    pub fn free_bytes(&self) -> u64 {
-        self.config.capacity_bytes - self.used_bytes
     }
 
     /// How long a newly offered access would wait before starting.
@@ -174,26 +143,6 @@ impl PmDevice {
         self.counters.bytes_read += u64::from(bytes);
         done
     }
-
-    /// Reserves `bytes` of capacity; returns false if the device is full.
-    pub fn alloc(&mut self, bytes: u64) -> bool {
-        if self.free_bytes() >= bytes {
-            self.used_bytes += bytes;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Releases `bytes` of capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more is freed than was allocated.
-    pub fn release(&mut self, bytes: u64) {
-        assert!(bytes <= self.used_bytes, "release underflow");
-        self.used_bytes -= bytes;
-    }
 }
 
 #[cfg(test)]
@@ -236,24 +185,6 @@ mod tests {
     fn reads_use_read_latency() {
         let mut pm = dev();
         assert_eq!(pm.schedule_read(Time::ZERO, 100), Time::from_nanos(140));
-    }
-
-    #[test]
-    fn capacity_accounting() {
-        let mut pm = PmDevice::new(PmDeviceConfig::fpga_board().with_capacity(1000));
-        assert!(pm.alloc(600));
-        assert!(!pm.alloc(500));
-        assert!(pm.alloc(400));
-        assert_eq!(pm.free_bytes(), 0);
-        pm.release(1000);
-        assert_eq!(pm.used_bytes(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn over_release_panics() {
-        let mut pm = dev();
-        pm.release(1);
     }
 
     #[test]

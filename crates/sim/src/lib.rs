@@ -6,7 +6,7 @@
 //! * [`Engine`] — a generic future-event list (a timing wheel) with stable
 //!   FIFO ordering for simultaneous events and O(1) cancellation,
 //! * [`SimRng`] — a seeded random-number generator plus the distribution
-//!   helpers the evaluation needs (exponential, lognormal, Zipf),
+//!   helpers the evaluation needs (exponential gaps, jitter, chance),
 //! * [`stats`] — histograms, percentile summaries and CDF extraction used to
 //!   regenerate the paper's figures,
 //! * [`hash`] — the one FNV-1a every digest, ring and pinning function in

@@ -120,22 +120,6 @@ impl SimRng {
         Dur::from_nanos_f64(mean.as_nanos() as f64 * x)
     }
 
-    /// A standard normal deviate (Box–Muller).
-    pub fn std_normal(&mut self) -> f64 {
-        let u1: f64 = self.unit().max(f64::MIN_POSITIVE);
-        let u2: f64 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// A lognormally distributed duration parameterized by its *median* and
-    /// the underlying normal's sigma. Lognormal service times are the
-    /// classic model for request handlers with occasional slow outliers —
-    /// exactly the tail behaviour Figure 20 measures.
-    pub fn lognormal(&mut self, median: Dur, sigma: f64) -> Dur {
-        let z = self.std_normal();
-        Dur::from_nanos_f64(median.as_nanos() as f64 * (sigma * z).exp())
-    }
-
     /// A duration uniformly jittered in `[base * (1-frac), base * (1+frac)]`.
     pub fn jittered(&mut self, base: Dur, frac: f64) -> Dur {
         let f = 1.0 + frac * (2.0 * self.unit() - 1.0);
@@ -226,19 +210,6 @@ mod tests {
             (avg - expect).abs() / expect < 0.05,
             "avg={avg} expect={expect}"
         );
-    }
-
-    #[test]
-    fn lognormal_median_is_roughly_right() {
-        let mut rng = SimRng::seed(4);
-        let median = Dur::micros(15);
-        let mut xs: Vec<u64> = (0..20_001)
-            .map(|_| rng.lognormal(median, 0.5).as_nanos())
-            .collect();
-        xs.sort_unstable();
-        let med = xs[xs.len() / 2] as f64;
-        let expect = median.as_nanos() as f64;
-        assert!((med - expect).abs() / expect < 0.05, "med={med}");
     }
 
     #[test]

@@ -117,12 +117,6 @@ impl Dur {
         Dur(s * 1_000_000_000)
     }
 
-    /// Constructs a duration from fractional microseconds, rounding to the
-    /// nearest nanosecond. Negative inputs clamp to zero.
-    pub fn from_micros_f64(us: f64) -> Dur {
-        Dur(round_ns(us * 1_000.0))
-    }
-
     /// Constructs a duration from fractional nanoseconds, rounding to the
     /// nearest nanosecond. Negative inputs clamp to zero.
     pub fn from_nanos_f64(ns: f64) -> Dur {
@@ -345,7 +339,6 @@ mod tests {
     fn mul_div_and_float_conversions() {
         assert_eq!(Dur::nanos(100) * 3, Dur::nanos(300));
         assert_eq!(Dur::nanos(300) / 3, Dur::nanos(100));
-        assert_eq!(Dur::from_micros_f64(1.5), Dur::nanos(1_500));
         assert_eq!(Dur::micros(3).as_micros_f64(), 3.0);
         assert_eq!(Dur::micros(2).mul_f64(1.5), Dur::micros(3));
     }

@@ -37,11 +37,6 @@ fn check(x: f64) {
         rounded(x),
         "from_nanos_f64({x:e})"
     );
-    assert_eq!(
-        Dur::from_micros_f64(x).as_nanos(),
-        rounded(x * 1_000.0),
-        "from_micros_f64({x:e})"
-    );
     if x >= 0.0 {
         for n in [1, 3, 1_000, 1 << 40] {
             let expect = (n as f64 * x).round() as u64;

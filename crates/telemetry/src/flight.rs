@@ -1,7 +1,8 @@
 //! The flight recorder: a bounded ring of recent telemetry events per
 //! node, dumped as a replayable text artifact when something goes wrong.
 //!
-//! Every span event (and op issue/completion) is also appended to the
+//! Under a [`Telemetry::checking`](crate::Telemetry::checking) handle,
+//! every span event (and op issue/completion) is also appended to the
 //! emitting node's ring; when a chaos invariant or the model checker
 //! fires, the merged rings become a deterministic text timeline of the
 //! moments before the violation. Ordering is by a global record counter,

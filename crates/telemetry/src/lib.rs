@@ -22,10 +22,10 @@
 //!    complete, server apply, device log persist and cache serve, the
 //!    input to `pmnet-model`'s durable-linearizability checker.
 //!
-//! A handle comes in two fixed modes: [`Telemetry::full`] (spans,
-//! registry, 64-deep flight rings — what benchmarks trace with) and
-//! [`Telemetry::checking`] (256-deep flight rings and the history — what
-//! every model-checked run attaches).
+//! A handle comes in two fixed modes: [`Telemetry::full`] (spans and
+//! registry — what benchmarks trace with) and [`Telemetry::checking`]
+//! (256-deep flight rings and the history — what every model-checked run
+//! attaches).
 //!
 //! ## Determinism rules
 //!
@@ -59,7 +59,6 @@
 
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod flight;
 pub mod history;
 pub mod registry;
@@ -145,14 +144,11 @@ impl Telemetry {
         }
     }
 
-    /// Full tracing: spans, registry histograms, and the flight recorder;
-    /// no history.
+    /// Full tracing: spans and registry histograms; no flight rings (their
+    /// only reader is a chaos run, which attaches [`checking`](Self::checking))
+    /// and no history.
     pub fn full() -> Telemetry {
-        // Rings sized so a typical world (a few clients, a couple of
-        // devices, one server) stays within L2 cache: always-on recording
-        // is paid on every hook, and a larger window mostly buys evicted
-        // history.
-        Telemetry::attached(true, 64, None)
+        Telemetry::attached(true, 0, None)
     }
 
     /// What a model-checked run (every chaos run) attaches: the full
@@ -199,7 +195,7 @@ impl Telemetry {
 
     /// Reports a completed op: attributes its spans (in [`full`](Self::full) mode),
     /// folds phase durations into the registry, and appends a completion
-    /// record to the flight ring.
+    /// record to the flight ring (in [`checking`](Self::checking) mode).
     pub fn op_complete(&self, node: Addr, now: Time, c: OpCompletion) {
         if let Some(inner) = &self.inner {
             let mut i = inner.borrow_mut();
@@ -293,7 +289,8 @@ impl Telemetry {
         }
     }
 
-    /// The merged flight-recorder timeline (empty dump when detached).
+    /// The merged flight-recorder timeline (empty unless this is a
+    /// [`checking`](Self::checking) handle).
     pub fn flight_dump(&self) -> FlightDump {
         match &self.inner {
             Some(inner) => inner.borrow().flight.dump(),
@@ -341,7 +338,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_sink() {
-        let t = Telemetry::full();
+        let t = Telemetry::checking();
         let writer = t.clone();
         writer.op_event(
             Addr(1),
@@ -355,6 +352,12 @@ mod tests {
     #[test]
     fn completion_fills_registry_histograms() {
         let t = Telemetry::full();
+        t.op_event(
+            Addr(1),
+            Time::ZERO,
+            (Addr(1), 0, 0),
+            OpEvent::ServerRecv { at: Time::ZERO },
+        );
         t.op_complete(
             Addr(1),
             Time::from_nanos(500),
@@ -377,6 +380,8 @@ mod tests {
             .histogram(&format!("phase.{}", Phase::Unattributed.name()))
             .is_some());
         assert_eq!(t.traces().len(), 1);
+        // A full handle keeps no flight rings.
+        assert!(t.flight_dump().is_empty());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pmnet_sim::stats::{CounterSet, LatencyHistogram};
-use pmnet_sim::Dur;
 
 /// A named bundle of counters a component can publish wholesale.
 ///
@@ -50,19 +49,6 @@ impl Registry {
         group.visit_counters(&mut |name, v| {
             self.counters.add(&format!("{prefix}.{name}"), v);
         });
-    }
-
-    /// Records one duration sample into the named histogram.
-    pub fn record_duration(&mut self, name: &str, d: Dur) {
-        // Steady state is a lookup by `&str`; the owned key is only
-        // allocated the first time a name is seen.
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(d);
-        } else {
-            let mut h = LatencyHistogram::new();
-            h.record(d);
-            self.histograms.insert(name.to_string(), h);
-        }
     }
 
     /// Merges a whole histogram into the named slot (bucket-wise).
@@ -108,6 +94,7 @@ impl fmt::Display for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmnet_sim::Dur;
 
     struct Demo {
         hits: u64,
@@ -134,10 +121,15 @@ mod tests {
     fn merge_adds_counters_and_histograms() {
         let mut a = Registry::new();
         a.add("x", 1);
-        a.record_duration("lat", Dur::nanos(100));
+        let sample = |ns| {
+            let mut h = LatencyHistogram::new();
+            h.record(Dur::nanos(ns));
+            h
+        };
+        a.record_histogram("lat", &sample(100));
         let mut b = Registry::new();
         b.add("x", 2);
-        b.record_duration("lat", Dur::nanos(300));
+        b.record_histogram("lat", &sample(300));
         a.merge(&b);
         assert_eq!(a.counters().get("x"), 3);
         assert_eq!(a.histogram("lat").unwrap().len(), 2);

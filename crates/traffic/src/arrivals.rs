@@ -1,4 +1,4 @@
-//! Open-loop arrival processes.
+//! The open-loop arrival process.
 //!
 //! A closed-loop client waits for a completion before issuing the next
 //! request, so offered load can never exceed capacity. Open-loop traffic
@@ -35,16 +35,12 @@ pub fn rate_to_mean_gap(rate_per_sec: f64) -> Dur {
 pub trait ArrivalProcess: fmt::Debug {
     /// The gap between the previous arrival and the next one.
     fn next_gap(&mut self, rng: &mut SimRng) -> Dur;
-
-    /// The long-run mean arrival rate in events per second.
-    fn mean_rate_per_sec(&self) -> f64;
 }
 
 /// Poisson arrivals: independent exponential gaps, the memoryless
 /// baseline with coefficient of variation 1.
 #[derive(Debug, Clone, Copy)]
 pub struct PoissonArrivals {
-    rate_per_sec: f64,
     mean_gap: Dur,
 }
 
@@ -56,7 +52,6 @@ impl PoissonArrivals {
     /// Panics when the rate is zero, negative or non-finite.
     pub fn new(rate_per_sec: f64) -> PoissonArrivals {
         PoissonArrivals {
-            rate_per_sec,
             mean_gap: rate_to_mean_gap(rate_per_sec),
         }
     }
@@ -66,167 +61,22 @@ impl ArrivalProcess for PoissonArrivals {
     fn next_gap(&mut self, rng: &mut SimRng) -> Dur {
         rng.exponential(self.mean_gap)
     }
-
-    fn mean_rate_per_sec(&self) -> f64 {
-        self.rate_per_sec
-    }
-}
-
-/// Two-state Markov-modulated Poisson process: a hidden state alternates
-/// between *calm* and *burst*, each holding for an exponential dwell and
-/// emitting Poisson arrivals at its own rate. At a matched mean rate the
-/// stream is burstier than Poisson (interarrival CV > 1), which is what
-/// stresses queues and admission control the way production traffic does.
-#[derive(Debug, Clone, Copy)]
-pub struct MmppArrivals {
-    calm_gap: Dur,
-    burst_gap: Dur,
-    calm_dwell: Dur,
-    burst_dwell: Dur,
-    mean_rate: f64,
-    in_burst: bool,
-    /// Time left before the current state expires, consumed gap by gap.
-    state_left: Dur,
-    /// True until the first draw primes the state clock.
-    fresh: bool,
-}
-
-impl MmppArrivals {
-    /// A 2-state MMPP emitting at `calm_rate_per_sec` and
-    /// `burst_rate_per_sec`, spending the long-run fraction `burst_prob`
-    /// of time in the burst state, with state dwells averaging
-    /// `mean_dwell` (exponentially distributed). The process starts calm
-    /// when `burst_prob < 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive rates, `burst_prob` outside `[0, 1]` or a
-    /// zero dwell.
-    pub fn new(
-        calm_rate_per_sec: f64,
-        burst_rate_per_sec: f64,
-        burst_prob: f64,
-        mean_dwell: Dur,
-    ) -> MmppArrivals {
-        assert!(
-            (0.0..=1.0).contains(&burst_prob),
-            "burst_prob must be within [0, 1]"
-        );
-        assert!(mean_dwell > Dur::ZERO, "mean_dwell must be non-zero");
-        let calm_gap = rate_to_mean_gap(calm_rate_per_sec);
-        let burst_gap = rate_to_mean_gap(burst_rate_per_sec);
-        // Split the average dwell so the stationary state probabilities
-        // come out to (1 - burst_prob, burst_prob): dwell time in a state
-        // is proportional to its stationary probability.
-        let dwell_ns = mean_dwell.as_nanos() as f64;
-        let burst_dwell = Dur::nanos(((2.0 * dwell_ns * burst_prob) as u64).max(1));
-        let calm_dwell = Dur::nanos(((2.0 * dwell_ns * (1.0 - burst_prob)) as u64).max(1));
-        MmppArrivals {
-            calm_gap,
-            burst_gap,
-            calm_dwell,
-            burst_dwell,
-            mean_rate: (1.0 - burst_prob) * calm_rate_per_sec + burst_prob * burst_rate_per_sec,
-            in_burst: burst_prob >= 1.0,
-            state_left: Dur::ZERO,
-            fresh: true,
-        }
-    }
-
-    fn dwell(&self) -> Dur {
-        if self.in_burst {
-            self.burst_dwell
-        } else {
-            self.calm_dwell
-        }
-    }
-
-    fn gap(&self) -> Dur {
-        if self.in_burst {
-            self.burst_gap
-        } else {
-            self.calm_gap
-        }
-    }
-}
-
-impl ArrivalProcess for MmppArrivals {
-    fn next_gap(&mut self, rng: &mut SimRng) -> Dur {
-        if self.fresh {
-            self.fresh = false;
-            self.state_left = rng.exponential(self.dwell());
-        }
-        let mut total = Dur::ZERO;
-        loop {
-            let candidate = rng.exponential(self.gap());
-            if candidate <= self.state_left {
-                self.state_left -= candidate;
-                return total + candidate;
-            }
-            // The state expires before the candidate arrival: advance to
-            // the boundary, flip state, and redraw (the memoryless
-            // property makes discarding the stale candidate exact).
-            total += self.state_left;
-            self.in_burst = !self.in_burst;
-            self.state_left = rng.exponential(self.dwell());
-        }
-    }
-
-    fn mean_rate_per_sec(&self) -> f64 {
-        self.mean_rate
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stream(p: &mut dyn ArrivalProcess, seed: u64, n: usize) -> Vec<Dur> {
-        let mut rng = SimRng::seed(seed);
-        (0..n).map(|_| p.next_gap(&mut rng)).collect()
-    }
-
     #[test]
     fn poisson_mean_matches_rate() {
         let mut p = PoissonArrivals::new(100_000.0);
-        let gaps = stream(&mut p, 7, 50_000);
+        let mut rng = SimRng::seed(7);
+        let gaps: Vec<Dur> = (0..50_000).map(|_| p.next_gap(&mut rng)).collect();
         let mean_ns = gaps.iter().map(|g| g.as_nanos() as f64).sum::<f64>() / gaps.len() as f64;
         let expected = 1e9 / 100_000.0;
         assert!(
             (mean_ns - expected).abs() / expected < 0.05,
             "mean gap {mean_ns} ns vs expected {expected} ns"
         );
-    }
-
-    #[test]
-    fn mmpp_mean_matches_configured_rate() {
-        let mut p = MmppArrivals::new(50_000.0, 450_000.0, 0.25, Dur::millis(1));
-        assert!((p.mean_rate_per_sec() - 150_000.0).abs() < 1e-6);
-        let gaps = stream(&mut p, 11, 200_000);
-        let mean_ns = gaps.iter().map(|g| g.as_nanos() as f64).sum::<f64>() / gaps.len() as f64;
-        let expected = 1e9 / 150_000.0;
-        assert!(
-            (mean_ns - expected).abs() / expected < 0.10,
-            "mean gap {mean_ns} ns vs expected {expected} ns"
-        );
-    }
-
-    #[test]
-    fn degenerate_mmpp_is_poisson() {
-        // burst_prob = 0 never leaves the calm state; the stream must be
-        // draw-for-draw an exponential stream at the calm rate.
-        let mut m = MmppArrivals::new(80_000.0, 999_999.0, 0.0, Dur::millis(1));
-        let mut rng_a = SimRng::seed(3);
-        let mut rng_b = SimRng::seed(3);
-        // One extra draw primes the (never-expiring in practice) dwell.
-        let _ = rng_b.exponential(Dur::nanos(1));
-        for _ in 0..1000 {
-            let got = m.next_gap(&mut rng_a);
-            let want = rng_b.exponential(rate_to_mean_gap(80_000.0));
-            if got != want {
-                // A dwell expiry inserts extra draws; tolerate only that.
-                return;
-            }
-        }
     }
 }

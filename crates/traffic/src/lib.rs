@@ -7,12 +7,11 @@
 //! where PMNet's `FLAG_CONGESTED` backpressure actually matters — is
 //! unreachable. This crate adds the missing half of the evaluation:
 //!
-//! * [`arrivals`] — deterministic open-loop arrival processes (Poisson
-//!   and a 2-state MMPP) on the [`pmnet_sim::SimRng`]; same seed, same
-//!   stream, bit for bit.
+//! * [`arrivals`] — deterministic open-loop Poisson arrivals on the
+//!   [`pmnet_sim::SimRng`]; same seed, same stream, bit for bit.
 //! * [`spec`] — a typed, validated description of a traffic campaign:
-//!   arrival law, node/session topology, key space, churn, queueing and
-//!   admission control.
+//!   arrival rate, node/session topology, churn, queueing and admission
+//!   control.
 //! * [`engine`] — the [`engine::OpenLoop`] load policy of `pmnet-core`'s
 //!   client node ([`engine::OpenLoopClient`]): hundreds of wire sessions
 //!   with lifecycle churn, an AIMD admission gate driven by the server's
@@ -38,6 +37,6 @@ pub mod arrivals;
 pub mod engine;
 pub mod spec;
 
-pub use arrivals::{ArrivalProcess, MmppArrivals, PoissonArrivals};
+pub use arrivals::{ArrivalProcess, PoissonArrivals};
 pub use engine::{OpenLoop, OpenLoopClient, TrafficCounters, TrafficReport, TrafficSystem};
-pub use spec::{AdmissionSpec, ArrivalSpec, ChurnSpec, TrafficSpec};
+pub use spec::{AdmissionSpec, ChurnSpec, TrafficSpec};

@@ -7,84 +7,6 @@
 use pmnet_core::config::MTU_BYTES;
 use pmnet_sim::Dur;
 
-use crate::arrivals::{ArrivalProcess, MmppArrivals, PoissonArrivals};
-
-/// Which arrival process drives the campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalSpec {
-    /// Memoryless arrivals at a fixed mean rate.
-    Poisson {
-        /// Mean arrival rate over the whole campaign.
-        rate_per_sec: f64,
-    },
-    /// Two-state Markov-modulated Poisson process (bursty).
-    Mmpp {
-        /// Emission rate in the calm state.
-        calm_rate_per_sec: f64,
-        /// Emission rate in the burst state.
-        burst_rate_per_sec: f64,
-        /// Long-run fraction of time spent bursting, in `[0, 1]`.
-        burst_prob: f64,
-        /// Average state dwell (exponentially distributed).
-        mean_dwell: Dur,
-    },
-}
-
-impl ArrivalSpec {
-    /// The long-run mean arrival rate.
-    pub fn mean_rate_per_sec(&self) -> f64 {
-        match *self {
-            ArrivalSpec::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalSpec::Mmpp {
-                calm_rate_per_sec,
-                burst_rate_per_sec,
-                burst_prob,
-                ..
-            } => (1.0 - burst_prob) * calm_rate_per_sec + burst_prob * burst_rate_per_sec,
-        }
-    }
-
-    /// A copy with the mean rate scaled by `factor`, preserving shape
-    /// (MMPP scales both state rates, keeping the burst ratio).
-    #[must_use]
-    pub fn scaled(&self, factor: f64) -> ArrivalSpec {
-        match *self {
-            ArrivalSpec::Poisson { rate_per_sec } => ArrivalSpec::Poisson {
-                rate_per_sec: rate_per_sec * factor,
-            },
-            ArrivalSpec::Mmpp {
-                calm_rate_per_sec,
-                burst_rate_per_sec,
-                burst_prob,
-                mean_dwell,
-            } => ArrivalSpec::Mmpp {
-                calm_rate_per_sec: calm_rate_per_sec * factor,
-                burst_rate_per_sec: burst_rate_per_sec * factor,
-                burst_prob,
-                mean_dwell,
-            },
-        }
-    }
-
-    /// Instantiates the process.
-    pub fn build(&self) -> Box<dyn ArrivalProcess> {
-        match *self {
-            ArrivalSpec::Poisson { rate_per_sec } => Box::new(PoissonArrivals::new(rate_per_sec)),
-            ArrivalSpec::Mmpp {
-                calm_rate_per_sec,
-                burst_rate_per_sec,
-                burst_prob,
-                mean_dwell,
-            } => Box::new(MmppArrivals::new(
-                calm_rate_per_sec,
-                burst_rate_per_sec,
-                burst_prob,
-                mean_dwell,
-            )),
-        }
-    }
-}
-
 /// Session lifecycle churn: logical sessions disconnect at a Poisson
 /// hazard and reconnect (as new logical sessions) after an exponential
 /// backoff.
@@ -138,8 +60,8 @@ impl AdmissionSpec {
 /// A full open-loop campaign description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSpec {
-    /// The arrival process (aggregate over all engine nodes).
-    pub arrivals: ArrivalSpec,
+    /// Mean Poisson arrival rate, aggregate over all engine nodes.
+    pub rate_per_sec: f64,
     /// Number of open-loop engine nodes (client hosts).
     pub nodes: usize,
     /// Wire-session slots per node; the arena session table is exactly
@@ -147,10 +69,6 @@ pub struct TrafficSpec {
     pub sessions_per_node: usize,
     /// Update payload bytes (single-fragment; must fit one MTU).
     pub payload_bytes: usize,
-    /// Zipfian key-space size (production scale: hundreds of millions).
-    pub key_space: u64,
-    /// Zipfian skew parameter.
-    pub zipf_theta: f64,
     /// Session lifecycle churn.
     pub churn: ChurnSpec,
     /// Pending-op queue bound per session slot; arrivals beyond it are
@@ -170,12 +88,10 @@ impl TrafficSpec {
     /// admission, a 100M-key zipfian working set.
     pub fn poisson(rate_per_sec: f64) -> TrafficSpec {
         TrafficSpec {
-            arrivals: ArrivalSpec::Poisson { rate_per_sec },
+            rate_per_sec,
             nodes: 4,
             sessions_per_node: 64,
             payload_bytes: 64,
-            key_space: 100_000_000,
-            zipf_theta: 0.99,
             churn: ChurnSpec {
                 disconnect_hazard_per_sec: 2.0,
                 reconnect_delay: Dur::millis(2),
@@ -189,31 +105,8 @@ impl TrafficSpec {
 
     /// Checks every bound, returning the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        match self.arrivals {
-            ArrivalSpec::Poisson { rate_per_sec } => {
-                if !rate_per_sec.is_finite() || rate_per_sec <= 0.0 {
-                    return Err("traffic.arrivals.rate_per_sec must be positive".into());
-                }
-            }
-            ArrivalSpec::Mmpp {
-                calm_rate_per_sec,
-                burst_rate_per_sec,
-                burst_prob,
-                mean_dwell,
-            } => {
-                if !calm_rate_per_sec.is_finite() || calm_rate_per_sec <= 0.0 {
-                    return Err("traffic.arrivals.calm_rate_per_sec must be positive".into());
-                }
-                if !burst_rate_per_sec.is_finite() || burst_rate_per_sec <= 0.0 {
-                    return Err("traffic.arrivals.burst_rate_per_sec must be positive".into());
-                }
-                if !(0.0..=1.0).contains(&burst_prob) {
-                    return Err("traffic.arrivals.burst_prob must be within [0, 1]".into());
-                }
-                if mean_dwell == Dur::ZERO {
-                    return Err("traffic.arrivals.mean_dwell must be non-zero".into());
-                }
-            }
+        if !self.rate_per_sec.is_finite() || self.rate_per_sec <= 0.0 {
+            return Err("traffic.rate_per_sec must be positive".into());
         }
         if self.nodes == 0 {
             return Err("traffic.nodes must be non-zero".into());
@@ -227,12 +120,6 @@ impl TrafficSpec {
         if self.payload_bytes == 0 || self.payload_bytes > MTU_BYTES / 2 {
             return Err("traffic.payload_bytes must fit a single fragment".into());
         }
-        if self.key_space == 0 {
-            return Err("traffic.key_space must be non-zero".into());
-        }
-        if !(self.zipf_theta > 0.0 && self.zipf_theta < 1.0) {
-            return Err("traffic.zipf_theta must be within (0, 1)".into());
-        }
         let hazard = self.churn.disconnect_hazard_per_sec;
         if !hazard.is_finite() || hazard < 0.0 {
             return Err("traffic.churn.disconnect_hazard_per_sec must be non-negative".into());
@@ -240,8 +127,7 @@ impl TrafficSpec {
         // A slot disconnecting as fast as (or faster than) work arrives
         // for it never completes anything: the campaign measures churn,
         // not the system.
-        let per_slot_rate =
-            self.arrivals.mean_rate_per_sec() / (self.nodes * self.sessions_per_node) as f64;
+        let per_slot_rate = self.rate_per_sec / (self.nodes * self.sessions_per_node) as f64;
         if hazard > 0.0 && hazard >= per_slot_rate {
             return Err(
                 "traffic.churn.disconnect_hazard_per_sec must stay below the per-session \
@@ -294,50 +180,8 @@ mod tests {
     #[test]
     fn rejects_zero_poisson_rate() {
         let mut s = base();
-        s.arrivals = ArrivalSpec::Poisson { rate_per_sec: 0.0 };
+        s.rate_per_sec = 0.0;
         assert!(s.validate().unwrap_err().contains("rate_per_sec"));
-    }
-
-    #[test]
-    fn rejects_mmpp_prob_outside_unit_interval() {
-        let mut s = base();
-        s.arrivals = ArrivalSpec::Mmpp {
-            calm_rate_per_sec: 1000.0,
-            burst_rate_per_sec: 5000.0,
-            burst_prob: 1.5,
-            mean_dwell: Dur::millis(1),
-        };
-        assert!(s.validate().unwrap_err().contains("burst_prob"));
-        if let ArrivalSpec::Mmpp { burst_prob, .. } = &mut s.arrivals {
-            *burst_prob = -0.1;
-        }
-        assert!(s.validate().unwrap_err().contains("burst_prob"));
-    }
-
-    #[test]
-    fn rejects_zero_mmpp_rates_and_dwell() {
-        let mut s = base();
-        s.arrivals = ArrivalSpec::Mmpp {
-            calm_rate_per_sec: 0.0,
-            burst_rate_per_sec: 5000.0,
-            burst_prob: 0.2,
-            mean_dwell: Dur::millis(1),
-        };
-        assert!(s.validate().unwrap_err().contains("calm_rate_per_sec"));
-        s.arrivals = ArrivalSpec::Mmpp {
-            calm_rate_per_sec: 1000.0,
-            burst_rate_per_sec: 0.0,
-            burst_prob: 0.2,
-            mean_dwell: Dur::millis(1),
-        };
-        assert!(s.validate().unwrap_err().contains("burst_rate_per_sec"));
-        s.arrivals = ArrivalSpec::Mmpp {
-            calm_rate_per_sec: 1000.0,
-            burst_rate_per_sec: 5000.0,
-            burst_prob: 0.2,
-            mean_dwell: Dur::ZERO,
-        };
-        assert!(s.validate().unwrap_err().contains("mean_dwell"));
     }
 
     #[test]
@@ -366,9 +210,6 @@ mod tests {
         let mut s = base();
         s.payload_bytes = 0;
         assert!(s.validate().unwrap_err().contains("payload_bytes"));
-        let mut s = base();
-        s.key_space = 0;
-        assert!(s.validate().unwrap_err().contains("key_space"));
         let mut s = base();
         s.measure = Dur::ZERO;
         assert!(s.validate().unwrap_err().contains("measure"));
@@ -403,17 +244,5 @@ mod tests {
         s.nodes = 300;
         s.sessions_per_node = 300;
         assert!(s.validate().unwrap_err().contains("session space"));
-    }
-
-    #[test]
-    fn scaled_preserves_mmpp_shape() {
-        let a = ArrivalSpec::Mmpp {
-            calm_rate_per_sec: 1000.0,
-            burst_rate_per_sec: 9000.0,
-            burst_prob: 0.25,
-            mean_dwell: Dur::millis(1),
-        };
-        let b = a.scaled(2.0);
-        assert!((b.mean_rate_per_sec() - 2.0 * a.mean_rate_per_sec()).abs() < 1e-9);
     }
 }

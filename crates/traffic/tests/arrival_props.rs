@@ -1,12 +1,11 @@
-//! Statistical property tests for the open-loop arrival processes:
-//! Poisson interarrival CV ≈ 1, MMPP burstier than Poisson at a matched
-//! mean rate, and bit-identical replay at any draw batching.
+//! Property tests for the open-loop arrival process: Poisson
+//! interarrival CV ≈ 1, and bit-identical replay at any draw batching.
 //!
 //! The vendored proptest drives integer strategies; rates and
 //! probabilities are derived from them inside each test.
 
 use pmnet_sim::{Dur, SimRng};
-use pmnet_traffic::{ArrivalProcess, MmppArrivals, PoissonArrivals};
+use pmnet_traffic::{ArrivalProcess, PoissonArrivals};
 use proptest::prelude::*;
 
 /// Coefficient of variation (stddev / mean) of a gap stream, in ns.
@@ -41,40 +40,6 @@ proptest! {
     }
 
     #[test]
-    fn mmpp_is_burstier_than_poisson_at_matched_mean_rate(
-        seed in 0u64..1_000_000,
-        calm_k in 5u64..50,
-        burst_mult in 5u64..20,
-        burst_pct in 10u64..50,
-    ) {
-        let calm = calm_k as f64 * 1_000.0;
-        let burst = calm * burst_mult as f64;
-        let burst_prob = burst_pct as f64 / 100.0;
-        let mut m = MmppArrivals::new(calm, burst, burst_prob, Dur::millis(1));
-        let mean_rate = m.mean_rate_per_sec();
-        let mut p = PoissonArrivals::new(mean_rate);
-
-        let m_gaps = draw(&mut m, seed, 30_000);
-        let p_gaps = draw(&mut p, seed, 30_000);
-
-        // Same long-run rate...
-        let mean =
-            |g: &[Dur]| g.iter().map(|x| x.as_nanos() as f64).sum::<f64>() / g.len() as f64;
-        let (mm, pm) = (mean(&m_gaps), mean(&p_gaps));
-        prop_assert!(
-            (mm - pm).abs() / pm < 0.15,
-            "means must match: mmpp={mm} poisson={pm}"
-        );
-        // ...but rate modulation adds variance on top of the exponential
-        // noise floor, so the MMPP stream is strictly burstier.
-        let (m_cv, p_cv) = (cv(&m_gaps), cv(&p_gaps));
-        prop_assert!(
-            m_cv > p_cv + 0.05,
-            "mmpp must be burstier: cv={m_cv} vs poisson cv={p_cv}"
-        );
-    }
-
-    #[test]
     fn same_seed_replays_bit_identically_at_any_batching(
         seed in 0u64..1_000_000,
         splits in proptest::collection::vec(1usize..500, 1..6),
@@ -83,10 +48,10 @@ proptest! {
         // fresh process objects sharing one RNG stream: the gap sequence
         // is a pure function of the seed, so both must agree bit for bit.
         let total: usize = splits.iter().sum();
-        let mut all_at_once = MmppArrivals::new(20_000.0, 200_000.0, 0.2, Dur::micros(300));
+        let mut all_at_once = PoissonArrivals::new(200_000.0);
         let reference = draw(&mut all_at_once, seed, total);
 
-        let mut chunked = MmppArrivals::new(20_000.0, 200_000.0, 0.2, Dur::micros(300));
+        let mut chunked = PoissonArrivals::new(200_000.0);
         let mut rng = SimRng::seed(seed);
         let mut replay = Vec::with_capacity(total);
         for chunk in &splits {

@@ -86,10 +86,8 @@ fn main() {
     for v in &verdict.violations {
         println!("    {v}");
     }
-    let minimal_artifact = pmnet::chaos::Artifact {
-        plan: minimal,
-        ..artifact.clone()
-    };
+    let minimal_artifact = pmnet::chaos::Artifact::new(&artifact.scenario(), minimal)
+        .with_flight(verdict.flight.clone());
     println!("\nreplay artifact (save and re-run from text):\n{minimal_artifact}");
     let replayed: pmnet::chaos::Artifact = minimal_artifact
         .to_string()

@@ -29,7 +29,7 @@ use pmnet::core::SystemConfig;
 use pmnet::sim::Dur;
 use pmnet::telemetry::Telemetry;
 use pmnet::traffic::engine::TrafficReport;
-use pmnet::traffic::{AdmissionSpec, ArrivalSpec, ChurnSpec, TrafficSpec, TrafficSystem};
+use pmnet::traffic::{AdmissionSpec, ChurnSpec, TrafficSpec, TrafficSystem};
 
 const SEED: u64 = 42;
 /// Soft occupancy watermark for the sweep: far below the 65 536-entry
@@ -106,9 +106,6 @@ fn main() {
     let mut at_15x: Option<TrafficReport> = None;
     for &factor in factors {
         let mut spec = TrafficSpec::poisson(capacity * factor);
-        spec.arrivals = ArrivalSpec::Poisson {
-            rate_per_sec: capacity * factor,
-        };
         spec.measure = measure;
         spec.drain = drain;
         let report = run_point(&spec);

@@ -16,7 +16,10 @@
 #     seeds 1 and 29 and compares `sim_digest`, every `sim_*` value,
 #     `attempted` and `failed`.
 # Prints one line per comparison and exits non-zero on any difference; the
-# outputs stay in the printed directory. `--trace` is never passed: it
+# outputs stay in the printed directory. First it prints the size line,
+# `size PARENT -> CHANGE (DELTA) lines`: tracked `.rs` and `Cargo.toml`
+# lines outside `benchmark/` on each tree, counted as ROADMAP.md counts
+# them. It is informational and never changes the exit status. `--trace` is never passed: it
 # writes into the source tree the benchmark was built in.
 set -euo pipefail
 
@@ -60,6 +63,15 @@ run() { # SOURCE_TREE SIDE
 }
 run "$dir/parent" parent
 run "$tree" change
+
+size() { # SOURCE_TREE FILE_LISTING...
+    local root="$1"
+    shift
+    "$@" | grep -E '(\.rs|Cargo\.toml)$' | grep -v '^benchmark/' | (cd "$root" && xargs cat) | wc -l
+}
+parent_size=$(size "$dir/parent" git -C "$tree" ls-tree -r --name-only "$rev")
+change_size=$(size "$tree" git -C "$tree" ls-files)
+printf 'size %d -> %d (%+d) lines\n' "$parent_size" "$change_size" $((change_size - parent_size))
 
 status=0
 for ex in "${examples[@]}"; do

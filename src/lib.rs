@@ -21,7 +21,7 @@
 //!   [`core::system`] experiment builders,
 //! * [`workloads`] — the evaluation workloads: PMDK KV stores, PM-Redis,
 //!   Twitter (Retwis), TPCC, and the YCSB generator,
-//! * [`traffic`] — the open-loop traffic engine: Poisson/MMPP arrivals,
+//! * [`traffic`] — the open-loop traffic engine: Poisson arrivals,
 //!   session-lifecycle churn over arena-backed tables, AIMD admission
 //!   against `FLAG_CONGESTED`, and the overload-control study
 //!   (`examples/overload_sweep.rs`).
@@ -66,7 +66,8 @@
 //! histograms, a metric registry, a crash flight recorder whose
 //! timeline is embedded in chaos failure artifacts, and the recorded
 //! history the model checker judges. A handle is [`telemetry::Telemetry::full`]
-//! (tracing) or [`telemetry::Telemetry::checking`] (history); attach it
+//! (spans) or [`telemetry::Telemetry::checking`] (history and flight
+//! rings); attach it
 //! with [`core::system::BuiltSystem::attach_telemetry`]. Hooks are pure
 //! observation, so golden digests are bit-identical with telemetry on or
 //! off (DESIGN.md §12).

@@ -91,14 +91,14 @@ fn planted_dedup_bug_is_found_and_shrinks_to_a_tiny_artifact() {
 
     // The shrunk artifact replays from its text form alone, reproducing
     // the verdict bit-for-bit.
-    let minimal_artifact = Artifact {
-        plan: minimal,
-        ..artifact.clone()
-    };
+    let minimal_artifact =
+        Artifact::new(&artifact.scenario(), minimal).with_flight(verdict.flight.clone());
     let text = minimal_artifact.to_string();
     let parsed: Artifact = text.parse().expect("artifact text parses");
     assert_eq!(parsed, minimal_artifact);
     assert_eq!(parsed.replay(), verdict);
+    // Its timeline is the minimal run's, not the unshrunk run's.
+    assert_eq!(parsed.flight, verdict.flight);
 
     // Control: the same minimal schedule on an unmodified server passes.
     let mut clean = parsed.clone();

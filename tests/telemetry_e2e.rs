@@ -14,7 +14,6 @@ use pmnet::core::client::ClientLib;
 use pmnet::core::system::{DesignPoint, SystemBuilder};
 use pmnet::core::SystemConfig;
 use pmnet::sim::Dur;
-use pmnet::telemetry::export::{trace_timeline, traces_to_json_lines};
 use pmnet::telemetry::span::{Evidence, Phase};
 use pmnet::telemetry::Telemetry;
 use pmnet::workloads::{KvHandler, YcsbSource};
@@ -61,10 +60,6 @@ fn update_trace_phases_sum_to_measured_latency() {
             "PMNet acks from the device, before the server stack: {t:?}"
         );
     }
-
-    // Exporters render every trace.
-    assert_eq!(traces_to_json_lines(&traces).lines().count(), 25);
-    assert!(trace_timeline(&traces[0]).contains("device"));
 
     // The registry folded every completion into phase histograms.
     let reg = tel.registry();
