@@ -32,7 +32,6 @@ use pmnet_telemetry::Telemetry;
 use std::collections::HashMap;
 
 pub use self::fabric::{DeviceFabric, DeviceRole, Release};
-use self::redo::EntryRetry;
 use crate::cache::ReadCache;
 use crate::config::{BatchConfig, DeviceConfig};
 use crate::logstore::LogStore;
@@ -143,7 +142,12 @@ pub struct PmnetDevice {
     config: DeviceConfig,
     routes: RouteTable,
     /// The PM log: the only state that survives a power loss, and the
-    /// only place an entry's durability is recorded.
+    /// only place an entry's durability is recorded. Each entry's slot
+    /// also holds its re-forward ([`crate::logstore::EntryRetry`]) as
+    /// DRAM: the armed [`TIMER_ENTRY_RETRY`], which the server ack that
+    /// invalidates the entry cancels, and whether the entry owes a
+    /// recovering server's barrier. A crash drops every record;
+    /// `Restore` re-arms the survivors.
     log: LogStore,
     cache: Option<ReadCache>,
     counters: DeviceCounters,
@@ -151,13 +155,6 @@ pub struct PmnetDevice {
     /// Power epoch, stamped on every timer; bumped by a crash so timers
     /// armed before it are dropped at dispatch.
     epoch: u64,
-    /// The re-forward of every live log entry, keyed by entry hash: its
-    /// armed [`TIMER_ENTRY_RETRY`], which the server ack that invalidates
-    /// the entry cancels. A `RecoveryPoll` pulls its server's durable
-    /// entries forward into paced resends and marks them as owing the
-    /// barrier; the last of them to retire sends `RecoveryDone`. Held in
-    /// DRAM; `Restore` re-arms the survivors.
-    entry_retries: HashMap<u32, EntryRetry, FixedState>,
     /// One timeout estimator per destination server, fed by the server
     /// acks that invalidate entries; it times every entry's re-forward.
     /// Forgotten on power loss, as a client restart forgets its RTTs.
@@ -211,7 +208,6 @@ impl PmnetDevice {
             counters: DeviceCounters::default(),
             alive: true,
             epoch: 0,
-            entry_retries: HashMap::default(),
             server_rtos: HashMap::default(),
             parked_reads: HashMap::new(),
             stale_read_bug: false,
@@ -367,10 +363,9 @@ impl PmnetDevice {
     /// itself is the caller's to settle (`crash` keeps what had persisted,
     /// `purge` nothing).
     fn reset_volatile(&mut self) {
-        // Entry retries (recovery resends included) and flushed-but-
-        // unpersisted windows die with their timers. A withheld chain ack
-        // needs nothing here: the backup's confirmation is the entry's.
-        self.entry_retries.clear();
+        // Flushed-but-unpersisted windows die with their timers; entry
+        // retries went with the log's `crash` or `purge`. A withheld chain
+        // ack needs nothing here: the backup's confirmation is the entry's.
         self.server_rtos.clear();
         self.persisting.clear();
         // The clients' read timeouts resend parked reads (and the resends

@@ -7,33 +7,18 @@
 
 use std::collections::HashMap;
 
-use pmnet_net::{Addr, Ctx, EventId, Packet};
+use pmnet_net::{Addr, Ctx, Packet};
 use pmnet_sim::hash::FixedState;
-use pmnet_sim::{Dur, Time};
+use pmnet_sim::Dur;
 
 use super::{PmnetDevice, TIMER_ENTRY_RETRY};
-use crate::logstore::LogEntry;
+use crate::logstore::{EntryRetry, LogEntry};
 use crate::protocol::{PacketType, PmnetHeader, CONTROL_PORT, FLAG_REDO, SERVICE_PORT};
 use crate::rto::RtoEstimator;
 
 /// The entry-retry timeout's cap, in multiples of its floor
 /// ([`crate::config::DeviceConfig::log_retry_timeout`]).
 const ENTRY_RETRY_CAP: u64 = 8;
-
-/// The DRAM side of one live log entry's re-forward.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct EntryRetry {
-    /// The armed [`TIMER_ENTRY_RETRY`]; the server ack cancels it.
-    timer: EventId,
-    /// When the entry was forwarded (or re-armed by `Restore` or a
-    /// recovery poll): its server ack samples the server's delay from here.
-    since: Time,
-    /// Re-forwards fired so far (the backoff exponent).
-    fires: u32,
-    /// Re-armed by its server's `RecoveryPoll`: the server's recovery
-    /// barrier waits for this entry to retire.
-    owes_barrier: bool,
-}
 
 /// `server`'s entry-retry estimator, seeded and floored at `floor` on
 /// first use.
@@ -97,8 +82,8 @@ impl PmnetDevice {
         self.restart_retry(ctx, hash, after, false);
     }
 
-    /// Arms `hash`'s retry `after` from now under a fresh record: its
-    /// clock starts now and its backoff at zero.
+    /// Arms `hash`'s retry `after` from now under a fresh record in its
+    /// slot: its clock starts now and its backoff at zero.
     fn restart_retry(&mut self, ctx: &mut Ctx<'_>, hash: u32, after: Dur, owes_barrier: bool) {
         let timer = self.arm(ctx, after, TIMER_ENTRY_RETRY, u64::from(hash));
         let retry = EntryRetry {
@@ -107,7 +92,7 @@ impl PmnetDevice {
             fires: 0,
             owes_barrier,
         };
-        self.entry_retries.insert(hash, retry);
+        self.log.set_retry(hash, retry);
     }
 
     /// Re-forwards a still-unacknowledged log entry to its server as a
@@ -115,9 +100,8 @@ impl PmnetDevice {
     /// fire after a recovery poll is that poll's resend.
     pub(super) fn retry_entry(&mut self, ctx: &mut Ctx<'_>, hash: u32) {
         // The server ack that ends an entry cancels its timer, so only a
-        // fence (which purged both) leaves one to fire on nothing.
-        let (Some(retry), Some(entry)) = (self.entry_retries.get_mut(&hash), self.log.peek(hash))
-        else {
+        // fence (which purged the log) leaves one to fire on nothing.
+        let Some((entry, retry)) = self.log.retrying_mut(hash) else {
             return;
         };
         retry.fires += 1;
@@ -131,21 +115,19 @@ impl PmnetDevice {
         let redo = redo_packet(entry);
         self.emit(ctx, redo);
         let timer = self.arm(ctx, after, TIMER_ENTRY_RETRY, u64::from(hash));
-        if let Some(retry) = self.entry_retries.get_mut(&hash) {
+        if let Some((_, retry)) = self.log.retrying_mut(hash) {
             retry.timer = timer;
         }
     }
 
-    /// The server acked `entry` and the log invalidated it: its retry ends
-    /// here, and the wait since its forward is a sample of the server's
-    /// delay. Karn's rule does not apply: the server acks an update once,
-    /// when it applied it, and drops the copies it receives meanwhile, so
-    /// the ack answers the update rather than one copy of it. The last
-    /// entry a recovering server's barrier waits for reports the drain.
-    pub(super) fn entry_retired(&mut self, ctx: &mut Ctx<'_>, entry: &LogEntry) {
-        let Some(retry) = self.entry_retries.remove(&entry.header.hash) else {
-            return;
-        };
+    /// The server acked `entry` and the log invalidated it, handing back
+    /// its `retry`: the retry ends here, and the wait since its forward is
+    /// a sample of the server's delay. Karn's rule does not apply: the
+    /// server acks an update once, when it applied it, and drops the
+    /// copies it receives meanwhile, so the ack answers the update rather
+    /// than one copy of it. The last entry a recovering server's barrier
+    /// waits for reports the drain.
+    pub(super) fn entry_retired(&mut self, ctx: &mut Ctx<'_>, entry: &LogEntry, retry: EntryRetry) {
         ctx.cancel(retry.timer);
         let floor = self.config.log_retry_timeout;
         estimator(&mut self.server_rtos, floor, entry.server).sample(ctx.now() - retry.since);
@@ -168,7 +150,7 @@ impl PmnetDevice {
         // PM read size, not a clone of each logged entry. Admission and
         // `Restore` gave every live entry a retry record.
         for (hash, bytes) in self.log.recovery_manifest(server, now) {
-            match self.entry_retries.get(&hash) {
+            match self.log.retry(hash) {
                 Some(retry) if !retry.owes_barrier => ctx.cancel(retry.timer),
                 _ => continue,
             };
@@ -185,10 +167,10 @@ impl PmnetDevice {
     /// Emits `RecoveryDone` to `server` once no live entry owes its
     /// barrier. Safe to call eagerly: it re-checks the retry records.
     fn maybe_recovery_done(&mut self, ctx: &mut Ctx<'_>, server: Addr) {
-        let owed = |(hash, retry): (&u32, &EntryRetry)| {
-            retry.owes_barrier && self.log.peek(*hash).is_some_and(|e| e.server == server)
-        };
-        if self.entry_retries.iter().any(owed) {
+        if self
+            .log
+            .any_retry(|entry, retry| retry.owes_barrier && entry.server == server)
+        {
             return;
         }
         let h = PmnetHeader::control(PacketType::RecoveryDone, 0, self.addr, server);

@@ -143,11 +143,13 @@ impl PmnetDevice {
         header: PmnetHeader,
         packet: Packet,
     ) {
-        if let Some(entry) = self.log.invalidate(header.hash) {
+        if let Some((entry, retry)) = self.log.invalidate(header.hash) {
             self.entry_drained(ctx, &entry);
             // Retired last, so a `RecoveryDone` it completes follows the
             // reads the entry released.
-            self.entry_retired(ctx, &entry);
+            if let Some(retry) = retry {
+                self.entry_retired(ctx, &entry, retry);
+            }
         }
         // Forward toward the client; the next PMNet on the route may hold
         // its own copy of the log (Section IV-B1).

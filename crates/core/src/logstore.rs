@@ -7,26 +7,30 @@
 //! packet is forwarded **without** logging or acknowledging — the client
 //! then simply waits for the server as in the baseline (Section IV-B1).
 //!
-//! Two exact-match tables, one lookup each per packet, both hashed with
+//! One slot per live entry, and two exact-match tables hashed with
 //! [`FixedState`]:
 //!
-//! - the entry table, keyed by `HashVal` — the state a crash keeps;
+//! - the slot table, a dense `Vec` with a LIFO free list. A slot holds an
+//!   entry — the state a crash keeps — and, as its DRAM half, the entry's
+//!   [`EntryRetry`], so a retry record cannot outlive its entry;
+//! - the index, `HashVal` → slot number, one lookup per packet;
 //! - the per-session ledger, live-entry counts keyed by
 //!   `(server, client, session)` — derived state, rebuilt from the
 //!   surviving entries on [`LogStore::crash`]. It answers the read-ordering
 //!   guard ([`LogStore::has_outstanding`]) and the spill quota
 //!   ([`BypassReason::SessionQuota`]).
 //!
-//! Neither is iterated in an order that leaves the store: whatever is
-//! listed ([`LogStore::hashes`], [`LogStore::recovery_manifest`]) is
-//! sorted first.
+//! Slot numbers never leave the store, and nothing is iterated in an
+//! order that does: whatever is listed ([`LogStore::hashes`],
+//! [`LogStore::recovery_manifest`]) is sorted first, and a scan
+//! (`LogStore::any_retry`) answers yes or no.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::vec::Drain;
 
 use bytes::Bytes;
-use pmnet_net::Addr;
+use pmnet_net::{Addr, EventId};
 use pmnet_pmem::PmDevice;
 use pmnet_sim::hash::FixedState;
 use pmnet_sim::Time;
@@ -54,6 +58,31 @@ pub struct LogEntry {
     /// cost) and kept by a crash; losing it needs no fence, as an
     /// unconfirmed survivor only waits for a fresh `ChainAck`.
     pub confirmed: bool,
+}
+
+/// The DRAM half of a slot: the re-forward of its live entry toward the
+/// server (Section IV-B3). The device arms it on admission and on
+/// `Restore`; it goes with its entry ([`LogStore::invalidate`] hands it
+/// back) and with the power ([`LogStore::crash`] drops every record).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRetry {
+    /// The armed retry timer; the server ack cancels it.
+    pub(crate) timer: EventId,
+    /// When the entry was forwarded (or re-armed by `Restore` or a
+    /// recovery poll): its server ack samples the server's delay from here.
+    pub(crate) since: Time,
+    /// Re-forwards fired so far (the backoff exponent).
+    pub(crate) fires: u32,
+    /// Re-armed by its server's `RecoveryPoll`: the server's recovery
+    /// barrier waits for this entry to retire.
+    pub(crate) owes_barrier: bool,
+}
+
+/// One live entry and the DRAM half of its re-forward.
+#[derive(Debug)]
+struct Slot {
+    entry: LogEntry,
+    retry: Option<EntryRetry>,
 }
 
 /// Why a packet was not logged.
@@ -138,11 +167,16 @@ impl pmnet_telemetry::registry::CounterGroup for LogCounters {
     }
 }
 
-/// The log store: PM timing model + hash-indexed entry table.
+/// The log store: PM timing model + hash-indexed slot table.
 #[derive(Debug)]
 pub struct LogStore {
     pm: PmDevice,
-    entries: HashMap<u32, LogEntry, FixedState>,
+    /// One slot per live entry; `None` marks a free one.
+    slots: Vec<Option<Slot>>,
+    /// Free slot numbers; the last freed is reused first.
+    free: Vec<u32>,
+    /// The slot of every live entry, by `HashVal`.
+    index: HashMap<u32, u32, FixedState>,
     max_entries: usize,
     max_bytes: u64,
     queue_bytes: u64,
@@ -172,7 +206,9 @@ impl LogStore {
     pub fn new(config: &DeviceConfig) -> LogStore {
         LogStore {
             pm: PmDevice::new(config.pm),
-            entries: HashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::default(),
             max_entries: config.log_capacity_entries,
             max_bytes: config.log_capacity_bytes,
             queue_bytes: config.log_queue_bytes,
@@ -190,12 +226,22 @@ impl LogStore {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True if the log holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
+    }
+
+    fn slot(&self, hash: u32) -> Option<&Slot> {
+        let &i = self.index.get(&hash)?;
+        self.slots[i as usize].as_ref()
+    }
+
+    fn slot_mut(&mut self, hash: u32) -> Option<&mut Slot> {
+        let &i = self.index.get(&hash)?;
+        self.slots[i as usize].as_mut()
     }
 
     /// Bytes of PM in use by entries.
@@ -254,7 +300,7 @@ impl LogStore {
         client_port: u16,
         server_port: u16,
     ) -> LogOutcome {
-        if let Some(existing) = self.entries.get(&header.hash) {
+        if let Some(existing) = self.peek(header.hash) {
             if existing.header.session == header.session
                 && existing.header.seq == header.seq
                 && existing.header.client == header.client
@@ -279,12 +325,12 @@ impl LogStore {
             self.counters.spilled_quota += 1;
             return LogOutcome::Bypass(BypassReason::SessionQuota);
         }
-        if self.spill_watermark > 0 && self.entries.len() >= self.spill_watermark {
+        if self.spill_watermark > 0 && self.len() >= self.spill_watermark {
             self.counters.spilled_watermark += 1;
             return LogOutcome::Bypass(BypassReason::Watermark);
         }
         let bytes = Self::entry_bytes(&payload);
-        if self.entries.len() >= self.max_entries || self.used_bytes + bytes > self.max_bytes {
+        if self.len() >= self.max_entries || self.used_bytes + bytes > self.max_bytes {
             self.counters.bypass_full += 1;
             return LogOutcome::Bypass(BypassReason::LogFull);
         }
@@ -302,11 +348,22 @@ impl LogStore {
             persisted_at: Time::MAX,
             confirmed: false,
         };
-        self.entries.insert(hash, entry);
+        let slot = Some(Slot { entry, retry: None });
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(hash, i);
         self.used_bytes += bytes;
         *self.outstanding.entry(session).or_insert(0) += 1;
         self.counters.logged += 1;
-        self.counters.peak_entries = self.counters.peak_entries.max(self.entries.len() as u64);
+        self.counters.peak_entries = self.counters.peak_entries.max(self.len() as u64);
         self.counters.peak_bytes = self.counters.peak_bytes.max(self.used_bytes);
         self.staged.push(hash);
         self.staged_bytes += bytes;
@@ -329,12 +386,16 @@ impl LogStore {
         let ack_at = self.pm.schedule_write(now, self.staged_bytes as u32);
         // An entry invalidated while staged and admitted again is listed
         // twice: the first listing stamps it, the second finds it stamped.
-        self.staged.retain(|h| match self.entries.get_mut(h) {
-            Some(e) if e.persisted_at == Time::MAX => {
-                e.persisted_at = ack_at;
-                true
+        let (index, slots) = (&self.index, &mut self.slots);
+        self.staged.retain(|h| {
+            let slot = index.get(h).and_then(|&i| slots[i as usize].as_mut());
+            match slot {
+                Some(Slot { entry: e, .. }) if e.persisted_at == Time::MAX => {
+                    e.persisted_at = ack_at;
+                    true
+                }
+                _ => false,
             }
-            _ => false,
         });
         self.staged_bytes = 0;
         Some((ack_at, self.staged.drain(..)))
@@ -351,17 +412,14 @@ impl LogStore {
     /// neither is ever durable. Every acknowledgement the device emits for
     /// an entry rests on this being true at the instant it is sent.
     pub fn durable(&self, hash: u32, now: Time) -> bool {
-        self.entries
-            .get(&hash)
-            .is_some_and(|e| e.persisted_at <= now)
+        self.peek(hash).is_some_and(|e| e.persisted_at <= now)
     }
 
     /// Records the chain backup's confirmation of `hash`. Returns true iff
     /// the entry is live and was unconfirmed.
     pub fn confirm(&mut self, hash: u32) -> bool {
-        self.entries
-            .get_mut(&hash)
-            .is_some_and(|e| !std::mem::replace(&mut e.confirmed, true))
+        self.slot_mut(hash)
+            .is_some_and(|s| !std::mem::replace(&mut s.entry.confirmed, true))
     }
 
     /// Whether a live entry from `(client, session)` to `server` remains
@@ -373,9 +431,11 @@ impl LogStore {
     }
 
     /// Invalidates the entry for `hash` (server-ACK received). Returns the
-    /// removed entry.
-    pub fn invalidate(&mut self, hash: u32) -> Option<LogEntry> {
-        let entry = self.entries.remove(&hash)?;
+    /// removed entry and its retry record, and frees its slot.
+    pub fn invalidate(&mut self, hash: u32) -> Option<(LogEntry, Option<EntryRetry>)> {
+        let i = self.index.remove(&hash)?;
+        let Slot { entry, retry } = self.slots[i as usize].take()?;
+        self.free.push(i);
         self.used_bytes -= Self::entry_bytes(&entry.payload);
         let key = (entry.server, entry.header.client, entry.header.session);
         // Every live entry counted itself in, so the key is present; the
@@ -387,25 +447,54 @@ impl LogStore {
             }
         }
         self.counters.invalidated += 1;
-        Some(entry)
+        Some((entry, retry))
+    }
+
+    /// The retry record of the live entry `hash`, if one is armed.
+    pub(crate) fn retry(&self, hash: u32) -> Option<&EntryRetry> {
+        self.slot(hash)?.retry.as_ref()
+    }
+
+    /// The live entry `hash` and its retry record, if one is armed.
+    pub(crate) fn retrying_mut(&mut self, hash: u32) -> Option<(&LogEntry, &mut EntryRetry)> {
+        let Slot { entry, retry } = self.slot_mut(hash)?;
+        Some((entry, retry.as_mut()?))
+    }
+
+    /// Installs `retry` as the live entry `hash`'s record, replacing any.
+    /// Returns false (and keeps nothing) if `hash` is not live.
+    pub(crate) fn set_retry(&mut self, hash: u32, retry: EntryRetry) -> bool {
+        self.slot_mut(hash).map(|s| s.retry = Some(retry)).is_some()
+    }
+
+    /// Whether `f` holds for some live entry with a retry record: a scan
+    /// of the slots, so it answers yes or no and lists nothing.
+    pub(crate) fn any_retry(&self, mut f: impl FnMut(&LogEntry, &EntryRetry) -> bool) -> bool {
+        self.slots
+            .iter()
+            .flatten()
+            .any(|s| s.retry.as_ref().is_some_and(|r| f(&s.entry, r)))
     }
 
     /// Looks up a logged entry (Retrans service). Updates hit/miss
     /// counters. Returns a borrow — regenerating the redo packet needs no
     /// copy of the entry; its payload is a refcounted [`Bytes`].
     pub fn lookup_for_retrans(&mut self, hash: u32) -> Option<&LogEntry> {
-        if self.entries.contains_key(&hash) {
-            self.counters.retrans_hits += 1;
-            self.entries.get(&hash)
-        } else {
-            self.counters.retrans_misses += 1;
-            None
+        match self.index.get(&hash) {
+            Some(&i) => {
+                self.counters.retrans_hits += 1;
+                self.slots[i as usize].as_ref().map(|s| &s.entry)
+            }
+            None => {
+                self.counters.retrans_misses += 1;
+                None
+            }
         }
     }
 
     /// Peeks an entry without counter updates.
     pub fn peek(&self, hash: u32) -> Option<&LogEntry> {
-        self.entries.get(&hash)
+        self.slot(hash).map(|s| &s.entry)
     }
 
     /// A recovery manifest: `(hash, wire_bytes)` of every durable entry
@@ -416,8 +505,10 @@ impl LogStore {
     /// entry is cloned.
     pub fn recovery_manifest(&self, server: Addr, now: Time) -> Vec<(u32, u32)> {
         let mut v: Vec<(Addr, u16, u32, u32, u32)> = self
-            .entries
-            .values()
+            .slots
+            .iter()
+            .flatten()
+            .map(|s| &s.entry)
             .filter(|e| e.server == server && e.persisted_at <= now)
             .map(|e| {
                 let bytes = (crate::protocol::HEADER_LEN + e.payload.len()) as u32;
@@ -442,7 +533,7 @@ impl LogStore {
     /// order decides the post-restore resend order on the wire, and the
     /// table's iteration order is an accident of the hash function.
     pub fn hashes(&self) -> Vec<u32> {
-        let mut hashes: Vec<u32> = self.entries.keys().copied().collect();
+        let mut hashes: Vec<u32> = self.index.keys().copied().collect();
         hashes.sort_unstable();
         hashes
     }
@@ -453,15 +544,17 @@ impl LogStore {
         self.pm.schedule_read(now, bytes)
     }
 
-    /// Drops every entry and derived index without touching the
+    /// Drops every entry, retry record and derived index without touching the
     /// invalidation counters. Used when the fabric coordinator fences the
     /// device: its entries are owned by the promoted chain survivor from
     /// that epoch on, not individually acknowledged, so counting them as
     /// invalidations would misreport protocol activity. Returns how many
     /// entries were purged.
     pub fn purge(&mut self) -> usize {
-        let purged = self.entries.len();
-        self.entries.clear();
+        let purged = self.len();
+        self.slots.clear();
+        self.free.clear();
+        self.index.clear();
         self.outstanding.clear();
         self.staged.clear();
         self.staged_bytes = 0;
@@ -471,32 +564,34 @@ impl LogStore {
 
     /// Power failure: entries whose PM write had not completed by `now`
     /// never reached the persistence domain; the survivors keep every
-    /// field, `confirmed` included. Returns how many were lost.
+    /// field, `confirmed` included, and every retry record (DRAM) is
+    /// lost. Returns how many entries were lost.
     pub fn crash(&mut self, now: Time) -> usize {
         // Staged entries never rang the doorbell: their `persisted_at` is
-        // `Time::MAX`, so the retain below drops them all.
+        // `Time::MAX`, so the sweep below frees them all.
         self.staged.clear();
         self.staged_bytes = 0;
-        let before = self.entries.len();
-        let mut lost_bytes = 0;
-        self.entries.retain(|_, e| {
-            let keep = e.persisted_at <= now;
-            if !keep {
-                lost_bytes += Self::entry_bytes(&e.payload);
-            }
-            keep
-        });
-        self.used_bytes -= lost_bytes;
-        // Rebuild the outstanding index from the survivors (the entry
-        // table is PM; the index is derived state).
+        let before = self.len();
+        // The ledger is derived state: recounted from the survivors.
         self.outstanding.clear();
-        for e in self.entries.values() {
-            *self
-                .outstanding
-                .entry((e.server, e.header.client, e.header.session))
-                .or_insert(0) += 1;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(Slot { entry: e, retry }) = slot else {
+                continue;
+            };
+            if e.persisted_at <= now {
+                *retry = None;
+                *self
+                    .outstanding
+                    .entry((e.server, e.header.client, e.header.session))
+                    .or_insert(0) += 1;
+            } else {
+                self.used_bytes -= Self::entry_bytes(&e.payload);
+                self.index.remove(&e.header.hash);
+                self.free.push(i as u32);
+                *slot = None;
+            }
         }
-        before - self.entries.len()
+        before - self.len()
     }
 }
 
@@ -603,7 +698,7 @@ mod tests {
         s.try_log(Time::ZERO, h, payload(100), Addr(9), 51000, 51000);
         let used = s.used_bytes();
         assert!(used > 0);
-        let e = s.invalidate(h.hash).expect("entry present");
+        let (e, _) = s.invalidate(h.hash).expect("entry present");
         assert_eq!(e.header.seq, 1);
         assert_eq!(s.used_bytes(), 0);
         assert!(s.invalidate(h.hash).is_none());
@@ -880,6 +975,85 @@ mod tests {
         assert_eq!(s.counters().peak_bytes, peak_bytes);
     }
 
+    /// A retry record whose timer is a fresh id from `engine`.
+    fn record(engine: &mut pmnet_sim::Engine<()>, fires: u32) -> EntryRetry {
+        EntryRetry {
+            timer: engine.schedule(Time::ZERO, pmnet_sim::NodeId(0), ()),
+            since: Time::from_nanos(u64::from(fires)),
+            fires,
+            owes_barrier: fires % 2 == 1,
+        }
+    }
+
+    #[test]
+    fn a_slot_stays_within_two_cache_lines() {
+        // A new per-entry field is a visible decision: it moves these.
+        assert_eq!(std::mem::size_of::<LogEntry>(), 64);
+        assert_eq!(std::mem::size_of::<EntryRetry>(), 32);
+        assert!(std::mem::size_of::<Option<Slot>>() <= 128);
+    }
+
+    #[test]
+    fn a_freed_slot_is_reused_without_the_old_hash_resolving_to_it() {
+        let mut s = store();
+        let mut engine = pmnet_sim::Engine::new();
+        let (old, new) = (hdr(1), hdr(2));
+        s.try_log(Time::ZERO, old, payload(10), Addr(9), 51000, 51000);
+        assert!(s.set_retry(old.hash, record(&mut engine, 1)));
+        s.invalidate(old.hash);
+        s.try_log(Time::ZERO, new, payload(20), Addr(9), 51000, 51000);
+        assert_eq!(s.slots.len(), 1, "the freed slot was reused");
+        assert!(s.peek(old.hash).is_none());
+        assert!(s.retry(old.hash).is_none());
+        assert!(!s.set_retry(old.hash, record(&mut engine, 2)));
+        assert_eq!(s.peek(new.hash).unwrap().payload.len(), 20);
+        assert!(
+            s.retry(new.hash).is_none(),
+            "the slot's old record went with its entry"
+        );
+        assert_eq!(s.hashes(), [new.hash]);
+    }
+
+    #[test]
+    fn invalidate_hands_back_the_retry_record() {
+        let mut s = store();
+        let mut engine = pmnet_sim::Engine::new();
+        let h = hdr(1);
+        s.try_log(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        let (_, none) = s.invalidate(h.hash).unwrap();
+        assert_eq!(none, None, "never armed");
+        s.try_log(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        let armed = record(&mut engine, 3);
+        assert!(s.set_retry(h.hash, armed));
+        let (entry, retry) = s.invalidate(h.hash).unwrap();
+        assert_eq!((entry.header.seq, retry), (1, Some(armed)));
+        assert!(!s.any_retry(|_, _| true));
+    }
+
+    #[test]
+    fn crash_keeps_durable_entries_and_drops_every_record_and_purge_drops_both() {
+        let mut s = store();
+        let mut engine = pmnet_sim::Engine::new();
+        for seq in 1..=3 {
+            s.try_log(Time::ZERO, hdr(seq), payload(10), Addr(9), 51000, 51000);
+        }
+        s.try_stage(Time::ZERO, hdr(4), payload(10), Addr(9), 51000, 51000);
+        for seq in 1..=4 {
+            assert!(s.set_retry(hdr(seq).hash, record(&mut engine, seq)));
+        }
+        assert_eq!(s.crash(Time::ZERO + Dur::millis(1)), 1, "the staged one");
+        assert_eq!(s.len(), 3);
+        for seq in 1..=3 {
+            assert!(s.peek(hdr(seq).hash).is_some());
+            assert!(s.retry(hdr(seq).hash).is_none(), "records are DRAM");
+        }
+        assert!(!s.any_retry(|_, _| true));
+        assert!(s.set_retry(hdr(1).hash, record(&mut engine, 5)));
+        assert_eq!(s.purge(), 3);
+        assert!(s.peek(hdr(1).hash).is_none());
+        assert!(!s.any_retry(|_, _| true));
+    }
+
     #[test]
     fn crash_drops_unpersisted_entries_only() {
         let mut s = store();
@@ -897,5 +1071,313 @@ mod tests {
         assert_eq!(lost, 3, "no entry had persisted by 500 ns");
         assert_eq!(s.len(), 0);
         assert_eq!(s.used_bytes(), 0);
+    }
+
+    /// The log as two maps keyed by `HashVal` — entries, and the retry
+    /// records beside them — with every rule written out plainly: the
+    /// reference the slot table must agree with.
+    struct Reference {
+        config: DeviceConfig,
+        pm: PmDevice,
+        entries: HashMap<u32, LogEntry>,
+        retries: HashMap<u32, EntryRetry>,
+        staged: Vec<u32>,
+        staged_bytes: u64,
+        used_bytes: u64,
+        counters: LogCounters,
+    }
+
+    impl Reference {
+        fn new(config: DeviceConfig) -> Reference {
+            Reference {
+                config,
+                pm: PmDevice::new(config.pm),
+                entries: HashMap::new(),
+                retries: HashMap::new(),
+                staged: Vec::new(),
+                staged_bytes: 0,
+                used_bytes: 0,
+                counters: LogCounters::default(),
+            }
+        }
+
+        fn live(&self, server: Addr, client: Addr, session: u16) -> usize {
+            let key = (server, client, session);
+            let of = |e: &&LogEntry| (e.server, e.header.client, e.header.session) == key;
+            self.entries.values().filter(of).count()
+        }
+
+        fn try_stage(
+            &mut self,
+            now: Time,
+            header: PmnetHeader,
+            payload: Bytes,
+            server: Addr,
+        ) -> LogOutcome {
+            if let Some(e) = self.entries.get(&header.hash) {
+                let id = |h: &PmnetHeader| (h.client, h.session, h.seq);
+                if id(&e.header) == id(&header) {
+                    return LogOutcome::Duplicate;
+                }
+                self.counters.bypass_collision += 1;
+                return LogOutcome::Bypass(BypassReason::HashCollision);
+            }
+            let c = &self.config;
+            let quota = c.log_session_quota as usize;
+            if quota > 0 && self.live(server, header.client, header.session) >= quota {
+                self.counters.spilled_quota += 1;
+                return LogOutcome::Bypass(BypassReason::SessionQuota);
+            }
+            if c.log_spill_watermark > 0 && self.entries.len() >= c.log_spill_watermark {
+                self.counters.spilled_watermark += 1;
+                return LogOutcome::Bypass(BypassReason::Watermark);
+            }
+            let bytes = LogStore::entry_bytes(&payload);
+            if self.entries.len() >= c.log_capacity_entries
+                || self.used_bytes + bytes > c.log_capacity_bytes
+            {
+                self.counters.bypass_full += 1;
+                return LogOutcome::Bypass(BypassReason::LogFull);
+            }
+            if self.pm.queued_bytes(now) + self.staged_bytes + bytes > c.log_queue_bytes {
+                self.counters.bypass_queue += 1;
+                return LogOutcome::Bypass(BypassReason::QueueFull);
+            }
+            let entry = LogEntry {
+                header,
+                payload,
+                server,
+                client_port: 51000,
+                server_port: 51000,
+                persisted_at: Time::MAX,
+                confirmed: false,
+            };
+            self.entries.insert(header.hash, entry);
+            self.used_bytes += bytes;
+            self.counters.logged += 1;
+            let peak = &mut self.counters;
+            peak.peak_entries = peak.peak_entries.max(self.entries.len() as u64);
+            peak.peak_bytes = peak.peak_bytes.max(self.used_bytes);
+            self.staged.push(header.hash);
+            self.staged_bytes += bytes;
+            LogOutcome::Staged
+        }
+
+        fn flush_staged(&mut self, now: Time) -> Option<(Time, Vec<u32>)> {
+            if self.staged.is_empty() {
+                return None;
+            }
+            let ack_at = self.pm.schedule_write(now, self.staged_bytes as u32);
+            let mut drained = Vec::new();
+            for h in std::mem::take(&mut self.staged) {
+                if let Some(e) = self.entries.get_mut(&h) {
+                    if e.persisted_at == Time::MAX {
+                        e.persisted_at = ack_at;
+                        drained.push(h);
+                    }
+                }
+            }
+            self.staged_bytes = 0;
+            Some((ack_at, drained))
+        }
+
+        fn invalidate(&mut self, hash: u32) -> Option<(LogEntry, Option<EntryRetry>)> {
+            let entry = self.entries.remove(&hash)?;
+            self.used_bytes -= LogStore::entry_bytes(&entry.payload);
+            self.counters.invalidated += 1;
+            Some((entry, self.retries.remove(&hash)))
+        }
+
+        fn confirm(&mut self, hash: u32) -> bool {
+            self.entries
+                .get_mut(&hash)
+                .is_some_and(|e| !std::mem::replace(&mut e.confirmed, true))
+        }
+
+        fn lookup_for_retrans(&mut self, hash: u32) -> Option<&LogEntry> {
+            let hit = self.entries.get(&hash);
+            match hit {
+                Some(_) => self.counters.retrans_hits += 1,
+                None => self.counters.retrans_misses += 1,
+            }
+            hit
+        }
+
+        fn set_retry(&mut self, hash: u32, retry: EntryRetry) -> bool {
+            let live = self.entries.contains_key(&hash);
+            if live {
+                self.retries.insert(hash, retry);
+            }
+            live
+        }
+
+        fn crash(&mut self, now: Time) -> usize {
+            self.staged.clear();
+            self.staged_bytes = 0;
+            self.retries.clear();
+            let lost: Vec<u32> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.persisted_at > now)
+                .map(|(&h, _)| h)
+                .collect();
+            for h in &lost {
+                let e = self.entries.remove(h).unwrap();
+                self.used_bytes -= LogStore::entry_bytes(&e.payload);
+            }
+            lost.len()
+        }
+
+        fn purge(&mut self) -> usize {
+            let purged = self.entries.len();
+            self.entries.clear();
+            self.retries.clear();
+            self.staged.clear();
+            self.staged_bytes = 0;
+            self.used_bytes = 0;
+            purged
+        }
+
+        fn recovery_manifest(&self, server: Addr, now: Time) -> Vec<(u32, u32)> {
+            let mut v: Vec<_> = self
+                .entries
+                .values()
+                .filter(|e| e.server == server && e.persisted_at <= now)
+                .map(|e| {
+                    let h = e.header;
+                    let bytes = (crate::protocol::HEADER_LEN + e.payload.len()) as u32;
+                    (h.client, h.session, h.seq, h.hash, bytes)
+                })
+                .collect();
+            v.sort_unstable();
+            v.into_iter()
+                .map(|(.., hash, bytes)| (hash, bytes))
+                .collect()
+        }
+    }
+
+    /// Every field of an entry, for comparing two of them.
+    type Fields<'a> = (PmnetHeader, &'a [u8], Addr, u16, u16, Time, bool);
+
+    fn fields(e: &LogEntry) -> Fields<'_> {
+        let ports = (e.client_port, e.server_port);
+        (
+            e.header,
+            &e.payload[..],
+            e.server,
+            ports.0,
+            ports.1,
+            e.persisted_at,
+            e.confirmed,
+        )
+    }
+
+    /// The `id`-th request of a small universe — two servers, two clients,
+    /// two sessions, four sequence numbers — whose hash is forged into
+    /// `0..hashes`, so distinct requests collide and a repeated `id` is a
+    /// retransmission.
+    fn request(id: u32, hashes: u32) -> (PmnetHeader, Addr) {
+        let (server, client, session, seq) = (id % 2, id / 2 % 2, id / 4 % 2, id / 8 % 4);
+        let mut h = PmnetHeader::request(
+            PacketType::UpdateReq,
+            session as u16,
+            seq,
+            Addr(1 + client),
+            Addr(8 + server),
+            0,
+            1,
+        );
+        h.hash = id.wrapping_mul(0x9E37_79B9) % hashes;
+        (h, Addr(8 + server))
+    }
+
+    /// Every query of `s` agrees with `r` on the universe of `hashes`.
+    fn agree(s: &LogStore, r: &Reference, hashes: u32, now: Time) {
+        assert_eq!(s.len(), r.entries.len());
+        assert_eq!(s.is_empty(), r.entries.is_empty());
+        assert_eq!(s.used_bytes(), r.used_bytes);
+        assert_eq!(s.staged_len(), r.staged.len());
+        assert_eq!(s.counters(), r.counters);
+        let mut listed: Vec<u32> = r.entries.keys().copied().collect();
+        listed.sort_unstable();
+        assert_eq!(s.hashes(), listed);
+        for hash in 0..hashes {
+            assert_eq!(s.peek(hash).map(fields), r.entries.get(&hash).map(fields));
+            assert_eq!(
+                s.durable(hash, now),
+                r.entries.get(&hash).is_some_and(|e| e.persisted_at <= now)
+            );
+            assert_eq!(s.retry(hash), r.retries.get(&hash), "record of {hash}");
+            let scanned = s.any_retry(|e, _| e.header.hash == hash);
+            assert_eq!(
+                scanned,
+                r.retries.contains_key(&hash),
+                "slot scan for {hash}"
+            );
+        }
+        for server in [Addr(8), Addr(9)] {
+            assert_eq!(
+                s.recovery_manifest(server, now),
+                r.recovery_manifest(server, now)
+            );
+            for client in [Addr(1), Addr(2)] {
+                for session in [0, 1] {
+                    let live = r.live(server, client, session) > 0;
+                    assert_eq!(s.has_outstanding(server, client, session), live);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn the_slot_table_agrees_with_two_hash_maps(
+            hashes in 2u32..24,
+            capacity in 1usize..12,
+            (quota, watermark) in (0u32..4, 0usize..10),
+            steps in proptest::collection::vec((0u8..16, 0u32..64, 0u64..4_000), 1..160),
+        ) {
+            let config = DeviceConfig::fpga()
+                .with_log_capacity(capacity, 1 << 20)
+                .with_spill_policy(quota, watermark);
+            let (mut s, mut r) = (LogStore::new(&config), Reference::new(config));
+            let mut engine = pmnet_sim::Engine::new();
+            let mut now = Time::ZERO;
+            for (op, id, arg) in steps {
+                let hash = id % hashes;
+                match op {
+                    0..=4 => {
+                        let (h, server) = request(id % 32, hashes);
+                        let payload = Bytes::from(vec![id as u8; 1 + arg as usize % 1_500]);
+                        let got = s.try_stage(now, h, payload.clone(), server, 51000, 51000);
+                        assert_eq!(got, r.try_stage(now, h, payload, server));
+                    }
+                    5 | 6 => {
+                        let got = s.flush_staged(now).map(|(at, d)| (at, d.collect::<Vec<_>>()));
+                        assert_eq!(got, r.flush_staged(now));
+                    }
+                    7 | 8 => {
+                        let listed = s.hashes();
+                        let hash = listed.get(id as usize % listed.len().max(1)).copied().unwrap_or(hash);
+                        let got = s.invalidate(hash).map(|(e, retry)| (e.header, retry));
+                        assert_eq!(got, r.invalidate(hash).map(|(e, retry)| (e.header, retry)));
+                    }
+                    9 => assert_eq!(s.confirm(hash), r.confirm(hash)),
+                    10 | 11 => {
+                        let retry = record(&mut engine, arg as u32);
+                        assert_eq!(s.set_retry(hash, retry), r.set_retry(hash, retry));
+                    }
+                    12 => {
+                        let got = s.lookup_for_retrans(hash).map(fields);
+                        assert_eq!(got, r.lookup_for_retrans(hash).map(fields));
+                    }
+                    13 => assert_eq!(s.crash(now), r.crash(now)),
+                    14 if arg % 4 == 0 => assert_eq!(s.purge(), r.purge()),
+                    _ => now += Dur::nanos(arg),
+                }
+                agree(&s, &r, hashes, now);
+            }
+        }
     }
 }

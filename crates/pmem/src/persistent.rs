@@ -312,12 +312,10 @@ impl PersistentKv {
             off += vlen;
             index.insert(key, value);
         }
-        // Replay WAL.
-        let (wal, records) = Wal::recover(&mut arena, wal_region, wal_cap, generation);
+        // Replay WAL, each op decoded straight from the arena's bytes.
         let mut applied = 0;
-        for r in &records {
-            let op = KvOp::decode(r).expect("WAL record passed CRC but failed to parse");
-            match op {
+        let wal = Wal::recover(&mut arena, wal_region, wal_cap, generation, |r| {
+            match KvOp::decode(r).expect("WAL record passed CRC but failed to parse") {
                 KvOp::Put { key, value } => {
                     index.insert(key, value);
                 }
@@ -326,7 +324,7 @@ impl PersistentKv {
                 }
             }
             applied += 1;
-        }
+        });
         PersistentKv {
             arena,
             wal,

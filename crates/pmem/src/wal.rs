@@ -118,16 +118,17 @@ impl Wal {
         true
     }
 
-    /// Scans the region and returns every intact record of `epoch` in
-    /// append order. Used after a crash; also rebuilds the in-memory tail.
+    /// Scans the region and hands `visit` every intact record of `epoch`
+    /// in append order, as a borrow of the arena's bytes (nothing is
+    /// copied). Used after a crash; also rebuilds the in-memory tail.
     pub fn recover(
         arena: &mut PmArena,
         region: PmPtr,
         capacity: usize,
         epoch: u32,
-    ) -> (Wal, Vec<Vec<u8>>) {
+        mut visit: impl FnMut(&[u8]),
+    ) -> Wal {
         let seed = crc_seed(epoch);
-        let mut records = Vec::new();
         let mut off = 0usize;
         loop {
             if off + HEADER > capacity {
@@ -147,21 +148,20 @@ impl Wal {
                 b.copy_from_slice(arena.read(PmPtr(base.0 + 4), 4));
                 u32::from_le_bytes(b)
             };
-            let payload = arena.read(PmPtr(base.0 + 8), len).to_vec();
-            if crc32_finish(crc32_update(seed, &payload)) != crc_stored {
+            let payload = arena.read(PmPtr(base.0 + 8), len);
+            if crc32_finish(crc32_update(seed, payload)) != crc_stored {
                 break; // torn or pre-reset record: ignore it and everything after
             }
-            records.push(payload);
+            visit(payload);
             off += HEADER + len;
         }
-        let wal = Wal {
+        Wal {
             region,
             capacity,
             tail: off,
             seed,
             stats: WalStats::default(),
-        };
-        (wal, records)
+        }
     }
 
     /// Truncates the log (after a checkpoint made its contents redundant)
@@ -186,13 +186,25 @@ mod tests {
         (arena, wal)
     }
 
+    /// [`Wal::recover`], copying out every record.
+    fn recover(
+        arena: &mut PmArena,
+        region: PmPtr,
+        capacity: usize,
+        epoch: u32,
+    ) -> (Wal, Vec<Vec<u8>>) {
+        let mut records = Vec::new();
+        let wal = Wal::recover(arena, region, capacity, epoch, |r| records.push(r.to_vec()));
+        (wal, records)
+    }
+
     #[test]
     fn append_then_recover_round_trips() {
         let (mut arena, mut wal) = setup(4096);
         for i in 0..10u8 {
             assert!(wal.append(&mut arena, &[&[i; 10]]));
         }
-        let (recovered, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        let (recovered, records) = recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 10);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r, &vec![i as u8; 10]);
@@ -207,7 +219,7 @@ mod tests {
             wal.append(&mut arena, &[&[i; 20]]);
         }
         arena.crash_losing_all(); // appends are fenced: nothing to lose
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 5);
     }
 
@@ -221,7 +233,7 @@ mod tests {
         arena.write(PmPtr(base.0 + 4), &0xDEAD_BEEFu32.to_le_bytes());
         arena.write(PmPtr(base.0 + 8), b"torn");
         arena.write(base, &4u32.to_le_bytes());
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0], b"intact-record");
     }
@@ -236,7 +248,7 @@ mod tests {
                 wal.append(&mut arena, &[&[i as u8 + 1; 33]]);
             }
             arena.crash(&mut rng);
-            let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+            let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 0);
             // All appends were fenced, so all must be recovered intact, in
             // order.
             assert_eq!(records.len(), n);
@@ -252,7 +264,7 @@ mod tests {
         assert!(wal.append(&mut arena, &[&[1; 16]]));
         assert!(!wal.append(&mut arena, &[&[2; 64]]));
         // The rejected append must not corrupt the log.
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert_eq!(records.len(), 1);
     }
 
@@ -262,7 +274,7 @@ mod tests {
         wal.append(&mut arena, &[b"abc"]);
         wal.reset(&mut arena, 1);
         arena.crash_losing_all();
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 1);
+        let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 1);
         assert!(records.is_empty());
         assert_eq!(wal.stats().resets, 1);
     }
@@ -279,9 +291,9 @@ mod tests {
         // would leave it.
         let old = PmPtr(wal.region().0 + wal.used() as u64);
         arena.write(old, &6u32.to_le_bytes());
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 1);
+        let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 1);
         assert_eq!(records, [b"third"]);
-        let (_, records) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        let (_, records) = recover(&mut arena, wal.region(), wal.capacity(), 0);
         assert!(records.is_empty(), "the live record is a hole to epoch 0");
     }
 
@@ -324,8 +336,7 @@ mod tests {
         let cap = by_parts.capacity();
         assert_eq!(by_parts.read(PmPtr(0), cap), joined.read(PmPtr(0), cap));
         by_parts.crash(&mut rng);
-        let (_, recovered) =
-            Wal::recover(&mut by_parts, wal_parts.region(), wal_parts.capacity(), 0);
+        let (_, recovered) = recover(&mut by_parts, wal_parts.region(), wal_parts.capacity(), 0);
         let want: Vec<Vec<u8>> = records.iter().map(|parts| parts.concat()).collect();
         assert_eq!(recovered, want);
     }

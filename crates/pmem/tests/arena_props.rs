@@ -356,7 +356,8 @@ proptest! {
         }
         let mut rng = SimRng::seed(seed);
         arena.crash(&mut rng);
-        let (_, recovered) = Wal::recover(&mut arena, wal.region(), wal.capacity(), 0);
+        let mut recovered = Vec::new();
+        Wal::recover(&mut arena, wal.region(), wal.capacity(), 0, |r| recovered.push(r.to_vec()));
         prop_assert_eq!(recovered, records);
     }
 }

@@ -23,10 +23,10 @@
 //!
 //! - `LogStore::hashes` and `LogStore::recovery_manifest` sort (a
 //!   promoted primary releases its withheld acks in `hashes` order);
-//! - `LogStore::crash` retains by a per-entry predicate and rebuilds the
+//! - `LogStore::crash` frees by a per-entry predicate and rebuilds the
 //!   per-session ledger by counting, both order-free;
-//! - the device's scan of `entry_retries` for an entry still owing a
-//!   server's recovery barrier is an `any(..)`: a yes/no question.
+//! - `LogStore::any_retry`, the device's scan for an entry still owing a
+//!   server's recovery barrier, is an `any(..)`: a yes/no question.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
