@@ -43,7 +43,7 @@ impl PeerLogger {
     /// Panics if `logger_id` is below the peer-logger range.
     pub fn new(addr: Addr, logger_id: u8, profile: HostProfile) -> PeerLogger {
         assert!(
-            logger_id >= crate::client::PEER_LOGGER_ID_BASE,
+            logger_id >= crate::system::addrs::PEER_LOGGER_ID_BASE,
             "peer logger ids start at 200"
         );
         PeerLogger {
@@ -53,6 +53,11 @@ impl PeerLogger {
             pm: PmDevice::new(PmDeviceConfig::fpga_board()),
             logged: 0,
         }
+    }
+
+    /// The id this logger's acks carry.
+    pub fn id(&self) -> u8 {
+        self.logger_id
     }
 
     /// Updates logged so far.

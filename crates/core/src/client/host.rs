@@ -11,12 +11,11 @@ use pmnet_sim::{Dur, Time};
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::{AckKind, OpCompletion, OpEvent, OpKind};
 
-use super::session::{
-    AppRequest, ClientMode, Completion, Oversize, Request, RequestKind, Which, PEER_LOGGER_ID_BASE,
-};
+use super::session::{AppRequest, ClientMode, Completion, Oversize, Request, RequestKind, Which};
 use super::{Arena, TIMER_LOCAL_LOG, TIMER_RTO};
 use crate::batch::{self, BatchFrames};
 use crate::protocol::{PacketType, PmnetHeader, SERVICE_PORT};
+use crate::system::addrs::PEER_LOGGER_ID_BASE;
 
 /// Sentinel ingress port marking a packet that has finished traversing the
 /// receive stack.
@@ -184,7 +183,7 @@ impl Arena {
         // copies out to each peer logger concurrently with the main send
         // (Figure 17a). A single fragment the server asked for again goes
         // to the server only.
-        let peers: &[Addr] = match session.mode() {
+        let peers: &[(Addr, u8)] = match session.mode() {
             ClientMode::ClientSideLog { peers, .. }
                 if open.app.kind == RequestKind::Update && !matches!(which, Which::One(_)) =>
             {
@@ -212,13 +211,13 @@ impl Arena {
                     wire_at: ctx.now() + cumulative,
                 },
             );
-            for (i, peer) in peers.iter().enumerate() {
-                if which != Which::All && frag.acked_by(PEER_LOGGER_ID_BASE + i as u8) {
+            for &(peer, id) in peers {
+                if which != Which::All && frag.acked_by(id) {
                     continue;
                 }
                 let copy_delay = self.tx_delay(ctx, frag.payload.len() as u32);
                 let mut copy = self.make_packet(frag.header, frag.payload);
-                copy.dst = *peer;
+                copy.dst = peer;
                 ctx.send_after(copy_delay, PortNo(0), copy);
             }
         }

@@ -34,7 +34,6 @@ use crate::config::{HostProfile, RetryConfig};
 use crate::protocol::{client_port, PacketType, PmnetHeader};
 use crate::system::addrs::{self, SERVER};
 
-pub(crate) use session::PEER_LOGGER_ID_BASE;
 use session::{Absorbed, Completion, Expiry, Request, Session, Which};
 pub use session::{AppRequest, ClientMode, RequestKind};
 

@@ -21,10 +21,7 @@ use pmnet_telemetry::span::Evidence;
 use crate::config::{RetryConfig, MTU_BYTES};
 use crate::protocol::{PacketType, PmnetHeader, HEADER_LEN};
 use crate::rto::RtoEstimator;
-
-/// Device ids at or above this value are client-side peer loggers, not
-/// in-network PMNet devices.
-pub(crate) const PEER_LOGGER_ID_BASE: u8 = 200;
+use crate::system::addrs::PEER_LOGGER_ID_BASE;
 
 /// The most request payload one packet carries: the MTU less the
 /// Ethernet/IP/UDP framing and the PMNet header (Section IV-A3).
@@ -64,8 +61,9 @@ pub enum ClientMode {
     /// Client-side logging (Figure 17a): a dedicated local logger process,
     /// optionally replicated to peer loggers on other client machines.
     ClientSideLog {
-        /// Peer logger addresses (empty = no replication).
-        peers: Vec<Addr>,
+        /// Peer loggers, each address with the ack id it answers with
+        /// (empty = no replication).
+        peers: Vec<(Addr, u8)>,
         /// Local IPC + PM persist latency (one-way IPC, write, IPC back).
         local_persist: Dur,
     },

@@ -61,6 +61,8 @@ pub mod protocol;
 pub mod rto;
 pub mod server;
 pub mod system;
+#[cfg(test)]
+mod topology;
 
 pub use batch::{BatchBuilder, BatchFrames};
 pub use cache::{CacheState, ReadCache};

@@ -410,6 +410,11 @@ impl ServerLib {
         self
     }
 
+    /// The id this server's early acks carry, if it logs server-side.
+    pub fn logger_id(&self) -> Option<u8> {
+        self.early_log.as_ref().map(|el| el.logger_id)
+    }
+
     /// Enables baseline user-level replication: updates commit on this
     /// primary only after every listed replica acknowledges its copy.
     pub fn with_replication(mut self, replicas: Vec<Addr>) -> ServerLib {

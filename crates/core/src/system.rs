@@ -25,8 +25,7 @@
 //! ```
 
 use bytes::{BufMut, BytesMut};
-use pmnet_net::topology::{validate_shards, ShardSpec};
-use pmnet_net::{Addr, AnyNode, PortNo, Switch, World};
+use pmnet_net::{Addr, AnyNode, Node as _, PortNo, Switch, World};
 use pmnet_sim::stats::{CounterSet, LatencyHistogram};
 use pmnet_sim::{Dur, NodeId, SimRng, Time};
 use pmnet_telemetry::registry::Registry;
@@ -89,9 +88,19 @@ pub enum DesignPoint {
     },
 }
 
-/// Addresses used by the standard topologies.
+/// The address plan: every node's [`Addr`], and every acknowledging
+/// node's ack id, by kind and design-local index, with how many of each
+/// kind it numbers. A client counts distinct ack ids (paper Section
+/// IV-C) and tells a PMNet device (or server-side logger) from a peer
+/// logger by which side of [`PEER_LOGGER_ID_BASE`](addrs::PEER_LOGGER_ID_BASE)
+/// its id falls on, so the ids are protocol state. Within its kind's
+/// capacity an index collides with no other address or id of its design;
+/// [`SystemBuilder::build`] checks a design against the capacities before
+/// it builds a node.
 pub mod addrs {
     use pmnet_net::Addr;
+
+    use super::DesignPoint;
 
     /// The server.
     pub const SERVER: Addr = Addr(1000);
@@ -99,21 +108,83 @@ pub mod addrs {
     pub const CLIENT_BASE: u32 = 1;
     /// First PMNet device; device `i` is `DEVICE_BASE + i`.
     pub const DEVICE_BASE: u32 = 2000;
-    /// First replica server.
-    pub const REPLICA_BASE: u32 = 3000;
-    /// First peer logger.
-    pub const PEER_BASE: u32 = 4000;
-    /// First shard backup device; shard `i`'s backup is
-    /// `SHARD_BACKUP_BASE + i` (its primary is `DEVICE_BASE + i`).
-    pub const SHARD_BACKUP_BASE: u32 = 2100;
+    const SHARD_BACKUP_BASE: u32 = 2100;
+    const REPLICA_BASE: u32 = 3000;
+    const PEER_BASE: u32 = 4000;
     /// The client-side fabric switch (sharded designs).
     pub const MERGE_SWITCH: Addr = Addr(5000);
     /// The server-side fabric switch (sharded designs).
     pub const TOR_SWITCH: Addr = Addr(5001);
 
+    /// Ack ids at or above this are client-side peer loggers; below it,
+    /// PMNet devices and server-side loggers.
+    pub const PEER_LOGGER_ID_BASE: u8 = 200;
+
+    /// Clients: client 999 would be [`SERVER`]. (The merge switch's `u8`
+    /// port numbers stop any design at 255 clients first.)
+    pub const CLIENTS: usize = 999;
+    /// Chained devices: their ids `1..=199` stay below the peer loggers'.
+    pub const DEVICES: usize = 199;
+    /// Shards: the backups' ids `101..=199` stay below the peer loggers'.
+    pub const SHARDS: usize = 99;
+    /// Server-side loggers, the primary server included: ids `100..=199`.
+    pub const LOGGERS: usize = 100;
+    /// Peer loggers: ids `200..=255`. Replica servers need no capacity:
+    /// a `u8` count of them ends at address 3254.
+    pub const PEER_LOGGERS: usize = 56;
+
     /// The address of client `i`.
     pub fn client(i: usize) -> Addr {
         Addr(CLIENT_BASE + i as u32)
+    }
+
+    /// Device `i` of a chain, or shard `i`'s primary: address and ack id.
+    pub fn device(i: usize) -> (Addr, u8) {
+        (Addr(DEVICE_BASE + i as u32), 1 + i as u8)
+    }
+
+    /// Shard `i`'s backup device: address and ack id.
+    pub fn shard_backup(i: usize) -> (Addr, u8) {
+        (Addr(SHARD_BACKUP_BASE + i as u32), 101 + i as u8)
+    }
+
+    /// Replica server `i`, counting the primary (at [`SERVER`]) as 0.
+    pub fn replica(i: usize) -> Addr {
+        Addr(REPLICA_BASE + i as u32)
+    }
+
+    /// The ack id of server-side logger `i`: the server for 0, replica
+    /// server `i` after it.
+    pub fn logger_id(i: usize) -> u8 {
+        100 + i as u8
+    }
+
+    /// Peer logger `i`: address and ack id.
+    pub fn peer_logger(i: usize) -> (Addr, u8) {
+        (Addr(PEER_BASE + i as u32), PEER_LOGGER_ID_BASE + i as u8)
+    }
+
+    /// Panics unless `clients` clients and `design`'s nodes fit the plan.
+    pub(super) fn check(design: DesignPoint, clients: usize) {
+        let (count, kind, capacity) = match design {
+            DesignPoint::PmnetReplicated { devices } => (devices, "chained devices", DEVICES),
+            DesignPoint::PmnetSharded { shards } => (shards, "shards", SHARDS),
+            DesignPoint::ServerSideLog { replicas } => (replicas, "server-side loggers", LOGGERS),
+            DesignPoint::ClientSideLog { replicas } => {
+                (replicas.saturating_sub(1), "peer loggers", PEER_LOGGERS)
+            }
+            // One device, or replica servers without ids: a `u8` fits.
+            _ => (0, "other nodes", 0),
+        };
+        for (count, kind, capacity) in [
+            (clients, "clients", CLIENTS),
+            (usize::from(count), kind, capacity),
+        ] {
+            assert!(
+                count <= capacity,
+                "the address plan numbers at most {capacity} {kind}, not {count}"
+            );
+        }
     }
 }
 
@@ -190,6 +261,12 @@ fn server_from(cfg: &SystemConfig, addr: Addr, handler: Box<dyn RequestHandler>)
         handler,
     )
     .with_apply(cfg.apply)
+}
+
+/// Where server-side logger `i` of `replicas` forwards: replication is a
+/// chain (Figure 17b), the primary (0) to replica 1, 1 to 2, and so on.
+fn log_chain_next(replicas: u8, i: usize) -> Vec<Addr> {
+    Vec::from_iter((i + 1 < usize::from(replicas)).then(|| addrs::replica(i + 1)))
 }
 
 /// The one place a device is made from the configuration.
@@ -279,15 +356,12 @@ impl SystemBuilder {
             DesignPoint::ServerSideLog { replicas } => ClientMode::Pmnet {
                 needed_acks: replicas,
             },
-            DesignPoint::ClientSideLog { replicas } => {
-                let peers = (0..replicas.saturating_sub(1))
-                    .map(|i| Addr(addrs::PEER_BASE + u32::from(i)))
-                    .collect();
-                ClientMode::ClientSideLog {
-                    peers,
-                    local_persist: LOCAL_LOG_PERSIST,
-                }
-            }
+            DesignPoint::ClientSideLog { replicas } => ClientMode::ClientSideLog {
+                peers: (0..usize::from(replicas.saturating_sub(1)))
+                    .map(addrs::peer_logger)
+                    .collect(),
+                local_persist: LOCAL_LOG_PERSIST,
+            },
         }
     }
 
@@ -297,40 +371,38 @@ impl SystemBuilder {
     ///
     /// Panics when [`SystemConfig::validate`] rejects the configuration —
     /// a nonsensical retry/recovery knob would wedge or spin the run,
-    /// which is much harder to diagnose than failing here.
+    /// which is much harder to diagnose than failing here — and when the
+    /// clients or the design's nodes outnumber what [`addrs`] numbers.
     pub fn build(mut self, seed: u64) -> BuiltSystem {
         let client_count = self.clients.len();
         assert!(client_count > 0, "need at least one client");
+        addrs::check(self.design, client_count);
         if let Err(e) = self.config.validate() {
             panic!("invalid SystemConfig: {e}");
         }
-        let shard_chains: Vec<ShardChain> = match self.design {
-            DesignPoint::PmnetSharded { shards } => {
-                assert!(shards >= 1, "a sharded fabric needs at least one shard");
-                (0..u32::from(shards))
-                    .map(|i| ShardChain {
-                        primary: Addr(addrs::DEVICE_BASE + i),
-                        backup: Some(Addr(addrs::SHARD_BACKUP_BASE + i)),
-                    })
-                    .collect()
+        // Every device's address and ack id, in the order the server
+        // lists them: a sharded fabric's is shard order, primary before
+        // backup — `FabricMap::live_members` on the fresh fabric.
+        let device_plan: Vec<(Addr, u8)> = match self.design {
+            DesignPoint::PmnetSwitch | DesignPoint::PmnetNic => vec![addrs::device(0)],
+            DesignPoint::PmnetReplicated { devices } => {
+                (0..usize::from(devices)).map(addrs::device).collect()
             }
+            DesignPoint::PmnetSharded { shards } => (0..usize::from(shards))
+                .flat_map(|i| [addrs::device(i), addrs::shard_backup(i)])
+                .collect(),
             _ => Vec::new(),
         };
-        if !shard_chains.is_empty() {
-            let specs: Vec<ShardSpec> = shard_chains
-                .iter()
-                .map(|c| {
-                    let mut devs = vec![c.primary];
-                    devs.extend(c.backup);
-                    ShardSpec::chain(devs)
+        let shard_chains: Vec<ShardChain> = match self.design {
+            DesignPoint::PmnetSharded { .. } => device_plan
+                .chunks(2)
+                .map(|pair| ShardChain {
+                    primary: pair[0].0,
+                    backup: Some(pair[1].0),
                 })
-                .collect();
-            let mut reserved = vec![addrs::SERVER, addrs::MERGE_SWITCH, addrs::TOR_SWITCH];
-            reserved.extend((0..client_count).map(addrs::client));
-            if let Err(e) = validate_shards(&specs, &reserved) {
-                panic!("invalid shard topology: {e}");
-            }
-        }
+                .collect(),
+            _ => Vec::new(),
+        };
         let cfg = self.config;
         let mode = self.client_mode();
         let mut world = World::new(seed);
@@ -360,44 +432,20 @@ impl SystemBuilder {
             Clients::Nodes(n, mut node) => clients.extend((0..n).map(|i| world.add_node(node(i)))),
         }
 
-        // Devices along the client->server path.
-        let device_count = match self.design {
-            DesignPoint::PmnetSwitch | DesignPoint::PmnetNic => 1,
-            DesignPoint::PmnetReplicated { devices } => usize::from(devices),
-            DesignPoint::PmnetSharded { shards } => 2 * usize::from(shards),
-            _ => 0,
-        };
-        let device_addrs: Vec<Addr> = if shard_chains.is_empty() {
-            (0..device_count)
-                .map(|i| Addr(addrs::DEVICE_BASE + i as u32))
-                .collect()
-        } else {
-            // Shard order, primary before backup — matches
-            // `FabricMap::live_members` on the fresh fabric.
-            shard_chains
-                .iter()
-                .flat_map(|c| [c.primary].into_iter().chain(c.backup))
-                .collect()
-        };
-
         // Server(s).
-        let replica = |i: u8| Addr(addrs::REPLICA_BASE + u32::from(i));
         let mut replicas = Vec::new();
         let server = {
             let mut s = server_from(&cfg, addrs::SERVER, (self.handler_factory)())
-                .with_devices(device_addrs.clone())
+                .with_devices(device_plan.iter().map(|&(addr, _)| addr).collect())
                 .with_recovery_poll_timeout(cfg.recovery_poll_timeout)
                 .with_gap_skip_rounds(cfg.gap_skip_rounds)
                 .with_batch(cfg.batch);
             match self.design {
                 DesignPoint::ClientServerReplicated { replicas: r } => {
-                    s = s.with_replication((1..r).map(replica).collect());
+                    s = s.with_replication((1..usize::from(r)).map(addrs::replica).collect());
                 }
                 DesignPoint::ServerSideLog { replicas: r } => {
-                    // Replication is a chain (Figure 17b): the primary
-                    // forwards to replica #1, which forwards to #2, ...
-                    let first = if r > 1 { vec![replica(1)] } else { Vec::new() };
-                    s = s.with_early_log(100, first);
+                    s = s.with_early_log(addrs::logger_id(0), log_chain_next(r, 0));
                 }
                 DesignPoint::PmnetSharded { .. } => {
                     s = s.with_fabric(
@@ -444,8 +492,8 @@ impl SystemBuilder {
         match self.design {
             DesignPoint::PmnetSwitch | DesignPoint::PmnetReplicated { .. } => {
                 let mut prev = merge;
-                for (i, addr) in device_addrs.iter().enumerate() {
-                    let dev = device_from(&cfg, format!("pmnet{i}"), 1 + i as u8, *addr);
+                for (i, &(addr, id)) in device_plan.iter().enumerate() {
+                    let dev = device_from(&cfg, format!("pmnet{i}"), id, addr);
                     let dev = world.add_node(Box::new(dev));
                     world.connect(prev, dev, cfg.link);
                     devices.push(dev);
@@ -458,7 +506,8 @@ impl SystemBuilder {
             DesignPoint::PmnetNic => {
                 let tor = world.add_node(Box::new(Switch::new("tor")));
                 world.connect(merge, tor, cfg.link);
-                let dev = device_from(&cfg, "pmnet-nic".into(), 1, device_addrs[0]);
+                let (addr, id) = device_plan[0];
+                let dev = device_from(&cfg, "pmnet-nic".into(), id, addr);
                 let dev = world.add_node(Box::new(dev));
                 world.connect(tor, dev, cfg.link);
                 world.connect(dev, server, cfg.link);
@@ -480,12 +529,11 @@ impl SystemBuilder {
                 // Direct merge—tor backbone: control packets and unsteered
                 // traffic never depend on any one chain being alive.
                 world.connect(merge, tor, cfg.link);
-                for (i, chain) in shard_chains.iter().enumerate() {
-                    let p_addr = chain.primary;
-                    let b_addr = chain.backup.expect("sharded chains are replicated");
-                    let p = device_from(&cfg, format!("pmnet-p{i}"), 1 + i as u8, p_addr);
+                for (i, pair) in device_plan.chunks(2).enumerate() {
+                    let [(p_addr, p_id), (b_addr, b_id)] = [pair[0], pair[1]];
+                    let p = device_from(&cfg, format!("pmnet-p{i}"), p_id, p_addr);
                     let p = world.add_node(Box::new(p));
-                    let b = device_from(&cfg, format!("pmnet-b{i}"), 101 + i as u8, b_addr);
+                    let b = device_from(&cfg, format!("pmnet-b{i}"), b_id, b_addr);
                     let b = world.add_node(Box::new(b));
                     // Five links per shard: the chain itself, both members'
                     // ingress from the merge (the backup's is the promote
@@ -536,31 +584,28 @@ impl SystemBuilder {
                 world.connect(tor, server, cfg.link);
                 path.extend([tor, server]);
                 // Attach replicas / peer loggers.
-                match self.design {
-                    DesignPoint::ClientServerReplicated { replicas: r }
-                    | DesignPoint::ServerSideLog { replicas: r } => {
+                match (self.design, &mode) {
+                    (
+                        DesignPoint::ClientServerReplicated { replicas: r }
+                        | DesignPoint::ServerSideLog { replicas: r },
+                        _,
+                    ) => {
+                        let r = usize::from(r);
                         for i in 1..r {
-                            let mut rep = server_from(&cfg, replica(i), (self.handler_factory)());
-                            if let DesignPoint::ServerSideLog { .. } = self.design {
-                                let next = if i + 1 < r {
-                                    vec![replica(i + 1)]
-                                } else {
-                                    Vec::new()
-                                };
-                                rep = rep.with_early_log(100 + i, next);
+                            let handler = (self.handler_factory)();
+                            let mut rep = server_from(&cfg, addrs::replica(i), handler);
+                            if let DesignPoint::ServerSideLog { replicas } = self.design {
+                                let next = log_chain_next(replicas, i);
+                                rep = rep.with_early_log(addrs::logger_id(i), next);
                             }
                             let id = world.add_node(Box::new(rep.as_silent_replica()));
                             world.connect(tor, id, cfg.link);
                             replicas.push(id);
                         }
                     }
-                    DesignPoint::ClientSideLog { replicas: r } => {
-                        for i in 0..r.saturating_sub(1) {
-                            let logger = PeerLogger::new(
-                                Addr(addrs::PEER_BASE + u32::from(i)),
-                                crate::client::PEER_LOGGER_ID_BASE + i,
-                                cfg.client,
-                            );
+                    (_, ClientMode::ClientSideLog { peers, .. }) => {
+                        for &(addr, logger_id) in peers {
+                            let logger = PeerLogger::new(addr, logger_id, cfg.client);
                             let id = world.add_node(Box::new(logger));
                             world.connect(merge, id, cfg.link);
                             replicas.push(id);
@@ -573,7 +618,7 @@ impl SystemBuilder {
 
         world.populate_switch_routes();
         for (node, dst, port) in route_overrides {
-            self::install_device_route(&mut world, node, dst, port);
+            world.node_mut::<PmnetDevice>(node).install_route(dst, port);
         }
         BuiltSystem {
             world,
@@ -586,13 +631,6 @@ impl SystemBuilder {
             start_nodes,
         }
     }
-}
-
-/// Overrides one forwarding entry on an already-wired PMNet device (used
-/// for the chain-routing overrides the BFS tables cannot express).
-fn install_device_route(world: &mut World, node: NodeId, dst: Addr, port: PortNo) {
-    use pmnet_net::Node as _;
-    world.node_mut::<PmnetDevice>(node).install_route(dst, port);
 }
 
 /// Aggregated results of one run.

@@ -44,7 +44,7 @@ fn mode(pick: u8) -> ClientMode {
         1 => ClientMode::Pmnet { needed_acks: 1 },
         2 => ClientMode::Pmnet { needed_acks: 2 },
         _ => ClientMode::ClientSideLog {
-            peers: vec![Addr(50)],
+            peers: vec![(Addr(50), PEER)],
             local_persist: Dur::micros(2),
         },
     }

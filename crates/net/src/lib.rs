@@ -45,8 +45,6 @@ mod runtime;
 mod stack;
 mod switch;
 
-pub mod topology;
-
 pub use addr::Addr;
 /// The payload type of [`Packet::payload`], named here so crates above
 /// this one need no direct `bytes` dependency to hold one.

@@ -85,7 +85,6 @@ struct Inner {
     history: Option<Vec<Event>>,
     spans: SpanCollector,
     flight: FlightRecorder,
-    registry: Registry,
     /// Per-kind end-to-end latency, indexed by [`OpKind`] — recorded on
     /// the completion hot path without string lookups, folded into the
     /// registry snapshot under `op.{kind}.latency`.
@@ -137,7 +136,6 @@ impl Telemetry {
                 history,
                 spans: SpanCollector::new(),
                 flight: FlightRecorder::new(flight_capacity),
-                registry: Registry::new(),
                 op_hists: std::array::from_fn(|_| LatencyHistogram::new()),
                 phase_hists: std::array::from_fn(|_| LatencyHistogram::new()),
             }))),
@@ -262,15 +260,15 @@ impl Telemetry {
         }
     }
 
-    /// A snapshot of the registry (phase/latency histograms and any
-    /// counters folded in).
+    /// A new registry holding the per-kind latency and per-phase
+    /// histograms recorded so far.
     pub fn registry(&self) -> Registry {
         match &self.inner {
             Some(inner) => {
                 let mut i = inner.borrow_mut();
                 i.sync_spans();
                 let i = &*i;
-                let mut reg = i.registry.clone();
+                let mut reg = Registry::new();
                 for kind in [OpKind::Update, OpKind::Read] {
                     let h = &i.op_hists[kind as usize];
                     if !h.is_empty() {

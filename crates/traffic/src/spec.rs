@@ -1,8 +1,8 @@
 //! Traffic campaign specification and validation.
 //!
-//! Mirrors the `RetryConfig`/`validate_shards` convention: `validate()`
-//! returns the first violated bound as an error string, and the system
-//! builder panics on an invalid spec rather than wedging a run.
+//! Mirrors the `SystemConfig` convention: `validate()` returns the first
+//! violated bound as an error string, and the system builder panics on an
+//! invalid spec rather than wedging a run.
 
 use pmnet_core::config::MTU_BYTES;
 use pmnet_sim::Dur;

@@ -19,8 +19,10 @@
 # outputs stay in the printed directory. First it prints the size line,
 # `size PARENT -> CHANGE (DELTA) lines`: tracked `.rs` and `Cargo.toml`
 # lines outside `benchmark/` on each tree, counted as ROADMAP.md counts
-# them. It is informational and never changes the exit status. `--trace` is never passed: it
-# writes into the source tree the benchmark was built in.
+# them; then one `size CRATE ...` line per crate under `crates/` and one
+# for `root` (`src`, `tests` and `examples`). They are informational and
+# never change the exit status. `--trace` is never passed: it writes into
+# the source tree the benchmark was built in.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -64,14 +66,34 @@ run() { # SOURCE_TREE SIDE
 run "$dir/parent" parent
 run "$tree" change
 
-size() { # SOURCE_TREE FILE_LISTING...
+sizes() { # SOURCE_TREE FILE_LISTING...  ->  one "LINES PATH" row per counted file
     local root="$1"
     shift
-    "$@" | grep -E '(\.rs|Cargo\.toml)$' | grep -v '^benchmark/' | (cd "$root" && xargs cat) | wc -l
+    "$@" | grep -E '(\.rs|Cargo\.toml)$' | grep -v '^benchmark/' | (cd "$root" && xargs wc -l) |
+        grep -v ' total$'
 }
-parent_size=$(size "$dir/parent" git -C "$tree" ls-tree -r --name-only "$rev")
-change_size=$(size "$tree" git -C "$tree" ls-files)
-printf 'size %d -> %d (%+d) lines\n' "$parent_size" "$change_size" $((change_size - parent_size))
+sizes "$dir/parent" git -C "$tree" ls-tree -r --name-only "$rev" > "$dir/out/parent.size.txt"
+sizes "$tree" git -C "$tree" ls-files > "$dir/out/change.size.txt"
+python3 - "$dir/out" <<'EOF' || true
+import collections, sys
+
+def sizes(side):
+    n = collections.Counter()
+    for row in open(f"{sys.argv[1]}/{side}.size.txt"):
+        lines, path = row.split()
+        top, _, rest = path.partition("/")
+        n["total"] += int(lines)
+        if top == "crates":
+            n[rest.partition("/")[0]] += int(lines)
+        elif top in ("src", "tests", "examples"):
+            n["root"] += int(lines)
+    return n
+
+p, c = sizes("parent"), sizes("change")
+for g in ["total"] + sorted((p.keys() | c.keys()) - {"total"}):
+    label = "" if g == "total" else g + " "
+    print(f"size {label}{p[g]} -> {c[g]} ({c[g] - p[g]:+d}) lines")
+EOF
 
 status=0
 for ex in "${examples[@]}"; do

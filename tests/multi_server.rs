@@ -10,7 +10,7 @@ use pmnet::core::api::{update, ScriptSource};
 use pmnet::core::client::{ClientLib, ClientMode};
 use pmnet::core::server::ServerLib;
 use pmnet::core::{PmnetDevice, SystemConfig};
-use pmnet::net::{topology, Addr, World};
+use pmnet::net::{Addr, World};
 use pmnet::sim::{Dur, Time};
 use pmnet::workloads::KvHandler;
 
@@ -74,12 +74,9 @@ fn build(seed: u64) -> (World, [pmnet::sim::NodeId; 5]) {
         )
         .with_devices(vec![Addr(50)]),
     ));
-    topology::star(
-        &mut w,
-        device,
-        &[client_a, client_b, server_a, server_b],
-        cfg.link,
-    );
+    for leaf in [client_a, client_b, server_a, server_b] {
+        w.connect(leaf, device, cfg.link);
+    }
     w.populate_switch_routes();
     (w, [client_a, client_b, device, server_a, server_b])
 }
