@@ -10,7 +10,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use pmnet_core::system::DesignPoint;
+use pmnet_core::system::{addrs, DesignPoint};
 use pmnet_sim::kinds;
 use pmnet_sim::record::{self, Kinds, Reader, Writer};
 use pmnet_telemetry::flight::FlightDump;
@@ -148,6 +148,9 @@ impl FromStr for Artifact {
             flight: (!flight.is_empty()).then(|| flight.parse()).transpose()?,
         };
         r.finish().map_err(|e| format!("artifact: {e}"))?;
+        // Replay builds the standard scenario: refuse what it cannot build.
+        let clients = artifact.scenario().clients;
+        addrs::check(artifact.design, clients).map_err(|e| format!("artifact: {e}"))?;
         Ok(artifact)
     }
 }
@@ -181,6 +184,31 @@ mod tests {
         ] {
             let e = text.parse::<Artifact>().unwrap_err();
             assert!(e.contains(want), "{e}");
+        }
+    }
+
+    /// A design word the standard scenario cannot build is refused when
+    /// the text is read, not by a panic on replay.
+    #[test]
+    fn a_design_past_the_plan_is_refused_when_read() {
+        let counted = [
+            "pmnet-replicated",
+            "client-server-replicated",
+            "server-side-log",
+            "client-side-log",
+            "pmnet-sharded",
+        ];
+        let plain = ["pmnet-switch", "pmnet-nic", "client-server"].map(String::from);
+        let words = counted
+            .iter()
+            .flat_map(|w| (0..=255).map(move |n| format!("{w}:{n}")))
+            .chain(plain);
+        for word in words {
+            let design = DESIGN.get(&word).unwrap();
+            let clients = Scenario::standard(design, 1).clients;
+            let refused = addrs::check(design, clients).is_err();
+            let parsed = format!("seed=1 design={word}").parse::<Artifact>();
+            assert_eq!(parsed.is_err(), refused, "{word}: {parsed:?}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! metrics the evaluation figures report. This module is the only place
 //! a world is assembled ([`SystemBuilder::build`]) and the only place one
 //! is driven ([`drive`]); every other harness — the open-loop traffic
-//! engine, the chaos runner, the figure benches — builds through the one
+//! engine, the chaos runner, the figures table — builds through the one
 //! and steps through the other (DESIGN.md §21).
 //!
 //! Topologies (all links 10 Gbps unless overridden):
@@ -120,9 +120,13 @@ pub mod addrs {
     /// PMNet devices and server-side loggers.
     pub const PEER_LOGGER_ID_BASE: u8 = 200;
 
-    /// Clients: client 999 would be [`SERVER`]. (The merge switch's `u8`
-    /// port numbers stop any design at 255 clients first.)
+    /// Clients: client 999 would be [`SERVER`]. No design builds that
+    /// many: the merge switch's ports bind first ([`MERGE_LINKS`]).
     pub const CLIENTS: usize = 999;
+    /// Links on the merge switch, whose port numbers are a `u8`: one per
+    /// client, the uplink, two per shard and one per peer logger, so
+    /// 255 clients at most and fewer beside shards or peer loggers.
+    pub const MERGE_LINKS: usize = 256;
     /// Chained devices: their ids `1..=199` stay below the peer loggers'.
     pub const DEVICES: usize = 199;
     /// Shards: the backups' ids `101..=199` stay below the peer loggers'.
@@ -164,8 +168,9 @@ pub mod addrs {
         (Addr(PEER_BASE + i as u32), PEER_LOGGER_ID_BASE + i as u8)
     }
 
-    /// Panics unless `clients` clients and `design`'s nodes fit the plan.
-    pub(super) fn check(design: DesignPoint, clients: usize) {
+    /// Whether `clients` clients and `design`'s nodes fit the plan; the
+    /// error names the first capacity they exceed.
+    pub fn check(design: DesignPoint, clients: usize) -> Result<(), String> {
         let (count, kind, capacity) = match design {
             DesignPoint::PmnetReplicated { devices } => (devices, "chained devices", DEVICES),
             DesignPoint::PmnetSharded { shards } => (shards, "shards", SHARDS),
@@ -176,15 +181,23 @@ pub mod addrs {
             // One device, or replica servers without ids: a `u8` fits.
             _ => (0, "other nodes", 0),
         };
+        let beside_clients = match design {
+            DesignPoint::PmnetSharded { shards } => 1 + 2 * usize::from(shards),
+            DesignPoint::ClientSideLog { .. } => 1 + usize::from(count),
+            _ => 1,
+        };
         for (count, kind, capacity) in [
             (clients, "clients", CLIENTS),
             (usize::from(count), kind, capacity),
+            (clients + beside_clients, "merge-switch links", MERGE_LINKS),
         ] {
-            assert!(
-                count <= capacity,
-                "the address plan numbers at most {capacity} {kind}, not {count}"
-            );
+            if count > capacity {
+                return Err(format!(
+                    "the address plan numbers at most {capacity} {kind}, not {count}"
+                ));
+            }
         }
+        Ok(())
     }
 }
 
@@ -376,7 +389,9 @@ impl SystemBuilder {
     pub fn build(mut self, seed: u64) -> BuiltSystem {
         let client_count = self.clients.len();
         assert!(client_count > 0, "need at least one client");
-        addrs::check(self.design, client_count);
+        if let Err(e) = addrs::check(self.design, client_count) {
+            panic!("{e}");
+        }
         if let Err(e) = self.config.validate() {
             panic!("invalid SystemConfig: {e}");
         }
@@ -923,7 +938,7 @@ impl RequestSource for MicroSource {
 
 /// N identical microbenchmark clients against one server (the ideal
 /// handler unless [`builder`](Self::builder)'s caller sets another) —
-/// what the benches, the chaos scenarios and the stress test all run.
+/// what the figures table, the chaos scenarios and the stress test all run.
 #[derive(Debug)]
 pub struct UpdateExperiment {
     design: DesignPoint,
@@ -1007,6 +1022,31 @@ impl UpdateExperiment {
         let mut sys = self.builder().build(seed);
         sys.run_clients(self.deadline);
         sys.metrics()
+    }
+
+    /// A fixed-simulated-time saturation point (the Figure 16 stress
+    /// test): the clients send updates back to back for `window`, with
+    /// the fabric's heartbeats and watchdog unarmed. Returns the achieved
+    /// Gbps of request traffic and the mean and p99 update latency.
+    pub fn stress_point(self, window: Dur, seed: u64) -> (f64, Dur, Dur) {
+        let payload = self.payload;
+        let experiment = self.requests_per_client(usize::MAX >> 1).warmup(20);
+        let mut sys = experiment.builder().build(seed);
+        for &c in &sys.clients {
+            sys.world.start_node(c);
+        }
+        drive(&mut sys.world, Time::ZERO, Time::ZERO + window, |_| false);
+        let mut latency = sys.metrics().update_latency;
+        // Wire bytes per request: payload + opaque tag + 20 + UDP/IP. The
+        // PMNet header is `HEADER_LEN` = 24 B, so the Gbps figures, which
+        // the golden digests pin, undercount each request by 4 B.
+        let wire = (payload + 1 + 20 + 42) as f64;
+        let gbps = latency.len() as f64 * wire * 8.0 / window.as_secs_f64() / 1e9;
+        if latency.is_empty() {
+            return (gbps, Dur::ZERO, Dur::ZERO);
+        }
+        let p99 = latency.percentile(0.99);
+        (gbps, latency.mean(), p99)
     }
 }
 

@@ -66,9 +66,8 @@ mod tests {
     }
 
     /// Every design point at its capacity, with its nodes. The client
-    /// capacity itself cannot be built: a port number is a `u8`, so the
-    /// merge switch takes 255 clients beside its uplink and
-    /// `World::connect` refuses the next.
+    /// capacity itself cannot be built: the merge switch takes 255
+    /// clients beside its uplink ([`addrs::MERGE_LINKS`]).
     fn at_capacity() -> Vec<(DesignPoint, Vec<Placed>)> {
         use DesignPoint::*;
         let cap = |n: usize| u8::try_from(n).unwrap();
@@ -168,6 +167,18 @@ mod tests {
     #[should_panic(expected = "the address plan numbers at most 999 clients, not 1000")]
     fn a_thousandth_client_is_refused_before_it_takes_the_servers_address() {
         built(DesignPoint::ClientServer, 1000);
+    }
+
+    #[test]
+    fn the_merge_switch_takes_255_clients_beside_its_uplink() {
+        let sys = built(DesignPoint::ClientServer, 255);
+        assert_eq!(sys.clients.len(), 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "the address plan numbers at most 256 merge-switch links, not 257")]
+    fn a_256th_client_is_refused_before_the_merge_switch_runs_out_of_ports() {
+        built(DesignPoint::ClientServer, 256);
     }
 
     #[test]

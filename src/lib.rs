@@ -83,8 +83,14 @@
 //! artifact. The chaos harness runs it as an extra invariant on every
 //! plan (DESIGN.md §11).
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! harnesses regenerating every figure of the paper's evaluation.
+//! ## The paper's figures
+//!
+//! [`figures`] holds every reproduced cell of the paper's evaluation as
+//! one table: `examples/figures.rs` prints it at full scale as the
+//! EXPERIMENTS.md tables, and the tier-1 `tests/figures_ledger.rs` pins
+//! it at reduced scale. See `examples/` for runnable scenarios.
+
+pub mod figures;
 
 pub use pmnet_chaos as chaos;
 pub use pmnet_core as core;
@@ -95,3 +101,35 @@ pub use pmnet_sim as sim;
 pub use pmnet_telemetry as telemetry;
 pub use pmnet_traffic as traffic;
 pub use pmnet_workloads as workloads;
+
+/// The helpers the figures table runs its rows with.
+#[cfg(test)]
+mod tests {
+    use crate::core::system::{DesignPoint, UpdateExperiment};
+    use crate::core::SystemConfig;
+    use crate::figures::{geomean, micro};
+    use crate::sim::Dur;
+
+    #[test]
+    fn geomean_of_identical_values() {
+        assert!((geomean([2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn micro_runs_quickly() {
+        let m = micro(DesignPoint::PmnetSwitch, SystemConfig::default(), 50).run(1);
+        assert_eq!(m.completed, 45);
+    }
+
+    #[test]
+    fn stress_point_reports_bandwidth() {
+        let (gbps, mean, p99) =
+            UpdateExperiment::new(DesignPoint::PmnetSwitch, SystemConfig::default())
+                .clients(4)
+                .payload_bytes(1000)
+                .stress_point(Dur::millis(5), 2);
+        assert!(gbps > 0.1, "{gbps}");
+        assert!(mean > Dur::micros(5));
+        assert!(p99 >= mean);
+    }
+}

@@ -8,7 +8,7 @@
 //! the constants — the diff then documents that behaviour moved.
 
 use pmnet::chaos::{run_campaign, CampaignConfig};
-use pmnet::core::system::DesignPoint;
+use pmnet::core::system::{DesignPoint, UpdateExperiment};
 use pmnet::core::{DeviceConfig, SystemConfig};
 use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
 use pmnet::sim::{Dur, Time};
@@ -68,8 +68,10 @@ fn fig16_stress_digest_is_pinned() {
     let cfg = SystemConfig::default();
     for design in [DesignPoint::PmnetSwitch, DesignPoint::PmnetNic] {
         for payload in [256usize, 1024] {
-            let (gbps, mean, p99) =
-                pmnet_bench::stress_point(design, cfg, 4, payload, Dur::millis(2), 3);
+            let experiment = UpdateExperiment::new(design, cfg).clients(4);
+            let (gbps, mean, p99) = experiment
+                .payload_bytes(payload)
+                .stress_point(Dur::millis(2), 3);
             // Bit-exact float encoding: any drift in the data path shows.
             rows.push_str(&format!(
                 "{design:?} payload={payload} gbps_bits={:016x} mean_ns={} p99_ns={}\n",

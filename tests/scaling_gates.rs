@@ -16,7 +16,7 @@ use pmnet::core::client::{AppRequest, RequestKind, RequestSource};
 use pmnet::core::config::{ApplyConfig, SystemConfig};
 use pmnet::core::kvproto::KvFrame;
 use pmnet::core::server::ServerLib;
-use pmnet::core::system::{DesignPoint, SystemBuilder};
+use pmnet::core::system::{DesignPoint, SystemBuilder, UpdateExperiment};
 use pmnet::sim::{Dur, SimRng, Time};
 use pmnet::workloads::KvHandler;
 
@@ -30,7 +30,13 @@ fn fabric_saturation(shards: u8) -> f64 {
     let cfg = SystemConfig::default();
     [32usize, 40, 48, 56, 64]
         .into_iter()
-        .map(|clients| pmnet_bench::stress_point(design, cfg, clients, 1024, Dur::millis(2), 3).0)
+        .map(|clients| {
+            let experiment = UpdateExperiment::new(design, cfg).clients(clients);
+            experiment
+                .payload_bytes(1024)
+                .stress_point(Dur::millis(2), 3)
+                .0
+        })
         .fold(0.0, f64::max)
 }
 
