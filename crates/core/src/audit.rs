@@ -4,10 +4,10 @@
 //! Jaaru) and suggests adapting them to in-network persistence to "validate
 //! not only the ordering in one application but also the persist ordering
 //! among clients and servers". This module is that idea for the simulated
-//! system: the server keeps an append-only audit log of every update it
-//! applies (surviving simulated crashes — the auditor is outside the
-//! persistence domain, like a bus analyzer), and [`verify`] checks the
-//! system-wide invariants:
+//! system: the server hands every update it applies to an [`AuditLog`]
+//! (which survives simulated crashes — the auditor is outside the
+//! persistence domain, like a bus analyzer), and the log and [`verify`]
+//! check the system-wide invariants:
 //!
 //! 1. **Per-session order** — within one server epoch, a session's applied
 //!    sequence numbers are strictly increasing (the PMNet library's
@@ -20,11 +20,21 @@
 //!    replay may legitimately re-apply only work whose durable sequence
 //!    record was lost — which the durable WAL discipline makes impossible,
 //!    so re-applies across epochs are also flagged.
+//!
+//! The log checks as it records: invariants 1 and 3 are decided in
+//! [`AuditLog::record`] against per-session state, and only invariant 2
+//! waits for [`verify`], which needs the clients' acknowledged lists. What
+//! it holds is one record per `(client, session)` (the current epoch's last
+//! sequence number, one more pair per epoch the session left, and the
+//! bitmap word of the 64 sequence numbers it applied in last) and one
+//! 64-bit word per other 64 sequence numbers of a session it applied in:
+//! about half a byte per applied update, not the update itself.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use pmnet_net::Addr;
+use pmnet_sim::hash::FixedMap;
 
 /// One applied update, as observed at the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,10 +51,50 @@ pub struct AuditEntry {
     pub epoch: u64,
 }
 
-/// The server's append-only application record.
-#[derive(Debug, Default)]
+/// A session's record: the last sequence number it applied in the epoch
+/// it applied in last, the same pair for every epoch it left, and the
+/// bitmap word it applied in last.
+#[derive(Debug)]
+struct SessionRecord {
+    epoch: u64,
+    last: u32,
+    /// Never holds `epoch`; allocates only when the session changes epoch.
+    earlier: Vec<(u64, u32)>,
+    /// Word `word` of the session's bitmap lives here, not in
+    /// [`AuditLog::applied`], so a run of nearby seqs touches one table.
+    word: u32,
+    bits: u64,
+}
+
+impl SessionRecord {
+    /// Records `seq` as applied in `epoch`; returns the sequence number
+    /// applied last in `epoch` before it, if any.
+    fn advance(&mut self, epoch: u64, seq: u32) -> Option<u32> {
+        let prev = if epoch == self.epoch {
+            Some(self.last)
+        } else {
+            self.earlier.push((self.epoch, self.last));
+            self.epoch = epoch;
+            let i = self.earlier.iter().position(|&(e, _)| e == epoch);
+            i.map(|i| self.earlier.swap_remove(i).1)
+        };
+        self.last = seq;
+        prev
+    }
+}
+
+/// The server's application record, checked as it is written.
+#[derive(Default)]
 pub struct AuditLog {
-    entries: Vec<AuditEntry>,
+    sessions: FixedMap<(Addr, u16), SessionRecord>,
+    /// Bit `seq % 64` of word `(client, session, seq / 64)` is set once
+    /// `seq` was applied, in any epoch; each session's current word is in
+    /// its [`SessionRecord`] instead.
+    applied: FixedMap<(Addr, u16, u32), u64>,
+    len: usize,
+    redo: usize,
+    /// Order and duplicate violations, in the order they were recorded.
+    violations: Vec<AuditViolation>,
 }
 
 impl AuditLog {
@@ -53,24 +103,92 @@ impl AuditLog {
         AuditLog::default()
     }
 
-    /// Appends one applied update.
+    /// Records one applied update, checking per-session order within its
+    /// epoch and that its sequence number was not applied before.
     pub fn record(&mut self, entry: AuditEntry) {
-        self.entries.push(entry);
+        let AuditEntry {
+            client,
+            session,
+            seq,
+            redo,
+            epoch,
+        } = entry;
+        self.len += 1;
+        self.redo += usize::from(redo);
+        let (word, bit) = (seq / 64, 1 << (seq % 64));
+        let (order, prev) = match self.sessions.entry((client, session)) {
+            Entry::Occupied(o) => {
+                let order = o.into_mut();
+                let prev = order.advance(epoch, seq);
+                (order, prev)
+            }
+            Entry::Vacant(v) => {
+                let order = v.insert(SessionRecord {
+                    epoch,
+                    last: seq,
+                    earlier: Vec::new(),
+                    word,
+                    bits: 0,
+                });
+                (order, None)
+            }
+        };
+        if let Some(prev) = prev.filter(|&prev| seq <= prev) {
+            self.violations.push(AuditViolation::OrderRegression {
+                client,
+                session,
+                prev,
+                seq,
+                epoch,
+            });
+        }
+        if order.word != word {
+            self.applied
+                .insert((client, session, order.word), order.bits);
+            order.bits = self.applied.remove(&(client, session, word)).unwrap_or(0);
+            order.word = word;
+        }
+        if order.bits & bit != 0 {
+            self.violations.push(AuditViolation::DuplicateApply {
+                client,
+                session,
+                seq,
+            });
+        }
+        order.bits |= bit;
     }
 
-    /// All entries in application order.
-    pub fn entries(&self) -> &[AuditEntry] {
-        &self.entries
+    /// Whether `seq` of `(client, session)` was applied, in any epoch.
+    fn was_applied(&self, client: Addr, session: u16, seq: u32) -> bool {
+        let word = seq / 64;
+        let bits = match self.sessions.get(&(client, session)) {
+            Some(order) if order.word == word => order.bits,
+            _ => self.applied.get(&(client, session, word)).map_or(0, |&b| b),
+        };
+        bits & 1 << (seq % 64) != 0
     }
 
     /// Number of applied updates observed.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if nothing was applied.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+}
+
+/// Counts only: the tables are hashed, and their order must reach no
+/// output.
+impl fmt::Debug for AuditLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuditLog")
+            .field("applied", &self.len)
+            .field("redo", &self.redo)
+            .field("sessions", &self.sessions.len())
+            .field("violations", &self.violations.len())
+            .finish()
     }
 }
 
@@ -152,58 +270,27 @@ pub struct AuditReport {
 }
 
 /// Verifies the invariants; `acked` lists every `(client, session, seq)`
-/// update the clients saw acknowledged.
+/// update the clients saw acknowledged. The violations come in the order
+/// the updates were recorded, then the lost acknowledgements in `acked`
+/// order.
 pub fn verify(
     log: &AuditLog,
     acked: &[(Addr, u16, u32)],
 ) -> Result<AuditReport, Vec<AuditViolation>> {
-    let mut violations = Vec::new();
-    let mut last_in_epoch: BTreeMap<(Addr, u16, u64), u32> = BTreeMap::new();
-    let mut applied_set: BTreeSet<(Addr, u16, u32)> = BTreeSet::new();
-    let mut sessions: BTreeSet<(Addr, u16)> = BTreeSet::new();
-    let mut redo = 0;
-
-    for e in log.entries() {
-        sessions.insert((e.client, e.session));
-        if e.redo {
-            redo += 1;
-        }
-        if let Some(&prev) = last_in_epoch.get(&(e.client, e.session, e.epoch)) {
-            if e.seq <= prev {
-                violations.push(AuditViolation::OrderRegression {
-                    client: e.client,
-                    session: e.session,
-                    prev,
-                    seq: e.seq,
-                    epoch: e.epoch,
-                });
-            }
-        }
-        last_in_epoch.insert((e.client, e.session, e.epoch), e.seq);
-        if !applied_set.insert((e.client, e.session, e.seq)) {
-            violations.push(AuditViolation::DuplicateApply {
-                client: e.client,
-                session: e.session,
-                seq: e.seq,
-            });
-        }
-    }
-
-    for &(client, session, seq) in acked {
-        if !applied_set.contains(&(client, session, seq)) {
-            violations.push(AuditViolation::AckedNotApplied {
-                client,
-                session,
-                seq,
-            });
-        }
-    }
-
+    let lost = acked
+        .iter()
+        .filter(|&&(client, session, seq)| !log.was_applied(client, session, seq))
+        .map(|&(client, session, seq)| AuditViolation::AckedNotApplied {
+            client,
+            session,
+            seq,
+        });
+    let violations: Vec<_> = log.violations.iter().cloned().chain(lost).collect();
     if violations.is_empty() {
         Ok(AuditReport {
-            applied: log.len(),
-            redo,
-            sessions: sessions.len(),
+            applied: log.len,
+            redo: log.redo,
+            sessions: log.sessions.len(),
             acked_checked: acked.len(),
         })
     } else {

@@ -25,11 +25,10 @@ mod redo;
 mod update;
 
 use pmnet_net::{Addr, Ctx, EventId, Msg, Node, Packet, PortNo, RouteTable, Timer};
-use pmnet_sim::hash::FixedState;
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::Dur;
 use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
-use std::collections::HashMap;
 
 pub use self::fabric::{DeviceFabric, DeviceRole, Release};
 use crate::cache::ReadCache;
@@ -158,7 +157,7 @@ pub struct PmnetDevice {
     /// One timeout estimator per destination server, fed by the server
     /// acks that invalidate entries; it times every entry's re-forward.
     /// Forgotten on power loss, as a client restart forgets its RTTs.
-    server_rtos: HashMap<Addr, RtoEstimator, FixedState>,
+    server_rtos: FixedMap<Addr, RtoEstimator>,
     /// Cache-miss reads held because a logged update from the same
     /// `(server, client, session)` is still un-server-acked: the update
     /// is durable (we acked it) but possibly unapplied, so forwarding the
@@ -166,7 +165,7 @@ pub struct PmnetDevice {
     /// Values are `(header hash, packet)`; the hash dedups client
     /// retransmissions of a held read. Held in DRAM — lost on power loss
     /// (the client's timeout resends the read).
-    parked_reads: HashMap<(Addr, Addr, u16), Vec<(u32, Packet)>>,
+    parked_reads: FixedMap<(Addr, Addr, u16), Vec<(u32, Packet)>>,
     /// **Fault-injection hook** (see [`PmnetDevice::set_stale_read_bug`]).
     stale_read_bug: bool,
     /// Fabric wiring, the chain role included; `None` for the classic
@@ -208,8 +207,8 @@ impl PmnetDevice {
             counters: DeviceCounters::default(),
             alive: true,
             epoch: 0,
-            server_rtos: HashMap::default(),
-            parked_reads: HashMap::new(),
+            server_rtos: FixedMap::default(),
+            parked_reads: FixedMap::default(),
             stale_read_bug: false,
             fabric: None,
             fenced: false,

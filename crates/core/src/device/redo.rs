@@ -5,10 +5,8 @@
 //! reports `RecoveryDone`. All three rebuild the packet through
 //! [`redo_packet`].
 
-use std::collections::HashMap;
-
 use pmnet_net::{Addr, Ctx, Packet};
-use pmnet_sim::hash::FixedState;
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::Dur;
 
 use super::{PmnetDevice, TIMER_ENTRY_RETRY};
@@ -23,7 +21,7 @@ const ENTRY_RETRY_CAP: u64 = 8;
 /// `server`'s entry-retry estimator, seeded and floored at `floor` on
 /// first use.
 fn estimator(
-    rtos: &mut HashMap<Addr, RtoEstimator, FixedState>,
+    rtos: &mut FixedMap<Addr, RtoEstimator>,
     floor: Dur,
     server: Addr,
 ) -> &mut RtoEstimator {

@@ -15,10 +15,8 @@
 //! [`ReconfigAction`]s onto the wire, which keeps every transition unit-
 //! testable and the re-delivery paths trivially idempotent.
 
-use std::collections::HashSet;
-
 use pmnet_net::{Addr, Packet, Steering};
-use pmnet_sim::hash::{fnv1a, FNV_OFFSET};
+use pmnet_sim::hash::{fnv1a, FixedSet, FNV_OFFSET};
 
 use crate::protocol::{PacketType, PmnetHeader};
 
@@ -126,7 +124,7 @@ pub enum ReconfigAction {
 #[derive(Debug, Clone)]
 pub struct FabricMap {
     chains: Vec<ShardChain>,
-    retired: HashSet<Addr>,
+    retired: FixedSet<Addr>,
     epoch: u64,
 }
 
@@ -135,7 +133,7 @@ impl FabricMap {
     pub fn new(chains: Vec<ShardChain>) -> FabricMap {
         FabricMap {
             chains,
-            retired: HashSet::new(),
+            retired: FixedSet::default(),
             epoch: 0,
         }
     }

@@ -8,7 +8,7 @@
 //! then simply waits for the server as in the baseline (Section IV-B1).
 //!
 //! One slot per live entry, and two exact-match tables hashed with
-//! [`FixedState`]:
+//! [`FixedState`](pmnet_sim::hash::FixedState):
 //!
 //! - the slot table, a dense `Vec` with a LIFO free list. A slot holds an
 //!   entry — the state a crash keeps — and, as its DRAM half, the entry's
@@ -26,13 +26,12 @@
 //! (`LogStore::any_retry`) answers yes or no.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::vec::Drain;
 
 use bytes::Bytes;
 use pmnet_net::{Addr, EventId};
 use pmnet_pmem::PmDevice;
-use pmnet_sim::hash::FixedState;
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::Time;
 
 use crate::config::DeviceConfig;
@@ -176,7 +175,7 @@ pub struct LogStore {
     /// Free slot numbers; the last freed is reused first.
     free: Vec<u32>,
     /// The slot of every live entry, by `HashVal`.
-    index: HashMap<u32, u32, FixedState>,
+    index: FixedMap<u32, u32>,
     max_entries: usize,
     max_bytes: u64,
     queue_bytes: u64,
@@ -186,7 +185,7 @@ pub struct LogStore {
     /// still in flight to the server, so a read from the same session
     /// must not overtake it. Doubles as the spill policy's per-session
     /// occupancy ledger. A key is present iff its count is non-zero.
-    outstanding: HashMap<(Addr, Addr, u16), u32, FixedState>,
+    outstanding: FixedMap<(Addr, Addr, u16), u32>,
     /// Per-session live-entry quota (`0` = unlimited).
     session_quota: u32,
     /// Soft occupancy watermark in entries (`0` = off).
@@ -208,12 +207,12 @@ impl LogStore {
             pm: PmDevice::new(config.pm),
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::default(),
+            index: FixedMap::default(),
             max_entries: config.log_capacity_entries,
             max_bytes: config.log_capacity_bytes,
             queue_bytes: config.log_queue_bytes,
             used_bytes: 0,
-            outstanding: HashMap::default(),
+            outstanding: FixedMap::default(),
             session_quota: config.log_session_quota,
             spill_watermark: config.log_spill_watermark,
             // Sized for any window up to 64 entries, so staging never
@@ -1079,8 +1078,8 @@ mod tests {
     struct Reference {
         config: DeviceConfig,
         pm: PmDevice,
-        entries: HashMap<u32, LogEntry>,
-        retries: HashMap<u32, EntryRetry>,
+        entries: FixedMap<u32, LogEntry>,
+        retries: FixedMap<u32, EntryRetry>,
         staged: Vec<u32>,
         staged_bytes: u64,
         used_bytes: u64,
@@ -1092,8 +1091,8 @@ mod tests {
             Reference {
                 config,
                 pm: PmDevice::new(config.pm),
-                entries: HashMap::new(),
-                retries: HashMap::new(),
+                entries: FixedMap::default(),
+                retries: FixedMap::default(),
                 staged: Vec::new(),
                 staged_bytes: 0,
                 used_bytes: 0,

@@ -7,12 +7,12 @@
 //! [`AckTicket`] is then parked until the occupancy elapses
 //! ([`TIMER_DONE`]) and redeemed by [`ServerLib::finish_update_job`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Packet, Proto};
 use pmnet_pmem::CostModel;
-use pmnet_sim::hash::{fnv1a, FixedState, FNV_OFFSET};
+use pmnet_sim::hash::{fnv1a, FixedMap, FixedSet, FNV_OFFSET};
 use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
@@ -80,16 +80,16 @@ pub(super) struct ApplyPool {
     /// Monotone delivery counter feeding [`ApplyOp::id`].
     next_id: u64,
     /// Ids staged but not yet dispatched to a worker.
-    pending: HashSet<u64, FixedState>,
+    pending: FixedSet<u64>,
     /// Latest staged writer id per KV key: the write-write fence source
     /// and the read-parking predicate.
-    key_writer: HashMap<Bytes, u64, FixedState>,
+    key_writer: FixedMap<Bytes, u64>,
     /// `(client, session, seq)` of every staged fragment. A duplicate or
     /// redo resend matching one is dropped *without* a make-up ack: the
     /// update has not reached the handler, so acking it would let the
     /// device invalidate its log entry while the only copy of the update
     /// sits in this volatile queue.
-    pub(super) in_flight: HashSet<(Addr, u16, u32), FixedState>,
+    pub(super) in_flight: FixedSet<(Addr, u16, u32)>,
     /// Bypass reads parked behind a staged same-key write.
     parked_reads: Vec<PendingPkt>,
     /// The seeded logical scheduler: jitters run occupancy so different
@@ -107,9 +107,9 @@ impl ApplyPool {
             busy: vec![false; n],
             busy_until: vec![Time::ZERO; n],
             next_id: 0,
-            pending: HashSet::default(),
-            key_writer: HashMap::default(),
-            in_flight: HashSet::default(),
+            pending: FixedSet::default(),
+            key_writer: FixedMap::default(),
+            in_flight: FixedSet::default(),
             parked_reads: Vec::new(),
             rng: SimRng::seed(cfg.sched_seed ^ 0x9e37_79b9_7f4a_7c15),
         }
@@ -557,14 +557,14 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(s.apply_worker(Addr(1), 7), w, "pinning must be stable");
         }
-        let spread: HashSet<usize> = (0..32u16)
+        let spread: FixedSet<usize> = (0..32u16)
             .map(|sess| s.apply_worker(Addr(1), sess))
             .collect();
         assert_eq!(spread.len(), 4, "32 sessions must reach all 4 workers");
         // Sessions from distinct small client ids must spread too — this
         // is the shape real fleets have, and the raw FNV residue used to
         // park them all on the even workers.
-        let clients: HashSet<usize> = (1..25u32).map(|c| s.apply_worker(Addr(c), 0)).collect();
+        let clients: FixedSet<usize> = (1..25u32).map(|c| s.apply_worker(Addr(c), 0)).collect();
         assert_eq!(clients.len(), 4, "24 clients must reach all 4 workers");
     }
 

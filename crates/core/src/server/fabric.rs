@@ -3,9 +3,8 @@
 //! lowers the resulting orders onto the wire (fence → promote → re-steer →
 //! notify clients → open a recovery barrier against the survivor).
 
-use std::collections::HashMap;
-
 use pmnet_net::{Addr, Ctx, Packet};
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::{Dur, Time};
 
 use super::{ServerLib, TIMER_FABRIC_CHECK};
@@ -72,10 +71,10 @@ pub(super) struct FabricDriver {
     heartbeat_timeout: Dur,
     /// How often the coordinator sweeps the heartbeat table.
     check_interval: Dur,
-    last_heartbeat: HashMap<Addr, Time>,
+    last_heartbeat: FixedMap<Addr, Time>,
     /// Original member → shard assignment, frozen at construction so a
     /// fenced zombie's re-fence still bills to its old shard.
-    member_shard: HashMap<Addr, u16>,
+    member_shard: FixedMap<Addr, u16>,
     /// Reconfigurations still inside their re-delivery window:
     /// `(rounds left, shard, orders)`.
     redeliver: Vec<(u32, u16, Vec<ReconfigAction>)>,
@@ -106,7 +105,7 @@ impl ServerLib {
         check_interval: Dur,
     ) -> ServerLib {
         let shards = map.chains().len();
-        let mut member_shard = HashMap::new();
+        let mut member_shard = FixedMap::default();
         for (i, c) in map.chains().iter().enumerate() {
             member_shard.insert(c.primary, i as u16);
             if let Some(b) = c.backup {
@@ -121,7 +120,7 @@ impl ServerLib {
             clients,
             heartbeat_timeout,
             check_interval,
-            last_heartbeat: HashMap::new(),
+            last_heartbeat: FixedMap::default(),
             member_shard,
             redeliver: Vec::new(),
             counters: vec![FabricShardCounters::default(); shards],

@@ -24,13 +24,12 @@ mod fabric;
 mod recovery;
 pub mod stream;
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Msg, Node, Packet, PortNo, Proto, Timer};
 use pmnet_pmem::{PmDevice, PmDeviceConfig};
-use pmnet_sim::hash::FixedState;
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
@@ -101,7 +100,7 @@ pub trait RequestHandler: fmt::Debug {
 /// handler with negligible durable state.
 #[derive(Debug, Default)]
 pub struct IdealHandler {
-    applied: HashMap<(Addr, u16), u32, FixedState>,
+    applied: FixedMap<(Addr, u16), u32>,
     service: Dur,
 }
 
@@ -109,7 +108,7 @@ impl IdealHandler {
     /// Creates an ideal handler with a minimal fixed service time.
     pub fn new() -> IdealHandler {
         IdealHandler {
-            applied: HashMap::default(),
+            applied: FixedMap::default(),
             service: Dur::nanos(500),
         }
     }
@@ -226,9 +225,9 @@ pub struct ServerLib {
     handler: Box<dyn RequestHandler>,
     workers: Vec<Time>,
     /// In-order delivery state, one [`Stream`] per `(client, session)`.
-    streams: HashMap<(Addr, u16), Stream, FixedState>,
+    streams: FixedMap<(Addr, u16), Stream>,
     /// Work whose worker occupancy is still elapsing ([`TIMER_DONE`]).
-    parked: HashMap<u64, Parked, FixedState>,
+    parked: FixedMap<u64, Parked>,
     next_parked: u64,
     batch: BatchConfig,
     /// Applied updates staged for the next doorbell job, and their summed
@@ -296,8 +295,8 @@ impl ServerLib {
             profile,
             handler,
             workers: vec![Time::ZERO; workers],
-            streams: HashMap::default(),
-            parked: HashMap::default(),
+            streams: FixedMap::default(),
+            parked: FixedMap::default(),
             next_parked: 0,
             batch: BatchConfig::default(),
             window: Vec::with_capacity(1),
@@ -455,9 +454,9 @@ impl ServerLib {
         self.recovery
     }
 
-    /// The append-only application audit log (see [`crate::audit`]). The
-    /// auditor observes across crashes, like a bus analyzer outside the
-    /// persistence domain.
+    /// The application audit log (see [`crate::audit`]), checked as the
+    /// server applies. The auditor observes across crashes, like a bus
+    /// analyzer outside the persistence domain.
     pub fn audit_log(&self) -> &AuditLog {
         &self.audit
     }

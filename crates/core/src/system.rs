@@ -1037,10 +1037,9 @@ impl UpdateExperiment {
         }
         drive(&mut sys.world, Time::ZERO, Time::ZERO + window, |_| false);
         let mut latency = sys.metrics().update_latency;
-        // Wire bytes per request: payload + opaque tag + 20 + UDP/IP. The
-        // PMNet header is `HEADER_LEN` = 24 B, so the Gbps figures, which
-        // the golden digests pin, undercount each request by 4 B.
-        let wire = (payload + 1 + 20 + 42) as f64;
+        // Wire bytes per request: payload + opaque tag + PMNet header +
+        // UDP/IP.
+        let wire = (payload + 1 + crate::protocol::HEADER_LEN + 42) as f64;
         let gbps = latency.len() as f64 * wire * 8.0 / window.as_secs_f64() / 1e9;
         if latency.is_empty() {
             return (gbps, Dur::ZERO, Dur::ZERO);

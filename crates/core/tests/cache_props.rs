@@ -9,8 +9,9 @@
 //! latest update is a `Del` must not hit at all.
 
 use pmnet_core::cache::{CacheState, ReadCache};
+use pmnet_sim::hash::FixedMap;
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -69,7 +70,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..150),
     ) {
         let mut cache = ReadCache::new(64);
-        let mut model: HashMap<u8, ModelEntry> = HashMap::new();
+        let mut model: FixedMap<u8, ModelEntry> = FixedMap::default();
 
         for op in ops {
             match op {
@@ -132,7 +133,7 @@ proptest! {
         // still in flight, a read response must never install a value the
         // cache will later serve — tiny capacities force the refusal path.
         let mut cache = ReadCache::new(capacity);
-        let mut inflight: HashMap<u8, u32> = HashMap::new();
+        let mut inflight: FixedMap<u8, u32> = FixedMap::default();
         let mut nonce = 0u8;
         for op in ops {
             match op {
@@ -183,8 +184,8 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..100),
     ) {
         let mut cache = ReadCache::new(64);
-        let mut inflight: HashMap<u8, u32> = HashMap::new();
-        let mut prev: HashMap<u8, CacheState> = HashMap::new();
+        let mut inflight: FixedMap<u8, u32> = FixedMap::default();
+        let mut prev: FixedMap<u8, CacheState> = FixedMap::default();
         for op in ops {
             let key = match op {
                 Op::Update(k, _)

@@ -5,12 +5,11 @@
 //! from the fragments of one request only — and once the gap detector
 //! gives up, exactly the requests that lost a fragment are missing.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use pmnet_core::protocol::{PacketType, PmnetHeader};
 use pmnet_core::server::stream::{GapCheck, Offer, PendingPkt, Stream, Update};
 use pmnet_net::{Addr, Proto};
+use pmnet_sim::hash::FixedMap;
 use proptest::prelude::*;
 
 fn frag(session: u16, seq: u32, idx: u16, cnt: u16, body: &[u8]) -> PendingPkt {
@@ -61,7 +60,7 @@ proptest! {
     ) {
         // Lay the requests out on their sessions' sequence spaces; `fate`
         // drops (0) or duplicates (1) individual fragments.
-        let mut next_seq: HashMap<u16, u32> = HashMap::new();
+        let mut next_seq: FixedMap<u16, u32> = FixedMap::default();
         let mut requests = Vec::new();
         let mut wire = Vec::new();
         let mut nth = 0;
@@ -86,8 +85,8 @@ proptest! {
             wire.into_iter().enumerate().map(|(i, p)| (order[i % order.len()], p)).collect();
         keyed.sort_by_key(|(k, _)| *k);
 
-        let mut streams: HashMap<u16, Stream> = HashMap::new();
-        let mut delivered: HashMap<u16, Vec<Update>> = HashMap::new();
+        let mut streams: FixedMap<u16, Stream> = FixedMap::default();
+        let mut delivered: FixedMap<u16, Vec<Update>> = FixedMap::default();
         for (_, pkt) in keyed {
             let session = pkt.header.session;
             let stream = streams.entry(session).or_insert_with(|| Stream::new(0));

@@ -35,12 +35,13 @@
 //! smallest history index (final-state divergence anchors past the end) —
 //! wrapped in a replayable text artifact (see [`crate::artifact`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
 use pmnet_core::kvproto::KvFrame;
 use pmnet_net::Addr;
+use pmnet_sim::hash::{FixedMap, FixedSet};
 use pmnet_sim::record::hex;
 use pmnet_sim::Time;
 use pmnet_telemetry::history::{Event, EventKind};
@@ -127,11 +128,11 @@ pub fn check(
     let mut candidates: Vec<(usize, String)> = Vec::new();
 
     // --- Pass 1: index the history. -------------------------------------
-    let mut update_invokes: HashMap<OpId, (usize, Time, &Bytes)> = HashMap::new();
-    let mut bypass_invokes: HashMap<OpId, (usize, Time, &Bytes)> = HashMap::new();
-    let mut update_completes: HashMap<OpId, (usize, Time, u8, bool)> = HashMap::new();
+    let mut update_invokes: FixedMap<OpId, (usize, Time, &Bytes)> = FixedMap::default();
+    let mut bypass_invokes: FixedMap<OpId, (usize, Time, &Bytes)> = FixedMap::default();
+    let mut update_completes: FixedMap<OpId, (usize, Time, u8, bool)> = FixedMap::default();
     let mut bypass_completes: Vec<(usize, Time, OpId, Option<&Bytes>)> = Vec::new();
-    let mut device_logged: HashMap<(Addr, u16), Vec<(u32, usize)>> = HashMap::new();
+    let mut device_logged: FixedMap<(Addr, u16), Vec<(u32, usize)>> = FixedMap::default();
     let mut applies: Vec<(usize, OpId, bool, u64, &Bytes)> = Vec::new();
     for (idx, e) in history.iter().enumerate() {
         let id: OpId = (e.client, e.session, e.seq);
@@ -192,7 +193,7 @@ pub fn check(
     };
 
     // --- Rules 1+2: the apply stream. -----------------------------------
-    let mut last_applied: HashMap<(Addr, u16), u32> = HashMap::new();
+    let mut last_applied: FixedMap<(Addr, u16), u32> = FixedMap::default();
     for &(idx, (client, session, seq), redo, _epoch, payload) in &applies {
         match last_applied.get(&(client, session)) {
             Some(&prev) if seq == prev => candidates.push((
@@ -253,7 +254,7 @@ pub fn check(
     }
 
     // --- Rule 3: acknowledged updates are durable. ----------------------
-    let applied_ids: HashSet<OpId> = applies.iter().map(|&(_, id, ..)| id).collect();
+    let applied_ids: FixedSet<OpId> = applies.iter().map(|&(_, id, ..)| id).collect();
     for (&(client, session, seq), &(cidx, _at, device_acks, server_acked)) in &update_completes {
         if !applied_ids.contains(&(client, session, seq)) {
             candidates.push((
@@ -286,7 +287,7 @@ pub fn check(
     }
 
     // --- Rules 4+5 prep: per-key write records in apply order. ----------
-    let mut writes_by_key: HashMap<Vec<u8>, Vec<WriteRec>> = HashMap::new();
+    let mut writes_by_key: FixedMap<Vec<u8>, Vec<WriteRec>> = FixedMap::default();
     for &(idx, id, _redo, _epoch, payload) in &applies {
         let Some(k) = write_key(payload) else {
             continue;
@@ -359,7 +360,7 @@ pub fn check(
     // after such a completion must therefore apply after it —
     // regardless of key, which catches a pool that reorders opaque
     // payloads across sessions.
-    let mut first_apply_idx: HashMap<OpId, usize> = HashMap::new();
+    let mut first_apply_idx: FixedMap<OpId, usize> = FixedMap::default();
     for &(idx, id, ..) in &applies {
         first_apply_idx.entry(id).or_insert(idx);
     }

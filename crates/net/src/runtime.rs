@@ -3,9 +3,10 @@
 //! everything and drives the event loop.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::{Dur, Engine, EventId, NodeId, SimRng, Time};
 
 use bytes::Bytes;
@@ -501,7 +502,7 @@ impl World {
             .filter_map(|(i, n)| n.addr().map(|a| (NodeId(i as u32), a)))
             .collect();
         // Adjacency: node -> [(port, peer)].
-        let mut adj: HashMap<NodeId, Vec<(PortNo, NodeId)>> = HashMap::new();
+        let mut adj: FixedMap<NodeId, Vec<(PortNo, NodeId)>> = FixedMap::default();
         for (node, port, peer) in self.ports.edges() {
             adj.entry(node).or_default().push((port, peer));
         }
@@ -509,8 +510,8 @@ impl World {
         for src_idx in 0..self.nodes.len() {
             let src = NodeId(src_idx as u32);
             // BFS recording the first-hop port used to reach each node.
-            let mut first_hop: HashMap<NodeId, PortNo> = HashMap::new();
-            let mut visited: HashMap<NodeId, ()> = HashMap::new();
+            let mut first_hop: FixedMap<NodeId, PortNo> = FixedMap::default();
+            let mut visited: FixedMap<NodeId, ()> = FixedMap::default();
             visited.insert(src, ());
             let mut q: VecDeque<NodeId> = VecDeque::new();
             if let Some(neigh) = adj.get(&src) {

@@ -5,9 +5,8 @@
 //! unarmed one cut off at the tripped persist point, and the
 //! WAL-over-arena discipline recovers a consistent prefix.
 
-use std::collections::HashMap;
-
 use pmnet_pmem::{ArenaStats, PmArena, PmPtr, Wal, LINE};
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::SimRng;
 use proptest::prelude::*;
 
@@ -17,7 +16,7 @@ use proptest::prelude::*;
 struct MapArena {
     data: Vec<u8>,
     /// line → (last durable contents, flushed since its last store).
-    dirty: HashMap<usize, (Vec<u8>, bool)>,
+    dirty: FixedMap<usize, (Vec<u8>, bool)>,
     stats: ArenaStats,
 }
 
@@ -25,7 +24,7 @@ impl MapArena {
     fn new(capacity: usize) -> MapArena {
         MapArena {
             data: vec![0; capacity],
-            dirty: HashMap::new(),
+            dirty: FixedMap::default(),
             stats: ArenaStats::default(),
         }
     }

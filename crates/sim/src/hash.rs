@@ -5,12 +5,13 @@
 //! KV bucket functions all fold bytes through [`fnv1a`]. Pinned digests
 //! depend on these exact constants, so they live in one place.
 //!
-//! [`FixedState`] is the `BuildHasher` under every per-packet
-//! `HashMap`/`HashSet`. Those tables are keyed by CRC-32s and small integer
-//! tuples that the simulation itself produced, so SipHash's flood
-//! resistance buys nothing there, and its per-instance random key makes
-//! iteration order differ from process to process. With a fixed key it
-//! cannot. It folds each integer write in one 64×64→128-bit multiply and
+//! [`FixedState`] is the `BuildHasher` under every `HashMap`/`HashSet` in
+//! the workspace, spelled [`FixedMap`]/[`FixedSet`] (`clippy.toml` refuses
+//! the `std` names). Those tables are keyed by CRC-32s, small integer
+//! tuples and byte strings that the program itself produced, so SipHash's
+//! flood resistance buys nothing there, and its per-instance random key
+//! makes iteration order differ from process to process. With a fixed key
+//! it cannot. It folds each integer write in one 64×64→128-bit multiply and
 //! byte slices eight bytes at a time ([`FoldHasher`]), where FNV-1a's
 //! one multiply per byte made a `(server, client, session)` key ten
 //! dependent multiplies.
@@ -130,18 +131,27 @@ impl Hasher for FoldHasher {
 /// is observable (see the module docs).
 ///
 /// ```
-/// use pmnet_sim::hash::FixedState;
-/// use std::collections::HashMap;
-/// let mut m: HashMap<u32, &str, FixedState> = HashMap::default();
+/// use pmnet_sim::hash::FixedMap;
+/// let mut m: FixedMap<u32, &str> = FixedMap::default();
 /// m.insert(7, "seven");
 /// assert_eq!(m.get(&7), Some(&"seven"));
 /// ```
 pub type FixedState = BuildHasherDefault<FoldHasher>;
 
+/// The workspace's hash map: `std`'s under [`FixedState`]. `clippy.toml`
+/// refuses the `std` names everywhere else, so no table can fall back to
+/// `RandomState`, whose iteration order differs from process to process.
+#[allow(clippy::disallowed_types)]
+pub type FixedMap<K, V> = std::collections::HashMap<K, V, FixedState>;
+
+/// The workspace's hash set: see [`FixedMap`].
+#[allow(clippy::disallowed_types)]
+pub type FixedSet<T> = std::collections::HashSet<T, FixedState>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::hash::BuildHasher;
 
     #[test]
@@ -160,7 +170,7 @@ mod tests {
                 .map(|i| i.wrapping_mul(2_654_435_761))
                 .collect()
         };
-        let (x, y): (HashSet<u32, FixedState>, HashSet<u32, FixedState>) = (build(), build());
+        let (x, y): (FixedSet<u32>, FixedSet<u32>) = (build(), build());
         assert!(x.iter().eq(y.iter()));
     }
 
@@ -169,7 +179,7 @@ mod tests {
         // hashbrown probes a group with the hash's top seven bits; keys
         // that share a few of those tags make every lookup compare more.
         let s = FixedState::default();
-        let tags: HashSet<u64> = (0..4096u32)
+        let tags: BTreeSet<u64> = (0..4096u32)
             .map(|seq| s.hash_one((1u32, 1u16, seq)) >> 57)
             .collect();
         assert!(tags.len() >= 120, "{} of 128 tags", tags.len());

@@ -17,10 +17,8 @@
 //! broken chain after a crash, client-side-log completions) lands in
 //! [`Phase::Unattributed`] rather than being silently dropped.
 
-use std::collections::HashMap;
-
 use pmnet_net::Addr;
-use pmnet_sim::hash::FixedState;
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::{Dur, Time};
 
 /// Key of one in-flight fragment: `(client, session, fragment seq)`.
@@ -349,11 +347,11 @@ impl OpTrace {
 ///
 /// The open set holds one entry per *in-flight* fragment, which under
 /// open-loop overload is every queued fragment of hundreds of sessions,
-/// so it is a [`FixedState`] hash map touched only by key; nothing
+/// so it is a [`FixedMap`] touched only by key; nothing
 /// iterates it.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
-    open: HashMap<OpKey, Vec<OpEvent>, FixedState>,
+    open: FixedMap<OpKey, Vec<OpEvent>>,
     /// Completed ops not yet attributed: `(completion, start, len)` into
     /// [`done_events`](Self::done_events). Attribution (the chain walk
     /// and the per-trace phase vector) runs lazily when traces are first

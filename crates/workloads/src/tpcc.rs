@@ -8,13 +8,12 @@
 //! transaction, lock traffic is ~13.7 % of all requests — the fraction the
 //! paper reports bypassing PMNet.
 
-use std::collections::HashMap;
-
 use bytes::{BufMut, Bytes, BytesMut};
 use pmnet_core::client::{AppRequest, RequestKind, RequestSource};
 use pmnet_core::server::RequestHandler;
 use pmnet_net::Addr;
 use pmnet_pmem::KvOp;
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::{Dur, SimRng};
 
 use crate::kvhandler::KvHandler;
@@ -241,7 +240,7 @@ impl RequestSource for TpccSource {
 #[derive(Debug)]
 pub struct TpccHandler {
     kv: KvHandler,
-    locks: HashMap<u32, u32>,
+    locks: FixedMap<u32, u32>,
     grants: u64,
     denials: u64,
 }
@@ -251,7 +250,7 @@ impl TpccHandler {
     pub fn new(seed: u64) -> TpccHandler {
         TpccHandler {
             kv: KvHandler::new("btree", seed).with_extra_cost(Dur::micros(5)),
-            locks: HashMap::new(),
+            locks: FixedMap::default(),
             grants: 0,
             denials: 0,
         }

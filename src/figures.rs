@@ -549,9 +549,9 @@ pub fn table() -> Vec<Row> {
 
     let stress = |design, clients| Run::new(design, Load::Stress(1000), clients, [40, 3], 5);
     for (clients, pins) in [
-        (16, [1.174, 64.52, 3.453, 30.91]),
-        (48, [3.410, 65.05, 7.152, 40.94]),
-        (96, [4.317, 81.47, 4.433, 81.88]),
+        (16, [1.178, 64.52, 3.466, 30.91]),
+        (48, [3.423, 65.05, 7.179, 40.94]),
+        (96, [4.333, 81.47, 4.450, 81.88]),
     ] {
         let (base, pmnet) = (stress(ClientServer, clients), stress(PmnetSwitch, clients));
         let id = |column| format!("Fig. 16/{clients} clients@{column}");
@@ -671,7 +671,7 @@ pub fn table() -> Vec<Row> {
         rows.push(row(format!("§III-C/{}@bypass share", spec.name()), Of(Bypass, run), paper, pin));
     }
 
-    for (bytes, pins) in [(1024, [1.945, 71.15]), (4096, [6.837, 31.17])] {
+    for (bytes, pins) in [(1024, [1.952, 71.15]), (4096, [6.863, 31.17])] {
         let run = Run::new(PmnetSwitch, Load::Stress(1000), 32, [20, 3], 31);
         let run = run.with(|c| c.device = c.device.with_log_queue_bytes(bytes));
         let id = |column| format!("§VII/{bytes} B log queue@{column}");

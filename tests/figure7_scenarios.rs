@@ -13,6 +13,7 @@ mod common;
 
 use common::{kv_handler, run_and_drain, set_frame};
 use pmnet::core::api::{update, ScriptSource};
+use pmnet::core::audit;
 use pmnet::core::server::ServerLib;
 use pmnet::core::system::{DesignPoint, SystemBuilder};
 use pmnet::core::{PmnetDevice, SystemConfig};
@@ -31,10 +32,16 @@ fn final_value(sys: &mut pmnet::core::system::BuiltSystem) -> Option<u32> {
         .and_then(|v| v.try_into().ok().map(u32::from_le_bytes))
 }
 
-fn applied_in_order(sys: &pmnet::core::system::BuiltSystem) -> bool {
+/// Audits the run against the script's `updates` acknowledged updates:
+/// each applied exactly once, from the one session, in strictly
+/// increasing SeqNum order within every server epoch.
+fn assert_applied_in_order(sys: &pmnet::core::system::BuiltSystem, updates: usize) {
     let server = sys.world.node::<ServerLib>(sys.server);
-    let seqs: Vec<u32> = server.audit_log().entries().iter().map(|e| e.seq).collect();
-    seqs.windows(2).all(|w| w[0] < w[1])
+    let report = audit::verify(server.audit_log(), &sys.acked_updates())
+        .unwrap_or_else(|violations| panic!("server must apply in SeqNum order: {violations:?}"));
+    assert_eq!(report.sessions, 1);
+    assert_eq!(report.acked_checked, updates);
+    assert_eq!(report.applied, updates, "every update applied once");
 }
 
 /// Figure 7a: reordering on the wire, corrected by the server library.
@@ -57,7 +64,9 @@ fn scenario_a_reordered_packets() {
         server.counters().reordered > 0,
         "the fault injection must actually have reordered something"
     );
-    assert!(applied_in_order(&sys), "server must restore SeqNum order");
+    // One epoch: no crash, so the order holds across the whole run.
+    assert!(server.recovery().is_none());
+    assert_applied_in_order(&sys, 80);
     assert_eq!(final_value(&mut sys), Some(79), "last write wins");
 }
 
@@ -75,7 +84,9 @@ fn scenario_b_lost_packet_served_from_device_log() {
         .build(67);
     run_and_drain(&mut sys, Dur::secs(30), Dur::millis(200));
     assert_eq!(sys.metrics().completed, 80);
-    assert!(applied_in_order(&sys));
+    let server = sys.world.node::<ServerLib>(sys.server);
+    assert!(server.recovery().is_none());
+    assert_applied_in_order(&sys, 80);
     assert_eq!(final_value(&mut sys), Some(79));
     // At 15% loss across four link directions, repairs must have involved
     // the device log or the device's own retry path.
@@ -105,16 +116,7 @@ fn scenario_c_failure_recovery_in_order() {
     let rec = server.recovery().expect("server recovered");
     assert!(rec.redo_applied > 0, "recovery must have replayed the log");
     // Within each epoch, application order is strictly increasing.
-    let mut by_epoch: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
-    for e in server.audit_log().entries() {
-        by_epoch.entry(e.epoch).or_default().push(e.seq);
-    }
-    for (epoch, seqs) in by_epoch {
-        assert!(
-            seqs.windows(2).all(|w| w[0] < w[1]),
-            "epoch {epoch} applied out of order: {seqs:?}"
-        );
-    }
+    assert_applied_in_order(&sys, 120);
     assert_eq!(final_value(&mut sys), Some(119));
 }
 

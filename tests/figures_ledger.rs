@@ -5,14 +5,13 @@
 //! the table, and EXPERIMENTS.md is regenerated with
 //! `cargo run --release --example figures`.
 
-use std::collections::HashSet;
-
 use pmnet::figures::{measure, table, Scale};
+use pmnet::sim::hash::FixedSet;
 
 #[test]
 fn every_figure_row_holds_its_pin() {
     let rows = table();
-    let mut ids = HashSet::new();
+    let mut ids = FixedSet::default();
     for row in &rows {
         assert!(ids.insert(row.id.clone()), "two rows are {}", row.id);
     }

@@ -30,7 +30,11 @@ const LOSSY_RECOVERY_DIGEST: u64 = 0x5147_6da8_1008_98d0;
 /// Updated when `LatencyHistogram` moved to fixed-memory log buckets:
 /// p99 is now reported as the bucket upper edge (≤1.6% quantization),
 /// while means and throughput are tracked exactly and did not move.
-const FIG16_STRESS_DIGEST: u64 = 0x5f31_4538_d82b_5992;
+/// Updated again when the Gbps figure began counting the 24-byte PMNet
+/// header (`protocol::HEADER_LEN`) where it had counted 20 B: every
+/// `gbps_bits` moved by (payload + 67) / (payload + 63), and no
+/// simulated time moved.
+const FIG16_STRESS_DIGEST: u64 = 0x092d_9bd7_8cc5_39c6;
 
 /// Seed-77 failover campaign, 5 plans x 2 sharded designs. Covers the
 /// chained-replica fabric end to end: heartbeat timeout, fencing, backup

@@ -4,13 +4,12 @@
 //! `tests/figures_ledger.rs` pins the same rows to ±5 %, and EXPERIMENTS.md
 //! records the full-scale values.
 
-use std::collections::HashMap;
-
 use pmnet::figures::{measure, table, Scale};
+use pmnet::sim::hash::FixedMap;
 use pmnet::workloads::WorkloadSpec;
 
 /// Every row whose id starts with `prefix`, measured at reduced scale, by id.
-fn measured(prefix: &str) -> HashMap<String, f64> {
+fn measured(prefix: &str) -> FixedMap<String, f64> {
     let rows: Vec<_> = table()
         .into_iter()
         .filter(|row| row.id.starts_with(prefix))
