@@ -283,6 +283,14 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// As upstream: a map keyed by `Bytes` is looked up by `&[u8]` (`Hash`
+/// and `Eq` already agree with the slice's).
+impl std::borrow::Borrow<[u8]> for Bytes {
+    fn borrow(&self) -> &[u8] {
+        self
+    }
+}
+
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = whole(v.len());

@@ -24,6 +24,7 @@ mod reads;
 mod redo;
 mod update;
 
+use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, EventId, Msg, Node, Packet, PortNo, RouteTable, Timer};
 use pmnet_sim::hash::FixedMap;
 use pmnet_sim::Dur;
@@ -148,7 +149,15 @@ pub struct PmnetDevice {
     /// recovering server's barrier. A crash drops every record;
     /// `Restore` re-arms the survivors.
     log: LogStore,
-    cache: Option<ReadCache>,
+    /// Boxed: only a device configured with a cache pays for one.
+    cache: Option<Box<ReadCache>>,
+    /// The key of each update the log bypassed that the read cache counts
+    /// in flight, by its first fragment's hash: the server ack for that
+    /// hash settles the count ([`ReadCache::on_bypassed_frame`]). DRAM,
+    /// cleared on power loss with the cache, and bounded by
+    /// [`DeviceConfig::log_capacity_entries`]: a bypass past the bound
+    /// leaves its key unservable until power loss.
+    bypassed: FixedMap<u32, Bytes>,
     counters: DeviceCounters,
     alive: bool,
     /// Power epoch, stamped on every timer; bumped by a crash so timers
@@ -203,7 +212,9 @@ impl PmnetDevice {
             config,
             routes: RouteTable::default(),
             log: LogStore::new(&config),
-            cache: (config.cache_entries > 0).then(|| ReadCache::new(config.cache_entries)),
+            cache: (config.cache_entries > 0)
+                .then(|| Box::new(ReadCache::new(config.cache_entries))),
+            bypassed: FixedMap::default(),
             counters: DeviceCounters::default(),
             alive: true,
             epoch: 0,
@@ -374,8 +385,9 @@ impl PmnetDevice {
         // entries whose log records were just lost (which would otherwise
         // never be acknowledged and leak).
         if let Some(cache) = &mut self.cache {
-            *cache = ReadCache::new(self.config.cache_entries);
+            **cache = ReadCache::new(self.config.cache_entries);
         }
+        self.bypassed.clear();
     }
 }
 

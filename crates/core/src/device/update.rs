@@ -108,9 +108,11 @@ impl PmnetDevice {
                 }
             }
             // Forwarded without logging or acknowledgement; the client
-            // falls back to waiting for the server (Section IV-B1).
+            // falls back to waiting for the server (Section IV-B1). The
+            // server will still apply it, so the cache must hear of it.
+            LogOutcome::Bypass(_) => self.cache_bypassed(&header, &payload),
             // `Logged` is `try_log`'s outcome, never staging's.
-            LogOutcome::Bypass(_) | LogOutcome::Logged { .. } => {}
+            LogOutcome::Logged { .. } => {}
         }
     }
 
@@ -127,12 +129,7 @@ impl PmnetDevice {
         // lost with no follow-up traffic to trip the gap detector), redo
         // the entry from the log.
         self.arm_entry_retry(ctx, header.hash, server);
-        if self.stale_read_bug {
-            return;
-        }
-        if let Some(cache) = &mut self.cache {
-            cache.on_logged_frame(payload);
-        }
+        self.cache_logged(header, payload, server);
     }
 
     /// The end of an entry's life: the server applied the update, so the
@@ -143,6 +140,7 @@ impl PmnetDevice {
         header: PmnetHeader,
         packet: Packet,
     ) {
+        self.cache_settle_bypassed(header.hash);
         if let Some((entry, retry)) = self.log.invalidate(header.hash) {
             self.entry_drained(ctx, &entry);
             // Retired last, so a `RecoveryDone` it completes follows the

@@ -14,6 +14,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::protocol::{PmnetHeader, HEADER_LEN};
+
 /// An application request/response frame.
 ///
 /// Key and value fields borrow the wire buffer ([`Bytes`] slices); cloning
@@ -115,6 +117,22 @@ impl KvFrame {
         b.freeze()
     }
 
+    /// A read hit's whole datagram body from borrowed parts: `header`, then
+    /// the frame `Value { key, value, found: true }` whose value is `parts`
+    /// joined in order. One pooled builder and one copy of each part, as
+    /// the server builds its replies; the value is never joined anywhere
+    /// else.
+    pub fn encode_hit_reply(header: &PmnetHeader, key: &[u8], parts: &[Bytes]) -> Bytes {
+        let value_len: usize = parts.iter().map(|p| p.len()).sum();
+        let mut b = BytesMut::with_capacity(HEADER_LEN + 4 + key.len() + value_len);
+        header.encode_into(&mut b, &[]);
+        put_value_head(&mut b, key, true);
+        for part in parts {
+            b.put_slice(part);
+        }
+        b.freeze()
+    }
+
     /// Exact wire length of [`KvFrame::encode`]'s output.
     pub fn encoded_len(&self) -> usize {
         match self {
@@ -189,11 +207,16 @@ fn put_keyed(b: &mut impl BufMut, tag: u8, key: &[u8]) {
 
 /// `'V' found klen key value`.
 fn put_value(b: &mut impl BufMut, key: &[u8], value: &[u8], found: bool) {
+    put_value_head(b, key, found);
+    b.put_slice(value);
+}
+
+/// `'V' found klen key`: a `Value` up to its value.
+fn put_value_head(b: &mut impl BufMut, key: &[u8], found: bool) {
     let mut p = [b'V', u8::from(found), 0, 0];
     p[2..4].copy_from_slice(&(key.len() as u16).to_le_bytes());
     b.put_slice(&p);
     b.put_slice(key);
-    b.put_slice(value);
 }
 
 #[cfg(test)]
@@ -258,6 +281,29 @@ mod tests {
                 KvFrame::Value { key, value, found }.encode()
             );
         }
+    }
+
+    #[test]
+    fn a_hit_reply_is_the_header_and_the_value_frame_in_one_buffer() {
+        let h = PmnetHeader::request(
+            crate::PacketType::CacheResp,
+            3,
+            9,
+            pmnet_net::Addr(1),
+            pmnet_net::Addr(9),
+            0,
+            1,
+        );
+        let parts = [Bytes::from_static(b"head-"), Bytes::from_static(b"tail")];
+        let whole = KvFrame::Value {
+            key: Bytes::from_static(b"k"),
+            value: Bytes::from_static(b"head-tail"),
+            found: true,
+        };
+        assert_eq!(
+            KvFrame::encode_hit_reply(&h, b"k", &parts),
+            h.encode(&whole.encode())
+        );
     }
 
     #[test]

@@ -230,6 +230,18 @@ impl PmnetHeader {
         crc32(&buf)
     }
 
+    /// The identity hash of fragment `idx` of the update this fragment
+    /// belongs to, sent to `server`: a request numbers its fragments'
+    /// `SeqNum`s contiguously from its first fragment's.
+    pub fn fragment_hash(&self, server: Addr, idx: u16) -> u32 {
+        let first = self.seq.wrapping_sub(u32::from(self.frag_idx));
+        PmnetHeader {
+            seq: first.wrapping_add(u32::from(idx)),
+            ..*self
+        }
+        .compute_hash(server)
+    }
+
     /// True if `payload` matches the stamped checksum. Headers derived for
     /// ACKs travel without a payload; an empty payload is always accepted.
     pub fn payload_ok(&self, payload: &[u8]) -> bool {

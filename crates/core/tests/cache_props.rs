@@ -2,13 +2,18 @@
 //! in-flight counter refinement — see DESIGN.md §7).
 //!
 //! The model mirrors what a correct server would do: updates (a `Del` is
-//! an update with no value) queue, each server-ACK applies the oldest
-//! in-flight update, and read responses carry the server's current value
-//! at pass-through time. Against any interleaving, a cache hit must return
-//! the freshest value the device has observed for the key, and a key whose
-//! latest update is a `Del` must not hit at all.
+//! an update with no value, a bypassed update one the cache may not serve)
+//! queue, each server-ACK applies the oldest in-flight update, and read
+//! responses carry the server's current value at pass-through time.
+//! Multi-fragment updates log their first fragment, and their value may
+//! land whole at any later point — or never. Against any interleaving, a
+//! cache hit must return a whole value some client wrote, the freshest
+//! value the device has observed for the key, and a key whose latest
+//! update is a `Del` must not hit at all.
 
+use bytes::Bytes;
 use pmnet_core::cache::{CacheState, ReadCache};
+use pmnet_core::kvproto::KvFrame;
 use pmnet_sim::hash::FixedMap;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -16,6 +21,12 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 enum Op {
     Update(u8, Vec<u8>),
+    /// The first fragment of a multi-fragment update of the value, cut
+    /// after this many bytes, is logged.
+    Head(u8, Vec<u8>, usize),
+    /// The `n`-th head logged so far (mod their number) is logged whole.
+    Whole(usize),
+    Bypass(u8, Vec<u8>),
     Delete(u8),
     ServerAck(u8),
     ReadResponse(u8),
@@ -26,12 +37,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let key = 0u8..6;
     let val = prop::collection::vec(any::<u8>(), 1..8);
     prop_oneof![
-        (key.clone(), val).prop_map(|(k, v)| Op::Update(k, v)),
+        (key.clone(), val.clone()).prop_map(|(k, v)| Op::Update(k, v)),
+        (key.clone(), val.clone(), 0usize..8).prop_map(|(k, v, cut)| Op::Head(k, v, cut)),
+        (0usize..16).prop_map(Op::Whole),
+        (key.clone(), val).prop_map(|(k, v)| Op::Bypass(k, v)),
         key.clone().prop_map(Op::Delete),
         key.clone().prop_map(Op::ServerAck),
         key.clone().prop_map(Op::ReadResponse),
         key.prop_map(Op::Lookup),
     ]
+}
+
+/// A multi-fragment update as the device logs it: the first fragment's
+/// frame and the other fragments' payloads.
+struct Fragments {
+    head: u32,
+    first: Bytes,
+    rest: Vec<Bytes>,
+}
+
+fn fragments(head: u32, k: u8, v: &[u8], cut: usize) -> Fragments {
+    let frame = KvFrame::Set {
+        key: Bytes::copy_from_slice(&[k]),
+        value: Bytes::copy_from_slice(v),
+    }
+    .encode();
+    // The key stays whole in the first fragment; the value splits once
+    // at `cut` and again halfway through the rest.
+    let at = 4 + cut.min(v.len());
+    let mid = at + (frame.len() - at) / 2;
+    Fragments {
+        head,
+        first: frame.slice(..at),
+        rest: vec![frame.slice(at..mid), frame.slice(mid..)],
+    }
 }
 
 /// Reference model per key: a correct server plus device-visible truth.
@@ -44,6 +83,8 @@ struct ModelEntry {
     inflight: VecDeque<Option<Vec<u8>>>,
     /// The server's current durable value.
     server_value: Option<Vec<u8>>,
+    /// Every value a client wrote to the key.
+    written: Vec<Vec<u8>>,
 }
 
 impl ModelEntry {
@@ -57,6 +98,7 @@ impl ModelEntry {
     }
 
     fn log(&mut self, value: Option<Vec<u8>>) {
+        self.written.extend(value.clone());
         self.latest_update = Some(value.clone());
         self.inflight.push_back(value);
     }
@@ -71,11 +113,33 @@ proptest! {
     ) {
         let mut cache = ReadCache::new(64);
         let mut model: FixedMap<u8, ModelEntry> = FixedMap::default();
+        let mut heads: Vec<Fragments> = Vec::new();
 
         for op in ops {
             match op {
                 Op::Update(k, v) => {
                     cache.on_update(&[k], &v);
+                    model.entry(k).or_default().log(Some(v));
+                }
+                Op::Head(k, v, cut) => {
+                    let f = fragments(heads.len() as u32, k, &v, cut);
+                    cache.on_logged_head(&f.first, f.head);
+                    heads.push(f);
+                    model.entry(k).or_default().log(Some(v));
+                }
+                Op::Whole(n) => {
+                    if !heads.is_empty() {
+                        let f = &heads[n % heads.len()];
+                        cache.on_logged_whole(f.head, &f.first, f.rest.iter());
+                    }
+                }
+                Op::Bypass(k, v) => {
+                    let frame = KvFrame::Set {
+                        key: Bytes::copy_from_slice(&[k]),
+                        value: Bytes::copy_from_slice(&v),
+                    }
+                    .encode();
+                    prop_assert!(cache.on_bypassed_frame(&frame).is_some());
                     model.entry(k).or_default().log(Some(v));
                 }
                 Op::Delete(k) => {
@@ -99,9 +163,13 @@ proptest! {
                     }
                 }
                 Op::Lookup(k) => {
-                    let hit = cache.lookup(&[k]);
+                    let hit = cache.lookup(&[k]).map(|parts| parts.concat());
                     let e = model.get(&k).cloned().unwrap_or_default();
                     if let Some(value) = hit {
+                        prop_assert!(
+                            e.written.contains(&value),
+                            "key {} served {:?}, which no client wrote", k, value
+                        );
                         let fresh = e.fresh().expect("hit on a deleted or never-written key");
                         prop_assert_eq!(
                             &value, fresh,
@@ -134,11 +202,33 @@ proptest! {
         // cache will later serve — tiny capacities force the refusal path.
         let mut cache = ReadCache::new(capacity);
         let mut inflight: FixedMap<u8, u32> = FixedMap::default();
+        let mut heads: Vec<Fragments> = Vec::new();
         let mut nonce = 0u8;
         for op in ops {
             match op {
                 Op::Update(k, v) => {
                     cache.on_update(&[k], &v);
+                    *inflight.entry(k).or_default() += 1;
+                }
+                Op::Head(k, v, cut) => {
+                    let f = fragments(heads.len() as u32, k, &v, cut);
+                    cache.on_logged_head(&f.first, f.head);
+                    heads.push(f);
+                    *inflight.entry(k).or_default() += 1;
+                }
+                Op::Whole(n) => {
+                    if !heads.is_empty() {
+                        let f = &heads[n % heads.len()];
+                        cache.on_logged_whole(f.head, &f.first, f.rest.iter());
+                    }
+                }
+                Op::Bypass(k, v) => {
+                    let frame = KvFrame::Set {
+                        key: Bytes::copy_from_slice(&[k]),
+                        value: Bytes::copy_from_slice(&v),
+                    }
+                    .encode();
+                    cache.on_bypassed_frame(&frame);
                     *inflight.entry(k).or_default() += 1;
                 }
                 Op::Delete(k) => {
@@ -167,7 +257,7 @@ proptest! {
                             k, inflight[&k]
                         );
                         prop_assert!(
-                            cache.lookup(&[k]).as_deref() != Some(&sentinel[..]),
+                            cache.lookup(&[k]).map(|p| p.concat()) != Some(sentinel.clone()),
                             "stale snapshot served for key {}", k
                         );
                     }
@@ -186,9 +276,14 @@ proptest! {
         let mut cache = ReadCache::new(64);
         let mut inflight: FixedMap<u8, u32> = FixedMap::default();
         let mut prev: FixedMap<u8, CacheState> = FixedMap::default();
+        let mut heads: Vec<(u8, Fragments)> = Vec::new();
         for op in ops {
             let key = match op {
+                Op::Whole(_) if heads.is_empty() => continue,
+                Op::Whole(n) => heads[n % heads.len()].0,
                 Op::Update(k, _)
+                | Op::Head(k, ..)
+                | Op::Bypass(k, _)
                 | Op::Delete(k)
                 | Op::ServerAck(k)
                 | Op::ReadResponse(k)
@@ -198,6 +293,25 @@ proptest! {
             match &op {
                 Op::Update(k, v) => {
                     cache.on_update(&[*k], v);
+                    *inflight.entry(*k).or_default() += 1;
+                }
+                Op::Head(k, v, cut) => {
+                    let f = fragments(heads.len() as u32, *k, v, *cut);
+                    cache.on_logged_head(&f.first, f.head);
+                    heads.push((*k, f));
+                    *inflight.entry(*k).or_default() += 1;
+                }
+                Op::Whole(n) => {
+                    let (_, f) = &heads[n % heads.len()];
+                    cache.on_logged_whole(f.head, &f.first, f.rest.iter());
+                }
+                Op::Bypass(k, v) => {
+                    let frame = KvFrame::Set {
+                        key: Bytes::copy_from_slice(&[*k]),
+                        value: Bytes::copy_from_slice(v),
+                    }
+                    .encode();
+                    cache.on_bypassed_frame(&frame);
                     *inflight.entry(*k).or_default() += 1;
                 }
                 Op::Delete(k) => {
@@ -219,16 +333,22 @@ proptest! {
             let after = cache.state(&[key]);
             use CacheState::*;
             let legal = match (&op, before, after) {
-                // T1/T3: first in-flight update -> Pending.
-                (Op::Update(..), Invalid | Persisted, Pending) => true,
+                // T1/T3: first in-flight update -> Pending (a head's value
+                // still arriving).
+                (Op::Update(..) | Op::Head(..), Invalid | Persisted, Pending) => true,
                 // Full cache may refuse to admit a new key.
-                (Op::Update(..), Invalid, Invalid) => true,
+                (Op::Update(..) | Op::Head(..), Invalid, Invalid) => true,
                 // T4/T5: overlapping updates -> Stale.
-                (Op::Update(..), Pending | Stale, Stale) => true,
-                // A delete serves nothing: Stale, or refused admission.
-                (Op::Delete(..), _, Stale) | (Op::Delete(..), Invalid, Invalid) => true,
-                // T2: ack persists Pending.
-                (Op::ServerAck(..), Pending, Persisted) => true,
+                (Op::Update(..) | Op::Head(..), Pending | Stale, Stale) => true,
+                // A delete or a bypassed update serves nothing: Stale, or
+                // refused admission.
+                (Op::Delete(..) | Op::Bypass(..), _, Stale) => true,
+                (Op::Delete(..) | Op::Bypass(..), Invalid, Invalid) => true,
+                // A whole value lands in its Pending entry, or nowhere.
+                (Op::Whole(..), s, t) if s == t => true,
+                // T2: ack persists Pending — or empties it, if its value
+                // never arrived whole.
+                (Op::ServerAck(..), Pending, Persisted | Invalid) => true,
                 // T6 (refined): Stale drains to Invalid only at zero
                 // in-flight; otherwise remains Stale.
                 (Op::ServerAck(..), Stale, Invalid | Stale) => true,

@@ -429,19 +429,31 @@ pub fn check(
                 w.pos >= required_pos && w.invoke_at <= complete_at && w.value == observed
             });
         if !valid {
-            let obs = match &observed {
-                Some(v) => format!("value {}", hex(v)),
-                None => "not-found".to_string(),
-            };
-            candidates.push((
-                idx,
-                format!(
-                    "stale read of key {} ({}): returned {obs}, but a newer write to the \
-                     key completed before the read was invoked",
+            let reason = match &observed {
+                // No client ever wrote the value: not an old write
+                // resurfacing but one made up on the way (a truncated or
+                // spliced value).
+                Some(v) if !writes.iter().any(|w| w.value == observed) => format!(
+                    "never-written read of key {} ({}): returned value {}, which no client \
+                     wrote to the key",
                     hex(&key),
-                    op(id.0, id.1, id.2)
+                    op(id.0, id.1, id.2),
+                    hex(v)
                 ),
-            ));
+                _ => {
+                    let obs = match &observed {
+                        Some(v) => format!("value {}", hex(v)),
+                        None => "not-found".to_string(),
+                    };
+                    format!(
+                        "stale read of key {} ({}): returned {obs}, but a newer write to the \
+                         key completed before the read was invoked",
+                        hex(&key),
+                        op(id.0, id.1, id.2)
+                    )
+                }
+            };
+            candidates.push((idx, reason));
         }
     }
 
@@ -685,6 +697,35 @@ mod tests {
         );
         let stats = check(&h, None).unwrap();
         assert_eq!(stats.reads_checked, 1);
+    }
+
+    #[test]
+    fn a_read_of_a_value_no_client_wrote_is_named_as_such() {
+        // A truncated value: the device served the first part of v2.
+        let mut h = healthy_op(0, 0, &set(b"k", b"v1"));
+        h.extend(healthy_op(100, 1, &set(b"k", b"v2-whole")));
+        h.push(ev(
+            200,
+            0,
+            EventKind::Invoke {
+                kind: OpKind::Read,
+                payload: get(b"k"),
+            },
+        ));
+        h.push(ev(
+            210,
+            0,
+            EventKind::Complete {
+                kind: OpKind::Read,
+                reply: Some(value_reply(b"k", b"v2", true)),
+                device_acks: 0,
+                server_acked: false,
+            },
+        ));
+        let d = check(&h, None).unwrap_err();
+        assert!(d.reason.contains("never-written read"), "{}", d.reason);
+        assert!(!d.reason.contains("stale read"), "{}", d.reason);
+        assert_eq!(d.index, 9);
     }
 
     #[test]

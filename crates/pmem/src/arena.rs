@@ -173,6 +173,16 @@ impl PmArena {
         len.next_power_of_two().max(8).trailing_zeros() as usize
     }
 
+    /// The capacity a fresh arena needs to hand out blocks of `lens`, in
+    /// that order: the reserved first line, then each block rounded up to
+    /// its size class.
+    pub fn footprint(lens: &[usize]) -> usize {
+        LINE + lens
+            .iter()
+            .map(|&len| 1 << Self::size_class(len))
+            .sum::<usize>()
+    }
+
     /// Allocates `len` bytes, reusing freed blocks of the same size class.
     /// Returns `None` when the arena is exhausted.
     pub fn alloc(&mut self, len: usize) -> Option<PmPtr> {

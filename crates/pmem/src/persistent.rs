@@ -154,10 +154,20 @@ impl PersistentKv {
         }
     }
 
-    /// A convenient default sizing for tests and workloads: a 64 MiB arena
-    /// holding a 16 MiB WAL and two 16 MiB image slots.
+    /// A convenient default sizing for tests and workloads: a 16 MiB WAL
+    /// and two 16 MiB image slots, in an arena of exactly that layout
+    /// (48 MiB, plus the reserved null line and the superblock).
     pub fn with_defaults(index: Box<dyn KvStore>) -> PersistentKv {
-        PersistentKv::create(index, 64 << 20, 16 << 20, 16 << 20)
+        let (wal_bytes, checkpoint_bytes) = (16 << 20, 16 << 20);
+        let arena_bytes = PersistentKv::layout_bytes(wal_bytes, checkpoint_bytes);
+        PersistentKv::create(index, arena_bytes, wal_bytes, checkpoint_bytes)
+    }
+
+    /// The arena [`PersistentKv::create`] lays out: the superblock, the WAL
+    /// and the two image slots, allocated in that order.
+    fn layout_bytes(wal_bytes: usize, checkpoint_bytes: usize) -> usize {
+        let image_cap = checkpoint_bytes.next_multiple_of(LINE);
+        PmArena::footprint(&[SUPERBLOCK_LEN, wal_bytes, 2 * image_cap])
     }
 
     /// The index structure's paper name.
@@ -360,6 +370,15 @@ mod tests {
     use crate::kv::{all_stores, store_by_name};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn the_default_arena_is_exactly_its_layout() {
+        let mut kv = PersistentKv::with_defaults(store_by_name("btree", 0));
+        let arena = kv.arena_mut();
+        // 48 MiB + 96 B laid out, rounded up to a whole line.
+        assert_eq!(arena.allocated(), (48 << 20) + 96);
+        assert_eq!(arena.capacity(), arena.allocated().next_multiple_of(LINE));
+    }
 
     fn contents(kv: &PersistentKv) -> BTreeMap<Vec<u8>, Vec<u8>> {
         let mut m = BTreeMap::new();
