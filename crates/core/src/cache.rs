@@ -31,8 +31,10 @@
 //! Stale ones track in-flight log state), and they sit on one intrusive
 //! list in order of last use: becoming Persisted (a server ack, a read
 //! reply's fill) or being hit moves an entry to the front, and room is
-//! made by evicting the back. Every operation is O(1) and the
-//! order is a function of the calls alone, so a run is reproducible.
+//! made by evicting the back. With nothing evictable, an update's new key
+//! is admitted over capacity as Stale, so every in-flight count has a
+//! slot; over capacity, each entry turning Persisted evicts the back.
+//! Every operation is O(1) and the order is a function of the calls alone.
 
 use bytes::Bytes;
 use pmnet_sim::hash::FixedMap;
@@ -129,12 +131,6 @@ pub struct ReadCache {
     oldest: u32,
     capacity: usize,
     counters: CacheCounters,
-    /// In-flight update counts for keys the cache could not admit (no
-    /// evictable slot). Without this, a read response racing such an
-    /// update fills the key with a pre-update server snapshot and serves
-    /// it as Persisted forever after. Bounded by the device's un-acked
-    /// updates, not by cache capacity.
-    refused: FixedMap<Bytes, u32>,
 }
 
 impl ReadCache {
@@ -154,7 +150,6 @@ impl ReadCache {
             oldest: NIL,
             capacity,
             counters: CacheCounters::default(),
-            refused: FixedMap::default(),
         }
     }
 
@@ -204,12 +199,18 @@ impl ReadCache {
     }
 
     /// Moves slot `s` to `state`, keeping the recency list to exactly the
-    /// Persisted entries; an entry becoming Persisted is the most recent.
+    /// Persisted entries; an entry becoming Persisted is the most recent,
+    /// and over capacity it evicts the least recent (perhaps itself).
     fn set_state(&mut self, s: u32, state: CacheState) {
         let was = std::mem::replace(&mut self.slots[s as usize].state, state);
         match (was == CacheState::Persisted, state == CacheState::Persisted) {
             (true, false) => self.unlink(s),
-            (false, true) => self.link_newest(s),
+            (false, true) => {
+                self.link_newest(s);
+                if self.index.len() > self.capacity {
+                    self.make_room();
+                }
+            }
             _ => {}
         }
     }
@@ -242,9 +243,8 @@ impl ReadCache {
         true
     }
 
-    /// Installs a new entry for `key` with `inflight` updates counted
-    /// (room must have been made).
-    fn admit(&mut self, key: &[u8], state: CacheState, inflight: u32) -> u32 {
+    /// Installs a new entry for `key`, no update counted.
+    fn admit(&mut self, key: &[u8], state: CacheState) -> u32 {
         let s = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -264,7 +264,7 @@ impl ReadCache {
         let slot = &mut self.slots[s as usize];
         slot.key = key.clone();
         slot.state = CacheState::Invalid;
-        slot.inflight = inflight;
+        slot.inflight = 0;
         self.index.insert(key, s);
         self.set_state(s, state);
         s
@@ -284,19 +284,16 @@ impl ReadCache {
         self.on_logged(key, Logged::NoValue);
     }
 
-    fn on_logged(&mut self, key: &[u8], update: Logged<'_>) {
+    fn on_logged(&mut self, key: &[u8], mut update: Logged<'_>) {
         let s = match self.index.get(key) {
             Some(&s) => s,
             None => {
-                // Earlier updates to this key may have been refused
-                // admission; they are still in flight, so an admitted
-                // entry counts them (and goes Stale below).
-                let prior = self.refused.remove(key).unwrap_or(0);
+                // With no room the key is admitted over capacity all the
+                // same, with nothing to serve (Stale below).
                 if !self.make_room() {
-                    self.refused.insert(Bytes::copy_from_slice(key), prior + 1);
-                    return;
+                    update = Logged::NoValue;
                 }
-                self.admit(key, CacheState::Invalid, prior)
+                self.admit(key, CacheState::Invalid)
             }
         };
         let slot = &mut self.slots[s as usize];
@@ -371,11 +368,11 @@ impl ReadCache {
         self.counters.update_fills += 1;
     }
 
-    /// The log bypassed the update `frame` (its first fragment): the
-    /// server will apply it, so its key counts one more update in flight,
-    /// with no value to serve. Returns a copy of the key, which the
-    /// server's ack for the fragment settles ([`ReadCache::on_server_ack`]);
-    /// `None` if the frame updates no key.
+    /// The log bypassed the update `frame` (its first fragment), or it
+    /// survived a power loss: the server will apply it, so its key counts
+    /// one more update in flight, with no value to serve. Returns a copy of
+    /// the key, which the server's ack for the fragment settles
+    /// ([`ReadCache::on_server_ack`]); `None` if the frame updates no key.
     pub fn on_bypassed_frame(&mut self, frame: &Bytes) -> Option<Bytes> {
         match KvFrame::decode(frame)? {
             KvFrame::Set { key, .. } | KvFrame::Del { key } => {
@@ -397,13 +394,6 @@ impl ReadCache {
 
     /// A server-ACK for an update to `key` arrived (T2/T6).
     pub fn on_server_ack(&mut self, key: &[u8]) {
-        if let Some(c) = self.refused.get_mut(key) {
-            *c -= 1;
-            if *c == 0 {
-                self.refused.remove(key);
-            }
-            return;
-        }
         let Some(&s) = self.index.get(key) else {
             return;
         };
@@ -436,17 +426,8 @@ impl ReadCache {
         // An entry already holds fresher-or-equal data (Pending,
         // Persisted), or must not be resurrected by a read that raced an
         // in-flight update (Stale, or Pending with its value arriving).
-        if self.index.contains_key(key) {
-            return;
-        }
-        if self.refused.contains_key(key) {
-            // The key has in-flight updates the cache never admitted; the
-            // response may predate them, so filling it would serve stale
-            // data once those updates apply.
-            return;
-        }
-        if self.make_room() {
-            let s = self.admit(key, CacheState::Persisted, 0);
+        if !self.index.contains_key(key) && self.make_room() {
+            let s = self.admit(key, CacheState::Persisted);
             self.slots[s as usize].parts.push(value.clone());
             self.counters.read_fills += 1;
         }
@@ -643,12 +624,12 @@ mod tests {
         let mut c = ReadCache::new(2);
         c.on_update(b"a", b"1"); // Pending — unevictable
         c.on_update(b"b", b"2"); // Pending — unevictable
-        c.on_update(b"c", b"3"); // no room: tracked as refused, not cached
-        assert_eq!(c.state(b"c"), CacheState::Invalid);
-        assert_eq!(c.len(), 2);
-        // Persist one; now there is an evictable victim. The next update
-        // to C is admitted, but the refused one is still in flight, so
-        // the entry starts Stale until both drain.
+        c.on_update(b"c", b"3"); // no room: admitted over capacity, Stale
+        assert_eq!(c.state(b"c"), CacheState::Stale);
+        assert_eq!(c.len(), 3);
+        // Persisting one over capacity evicts it at once. The next update
+        // to C finds the first still in flight, so the entry stays Stale
+        // until both drain.
         c.on_server_ack(b"a");
         c.on_update(b"c", b"3");
         assert_eq!(c.state(b"c"), CacheState::Stale);

@@ -238,8 +238,7 @@ impl Arena {
             kind: EventKind::Complete {
                 kind,
                 reply: done.reply.clone(),
-                device_acks: done.device_acks,
-                server_acked: done.server_acked,
+                frags: self.slots[slot].session.frag_acks().collect(),
             },
         });
         let latency = ctx.now() - anchor + self.profile.app_overhead;

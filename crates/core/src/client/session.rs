@@ -16,6 +16,7 @@
 use bytes::Bytes;
 use pmnet_net::Addr;
 use pmnet_sim::{Dur, Time};
+use pmnet_telemetry::history::FragAcks;
 use pmnet_telemetry::span::Evidence;
 
 use crate::config::{RetryConfig, MTU_BYTES};
@@ -183,10 +184,6 @@ pub struct Completion {
     pub evidence: Evidence,
     /// When it first went on the wire.
     pub issued_at: Time,
-    /// Weakest per-fragment device-ack count at completion.
-    pub device_acks: u8,
-    /// True if every fragment also saw the server's ack.
-    pub server_acked: bool,
 }
 
 /// What [`Session::absorb`] made of a frame.
@@ -495,15 +492,21 @@ impl Session {
         let (evidence, completing_seq) = x
             .evidence
             .unwrap_or((Evidence::LocalLog, x.request.frag_range.1));
-        let device_acks = self.frags.iter().map(|f| f.acks.devices()).min();
         Absorbed::Done(Completion {
             request: x.request,
             reply: x.reply,
             completing_seq,
             evidence,
             issued_at: x.issued_at,
-            device_acks: device_acks.unwrap_or(0) as u8,
-            server_acked: self.frags.iter().all(|f| f.server_acked),
+        })
+    }
+
+    /// What each fragment of the last request had been acknowledged by,
+    /// in fragment order; read at its completion, before the next begins.
+    pub fn frag_acks(&self) -> impl Iterator<Item = FragAcks> + '_ {
+        self.frags.iter().map(|f| FragAcks {
+            device_acks: f.acks.devices() as u8,
+            server_acked: f.server_acked,
         })
     }
 

@@ -154,9 +154,8 @@ pub struct PmnetDevice {
     /// The key of each update the log bypassed that the read cache counts
     /// in flight, by its first fragment's hash: the server ack for that
     /// hash settles the count ([`ReadCache::on_bypassed_frame`]). DRAM,
-    /// cleared on power loss with the cache, and bounded by
-    /// [`DeviceConfig::log_capacity_entries`]: a bypass past the bound
-    /// leaves its key unservable until power loss.
+    /// cleared on power loss with the cache; it holds one key per bypassed
+    /// update still in flight.
     bypassed: FixedMap<u32, Bytes>,
     counters: DeviceCounters,
     alive: bool,
@@ -484,11 +483,15 @@ impl Node for PmnetDevice {
                 // forever. A backup also re-sends each survivor's
                 // `ChainAck`: its primary may be withholding a client ack
                 // on one the outage swallowed. (A client whose PMNet-ACK
-                // was lost retransmits, and the duplicate is answered.)
+                // was lost retransmits, and the duplicate is answered.) The
+                // cache counts each survivor in flight again (DESIGN.md §7).
                 let backup = self.role() == DeviceRole::Backup;
                 for hash in self.log.hashes() {
-                    if let Some(server) = self.log.peek(hash).map(|e| e.server) {
-                        self.arm_entry_retry(ctx, hash, server);
+                    if let Some(e) = self.log.peek(hash) {
+                        if let (Some(cache), 0) = (&mut self.cache, e.header.frag_idx) {
+                            cache.on_bypassed_frame(&e.payload);
+                        }
+                        self.arm_entry_retry(ctx, hash, e.server);
                     }
                     if backup {
                         self.settle(ctx, hash);

@@ -127,9 +127,7 @@ impl PmnetDevice {
             return;
         }
         if let Some(key) = cache.on_bypassed_frame(payload) {
-            if self.bypassed.len() < self.config.log_capacity_entries {
-                self.bypassed.insert(header.hash, key);
-            }
+            self.bypassed.insert(header.hash, key);
         }
     }
 
@@ -348,6 +346,89 @@ mod tests {
             d.cache.as_ref().expect("cache").state(b"k"),
             CacheState::Invalid
         );
+    }
+
+    /// The server's found reply to a `GET key` from session 2.
+    fn value_reply(seq: u32, key: &[u8], value: &[u8]) -> Packet {
+        let frame = KvFrame::Value {
+            key: Bytes::copy_from_slice(key),
+            value: Bytes::copy_from_slice(value),
+            found: true,
+        }
+        .encode();
+        let mut h = PmnetHeader::request(PacketType::BypassReq, 2, seq, Addr(1), Addr(9), 0, 1)
+            .with_payload(&frame);
+        h.ptype = PacketType::AppReply;
+        Packet::udp(
+            Addr(9),
+            Addr(1),
+            SERVICE_PORT,
+            client_port(0),
+            h.encode(&frame),
+        )
+    }
+
+    #[test]
+    fn a_logged_set_that_survives_power_loss_blocks_an_older_read_reply() {
+        let (mut w, client, dev, server, tel) = cached_rig(64);
+        let (h, p) = update_packet(1, &set_frame(b"k", b"v1"));
+        w.inject(client, p);
+        w.run_for(Dur::micros(50));
+        w.schedule_crash(dev, w.now(), Some(Dur::micros(10)));
+        w.run_for(Dur::micros(50));
+        let cache = |w: &World| {
+            w.node::<PmnetDevice>(dev)
+                .cache
+                .as_ref()
+                .map(|c| c.state(b"k"))
+        };
+        assert_eq!(
+            cache(&w),
+            Some(CacheState::Stale),
+            "the survivor is not counted"
+        );
+        // A reply that left the server before it applied the redo carries
+        // the old value; then the redo's ack crosses the device.
+        w.inject(server, value_reply(1, b"k", b"v0"));
+        w.run_for(Dur::micros(50));
+        w.inject(server, server_ack(&h));
+        w.run_for(Dur::micros(50));
+        w.inject(client, get_packet(2, b"k"));
+        w.run_for(Dur::millis(1));
+        assert!(served(&tel).is_empty(), "served {:?}", served(&tel));
+        assert_eq!(cache(&w), Some(CacheState::Invalid));
+    }
+
+    #[test]
+    fn more_bypassed_sets_than_log_entries_all_settle_on_their_acks() {
+        // One log entry, held by `j`: the four SETs after it are bypassed.
+        let (mut w, client, dev, server, tel) = cached_rig(1);
+        let keys: [&[u8]; 4] = [b"k0", b"k1", b"k2", b"k3"];
+        let (_, pj) = update_packet(1, &set_frame(b"j", b"x"));
+        w.inject(client, pj);
+        w.run_for(Dur::micros(50));
+        let sets: Vec<_> = (0..4)
+            .map(|i| update_packet(2 + i, &set_frame(keys[i as usize], b"new")))
+            .collect();
+        for (_, p) in &sets {
+            w.inject(client, p.clone());
+        }
+        w.run_for(Dur::micros(50));
+        assert_eq!(w.node::<PmnetDevice>(dev).log_counters().bypass_full, 4);
+        for (h, _) in &sets {
+            w.inject(server, server_ack(h));
+        }
+        w.run_for(Dur::micros(50));
+        for (i, key) in keys.iter().enumerate() {
+            w.inject(server, value_reply(i as u32, key, b"new"));
+        }
+        w.run_for(Dur::micros(50));
+        for (i, key) in keys.iter().enumerate() {
+            w.inject(client, get_packet(10 + i as u32, key));
+        }
+        w.run_for(Dur::millis(1));
+        assert_eq!(served(&tel), vec![b"new".to_vec(); 4]);
+        assert!(w.node::<PmnetDevice>(dev).bypassed.is_empty());
     }
 
     #[test]

@@ -24,6 +24,15 @@ use crate::config::ApplyConfig;
 use crate::kvproto::KvFrame;
 use crate::protocol::{PacketType, PmnetHeader, FLAG_REDO, SERVICE_PORT};
 
+/// Why a bypass read is held ([`ServerLib::read_hold`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Hold {
+    /// The recovery barrier is open.
+    Barrier,
+    /// A staged pool write addresses the read's key.
+    Pool,
+}
+
 /// Work whose worker occupancy is still elapsing, keyed by the
 /// [`TIMER_DONE`] token in [`ServerLib::parked`].
 #[derive(Debug)]
@@ -66,8 +75,8 @@ struct ApplyOp {
 /// redo-log dedup source) only ever advances in sequence order per
 /// session. Cross-session writes to the same KV key are fenced in
 /// delivery order (`ApplyOp::dep`), and bypass reads addressing a key
-/// with a staged — delivered but not yet applied — write park until that
-/// write reaches the handler.
+/// with a staged — delivered but not yet applied — write wait until that
+/// write reaches the handler ([`ServerLib::read_hold`]).
 #[derive(Debug)]
 pub(super) struct ApplyPool {
     /// Per-worker FIFO queues of staged updates.
@@ -82,7 +91,7 @@ pub(super) struct ApplyPool {
     /// Ids staged but not yet dispatched to a worker.
     pending: FixedSet<u64>,
     /// Latest staged writer id per KV key: the write-write fence source
-    /// and the read-parking predicate.
+    /// and the pool's half of the read-holding predicate.
     key_writer: FixedMap<Bytes, u64>,
     /// `(client, session, seq)` of every staged fragment. A duplicate or
     /// redo resend matching one is dropped *without* a make-up ack: the
@@ -90,8 +99,6 @@ pub(super) struct ApplyPool {
     /// device invalidate its log entry while the only copy of the update
     /// sits in this volatile queue.
     pub(super) in_flight: FixedSet<(Addr, u16, u32)>,
-    /// Bypass reads parked behind a staged same-key write.
-    parked_reads: Vec<PendingPkt>,
     /// The seeded logical scheduler: jitters run occupancy so different
     /// `PMNET_APPLY_SCHED_SEED`s explore different interleavings. Never
     /// touches `ctx.rng()` — the world's schedule stays comparable
@@ -110,7 +117,6 @@ impl ApplyPool {
             pending: FixedSet::default(),
             key_writer: FixedMap::default(),
             in_flight: FixedSet::default(),
-            parked_reads: Vec::new(),
             rng: SimRng::seed(cfg.sched_seed ^ 0x9e37_79b9_7f4a_7c15),
         }
     }
@@ -124,7 +130,6 @@ impl ApplyPool {
         self.pending.clear();
         self.key_writer.clear();
         self.in_flight.clear();
-        self.parked_reads.clear();
     }
 
     /// The instant the pool's last dispatched run completes.
@@ -351,7 +356,7 @@ impl ServerLib {
                 break;
             }
         }
-        self.retry_parked_reads(ctx);
+        self.release_held_reads(ctx);
     }
 
     /// Dispatches one run on idle worker `w`: peels ready ops off the
@@ -412,45 +417,42 @@ impl ServerLib {
         }
     }
 
-    /// Re-offers reads parked behind staged writes; still-blocked ones
-    /// re-park without recounting.
-    fn retry_parked_reads(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pool.parked_reads.is_empty() {
-            return;
+    /// The one read-holding predicate: a durable write the read could miss
+    /// may still be in flight, as redo behind the open recovery barrier or
+    /// staged on a pool queue for the read's key.
+    fn read_hold(&self, pending: &PendingPkt) -> Option<Hold> {
+        if !self.recovery_pending.is_empty() {
+            return Some(Hold::Barrier);
         }
-        let parked = std::mem::take(&mut self.pool.parked_reads);
-        for pending in parked {
-            if self.read_blocked_by_pool(&pending) {
-                self.pool.parked_reads.push(pending);
-            } else {
-                self.on_bypass_post_stack(ctx, pending);
-            }
+        self.read_blocked_by_pool(pending).then_some(Hold::Pool)
+    }
+
+    /// Re-offers every held read in arrival order: when the barrier
+    /// closes and after each pool pump.
+    pub(super) fn release_held_reads(&mut self, ctx: &mut Ctx<'_>) {
+        for (hold, pending) in std::mem::take(&mut self.held_reads) {
+            self.offer_read(ctx, Some(hold), pending);
         }
     }
 
-    pub(super) fn on_bypass_post_stack(&mut self, ctx: &mut Ctx<'_>, mut pending: PendingPkt) {
-        // Durable linearizability: an update the device acked before this
-        // read was issued may still be in flight as redo. Reading handler
-        // state now would serve the pre-crash snapshot, so park the read
-        // until every device reports its per-server log drained.
-        if !self.recovery_pending.is_empty() {
-            self.counters.bypasses_parked += 1;
-            self.parked_bypass.push(pending);
+    /// Serves a bypass read, or holds it while [`ServerLib::read_hold`]
+    /// says so; `held` is why it waited last, so a read is counted once
+    /// per reason it starts waiting for.
+    pub(super) fn offer_read(&mut self, ctx: &mut Ctx<'_>, held: Option<Hold>, read: PendingPkt) {
+        if let Some(hold) = self.read_hold(&read) {
+            match hold {
+                _ if held == Some(hold) => {}
+                Hold::Barrier => self.counters.bypasses_parked += 1,
+                Hold::Pool => self.counters.apply_reads_parked += 1,
+            }
+            self.held_reads.push((hold, read));
             return;
         }
-        // Same reasoning one layer down: a device-acked write may still be
-        // sitting on a concurrent-apply queue, so a read of its key waits
-        // until the write reaches the handler.
-        if self.read_blocked_by_pool(&pending) {
-            self.counters.apply_reads_parked += 1;
-            self.pool.parked_reads.push(pending);
-            return;
-        }
-        self.stamp(ctx, &pending.header, OpEvent::ServerApply { at: ctx.now() });
-        let (service, reply) = self.handler.handle_bypass(&pending.payload, ctx.rng());
+        self.stamp(ctx, &read.header, OpEvent::ServerApply { at: ctx.now() });
+        let (service, reply) = self.handler.handle_bypass(&read.payload, ctx.rng());
         self.counters.bypasses_served += 1;
-        pending.payload = reply.unwrap_or_default();
-        self.park(ctx, service, Parked::Bypass(pending));
+        let payload = reply.unwrap_or_default();
+        self.park(ctx, service, Parked::Bypass(PendingPkt { payload, ..read }));
     }
 
     /// The one place a `ServerAck` leaves the server. Every caller holds

@@ -35,7 +35,7 @@ use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 use pmnet_telemetry::Telemetry;
 
-use self::apply::{ApplyPool, Parked};
+use self::apply::{ApplyPool, Hold, Parked};
 use self::fabric::FabricDriver;
 pub use self::fabric::FabricShardCounters;
 pub use self::recovery::RecoveryStats;
@@ -172,7 +172,7 @@ pub struct ServerCounters {
     /// Unrecoverable gaps skipped after the bounded retransmission rounds
     /// ran out (a crashed client stranded a hole no log can fill).
     pub gaps_skipped: u64,
-    /// Bypass reads parked behind an open recovery barrier (served once
+    /// Bypass reads held behind an open recovery barrier (served once
     /// every device reported `RecoveryDone`).
     pub bypasses_parked: u64,
     /// Updates that went through the batched apply path.
@@ -189,7 +189,7 @@ pub struct ServerCounters {
     pub apply_runs: u64,
     /// Same-key write-write fences recorded at pool staging time.
     pub apply_key_fences: u64,
-    /// Bypass reads parked behind a staged (not yet applied) same-key
+    /// Bypass reads held behind a staged (not yet applied) same-key
     /// write.
     pub apply_reads_parked: u64,
 }
@@ -246,11 +246,9 @@ pub struct ServerLib {
     /// Devices that have not yet reported `RecoveryDone` since the last
     /// restore (the recovery barrier).
     recovery_pending: Vec<Addr>,
-    /// Bypass reads that arrived while the recovery barrier was open.
-    /// Serving them immediately would read handler state that is missing
-    /// device-acked (durable) updates still in flight as redo, so they
-    /// wait here until the barrier closes.
-    parked_bypass: Vec<PendingPkt>,
+    /// Bypass reads waiting for a durable write they could miss, in
+    /// arrival order, each with why ([`ServerLib::read_hold`]).
+    held_reads: Vec<(Hold, PendingPkt)>,
     recovery_poll_timeout: Dur,
     poll_round: u32,
     alive: bool,
@@ -309,7 +307,7 @@ impl ServerLib {
             gap_skip_rounds: defaults.gap_skip_rounds,
             devices: Vec::new(),
             recovery_pending: Vec::new(),
-            parked_bypass: Vec::new(),
+            held_reads: Vec::new(),
             recovery_poll_timeout: defaults.recovery_poll_timeout,
             poll_round: 0,
             alive: true,
@@ -545,7 +543,7 @@ impl ServerLib {
         };
         match header.ptype {
             PacketType::UpdateReq => self.on_update_post_stack(ctx, pending),
-            PacketType::BypassReq => self.on_bypass_post_stack(ctx, pending),
+            PacketType::BypassReq => self.offer_read(ctx, None, pending),
             PacketType::ServerAck => self.on_replica_ack(ctx, header),
             PacketType::RecoveryDone => self.on_recovery_done(ctx, packet.src),
             PacketType::Heartbeat => self.on_heartbeat(ctx, header),

@@ -7,23 +7,26 @@
 //! [`replay`] parses an artifact and re-runs the checker on it, which
 //! must reproduce the identical verdict — the format is lossless.
 //!
-//! The format is line-oriented (`pmnet-model divergence v1`):
+//! The format is line-oriented (`pmnet-model divergence v2`):
 //!
 //! ```text
-//! pmnet-model divergence v1
+//! pmnet-model divergence v2
 //! index=7
 //! reason=duplicate apply: update client 1 session 0 seq 3 ...
 //! state=present            # or `absent` when the server was uninspectable
 //! s 0x6b6579 0x76616c      # one durable entry: hex key, hex value
 //! e at=120 client=1 session=0 seq=3 invoke update 0x01036b...
-//! e at=140 client=1 session=0 seq=3 complete update acks=1 sacked=false reply=-
+//! e at=140 client=1 session=0 seq=4 complete update acks=1,0+s reply=-
 //! e at=150 client=1 session=0 seq=3 apply redo=false epoch=0 0x01036b...
 //! e at=130 client=1 session=0 seq=3 devlog device=2000
 //! e at=160 client=1 session=0 seq=9 cache device=2000 0x02...
 //! ```
 //!
 //! Byte strings are `0x`-prefixed hex (`0x` alone = empty); a missing
-//! reply is `-`; lines are [`pmnet_sim::record`] records.
+//! reply is `-`; `acks=` lists each fragment's device-ACK count in order,
+//! `+s` marking one the server had acknowledged too (v1 recorded one
+//! count and one flag for the whole request); lines are
+//! [`pmnet_sim::record`] records.
 
 use std::collections::BTreeMap;
 
@@ -31,12 +34,12 @@ use bytes::Bytes;
 use pmnet_net::Addr;
 use pmnet_sim::kinds;
 use pmnet_sim::record::{hex, unhex, Kinds, Reader, Token, Value, Writer};
-use pmnet_telemetry::history::{Event, EventKind};
+use pmnet_telemetry::history::{Event, EventKind, FragAcks};
 use pmnet_telemetry::span::OpKind;
 
 use crate::checker::{check, CheckStats, Divergence};
 
-const MAGIC: &str = "pmnet-model divergence v1";
+const MAGIC: &str = "pmnet-model divergence v2";
 
 /// Reads keep the client library's name, `bypass` (`PMNet_bypass`), so
 /// artifact text is unchanged since histories were first recorded.
@@ -53,6 +56,31 @@ const REPLY: Token<Option<Bytes>> = Token(
     |s| (s != "-").then(|| HEX.get(s)).transpose(),
 );
 
+/// What each fragment completed on: `1,0+s`.
+const FRAG_ACKS: Token<Vec<FragAcks>> = Token(
+    |frags| {
+        let one = |f: &FragAcks| {
+            format!(
+                "{}{}",
+                f.device_acks,
+                if f.server_acked { "+s" } else { "" }
+            )
+        };
+        frags.iter().map(one).collect::<Vec<_>>().join(",")
+    },
+    |s| {
+        let one = |f: &str| {
+            let (n, server_acked) = f.strip_suffix("+s").map_or((f, false), |n| (n, true));
+            let device_acks = u8::get(Some(n))?;
+            Ok(FragAcks {
+                device_acks,
+                server_acked,
+            })
+        };
+        s.split(',').map(one).collect()
+    },
+);
+
 const ADDR: Token<Addr> = Token(|a| a.0.to_string(), |s| u32::get(Some(s)).map(Addr));
 
 /// The event kinds of an `e` line: each verb and its fields, once.
@@ -60,8 +88,7 @@ const EVENT: Kinds<EventKind> = kinds!("event verb", EventKind {
     "invoke" => Invoke { kind: "" => REQ_KIND, payload: "" => HEX },
     "complete" => Complete {
         kind: "" => REQ_KIND,
-        device_acks: "acks",
-        server_acked: "sacked",
+        frags: "acks" => FRAG_ACKS,
         reply: "reply" => REPLY,
     },
     "apply" => Apply { redo: "redo", epoch: "epoch", payload: "" => HEX },
@@ -202,5 +229,20 @@ mod tests {
             let e = body(line).unwrap_err();
             assert!(e.contains(want) && e.contains(line), "{e}");
         }
+    }
+
+    #[test]
+    fn a_completion_with_more_fragments_than_its_seq_allows_diverges() {
+        // Two fragments end at seq 0: the first would sit below seq 0.
+        let text = format!(
+            "{MAGIC}\nindex=0\nreason=r\nstate=absent\n\
+             e at=1 client=1 session=0 seq=0 invoke update 0x\n\
+             e at=2 client=1 session=0 seq=0 apply redo=false epoch=0 0x\n\
+             e at=3 client=1 session=0 seq=0 complete update acks=1,1 reply=-\n"
+        );
+        let d = replay(&text).unwrap().unwrap_err();
+        assert_eq!(d.index, 2);
+        let want = "completed 2 fragments, more than its seq allows";
+        assert!(d.reason.contains(want), "{}", d.reason);
     }
 }

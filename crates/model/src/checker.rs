@@ -14,13 +14,15 @@
 //!    with byte-identical payload, and a redo-flagged apply has a prior
 //!    device log record to replay from.
 //! 3. **Durability of acknowledgements** — every acknowledged update is
-//!    applied somewhere in the history, and the acknowledgement rests on
-//!    evidence (a device log record or the server's ACK).
+//!    applied somewhere in the history, and each of its fragments rests on
+//!    evidence: a device-acked fragment on its device log record, a
+//!    server-acked one on the update's apply before the completion.
 //! 4. **Real-time write order** — two writes to the same key where one
 //!    completed before the other was invoked must be applied in that
-//!    order (pairs whose windows overlap are unconstrained, and counted);
-//!    and, across keys, an update that completed on the server's ACK
-//!    alone is applied before anything invoked after that completion.
+//!    order (pairs whose windows overlap are unconstrained, and counted).
+//!    Across keys, rules 2 and 3 carry the order: a server-acked fragment
+//!    needs its update's apply before the completion, so on a time-ordered
+//!    history anything invoked after that completion applies after it.
 //! 5. **Read values** — every KV read (server- or cache-served) returns a
 //!    value some ack-order-consistent linearization allows: at least as
 //!    new as the newest write completed before the read was invoked, and
@@ -41,10 +43,10 @@ use std::fmt;
 use bytes::Bytes;
 use pmnet_core::kvproto::KvFrame;
 use pmnet_net::Addr;
-use pmnet_sim::hash::{FixedMap, FixedSet};
+use pmnet_sim::hash::FixedMap;
 use pmnet_sim::record::hex;
 use pmnet_sim::Time;
-use pmnet_telemetry::history::{Event, EventKind};
+use pmnet_telemetry::history::{Event, EventKind, FragAcks};
 use pmnet_telemetry::span::OpKind;
 
 use crate::artifact::render;
@@ -130,9 +132,11 @@ pub fn check(
     // --- Pass 1: index the history. -------------------------------------
     let mut update_invokes: FixedMap<OpId, (usize, Time, &Bytes)> = FixedMap::default();
     let mut bypass_invokes: FixedMap<OpId, (usize, Time, &Bytes)> = FixedMap::default();
-    let mut update_completes: FixedMap<OpId, (usize, Time, u8, bool)> = FixedMap::default();
+    let mut update_completes: FixedMap<OpId, (usize, Time, &[FragAcks])> = FixedMap::default();
     let mut bypass_completes: Vec<(usize, Time, OpId, Option<&Bytes>)> = Vec::new();
     let mut device_logged: FixedMap<(Addr, u16), Vec<(u32, usize)>> = FixedMap::default();
+    // Each fragment seq's first `DeviceLogged` index.
+    let mut first_logged: FixedMap<OpId, usize> = FixedMap::default();
     let mut applies: Vec<(usize, OpId, bool, u64, &Bytes)> = Vec::new();
     for (idx, e) in history.iter().enumerate() {
         let id: OpId = (e.client, e.session, e.seq);
@@ -145,21 +149,11 @@ pub fn check(
                 };
                 map.entry(id).or_insert((idx, e.at, payload));
             }
-            EventKind::Complete {
-                kind,
-                reply,
-                device_acks,
-                server_acked,
-            } => {
+            EventKind::Complete { kind, reply, frags } => {
                 stats.completes += 1;
                 match kind {
                     OpKind::Update => {
-                        update_completes.entry(id).or_insert((
-                            idx,
-                            e.at,
-                            *device_acks,
-                            *server_acked,
-                        ));
+                        update_completes.entry(id).or_insert((idx, e.at, frags));
                     }
                     OpKind::Read => {
                         bypass_completes.push((idx, e.at, id, reply.as_ref()));
@@ -175,6 +169,7 @@ pub fn check(
                 applies.push((idx, id, *redo, *epoch, payload));
             }
             EventKind::DeviceLogged { .. } => {
+                first_logged.entry(id).or_insert(idx);
                 device_logged
                     .entry((e.client, e.session))
                     .or_default()
@@ -254,9 +249,13 @@ pub fn check(
     }
 
     // --- Rule 3: acknowledged updates are durable. ----------------------
-    let applied_ids: FixedSet<OpId> = applies.iter().map(|&(_, id, ..)| id).collect();
-    for (&(client, session, seq), &(cidx, _at, device_acks, server_acked)) in &update_completes {
-        if !applied_ids.contains(&(client, session, seq)) {
+    let mut first_apply_idx: FixedMap<OpId, usize> = FixedMap::default();
+    for &(idx, id, ..) in &applies {
+        first_apply_idx.entry(id).or_insert(idx);
+    }
+    for (&(client, session, seq), &(cidx, _at, frags)) in &update_completes {
+        let applied_at = first_apply_idx.get(&(client, session, seq)).copied();
+        if applied_at.is_none() {
             candidates.push((
                 cidx,
                 format!(
@@ -265,24 +264,33 @@ pub fn check(
                 ),
             ));
         }
-        if device_acks == 0 && !server_acked {
-            candidates.push((
-                cidx,
-                format!(
-                    "update {} completed with neither a device ACK nor the server's",
-                    op(client, session, seq)
-                ),
-            ));
-        }
-        if device_acks > 0 && !has_log_evidence(client, session, seq, cidx) {
-            candidates.push((
-                cidx,
-                format!(
-                    "update {} claims {} device ACK(s) but no device logged it",
-                    op(client, session, seq),
-                    device_acks
-                ),
-            ));
+        // Fragment seqs run up to the update's last, which `seq` is.
+        let Some(first_seq) = seq.checked_sub(frags.len().saturating_sub(1) as u32) else {
+            let (n, update) = (frags.len(), op(client, session, seq));
+            let reason =
+                format!("update {update} completed {n} fragments, more than its seq allows");
+            candidates.push((cidx, reason));
+            continue;
+        };
+        for (i, f) in frags.iter().enumerate() {
+            let frag_seq = first_seq + i as u32; // at most `seq`
+            let logged = || {
+                let first = first_logged.get(&(client, session, frag_seq));
+                first.is_some_and(|&l| l < cidx)
+            };
+            let claim = if f.device_acks > 0 && !logged() {
+                let n = f.device_acks;
+                format!("claims {n} device ACK(s) but no device logged it")
+            } else if f.server_acked && applied_at.is_some_and(|a| a > cidx) {
+                "claims the server's ACK before the update was applied".to_string()
+            } else if f.device_acks == 0 && !f.server_acked {
+                "completed with neither a device ACK nor the server's".to_string()
+            } else {
+                continue;
+            };
+            let update = op(client, session, seq);
+            let reason = format!("fragment seq {frag_seq} of update {update} {claim}");
+            candidates.push((cidx, reason));
         }
     }
 
@@ -309,7 +317,7 @@ pub fn check(
     }
     // Invoked-but-never-applied writes: position "infinity".
     for (id, &(_, invoke_at, payload)) in &update_invokes {
-        if applied_ids.contains(id) {
+        if first_apply_idx.contains_key(id) {
             continue;
         }
         let Some(k) = write_key(payload) else {
@@ -351,50 +359,6 @@ pub fn check(
                 } else {
                     stats.overlapping_write_pairs += 1;
                 }
-            }
-        }
-    }
-    // Cross-key rule: a server ACK is only ever sent after the apply
-    // reaches the handler, so a completion resting solely on the
-    // server's ACK happens-after its own apply. Anything invoked
-    // after such a completion must therefore apply after it —
-    // regardless of key, which catches a pool that reorders opaque
-    // payloads across sessions.
-    let mut first_apply_idx: FixedMap<OpId, usize> = FixedMap::default();
-    for &(idx, id, ..) in &applies {
-        first_apply_idx.entry(id).or_insert(idx);
-    }
-    let mut acked: Vec<(Time, usize, OpId)> = update_completes
-        .iter()
-        .filter(|&(_, &(_, _, device_acks, server_acked))| server_acked && device_acks == 0)
-        .filter_map(|(&id, &(_, at, ..))| first_apply_idx.get(&id).map(|&i| (at, i, id)))
-        .collect();
-    acked.sort_unstable_by_key(|&(t, i, _)| (t, i));
-    let mut invoked: Vec<(Time, usize, OpId)> = update_invokes
-        .iter()
-        .filter_map(|(&id, &(_, at, _))| first_apply_idx.get(&id).map(|&i| (at, i, id)))
-        .collect();
-    invoked.sort_unstable_by_key(|&(t, i, _)| (t, i));
-    let mut j = 0;
-    let mut latest_acked: Option<(usize, OpId)> = None;
-    for (invoke_at, b_idx, b_id) in invoked {
-        while j < acked.len() && acked[j].0 < invoke_at {
-            if latest_acked.is_none_or(|(i, _)| acked[j].1 > i) {
-                latest_acked = Some((acked[j].1, acked[j].2));
-            }
-            j += 1;
-        }
-        if let Some((a_idx, a_id)) = latest_acked {
-            if a_idx > b_idx {
-                candidates.push((
-                    a_idx,
-                    format!(
-                        "concurrent-history order violation: {} was server-acked \
-                         before {} was invoked, yet was applied after it",
-                        op(a_id.0, a_id.1, a_id.2),
-                        op(b_id.0, b_id.1, b_id.2)
-                    ),
-                ));
             }
         }
     }
@@ -547,8 +511,10 @@ mod tests {
             EventKind::Complete {
                 kind: OpKind::Update,
                 reply: None,
-                device_acks: 1,
-                server_acked: false,
+                frags: vec![FragAcks {
+                    device_acks: 1,
+                    server_acked: false,
+                }],
             },
         )
     }
@@ -656,6 +622,33 @@ mod tests {
     }
 
     #[test]
+    fn each_fragment_rests_on_its_own_evidence() {
+        // Two fragments, seqs 0 and 1: the first device-acked, the second
+        // bypassed by a full log and then server-acked.
+        let p = set(b"k", b"v");
+        let acks = |device_acks, server_acked| FragAcks {
+            device_acks,
+            server_acked,
+        };
+        let done = |frags| {
+            let (kind, reply) = (OpKind::Update, None);
+            ev(30, 1, EventKind::Complete { kind, reply, frags })
+        };
+        let mut h = vec![
+            invoke(0, 1, p.clone()),
+            logged(10, 0),
+            apply(20, 1, p),
+            done(vec![acks(1, false), acks(0, true)]),
+        ];
+        check(&h, None).unwrap();
+        // A device ACK for the second fragment needs its own log record.
+        h[3] = done(vec![acks(1, false), acks(1, false)]);
+        let d = check(&h, None).unwrap_err();
+        let want = "fragment seq 1 of update client 1 session 0 seq 1 claims 1 device ACK(s)";
+        assert!(d.reason.contains(want), "{}", d.reason);
+    }
+
+    #[test]
     fn stale_read_is_caught() {
         let p0 = set(b"k", b"v1");
         let p1 = set(b"k", b"v2");
@@ -676,8 +669,10 @@ mod tests {
             EventKind::Complete {
                 kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"v1", true)),
-                device_acks: 0,
-                server_acked: false,
+                frags: vec![FragAcks {
+                    device_acks: 0,
+                    server_acked: false,
+                }],
             },
         ));
         let d = check(&h, None).unwrap_err();
@@ -691,8 +686,10 @@ mod tests {
             EventKind::Complete {
                 kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"v2", true)),
-                device_acks: 0,
-                server_acked: false,
+                frags: vec![FragAcks {
+                    device_acks: 0,
+                    server_acked: false,
+                }],
             },
         );
         let stats = check(&h, None).unwrap();
@@ -718,8 +715,10 @@ mod tests {
             EventKind::Complete {
                 kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"v2", true)),
-                device_acks: 0,
-                server_acked: false,
+                frags: vec![FragAcks {
+                    device_acks: 0,
+                    server_acked: false,
+                }],
             },
         ));
         let d = check(&h, None).unwrap_err();
@@ -752,8 +751,10 @@ mod tests {
                 EventKind::Complete {
                     kind: OpKind::Read,
                     reply: Some(value_reply(b"k", returned, true)),
-                    device_acks: 0,
-                    server_acked: false,
+                    frags: vec![FragAcks {
+                        device_acks: 0,
+                        server_acked: false,
+                    }],
                 },
             ));
             hh.push(logged(130, 1));
@@ -782,8 +783,10 @@ mod tests {
             EventKind::Complete {
                 kind: OpKind::Read,
                 reply: Some(value_reply(b"k", b"", false)),
-                device_acks: 0,
-                server_acked: false,
+                frags: vec![FragAcks {
+                    device_acks: 0,
+                    server_acked: false,
+                }],
             },
         ));
         let d = check(&h, None).unwrap_err();
@@ -851,8 +854,10 @@ mod tests {
                     kind: EventKind::Complete {
                         kind: OpKind::Update,
                         reply: None,
-                        device_acks: 1,
-                        server_acked: false,
+                        frags: vec![FragAcks {
+                            device_acks: 1,
+                            server_acked: false,
+                        }],
                     },
                 },
             ]
@@ -923,8 +928,10 @@ mod tests {
                 kind: EventKind::Complete {
                     kind: OpKind::Update,
                     reply: None,
-                    device_acks: 1,
-                    server_acked: false,
+                    frags: vec![FragAcks {
+                        device_acks: 1,
+                        server_acked: false,
+                    }],
                 },
             },
         ];
@@ -964,8 +971,10 @@ mod tests {
             kind: EventKind::Complete {
                 kind: OpKind::Update,
                 reply: None,
-                device_acks: 0,
-                server_acked: true,
+                frags: vec![FragAcks {
+                    device_acks: 0,
+                    server_acked: true,
+                }],
             },
         };
         let with_session = |mut e: Event, session: u16| {
@@ -980,9 +989,13 @@ mod tests {
             apply(210, 0, pa.clone()),                   // …A applied after: violation
             with_session(server_acked_complete(300, 1), 1),
         ];
+        // Rule 3 rejects it at A's completion: it claims the server's ACK
+        // before A was applied.
         let d = check(&h, None).unwrap_err();
+        assert_eq!(d.index, 1);
         assert!(
-            d.reason.contains("concurrent-history order violation"),
+            d.reason
+                .contains("claims the server's ACK before the update was applied"),
             "{}",
             d.reason
         );

@@ -41,11 +41,9 @@ pub enum EventKind {
         kind: OpKind,
         /// The reply payload, for requests that carry one (reads).
         reply: Option<Bytes>,
-        /// Weakest per-fragment device-ACK count at completion — the
-        /// replication-chain ack strength this completion rests on.
-        device_acks: u8,
-        /// True if every fragment also saw the server's ACK.
-        server_acked: bool,
+        /// What each fragment, in order, had been acknowledged by: the
+        /// evidence the completion rests on.
+        frags: Vec<FragAcks>,
     },
     /// The server's library delivered the (reassembled, in-order) update
     /// to the application handler.
@@ -69,6 +67,17 @@ pub enum EventKind {
         /// The `KvFrame::Value` reply it produced.
         reply: Bytes,
     },
+}
+
+/// What one fragment of a request had been acknowledged by when the
+/// request completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FragAcks {
+    /// Distinct PMNet devices (or server-side loggers) that acknowledged
+    /// it: the replication-chain ack strength it rests on.
+    pub device_acks: u8,
+    /// True if the server's ACK for it had arrived.
+    pub server_acked: bool,
 }
 
 /// One recorded event, stamped with simulated time and the PMNet identity

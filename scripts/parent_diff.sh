@@ -10,8 +10,9 @@
 #   - runs the six campaign examples (`chaos_search`, `lossy_recovery`,
 #     `fabric_failover`, `model_check`, `concurrent_apply`,
 #     `overload_sweep -- --smoke`), the `failover_recovery` power-cut
-#     demo and `replication_modes` (the alternative replication designs)
-#     on both sides and diffs their stdout;
+#     demo, `replication_modes` (the alternative replication designs) and
+#     `in_network_cache` (a read cache smaller than its key set, so its
+#     evictions and fills) on both sides and diffs their stdout;
 #   - runs the benchmark with `--seconds 0` on all five workloads for
 #     seeds 1 and 29 and compares `sim_digest`, every `sim_*` value,
 #     `attempted` and `failed`.
@@ -36,7 +37,7 @@ mkdir -p "$dir/parent" "$dir/out"
 git -C "$tree" archive "$rev" | tar -x -C "$dir/parent"
 
 examples=(chaos_search lossy_recovery fabric_failover model_check concurrent_apply overload_sweep
-    failover_recovery replication_modes)
+    failover_recovery replication_modes in_network_cache)
 workloads=(closed_small kv_mixed open_overload fabric_saturated apply_contended)
 seeds=(1 29)
 

@@ -17,7 +17,7 @@ use pmnet::core::system::DesignPoint;
 use pmnet::net::Addr;
 use pmnet::sim::{Dur, Time};
 use pmnet::telemetry::flight::{FlightBody, FlightDump, FlightEvent};
-use pmnet::telemetry::history::{Event, EventKind};
+use pmnet::telemetry::history::{Event, EventKind, FragAcks};
 use pmnet::telemetry::span::{AckKind, Evidence, OpEvent, OpKind};
 use proptest::prelude::*;
 
@@ -76,6 +76,13 @@ fn design_after(prev: Option<&DesignPoint>) -> Option<(DesignPoint, &'static str
     })
 }
 
+fn acks(device_acks: u8, server_acked: bool) -> FragAcks {
+    FragAcks {
+        device_acks,
+        server_acked,
+    }
+}
+
 #[rustfmt::skip]
 fn event_after(prev: Option<&EventKind>) -> Option<(EventKind, &'static str)> {
     use EventKind::*;
@@ -85,11 +92,11 @@ fn event_after(prev: Option<&EventKind>) -> Option<(EventKind, &'static str)> {
         None => (Invoke { kind: Update, payload: bytes(b"payload") },
             "e at=5 client=1 session=2 seq=3 invoke update 0x7061796c6f6164"),
         Some(Invoke { .. }) =>
-            (Complete { kind: Read, reply: Some(bytes(b"")), device_acks: 2, server_acked: true },
-            "e at=5 client=1 session=2 seq=3 complete bypass acks=2 sacked=true reply=0x"),
+            (Complete { kind: Read, reply: Some(bytes(b"")), frags: vec![acks(2, true)] },
+            "e at=5 client=1 session=2 seq=3 complete bypass acks=2+s reply=0x"),
         Some(Complete { kind: Read, .. }) =>
-            (Complete { kind: Update, reply: None, device_acks: 0, server_acked: false },
-            "e at=5 client=1 session=2 seq=3 complete update acks=0 sacked=false reply=-"),
+            (Complete { kind: Update, reply: None, frags: vec![acks(1, false), acks(0, true)] },
+            "e at=5 client=1 session=2 seq=3 complete update acks=1,0+s reply=-"),
         Some(Complete { kind: Update, .. }) => (Apply { redo: true, epoch: 4, payload: bytes(b"") },
             "e at=5 client=1 session=2 seq=3 apply redo=true epoch=4 0x"),
         Some(Apply { .. }) =>
@@ -195,7 +202,7 @@ fn flight_dump(bodies: &Corpus<FlightBody>) -> (FlightDump, String) {
 }
 
 const ARTIFACT_HEADER: &str = "# pmnet-chaos replay artifact\nseed=77\n";
-const DIVERGENCE_HEADER: &str = "pmnet-model divergence v1\nindex=4\nreason=some reason: a=b\n";
+const DIVERGENCE_HEADER: &str = "pmnet-model divergence v2\nindex=4\nreason=some reason: a=b\n";
 
 /// What `pmnet::model::render` takes and `parse` gives back.
 type Divergence = (Vec<Event>, Option<BTreeMap<Vec<u8>, Vec<u8>>>);
