@@ -56,7 +56,7 @@ pub struct CampaignConfig {
     /// Plant the deliberate dedup bug in every run (for harness
     /// self-tests).
     pub plant_dedup_bug: bool,
-    /// Doorbell batching window of every run (devices and server apply).
+    /// Doorbell batching window of every device in every run.
     /// With a window above 1 a staged, not yet persisted batch dies with
     /// its device, so it must be re-driven by client retries rather than
     /// falsely acked. Plan/seed derivation does not depend on it.
@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn batched_lossy_recovery_campaign_converges() {
-        // Crash-under-loss with doorbell batching live on every hop: a
+        // Crash-under-loss with doorbell batching live on every device: a
         // staged window dies with the device's volatile state, so the
         // convergence and durability invariants exercise the batch path's
         // crash story, not just its fast path.

@@ -44,9 +44,10 @@ pub struct Scenario {
     /// on the primary — used to prove the harness catches real
     /// protocol-level defects.
     pub plant_dedup_bug: bool,
-    /// Doorbell batching window on every device and the server's apply
-    /// path; 1 (the default) is the unbatched fast path, so all frozen
-    /// campaign digests keep their meaning.
+    /// Doorbell batching window on every device (the server applies each
+    /// update as it is delivered, whatever the window); 1 (the default) is
+    /// the unbatched fast path, so all frozen campaign digests keep their
+    /// meaning.
     pub batch_window: u32,
     /// Server apply worker threads; 1 (the default) is the sequential
     /// apply path, so all frozen campaign digests keep their meaning.

@@ -220,18 +220,18 @@ impl DeviceConfig {
     }
 }
 
-/// Doorbell batching/coalescing policy, applied on every hop: the device
+/// Doorbell batching/coalescing policy of every PMNet device: the device
 /// stages log appends and covers a whole window with one PM persist fence,
-/// coalesces the window's client ACKs into one batch packet per client,
-/// and the server applies a window of deliverable updates behind a single
-/// fence.
+/// and coalesces the window's client ACKs into one batch packet per
+/// client. The server reads none of it: it applies each update as it is
+/// delivered.
 ///
 /// `window: 1` (the default) is a window of one and is bit-identical to
 /// the unbatched system — the golden digests pin this. Batching is an
-/// ordering-preserving optimization: entries within a window persist (and
-/// apply) in arrival order, and the single fence covering the window
-/// provides the same durable-before-acknowledged guarantee as a fence per
-/// entry ("Correct, Fast Remote Persistence"'s batch-ordering argument).
+/// ordering-preserving optimization: entries within a window persist in
+/// arrival order, and the single fence covering the window provides the
+/// same durable-before-acknowledged guarantee as a fence per entry
+/// ("Correct, Fast Remote Persistence"'s batch-ordering argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Doorbell window: entries staged before a flush. 1 is a window of
@@ -434,7 +434,7 @@ pub struct SystemConfig {
     /// Base delay before the recovering server re-polls devices that have
     /// not yet reported `RecoveryDone` (doubles per round).
     pub recovery_poll_timeout: Dur,
-    /// Doorbell batching/coalescing policy for every hop (`window: 1`, a
+    /// Doorbell batching/coalescing policy of every device (`window: 1`, a
     /// window of one, disables it).
     pub batch: BatchConfig,
     /// Concurrent server-side apply policy (`threads: 1` disables it; the
@@ -476,7 +476,7 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with the given batching policy on every hop.
+    /// Returns a copy with the given batching policy on every device.
     pub fn with_batch(mut self, batch: BatchConfig) -> SystemConfig {
         self.batch = batch;
         self

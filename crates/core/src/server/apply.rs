@@ -1,24 +1,24 @@
 //! Applying updates and completing them. A **scheduling policy** decides
 //! when an in-order [`Update`] reaches the handler and how long a worker
-//! is occupied — the doorbell window on the k-worker delay queue (a job
-//! per window; a window of one is a job per update) or the session-pinned
-//! pool (`apply.threads > 1`: a run per worker). [`ServerLib::apply_one`]
-//! is the only place the handler and every observer see it; its
-//! [`AckTicket`] is then parked until the occupancy elapses
-//! ([`TIMER_DONE`]) and redeemed by [`ServerLib::finish_update_job`].
+//! is occupied — the k-worker delay queue (each update as it is
+//! delivered) or the session-pinned pool (`apply.threads > 1`: a run per
+//! worker). [`ServerLib::apply_one`] is the only place the handler and
+//! every observer see it; its [`AckTicket`] is then parked until the
+//! occupancy elapses ([`TIMER_DONE`]) and redeemed by
+//! [`ServerLib::finish_update_job`].
 
 use std::collections::VecDeque;
 
 use bytes::Bytes;
 use pmnet_net::{Addr, Ctx, Packet, Proto};
 use pmnet_pmem::CostModel;
-use pmnet_sim::hash::{fnv1a, FixedMap, FixedSet, FNV_OFFSET};
+use pmnet_sim::hash::{fnv1a, FixedMap, FNV_OFFSET};
 use pmnet_sim::{Dur, SimRng, Time};
 use pmnet_telemetry::history::{Event, EventKind};
 use pmnet_telemetry::span::OpEvent;
 
 use super::stream::{AckTicket, PendingPkt, Update};
-use super::{ServerLib, TIMER_DONE, TIMER_WINDOW_FLUSH};
+use super::{ServerLib, TIMER_DONE};
 use crate::audit::AuditEntry;
 use crate::config::ApplyConfig;
 use crate::kvproto::KvFrame;
@@ -37,15 +37,14 @@ pub(super) enum Hold {
 /// [`TIMER_DONE`] token in [`ServerLib::parked`].
 #[derive(Debug)]
 pub(super) enum Parked {
-    /// A window that flushed with one applied update; the ticket rides
-    /// inline, so it pays no allocation for its completion.
+    /// One update applied on the delay queue; the ticket rides inline,
+    /// so it pays no allocation for its completion.
     Update(AckTicket),
-    /// A doorbell window of two or more, or a pool run, each ticket
-    /// redeemed exactly as a solo one. `worker` is the pool worker
-    /// occupied (`None`: delay queue).
+    /// A run on pool worker `worker`, each ticket redeemed exactly as a
+    /// solo one.
     Run {
         tickets: Vec<AckTicket>,
-        worker: Option<usize>,
+        worker: usize,
     },
     /// A served bypass request; `payload` now holds the reply body.
     Bypass(PendingPkt),
@@ -55,12 +54,12 @@ pub(super) enum Parked {
 /// handler has **not** seen it yet.
 #[derive(Debug)]
 struct ApplyOp {
-    /// Delivery order id (global across queues); doubles as the
-    /// same-key fence token.
+    /// Delivery order id (global across queues, so rising along each
+    /// queue); doubles as the same-key fence token.
     id: u64,
-    /// Id of the latest earlier staged write to the same KV key, if any:
-    /// this op may not reach the handler before its fence does.
-    dep: Option<u64>,
+    /// The latest earlier staged write to the same KV key, if any, as its
+    /// `(worker, id)`: this op may not reach the handler before it does.
+    dep: Option<(usize, u64)>,
     /// Decoded `Set`/`Del` key (None for opaque payloads, which carry no
     /// cross-session ordering obligations).
     key: Option<Bytes>,
@@ -76,7 +75,10 @@ struct ApplyOp {
 /// session. Cross-session writes to the same KV key are fenced in
 /// delivery order (`ApplyOp::dep`), and bypass reads addressing a key
 /// with a staged — delivered but not yet applied — write wait until that
-/// write reaches the handler ([`ServerLib::read_hold`]).
+/// write reaches the handler ([`ServerLib::read_hold`]). The queues are the
+/// pool's only record of what is staged: a fence is passed once its
+/// writer's queue head is past it. Whether a duplicate is still staged
+/// the session's stream says ([`super::stream::Stream::staged`]).
 #[derive(Debug)]
 pub(super) struct ApplyPool {
     /// Per-worker FIFO queues of staged updates.
@@ -88,17 +90,9 @@ pub(super) struct ApplyPool {
     busy_until: Vec<Time>,
     /// Monotone delivery counter feeding [`ApplyOp::id`].
     next_id: u64,
-    /// Ids staged but not yet dispatched to a worker.
-    pending: FixedSet<u64>,
-    /// Latest staged writer id per KV key: the write-write fence source
-    /// and the pool's half of the read-holding predicate.
-    key_writer: FixedMap<Bytes, u64>,
-    /// `(client, session, seq)` of every staged fragment. A duplicate or
-    /// redo resend matching one is dropped *without* a make-up ack: the
-    /// update has not reached the handler, so acking it would let the
-    /// device invalidate its log entry while the only copy of the update
-    /// sits in this volatile queue.
-    pub(super) in_flight: FixedSet<(Addr, u16, u32)>,
+    /// Latest staged writer `(worker, id)` per KV key: the write-write
+    /// fence source and the pool's half of the read-holding predicate.
+    key_writer: FixedMap<Bytes, (usize, u64)>,
     /// The seeded logical scheduler: jitters run occupancy so different
     /// `PMNET_APPLY_SCHED_SEED`s explore different interleavings. Never
     /// touches `ctx.rng()` — the world's schedule stays comparable
@@ -114,9 +108,7 @@ impl ApplyPool {
             busy: vec![false; n],
             busy_until: vec![Time::ZERO; n],
             next_id: 0,
-            pending: FixedSet::default(),
             key_writer: FixedMap::default(),
-            in_flight: FixedSet::default(),
             rng: SimRng::seed(cfg.sched_seed ^ 0x9e37_79b9_7f4a_7c15),
         }
     }
@@ -127,9 +119,13 @@ impl ApplyPool {
         self.queues.iter_mut().for_each(VecDeque::clear);
         self.busy.fill(false);
         self.busy_until.fill(Time::ZERO);
-        self.pending.clear();
         self.key_writer.clear();
-        self.in_flight.clear();
+    }
+
+    /// Whether the staged write `(w, id)` has left its queue for a worker:
+    /// ids rise along each FIFO queue, so it has once the head is past it.
+    fn dispatched(&self, (w, id): (usize, u64)) -> bool {
+        self.queues[w].front().is_none_or(|head| head.id > id)
     }
 
     /// The instant the pool's last dispatched run completes.
@@ -139,11 +135,9 @@ impl ApplyPool {
 
     pub(super) fn debug(&self) -> String {
         format!(
-            "queues={:?} busy={:?} pending={} in_flight={} heads={:?}",
+            "queues={:?} busy={:?} heads={:?}",
             self.queues.iter().map(|q| q.len()).collect::<Vec<_>>(),
             self.busy,
-            self.pending.len(),
-            self.in_flight.len(),
             self.queues
                 .iter()
                 .map(|q| q.front().map(|o| (o.id, o.dep)))
@@ -152,8 +146,8 @@ impl ApplyPool {
     }
 }
 
-/// The handler times of a combined job each include one `sfence` drain; the
-/// job needs only the last, so the other `n - 1` are given back at the
+/// The handler times of a pool run each include one `sfence` drain; the
+/// run needs only the last, so the other `n - 1` are given back at the
 /// calibrated per-fence cost.
 fn fence_refund(n: u64) -> Dur {
     CostModel::optane_server().per_fence * (n - 1)
@@ -204,49 +198,15 @@ impl ServerLib {
         service
     }
 
-    /// Routes one in-order update through the configured policy.
+    /// Routes one in-order update through the configured policy: staged
+    /// on the pool, or applied now and acked once its worker is done.
     pub(super) fn deliver(&mut self, ctx: &mut Ctx<'_>, update: Update) {
         if self.apply.is_concurrent() {
             self.stage_concurrent(ctx, update);
             return;
         }
         let service = self.apply_one(ctx, &update);
-        if self.batch.is_batched() {
-            self.counters.batched_applies += 1;
-        }
-        self.window.push(update.ticket);
-        self.window_service += service;
-        if self.window.len() >= self.batch.window as usize {
-            self.flush_window(ctx);
-        } else if self.window.len() == 1 {
-            // First entry of a new window: arm the doorbell deadline.
-            let deadline = self.batch.max_wait;
-            self.arm(ctx, deadline, TIMER_WINDOW_FLUSH, self.window_seq);
-        }
-    }
-
-    /// Submits the staged doorbell window as one combined worker job. A
-    /// job of one ticket parks it inline, so a window of one allocates
-    /// nothing.
-    pub(super) fn flush_window(&mut self, ctx: &mut Ctx<'_>) {
-        let service = std::mem::take(&mut self.window_service);
-        self.window_seq += 1;
-        let n = self.window.len() as u64;
-        let work = if n > 1 {
-            let tickets = self.window.drain(..).collect();
-            let worker = None; // the delay queue, not a pool worker
-            Parked::Run { tickets, worker }
-        } else if let Some(ticket) = self.window.pop() {
-            Parked::Update(ticket)
-        } else {
-            return;
-        };
-        if self.batch.is_batched() {
-            self.counters.apply_batches += 1;
-            self.counters.apply_fences_elided += n - 1;
-        }
-        let service = service.saturating_sub(fence_refund(n));
-        self.park(ctx, service, work);
+        self.park(ctx, service, Parked::Update(update.ticket));
     }
 
     /// The k-worker delay queue: occupies the earliest-free worker for
@@ -273,15 +233,11 @@ impl ServerLib {
         match self.parked.remove(&id) {
             Some(Parked::Update(ticket)) => self.finish_update_job(ctx, ticket),
             Some(Parked::Run { tickets, worker }) => {
-                if let Some(w) = worker {
-                    self.pool.busy[w] = false;
-                }
+                self.pool.busy[worker] = false;
                 for ticket in tickets {
                     self.finish_update_job(ctx, ticket);
                 }
-                if worker.is_some() {
-                    self.pump_pool(ctx);
-                }
+                self.pump_pool(ctx);
             }
             Some(Parked::Bypass(reply)) if !self.silent_commit => {
                 let mut h = reply.header;
@@ -319,19 +275,14 @@ impl ServerLib {
         };
         let id = self.pool.next_id;
         self.pool.next_id += 1;
+        let w = self.apply_worker(update.ticket.client, update.ticket.session);
         // Taking over as the key's latest staged writer yields the fence.
         let dep = key
             .as_ref()
-            .and_then(|k| self.pool.key_writer.insert(k.clone(), id));
+            .and_then(|k| self.pool.key_writer.insert(k.clone(), (w, id)));
         if dep.is_some() {
             self.counters.apply_key_fences += 1;
         }
-        self.pool.pending.insert(id);
-        let (client, session) = (update.ticket.client, update.ticket.session);
-        for h in update.ticket.frag_headers.iter() {
-            self.pool.in_flight.insert((client, session, h.seq));
-        }
-        let w = self.apply_worker(client, session);
         self.pool.queues[w].push_back(ApplyOp {
             id,
             dep,
@@ -361,9 +312,8 @@ impl ServerLib {
 
     /// Dispatches one run on idle worker `w`: peels ready ops off the
     /// queue head, applies each, and occupies the worker for the combined
-    /// service time with the run's redundant fence drains refunded, like
-    /// the doorbell window. Returns false if the queue head is empty or
-    /// fenced.
+    /// service time with the run's redundant fence drains refunded.
+    /// Returns false if the queue head is empty or fenced.
     fn dispatch_run(&mut self, ctx: &mut Ctx<'_>, w: usize) -> bool {
         let mut service = Dur::ZERO;
         let mut tickets = Vec::new();
@@ -371,19 +321,18 @@ impl ServerLib {
             // Ready once its same-key fence has reached a worker. A fence
             // queued ahead on this same worker was peeled just above, so
             // intra-queue fences never stall a run.
-            if front.dep.is_some_and(|d| self.pool.pending.contains(&d)) {
+            if front.dep.is_some_and(|d| !self.pool.dispatched(d)) {
                 break;
             }
             let op = self.pool.queues[w].pop_front().expect("front just seen");
-            self.pool.pending.remove(&op.id);
+            let session = (op.update.ticket.client, op.update.ticket.session);
+            if let Some(stream) = self.streams.get_mut(&session) {
+                stream.dispatched(op.update.last_seq);
+            }
             if let Some(k) = &op.key {
-                if self.pool.key_writer.get(k) == Some(&op.id) {
+                if self.pool.key_writer.get(k) == Some(&(w, op.id)) {
                     self.pool.key_writer.remove(k);
                 }
-            }
-            let (client, session) = (op.update.ticket.client, op.update.ticket.session);
-            for h in op.update.ticket.frag_headers.iter() {
-                self.pool.in_flight.remove(&(client, session, h.seq));
             }
             service += self.apply_one(ctx, &op.update);
             self.counters.concurrent_applies += 1;
@@ -399,8 +348,7 @@ impl ServerLib {
         let service = service.saturating_sub(fence_refund(n)) + jitter;
         self.pool.busy[w] = true;
         self.pool.busy_until[w] = ctx.now() + service;
-        let worker = Some(w);
-        self.park_until(ctx, service, Parked::Run { tickets, worker });
+        self.park_until(ctx, service, Parked::Run { tickets, worker: w });
         true
     }
 
@@ -544,10 +492,11 @@ mod tests {
     use std::rc::Rc;
 
     use pmnet_net::{LinkSpec, Msg, Node, World};
+    use pmnet_sim::hash::FixedSet;
 
     use super::super::stream::FragHeaders;
     use super::super::tests::mk;
-    use super::super::IdealHandler;
+    use super::super::{IdealHandler, RequestHandler};
     use super::*;
     use crate::protocol::client_port;
 
@@ -597,7 +546,7 @@ mod tests {
             !s.read_blocked_by_pool(&get(b"k1")),
             "empty pool blocks nothing"
         );
-        s.pool.key_writer.insert(Bytes::from_static(b"k1"), 0);
+        s.pool.key_writer.insert(Bytes::from_static(b"k1"), (0, 0));
         assert!(s.read_blocked_by_pool(&get(b"k1")));
         assert!(!s.read_blocked_by_pool(&get(b"k2")), "other keys pass");
         // Opaque (non-Get) bypass payloads never park.
@@ -609,20 +558,86 @@ mod tests {
         let mut s = mk(Box::new(IdealHandler::new())).with_apply(ApplyConfig::threaded(2));
         s.pool.next_id = 7;
         s.next_parked = 3;
-        s.pool.pending.insert(6);
-        s.pool.key_writer.insert(Bytes::from_static(b"k"), 6);
-        s.pool.in_flight.insert((Addr(1), 1, 4));
+        s.pool.key_writer.insert(Bytes::from_static(b"k"), (1, 6));
         s.pool.busy[1] = true;
         s.wipe_volatile(Time::ZERO);
-        assert!(s.pool.pending.is_empty());
         assert!(s.pool.key_writer.is_empty());
-        assert!(s.pool.in_flight.is_empty());
         assert_eq!(s.pool.busy, vec![false; 2]);
         assert_eq!(
             s.pool.next_id, 7,
             "delivery ids stay monotone across crashes"
         );
         assert_eq!(s.next_parked, 3, "so do completion tokens");
+    }
+
+    /// A handler that takes 1 ms per update and logs `(session, seq)` in
+    /// the order it applies them.
+    #[derive(Debug)]
+    struct SlowLog(Rc<RefCell<Vec<(u16, u32)>>>);
+
+    impl RequestHandler for SlowLog {
+        fn handle_update(&mut self, _: Addr, s: u16, q: u32, _: &Bytes, _: &mut SimRng) -> Dur {
+            self.0.borrow_mut().push((s, q));
+            Dur::millis(1)
+        }
+        fn handle_bypass(&mut self, _: &Bytes, _: &mut SimRng) -> (Dur, Option<Bytes>) {
+            (Dur::ZERO, None)
+        }
+        fn applied_seq(&mut self, _: Addr, _: u16) -> Option<u32> {
+            None
+        }
+        fn on_crash(&mut self, _: &mut SimRng) {}
+        fn on_recover(&mut self) -> Dur {
+            Dur::ZERO
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_same_key_write_waits_for_its_fence_on_another_worker() {
+        let applied = Rc::new(RefCell::new(Vec::new()));
+        let s = mk(Box::new(SlowLog(applied.clone()))).with_apply(ApplyConfig::threaded(2));
+        // Two sessions of one client, pinned to different workers.
+        let a = 0;
+        let b = (1..).find(|&b| s.apply_worker(Addr(1), b) != s.apply_worker(Addr(1), a));
+        let b = b.expect("two workers");
+        let set = |session: u16, seq: u32, key: &'static [u8]| {
+            let key = Bytes::from_static(key);
+            let body = KvFrame::Set {
+                key,
+                value: Bytes::from_static(b"v"),
+            }
+            .encode();
+            let h =
+                PmnetHeader::request(PacketType::UpdateReq, session, seq, Addr(1), Addr(9), 0, 1)
+                    .with_payload(&body);
+            Packet::udp(
+                Addr(1),
+                Addr(9),
+                client_port(session),
+                SERVICE_PORT,
+                h.encode(&body),
+            )
+        };
+        let mut w = World::new(1);
+        let node = w.add_node(Box::new(s));
+        let acks = w.add_node(Box::new(Tap(Rc::default())));
+        w.connect(node, acks, LinkSpec::ten_gbps());
+        let port = super::super::POST_STACK;
+        // A's first write occupies A's worker, so its write to `k` waits
+        // staged; B's later write to `k` finds its own worker idle but
+        // is fenced behind A's.
+        for packet in [set(a, 0, b"j"), set(a, 1, b"k"), set(b, 0, b"k")] {
+            w.schedule(Time::ZERO, node, Msg::Packet { port, packet });
+        }
+        w.run_to_quiescence(10_000);
+        assert_eq!(*applied.borrow(), [(a, 0), (a, 1), (b, 0)]);
+        assert_eq!(w.node::<ServerLib>(node).counters().apply_key_fences, 1);
     }
 
     /// An endpoint that keeps the header of every packet that arrives.

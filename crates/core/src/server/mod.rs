@@ -54,9 +54,6 @@ const TIMER_GAP: u32 = 20;
 const TIMER_DONE: u32 = 21;
 const TIMER_RECOVERY_POLL: u32 = 22;
 const TIMER_FABRIC_CHECK: u32 = 23;
-/// Doorbell deadline for a partially filled apply window; `a` carries the
-/// window id so a stale deadline can't flush a later window.
-const TIMER_WINDOW_FLUSH: u32 = 24;
 
 /// The application running on the server: applies updates, serves reads,
 /// and keeps the per-session applied sequence numbers durable.
@@ -175,12 +172,8 @@ pub struct ServerCounters {
     /// Bypass reads held behind an open recovery barrier (served once
     /// every device reported `RecoveryDone`).
     pub bypasses_parked: u64,
-    /// Updates that went through the batched apply path.
-    pub batched_applies: u64,
-    /// Combined apply jobs submitted to the worker pool.
-    pub apply_batches: u64,
-    /// Handler fence drains amortized away by batching (window size minus
-    /// one per combined job).
+    /// Handler fence drains amortized away by pool runs (run length minus
+    /// one per run).
     pub apply_fences_elided: u64,
     /// Updates applied through the concurrent sharded pool
     /// (`apply.threads > 1`).
@@ -206,8 +199,6 @@ impl pmnet_telemetry::registry::CounterGroup for ServerCounters {
         f("corrupt_dropped", self.corrupt_dropped);
         f("gaps_skipped", self.gaps_skipped);
         f("bypasses_parked", self.bypasses_parked);
-        f("batched_applies", self.batched_applies);
-        f("apply_batches", self.apply_batches);
         f("apply_fences_elided", self.apply_fences_elided);
         f("concurrent_applies", self.concurrent_applies);
         f("apply_runs", self.apply_runs);
@@ -229,14 +220,6 @@ pub struct ServerLib {
     /// Work whose worker occupancy is still elapsing ([`TIMER_DONE`]).
     parked: FixedMap<u64, Parked>,
     next_parked: u64,
-    batch: BatchConfig,
-    /// Applied updates staged for the next doorbell job, and their summed
-    /// handler service time.
-    window: Vec<AckTicket>,
-    window_service: Dur,
-    /// Bumped at every flush, so a doorbell deadline armed for an
-    /// already-flushed window is a no-op.
-    window_seq: u64,
     apply: ApplyConfig,
     pool: ApplyPool,
     counters: ServerCounters,
@@ -296,10 +279,6 @@ impl ServerLib {
             streams: FixedMap::default(),
             parked: FixedMap::default(),
             next_parked: 0,
-            batch: BatchConfig::default(),
-            window: Vec::with_capacity(1),
-            window_service: Dur::ZERO,
-            window_seq: 0,
             apply: ApplyConfig::default(),
             pool: ApplyPool::new(&ApplyConfig::default()),
             counters: ServerCounters::default(),
@@ -346,24 +325,20 @@ impl ServerLib {
         self
     }
 
-    /// Configures doorbell-batched apply: in-order updates are staged and
-    /// submitted to the worker pool as one combined job per window, with
-    /// the redundant per-op fence drains amortized away. `window: 1` (the
-    /// default) is a window of one: a job per update, byte-identical to
-    /// the unbatched server.
+    /// Validates a doorbell policy and otherwise leaves the server as it
+    /// is: batching is the device's alone (staged log appends, coalesced
+    /// acks). The server applies each in-order update as it is delivered
+    /// and acks it once its worker occupancy elapses, whatever the window.
     #[must_use]
-    pub fn with_batch(mut self, batch: BatchConfig) -> ServerLib {
+    pub fn with_batch(self, batch: BatchConfig) -> ServerLib {
         batch.validate().expect("invalid batch config");
-        self.batch = batch;
-        self.window = Vec::with_capacity(batch.window as usize);
         self
     }
 
     /// Configures the session-pinned concurrent-apply pool (see
-    /// [`ApplyConfig`]). `threads: 1` (the default) leaves the delivery
-    /// path untouched — byte-identical schedules, counters, and digests.
-    /// With more threads the pool supersedes the doorbell apply window
-    /// (device-side batching from the same [`BatchConfig`] still applies).
+    /// [`ApplyConfig`]). `threads: 1` (the default) applies each update
+    /// on the k-worker delay queue as it is delivered; with more threads
+    /// updates are staged on the pool's per-worker queues instead.
     #[must_use]
     pub fn with_apply(mut self, apply: ApplyConfig) -> ServerLib {
         apply.validate().expect("invalid apply config");
@@ -646,7 +621,6 @@ impl Node for ServerLib {
             // armed in; one from before a crash or restore is stale.
             Msg::Timer(Timer { kind, a, b }) if b == self.epoch => match kind {
                 TIMER_DONE => self.on_done(ctx, a),
-                TIMER_WINDOW_FLUSH if a == self.window_seq => self.flush_window(ctx),
                 TIMER_FABRIC_CHECK => self.on_fabric_check(ctx),
                 TIMER_RECOVERY_POLL => self.on_recovery_poll(ctx),
                 _ => {}

@@ -124,6 +124,12 @@ pub enum GapCheck {
 #[derive(Debug)]
 pub struct Stream {
     expected: u32,
+    /// One past the last fragment of the latest update
+    /// [`Stream::next_ready`] yielded.
+    delivered_below: u32,
+    /// One past the last fragment of the latest update the apply pool
+    /// handed to the handler ([`Stream::dispatched`]).
+    dispatched_below: u32,
     reorder: BTreeMap<u32, PendingPkt>,
     /// Accepted fragments of the request being reassembled. Drained, not
     /// dropped, on completion, so the buffer is reused across requests.
@@ -136,6 +142,8 @@ impl Stream {
     pub fn new(expected: u32) -> Stream {
         Stream {
             expected,
+            delivered_below: expected,
+            dispatched_below: expected,
             reorder: BTreeMap::new(),
             partial: Vec::new(),
             gap_round: 0,
@@ -165,6 +173,22 @@ impl Stream {
         }
         self.accept(pkt);
         Offer::Accepted
+    }
+
+    /// Records that the update ending at `last_seq` left the apply pool's
+    /// queue for the handler.
+    pub fn dispatched(&mut self, last_seq: u32) {
+        self.dispatched_below = last_seq + 1;
+    }
+
+    /// Whether `seq` belongs to a delivered update the apply pool has not
+    /// yet handed to the handler. The pool hands a session's updates on
+    /// in delivery order (one FIFO queue per session), so these are the
+    /// seqs between its last dispatch and the last delivery. Meaningful
+    /// only under the pool: without it nothing calls
+    /// [`Stream::dispatched`].
+    pub fn staged(&self, seq: u32) -> bool {
+        (self.dispatched_below..self.delivered_below).contains(&seq)
     }
 
     /// Takes `pkt` as the next fragment whatever its `SeqNum` — how the
@@ -209,6 +233,7 @@ impl Stream {
             }
             (FragHeaders::Many(headers), gathered.freeze())
         };
+        self.delivered_below = self.expected;
         Update {
             last_seq: self.expected - 1,
             payload,
@@ -287,20 +312,21 @@ impl ServerLib {
     pub(super) fn on_update_post_stack(&mut self, ctx: &mut Ctx<'_>, pending: PendingPkt) {
         let key = (pending.header.client, pending.header.session);
         let replay = self.dedup_disabled;
+        let pooled = self.apply.is_concurrent();
         let stream = self.stream_mut(key);
         let expected = stream.expected();
         match stream.offer(pending) {
             // The planted bug: apply it again.
             Offer::Duplicate(pending) if replay => stream.accept(pending),
             Offer::Duplicate(pending) => {
-                self.counters.duplicates_dropped += 1;
                 // Delivered but still staged on a pool queue: drop the
                 // duplicate silently. A make-up ack now would let the
                 // device invalidate the only durable copy of an update
                 // that has not reached the handler yet; the completion
                 // ack is still owed and covers the log entry.
-                let staged = (key.0, key.1, pending.header.seq);
-                if !self.pool.in_flight.contains(&staged) {
+                let staged = pooled && stream.staged(pending.header.seq);
+                self.counters.duplicates_dropped += 1;
+                if !staged {
                     // Duplicate or already-applied redo resend: send a
                     // make-up server-ACK so logs upstream get invalidated
                     // (Section IV-E1 case 3).

@@ -453,8 +453,7 @@ impl SystemBuilder {
             let mut s = server_from(&cfg, addrs::SERVER, (self.handler_factory)())
                 .with_devices(device_plan.iter().map(|&(addr, _)| addr).collect())
                 .with_recovery_poll_timeout(cfg.recovery_poll_timeout)
-                .with_gap_skip_rounds(cfg.gap_skip_rounds)
-                .with_batch(cfg.batch);
+                .with_gap_skip_rounds(cfg.gap_skip_rounds);
             match self.design {
                 DesignPoint::ClientServerReplicated { replicas: r } => {
                     s = s.with_replication((1..usize::from(r)).map(addrs::replica).collect());
@@ -1267,9 +1266,11 @@ mod tests {
             c.batch_fences_elided > 0,
             "doorbell windows never filled past one entry: {c:?}"
         );
+        // The window is the device's: the server applies each update as it
+        // is delivered, with no fence to amortize.
         let sc = sys.world.node::<ServerLib>(sys.server).counters();
-        assert!(sc.apply_batches > 0, "server never batched applies: {sc:?}");
-        assert_eq!(sc.batched_applies, sc.updates_applied);
+        assert_eq!(sc.updates_applied, 8 * 50, "{sc:?}");
+        assert_eq!(sc.apply_fences_elided, 0, "{sc:?}");
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Behavioural tests for the server library driven through minimal
 //! worlds: in-order delivery, gap detection and retransmission requests,
-//! duplicate handling, worker-pool parallelism and kernel-level early
+//! duplicate handling, worker-pool parallelism, the apply pool's staged
+//! duplicates, ack timing under a doorbell window, and kernel-level early
 //! logging.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use bytes::Bytes;
-use pmnet_core::config::{HostProfile, SystemConfig};
+use pmnet_core::config::{ApplyConfig, BatchConfig, HostProfile, SystemConfig};
 use pmnet_core::protocol::{PacketType, PmnetHeader};
 use pmnet_core::server::{IdealHandler, RequestHandler, ServerLib};
 use pmnet_net::StackProfile;
-use pmnet_net::{Addr, EchoHost, LinkSpec, Packet, World};
+use pmnet_net::{Addr, Ctx, EchoHost, LinkSpec, Msg, Node, Packet, PortNo, World};
 use pmnet_sim::{Dur, SimRng, Time};
 
 const CLIENT: Addr = Addr(1);
@@ -188,40 +192,34 @@ fn duplicates_are_dropped_with_make_up_acks() {
     );
 }
 
+/// A handler with a long fixed service time.
+#[derive(Debug)]
+struct Slow;
+
+impl RequestHandler for Slow {
+    fn handle_update(&mut self, _c: Addr, _s: u16, _q: u32, _p: &Bytes, _r: &mut SimRng) -> Dur {
+        Dur::millis(1)
+    }
+    fn handle_bypass(&mut self, _p: &Bytes, _r: &mut SimRng) -> (Dur, Option<Bytes>) {
+        (Dur::millis(1), Some(Bytes::new()))
+    }
+    fn applied_seq(&mut self, _c: Addr, _s: u16) -> Option<u32> {
+        None
+    }
+    fn on_crash(&mut self, _r: &mut SimRng) {}
+    fn on_recover(&mut self) -> Dur {
+        Dur::ZERO
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 #[test]
 fn worker_pool_overlaps_slow_requests() {
-    /// A handler with a long fixed service time.
-    #[derive(Debug)]
-    struct Slow;
-    impl RequestHandler for Slow {
-        fn handle_update(
-            &mut self,
-            _c: Addr,
-            _s: u16,
-            _q: u32,
-            _p: &Bytes,
-            _r: &mut SimRng,
-        ) -> Dur {
-            Dur::millis(1)
-        }
-        fn handle_bypass(&mut self, _p: &Bytes, _r: &mut SimRng) -> (Dur, Option<Bytes>) {
-            (Dur::millis(1), Some(Bytes::new()))
-        }
-        fn applied_seq(&mut self, _c: Addr, _s: u16) -> Option<u32> {
-            None
-        }
-        fn on_crash(&mut self, _r: &mut SimRng) {}
-        fn on_recover(&mut self) -> Dur {
-            Dur::ZERO
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
-
     // 8 bypass requests, 1 ms each. With 8 workers they overlap; with 1
     // worker they serialize.
     let run = |workers: usize| {
@@ -349,4 +347,93 @@ fn recovery_poll_is_sent_to_registered_devices() {
     assert!(rec.polled_at >= rec.restored_at);
     assert_eq!(rec.poll_retries, polls - 1);
     assert_eq!(rec.barrier_done_at, Time::MAX);
+}
+
+/// A client endpoint that keeps the arrival instant of every `ServerAck`.
+struct AckTimes(Rc<RefCell<Vec<Time>>>);
+
+impl Node for AckTimes {
+    fn on_msg(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+        if let Msg::Packet { packet, .. } = msg {
+            let h = PmnetHeader::peek(&packet.payload);
+            if h.is_some_and(|h| h.ptype == PacketType::ServerAck) {
+                self.0.borrow_mut().push(ctx.now());
+            }
+        }
+    }
+}
+
+#[test]
+fn a_doorbell_window_does_not_hold_the_servers_ack() {
+    // One lone update reaches a server built with each policy; the
+    // window is the device's, so the server acks it as soon as it is
+    // applied either way.
+    let ack_times = |batch: BatchConfig| {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new(17);
+        let client = w.add_node(Box::new(AckTimes(seen.clone())));
+        let server = ServerLib::new(
+            SERVER,
+            deterministic_profile(),
+            4,
+            Dur::micros(100),
+            Box::new(IdealHandler::new()),
+        )
+        .with_batch(batch);
+        let server = w.add_node(Box::new(server));
+        w.connect(client, server, LinkSpec::ten_gbps());
+        let packet = update_pkt(0, b"x");
+        w.schedule(
+            Time::ZERO,
+            server,
+            Msg::Packet {
+                port: PortNo(0),
+                packet,
+            },
+        );
+        w.run_for(Dur::millis(1));
+        let seen = seen.borrow().clone();
+        seen
+    };
+    let unbatched = ack_times(BatchConfig::default());
+    assert_eq!(unbatched.len(), 1, "one ServerAck: {unbatched:?}");
+    assert_eq!(
+        ack_times(BatchConfig::windowed(16)),
+        unbatched,
+        "a window of 16 held the ack"
+    );
+}
+
+#[test]
+fn a_duplicate_of_a_staged_update_gets_no_make_up_ack_until_applied() {
+    let mut w = World::new(17);
+    let client = w.add_node(Box::new(EchoHost::sink(CLIENT)));
+    let server = ServerLib::new(
+        SERVER,
+        deterministic_profile(),
+        4,
+        Dur::micros(100),
+        Box::new(Slow),
+    )
+    .with_apply(ApplyConfig::threaded(2));
+    let server = w.add_node(Box::new(server));
+    w.connect(client, server, LinkSpec::ten_gbps());
+    w.populate_switch_routes();
+    // Seq 0 occupies its session's worker for 1 ms; seq 1 waits staged on
+    // that worker's queue, and so a copy of it is a staged duplicate.
+    w.inject(client, update_pkt(0, b"a"));
+    w.inject(client, update_pkt(1, b"b"));
+    w.inject(client, update_pkt(1, b"b"));
+    w.run_for(Dur::micros(500));
+    let c = w.node::<ServerLib>(server).counters();
+    assert_eq!((c.updates_applied, c.duplicates_dropped), (1, 1), "{c:?}");
+    assert_eq!(c.make_up_acks, 0, "acked a duplicate still staged: {c:?}");
+    // Once the worker frees up it applies seq 1; a copy now is a plain
+    // duplicate of an applied update and is acked to drain the device log.
+    w.run_for(Dur::millis(2));
+    w.inject(client, update_pkt(1, b"b"));
+    w.run_for(Dur::millis(1));
+    let c = w.node::<ServerLib>(server).counters();
+    assert_eq!((c.updates_applied, c.duplicates_dropped), (2, 2), "{c:?}");
+    assert_eq!(c.make_up_acks, 1, "{c:?}");
 }

@@ -18,8 +18,6 @@ struct Point {
     fences_elided: u64,
     coalesced_acks: u64,
     ack_packets: u64,
-    apply_batches: u64,
-    apply_fences_elided: u64,
 }
 
 fn sweep_point(window: u32) -> Point {
@@ -47,7 +45,6 @@ fn sweep_point(window: u32) -> Point {
         .unwrap_or_else(|e| panic!("window {window}: audit failed: {e:?}"));
     assert_eq!(sys.stranded_log_entries(), 0, "window {window}");
     let c = sys.world.node::<PmnetDevice>(sys.devices[0]).counters();
-    let sc = sys.world.node::<ServerLib>(sys.server).counters();
     Point {
         window,
         completed: m.completed,
@@ -56,8 +53,6 @@ fn sweep_point(window: u32) -> Point {
         fences_elided: c.batch_fences_elided,
         coalesced_acks: c.coalesced_acks,
         ack_packets: c.batch_ack_packets,
-        apply_batches: sc.apply_batches,
-        apply_fences_elided: sc.apply_fences_elided,
     }
 }
 
@@ -65,29 +60,19 @@ fn sweep_point(window: u32) -> Point {
 fn window_sweep_is_monotone_and_durable() {
     let points: Vec<Point> = [1u32, 4, 16, 64].iter().map(|&w| sweep_point(w)).collect();
     println!(
-        "{:>6} {:>9} {:>9} {:>8} {:>7} {:>10} {:>8} {:>8} {:>8}",
-        "window",
-        "completed",
-        "mean_us",
-        "batches",
-        "elided",
-        "coalesced",
-        "ack_pkts",
-        "applyB",
-        "applyEl"
+        "{:>6} {:>9} {:>9} {:>8} {:>7} {:>10} {:>8}",
+        "window", "completed", "mean_us", "batches", "elided", "coalesced", "ack_pkts"
     );
     for p in &points {
         println!(
-            "{:>6} {:>9} {:>9.2} {:>8} {:>7} {:>10} {:>8} {:>8} {:>8}",
+            "{:>6} {:>9} {:>9.2} {:>8} {:>7} {:>10} {:>8}",
             p.window,
             p.completed,
             p.mean_us,
             p.batches,
             p.fences_elided,
             p.coalesced_acks,
-            p.ack_packets,
-            p.apply_batches,
-            p.apply_fences_elided
+            p.ack_packets
         );
     }
 
@@ -95,7 +80,6 @@ fn window_sweep_is_monotone_and_durable() {
     assert_eq!(points[0].batches, 0);
     assert_eq!(points[0].fences_elided, 0);
     assert_eq!(points[0].coalesced_acks, 0);
-    assert_eq!(points[0].apply_batches, 0);
 
     // Batching must engage from window 4 up and save a large share of
     // persist fences. (Exact counts are not monotone in the window: with
@@ -106,11 +90,6 @@ fn window_sweep_is_monotone_and_durable() {
     // number of concurrently in-flight updates.)
     for p in &points[1..] {
         assert!(p.batches > 0, "window {} never flushed a batch", p.window);
-        assert!(
-            p.apply_batches > 0,
-            "window {} never batched applies",
-            p.window
-        );
         // Every logged entry is either a batch's fence or an elided one.
         assert_eq!(
             p.batches + p.fences_elided,

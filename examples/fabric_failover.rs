@@ -13,7 +13,7 @@
 //! failover count proves the kills were not vacuous.
 //!
 //! A second pass runs the same campaign shape with a doorbell batching
-//! window of 16 on every hop, proving chain staging and promote/re-home
+//! window of 16 on every device, proving chain staging and promote/re-home
 //! replay compose with coalesced acks and one-fence-per-batch appends.
 //!
 //! Run with: `cargo run --release --example fabric_failover`

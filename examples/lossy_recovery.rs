@@ -10,7 +10,7 @@
 //! prove the digest is bit-identical for the fixed seed.
 //!
 //! The campaign then runs a second time with a doorbell batching window
-//! of 16 on every hop, proving the coalesced-ack / single-fence-per-batch
+//! of 16 on every device, proving the coalesced-ack / single-fence-per-batch
 //! fast path survives the same loss schedule without losing an acked
 //! update or wedging the recovery barrier.
 //!

@@ -21,8 +21,10 @@
 # `size PARENT -> CHANGE (DELTA) lines`: tracked `.rs` and `Cargo.toml`
 # lines outside `benchmark/` on each tree, counted as ROADMAP.md counts
 # them; then one `size CRATE ...` line per crate under `crates/` and one
-# for `root` (`src`, `tests` and `examples`). They are informational and
-# never change the exit status. `--trace` is never passed: it writes into
+# for `root` (`src`, `tests` and `examples`). Last come the `alloc` lines,
+# `allocs_per_op` and `alloc_bytes_per_op` of each workload and seed from
+# the same `--seconds 0` runs, parent -> change. The size and alloc lines
+# are informational and never change the exit status. `--trace` is never passed: it writes into
 # the source tree the benchmark was built in.
 set -euo pipefail
 
@@ -133,6 +135,24 @@ for seed in seeds:
             if p.get(k) != c.get(k):
                 print(f"  {k}: {p.get(k)} -> {c.get(k)}")
 sys.exit(1 if differs else 0)
+EOF
+
+python3 - "$dir/out" "${seeds[*]}" "${workloads[*]}" <<'EOF' || true
+import json, sys
+
+out, seeds, workloads = sys.argv[1], sys.argv[2].split(), sys.argv[3].split()
+names = ("allocs_per_op", "alloc_bytes_per_op")
+
+def allocs(side, w, seed):
+    last = open(f"{out}/{side}.bench.{w}.{seed}.txt").read().splitlines()[-1]
+    metrics = json.loads(last)["metrics"]
+    return [metrics[n]["value"] for n in names]
+
+for seed in seeds:
+    for w in workloads:
+        p, c = allocs("parent", w, seed), allocs("change", w, seed)
+        cells = ", ".join(f"{n} {a:g} -> {b:g}" for n, a, b in zip(names, p, c))
+        print(f"alloc   bench {w} seed {seed}: {cells}")
 EOF
 
 echo "outputs: $dir/out" >&2

@@ -8,7 +8,8 @@ mod common;
 
 use common::{get_frame, run_and_drain, set_frame};
 use pmnet::core::api::{bypass, update, ScriptSource};
-use pmnet::core::system::{BuiltSystem, DesignPoint, SystemBuilder};
+use pmnet::core::config::BatchConfig;
+use pmnet::core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
 use pmnet::core::{PmnetDevice, SystemConfig};
 use pmnet::model;
 use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
@@ -85,6 +86,49 @@ fn uncached_reads_never_overtake_acked_writes() {
         .unwrap_or_else(|d| panic!("durable linearizability violated:\n{d}\n{}", d.artifact));
     assert_eq!(stats.applies, 20);
     assert_eq!(stats.reads_checked, 20, "every read validated");
+}
+
+/// The checker on reduced copies of two benchmark shapes, built here with
+/// `SystemBuilder` rather than by `benchmark/`: `fabric_saturated` (4
+/// shard chains, doorbell window 16, 48 clients of 1 KiB updates, ideal
+/// handler) and `closed_small` (16 clients of 64 B updates, ideal
+/// handler). Both together take about 0.7 s unoptimised on a 2-core host;
+/// keep them under 5 s. `kv_mixed` and `apply_contended` are not here
+/// yet: their keyed multi-client histories hit the checker's open
+/// real-time-order hole (ROADMAP item 15 step 2).
+#[test]
+fn benchmark_shapes_pass_the_checker() {
+    let shapes = [
+        (
+            "fabric_saturated",
+            DesignPoint::PmnetSharded { shards: 4 },
+            SystemConfig::default().with_batch(BatchConfig::windowed(16)),
+            48,
+            (100, 1_024),
+        ),
+        (
+            "closed_small",
+            DesignPoint::PmnetSwitch,
+            SystemConfig::default(),
+            16,
+            (300, 64),
+        ),
+    ];
+    for (name, design, config, clients, (updates, bytes)) in shapes {
+        let mut b = SystemBuilder::new(design, config);
+        for _ in 0..clients {
+            b = b.client(Box::new(MicroSource::updates(updates, bytes)));
+        }
+        let mut sys = b.build(1);
+        let tel = attach_checking(&mut sys);
+        run_and_drain(&mut sys, Dur::secs(5), Dur::millis(50));
+        let stats = model::check_system(&sys.world, sys.server, &tel)
+            .unwrap_or_else(|d| panic!("{name}: {d}\n{}", d.artifact));
+        // Nothing crashes: every update completes and is applied once.
+        let total = clients * updates;
+        assert_eq!(sys.metrics().completed, total, "{name}");
+        assert_eq!((stats.applies, stats.completes), (total, total), "{name}");
+    }
 }
 
 #[test]
