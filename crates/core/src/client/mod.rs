@@ -70,27 +70,18 @@ pub trait RequestSource: fmt::Debug {
     fn on_outcome(&mut self, _req: &AppRequest, _outcome: UpdateOutcome) {}
 }
 
-/// Retransmission-path observability for one client.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientRetryCounters {
-    /// Retransmission rounds fired (each may resend several fragments).
-    pub retransmits: u64,
-    /// RTO doublings (timeouts plus congestion signals).
-    pub backoffs: u64,
-    /// Congestion-flagged server ACKs that backed a session off (device
-    /// log under pressure — see [`crate::protocol::FLAG_CONGESTED`]).
-    pub congestion_signals: u64,
-    /// Requests abandoned after exhausting the retry budget, or too large
-    /// to send.
-    pub failed: u64,
-}
-
-impl pmnet_telemetry::registry::CounterGroup for ClientRetryCounters {
-    fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("retransmits", self.retransmits);
-        f("backoffs", self.backoffs);
-        f("congestion_signals", self.congestion_signals);
-        f("failed", self.failed);
+pmnet_telemetry::counters! {
+    /// Retransmission-path observability for one client.
+    pub struct ClientRetryCounters {
+        /// Retransmission rounds fired (each may resend several fragments).
+        /// Each doubles the session's RTO, as each congestion signal does.
+        retransmits,
+        /// Congestion-flagged server ACKs that backed a session off (device
+        /// log under pressure — see [`crate::protocol::FLAG_CONGESTED`]).
+        congestion_signals,
+        /// Requests abandoned after exhausting the retry budget, or too large
+        /// to send.
+        failed,
     }
 }
 
@@ -299,7 +290,6 @@ impl<P: LoadPolicy> Client<P> {
             // session it names, if that session has a request open.
             if let Some(s) = slot.filter(|&s| arena.slots[s].session.open().is_some()) {
                 arena.retry.congestion_signals += 1;
-                arena.retry.backoffs += 1;
                 arena.slots[s].session.back_off();
             }
         }
@@ -333,7 +323,6 @@ impl<P: LoadPolicy> Client<P> {
             Expiry::Stale => {}
             Expiry::Resend => {
                 arena.retry.retransmits += 1;
-                arena.retry.backoffs += 1;
                 self.policy.on_event(arena, ctx, Event::Resent);
                 arena.transmit(ctx, slot, Which::Incomplete);
                 arena.arm_rto(ctx, slot, serial);

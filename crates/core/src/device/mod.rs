@@ -48,88 +48,60 @@ const TIMER_HEARTBEAT: u32 = 3;
 /// time) so a window that already flushed on occupancy ignores the fire.
 const TIMER_BATCH_FLUSH: u32 = 4;
 
-/// Device-level counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceCounters {
-    /// Packets forwarded (all kinds).
-    pub forwarded: u64,
-    /// PMNet-ACKs sent to clients.
-    pub acks_sent: u64,
-    /// Retransmissions served from the log.
-    pub retrans_served: u64,
-    /// Recovery resends: the first re-forward of each entry a
-    /// `RecoveryPoll` re-armed (its later re-fires are `entry_retries`).
-    pub recovery_resends: u64,
-    /// `RecoveryDone` notifications sent to recovering servers.
-    pub recovery_done_sent: u64,
-    /// Update forwards stamped with [`crate::protocol::FLAG_CONGESTED`]
-    /// because the log bypassed them under pressure (queue or capacity
-    /// full).
-    pub congestion_flagged: u64,
-    /// Unacknowledged log entries re-forwarded to the server on their
-    /// retry timer, apart from the recovery resends.
-    pub entry_retries: u64,
-    /// Reads served from the cache.
-    pub cache_responses: u64,
-    /// Reads held behind an outstanding logged update from the same
-    /// session (released when the session's last entry is server-acked).
-    pub reads_parked: u64,
-    /// Packets dropped for lack of a route.
-    pub unroutable: u64,
-    /// PMNet requests dropped because the header hash or payload CRC
-    /// failed to verify (a bit flipped in flight).
-    pub corrupt_dropped: u64,
-    /// Liveness heartbeats emitted toward the fabric coordinator.
-    pub heartbeats_sent: u64,
-    /// `ChainAck`s sent to the chain primary (backup role).
-    pub chain_acks_sent: u64,
-    /// `ChainAck`s received from the chain backup (primary role).
-    pub chain_acks_received: u64,
-    /// Client PMNet-ACKs that were withheld for chain replication and
-    /// released by the backup's `ChainAck`.
-    pub chain_releases: u64,
-    /// `Fence` orders applied (log purged, device retired from the fabric).
-    pub fence_events: u64,
-    /// `Promote` orders applied (chain collapsed to solo operation).
-    pub promotions: u64,
-    /// Doorbell windows flushed, each behind a single PM fence.
-    pub batches_flushed: u64,
-    /// Log entries persisted through batched flushes.
-    pub batched_entries: u64,
-    /// Per-entry PM fences elided by batching
-    /// (`batched_entries - batches_flushed`).
-    pub batch_fences_elided: u64,
-    /// Client PMNet-ACKs that rode in a coalesced batch packet (the
-    /// coalesced subset of `acks_sent`).
-    pub coalesced_acks: u64,
-    /// Coalesced batch ACK packets emitted (each carries ≥ 2 ACK frames).
-    pub batch_ack_packets: u64,
-}
-
-impl pmnet_telemetry::registry::CounterGroup for DeviceCounters {
-    fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("forwarded", self.forwarded);
-        f("acks_sent", self.acks_sent);
-        f("retrans_served", self.retrans_served);
-        f("recovery_resends", self.recovery_resends);
-        f("recovery_done_sent", self.recovery_done_sent);
-        f("congestion_flagged", self.congestion_flagged);
-        f("entry_retries", self.entry_retries);
-        f("cache_responses", self.cache_responses);
-        f("reads_parked", self.reads_parked);
-        f("unroutable", self.unroutable);
-        f("corrupt_dropped", self.corrupt_dropped);
-        f("heartbeats_sent", self.heartbeats_sent);
-        f("chain_acks_sent", self.chain_acks_sent);
-        f("chain_acks_received", self.chain_acks_received);
-        f("chain_releases", self.chain_releases);
-        f("fence_events", self.fence_events);
-        f("promotions", self.promotions);
-        f("batches_flushed", self.batches_flushed);
-        f("batched_entries", self.batched_entries);
-        f("batch_fences_elided", self.batch_fences_elided);
-        f("coalesced_acks", self.coalesced_acks);
-        f("batch_ack_packets", self.batch_ack_packets);
+pmnet_telemetry::counters! {
+    /// Device-level counters.
+    pub struct DeviceCounters {
+        /// Packets forwarded (all kinds).
+        forwarded,
+        /// PMNet-ACKs sent to clients.
+        acks_sent,
+        /// Retransmissions served from the log.
+        retrans_served,
+        /// Recovery resends: the first re-forward of each entry a
+        /// `RecoveryPoll` re-armed (its later re-fires are `entry_retries`).
+        recovery_resends,
+        /// `RecoveryDone` notifications sent to recovering servers.
+        recovery_done_sent,
+        /// Update forwards stamped with [`crate::protocol::FLAG_CONGESTED`]
+        /// because the log bypassed them under pressure (queue or capacity
+        /// full).
+        congestion_flagged,
+        /// Unacknowledged log entries re-forwarded to the server on their
+        /// retry timer, apart from the recovery resends.
+        entry_retries,
+        /// Reads served from the cache.
+        cache_responses,
+        /// Reads held behind an outstanding logged update from the same
+        /// session (released when the session's last entry is server-acked).
+        reads_parked,
+        /// Packets dropped for lack of a route.
+        unroutable,
+        /// PMNet requests dropped because the header hash or payload CRC
+        /// failed to verify (a bit flipped in flight).
+        corrupt_dropped,
+        /// Liveness heartbeats emitted toward the fabric coordinator.
+        heartbeats_sent,
+        /// `ChainAck`s sent to the chain primary (backup role).
+        chain_acks_sent,
+        /// `ChainAck`s received from the chain backup (primary role).
+        chain_acks_received,
+        /// Client PMNet-ACKs that were withheld for chain replication and
+        /// released by the backup's `ChainAck`.
+        chain_releases,
+        /// `Fence` orders applied (log purged, device retired from the fabric).
+        fence_events,
+        /// `Promote` orders applied (chain collapsed to solo operation).
+        promotions,
+        /// Doorbell windows flushed, each behind a single PM fence.
+        batches_flushed,
+        /// Log entries persisted through batched flushes. Batching elides
+        /// `batched_entries - batches_flushed` per-entry PM fences.
+        batched_entries,
+        /// Client PMNet-ACKs that rode in a coalesced batch packet (the
+        /// coalesced subset of `acks_sent`).
+        coalesced_acks,
+        /// Coalesced batch ACK packets emitted (each carries ≥ 2 ACK frames).
+        batch_ack_packets,
     }
 }
 

@@ -427,4 +427,42 @@ mod tests {
         // And no premature drain report while the entry is outstanding.
         assert_eq!(d.counters().recovery_done_sent, 2);
     }
+
+    /// A torn update drains from the log without reaching the handler:
+    /// fragment 0 of two is logged and delivered, and fragment 1 never
+    /// comes, as from a client that crashed mid-update. What drains the
+    /// entry is the make-up ack the server sends for its retry copy while
+    /// fragment 0 waits in the stream's partial assembly; a rule that
+    /// withholds that ack must release torn updates some other way.
+    #[test]
+    fn a_torn_update_drains_from_the_log_unapplied() {
+        use crate::config::ApplyConfig;
+        use crate::server::{IdealHandler, ServerLib};
+        for apply in [ApplyConfig::default(), ApplyConfig::threaded(2)] {
+            let cfg = SystemConfig::default();
+            let handler = Box::new(IdealHandler::new());
+            let lib = ServerLib::new(Addr(9), cfg.server, 4, cfg.gap_timeout, handler);
+            let lib = Box::new(lib.with_apply(apply));
+            let (mut w, client, dev, server) = rig_with_server(cfg.device, lib);
+            let body = b"first half";
+            let h = PmnetHeader::request(PacketType::UpdateReq, 1, 0, Addr(1), Addr(9), 0, 2)
+                .with_payload(body);
+            let pkt = Packet::udp(
+                Addr(1),
+                Addr(9),
+                client_port(0),
+                SERVICE_PORT,
+                h.encode(body),
+            );
+            w.inject(client, pkt);
+            w.run_until(ms(4));
+            assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 1, "{apply:?}");
+            // Past the entry's first retries: the 5 ms floor, doubling.
+            w.run_until(ms(40));
+            let c = w.node::<ServerLib>(server).counters();
+            assert_eq!(c.updates_applied, 0, "{apply:?}: {c:?}");
+            assert!(c.make_up_acks >= 1, "{apply:?}: {c:?}");
+            assert_eq!(w.node::<PmnetDevice>(dev).log_len(), 0, "{apply:?}");
+        }
+    }
 }

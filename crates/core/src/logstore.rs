@@ -123,46 +123,30 @@ pub enum LogOutcome {
     Bypass(BypassReason),
 }
 
-/// Counters of log activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LogCounters {
-    /// Entries logged.
-    pub logged: u64,
-    /// Packets bypassed because the log queue was full.
-    pub bypass_queue: u64,
-    /// Packets bypassed on hash collision.
-    pub bypass_collision: u64,
-    /// Packets bypassed because the log was full.
-    pub bypass_full: u64,
-    /// Entries invalidated by server-ACKs.
-    pub invalidated: u64,
-    /// Retransmissions served from the log.
-    pub retrans_hits: u64,
-    /// Retransmissions that missed the log.
-    pub retrans_misses: u64,
-    /// Packets spilled by the per-session live-entry quota.
-    pub spilled_quota: u64,
-    /// Packets spilled by the soft occupancy watermark.
-    pub spilled_watermark: u64,
-    /// Highest live-entry count ever held (occupancy high-water mark).
-    pub peak_entries: u64,
-    /// Highest byte occupancy ever held.
-    pub peak_bytes: u64,
-}
-
-impl pmnet_telemetry::registry::CounterGroup for LogCounters {
-    fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("logged", self.logged);
-        f("bypass_queue", self.bypass_queue);
-        f("bypass_collision", self.bypass_collision);
-        f("bypass_full", self.bypass_full);
-        f("invalidated", self.invalidated);
-        f("retrans_hits", self.retrans_hits);
-        f("retrans_misses", self.retrans_misses);
-        f("spilled_quota", self.spilled_quota);
-        f("spilled_watermark", self.spilled_watermark);
-        f("peak_entries", self.peak_entries);
-        f("peak_bytes", self.peak_bytes);
+pmnet_telemetry::counters! {
+    /// Counters of log activity.
+    pub struct LogCounters {
+        /// Entries logged.
+        logged,
+        /// Packets bypassed because the log queue was full.
+        bypass_queue,
+        /// Packets bypassed on hash collision.
+        bypass_collision,
+        /// Packets bypassed because the log was full.
+        bypass_full,
+        /// Entries invalidated by server-ACKs.
+        invalidated,
+        /// Retransmissions that missed the log (a hit is served, and
+        /// counted as the device's `retrans_served`).
+        retrans_misses,
+        /// Packets spilled by the per-session live-entry quota.
+        spilled_quota,
+        /// Packets spilled by the soft occupancy watermark.
+        spilled_watermark,
+        /// Highest live-entry count ever held (occupancy high-water mark).
+        peak_entries,
+        /// Highest byte occupancy ever held.
+        peak_bytes,
     }
 }
 
@@ -475,15 +459,12 @@ impl LogStore {
             .any(|s| s.retry.as_ref().is_some_and(|r| f(&s.entry, r)))
     }
 
-    /// Looks up a logged entry (Retrans service). Updates hit/miss
-    /// counters. Returns a borrow — regenerating the redo packet needs no
+    /// Looks up a logged entry (Retrans service), counting a miss.
+    /// Returns a borrow — regenerating the redo packet needs no
     /// copy of the entry; its payload is a refcounted [`Bytes`].
     pub fn lookup_for_retrans(&mut self, hash: u32) -> Option<&LogEntry> {
         match self.index.get(&hash) {
-            Some(&i) => {
-                self.counters.retrans_hits += 1;
-                self.slots[i as usize].as_ref().map(|s| &s.entry)
-            }
+            Some(&i) => self.slots[i as usize].as_ref().map(|s| &s.entry),
             None => {
                 self.counters.retrans_misses += 1;
                 None
@@ -723,9 +704,10 @@ mod tests {
         let mut s = store();
         let h = hdr(1);
         s.try_log(Time::ZERO, h, payload(10), Addr(9), 51000, 51000);
+        // A hit is counted by the device that serves it.
         assert!(s.lookup_for_retrans(h.hash).is_some());
+        assert_eq!(s.counters().retrans_misses, 0);
         assert!(s.lookup_for_retrans(12345).is_none());
-        assert_eq!(s.counters().retrans_hits, 1);
         assert_eq!(s.counters().retrans_misses, 1);
     }
 
@@ -1195,9 +1177,8 @@ mod tests {
 
         fn lookup_for_retrans(&mut self, hash: u32) -> Option<&LogEntry> {
             let hit = self.entries.get(&hash);
-            match hit {
-                Some(_) => self.counters.retrans_hits += 1,
-                None => self.counters.retrans_misses += 1,
+            if hit.is_none() {
+                self.counters.retrans_misses += 1;
             }
             hit
         }

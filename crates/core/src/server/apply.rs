@@ -122,6 +122,12 @@ impl ApplyPool {
         self.key_writer.clear();
     }
 
+    /// Whether updates are staged on the pool (more than one worker)
+    /// rather than applied on the k-worker delay queue.
+    pub(super) fn is_concurrent(&self) -> bool {
+        self.queues.len() > 1
+    }
+
     /// Whether the staged write `(w, id)` has left its queue for a worker:
     /// ids rise along each FIFO queue, so it has once the head is past it.
     fn dispatched(&self, (w, id): (usize, u64)) -> bool {
@@ -201,7 +207,7 @@ impl ServerLib {
     /// Routes one in-order update through the configured policy: staged
     /// on the pool, or applied now and acked once its worker is done.
     pub(super) fn deliver(&mut self, ctx: &mut Ctx<'_>, update: Update) {
-        if self.apply.is_concurrent() {
+        if self.pool.is_concurrent() {
             self.stage_concurrent(ctx, update);
             return;
         }
@@ -262,7 +268,7 @@ impl ServerLib {
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
-        (h % u64::from(self.apply.threads)) as usize
+        (h % self.pool.queues.len() as u64) as usize
     }
 
     /// Stages one in-order update onto its session's pool queue,
@@ -342,7 +348,6 @@ impl ServerLib {
             return false;
         }
         let n = tickets.len() as u64;
-        self.counters.apply_fences_elided += n - 1;
         self.counters.apply_runs += 1;
         let jitter = Dur::nanos(self.pool.rng.uniform_u64(0..256));
         let service = service.saturating_sub(fence_refund(n)) + jitter;
@@ -356,7 +361,7 @@ impl ServerLib {
     /// yet applied — write on a pool queue. Serving it now would read
     /// around an update the device already durably acked.
     fn read_blocked_by_pool(&self, pending: &PendingPkt) -> bool {
-        if !self.apply.is_concurrent() || self.pool.key_writer.is_empty() {
+        if self.pool.key_writer.is_empty() {
             return false;
         }
         match KvFrame::decode(&pending.payload) {
@@ -444,7 +449,7 @@ impl ServerLib {
                     let mut pkt = Packet::udp(
                         self.addr,
                         replica,
-                        self.port,
+                        SERVICE_PORT,
                         SERVICE_PORT,
                         copy.encode(&[]),
                     );
@@ -524,9 +529,9 @@ mod tests {
         let s = mk(Box::new(IdealHandler::new())).with_apply(ApplyConfig::threaded(3));
         assert_eq!(s.pool.queues.len(), 3);
         assert_eq!(s.pool.busy, vec![false; 3]);
-        assert!(s.apply.is_concurrent());
+        assert!(s.pool.is_concurrent());
         let s1 = mk(Box::new(IdealHandler::new()));
-        assert!(!s1.apply.is_concurrent());
+        assert!(!s1.pool.is_concurrent());
     }
 
     #[test]

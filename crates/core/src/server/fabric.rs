@@ -17,43 +17,31 @@ use crate::protocol::{client_port, PacketType, PmnetHeader, SERVICE_PORT};
 /// per-order ack protocol.
 const REDELIVER_ROUNDS: u32 = 8;
 
-/// Per-shard fabric coordinator counters (one [`CounterGroup`] per shard
-/// flows into the telemetry registry, so flight-recorder timelines show
-/// exactly which shard fenced, promoted, and re-homed, and when).
-///
-/// [`CounterGroup`]: pmnet_telemetry::registry::CounterGroup
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricShardCounters {
-    /// Heartbeats received from this shard's members.
-    pub heartbeats_seen: u64,
-    /// Failovers executed: a member timed out, was fenced, and its chain
-    /// peer took over the shard.
-    pub failovers: u64,
-    /// `Fence` orders sent (including bounded re-deliveries).
-    pub fences_sent: u64,
-    /// `Promote` orders sent (including bounded re-deliveries).
-    pub promotes_sent: u64,
-    /// `ShardMapUpdate` packets sent to the fabric switches.
-    pub steering_updates_sent: u64,
-    /// `EpochNotify` packets sent to clients.
-    pub epoch_notices_sent: u64,
-    /// Recovery barriers opened against the shard's survivor.
-    pub barriers_opened: u64,
-    /// Fences re-sent because a fenced device's heartbeat resurfaced (a
-    /// zombie that missed the original order).
-    pub zombie_refences: u64,
-}
-
-impl pmnet_telemetry::registry::CounterGroup for FabricShardCounters {
-    fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("heartbeats_seen", self.heartbeats_seen);
-        f("failovers", self.failovers);
-        f("fences_sent", self.fences_sent);
-        f("promotes_sent", self.promotes_sent);
-        f("steering_updates_sent", self.steering_updates_sent);
-        f("epoch_notices_sent", self.epoch_notices_sent);
-        f("barriers_opened", self.barriers_opened);
-        f("zombie_refences", self.zombie_refences);
+pmnet_telemetry::counters! {
+    /// Per-shard fabric coordinator counters (one [`CounterGroup`] per shard
+    /// flows into the telemetry registry, so flight-recorder timelines show
+    /// exactly which shard fenced, promoted, and re-homed, and when).
+    ///
+    /// [`CounterGroup`]: pmnet_telemetry::registry::CounterGroup
+    pub struct FabricShardCounters {
+        /// Heartbeats received from this shard's members.
+        heartbeats_seen,
+        /// Failovers executed: a member timed out, was fenced, and its chain
+        /// peer took over the shard.
+        failovers,
+        /// `Fence` orders sent (including bounded re-deliveries).
+        fences_sent,
+        /// `Promote` orders sent (including bounded re-deliveries).
+        promotes_sent,
+        /// `ShardMapUpdate` packets sent to the fabric switches.
+        steering_updates_sent,
+        /// `EpochNotify` packets sent to clients.
+        epoch_notices_sent,
+        /// Recovery barriers opened against the shard's survivor.
+        barriers_opened,
+        /// Fences re-sent because a fenced device's heartbeat resurfaced (a
+        /// zombie that missed the original order).
+        zombie_refences,
     }
 }
 
@@ -179,7 +167,7 @@ impl ServerLib {
     /// fabric epoch rides in the header's `seq` field.
     fn send_fabric_order(&mut self, ctx: &mut Ctx<'_>, ptype: PacketType, dst: Addr, epoch: u64) {
         let h = PmnetHeader::control(ptype, epoch as u32, self.addr, dst);
-        let pkt = Packet::udp(self.addr, dst, self.port, SERVICE_PORT, h.encode(&[]));
+        let pkt = Packet::udp(self.addr, dst, SERVICE_PORT, SERVICE_PORT, h.encode(&[]));
         self.send_via_stack(ctx, pkt);
     }
 
@@ -303,8 +291,8 @@ impl ServerLib {
                         sw,
                     )
                     .with_payload(&payload);
-                    let pkt =
-                        Packet::udp(self.addr, sw, self.port, SERVICE_PORT, h.encode(&payload));
+                    let body = h.encode(&payload);
+                    let pkt = Packet::udp(self.addr, sw, SERVICE_PORT, SERVICE_PORT, body);
                     self.send_via_stack(ctx, pkt);
                 }
             }
@@ -313,7 +301,8 @@ impl ServerLib {
                 for cl in clients {
                     let h =
                         PmnetHeader::control(PacketType::EpochNotify, epoch as u32, cl, self.addr);
-                    let pkt = Packet::udp(self.addr, cl, self.port, client_port(0), h.encode(&[]));
+                    let pkt =
+                        Packet::udp(self.addr, cl, SERVICE_PORT, client_port(0), h.encode(&[]));
                     self.send_via_stack(ctx, pkt);
                 }
             }

@@ -146,64 +146,43 @@ impl RequestHandler for IdealHandler {
     }
 }
 
-/// Server activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Updates applied by the handler.
-    pub updates_applied: u64,
-    /// Bypass requests served.
-    pub bypasses_served: u64,
-    /// Duplicate/already-applied packets dropped.
-    pub duplicates_dropped: u64,
-    /// Make-up server-ACKs sent for duplicates.
-    pub make_up_acks: u64,
-    /// Retrans requests emitted for detected gaps.
-    pub retrans_sent: u64,
-    /// Out-of-order packets buffered.
-    pub reordered: u64,
-    /// Redo-flagged (recovery) updates applied.
-    pub redo_applied: u64,
-    /// Requests dropped because the header hash or payload CRC failed to
-    /// verify (a bit flipped in flight).
-    pub corrupt_dropped: u64,
-    /// Unrecoverable gaps skipped after the bounded retransmission rounds
-    /// ran out (a crashed client stranded a hole no log can fill).
-    pub gaps_skipped: u64,
-    /// Bypass reads held behind an open recovery barrier (served once
-    /// every device reported `RecoveryDone`).
-    pub bypasses_parked: u64,
-    /// Handler fence drains amortized away by pool runs (run length minus
-    /// one per run).
-    pub apply_fences_elided: u64,
-    /// Updates applied through the concurrent sharded pool
-    /// (`apply.threads > 1`).
-    pub concurrent_applies: u64,
-    /// Pool runs dispatched (one combined worker occupancy each).
-    pub apply_runs: u64,
-    /// Same-key write-write fences recorded at pool staging time.
-    pub apply_key_fences: u64,
-    /// Bypass reads held behind a staged (not yet applied) same-key
-    /// write.
-    pub apply_reads_parked: u64,
-}
-
-impl pmnet_telemetry::registry::CounterGroup for ServerCounters {
-    fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("updates_applied", self.updates_applied);
-        f("bypasses_served", self.bypasses_served);
-        f("duplicates_dropped", self.duplicates_dropped);
-        f("make_up_acks", self.make_up_acks);
-        f("retrans_sent", self.retrans_sent);
-        f("reordered", self.reordered);
-        f("redo_applied", self.redo_applied);
-        f("corrupt_dropped", self.corrupt_dropped);
-        f("gaps_skipped", self.gaps_skipped);
-        f("bypasses_parked", self.bypasses_parked);
-        f("apply_fences_elided", self.apply_fences_elided);
-        f("concurrent_applies", self.concurrent_applies);
-        f("apply_runs", self.apply_runs);
-        f("apply_key_fences", self.apply_key_fences);
-        f("apply_reads_parked", self.apply_reads_parked);
+pmnet_telemetry::counters! {
+    /// Server activity counters.
+    pub struct ServerCounters {
+        /// Updates applied by the handler.
+        updates_applied,
+        /// Bypass requests served.
+        bypasses_served,
+        /// Duplicate/already-applied packets dropped.
+        duplicates_dropped,
+        /// Make-up server-ACKs sent for duplicates.
+        make_up_acks,
+        /// Retrans requests emitted for detected gaps.
+        retrans_sent,
+        /// Out-of-order packets buffered.
+        reordered,
+        /// Redo-flagged (recovery) updates applied.
+        redo_applied,
+        /// Requests dropped because the header hash or payload CRC failed to
+        /// verify (a bit flipped in flight).
+        corrupt_dropped,
+        /// Unrecoverable gaps skipped after the bounded retransmission rounds
+        /// ran out (a crashed client stranded a hole no log can fill).
+        gaps_skipped,
+        /// Bypass reads held behind an open recovery barrier (served once
+        /// every device reported `RecoveryDone`).
+        bypasses_parked,
+        /// Updates applied through the concurrent sharded pool
+        /// (`apply.threads > 1`). Pool runs amortize away
+        /// `concurrent_applies - apply_runs` handler fence drains.
+        concurrent_applies,
+        /// Pool runs dispatched (one combined worker occupancy each).
+        apply_runs,
+        /// Same-key write-write fences recorded at pool staging time.
+        apply_key_fences,
+        /// Bypass reads held behind a staged (not yet applied) same-key
+        /// write.
+        apply_reads_parked,
     }
 }
 
@@ -211,7 +190,6 @@ impl pmnet_telemetry::registry::CounterGroup for ServerCounters {
 #[derive(Debug)]
 pub struct ServerLib {
     addr: Addr,
-    port: u16,
     profile: HostProfile,
     handler: Box<dyn RequestHandler>,
     workers: Vec<Time>,
@@ -220,7 +198,6 @@ pub struct ServerLib {
     /// Work whose worker occupancy is still elapsing ([`TIMER_DONE`]).
     parked: FixedMap<u64, Parked>,
     next_parked: u64,
-    apply: ApplyConfig,
     pool: ApplyPool,
     counters: ServerCounters,
     gap_timeout: Dur,
@@ -272,14 +249,12 @@ impl ServerLib {
         let defaults = SystemConfig::default();
         ServerLib {
             addr,
-            port: SERVICE_PORT,
             profile,
             handler,
             workers: vec![Time::ZERO; workers],
             streams: FixedMap::default(),
             parked: FixedMap::default(),
             next_parked: 0,
-            apply: ApplyConfig::default(),
             pool: ApplyPool::new(&ApplyConfig::default()),
             counters: ServerCounters::default(),
             gap_timeout,
@@ -343,7 +318,6 @@ impl ServerLib {
     pub fn with_apply(mut self, apply: ApplyConfig) -> ServerLib {
         apply.validate().expect("invalid apply config");
         self.pool = ApplyPool::new(&apply);
-        self.apply = apply;
         self
     }
 
@@ -452,7 +426,7 @@ impl ServerLib {
         proto: Proto,
     ) -> Packet {
         let body = header.encode(payload);
-        let mut p = Packet::udp(self.addr, header.client, self.port, dst_port, body);
+        let mut p = Packet::udp(self.addr, header.client, SERVICE_PORT, dst_port, body);
         p.proto = proto;
         p
     }

@@ -312,7 +312,7 @@ impl ServerLib {
     pub(super) fn on_update_post_stack(&mut self, ctx: &mut Ctx<'_>, pending: PendingPkt) {
         let key = (pending.header.client, pending.header.session);
         let replay = self.dedup_disabled;
-        let pooled = self.apply.is_concurrent();
+        let pooled = self.pool.is_concurrent();
         let stream = self.stream_mut(key);
         let expected = stream.expected();
         match stream.offer(pending) {

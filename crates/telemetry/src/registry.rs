@@ -3,8 +3,10 @@
 //!
 //! Components keep owning their counter structs (they are part of the
 //! simulation state); what the registry replaces is the *flattening*: a
-//! struct implements [`CounterGroup`] once, next to its fields, and any
-//! harness folds it in with [`Registry::record_group`] under a prefix.
+//! group of `u64` counters is declared once with [`counters!`](crate::counters),
+//! which writes the struct and its [`CounterGroup`] impl from one field
+//! list, and any harness folds it in with [`Registry::record_group`]
+//! under a prefix.
 //! Histograms are the fixed-memory log-bucketed
 //! [`LatencyHistogram`], so registries merge cheaply across parallel
 //! campaign workers.
@@ -23,6 +25,30 @@ use pmnet_sim::stats::{CounterSet, LatencyHistogram};
 pub trait CounterGroup {
     /// Visits every `(name, value)` pair of the group.
     fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64));
+}
+
+/// Declares a counter group: a struct of `pub u64` fields, each published
+/// under its own name, and its [`CounterGroup`] impl — one field list, so
+/// a counter's name is written once. Doc comments on the struct and its
+/// fields are kept: `counters! { /// doc  pub struct Name { /// doc
+/// field, .. } }`.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $( $(#[$fmeta:meta])* $field:ident ),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $crate::registry::CounterGroup for $name {
+            fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
+                $( f(stringify!($field), self.$field); )*
+            }
+        }
+    };
 }
 
 /// A registry of named counters and latency histograms.
@@ -96,16 +122,8 @@ mod tests {
     use super::*;
     use pmnet_sim::Dur;
 
-    struct Demo {
-        hits: u64,
-        misses: u64,
-    }
-
-    impl CounterGroup for Demo {
-        fn visit_counters(&self, f: &mut dyn FnMut(&'static str, u64)) {
-            f("hits", self.hits);
-            f("misses", self.misses);
-        }
+    crate::counters! {
+        struct Demo { hits, misses }
     }
 
     #[test]

@@ -10,12 +10,13 @@ use common::{get_frame, run_and_drain, set_frame};
 use pmnet::core::api::{bypass, update, ScriptSource};
 use pmnet::core::config::BatchConfig;
 use pmnet::core::system::{BuiltSystem, DesignPoint, MicroSource, SystemBuilder};
-use pmnet::core::{PmnetDevice, SystemConfig};
+use pmnet::core::{DeviceConfig, PmnetDevice, SystemConfig};
 use pmnet::model;
 use pmnet::sim::hash::{fnv1a, FNV_OFFSET};
 use pmnet::sim::{Dur, Time};
 use pmnet::telemetry::history::EventKind;
 use pmnet::telemetry::Telemetry;
+use pmnet::traffic::{AdmissionSpec, ChurnSpec, TrafficSpec, TrafficSystem};
 use pmnet::workloads::{KvHandler, YcsbSource};
 
 /// Attaches one checking handle to every recording node of `sys`.
@@ -88,14 +89,25 @@ fn uncached_reads_never_overtake_acked_writes() {
     assert_eq!(stats.reads_checked, 20, "every read validated");
 }
 
-/// The checker on reduced copies of two benchmark shapes, built here with
-/// `SystemBuilder` rather than by `benchmark/`: `fabric_saturated` (4
-/// shard chains, doorbell window 16, 48 clients of 1 KiB updates, ideal
-/// handler) and `closed_small` (16 clients of 64 B updates, ideal
-/// handler). Both together take about 0.7 s unoptimised on a 2-core host;
-/// keep them under 5 s. `kv_mixed` and `apply_contended` are not here
-/// yet: their keyed multi-client histories hit the checker's open
-/// real-time-order hole (ROADMAP item 15 step 2).
+/// The checker on reduced copies of three benchmark shapes, built here
+/// rather than by `benchmark/`: `fabric_saturated` (4 shard chains,
+/// doorbell window 16, 48 clients of 1 KiB updates, ideal handler),
+/// `closed_small` (16 clients of 64 B updates, ideal handler) and
+/// `open_overload` (below). All three together take about 1 s
+/// unoptimised on a 2-core host; keep them under 5 s. `kv_mixed` and
+/// `apply_contended` are not here yet: their keyed multi-client
+/// histories hit the checker's open real-time-order hole (ROADMAP item
+/// 15 step 2).
+///
+/// `open_overload` is the open-loop `TrafficSystem` as the benchmark
+/// builds it — Poisson arrivals at 4 M/s, no churn, admission open,
+/// 4 096-deep session queues, an FPGA device spilling past 8 live
+/// entries per session or 1 024 in all, the btree handler — with only
+/// its arrival window shrunk (2 ms, about 8 000 updates, some 700 of
+/// them spilled). Its `'O'` payloads carry no KV key and it issues no
+/// reads, so rules 4–6 hold vacuously for workload keys: rule 6 compares
+/// only the per-session applied-sequence table. The shape exercises
+/// rules 1–3 through the spill and congestion path.
 #[test]
 fn benchmark_shapes_pass_the_checker() {
     let shapes = [
@@ -129,6 +141,26 @@ fn benchmark_shapes_pass_the_checker() {
         assert_eq!(sys.metrics().completed, total, "{name}");
         assert_eq!((stats.applies, stats.completes), (total, total), "{name}");
     }
+
+    let mut traffic = TrafficSpec::poisson(4e6);
+    traffic.churn = ChurnSpec::none();
+    traffic.admission = AdmissionSpec::Open;
+    traffic.queue_cap = 4_096;
+    traffic.measure = Dur::millis(2);
+    traffic.drain = Dur::millis(200);
+    let config = SystemConfig {
+        device: DeviceConfig::fpga().with_spill_policy(8, 1_024),
+        ..SystemConfig::default()
+    };
+    let mut sys = TrafficSystem::build_with(&traffic, config, 1);
+    let tel = Telemetry::checking();
+    sys.attach_telemetry(&tel);
+    sys.run();
+    let stats = model::check_system(&sys.world, sys.server, &tel)
+        .unwrap_or_else(|d| panic!("open_overload: {d}\n{}", d.artifact));
+    assert!(stats.applies > 0 && stats.completes > 0, "{stats:?}");
+    let report = sys.report(&tel);
+    assert!(report.log_spills > 0, "no update spilled: {report:?}");
 }
 
 #[test]
